@@ -28,11 +28,12 @@ from .harness import (
     _THREE_PROBE,
     base_name,
     calibrate,
+    calibrated_noise,
     run_mc,
     sweep,
 )
 from .interferometer import SetupConfig, Topology, forward
-from .measurement import MeasurementPlan, Scheme, sample
+from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
 from .noise import NoiseParams
 
 SWEEP_CSV_HEADER = ["axis", "value", "estimator", "parameter",
@@ -294,10 +295,11 @@ def cmd_estimate(cfg, args) -> int:
     need_single = any(base_name(n) not in _THREE_PROBE or base_name(n) == "combined"
                       for n in mc.estimators)
     need_probes = any(base_name(n) in _THREE_PROBE for n in mc.estimators)
+    calibrated = calibrated_noise(mc)
     data = _simulate_realization(mc, 1, need_single, need_probes)
     reports = []
     for name in mc.estimators:
-        assumed = _resolve_assumed(mc, name, None)
+        assumed = _resolve_assumed(mc, name, calibrated)
         values = _estimate_one(name, data, mc, assumed, {})
         reports.append(report_to_dict(name, values))
     _write_text(cfg["out"], json.dumps(reports, indent=2) + "\n")
@@ -399,7 +401,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EstimationError, UnidentifiableError, CalibrationError, NumericFisherError) as exc:
+    except (EstimationError, UnidentifiableError, InsufficientDataError, CalibrationError,
+            NumericFisherError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gaussian_core import (
     DecompositionError,
@@ -70,12 +69,17 @@ PROBE_PHASES = (0.0, math.pi, math.pi / 2)
 #: Below this squeezing exponent the squeeze axis is treated as undefined.
 AXIS_UNDEFINED_W = 1e-4
 
+#: Largest squeezing exponent a covariance fit may return (q = e^3, about 20).
+W_MAX = 3.0
+
+#: Relative covariance residual above which a fit is taken for model mismatch.
+RESIDUAL_REL_TOL = 0.5
+
 #: Relative entrywise distance below which two process matrices are one
 #: solution.  Coincident preimages (the fit itself, the two branches on the
 #: image boundary, a double root of either branch) come out of a square root
 #: of a quantity known to a few eps, so they scatter by ~1e-8 (a few
-#: sqrt(eps)), and the simplex fit lands anywhere within that scatter;
-#: distinct solutions lie O(1) apart.
+#: sqrt(eps)); distinct solutions lie O(1) apart.
 _SAME_PROCESS_TOL = 1e-6
 
 
@@ -249,10 +253,6 @@ def est_phase_ml(samples: SampleSet, setup: SetupConfig,
 # General-process estimation
 
 
-def _fold_x(x):
-    return ProcessParams.folded(phi=x[0], w=max(x[1], 0.0), alpha=x[2])
-
-
 def _recover_displacement(mean_emp, setup, noise, linear_part):
     mm = mean_map(setup, noise)
     d_vec = (mean_emp - linear_part @ setup.light_mean) / mm.g_d
@@ -330,21 +330,93 @@ def _cov_preimages(cov_model, a, b, e):
     return out
 
 
+def _squeeze_exponent(mat):
+    """Squeezing exponent w of a unit-determinant 2x2 matrix: its singular
+    values are e^w and e^-w, so the squared Frobenius norm is 2 cosh(2w)."""
+    return 0.5 * math.acosh(max(1.0, 0.5 * float((mat * mat).sum())))
+
+
+def _symmetric_face(mu, lam):
+    """Points x to try for the symmetric process matrices V diag(x, 1/x) V^T.
+
+    With V the eigenvectors of P P^T and mu its eigenvalues, such a matrix
+    lies at squared distance f(x) = ((x - lam)^2 - mu[0])^2 + ((1/x - lam)^2
+    - mu[1])^2 from P P^T, and x < 0 gives phi = pi.  The minimum of f over
+    e^-W_MAX <= |x| <= e^W_MAX lies among the real parts of the roots of
+    x^5 f'(x) / 4 (a degree-8 polynomial), the ends of the range and the
+    points x = lam, 1/lam where the face meets the rank-one face.  Returns
+    those in range; x and 1/x give the two pairings of eigenvalues.
+    """
+    poly = np.polynomial.polynomial
+    xl = [-lam, 1.0]  # x - lam
+    ol = [1.0, -lam]  # 1 - lam x
+    first = poly.polymul([0.0] * 5 + [1.0],
+                         poly.polymul(xl, poly.polysub(poly.polymul(xl, xl), [mu[0]])))
+    second = poly.polymul(ol, poly.polysub(poly.polymul(ol, ol), [0.0, 0.0, mu[1]]))
+    lo, hi = math.exp(-W_MAX), math.exp(W_MAX)
+    points = [float(x) for x in poly.polyroots(poly.polysub(first, second)).real]
+    points += [lam, 1.0 / lam, lo, hi, -lo, -hi]
+    return [x for x in points if lo <= abs(x) <= hi]
+
+
+def _fit_cov(cov_emp, a, b, e):
+    """Process matrix, squeezing at most W_MAX, whose model covariance is
+    Frobenius-nearest to cov_emp; returns (matrix, off_image).
+
+    The model covariance is a M M^T + shift I with M = A - lam I (see
+    _cov_preimages), so the fit is the point S = M M^T nearest to Q =
+    (cov_emp - shift I) / a.  An exact preimage of cov_emp is that point.
+    Otherwise the nearest S lies on the boundary of the set of S, which is
+    invariant under orthogonal conjugation (U A U^T keeps det A = 1): it
+    shares Q's eigenvectors, and only two eigenvalues are left to fit.  The
+    boundary is made of the rank-one M and the critical points of A -> S on
+    det A = 1, where the derivative loses rank; for lam != 0 these are
+    exactly the symmetric A.  So the candidates are the preimages of Q with
+    its smaller eigenvalue clipped to 0 and the best symmetric A (see
+    _symmetric_face).  A boundary at w = W_MAX is not searched: data whose
+    fit would sit there are far off the model.
+    """
+    lam = -b / a
+    shift = e - b * b / a
+    eye = np.eye(2)
+    exact = [m for m in _cov_preimages(cov_emp, a, b, e) if _squeeze_exponent(m) <= W_MAX]
+    if exact:
+        return exact[0], False
+    q = (cov_emp - shift * eye) / a
+    mu, vecs = np.linalg.eigh(q)
+    candidates = [vecs @ np.diag([x, 1.0 / x]) @ vecs.T for x in _symmetric_face(mu, lam)]
+    if mu[1] > 0.0:
+        clipped = a * mu[1] * np.outer(vecs[:, 1], vecs[:, 1]) + shift * eye
+        candidates += [m for m in _cov_preimages(clipped, a, b, e)
+                       if _squeeze_exponent(m) <= W_MAX]
+
+    def distance(mat):
+        m = mat - lam * eye
+        return float(np.linalg.norm(m @ m.T - q))
+
+    return min(candidates, key=distance), True
+
+
 def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
-                    noise: NoiseParams = IDEAL_NOISE, *,
-                    w_max: float = 3.0,
-                    residual_rel_tol: float = 0.5) -> EstimateReport:
+                    noise: NoiseParams = IDEAL_NOISE) -> EstimateReport:
     """Method (i): fit (phi, w, alpha) to the empirical covariance, then read
     the displacement off the residual mean.
 
-    Multi-start downhill simplex on the squared Frobenius distance between
-    the model output covariance and the measured one.  The covariance only
-    determines the process matrix up to a discrete set of alternatives (see
-    _cov_preimages), which a single read-out cannot distinguish; the reported
-    solution is the canonical one (least squeezing, then most axis-aligned,
-    then largest rotation), and the rivals are listed in the diagnostics.
-    A covariance off the image fits to a point on its boundary, where the
-    rivals include a twin with equal squeezing.
+    The fit minimises the Frobenius distance between the model output
+    covariance and the measured one, in closed form (see _fit_cov): the
+    exact inversion when the covariance lies on the image of the covariance
+    map, else its nearest boundary point ('off_image' in the diagnostics).
+    The covariance only determines the process matrix up to a discrete set
+    of alternatives (see _cov_preimages), which a single read-out cannot
+    distinguish; the reported solution is the canonical one (least
+    squeezing, then most axis-aligned, then largest rotation), and the
+    rivals are listed in the diagnostics.  A covariance off the image fits
+    to a point on its boundary, where the rivals include a twin with equal
+    squeezing.
+
+    Raises UnidentifiableError when the covariance response has no linear
+    term (cold matter V = 1, the blocked beam, t2 = 0): the covariance then
+    carries no rotation signal.
     """
     if not moments.has_full_cov:
         raise InsufficientDataError(
@@ -353,90 +425,33 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         )
     cov_emp = moments.cov
     a, b, e = _cov_response(setup, noise)
+    if a <= 0.0 or abs(b / a) < 1e-12:
+        raise UnidentifiableError(
+            "the output covariance has no term linear in the process matrix, "
+            "so it carries no rotation signal")
     eye2 = np.eye(2)
-    exx = float(cov_emp[0, 0])
-    epp = float(cov_emp[1, 1])
-    exp_ = float(cov_emp[0, 1])
 
     def model_cov(phi, w, alpha):
         m = rotation(phi) @ squeeze_matrix(w, alpha)
         return a * (m @ m.T) + b * (m + m.T) + e * eye2
 
-    def objective(x):
-        # Scalar form of ||model_cov - cov_emp||_F^2; hot path for the simplex.
-        phi, w, alpha = x[0], x[1], x[2]
-        penalty = 0.0
-        if w < 0.0 or w > w_max:
-            penalty = 1e3 * (w - min(max(w, 0.0), w_max)) ** 2
-            w = min(max(w, 0.0), w_max)
-        ch, sh = math.cosh(2.0 * w), math.sinh(2.0 * w)
-        chw, shw = math.cosh(w), math.sinh(w)
-        c2, s2 = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-        cf, sf = math.cos(phi), math.sin(phi)
-        c2f = math.cos(2.0 * (alpha + phi))
-        s2f = math.sin(2.0 * (alpha + phi))
-        # a * A A^T: cosh(2w) I + sinh(2w) * traceless(2 alpha + 2 phi)
-        # b * (A + A^T): 2 cos(phi) Sq + 2 sin(phi) sinh(w) * swapped traceless
-        mxx = a * (ch + sh * c2f) + b * (2.0 * cf * (chw + shw * c2) - 2.0 * sf * shw * s2) + e
-        mpp = a * (ch - sh * c2f) + b * (2.0 * cf * (chw - shw * c2) + 2.0 * sf * shw * s2) + e
-        mxp = a * sh * s2f + b * 2.0 * shw * (cf * s2 + sf * c2)
-        dxx = mxx - exx
-        dpp = mpp - epp
-        dxp = mxp - exp_
-        return dxx * dxx + dpp * dpp + 2.0 * dxp * dxp + penalty
+    def sq_residual(x):
+        diff = model_cov(*x) - cov_emp
+        return float((diff * diff).sum())
 
-    starts = [
-        (phi0, w0, 0.0)
-        for phi0 in (-2.35, -0.8, 0.8, 2.35)
-        for w0 in (0.35, 1.5)
-    ]
-    best = None
-    nfev = 0
-    scale = exx * exx + epp * epp + 2.0 * exp_ * exp_
-    for x0 in starts:
-        # Coarse pass only has to land in the right basin; the restart below
-        # polishes to full precision.
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-4, "fatol": 1e-10 * scale,
-                                "maxiter": 250})
-        nfev += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise EstimationError("covariance fit failed to converge")
-    # Direct inversion of the measured covariance seeds the exact solutions
-    # when the data sit on the model manifold; under sampling noise it still
-    # lands near the optimum where the grid seeds can miss a narrow basin.
-    for mat in _cov_preimages(cov_emp, a, b, e):
-        try:
-            x0 = polar_decompose_2x2(mat)
-        except DecompositionError:
-            continue
-        if not -0.5 <= x0[1] <= w_max + 0.5:
-            continue
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-10 * scale,
-                                "maxiter": 250})
-        nfev += res.nfev
-        if res.fun < best.fun:
-            best = res
-    # One restart from the best point tightens the simplex around the optimum.
-    res = minimize(objective, best.x, method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 2000})
-    nfev += res.nfev
-    if res.fun <= best.fun:
-        best = res
-    residual = math.sqrt(best.fun)
+    best, off_image = _fit_cov(cov_emp, a, b, e)
+    fitted = ProcessParams.folded(*polar_decompose_2x2(best))
+    best_sq = sq_residual((fitted.phi, fitted.w, fitted.alpha))
+    residual = math.sqrt(best_sq)
     rel = residual / max(float(np.linalg.norm(cov_emp)), 1e-300)
-    if rel > residual_rel_tol:
+    if rel > RESIDUAL_REL_TOL:
         raise FitRejectedError(
-            f"covariance residual {rel:.3g} exceeds tolerance {residual_rel_tol}"
+            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}"
         )
 
     # Enumerate every process matrix consistent with the fitted covariance
     # and pick the canonical representative.
-    fitted = _fold_x(best.x)
-    tie_tol = best.fun + 1e-9 * (1.0 + best.fun)
+    tie_tol = best_sq + 1e-9 * (1.0 + best_sq)
     candidates = [(fitted.phi, fitted.w, fitted.alpha)]
     seen = [rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)]
     for mat in _cov_preimages(model_cov(fitted.phi, fitted.w, fitted.alpha), a, b, e):
@@ -447,9 +462,9 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
             phi_c, w_c, alpha_c = polar_decompose_2x2(mat)
         except DecompositionError:
             continue
-        if not 0.0 <= w_c <= w_max:
+        if not 0.0 <= w_c <= W_MAX:
             continue
-        if objective((phi_c, w_c, alpha_c)) > tie_tol:
+        if sq_residual((phi_c, w_c, alpha_c)) > tie_tol:
             continue
         seen.append(mat)
         candidates.append((phi_c, w_c, alpha_c))
@@ -461,7 +476,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     rivals = [c for c in candidates if c is not pick]
 
     fitted = ProcessParams.folded(phi=pick[0], w=pick[1], alpha=pick[2])
-    diagnostics = {"residual": residual, "residual_rel": rel, "nfev": nfev,
+    diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
                    "ambiguity_order": len(candidates)}
     if rivals:
         diagnostics["rival_fits"] = rivals
@@ -484,8 +499,12 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     r = setup.r_amp
     if r <= 0.0:
         raise UnidentifiableError("r = 0: mean-based estimation needs a bright probe")
-    m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
     mm = mean_map(setup, noise)
+    if mm.through == 0.0:
+        raise UnidentifiableError(
+            "no probe light passes the process (simplistic topology, t1 = 0 or t_c = 0): "
+            "the mean carries no signal of the linear part")
+    m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
     k_hat = 0.5 * (m_a + m_b)
     d_vec = k_hat / mm.g_d
     col1 = (m_a - m_b) / (2.0 * r)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .estimators import (
+    _PARAM_PERIODS,
     EstimationError,
     PROBE_PHASES,
     UnidentifiableError,
@@ -33,8 +34,8 @@ from .measurement import (
     MeasurementPlan,
     MomentEstimate,
     SampleSet,
-    Scheme,
     estimate_moments,
+    jackknife_moments,
     sample,
 )
 from .gaussian_core import IDENTITY_PROCESS
@@ -61,8 +62,6 @@ ESTIMATOR_PARAMS = {
     "mean_method": ("phi", "q", "alpha", "d", "beta"),
     "combined": ("phi", "q", "alpha", "d", "beta"),
 }
-
-_PARAM_PERIODS = {"phi": 2 * math.pi, "beta": 2 * math.pi, "alpha": math.pi}
 
 #: Estimators that consume the three-probe mean protocol.
 _THREE_PROBE = {"mean_method", "combined"}
@@ -148,35 +147,18 @@ def _report_values(report) -> dict:
 # Jackknife over blocks
 
 
-def _split_blocks(samples: SampleSet, n_blocks: int):
-    """Leave-one-block-out sample subsets (list of SampleSet)."""
-    subsets = []
-    for b in range(n_blocks):
-        if samples.quad is not None:
-            quad = {}
-            for theta, g in samples.quad.items():
-                edges = np.linspace(0, g.size, n_blocks + 1).astype(int)
-                quad[theta] = np.concatenate([g[: edges[b]], g[edges[b + 1]:]])
-            subsets.append(SampleSet(plan=samples.plan, quad=quad))
-        else:
-            g = samples.pairs
-            edges = np.linspace(0, g.shape[0], n_blocks + 1).astype(int)
-            pairs = np.concatenate([g[: edges[b]], g[edges[b + 1]:]], axis=0)
-            subsets.append(SampleSet(plan=samples.plan, pairs=pairs))
-    return subsets
-
-
 def _jackknife_vars(estimate_fn, sample_groups, n_blocks: int) -> dict:
     """Per-parameter jackknife variances of an estimator over data blocks.
 
     sample_groups is a list of SampleSet (one per probe); block b is removed
-    from each probe simultaneously.
+    from each probe simultaneously, and estimate_fn gets the list of the
+    probes' leave-one-block-out moments.
     """
-    per_probe_subsets = [_split_blocks(s, n_blocks) for s in sample_groups]
+    per_probe = [jackknife_moments(s, n_blocks) for s in sample_groups]
     values = []
-    for b in range(n_blocks):
+    for moments in zip(*per_probe):
         try:
-            values.append(estimate_fn([subs[b] for subs in per_probe_subsets]))
+            values.append(estimate_fn(list(moments)))
         except _ESTIMATOR_FAILURES:
             continue
     if len(values) < 2:
@@ -247,23 +229,17 @@ def _estimate_one(name: str, data: _RealizationData, cfg: MonteCarloConfig,
         report_i = est_general_cov(data.single_moments, setup, assumed)
         report_ii = est_general_mean(data.probe_moments, setup, assumed)
         jk_i = _jackknife_vars(
-            lambda subs: _report_values(est_general_cov(estimate_moments_of(subs[0]), setup, assumed)),
+            lambda moments: _report_values(est_general_cov(moments[0], setup, assumed)),
             [data.single_samples], cfg.jackknife_blocks,
         )
         jk_ii = _jackknife_vars(
-            lambda subs: _report_values(
-                est_general_mean([estimate_moments_of(s) for s in subs], setup, assumed)
-            ),
+            lambda moments: _report_values(est_general_mean(moments, setup, assumed)),
             data.probe_samples, cfg.jackknife_blocks,
         )
         report_i = dc_replace(report_i, diagnostics={**report_i.diagnostics, **jk_i})
         report_ii = dc_replace(report_ii, diagnostics={**report_ii.diagnostics, **jk_ii})
         return _report_values(est_combined(report_i, report_ii))
     raise ValueError(f"unknown estimator {name!r}")
-
-
-def estimate_moments_of(samples: SampleSet) -> MomentEstimate:
-    return estimate_moments(samples)
 
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
@@ -304,14 +280,22 @@ def _n_workers() -> int:
         return 1
 
 
+def calibrated_noise(cfg: MonteCarloConfig) -> NoiseParams | None:
+    """The channel estimate of a calibration="auto" run, None in the other
+    modes: one calibrate call with the process switched off, at
+    cfg.calibration_samples shots (default plan.n_samples) on a stream keyed
+    by the base seed, so that every run of the config sees the same one."""
+    if cfg.calibration != "auto":
+        return None
+    n_cal = cfg.calibration_samples or cfg.plan.n_samples
+    cal_plan = _probe_plan(cfg.plan, n_cal, cfg.base_seed ^ _CAL_SALT)
+    return calibrate(cfg.setup, cal_plan, cfg.noise)
+
+
 def run_mc(cfg: MonteCarloConfig) -> MSEReport:
     """Estimate MSE/bias tables over cfg.m_reps independent realizations."""
     t0 = time.perf_counter()
-    calibrated = None
-    if cfg.calibration == "auto":
-        n_cal = cfg.calibration_samples or cfg.plan.n_samples
-        cal_plan = _probe_plan(cfg.plan, n_cal, cfg.base_seed ^ _CAL_SALT)
-        calibrated = calibrate(cfg.setup, cal_plan, cfg.noise)
+    calibrated = calibrated_noise(cfg)
     workers = _n_workers()
     if workers > 1 and cfg.m_reps >= 4 * workers:
         bounds = np.linspace(1, cfg.m_reps + 1, workers + 1).astype(int)
@@ -475,6 +459,9 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     if r <= 0.0:
         raise CalibrationError("calibration needs a bright probe (r > 0)")
     mm_ideal = mean_map(setup, IDEAL_NOISE)
+    if mm_ideal.through == 0.0:
+        raise CalibrationError("calibration needs probe light through the process "
+                               "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
     moments = []
     for j, phase in enumerate(PROBE_PHASES):

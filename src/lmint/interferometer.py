@@ -137,16 +137,17 @@ class MeanMap:
 def mean_map(setup: SetupConfig, noise: NoiseParams | None = None) -> MeanMap:
     """Linear-response decomposition of the measured mean.
 
-    Supported for the interferometric and blocked-beam topologies; the
-    simplistic scheme has no light path through the first coupler.
+    In the simplistic topology the matter mode starts at zero mean and the
+    probe reaches the detector only through the last coupler, so the
+    process shows in the mean through the displacement alone (through = 0).
     """
     t_c = 1.0 if noise is None else noise.t_c
     g_d = math.sqrt(setup.t2 * t_c)
+    if setup.topology is Topology.SIMPLISTIC:
+        return MeanMap(g_d=g_d, through=0.0, direct=math.sqrt(1.0 - setup.t2))
     through = math.sqrt(setup.t1 * setup.t2 * t_c)
     if setup.topology is Topology.INTERFEROMETRIC:
         direct = math.sqrt((1.0 - setup.t1) * (1.0 - setup.t2))
-    elif setup.topology is Topology.BLOCKED_BEAM:
-        direct = 0.0
     else:
-        raise ValueError("mean_map is unsupported for the simplistic topology")
+        direct = 0.0
     return MeanMap(g_d=g_d, through=through, direct=direct)

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmint
 from lmint.cli import (
     SWEEP_CSV_HEADER,
     ConfigError,
@@ -154,6 +159,23 @@ def test_estimate_json_roundtrip(tmp_path):
     assert all(math.isfinite(v) for v in report["params"].values())
 
 
+def test_estimate_honours_auto_calibration(tmp_path):
+    # A lossy channel (t_c = 0.5) that only a calibration run reveals: the
+    # calibrated estimate sees through it, the naive one loses a factor
+    # sqrt(t_c) of d and q.
+    payload = dict(SMALL_CONFIG, noise={"t_c": 0.5, "v_c": 1.2}, calibration="auto",
+                   estimators=["mean_method", "naive_mean_method"], base_seed=16384,
+                   plan={"scheme": "joint", "n_samples": 100_000, "seed": 0})
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    calibrated, naive = (r["params"] for r in json.loads(out.read_text()))
+    assert calibrated["d"] == pytest.approx(4.0, abs=0.3)
+    assert calibrated["q"] == pytest.approx(2.0, abs=0.05)
+    assert naive["d"] == pytest.approx(4.0 * math.sqrt(0.5), abs=0.3)
+    assert naive["q"] == pytest.approx(math.sqrt(2.0), abs=0.05)
+
+
 def test_fisher_reference_values(tmp_path):
     out = tmp_path / "fisher.csv"
     cfg_path = write_config(tmp_path, dict(SMALL_CONFIG, process={"d": 4.0, "beta": 0.5}))
@@ -228,3 +250,34 @@ def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
                    estimators=["phase_var"])
     assert main(["estimate", "--config", write_config(tmp_path, payload)]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_when_the_readout_lacks_the_covariance(tmp_path, capsys):
+    payload = dict(SMALL_CONFIG, estimators=["cov_method"],
+                   plan={"scheme": "homodyne2", "n_samples": 600, "seed": 0})
+    assert main(["estimate", "--config", write_config(tmp_path, payload)]) == 2
+    assert "full covariance" in capsys.readouterr().err
+
+
+def test_exit_code_2_for_mean_method_on_the_simplistic_topology(tmp_path, capsys):
+    payload = dict(SMALL_CONFIG,
+                   setup={"topology": "simplistic", "t2": 0.1, "v_thermal": 100.0,
+                          "r_amp": 100.0})
+    assert main(["estimate", "--config", write_config(tmp_path, payload)]) == 2
+    assert "estimation failed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Packaging
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; importing scipy would also add
+    # about half a second to every CLI start.
+    src = str(Path(lmint.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, lmint, lmint.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

@@ -162,6 +162,7 @@ def test_cov_method_exact_recovery(bench_setup, bench_process):
     report = est_general_cov(exact_moments(forward(bench_setup, bench_process)), bench_setup)
     assert_params_close(report.params, bench_process, 1e-6)
     assert report.diagnostics["residual_rel"] < 1e-9
+    assert not report.diagnostics["off_image"]
 
 
 def test_cov_method_rivals_reproduce_the_covariance(bench_setup, bench_process):
@@ -199,22 +200,39 @@ def test_cov_method_rejects_off_manifold_data(bench_setup):
         est_general_cov(bad, bench_setup)
 
 
-@pytest.mark.parametrize("depth", [0.002, 0.005, 0.01])
-def test_cov_method_canonical_pick_off_image(bench_setup, bench_process, depth):
-    # Weak coupling: sampled covariances fall just outside the image of the
-    # covariance map, and the best fit lands on its boundary, where two
-    # twins with equal squeezing reproduce the same covariance.
+def _pushed_off_image(bench_setup, bench_process, depth):
+    """Weak-coupling moments with the smaller eigenvalue of P P^T pushed
+    just below zero: off the image of the covariance map, past its rank-one
+    face."""
     setup = dataclasses.replace(bench_setup, t1=0.01, t2=0.01)
     state = forward(setup, bench_process)
     a, b, e = _cov_response(setup, None)
     shift = e - b * b / a
     ppt = (state.cov - shift * np.eye(2)) / a
     evals, evecs = np.linalg.eigh(ppt)
-    # Push the smaller eigenvalue of P P^T just below zero.
     cov = state.cov - a * (evals[0] + depth) * np.outer(evecs[:, 0], evecs[:, 0])
     assert np.linalg.det((cov - shift * np.eye(2)) / a) < 0.0
-    report = est_general_cov(MomentEstimate(mean=state.mean, cov=cov,
-                                            n_effective={"cov_xp": 1}), setup)
+    return setup, MomentEstimate(mean=state.mean, cov=cov, n_effective={"cov_xp": 1})
+
+
+def _shrunk_near_identity(bench_setup):
+    """Working-point moments of a near-identity process with the covariance
+    shrunk by 0.005 a: off the image, past its symmetric face (phi = 0)."""
+    process = ProcessParams.folded(phi=0.02, w=0.03, alpha=0.5, d=4.0, beta=0.5)
+    state = forward(bench_setup, process)
+    a, _, _ = _cov_response(bench_setup, None)
+    return bench_setup, MomentEstimate(mean=state.mean, cov=state.cov - 0.005 * a * np.eye(2),
+                                       n_effective={"cov_xp": 1})
+
+
+@pytest.mark.parametrize("depth", [0.002, 0.005, 0.01])
+def test_cov_method_canonical_pick_off_image(bench_setup, bench_process, depth):
+    # Weak coupling: sampled covariances fall just outside the image of the
+    # covariance map, and the best fit lands on its boundary, where two
+    # twins with equal squeezing reproduce the same covariance.
+    setup, moments = _pushed_off_image(bench_setup, bench_process, depth)
+    report = est_general_cov(moments, setup)
+    assert report.diagnostics["off_image"]
     pick = report.params
     rivals = report.diagnostics.get("rival_fits", [])
     assert report.diagnostics["ambiguity_order"] == 1 + len(rivals) <= 4
@@ -227,6 +245,46 @@ def test_cov_method_canonical_pick_off_image(bench_setup, bench_process, depth):
     assert abs(circular_diff(phi_t, -pick.phi)) < 1e-6
     twin = ProcessParams.folded(phi=phi_t, w=w_t, alpha=alpha_t)
     assert np.abs(forward(setup, twin).cov - forward(setup, pick).cov).max() < 1e-6
+
+
+@pytest.mark.parametrize("case", ["rank_one_0.002", "rank_one_0.005", "rank_one_0.01",
+                                  "symmetric"])
+def test_cov_method_off_image_fit_is_optimal(bench_setup, bench_process, case):
+    # No process in reach of the pick fits the covariance better: 2000
+    # random unit-determinant perturbations of its matrix, 1e-4 to 1e-1 in
+    # size, all leave a larger residual.
+    if case == "symmetric":
+        setup, moments = _shrunk_near_identity(bench_setup)
+    else:
+        setup, moments = _pushed_off_image(bench_setup, bench_process,
+                                           float(case.rsplit("_", 1)[1]))
+    report = est_general_cov(moments, setup)
+    assert report.diagnostics["off_image"]
+    a, b, e = _cov_response(setup, None)
+
+    def residual(m):
+        return np.linalg.norm(a * m @ m.T + b * (m + m.T) + e * np.eye(2) - moments.cov)
+
+    pick = report.params
+    pick_mat = rotation(pick.phi) @ squeeze_matrix(pick.w, pick.alpha)
+    best = residual(pick_mat)
+    assert best == pytest.approx(report.diagnostics["residual"], rel=1e-9)
+    slack = 1e-12 * np.linalg.norm(moments.cov)
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        x = rng.normal(size=(2, 2))
+        x -= 0.5 * np.trace(x) * np.eye(2)
+        x *= 10.0 ** rng.uniform(-4.0, -1.0) / np.linalg.norm(x)
+        m = pick_mat @ (np.eye(2) + x)
+        assert residual(m / math.sqrt(np.linalg.det(m))) >= best - slack
+
+
+def test_cov_method_unidentifiable_cold_matter(bench_setup, bench_process):
+    # V = 1: the covariance response has no linear term, so it carries no
+    # rotation signal.
+    cold = dataclasses.replace(bench_setup, v_thermal=1.0)
+    with pytest.raises(UnidentifiableError):
+        est_general_cov(exact_moments(forward(cold, bench_process)), cold)
 
 
 def test_cov_method_axis_undefined_for_pure_phase(bench_setup):
@@ -299,6 +357,13 @@ def test_mean_method_needs_bright_probe(bench_setup, bench_process):
     dark = dataclasses.replace(bench_setup, r_amp=0.0)
     with pytest.raises(UnidentifiableError):
         est_general_mean(exact_probe_moments(dark, bench_process), dark)
+
+
+def test_mean_method_unidentifiable_without_probe_path(bench_setup, bench_process):
+    # Simplistic topology: no probe light passes the process.
+    setup = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
+    with pytest.raises(UnidentifiableError):
+        est_general_mean(exact_probe_moments(setup, bench_process), setup)
 
 
 def test_mean_method_axis_undefined_for_pure_phase(bench_setup):

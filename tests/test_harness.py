@@ -230,6 +230,12 @@ def test_calibrate_needs_bright_probe(bench_setup):
         calibrate(dark, cal_plan(1000), None)
 
 
+def test_calibrate_needs_probe_light_through_the_process(bench_setup):
+    simplistic = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
+    with pytest.raises(CalibrationError):
+        calibrate(simplistic, cal_plan(1000), None)
+
+
 def test_auto_calibration_budget_knob(bench_setup, bench_process):
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     small = mc(bench_setup, bench_process, estimators=("mean_method",),

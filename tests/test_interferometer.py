@@ -130,7 +130,14 @@ def test_mean_map_predicts_forward(bench_setup, bench_process):
         assert np.allclose(predicted, actual, atol=1e-9)
 
 
-def test_mean_map_rejects_simplistic():
-    setup = SetupConfig(Topology.SIMPLISTIC, t1=0.0, t2=0.1, v_thermal=100.0, r_amp=100.0)
-    with pytest.raises(ValueError):
-        mean_map(setup)
+def test_mean_map_simplistic_predicts_forward(bench_process):
+    # No probe light passes the process: only the displacement reaches the mean.
+    setup = SetupConfig(Topology.SIMPLISTIC, t1=0.0, t2=0.3, v_thermal=100.0,
+                        r_amp=100.0, probe_phase=0.4)
+    for noise in (None, NoiseParams(t_c=0.7, v_c=1.2)):
+        mm = mean_map(setup, noise)
+        assert mm.through == 0.0
+        assert mm.direct == pytest.approx(math.sqrt(0.7))
+        predicted = mm.predict(bench_process, setup.light_mean)
+        actual = forward(setup, bench_process, noise).mean
+        assert np.allclose(predicted, actual, atol=1e-9)
