@@ -13,7 +13,7 @@ from .gaussian_core import (
     process_symplectic,
     repair_physicality,
 )
-from .interferometer import SetupConfig, Topology, forward, mean_map
+from .interferometer import Response, SetupConfig, Topology, forward, response
 from .measurement import MeasurementPlan, Scheme, estimate_moments, sample
 from .estimators import (
     EstimateReport,

@@ -342,7 +342,13 @@ def cmd_sweep(cfg, args) -> int:
     axis, grid = cfg["sweep"]["axis"], cfg["sweep"]["grid"]
     table = sweep(mc, axis, grid)
     _write_text(cfg["out"], sweep_csv(axis, table, mc.plan, mc.m_reps, mc.base_seed))
-    return 0
+    empty = [(value, key, cell) for value, report in table
+             for key, cell in report.cells.items() if cell.n_ok == 0]
+    for value, (estimator, parameter), cell in empty:
+        reasons = ", ".join(f"{name} x{count}" for name, count in sorted(cell.failures.items()))
+        print(f"estimation failed: {axis}={value!r} {estimator}/{parameter}: "
+              f"no realization succeeded ({reasons})", file=sys.stderr)
+    return 2 if empty else 0
 
 
 def cmd_calibrate(cfg, args) -> int:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .gaussian_core import (
     DecompositionError,
-    IDENTITY_PROCESS,
     ProcessParams,
     circular_diff,
     fold_angle,
@@ -19,7 +18,7 @@ from .gaussian_core import (
     rotation,
     squeeze_matrix,
 )
-from .interferometer import SetupConfig, Topology, forward, mean_map
+from .interferometer import SetupConfig, response
 from .measurement import (
     InsufficientDataError,
     MomentEstimate,
@@ -85,7 +84,7 @@ _SAME_PROCESS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class UVCoefficients:
-    """Variance model of the interferometric output: Var = u + v cos(phi)."""
+    """Variance model of the output under a pure phase shift: Var = u + v cos(phi)."""
 
     u: float
     v: float
@@ -102,22 +101,18 @@ class EstimateReport:
 # Displacement-only estimation
 
 
-def _gain_d(setup: SetupConfig, noise: NoiseParams) -> float:
-    return math.sqrt(setup.t2 * noise.t_c)
-
-
 def est_displacement(moments: MomentEstimate, setup: SetupConfig,
                      noise: NoiseParams = IDEAL_NOISE) -> tuple[float, float]:
     """Invert the measured mean for (d, beta), assuming a displacement-only process.
 
-    The baseline is the model mean with the process switched off; the gain is
-    sqrt(t2 t_c) for every topology.
+    The baseline is the model mean with the process switched off (A = I); the
+    gain is sqrt(t2 t_c) for every topology.
     """
-    g_d = _gain_d(setup, noise)
-    if g_d == 0.0:
+    resp = response(setup, noise)
+    if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
-    baseline = forward(setup, IDENTITY_PROCESS, noise).mean
-    dx, dp = (moments.mean - baseline) / g_d
+    baseline = resp.mean(np.eye(2), np.zeros(2), setup.light_mean)
+    dx, dp = (moments.mean - baseline) / resp.g_d
     return math.hypot(dx, dp), math.atan2(dp, dx)
 
 
@@ -126,13 +121,12 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
 
 
 def phase_uv(setup: SetupConfig) -> UVCoefficients:
-    """Closed-form (u, v) of the interferometric output variance."""
-    if setup.topology is not Topology.INTERFEROMETRIC:
-        raise ValueError("the u + v cos(phi) variance model is interferometric-only")
-    t1, t2, v_th = setup.t1, setup.t2, setup.v_thermal
-    u = 1 - t1 - t2 + 2 * t1 * t2 + t1 * v_th + t2 * v_th - 2 * t1 * t2 * v_th
-    v = 2 * (1 - v_th) * math.sqrt((1 - t1) * (1 - t2) * t1 * t2)
-    return UVCoefficients(u=u, v=v)
+    """(u, v) of the output variance under a pure phase shift: with A = R(phi)
+    the response covariance is (a + e + 2 b cos(phi)) I.  v = 0 wherever the
+    response has no linear term: the blocked beam, the simplistic topology,
+    cold matter (V = 1) and t1 or t2 in {0, 1}."""
+    resp = response(setup)
+    return UVCoefficients(u=resp.a + resp.e, v=2.0 * resp.b)
 
 
 def _frame_mean(moments: MomentEstimate, setup: SetupConfig) -> np.ndarray:
@@ -166,9 +160,13 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     """Mean-based phase estimator: two-argument arctangent of the displaced mean."""
     if setup.r_amp <= 0.0:
         raise UnidentifiableError("r = 0: the output mean carries no phase signal")
-    r, t1, t2 = setup.r_amp, setup.t1, setup.t2
+    resp = response(setup)
+    if resp.through == 0.0:
+        raise UnidentifiableError(
+            "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
+            "the output mean carries no phase signal")
     mx, mp = _frame_mean(moments, setup)
-    return math.atan2(mp, mx - r * math.sqrt((1 - t1) * (1 - t2)))
+    return math.atan2(mp, mx - setup.r_amp * resp.direct)
 
 
 def _group_stats(samples: SampleSet):
@@ -186,25 +184,24 @@ def _group_stats(samples: SampleSet):
     return None, (pairs.shape[0], zbar, scatter)
 
 
-def _loglik(state_mean, state_cov, groups, joint, extra_cov):
+def _phase_loglik(phi, resp, m_in, groups, joint, extra_cov):
+    """Gaussian log-likelihood of the records under a pure phase shift, for a
+    scalar or an array of phi.  With A = R(phi) the model mean is
+    (through R(phi) + direct I) m_in and the model covariance is
+    (a + e + 2 b cos(phi)) I, plus extra_cov I for heterodyne records."""
+    c, s = np.cos(phi), np.sin(phi)
+    mx = resp.through * (c * m_in[0] - s * m_in[1]) + resp.direct * m_in[0]
+    mp = resp.through * (s * m_in[0] + c * m_in[1]) + resp.direct * m_in[1]
+    var = resp.a + resp.e + 2.0 * resp.b * c + extra_cov
     ll = 0.0
     if groups is not None:
         for theta, n, m, s2 in groups:
-            v = np.array([math.cos(theta), math.sin(theta)])
-            mu = float(v @ state_mean)
-            var = float(v @ state_cov @ v) + extra_cov
-            ll += -0.5 * n * (math.log(var) + (s2 + (m - mu) ** 2) / var)
+            mu = math.cos(theta) * mx + math.sin(theta) * mp
+            ll = ll - 0.5 * n * (np.log(var) + (s2 + (m - mu) ** 2) / var)
     if joint is not None:
         n, zbar, scatter = joint
-        sig = state_cov + extra_cov * np.eye(2)
-        det = sig[0, 0] * sig[1, 1] - sig[0, 1] * sig[1, 0]
-        inv = np.array([[sig[1, 1], -sig[0, 1]], [-sig[1, 0], sig[0, 0]]]) / det
-        delta = zbar - state_mean
-        ll += -0.5 * n * (
-            math.log(det)
-            + float(np.trace(inv @ scatter))
-            + float(delta @ inv @ delta)
-        )
+        delta2 = (zbar[0] - mx) ** 2 + (zbar[1] - mp) ** 2
+        ll = ll - 0.5 * n * (2.0 * np.log(var) + (scatter[0, 0] + scatter[1, 1] + delta2) / var)
     return ll
 
 
@@ -232,47 +229,32 @@ def est_phase_ml(samples: SampleSet, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> float:
     """Maximum-likelihood phase estimate over (-pi, pi].
 
-    Coarse 64-point scan of the Gaussian log-likelihood (mean and variance
-    both phase-dependent) followed by golden-section refinement.
+    Coarse 64-point scan of the closed-form Gaussian log-likelihood (mean
+    and variance both phase-dependent, see _phase_loglik) followed by
+    golden-section refinement.  Raises UnidentifiableError when neither
+    moment depends on the phase: no probe light passes the process
+    (simplistic topology, a dark probe, t1 = 0) and the covariance has no
+    linear term (b = 0).
     """
+    resp = response(setup, noise)
+    if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
+        raise UnidentifiableError(
+            "neither the output mean nor its variance depends on the phase")
     groups, joint = _group_stats(samples)
     extra = 1.0 if samples.plan.scheme is Scheme.HETERODYNE else 0.0
+    m_in = setup.light_mean
 
     def ll(phi):
-        state = forward(setup, ProcessParams.folded(phi=phi), noise)
-        return _loglik(state.mean, state.cov, groups, joint, extra)
+        return float(_phase_loglik(phi, resp, m_in, groups, joint, extra))
 
     grid = np.linspace(-math.pi, math.pi, 65)[1:]
-    values = [ll(p) for p in grid]
-    k = int(np.argmax(values))
+    k = int(np.argmax(_phase_loglik(grid, resp, m_in, groups, joint, extra)))
     step = grid[1] - grid[0]
     return fold_angle(_golden_max(ll, grid[k] - step, grid[k] + step, tol=1e-8))
 
 
 # ---------------------------------------------------------------------------
 # General-process estimation
-
-
-def _recover_displacement(mean_emp, setup, noise, linear_part):
-    mm = mean_map(setup, noise)
-    d_vec = (mean_emp - linear_part @ setup.light_mean) / mm.g_d
-    return math.hypot(d_vec[0], d_vec[1]), math.atan2(d_vec[1], d_vec[0])
-
-
-def _cov_response(setup, noise):
-    """Scalars (a, b, e) such that the output covariance of the read-out mode
-    is a * A A^T + b * (A + A^T) + e * I for process matrix A.
-
-    The input covariances and the coupler blocks are all proportional to the
-    2x2 identity, so the quadratic response collapses to three scalars; they
-    are recovered exactly from three forward evaluations.
-    """
-    c_rot = forward(setup, ProcessParams.folded(phi=math.pi / 2.0), noise).cov[0, 0]
-    c_id = forward(setup, IDENTITY_PROCESS, noise).cov[0, 0]
-    c_sq = forward(setup, ProcessParams.folded(w=math.log(2.0)), noise).cov[0, 0]
-    b = (c_id - c_rot) / 2.0
-    a = (c_sq - c_rot - 4.0 * b) / 3.0
-    return a, b, c_rot - a
 
 
 def _cov_preimages(cov_model, a, b, e):
@@ -424,16 +406,15 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
             "(homodyne 3-angle split, heterodyne or joint read-out)"
         )
     cov_emp = moments.cov
-    a, b, e = _cov_response(setup, noise)
+    resp = response(setup, noise)
+    a, b, e = resp.a, resp.b, resp.e
     if a <= 0.0 or abs(b / a) < 1e-12:
         raise UnidentifiableError(
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
-    eye2 = np.eye(2)
 
     def model_cov(phi, w, alpha):
-        m = rotation(phi) @ squeeze_matrix(w, alpha)
-        return a * (m @ m.T) + b * (m + m.T) + e * eye2
+        return resp.cov(rotation(phi) @ squeeze_matrix(w, alpha))
 
     def sq_residual(x):
         diff = model_cov(*x) - cov_emp
@@ -483,10 +464,11 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     if fitted.w < AXIS_UNDEFINED_W:
         fitted = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=0.0)
         diagnostics["axis_undefined"] = True
-    mm = mean_map(setup, noise)
-    d, beta = _recover_displacement(moments.mean, setup, noise, mm.linear(fitted))
+    mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
+    d_vec = (moments.mean - resp.mean(mat, np.zeros(2), setup.light_mean)) / resp.g_d
     params = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=fitted.alpha,
-                                  d=d, beta=beta)
+                                  d=math.hypot(d_vec[0], d_vec[1]),
+                                  beta=math.atan2(d_vec[1], d_vec[0]))
     return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
 
 
@@ -499,18 +481,18 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     r = setup.r_amp
     if r <= 0.0:
         raise UnidentifiableError("r = 0: mean-based estimation needs a bright probe")
-    mm = mean_map(setup, noise)
-    if mm.through == 0.0:
+    resp = response(setup, noise)
+    if resp.through == 0.0:
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t_c = 0): "
             "the mean carries no signal of the linear part")
     m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
     k_hat = 0.5 * (m_a + m_b)
-    d_vec = k_hat / mm.g_d
+    d_vec = k_hat / resp.g_d
     col1 = (m_a - m_b) / (2.0 * r)
     col2 = (m_c - k_hat) / r
     m_lin = np.column_stack([col1, col2])
-    b = (m_lin - mm.direct * np.eye(2)) / mm.through
+    b = (m_lin - resp.direct * np.eye(2)) / resp.through
     phi, w, alpha = polar_decompose_2x2(b)
     diagnostics = {"det_b": float(np.linalg.det(b)), "w_raw": w}
     if w < AXIS_UNDEFINED_W:

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian_core import ProcessParams
-from .interferometer import SetupConfig, Topology, forward
+from .gaussian_core import ProcessParams, rotation, squeeze_matrix
+from .interferometer import SetupConfig, Topology, response
 from .noise import NoiseParams
 
 
@@ -63,43 +63,31 @@ def fisher_displacement(setup: SetupConfig) -> FisherResult:
     return FisherResult(value=value, parameter="d", method=method)
 
 
-def _moments(setup, process, noise):
-    state = forward(setup, process, noise)
-    return state.mean, state.cov
+_PARAMS = ("phi", "w", "alpha", "d", "beta")
 
 
-@dataclass(frozen=True)
-class _UncheckedProcess:
-    """Process point without domain validation: finite-difference stencils may
-    step slightly outside the canonical ranges (e.g. w < 0), where the phase
-    space map is still smooth and well defined."""
-
-    phi: float
-    w: float
-    alpha: float
-    d: float
-    beta: float
-
-    @property
-    def d_vec(self):
-        return np.array([self.d * math.cos(self.beta), self.d * math.sin(self.beta)])
-
-
-def _perturb(process, parameter: str, delta: float) -> _UncheckedProcess:
-    if parameter not in ("phi", "w", "alpha", "d", "beta"):
-        raise ValueError(f"unknown process parameter {parameter!r}")
-    return _UncheckedProcess(**{
-        name: getattr(process, name) + (delta if name == parameter else 0.0)
-        for name in ("phi", "w", "alpha", "d", "beta")
-    })
+def _moments(resp, m_in, theta):
+    """Response moments at raw (phi, w, alpha, d, beta): finite-difference
+    stencils may step slightly outside the canonical ranges (e.g. w < 0),
+    where the phase-space map is still smooth and well defined."""
+    phi, w, alpha, d, beta = theta
+    mat = rotation(phi) @ squeeze_matrix(w, alpha)
+    d_vec = np.array([d * math.cos(beta), d * math.sin(beta)])
+    return resp.mean(mat, d_vec, m_in), resp.cov(mat)
 
 
 def _gaussian_information(setup, process, noise, parameter, step):
-    mu_plus, cov_plus = _moments(setup, _perturb(process, parameter, step), noise)
-    mu_minus, cov_minus = _moments(setup, _perturb(process, parameter, -step), noise)
+    if parameter not in _PARAMS:
+        raise ValueError(f"unknown process parameter {parameter!r}")
+    resp = response(setup, noise)
+    m_in = setup.light_mean
+    theta = np.array([getattr(process, name) for name in _PARAMS])
+    h = step * np.array([name == parameter for name in _PARAMS], dtype=float)
+    mu_plus, cov_plus = _moments(resp, m_in, theta + h)
+    mu_minus, cov_minus = _moments(resp, m_in, theta - h)
     dmu = (mu_plus - mu_minus) / (2.0 * step)
     dcov = (cov_plus - cov_minus) / (2.0 * step)
-    _, cov = _moments(setup, process, noise)
+    _, cov = _moments(resp, m_in, theta)
     inv = np.linalg.inv(cov)
     mean_term = float(dmu @ inv @ dmu)
     a = inv @ dcov
@@ -110,7 +98,8 @@ def _gaussian_information(setup, process, noise, parameter, step):
 def fisher_numeric(setup: SetupConfig, process: ProcessParams,
                    noise: NoiseParams | None, parameter: str,
                    step: float = 1e-5) -> FisherResult:
-    """Per-sample information by central differences of the output moments.
+    """Per-sample information by central differences of the closed-form
+    response moments (see interferometer.Response).
 
     Verified by a Richardson check at step/2; disagreement beyond 1e-3
     relative raises NumericFisherError with both values.

@@ -28,7 +28,7 @@ from .estimators import (
     est_phase_var,
 )
 from .gaussian_core import ProcessParams, circular_diff
-from .interferometer import SetupConfig, forward, mean_map
+from .interferometer import SetupConfig, forward, response
 from .measurement import (
     InsufficientDataError,
     MeasurementPlan,
@@ -106,8 +106,9 @@ class CellStats:
     variance: float
     n_ok: int
     n_failed: int
-    n_clamped: int
+    n_clamped: int       # arccos clamps of this estimator (phase_var only)
     unreliable: bool
+    failures: dict = field(default_factory=dict)  # exception class name -> count
 
 
 @dataclass(frozen=True)
@@ -262,14 +263,15 @@ def _mc_chunk(cfg: MonteCarloConfig, k_lo: int, k_hi: int,
     for k in range(k_lo, k_hi):
         data = _simulate_realization(cfg, k, need_single, need_probes)
         row = {}
-        diagnostics = {}
         for name in cfg.estimators:
             assumed = _resolve_assumed(cfg, name, calibrated)
+            diagnostics = {}
             try:
-                row[name] = _estimate_one(name, data, cfg, assumed, diagnostics)
-            except _ESTIMATOR_FAILURES:
-                row[name] = None
-        rows.append((row, diagnostics.get("clamped", 0)))
+                values, failure = _estimate_one(name, data, cfg, assumed, diagnostics), None
+            except _ESTIMATOR_FAILURES as exc:
+                values, failure = None, type(exc).__name__
+            row[name] = (values, failure, diagnostics.get("clamped", 0))
+        rows.append(row)
     return rows
 
 
@@ -309,33 +311,35 @@ def run_mc(cfg: MonteCarloConfig) -> MSEReport:
         rows = _mc_chunk(cfg, 1, cfg.m_reps + 1, calibrated)
 
     cells = {}
-    n_clamped_total = sum(c for _, c in rows)
     for name in cfg.estimators:
         params = ESTIMATOR_PARAMS[base_name(name)]
         errors = {p: [] for p in params}
-        n_failed = 0
-        for row, _ in rows:
-            values = row[name]
+        failures = {}
+        n_clamped = 0
+        for row in rows:
+            values, failure, clamped = row[name]
+            n_clamped += clamped
             if values is None:
-                n_failed += 1
+                failures[failure] = failures.get(failure, 0) + 1
                 continue
             for p in params:
                 errors[p].append(param_error(values[p], _truth_value(cfg.process, p), p))
+        n_failed = sum(failures.values())
         n_ok = cfg.m_reps - n_failed
         unreliable = n_failed > 0.05 * cfg.m_reps
         for p in params:
             errs = np.asarray(errors[p])
             if errs.size == 0:
-                cells[(name, p)] = CellStats(math.nan, math.nan, math.nan,
-                                             0, n_failed, n_clamped_total, True)
+                cells[(name, p)] = CellStats(math.nan, math.nan, math.nan, 0, n_failed,
+                                             n_clamped, True, failures)
                 continue
             mse = float((errs ** 2).mean())
             bias = float(errs.mean())
             variance = float(((errs - bias) ** 2).mean())
             cells[(name, p)] = CellStats(mse=mse, bias=bias, variance=variance,
                                          n_ok=n_ok, n_failed=n_failed,
-                                         n_clamped=n_clamped_total,
-                                         unreliable=unreliable)
+                                         n_clamped=n_clamped,
+                                         unreliable=unreliable, failures=failures)
     return MSEReport(cells=cells, config=cfg, wall_time=time.perf_counter() - t0)
 
 
@@ -458,8 +462,8 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     r = setup.r_amp
     if r <= 0.0:
         raise CalibrationError("calibration needs a bright probe (r > 0)")
-    mm_ideal = mean_map(setup, IDEAL_NOISE)
-    if mm_ideal.through == 0.0:
+    ideal = response(setup)
+    if ideal.through == 0.0:
         raise CalibrationError("calibration needs probe light through the process "
                                "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
@@ -474,7 +478,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     col1 = (m_a - m_b) / (2.0 * r)
     col2 = (m_c - k_hat) / r
     gain = 0.5 * (col1[0] + col2[1])
-    through_part = (gain - mm_ideal.direct) / math.sqrt(setup.t1 * setup.t2)
+    through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
     if t_c_hat > (1.0 + margin) ** 2 or t_c_hat <= 0.0:
         raise CalibrationError(f"estimated gain implies t_c = {t_c_hat:.4g}, outside (0, 1]")
@@ -482,8 +486,8 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     if 1.0 - t_c_hat < 1e-9:
         return NoiseParams(t_c=1.0, v_c=1.0)
     var_meas = float(np.mean([(m.cov[0, 0] + m.cov[1, 1]) / 2.0 for m in moments]))
-    model = forward(setup, IDENTITY_PROCESS, NoiseParams(t_c=t_c_hat, v_c=1.0))
-    var_model = float((model.cov[0, 0] + model.cov[1, 1]) / 2.0)
-    # Output variance is affine in v_c with slope (1 - t_c) t2.
+    # Response variance at A = I; it is affine in v_c with slope (1 - t_c) t2.
+    model = response(setup, NoiseParams(t_c=t_c_hat, v_c=1.0))
+    var_model = model.a + 2.0 * model.b + model.e
     v_c_hat = 1.0 + (var_meas - var_model) / ((1.0 - t_c_hat) * setup.t2)
     return NoiseParams(t_c=t_c_hat, v_c=max(v_c_hat, 1.0))

@@ -24,8 +24,6 @@ from .gaussian_core import (
     make_thermal,
     marginal,
     process_symplectic,
-    rotation,
-    squeeze_matrix,
     tensor,
     vacuum,
 )
@@ -115,39 +113,56 @@ def forward(setup: SetupConfig, process: ProcessParams,
 
 
 @dataclass(frozen=True)
-class MeanMap:
-    """Affine response of the measured mean: m_out = M_lin(p) m_in + g_d d_vec.
+class Response:
+    """Closed-form response of the measured mode to the process matrix
+    A = R(phi) Sq(w, alpha) and displacement d_vec:
 
-    M_lin(p) = through * R(phi) Sq(w, alpha) + direct * I, with the input
-    mean m_in that of the coherent probe.
+        mean = (through A + direct I) m_in + g_d d_vec
+        cov  = a A A^T + b (A + A^T) + e I
+
+    with m_in the input mean of the coherent probe.  Every input covariance
+    and every coupler block is proportional to the 2x2 identity, so six
+    scalars per (setup, noise) carry the whole model; forward is the
+    reference it is checked against.
     """
 
-    g_d: float
     through: float
     direct: float
+    g_d: float
+    a: float
+    b: float
+    e: float
 
-    def linear(self, process: ProcessParams) -> np.ndarray:
-        a = rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
-        return self.through * a + self.direct * np.eye(2)
+    def mean(self, mat: np.ndarray, d_vec: np.ndarray, m_in: np.ndarray) -> np.ndarray:
+        return (self.through * mat + self.direct * np.eye(2)) @ m_in + self.g_d * d_vec
 
-    def predict(self, process: ProcessParams, m_in: np.ndarray) -> np.ndarray:
-        return self.linear(process) @ np.asarray(m_in, dtype=float) + self.g_d * process.d_vec
+    def cov(self, mat: np.ndarray) -> np.ndarray:
+        return self.a * (mat @ mat.T) + self.b * (mat + mat.T) + self.e * np.eye(2)
 
 
-def mean_map(setup: SetupConfig, noise: NoiseParams | None = None) -> MeanMap:
-    """Linear-response decomposition of the measured mean.
+def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
+    """The six response scalars of the setup under the matter channel.
 
-    In the simplistic topology the matter mode starts at zero mean and the
-    probe reaches the detector only through the last coupler, so the
-    process shows in the mean through the displacement alone (through = 0).
+    Write V for v_thermal and take t_c = v_c = 1 without noise.  The matter
+    leg carries t2 t_c times the process output; what it carries in is the
+    thermal matter alone (simplistic), or that mixed with the probe by the
+    first coupler, V (1 - t1) + t1 (blocked beam and interferometric).  The
+    interferometric light leg adds the first coupler's other output, which
+    is correlated with the matter leg: the linear term b.  In the simplistic
+    topology no probe light passes the process (through = 0).
     """
-    t_c = 1.0 if noise is None else noise.t_c
-    g_d = math.sqrt(setup.t2 * t_c)
+    t1, t2, v = setup.t1, setup.t2, setup.v_thermal
+    t_c, v_c = (1.0, 1.0) if noise is None else (noise.t_c, noise.v_c)
+    g_d = math.sqrt(t2 * t_c)
+    bath = t2 * (1.0 - t_c) * v_c
     if setup.topology is Topology.SIMPLISTIC:
-        return MeanMap(g_d=g_d, through=0.0, direct=math.sqrt(1.0 - setup.t2))
-    through = math.sqrt(setup.t1 * setup.t2 * t_c)
-    if setup.topology is Topology.INTERFEROMETRIC:
-        direct = math.sqrt((1.0 - setup.t1) * (1.0 - setup.t2))
-    else:
-        direct = 0.0
-    return MeanMap(g_d=g_d, through=through, direct=direct)
+        return Response(through=0.0, direct=math.sqrt(1.0 - t2), g_d=g_d,
+                        a=t2 * t_c * v, b=0.0, e=bath + 1.0 - t2)
+    through = math.sqrt(t1 * t2 * t_c)
+    a = t2 * t_c * ((1.0 - t1) * v + t1)
+    if setup.topology is Topology.BLOCKED_BEAM:
+        return Response(through=through, direct=0.0, g_d=g_d, a=a, b=0.0,
+                        e=bath + 1.0 - t2)
+    return Response(through=through, direct=math.sqrt((1.0 - t1) * (1.0 - t2)), g_d=g_d,
+                    a=a, b=math.sqrt(t1 * (1.0 - t1) * t2 * (1.0 - t2) * t_c) * (1.0 - v),
+                    e=bath + (1.0 - t2) * (t1 * v + 1.0 - t1))

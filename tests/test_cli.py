@@ -267,6 +267,26 @@ def test_exit_code_2_for_mean_method_on_the_simplistic_topology(tmp_path, capsys
     assert "estimation failed" in capsys.readouterr().err
 
 
+def test_sweep_exit_code_2_names_the_failed_cells(tmp_path, capsys):
+    # Simplistic topology: mean_method never succeeds.  The CSV is still
+    # written, and each empty cell is named on stderr with its reason.
+    payload = dict(SMALL_CONFIG,
+                   setup={"topology": "simplistic", "t2": 0.1, "v_thermal": 100.0,
+                          "r_amp": 100.0},
+                   sweep={"axis": "r", "grid": [100.0]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    rows = read_rows(out)
+    assert rows[0] == SWEEP_CSV_HEADER
+    assert len(rows) == 1 + 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5
+    for line in err:
+        assert "mean_method/" in line
+        assert "UnidentifiableError x3" in line
+
+
 # ---------------------------------------------------------------------------
 # Packaging
 

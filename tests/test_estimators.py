@@ -18,14 +18,16 @@ from lmint import (
     est_phase_var,
     forward,
     phase_uv,
+    response,
 )
 from lmint.estimators import (
     EstimateReport,
     FitRejectedError,
     UnidentifiableError,
-    _cov_response,
+    _golden_max,
+    _group_stats,
 )
-from lmint.gaussian_core import circular_diff, rotation, squeeze_matrix
+from lmint.gaussian_core import circular_diff, fold_angle, rotation, squeeze_matrix
 from lmint.measurement import (
     InsufficientDataError,
     MeasurementPlan,
@@ -96,8 +98,14 @@ def test_phase_uv_no_signal_cases(bench_setup):
     uv = phase_uv(dataclasses.replace(bench_setup, t1=0.0))
     assert uv.v == 0.0
     assert uv.u == pytest.approx(1.0 - 0.1 + 0.1 * 100.0)
-    with pytest.raises(ValueError):
-        phase_uv(dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC))
+    # Off the interferometric topology the variance has no phase term, so
+    # the variance-based estimator has nothing to invert.
+    for topology in (Topology.SIMPLISTIC, Topology.BLOCKED_BEAM):
+        setup = dataclasses.replace(bench_setup, topology=topology)
+        assert phase_uv(setup).v == 0.0
+        moments = exact_moments(forward(setup, ProcessParams.folded(phi=0.7)))
+        with pytest.raises(UnidentifiableError):
+            est_phase_var(moments, setup)
 
 
 def test_phase_var_exact(bench_setup):
@@ -154,6 +162,79 @@ def test_phase_ml_on_sampled_records(bench_setup):
     assert est_phase_ml(records, bench_setup) == pytest.approx(-2.5, abs=0.02)
 
 
+@pytest.mark.parametrize("case", ["simplistic", "cold_dark"])
+def test_phase_ml_unidentifiable_without_phase_signal(bench_setup, case):
+    # Simplistic topology: no probe light passes the process and the
+    # variance has no phase term.  Cold matter and a dark probe: neither
+    # moment depends on the phase.
+    if case == "simplistic":
+        setup = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
+    else:
+        setup = dataclasses.replace(bench_setup, v_thermal=1.0, r_amp=0.0)
+    state = forward(setup, ProcessParams.folded(phi=0.7))
+    records = sample(state, MeasurementPlan(Scheme.JOINT, 2000, seed=3))
+    with pytest.raises(UnidentifiableError):
+        est_phase_ml(records, setup)
+
+
+def _loglik(state_mean, state_cov, groups, joint, extra_cov):
+    """Gaussian log-likelihood of the group statistics under given output
+    moments, for any covariance (the reference for _phase_loglik)."""
+    ll = 0.0
+    if groups is not None:
+        for theta, n, m, s2 in groups:
+            v = np.array([math.cos(theta), math.sin(theta)])
+            mu = float(v @ state_mean)
+            var = float(v @ state_cov @ v) + extra_cov
+            ll += -0.5 * n * (math.log(var) + (s2 + (m - mu) ** 2) / var)
+    if joint is not None:
+        n, zbar, scatter = joint
+        sig = state_cov + extra_cov * np.eye(2)
+        det = sig[0, 0] * sig[1, 1] - sig[0, 1] * sig[1, 0]
+        inv = np.array([[sig[1, 1], -sig[0, 1]], [-sig[1, 0], sig[0, 0]]]) / det
+        delta = zbar - state_mean
+        ll += -0.5 * n * (
+            math.log(det)
+            + float(np.trace(inv @ scatter))
+            + float(delta @ inv @ delta)
+        )
+    return ll
+
+
+def reference_phase_ml(samples, setup, noise=None):
+    """Maximum-likelihood phase with the Gaussian log-likelihood of the full
+    forward model at each trial phase: the 64-point scan and golden-section
+    refinement of est_phase_ml, without the closed-form response."""
+    groups, joint = _group_stats(samples)
+    extra = 1.0 if samples.plan.scheme is Scheme.HETERODYNE else 0.0
+
+    def ll(phi):
+        state = forward(setup, ProcessParams.folded(phi=phi), noise)
+        return _loglik(state.mean, state.cov, groups, joint, extra)
+
+    grid = np.linspace(-math.pi, math.pi, 65)[1:]
+    k = int(np.argmax([ll(p) for p in grid]))
+    step = grid[1] - grid[0]
+    return fold_angle(_golden_max(ll, grid[k] - step, grid[k] + step, tol=1e-8))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.JOINT, Scheme.HETERODYNE,
+                                    Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3])
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
+    # The closed-form likelihood picks the same phase as the one built
+    # from forward, on sampled records at both probe brightnesses.  Where
+    # the likelihood is flat (a dim probe near phi = pi) its maximum is only
+    # resolved to ~sqrt(eps |ll| / curvature), a few 1e-7, by either form.
+    for k, (r_amp, phi) in enumerate([(100.0, 0.7), (100.0, -2.5), (1.0, 0.7)]):
+        setup = dataclasses.replace(bench_setup, r_amp=r_amp)
+        state = forward(setup, ProcessParams.folded(phi=phi), noise)
+        records = sample(state, MeasurementPlan(scheme, 6000, seed=17 + k))
+        got = est_phase_ml(records, setup, noise or NoiseParams())
+        want = reference_phase_ml(records, setup, noise)
+        assert abs(circular_diff(got, want)) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # Covariance-based general method
 
@@ -206,7 +287,8 @@ def _pushed_off_image(bench_setup, bench_process, depth):
     face."""
     setup = dataclasses.replace(bench_setup, t1=0.01, t2=0.01)
     state = forward(setup, bench_process)
-    a, b, e = _cov_response(setup, None)
+    resp = response(setup)
+    a, b, e = resp.a, resp.b, resp.e
     shift = e - b * b / a
     ppt = (state.cov - shift * np.eye(2)) / a
     evals, evecs = np.linalg.eigh(ppt)
@@ -220,7 +302,7 @@ def _shrunk_near_identity(bench_setup):
     shrunk by 0.005 a: off the image, past its symmetric face (phi = 0)."""
     process = ProcessParams.folded(phi=0.02, w=0.03, alpha=0.5, d=4.0, beta=0.5)
     state = forward(bench_setup, process)
-    a, _, _ = _cov_response(bench_setup, None)
+    a = response(bench_setup).a
     return bench_setup, MomentEstimate(mean=state.mean, cov=state.cov - 0.005 * a * np.eye(2),
                                        n_effective={"cov_xp": 1})
 
@@ -260,7 +342,8 @@ def test_cov_method_off_image_fit_is_optimal(bench_setup, bench_process, case):
                                            float(case.rsplit("_", 1)[1]))
     report = est_general_cov(moments, setup)
     assert report.diagnostics["off_image"]
-    a, b, e = _cov_response(setup, None)
+    resp = response(setup)
+    a, b, e = resp.a, resp.b, resp.e
 
     def residual(m):
         return np.linalg.norm(a * m @ m.T + b * (m + m.T) + e * np.eye(2) - moments.cov)

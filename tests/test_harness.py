@@ -86,6 +86,28 @@ def test_run_mc_marks_failing_estimator_unreliable(bench_setup, bench_process):
     assert math.isnan(cell.mse)
 
 
+def test_run_mc_records_failure_reasons(bench_setup, bench_process):
+    # Simplistic topology: no probe light passes the process, so every
+    # mean_method realization fails, and the cell says why.
+    setup = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
+    report = run_mc(mc(setup, bench_process, estimators=("mean_method", "displacement"),
+                       n=600, m_reps=3))
+    for p in ESTIMATOR_PARAMS["mean_method"]:
+        cell = report.cells[("mean_method", p)]
+        assert (cell.n_ok, cell.n_failed) == (0, 3)
+        assert cell.failures == {"UnidentifiableError": 3}
+    assert report.cells[("displacement", "d")].failures == {}
+
+
+def test_clamps_are_counted_per_estimator(bench_setup):
+    # At phi = pi the arccos argument of phase_var sits at -1, so sampling
+    # noise pushes it over about half the time; phase_mean never clamps.
+    report = run_mc(mc(bench_setup, ProcessParams.folded(phi=math.pi),
+                       estimators=("phase_var", "phase_mean"), n=2000, m_reps=20))
+    assert report.cells[("phase_var", "phi")].n_clamped > 0
+    assert report.cells[("phase_mean", "phi")].n_clamped == 0
+
+
 def test_run_mc_parallel_matches_serial(bench_setup, monkeypatch):
     truth = ProcessParams.folded(d=4.0, beta=0.5)
     cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=8)

@@ -12,9 +12,10 @@ from lmint import (
     SetupConfig,
     Topology,
     forward,
-    mean_map,
+    response,
 )
-from lmint.gaussian_core import is_physical, make_coherent
+from lmint.estimators import W_MAX
+from lmint.gaussian_core import is_physical, make_coherent, rotation, squeeze_matrix
 
 
 def test_setup_validation():
@@ -80,9 +81,9 @@ def test_blocked_beam_sees_vacuum_on_second_coupler():
     setup = SetupConfig(Topology.BLOCKED_BEAM, t1=0.1, t2=0.1, v_thermal=100.0, r_amp=100.0)
     out = forward(setup, IDENTITY_PROCESS)
     # No direct light path: the mean is the matter leak only.
-    mm = mean_map(setup)
-    assert mm.direct == 0.0
-    assert np.allclose(out.mean, mm.through * setup.light_mean)
+    resp = response(setup)
+    assert resp.direct == 0.0
+    assert np.allclose(out.mean, resp.through * setup.light_mean)
 
 
 def test_displacement_gain(bench_setup):
@@ -99,33 +100,41 @@ def test_forward_with_noise_is_physical(bench_setup, bench_process):
 
 
 # ---------------------------------------------------------------------------
-# Mean-map decomposition
+# Closed-form response: the mean map (through, direct, g_d) and the
+# covariance scalars (a, b, e)
+
+
+def _matrix(process):
+    return rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
 
 
 def test_mean_map_identity_is_identity(bench_setup):
-    mm = mean_map(bench_setup)
-    assert np.allclose(mm.linear(IDENTITY_PROCESS), np.eye(2))
-    assert mm.g_d == pytest.approx(math.sqrt(0.1))
-    assert mm.through == pytest.approx(0.1)
-    assert mm.direct == pytest.approx(0.9)
+    resp = response(bench_setup)
+    m_in = bench_setup.light_mean
+    assert np.allclose(resp.mean(np.eye(2), np.zeros(2), m_in), m_in)
+    assert resp.g_d == pytest.approx(math.sqrt(0.1))
+    assert resp.through == pytest.approx(0.1)
+    assert resp.direct == pytest.approx(0.9)
 
 
 def test_mean_map_displacement_contribution(bench_setup):
     p = ProcessParams.folded(d=5.0, beta=math.atan2(4.0, 3.0))
-    mm = mean_map(bench_setup)
-    assert np.allclose(mm.g_d * p.d_vec, math.sqrt(0.1) * np.array([3.0, 4.0]))
+    resp = response(bench_setup)
+    assert np.allclose(resp.mean(np.eye(2), p.d_vec, np.zeros(2)),
+                       math.sqrt(0.1) * np.array([3.0, 4.0]))
 
 
 def test_mean_map_with_loss(bench_setup):
-    mm = mean_map(bench_setup, NoiseParams(t_c=0.9, v_c=1.2))
-    assert mm.g_d == pytest.approx(0.3)
-    assert mm.through == pytest.approx(math.sqrt(0.01 * 0.9))
+    resp = response(bench_setup, NoiseParams(t_c=0.9, v_c=1.2))
+    assert resp.g_d == pytest.approx(0.3)
+    assert resp.through == pytest.approx(math.sqrt(0.01 * 0.9))
 
 
 def test_mean_map_predicts_forward(bench_setup, bench_process):
     for noise in (None, NoiseParams(t_c=0.7, v_c=1.2)):
-        mm = mean_map(bench_setup, noise)
-        predicted = mm.predict(bench_process, bench_setup.light_mean)
+        resp = response(bench_setup, noise)
+        predicted = resp.mean(_matrix(bench_process), bench_process.d_vec,
+                              bench_setup.light_mean)
         actual = forward(bench_setup, bench_process, noise).mean
         assert np.allclose(predicted, actual, atol=1e-9)
 
@@ -135,9 +144,41 @@ def test_mean_map_simplistic_predicts_forward(bench_process):
     setup = SetupConfig(Topology.SIMPLISTIC, t1=0.0, t2=0.3, v_thermal=100.0,
                         r_amp=100.0, probe_phase=0.4)
     for noise in (None, NoiseParams(t_c=0.7, v_c=1.2)):
-        mm = mean_map(setup, noise)
-        assert mm.through == 0.0
-        assert mm.direct == pytest.approx(math.sqrt(0.7))
-        predicted = mm.predict(bench_process, setup.light_mean)
+        resp = response(setup, noise)
+        assert resp.through == 0.0
+        assert resp.direct == pytest.approx(math.sqrt(0.7))
+        predicted = resp.mean(_matrix(bench_process), bench_process.d_vec, setup.light_mean)
         actual = forward(setup, bench_process, noise).mean
         assert np.allclose(predicted, actual, atol=1e-9)
+
+
+def test_response_reference_values(bench_setup):
+    # Working point T = 0.1, V = 100: a = T ((1 - T) V + T), b = T (1 - T) (1 - V),
+    # e = (1 - T) (T V + 1 - T); a + 2 b + e = 1 (the identity process
+    # leaves the probe's vacuum covariance).
+    resp = response(bench_setup)
+    assert (resp.a, resp.b, resp.e) == pytest.approx((9.01, -8.91, 9.81), rel=1e-12)
+    assert resp.a + 2.0 * resp.b + resp.e == pytest.approx(1.0, rel=1e-12)
+
+
+@given(topology=st.sampled_from(list(Topology)),
+       t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0), v=st.floats(1.0, 300.0),
+       r=st.floats(0.0, 300.0), probe_phase=st.floats(-math.pi, math.pi),
+       phi=st.floats(-math.pi, math.pi), w=st.floats(0.0, W_MAX),
+       alpha=st.floats(-math.pi / 2, math.pi / 2), d=st.floats(0.0, 20.0),
+       beta=st.floats(-math.pi, math.pi),
+       noise=st.none() | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
+                                   v_c=st.floats(1.0, 5.0)))
+@settings(max_examples=200, deadline=None)
+def test_response_matches_forward(topology, t1, t2, v, r, probe_phase, phi, w, alpha,
+                                  d, beta, noise):
+    setup = SetupConfig(topology, t1=t1, t2=t2, v_thermal=v, r_amp=r,
+                        probe_phase=probe_phase)
+    process = ProcessParams.folded(phi=phi, w=w, alpha=alpha, d=d, beta=beta)
+    state = forward(setup, process, noise)
+    resp = response(setup, noise)
+    mat = _matrix(process)
+    mean = resp.mean(mat, process.d_vec, setup.light_mean)
+    cov = resp.cov(mat)
+    assert np.abs(mean - state.mean).max() <= 1e-9 * max(1.0, np.abs(state.mean).max())
+    assert np.abs(cov - state.cov).max() <= 1e-9 * np.abs(state.cov).max()
