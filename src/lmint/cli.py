@@ -16,22 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import EstimationError, UnidentifiableError
-from .fisher import NumericFisherError, fisher_displacement, fisher_numeric
-from .gaussian_core import ProcessParams
-from .harness import (
-    CalibrationError,
-    ESTIMATOR_PARAMS,
-    MonteCarloConfig,
-    _estimate_one,
-    _resolve_assumed,
-    _simulate_realization,
-    _THREE_PROBE,
-    base_name,
-    calibrate,
-    calibrated_noise,
-    run_mc,
-    sweep,
-)
+from .fisher import PARAMETERS, FisherMethod, fisher_displacement, fisher_matrix
+from .gaussian_core import DecompositionError, ProcessParams
+from .harness import CalibrationError, MonteCarloConfig, calibrate, estimate_once, sweep
 from .interferometer import SetupConfig, Topology, forward
 from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
 from .noise import NoiseParams
@@ -292,16 +279,8 @@ def cmd_estimate(cfg, args) -> int:
     mc = _mc_config(cfg)
     if not mc.estimators:
         raise ConfigError("estimators: at least one estimator is required")
-    need_single = any(base_name(n) not in _THREE_PROBE or base_name(n) == "combined"
-                      for n in mc.estimators)
-    need_probes = any(base_name(n) in _THREE_PROBE for n in mc.estimators)
-    calibrated = calibrated_noise(mc)
-    data = _simulate_realization(mc, 1, need_single, need_probes)
-    reports = []
-    for name in mc.estimators:
-        assumed = _resolve_assumed(mc, name, calibrated)
-        values = _estimate_one(name, data, mc, assumed, {})
-        reports.append(report_to_dict(name, values))
+    reports = [report_to_dict(name, values)
+               for name, values in zip(mc.estimators, estimate_once(mc))]
     _write_text(cfg["out"], json.dumps(reports, indent=2) + "\n")
     return 0
 
@@ -313,12 +292,10 @@ def cmd_fisher(cfg, args) -> int:
         s = dataclasses.replace(setup, topology=topology)
         fi = fisher_displacement(s)
         rows.append([topology.value, fi.parameter, fi.method.value, fi.value])
-    for parameter in ("phi", "w", "alpha", "d", "beta"):
-        try:
-            fi = fisher_numeric(setup, cfg["process"], cfg["noise"], parameter)
-        except NumericFisherError:
-            continue
-        rows.append([setup.topology.value, parameter, fi.method.value, fi.value])
+    info = fisher_matrix(setup, cfg["process"], cfg["noise"])
+    for k, parameter in enumerate(PARAMETERS):
+        rows.append([setup.topology.value, parameter, FisherMethod.NUMERIC_GAUSSIAN.value,
+                     max(float(info[k, k]), 0.0)])
     _write_text(cfg["out"], _csv_text(["topology", "parameter", "method", "value"], rows))
     return 0
 
@@ -408,7 +385,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EstimationError, UnidentifiableError, InsufficientDataError, CalibrationError,
-            NumericFisherError) as exc:
+            DecompositionError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,9 @@
 
 The per-sample likelihood is the two-dimensional Gaussian of the measured
 quadrature pair, so the Gaussian-model identity
-I(theta) = dmu^T Sigma^-1 dmu + 1/2 tr[(Sigma^-1 dSigma)^2]
-is exact and replaces generic score-function quadrature.
+I_ij = dmu_i^T Sigma^-1 dmu_j + 1/2 tr(Sigma^-1 dSigma_i Sigma^-1 dSigma_j)
+is exact, and both moments are closed-form in the six Response scalars, so
+their derivatives are too.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ class FisherMethod(Enum):
     NUMERIC_GAUSSIAN = "numeric_gaussian"
 
 
+# Kept for callers that import and catch it; nothing in lmint raises it.
 class NumericFisherError(RuntimeError):
-    """Finite-difference derivatives failed the Richardson consistency check."""
+    """A Fisher information that could not be computed reliably."""
 
     def __init__(self, message, coarse, fine):
         super().__init__(message)
@@ -45,82 +47,83 @@ class FisherResult:
             raise ValueError(f"Fisher information must be non-negative, got {self.value}")
 
 
-def fisher_displacement(setup: SetupConfig) -> FisherResult:
-    """Closed-form per-sample information about the displacement magnitude."""
-    t1, t2, v = setup.t1, setup.t2, setup.v_thermal
-    if setup.topology is Topology.SIMPLISTIC:
-        value = t2 / (1.0 + t2 * (v - 1.0))
-        method = FisherMethod.ANALYTIC_SIMPLISTIC
-    elif setup.topology is Topology.BLOCKED_BEAM:
-        value = t2 / (1.0 - t2 + t2 * ((1.0 - t1) * v + t1))
-        method = FisherMethod.ANALYTIC_BLOCKED
-    else:
-        if not math.isclose(t1, t2, rel_tol=0.0, abs_tol=1e-12):
-            # The closed form assumes a balanced interferometer.
-            return fisher_numeric(setup, ProcessParams.folded(d=1.0), None, "d")
-        value = t2
-        method = FisherMethod.ANALYTIC_INTERFEROMETRIC
-    return FisherResult(value=value, parameter="d", method=method)
+#: Row and column order of fisher_matrix.
+PARAMETERS = ("phi", "w", "alpha", "d", "beta")
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])  # generator of rotations: R' = J R
 
 
-_PARAMS = ("phi", "w", "alpha", "d", "beta")
+def fisher_matrix(setup: SetupConfig, process: ProcessParams,
+                  noise: NoiseParams | None = None, *, mean_only: bool = False) -> np.ndarray:
+    """Per-sample 5x5 Fisher information of the joint read-out in PARAMETERS
+    order, from exact derivatives of the Response moments.
 
-
-def _moments(resp, m_in, theta):
-    """Response moments at raw (phi, w, alpha, d, beta): finite-difference
-    stencils may step slightly outside the canonical ranges (e.g. w < 0),
-    where the phase-space map is still smooth and well defined."""
-    phi, w, alpha, d, beta = theta
-    mat = rotation(phi) @ squeeze_matrix(w, alpha)
-    d_vec = np.array([d * math.cos(beta), d * math.sin(beta)])
-    return resp.mean(mat, d_vec, m_in), resp.cov(mat)
-
-
-def _gaussian_information(setup, process, noise, parameter, step):
-    if parameter not in _PARAMS:
-        raise ValueError(f"unknown process parameter {parameter!r}")
+    With S = R(alpha) diag(e^w, e^-w) R(alpha)^T and A = R(phi) S:
+    dA/dphi = J A, dA/dw = R(phi) R(alpha) diag(e^w, -e^-w) R(alpha)^T and
+    dA/dalpha = R(phi) (J S - S J).  The mean moves with through dA m_in and
+    with the displacement; the covariance moves with a (dA A^T + A dA^T) +
+    b (dA + dA^T) and not with the displacement.  mean_only keeps the mean
+    term of the information.
+    """
     resp = response(setup, noise)
+    rot, axis = rotation(process.phi), rotation(process.alpha)
+    stretch = math.exp(process.w)
+    sq = squeeze_matrix(process.w, process.alpha)
+    mat = rot @ sq
+    d_mat = (_J @ mat,
+             rot @ axis @ np.diag([stretch, -1.0 / stretch]) @ axis.T,
+             rot @ (_J @ sq - sq @ _J))
+    unit = np.array([math.cos(process.beta), math.sin(process.beta)])
     m_in = setup.light_mean
-    theta = np.array([getattr(process, name) for name in _PARAMS])
-    h = step * np.array([name == parameter for name in _PARAMS], dtype=float)
-    mu_plus, cov_plus = _moments(resp, m_in, theta + h)
-    mu_minus, cov_minus = _moments(resp, m_in, theta - h)
-    dmu = (mu_plus - mu_minus) / (2.0 * step)
-    dcov = (cov_plus - cov_minus) / (2.0 * step)
-    _, cov = _moments(resp, m_in, theta)
-    inv = np.linalg.inv(cov)
-    mean_term = float(dmu @ inv @ dmu)
-    a = inv @ dcov
-    cov_term = 0.5 * float(np.trace(a @ a))
-    return mean_term + cov_term, mean_term, cov_term
+    d_mu = np.array([resp.through * (dm @ m_in) for dm in d_mat]
+                    + [resp.g_d * unit, resp.g_d * process.d * (_J @ unit)])
+    inv = np.linalg.inv(resp.cov(mat))
+    info = d_mu @ inv @ d_mu.T
+    if not mean_only:
+        g = np.array([inv @ (resp.a * (dm @ mat.T + mat @ dm.T) + resp.b * (dm + dm.T))
+                      for dm in d_mat])
+        info[:3, :3] += 0.5 * np.einsum("iab,jba->ij", g, g)
+    return info
+
+
+def _index(parameter: str) -> int:
+    if parameter not in PARAMETERS:
+        raise ValueError(f"unknown process parameter {parameter!r}")
+    return PARAMETERS.index(parameter)
+
+
+_DISPLACEMENT_METHODS = {
+    Topology.SIMPLISTIC: FisherMethod.ANALYTIC_SIMPLISTIC,
+    Topology.BLOCKED_BEAM: FisherMethod.ANALYTIC_BLOCKED,
+    Topology.INTERFEROMETRIC: FisherMethod.ANALYTIC_INTERFEROMETRIC,
+}
+
+
+def fisher_displacement(setup: SetupConfig) -> FisherResult:
+    """Per-sample information about the displacement magnitude,
+    g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I, where the
+    output covariance is (a + 2b + e) I."""
+    resp = response(setup)
+    return FisherResult(value=resp.g_d ** 2 / (resp.a + 2.0 * resp.b + resp.e),
+                        parameter="d", method=_DISPLACEMENT_METHODS[setup.topology])
 
 
 def fisher_numeric(setup: SetupConfig, process: ProcessParams,
-                   noise: NoiseParams | None, parameter: str,
-                   step: float = 1e-5) -> FisherResult:
-    """Per-sample information by central differences of the closed-form
-    response moments (see interferometer.Response).
-
-    Verified by a Richardson check at step/2; disagreement beyond 1e-3
-    relative raises NumericFisherError with both values.
-    """
-    coarse, _, _ = _gaussian_information(setup, process, noise, parameter, step)
-    fine, _, _ = _gaussian_information(setup, process, noise, parameter, step / 2.0)
-    scale = max(abs(fine), 1e-12)
-    if abs(coarse - fine) > 1e-3 * scale:
-        raise NumericFisherError(
-            f"derivative instability for {parameter}: {coarse} vs {fine}", coarse, fine
-        )
-    return FisherResult(value=max(fine, 0.0), parameter=parameter,
+                   noise: NoiseParams | None, parameter: str) -> FisherResult:
+    """Per-sample information about one process parameter: a diagonal entry
+    of fisher_matrix."""
+    k = _index(parameter)
+    value = float(fisher_matrix(setup, process, noise)[k, k])
+    return FisherResult(value=max(value, 0.0), parameter=parameter,
                         method=FisherMethod.NUMERIC_GAUSSIAN)
 
 
 def fisher_terms(setup: SetupConfig, process: ProcessParams,
-                 noise: NoiseParams | None, parameter: str,
-                 step: float = 1e-5) -> tuple[float, float]:
-    """(mean term, covariance term) of the numeric Gaussian information."""
-    _, mean_term, cov_term = _gaussian_information(setup, process, noise, parameter, step)
-    return mean_term, cov_term
+                 noise: NoiseParams | None, parameter: str) -> tuple[float, float]:
+    """(mean term, covariance term) of the information about one parameter."""
+    k = _index(parameter)
+    mean_term = float(fisher_matrix(setup, process, noise, mean_only=True)[k, k])
+    return mean_term, float(fisher_matrix(setup, process, noise)[k, k]) - mean_term
 
 
 def crb(fi: FisherResult, n: int) -> float:
@@ -139,20 +142,19 @@ class CrossingReport:
 
 
 def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> CrossingReport:
-    """Numeric phase information of both topologies over a phase grid.
+    """Phase information of both topologies over a phase grid.
 
     Reports where the interferometric advantage changes sign; an empty
     crossing list is a valid result.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
-    inter = dc_replace(setup, topology=Topology.INTERFEROMETRIC)
-    blocked = dc_replace(setup, topology=Topology.BLOCKED_BEAM)
-    fi_i = np.array([
-        fisher_numeric(inter, ProcessParams.folded(phi=p), None, "phi").value for p in phi_grid
-    ])
-    fi_b = np.array([
-        fisher_numeric(blocked, ProcessParams.folded(phi=p), None, "phi").value for p in phi_grid
-    ])
+
+    def phase_info(topology):
+        s = dc_replace(setup, topology=topology)
+        return np.array([fisher_matrix(s, ProcessParams.folded(phi=p))[0, 0] for p in phi_grid])
+
+    fi_i = phase_info(Topology.INTERFEROMETRIC)
+    fi_b = phase_info(Topology.BLOCKED_BEAM)
     diff = fi_i - fi_b
     crossings = []
     for k in range(len(phi_grid) - 1):

@@ -27,7 +27,7 @@ from .estimators import (
     est_phase_ml,
     est_phase_var,
 )
-from .gaussian_core import ProcessParams, circular_diff
+from .gaussian_core import DecompositionError, ProcessParams, circular_diff
 from .interferometer import SetupConfig, forward, response
 from .measurement import (
     InsufficientDataError,
@@ -50,7 +50,8 @@ class CalibrationError(RuntimeError):
     """The calibration run produced an unphysical channel estimate."""
 
 
-_ESTIMATOR_FAILURES = (EstimationError, UnidentifiableError, InsufficientDataError, ValueError)
+_ESTIMATOR_FAILURES = (EstimationError, UnidentifiableError, InsufficientDataError,
+                       DecompositionError)
 
 #: Parameters reported by each estimator.
 ESTIMATOR_PARAMS = {
@@ -186,16 +187,19 @@ class _RealizationData:
     probe_moments: list | None = None
 
 
-def _simulate_realization(cfg: MonteCarloConfig, k: int, need_single: bool,
-                          need_probes: bool) -> _RealizationData:
+def _simulate_realization(cfg: MonteCarloConfig, k: int) -> _RealizationData:
+    """Records and moments of realization k: the single read-out when an
+    estimator other than mean_method reads it, the three probes when
+    mean_method or combined does."""
+    bases = {base_name(n) for n in cfg.estimators}
     seed = (cfg.base_seed ^ k) & _MASK64
     data = _RealizationData(setup=cfg.setup)
-    if need_single:
+    if bases - {"mean_method"}:
         state = forward(cfg.setup, cfg.process, cfg.noise)
         plan = _probe_plan(cfg.plan, cfg.plan.n_samples, seed)
         data.single_samples = sample(state, plan)
         data.single_moments = estimate_moments(data.single_samples)
-    if need_probes:
+    if bases & _THREE_PROBE:
         n_each = cfg.plan.n_samples // len(PROBE_PHASES)
         data.probe_samples = []
         data.probe_moments = []
@@ -256,12 +260,9 @@ def _resolve_assumed(cfg: MonteCarloConfig, name: str,
 
 def _mc_chunk(cfg: MonteCarloConfig, k_lo: int, k_hi: int,
               calibrated: NoiseParams | None):
-    need_single = any(base_name(n) not in _THREE_PROBE or base_name(n) == "combined"
-                      for n in cfg.estimators)
-    need_probes = any(base_name(n) in _THREE_PROBE for n in cfg.estimators)
     rows = []
     for k in range(k_lo, k_hi):
-        data = _simulate_realization(cfg, k, need_single, need_probes)
+        data = _simulate_realization(cfg, k)
         row = {}
         for name in cfg.estimators:
             assumed = _resolve_assumed(cfg, name, calibrated)
@@ -292,6 +293,15 @@ def calibrated_noise(cfg: MonteCarloConfig) -> NoiseParams | None:
     n_cal = cfg.calibration_samples or cfg.plan.n_samples
     cal_plan = _probe_plan(cfg.plan, n_cal, cfg.base_seed ^ _CAL_SALT)
     return calibrate(cfg.setup, cal_plan, cfg.noise)
+
+
+def estimate_once(cfg: MonteCarloConfig) -> list:
+    """Parameter values of each of cfg.estimators, in order, on the data of
+    realization 1 of run_mc; an estimator's failure propagates."""
+    calibrated = calibrated_noise(cfg)
+    data = _simulate_realization(cfg, 1)
+    return [_estimate_one(name, data, cfg, _resolve_assumed(cfg, name, calibrated), {})
+            for name in cfg.estimators]
 
 
 def run_mc(cfg: MonteCarloConfig) -> MSEReport:

@@ -267,6 +267,17 @@ def test_exit_code_2_for_mean_method_on_the_simplistic_topology(tmp_path, capsys
     assert "estimation failed" in capsys.readouterr().err
 
 
+def test_exit_code_2_when_the_polar_decomposition_fails(tmp_path, capsys):
+    # Weak coupling, dim probe: at 600 shots the three-probe estimate of
+    # the process matrix has det <= 0 on realization 1 of seed 1.
+    payload = dict(SMALL_CONFIG,
+                   setup={"topology": "interferometric", "t1": 0.01, "t2": 0.01,
+                          "v_thermal": 100.0, "r_amp": 3.0})
+    assert main(["estimate", "--config", write_config(tmp_path, payload),
+                 "--seed", "1"]) == 2
+    assert "polar decomposition" in capsys.readouterr().err
+
+
 def test_sweep_exit_code_2_names_the_failed_cells(tmp_path, capsys):
     # Simplistic topology: mean_method never succeeds.  The CSV is still
     # written, and each empty cell is named on stderr with its reason.

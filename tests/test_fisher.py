@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmint import (
     NoiseParams,
@@ -13,8 +14,11 @@ from lmint import (
     crb,
     fisher_displacement,
     fisher_numeric,
+    forward,
 )
+from lmint.estimators import W_MAX
 from lmint.fisher import FisherMethod, FisherResult, fisher_terms
+from lmint.fisher import fisher_matrix as exact_fisher_matrix
 
 from conftest import FISHER_PARAMS, fisher_matrix, three_probe_bounds
 
@@ -48,10 +52,14 @@ def test_displacement_information_interferometric():
     assert fi.method is FisherMethod.ANALYTIC_INTERFEROMETRIC
 
 
-def test_interferometric_unbalanced_falls_back_to_numeric():
-    fi = fisher_displacement(setup_for(Topology.INTERFEROMETRIC, 0.2, 0.1, 100.0))
-    assert fi.method is FisherMethod.NUMERIC_GAUSSIAN
-    assert 0.0 < fi.value < 0.2
+def test_interferometric_unbalanced_matches_reference():
+    # No closed form of the paper covers t1 != t2; g_d^2 / (a + 2b + e)
+    # must still be the d entry of the forward-difference reference.
+    s = setup_for(Topology.INTERFEROMETRIC, 0.2, 0.1, 100.0)
+    fi = fisher_displacement(s)
+    assert fi.method is FisherMethod.ANALYTIC_INTERFEROMETRIC
+    want = fisher_matrix(s, ProcessParams.folded(d=1.0))[3, 3]
+    assert fi.value == pytest.approx(want, rel=1e-8)
 
 
 def test_fisher_result_rejects_negative():
@@ -63,6 +71,16 @@ def test_fisher_result_rejects_negative():
 # Numeric cross-checks
 
 
+def paper_displacement_information(topology, t1, t2, v):
+    """The paper's per-topology displacement information; the
+    interferometric form holds for a balanced interferometer (t1 = t2)."""
+    if topology is Topology.SIMPLISTIC:
+        return t2 / (1.0 + t2 * (v - 1.0))
+    if topology is Topology.BLOCKED_BEAM:
+        return t2 / (1.0 - t2 + t2 * ((1.0 - t1) * v + t1))
+    return t2
+
+
 def test_numeric_matches_analytic_sample():
     rng = np.random.default_rng(3)
     process = ProcessParams.folded(d=1.0)
@@ -70,13 +88,11 @@ def test_numeric_matches_analytic_sample():
         t1, t2 = rng.uniform(0.02, 0.98, size=2)
         v = rng.uniform(1.0, 300.0)
         for topology in Topology:
-            if topology is Topology.INTERFEROMETRIC:
-                s = setup_for(topology, t2, t2, v)  # closed form needs balance
-            else:
-                s = setup_for(topology, t1, t2, v)
-            analytic = fisher_displacement(s).value
-            numeric = fisher_numeric(s, process, None, "d").value
-            assert numeric == pytest.approx(analytic, rel=1e-6)
+            t_in = t2 if topology is Topology.INTERFEROMETRIC else t1
+            s = setup_for(topology, t_in, t2, v)
+            want = paper_displacement_information(topology, t_in, t2, v)
+            assert fisher_displacement(s).value == pytest.approx(want, rel=1e-12)
+            assert fisher_numeric(s, process, None, "d").value == pytest.approx(want, rel=1e-12)
 
 
 def test_phase_information_terms(bench_setup):
@@ -105,6 +121,38 @@ def test_fisher_matrix_diagonal_matches_numeric(bench_setup, bench_process):
         else:
             want = fisher_numeric(bench_setup, bench_process, None, name).value
         assert info[k, k] == pytest.approx(want, rel=1e-6)
+
+
+# The reference differentiates forward at step 1e-5 through
+# ProcessParams.from_q, which clamps w and d at 0, so both keep a margin.
+@given(topology=st.sampled_from(list(Topology)),
+       t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0), v=st.floats(1.0, 300.0),
+       r=st.floats(0.0, 300.0), probe_phase=st.floats(-math.pi, math.pi),
+       phi=st.floats(-math.pi, math.pi), w=st.floats(1e-3, W_MAX),
+       alpha=st.floats(-math.pi / 2, math.pi / 2), d=st.floats(1e-3, 20.0),
+       beta=st.floats(-math.pi, math.pi),
+       noise=st.none() | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
+                                   v_c=st.floats(1.0, 5.0)))
+@settings(max_examples=200, deadline=None)
+def test_fisher_matrix_matches_forward_reference(topology, t1, t2, v, r, probe_phase,
+                                                 phi, w, alpha, d, beta, noise):
+    setup = SetupConfig(topology, t1=t1, t2=t2, v_thermal=v, r_amp=r,
+                        probe_phase=probe_phase)
+    process = ProcessParams.folded(phi=phi, w=w, alpha=alpha, d=d, beta=beta)
+    # Chain rule from w to q = e^w: dw/dq = 1/q.
+    jac = np.diag([1.0, 1.0 / process.q, 1.0, 1.0, 1.0])
+    # The reference's central differences round each moment derivative by
+    # up to about eps |moment| / step.  Whitened by the covariance, that is
+    # an error delta per derivative, and an entry moves by at most
+    # delta (2 sqrt(max I_ii) + delta).
+    state = forward(setup, process, noise)
+    lam = np.linalg.eigvalsh(state.cov)[0]
+    delta = 1e-10 * (np.abs(state.mean).max() / math.sqrt(lam) + np.abs(state.cov).max() / lam)
+    for mean_only in (False, True):
+        got = jac @ exact_fisher_matrix(setup, process, noise, mean_only=mean_only) @ jac
+        want = fisher_matrix(setup, process, noise, mean_only=mean_only)
+        floor = delta * (2.0 * math.sqrt(np.diag(want).max()) + delta)
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max() + floor
 
 
 def test_single_readout_bound_exponents_over_coupling(bench_process):

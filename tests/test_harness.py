@@ -22,6 +22,7 @@ from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
     _apply_axis,
+    estimate_once,
     param_error,
 )
 
@@ -97,6 +98,31 @@ def test_run_mc_records_failure_reasons(bench_setup, bench_process):
         assert (cell.n_ok, cell.n_failed) == (0, 3)
         assert cell.failures == {"UnidentifiableError": 3}
     assert report.cells[("displacement", "d")].failures == {}
+
+
+def test_run_mc_counts_failed_polar_decompositions():
+    # Weak coupling, dim probe, 600 shots: the three-probe estimate of the
+    # process matrix has det <= 0 on 7 of 12 realizations.
+    setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.01, t2=0.01,
+                        v_thermal=100.0, r_amp=3.0)
+    truth = ProcessParams.from_q(phi=0.7, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
+    report = run_mc(mc(setup, truth, estimators=("mean_method",), n=600, m_reps=12,
+                       seed=0))
+    for p in ESTIMATOR_PARAMS["mean_method"]:
+        cell = report.cells[("mean_method", p)]
+        assert (cell.n_ok, cell.n_failed) == (5, 7)
+        assert cell.failures == {"DecompositionError": 7}
+
+
+def test_estimate_once_sees_the_data_of_run_mc(bench_setup):
+    # Realization k draws from base_seed ^ k, so realization 1 of a config
+    # seeded 123 ^ 3 holds realization 2 of the config seeded 123.
+    truth = ProcessParams.folded(d=4.0, beta=0.5)
+    cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=2)
+    errors = [estimate_once(dataclasses.replace(cfg, base_seed=seed))[0]["d"] - truth.d
+              for seed in (123, 123 ^ 3)]
+    assert run_mc(cfg).cells[("displacement", "d")].bias == pytest.approx(
+        np.mean(errors), rel=1e-12)
 
 
 def test_clamps_are_counted_per_estimator(bench_setup):
