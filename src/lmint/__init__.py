@@ -17,7 +17,6 @@ from .interferometer import Response, SetupConfig, Topology, forward, response
 from .measurement import MeasurementPlan, Scheme, estimate_moments, sample
 from .estimators import (
     EstimateReport,
-    UVCoefficients,
     est_combined,
     est_displacement,
     est_general_cov,
@@ -25,7 +24,6 @@ from .estimators import (
     est_phase_mean,
     est_phase_ml,
     est_phase_var,
-    phase_uv,
 )
 from .fisher import (
     FisherResult,

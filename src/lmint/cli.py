@@ -290,7 +290,7 @@ def cmd_fisher(cfg, args) -> int:
     rows = []
     for topology in (Topology.SIMPLISTIC, Topology.BLOCKED_BEAM, Topology.INTERFEROMETRIC):
         s = dataclasses.replace(setup, topology=topology)
-        fi = fisher_displacement(s)
+        fi = fisher_displacement(s, cfg["noise"])
         rows.append([topology.value, fi.parameter, fi.method.value, fi.value])
     info = fisher_matrix(setup, cfg["process"], cfg["noise"])
     for k, parameter in enumerate(PARAMETERS):

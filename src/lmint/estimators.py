@@ -1,23 +1,23 @@
-"""Parameter estimators: displacement-only, phase-only, and the two
-general-process methods (covariance-based and mean-based), with naive and
-calibrated variants selected through the assumed NoiseParams.
+"""Parameter estimators: displacement-only, phase-only, the two general-process
+methods (covariance- and mean-based) and their joint maximum likelihood, with
+naive and calibrated variants selected through the assumed NoiseParams.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from .gaussian_core import (
     DecompositionError,
     ProcessParams,
-    circular_diff,
     fold_angle,
     polar_decompose_2x2,
     rotation,
     squeeze_matrix,
 )
+from .fisher import chart, gaussian_information, moment_derivatives
 from .interferometer import SetupConfig, response
 from .measurement import (
     InsufficientDataError,
@@ -31,13 +31,11 @@ from .noise import IDEAL_NOISE, NoiseParams
 __all__ = [
     "NoiseParams",
     "IDEAL_NOISE",
-    "UVCoefficients",
     "EstimateReport",
     "UnidentifiableError",
     "EstimationError",
     "FitRejectedError",
     "est_displacement",
-    "phase_uv",
     "est_phase_var",
     "est_phase_mean",
     "est_phase_ml",
@@ -81,13 +79,7 @@ RESIDUAL_REL_TOL = 0.5
 #: sqrt(eps)); distinct solutions lie O(1) apart.
 _SAME_PROCESS_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class UVCoefficients:
-    """Variance model of the output under a pure phase shift: Var = u + v cos(phi)."""
-
-    u: float
-    v: float
+_PARAM_PERIODS = {"phi": 2 * math.pi, "alpha": math.pi, "beta": 2 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -120,15 +112,6 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
 # Phase-only estimation
 
 
-def phase_uv(setup: SetupConfig) -> UVCoefficients:
-    """(u, v) of the output variance under a pure phase shift: with A = R(phi)
-    the response covariance is (a + e + 2 b cos(phi)) I.  v = 0 wherever the
-    response has no linear term: the blocked beam, the simplistic topology,
-    cold matter (V = 1) and t1 or t2 in {0, 1}."""
-    resp = response(setup)
-    return UVCoefficients(u=resp.a + resp.e, v=2.0 * resp.b)
-
-
 def _frame_mean(moments: MomentEstimate, setup: SetupConfig) -> np.ndarray:
     """Measured mean rotated into the probe frame (probe phase -> 0)."""
     return rotation(-setup.probe_phase) @ moments.mean
@@ -138,14 +121,18 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig,
                   diagnostics: dict | None = None) -> float:
     """Variance-based phase estimator: arccos of the centered mean variance.
 
-    The arccos argument is clamped to [-1, 1] (clamp events are counted in
-    the diagnostics dict when given); the sign is resolved through the mean's
-    p-component when the probe is bright, otherwise the magnitude is returned.
+    Under A = R(phi) the response covariance is (a + e + 2 b cos(phi)) I, so
+    the phase signal is 2 b, which vanishes wherever the response has no
+    linear term: the blocked beam, the simplistic topology, cold matter
+    (V = 1) and t1 or t2 in {0, 1}.  The arccos argument is clamped to
+    [-1, 1] (clamp events are counted in the diagnostics dict when given);
+    the sign is resolved through the mean's p-component when the probe is
+    bright, otherwise the magnitude is returned.
     """
-    uv = phase_uv(setup)
-    if uv.v == 0.0:
-        raise UnidentifiableError("v = 0: the output variance carries no phase signal")
-    arg = ((moments.cov[0, 0] + moments.cov[1, 1]) / 2.0 - uv.u) / uv.v
+    resp = response(setup)
+    if resp.b == 0.0:
+        raise UnidentifiableError("b = 0: the output variance carries no phase signal")
+    arg = ((moments.cov[0, 0] + moments.cov[1, 1]) / 2.0 - (resp.a + resp.e)) / (2.0 * resp.b)
     if abs(arg) > 1.0:
         if diagnostics is not None:
             diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
@@ -477,6 +464,11 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     """Method (ii): three coherent probes (phases 0, pi, pi/2) expose the full
     affine response; opposite phases cancel the linear part and isolate the
     displacement, the quarter-turn probe fills the second column.
+
+    The linear inversion weighs the probe means alike, though their
+    covariance Sigma(A) is anisotropic, so its phi and alpha MSE sit 2-3x
+    above the bound of the means; a weighted (GLS) fit of the same means
+    reaches ~1.  est_combined, started here, is the efficient estimator.
     """
     r = setup.r_amp
     if r <= 0.0:
@@ -507,53 +499,110 @@ def est_general_mean(probe_moments, setup: SetupConfig,
 
 
 # ---------------------------------------------------------------------------
-# Combination
+# Joint maximum likelihood
 
-_PARAM_PERIODS = {"phi": 2 * math.pi, "alpha": math.pi, "beta": 2 * math.pi}
-_PARAM_NAMES = ("phi", "w", "alpha", "d", "beta")
+#: Caps on the Fisher-scoring steps of est_combined and on the halvings of a step.
+_MAX_SCORING_STEPS, _MAX_HALVINGS = 20, 30
 
+#: Newton decrement s^T F^-1 s below which the scoring has converged.
+_DECREMENT_TOL = 1e-9
 
-def _combine_one(name, v1, x1, v2, x2):
-    if name in _PARAM_PERIODS:
-        delta = circular_diff(x2, x1, _PARAM_PERIODS[name])
-    else:
-        delta = x2 - x1
-    weight2 = v1 / (v1 + v2)
-    out = x1 + weight2 * delta
-    return out, abs(delta) / math.sqrt(v1 + v2) if v1 + v2 > 0 else 0.0
+#: Deviance excess over its degrees of freedom, in standard deviations
+#: sqrt(2 dof) of its chi-square law, above which the fit is inconsistent.
+_INCONSISTENT_SIGMA = 5.0
 
 
-def est_combined(report_i: EstimateReport, report_ii: EstimateReport,
-                 discrepancy_sigma: float = 5.0) -> EstimateReport:
-    """Inverse-variance weighted combination of the two general-process methods.
+def _data_sets(moments: MomentEstimate) -> list:
+    """(n, projection P, added covariance, mean or None, scatter) of each
+    Gaussian data set behind a MomentEstimate: n records of P z ~ N(P mu,
+    P Sigma P^T + added).  Paired records are one set (heterodyne adds the
+    vacuum unit back), a homodyne split one set per angle; of homodyne3's
+    pi/4 group only the variance counts, since its mean is not kept."""
+    n, cov = moments.n_effective, moments.cov
+    if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
+        added = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
+        return [(n["mean_x"], np.eye(2), added, moments.mean, cov + added)]
+    zero = np.zeros((1, 1))
+    out = [(n["mean_x"], np.array([[1.0, 0.0]]), zero, moments.mean[:1], cov[:1, :1]),
+           (n["mean_p"], np.array([[0.0, 1.0]]), zero, moments.mean[1:], cov[1:, 1:])]
+    if moments.scheme is Scheme.HOMODYNE_SPLIT3:
+        diag = np.full((1, 2), math.sqrt(0.5))  # angle pi/4
+        out.append((n["cov_xp"], diag, zero, None, diag @ cov @ diag.T))
+    return out
 
-    Per-parameter weights come from jackknife variances stored in each
-    report's diagnostics under 'jk_var_<name>'.  A normalized discrepancy
-    above discrepancy_sigma raises a model-inconsistency flag (reported, not
-    fatal): a large gap between two asymptotically unbiased estimators means
-    something in the model has been neglected.
+
+def _joint_fit(x, sets, noise):
+    """Deviance of the chart point x (see fisher.chart) from the saturated
+    Gaussians of the data sets, score of the log-likelihood and information.
+    Per set, with R = S + delta delta^T, delta = mean - P mu (R = S without
+    a mean), the deviance is n [tr(Sigma^-1 R) - log det(Sigma^-1 S) - k]
+    and the score n [dmu^T Sigma^-1 delta + 1/2 tr(Sigma^-1 dSigma
+    (Sigma^-1 R - I))].  The scatter S is the ddof=1 covariance, not its
+    (n-1)/n rescaling: the score then has zero mean at the truth, and exact
+    moments are a fixed point whatever their n."""
+    deviance, score, info = 0.0, np.zeros(5), np.zeros((5, 5))
+    for setup, groups in sets:
+        mu, sig, d_mu, d_sig = moment_derivatives(setup, x, noise)
+        for n, proj, added, mean, scatter in groups:
+            cov = proj @ sig @ proj.T + added
+            d_mean, d_cov = d_mu @ proj.T, proj @ d_sig @ proj.T
+            if mean is None:
+                d_mean, delta = 0.0 * d_mean, np.zeros(len(cov))
+            else:
+                delta = mean - proj @ mu
+            inv = np.linalg.inv(cov)
+            ratio = inv @ (scatter + np.outer(delta, delta))
+            deviance += n * (np.trace(ratio) - len(cov)
+                             - math.log(np.linalg.det(scatter) / np.linalg.det(cov)))
+            score += n * (d_mean @ (inv @ delta) + 0.5 * np.einsum(
+                "iab,ba->i", inv @ d_cov, ratio - np.eye(len(cov))))
+            info += n * gaussian_information(cov, d_mean, d_cov)
+    return float(deviance), score, info
+
+
+def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConfig,
+                 noise: NoiseParams = IDEAL_NOISE) -> EstimateReport:
+    """Joint maximum-likelihood estimate from the single read-out and the
+    three probes, the efficient estimator of the general process: Fisher
+    scoring in the chart of fisher.chart, regular at w = 0 and d = 0, from
+    method (ii), which is consistent and has no twins (the probe means alone
+    identify the process, so the information is positive definite).  Steps
+    are halved until the deviance does not rise; scoring stops at a Newton
+    decrement s^T F^-1 s below _DECREMENT_TOL and fails with EstimationError
+    after _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings of one.  Under
+    the model the deviance D against the saturated per-set Gaussians is
+    chi-square with dof = statistics - 5; 'model_inconsistent' flags
+    (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.
     """
-    combined = {}
-    max_discrepancy = 0.0
-    for name in _PARAM_NAMES:
-        x1 = getattr(report_i.params, name)
-        x2 = getattr(report_ii.params, name)
-        v1 = report_i.diagnostics.get(f"jk_var_{name}", math.inf)
-        v2 = report_ii.diagnostics.get(f"jk_var_{name}", math.inf)
-        if not math.isfinite(v1) and not math.isfinite(v2):
-            v1 = v2 = 1.0
-        elif not math.isfinite(v1):
-            v1 = 1e12 * v2 if v2 > 0 else 1.0
-        elif not math.isfinite(v2):
-            v2 = 1e12 * v1 if v1 > 0 else 1.0
-        v1 = max(v1, 1e-300)
-        v2 = max(v2, 1e-300)
-        value, disc = _combine_one(name, v1, x1, v2, x2)
-        combined[name] = value
-        max_discrepancy = max(max_discrepancy, disc)
-    diagnostics = {
-        "max_discrepancy_sigma": max_discrepancy,
-        "model_inconsistent": max_discrepancy > discrepancy_sigma,
-    }
-    params = ProcessParams.folded(**combined)
-    return EstimateReport(params=params, method="combined", diagnostics=diagnostics)
+    start = est_general_mean(probe_moments, setup, noise).params
+    sets = [(setup, _data_sets(single_moments))] + [
+        (dc_replace(setup, probe_phase=phase), _data_sets(m))
+        for phase, m in zip(PROBE_PHASES, probe_moments)]
+    x = chart(start)[0]
+    deviance, score, info = _joint_fit(x, sets, noise)
+    for steps in range(_MAX_SCORING_STEPS + 1):
+        step = np.linalg.solve(info, score)
+        if score @ step < _DECREMENT_TOL:
+            break
+        if steps == _MAX_SCORING_STEPS:
+            raise EstimationError(
+                f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
+        for _ in range(_MAX_HALVINGS):
+            trial = _joint_fit(x + step, sets, noise)
+            if trial[0] <= deviance:
+                break
+            step = 0.5 * step
+        else:
+            raise EstimationError("no step along the scoring direction lowers the deviance")
+        x, (deviance, score, info) = x + step, trial
+    dof = sum(len(s) * (len(s) + 1) // 2 + (0 if m is None else len(m))
+              for _, groups in sets for _, _, _, m, s in groups) - 5
+    sigma = (deviance - dof) / math.sqrt(2.0 * dof)
+    phi, u, v, c, s = (float(t) for t in x)
+    w = math.hypot(u, v)
+    undefined = w < AXIS_UNDEFINED_W
+    params = ProcessParams.folded(phi=phi, w=w, alpha=0.0 if undefined else 0.5 * math.atan2(v, u),
+                                  d=math.hypot(c, s), beta=math.atan2(s, c))
+    return EstimateReport(params=params, method="combined", diagnostics={
+        "deviance": deviance, "dof": dof, "deviance_sigma": sigma, "scoring_steps": steps,
+        "model_inconsistent": sigma > _INCONSISTENT_SIGMA, "axis_undefined": undefined})

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian_core import ProcessParams, rotation, squeeze_matrix
+from .gaussian_core import ProcessParams, rotation
 from .interferometer import SetupConfig, Topology, response
 from .noise import NoiseParams
 
@@ -51,39 +51,88 @@ class FisherResult:
 PARAMETERS = ("phi", "w", "alpha", "d", "beta")
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])  # generator of rotations: R' = J R
+_SIGMA_Z = np.diag([1.0, -1.0])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def chart(process: ProcessParams):
+    """Chart point x = (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta),
+    regular at w = 0 and d = 0 where alpha and beta are undefined, and its
+    Jacobian dx / d(phi, w, alpha, d, beta)."""
+    x, jac = np.array([process.phi, 0.0, 0.0, 0.0, 0.0]), np.eye(5)
+    for i, r, angle, k in ((1, process.w, process.alpha, 2.0), (3, process.d, process.beta, 1.0)):
+        c, s = math.cos(k * angle), math.sin(k * angle)
+        x[i:i + 2] = r * c, r * s
+        jac[i:i + 2, i:i + 2] = [[c, -k * r * s], [s, k * r * c]]
+    return x, jac
+
+
+def _squeeze(u: float, v: float):
+    """S = exp(u sz + v sx) = cosh(w) I + (sinh(w) / w) K, with K = u sz + v sx
+    and K^2 = w^2 I, and its derivatives in u and v.  (w cosh w - sinh w) / w^3
+    cancels near w = 0, so below w = 0.1 both coefficients come from their
+    series, truncated after w^8 (relative error below 1e-16)."""
+    w = math.hypot(u, v)
+    if w < 0.1:
+        w2 = w * w
+        c1 = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0 * (1.0 + w2 / 72.0)))
+        c2 = (1.0 + w2 / 10.0 * (1.0 + w2 / 28.0 * (1.0 + w2 / 54.0 * (1.0 + w2 / 88.0)))) / 3.0
+    else:
+        c1 = math.sinh(w) / w
+        c2 = (w * math.cosh(w) - math.sinh(w)) / w ** 3
+    k = u * _SIGMA_Z + v * _SIGMA_X
+    eye = np.eye(2)
+    return (math.cosh(w) * eye + c1 * k,
+            c1 * (u * eye + _SIGMA_Z) + u * c2 * k,
+            c1 * (v * eye + _SIGMA_X) + v * c2 * k)
+
+
+def moment_derivatives(setup: SetupConfig, x, noise: NoiseParams | None = None):
+    """Mean mu, covariance Sigma, dmu (5 x 2) and dSigma (5 x 2 x 2) of the
+    measured mode along the chart x (see chart), with A = R(phi) S.
+
+    dA/dphi = J A and dA/du, dA/dv = R(phi) dS/du, R(phi) dS/dv.  The mean
+    moves with through dA m_in and with g_d along (c, s); the covariance
+    moves with a (dA A^T + A dA^T) + b (dA + dA^T) and not with (c, s).
+    """
+    resp = response(setup, noise)
+    rot = rotation(x[0])
+    sq, sq_u, sq_v = _squeeze(x[1], x[2])
+    mat = rot @ sq
+    d_mat = np.array([_J @ mat, rot @ sq_u, rot @ sq_v])
+    d_mu = np.zeros((5, 2))
+    d_mu[:3] = resp.through * (d_mat @ setup.light_mean)
+    d_mu[3, 0] = d_mu[4, 1] = resp.g_d
+    d_sig = np.zeros((5, 2, 2))
+    lin = resp.a * (d_mat @ mat.T) + resp.b * d_mat
+    d_sig[:3] = lin + lin.transpose(0, 2, 1)
+    mu = resp.mean(mat, np.array([x[3], x[4]]), setup.light_mean)
+    return mu, resp.cov(mat), d_mu, d_sig
+
+
+def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
+                         d_cov: np.ndarray | None) -> np.ndarray:
+    """Information of one record of a Gaussian with covariance cov (k x k):
+    dmu_i^T cov^-1 dmu_j + 1/2 tr(cov^-1 dcov_i cov^-1 dcov_j), with d_mean
+    (p x k) and d_cov (p x k x k); d_cov None keeps the mean term."""
+    inv = np.linalg.inv(cov)
+    info = d_mean @ inv @ d_mean.T
+    if d_cov is not None:
+        g = inv @ d_cov
+        info += 0.5 * np.einsum("iab,jba->ij", g, g)
+    return info
 
 
 def fisher_matrix(setup: SetupConfig, process: ProcessParams,
                   noise: NoiseParams | None = None, *, mean_only: bool = False) -> np.ndarray:
     """Per-sample 5x5 Fisher information of the joint read-out in PARAMETERS
-    order, from exact derivatives of the Response moments.
-
-    With S = R(alpha) diag(e^w, e^-w) R(alpha)^T and A = R(phi) S:
-    dA/dphi = J A, dA/dw = R(phi) R(alpha) diag(e^w, -e^-w) R(alpha)^T and
-    dA/dalpha = R(phi) (J S - S J).  The mean moves with through dA m_in and
-    with the displacement; the covariance moves with a (dA A^T + A dA^T) +
-    b (dA + dA^T) and not with the displacement.  mean_only keeps the mean
-    term of the information.
-    """
-    resp = response(setup, noise)
-    rot, axis = rotation(process.phi), rotation(process.alpha)
-    stretch = math.exp(process.w)
-    sq = squeeze_matrix(process.w, process.alpha)
-    mat = rot @ sq
-    d_mat = (_J @ mat,
-             rot @ axis @ np.diag([stretch, -1.0 / stretch]) @ axis.T,
-             rot @ (_J @ sq - sq @ _J))
-    unit = np.array([math.cos(process.beta), math.sin(process.beta)])
-    m_in = setup.light_mean
-    d_mu = np.array([resp.through * (dm @ m_in) for dm in d_mat]
-                    + [resp.g_d * unit, resp.g_d * process.d * (_J @ unit)])
-    inv = np.linalg.inv(resp.cov(mat))
-    info = d_mu @ inv @ d_mu.T
-    if not mean_only:
-        g = np.array([inv @ (resp.a * (dm @ mat.T + mat @ dm.T) + resp.b * (dm + dm.T))
-                      for dm in d_mat])
-        info[:3, :3] += 0.5 * np.einsum("iab,jba->ij", g, g)
-    return info
+    order: the information of moment_derivatives at the process's chart
+    point, carried to (phi, w, alpha, d, beta) by the chart's Jacobian.
+    mean_only keeps the mean term of the information."""
+    x, jac = chart(process)
+    _, sig, d_mu, d_sig = moment_derivatives(setup, x, noise)
+    info = gaussian_information(sig, d_mu, None if mean_only else d_sig)
+    return jac.T @ info @ jac
 
 
 def _index(parameter: str) -> int:
@@ -99,11 +148,11 @@ _DISPLACEMENT_METHODS = {
 }
 
 
-def fisher_displacement(setup: SetupConfig) -> FisherResult:
-    """Per-sample information about the displacement magnitude,
-    g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I, where the
-    output covariance is (a + 2b + e) I."""
-    resp = response(setup)
+def fisher_displacement(setup: SetupConfig, noise: NoiseParams | None = None) -> FisherResult:
+    """Per-sample information about the displacement magnitude under the
+    channel, g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I,
+    where the output covariance is (a + 2b + e) I."""
+    resp = response(setup, noise)
     return FisherResult(value=resp.g_d ** 2 / (resp.a + 2.0 * resp.b + resp.e),
                         parameter="d", method=_DISPLACEMENT_METHODS[setup.topology])
 

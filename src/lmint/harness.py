@@ -35,7 +35,6 @@ from .measurement import (
     MomentEstimate,
     SampleSet,
     estimate_moments,
-    jackknife_moments,
     sample,
 )
 from .gaussian_core import IDENTITY_PROCESS
@@ -84,7 +83,6 @@ class MonteCarloConfig:
     calibration_samples: int | None = None     # probe shots for "auto"; defaults to plan.n_samples
     m_reps: int = 10_000
     base_seed: int = 0
-    jackknife_blocks: int = 20
 
     def __post_init__(self):
         if self.m_reps < 2:
@@ -146,35 +144,6 @@ def _report_values(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Jackknife over blocks
-
-
-def _jackknife_vars(estimate_fn, sample_groups, n_blocks: int) -> dict:
-    """Per-parameter jackknife variances of an estimator over data blocks.
-
-    sample_groups is a list of SampleSet (one per probe); block b is removed
-    from each probe simultaneously, and estimate_fn gets the list of the
-    probes' leave-one-block-out moments.
-    """
-    per_probe = [jackknife_moments(s, n_blocks) for s in sample_groups]
-    values = []
-    for moments in zip(*per_probe):
-        try:
-            values.append(estimate_fn(list(moments)))
-        except _ESTIMATOR_FAILURES:
-            continue
-    if len(values) < 2:
-        return {}
-    out = {}
-    for name in values[0]:
-        ref = values[0][name]
-        errs = np.array([param_error(v[name], ref, name) for v in values])
-        m = len(errs)
-        out[f"jk_var_{name}"] = float((m - 1) / m * ((errs - errs.mean()) ** 2).sum())
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Single-realization pipeline
 
 
@@ -183,7 +152,6 @@ class _RealizationData:
     setup: SetupConfig
     single_samples: SampleSet | None = None
     single_moments: MomentEstimate | None = None
-    probe_samples: list | None = None
     probe_moments: list | None = None
 
 
@@ -201,20 +169,17 @@ def _simulate_realization(cfg: MonteCarloConfig, k: int) -> _RealizationData:
         data.single_moments = estimate_moments(data.single_samples)
     if bases & _THREE_PROBE:
         n_each = cfg.plan.n_samples // len(PROBE_PHASES)
-        data.probe_samples = []
         data.probe_moments = []
         for j, phase in enumerate(PROBE_PHASES):
             setup_j = dc_replace(cfg.setup, probe_phase=phase)
             state = forward(setup_j, cfg.process, cfg.noise)
             plan = _probe_plan(cfg.plan, n_each, seed ^ ((j + 1) * _GOLD))
-            s = sample(state, plan)
-            data.probe_samples.append(s)
-            data.probe_moments.append(estimate_moments(s))
+            data.probe_moments.append(estimate_moments(sample(state, plan)))
     return data
 
 
-def _estimate_one(name: str, data: _RealizationData, cfg: MonteCarloConfig,
-                  assumed: NoiseParams, diagnostics: dict) -> dict:
+def _estimate_one(name: str, data: _RealizationData, assumed: NoiseParams,
+                  diagnostics: dict) -> dict:
     base = base_name(name)
     setup = data.setup
     if base == "displacement":
@@ -231,19 +196,8 @@ def _estimate_one(name: str, data: _RealizationData, cfg: MonteCarloConfig,
     if base == "mean_method":
         return _report_values(est_general_mean(data.probe_moments, setup, assumed))
     if base == "combined":
-        report_i = est_general_cov(data.single_moments, setup, assumed)
-        report_ii = est_general_mean(data.probe_moments, setup, assumed)
-        jk_i = _jackknife_vars(
-            lambda moments: _report_values(est_general_cov(moments[0], setup, assumed)),
-            [data.single_samples], cfg.jackknife_blocks,
-        )
-        jk_ii = _jackknife_vars(
-            lambda moments: _report_values(est_general_mean(moments, setup, assumed)),
-            data.probe_samples, cfg.jackknife_blocks,
-        )
-        report_i = dc_replace(report_i, diagnostics={**report_i.diagnostics, **jk_i})
-        report_ii = dc_replace(report_ii, diagnostics={**report_ii.diagnostics, **jk_ii})
-        return _report_values(est_combined(report_i, report_ii))
+        return _report_values(est_combined(data.single_moments, data.probe_moments,
+                                           setup, assumed))
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -268,7 +222,7 @@ def _mc_chunk(cfg: MonteCarloConfig, k_lo: int, k_hi: int,
             assumed = _resolve_assumed(cfg, name, calibrated)
             diagnostics = {}
             try:
-                values, failure = _estimate_one(name, data, cfg, assumed, diagnostics), None
+                values, failure = _estimate_one(name, data, assumed, diagnostics), None
             except _ESTIMATOR_FAILURES as exc:
                 values, failure = None, type(exc).__name__
             row[name] = (values, failure, diagnostics.get("clamped", 0))
@@ -300,7 +254,7 @@ def estimate_once(cfg: MonteCarloConfig) -> list:
     realization 1 of run_mc; an estimator's failure propagates."""
     calibrated = calibrated_noise(cfg)
     data = _simulate_realization(cfg, 1)
-    return [_estimate_one(name, data, cfg, _resolve_assumed(cfg, name, calibrated), {})
+    return [_estimate_one(name, data, _resolve_assumed(cfg, name, calibrated), {})
             for name in cfg.estimators]
 
 

@@ -103,11 +103,13 @@ def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Empirical mean and covariance of the measured mode."""
+    """Empirical mean and covariance (ddof=1) of the measured mode, the shot
+    count behind each statistic and the scheme that recorded them."""
 
     mean: np.ndarray
     cov: np.ndarray
     n_effective: dict = field(default_factory=dict)
+    scheme: Scheme = Scheme.JOINT
 
     @property
     def has_full_cov(self) -> bool:
@@ -124,81 +126,28 @@ def _condition(cov: np.ndarray) -> np.ndarray:
     return repair_physicality(cov)
 
 
-def _moments(scheme: Scheme, groups) -> MomentEstimate:
-    """Moments from per-group statistics with ddof=1: (n, mean, var) per
-    angle of a homodyne split, or one (n, mean vector, covariance) of paired
-    records.  The heterodyne vacuum unit is taken off here."""
-    if scheme in _ANGLES:
-        (n_x, m_x, var_x), (n_p, m_p, var_p) = groups[:2]
-        mean = np.array([m_x, m_p])
-        n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p}
-        if scheme is Scheme.HOMODYNE_SPLIT3:
-            n_d, _, var_d = groups[2]
-            # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
-            cov_xp = var_d - 0.5 * (var_x + var_p)
-            n_eff["cov_xp"] = n_d
-        else:
-            cov_xp = 0.0
-            n_eff["cov_xp"] = 0
-        cov = np.array([[var_x, cov_xp], [cov_xp, var_p]])
-        return MomentEstimate(mean, _condition(cov), n_eff)
-    ((n, mean, cov),) = groups
-    if scheme is Scheme.HETERODYNE:
-        cov = cov - np.eye(2)
-    n_eff = {"mean_x": n, "mean_p": n, "var_x": n, "var_p": n, "cov_xp": n}
-    return MomentEstimate(mean, _condition(cov), n_eff)
-
-
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
-    """Unbiased moment recovery appropriate to the sampling scheme."""
-    plan = samples.plan
-    if samples.quad is not None:
-        groups = [samples.quad[theta] for theta in _ANGLES[plan.scheme]]
-        return _moments(plan.scheme,
-                        [(g.size, g.mean(), float(g.var(ddof=1))) for g in groups])
-    if samples.pairs is None:
-        raise InsufficientDataError("sample set contains no records")
-    pairs = samples.pairs
-    return _moments(plan.scheme,
-                    [(pairs.shape[0], pairs.mean(axis=0), np.cov(pairs.T, ddof=1))])
-
-
-def _leave_one_block_out(records: np.ndarray, n_blocks: int):
-    """(n, mean, covariance with ddof=1) of an (N, k) record array with each
-    of n_blocks contiguous blocks left out in turn.
-
-    One pass gives per-block sums of the deviations from the full mean and
-    of their outer products; leaving block b out subtracts its share.
-    Centring first keeps the subtraction free of cancellation.
-    """
-    centre = records.mean(axis=0)
-    dev = records - centre
-    edges = np.linspace(0, records.shape[0], n_blocks + 1).astype(int)
-    blocks = [dev[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    sums = [blk.sum(axis=0) for blk in blocks]
-    prods = [blk.T @ blk for blk in blocks]
-    sum_all, prod_all = sum(sums), sum(prods)
-    out = []
-    for blk, s, p in zip(blocks, sums, prods):
-        n = records.shape[0] - blk.shape[0]
-        s_rest = sum_all - s
-        scatter = prod_all - p - np.outer(s_rest, s_rest) / n
-        out.append((n, centre + s_rest / n, scatter / (n - 1)))
-    return out
-
-
-def jackknife_moments(samples: SampleSet, n_blocks: int) -> list[MomentEstimate]:
-    """Moments of the records with each of n_blocks contiguous blocks left
-    out, one MomentEstimate per block: estimate_moments of the records with
-    block b cut out (every angle group split alike), up to rounding, without
-    building the cut record sets."""
+    """Unbiased (ddof=1) moment recovery appropriate to the sampling scheme;
+    the heterodyne vacuum unit is taken off here."""
     scheme = samples.plan.scheme
     if samples.quad is not None:
-        per_group = [_leave_one_block_out(samples.quad[theta][:, None], n_blocks)
-                     for theta in _ANGLES[scheme]]
-        return [_moments(scheme, [(n, float(m[0]), float(c[0, 0])) for n, m, c in stats])
-                for stats in zip(*per_group)]
-    if samples.pairs is None:
+        (g_x, g_p, *diagonal) = [samples.quad[theta] for theta in _ANGLES[scheme]]
+        var_x, var_p = float(g_x.var(ddof=1)), float(g_p.var(ddof=1))
+        n_eff = {"mean_x": g_x.size, "mean_p": g_p.size, "var_x": g_x.size,
+                 "var_p": g_p.size, "cov_xp": 0}
+        cov_xp = 0.0
+        if diagonal:
+            # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
+            cov_xp = float(diagonal[0].var(ddof=1)) - 0.5 * (var_x + var_p)
+            n_eff["cov_xp"] = diagonal[0].size
+        mean = np.array([g_x.mean(), g_p.mean()])
+        cov = np.array([[var_x, cov_xp], [cov_xp, var_p]])
+    elif samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
-    return [_moments(scheme, [stats])
-            for stats in _leave_one_block_out(samples.pairs, n_blocks)]
+    else:
+        pairs = samples.pairs
+        mean, cov = pairs.mean(axis=0), np.cov(pairs.T, ddof=1)
+        if scheme is Scheme.HETERODYNE:
+            cov = cov - np.eye(2)
+        n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), pairs.shape[0])
+    return MomentEstimate(mean, _condition(cov), n_eff, scheme)

@@ -188,6 +188,26 @@ def test_fisher_reference_values(tmp_path):
     assert closed["interferometric"] == pytest.approx(0.1)
 
 
+def test_fisher_displacement_rows_see_the_channel(tmp_path):
+    # t_c = 0.5, v_c = 1.2 at T = 0.1, V = 100: the interferometric row is
+    # g_d^2 / (a + 2b + e) of the channel, not the lossless 0.1, and equals
+    # the process's d row at A = I.
+    out = tmp_path / "fisher.csv"
+    cfg_path = write_config(tmp_path, dict(SMALL_CONFIG, process={"d": 4.0, "beta": 0.5},
+                                           noise={"t_c": 0.5, "v_c": 1.2}))
+    assert main(["fisher", "--config", cfg_path, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    closed = {row[0]: float(row[3]) for row in rows[1:4]}
+    t, v, t_c, v_c = 0.1, 100.0, 0.5, 1.2
+    a = t * t_c * ((1 - t) * v + t)
+    b = math.sqrt(t * (1 - t) * t * (1 - t) * t_c) * (1 - v)
+    e = t * (1 - t_c) * v_c + (1 - t) * (t * v + 1 - t)
+    assert closed["interferometric"] == pytest.approx(t * t_c / (a + 2 * b + e), rel=1e-12)
+    assert closed["interferometric"] == pytest.approx(0.0282, abs=5e-5)
+    process_d = [float(row[3]) for row in rows[4:] if row[1] == "d"]
+    assert process_d == [pytest.approx(closed["interferometric"], rel=1e-12)]
+
+
 def test_simulate_state_json(tmp_path, capsys):
     assert main(["simulate", "--config", write_config(tmp_path, SMALL_CONFIG),
                  "--out", "-"]) == 0

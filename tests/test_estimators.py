@@ -17,11 +17,12 @@ from lmint import (
     est_phase_ml,
     est_phase_var,
     forward,
-    phase_uv,
     response,
 )
 from lmint.estimators import (
+    PROBE_PHASES,
     EstimateReport,
+    EstimationError,
     FitRejectedError,
     UnidentifiableError,
     _golden_max,
@@ -88,21 +89,26 @@ def test_displacement_unidentifiable_without_coupling(bench_setup):
 
 
 def test_phase_uv_reference_values(bench_setup):
-    uv = phase_uv(bench_setup)
-    assert uv.u == pytest.approx(18.82)
-    assert uv.v == pytest.approx(-17.82)
+    # Under a pure phase the output variance is u + v cos(phi), with
+    # u = a + e and v = 2b of the response.
+    resp = response(bench_setup)
+    assert resp.a + resp.e == pytest.approx(18.82)
+    assert 2.0 * resp.b == pytest.approx(-17.82)
+    for phi in (0.0, 0.7, -2.5):
+        cov = forward(bench_setup, ProcessParams.folded(phi=phi)).cov
+        assert cov == pytest.approx((18.82 - 17.82 * math.cos(phi)) * np.eye(2), abs=1e-9)
 
 
 def test_phase_uv_no_signal_cases(bench_setup):
-    assert phase_uv(dataclasses.replace(bench_setup, v_thermal=1.0)).v == 0.0
-    uv = phase_uv(dataclasses.replace(bench_setup, t1=0.0))
-    assert uv.v == 0.0
-    assert uv.u == pytest.approx(1.0 - 0.1 + 0.1 * 100.0)
+    assert response(dataclasses.replace(bench_setup, v_thermal=1.0)).b == 0.0
+    resp = response(dataclasses.replace(bench_setup, t1=0.0))
+    assert resp.b == 0.0
+    assert resp.a + resp.e == pytest.approx(1.0 - 0.1 + 0.1 * 100.0)
     # Off the interferometric topology the variance has no phase term, so
     # the variance-based estimator has nothing to invert.
     for topology in (Topology.SIMPLISTIC, Topology.BLOCKED_BEAM):
         setup = dataclasses.replace(bench_setup, topology=topology)
-        assert phase_uv(setup).v == 0.0
+        assert response(setup).b == 0.0
         moments = exact_moments(forward(setup, ProcessParams.folded(phi=0.7)))
         with pytest.raises(UnidentifiableError):
             est_phase_var(moments, setup)
@@ -119,9 +125,9 @@ def test_phase_var_sign_from_mean(bench_setup):
 
 
 def test_phase_var_clamps_out_of_range_argument(bench_setup):
-    uv = phase_uv(bench_setup)
+    resp = response(bench_setup)
     bad = MomentEstimate(mean=np.array([100.0, 1.0]),
-                         cov=(uv.u + 1.02 * uv.v) * np.eye(2))
+                         cov=(resp.a + resp.e + 1.02 * 2.0 * resp.b) * np.eye(2))
     diagnostics = {}
     assert est_phase_var(bad, bench_setup, diagnostics) == pytest.approx(0.0)
     assert diagnostics["clamped"] == 1
@@ -457,43 +463,137 @@ def test_mean_method_axis_undefined_for_pure_phase(bench_setup):
 
 
 # ---------------------------------------------------------------------------
-# Combination
+# Joint maximum likelihood
 
 
-def _report(method, params, jk):
-    diagnostics = {f"jk_var_{k}": v for k, v in jk.items()}
-    return EstimateReport(params=params, method=method, diagnostics=diagnostics)
+def _with_shots(moments, n, scheme=Scheme.JOINT):
+    """Exact moments standing for n records of the given scheme."""
+    n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
+    if scheme is Scheme.HOMODYNE_SPLIT2:
+        n_eff["cov_xp"] = 0
+    return dataclasses.replace(moments, n_effective=n_eff, scheme=scheme)
 
 
-def test_combined_identical_inputs(bench_process):
-    jk = {n: 1.0 for n in ("phi", "w", "alpha", "d", "beta")}
-    out = est_combined(_report("cov_method", bench_process, jk),
-                       _report("mean_method", bench_process, jk))
-    assert_params_close(out.params, bench_process, 1e-12)
+def test_combined_identical_inputs(bench_setup, bench_process):
+    # Exact moments, on which both methods return the truth, are a fixed
+    # point of the scoring: no step, no deviance.
+    out = est_combined(exact_moments(forward(bench_setup, bench_process)),
+                       exact_probe_moments(bench_setup, bench_process), bench_setup)
+    assert_params_close(out.params, bench_process, 1e-9)
+    assert not out.diagnostics["model_inconsistent"]
+    assert out.diagnostics["deviance"] < 1e-9
+    assert out.diagnostics["scoring_steps"] == 0
+
+
+@pytest.mark.parametrize("scheme", [Scheme.JOINT, Scheme.HETERODYNE,
+                                    Scheme.HOMODYNE_SPLIT3, Scheme.HOMODYNE_SPLIT2])
+def test_combined_exact_recovery_from_a_distant_start(bench_setup, bench_process, scheme,
+                                                      monkeypatch):
+    # Exact moments under a channel, scored from a start far off the truth
+    # in every parameter: the damped steps still land on it, to well inside
+    # the statistical error (the stop at s^T F^-1 s < 1e-9 leaves about
+    # 3e-5 of the bound's standard deviation, here below 1e-6).  Heterodyne
+    # moments carry the vacuum unit already taken off.
+    import lmint.estimators as estimators
+
+    start = ProcessParams.folded(phi=1.2, w=0.2, alpha=0.3, d=2.5, beta=1.2)
+    monkeypatch.setattr(estimators, "est_general_mean",
+                        lambda *args: EstimateReport(params=start, method="mean_method"))
+    noise = NoiseParams(t_c=0.7, v_c=1.2)
+    single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), 30_000,
+                         scheme)
+    probes = [_with_shots(m, 10_000, scheme)
+              for m in exact_probe_moments(bench_setup, bench_process, noise)]
+    out = est_combined(single, probes, bench_setup, noise)
+    assert_params_close(out.params, bench_process, 1e-6)
+    assert out.diagnostics["scoring_steps"] > 2
     assert not out.diagnostics["model_inconsistent"]
 
 
-def test_combined_weights_follow_jackknife_variance():
-    p1 = ProcessParams.folded(phi=0.5, w=0.3, d=2.0)
-    p2 = ProcessParams.folded(phi=0.6, w=0.4, d=2.2)
-    small = {n: 1e-4 for n in ("phi", "w", "alpha", "d", "beta")}
-    big = {n: 1e-2 for n in ("phi", "w", "alpha", "d", "beta")}
-    out = est_combined(_report("cov_method", p1, big), _report("mean_method", p2, small))
-    # 100x larger variance on the first report pulls the result to the second.
-    assert abs(out.params.phi - p2.phi) < 0.01 * abs(p2.phi - p1.phi) / 0.5
-    assert abs(out.params.d - p2.d) < 0.01
+def test_combined_information_matches_fisher_matrix(bench_setup, bench_process):
+    # The scoring's information at the truth is the joint Fisher matrix of
+    # the four data sets: n fisher_matrix of the single read-out plus
+    # n / 3 fisher_matrix of each probe.
+    from lmint.estimators import _data_sets, _joint_fit
+    from lmint.fisher import chart, fisher_matrix
+
+    noise = NoiseParams(t_c=0.8, v_c=1.1)
+    n = 99_999
+    x, jac = chart(bench_process)
+    single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), n)
+    sets = [(bench_setup, _data_sets(single))]
+    want = n * fisher_matrix(bench_setup, bench_process, noise)
+    for phase, m in zip(PROBE_PHASES, exact_probe_moments(bench_setup, bench_process, noise)):
+        setup = dataclasses.replace(bench_setup, probe_phase=phase)
+        sets.append((setup, _data_sets(_with_shots(m, n // 3))))
+        want += n // 3 * fisher_matrix(setup, bench_process, noise)
+    deviance, score, info = _joint_fit(x, sets, noise)
+    got = jac.T @ info @ jac
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert deviance == pytest.approx(0.0, abs=1e-6)
+    assert np.abs(score).max() <= 1e-9 * np.abs(info).max()
 
 
-def test_combined_flags_model_inconsistency():
-    p1 = ProcessParams.folded(phi=0.5)
-    p2 = ProcessParams.folded(phi=1.5)
-    jk = {n: 1e-6 for n in ("phi", "w", "alpha", "d", "beta")}
-    out = est_combined(_report("cov_method", p1, jk), _report("mean_method", p2, jk))
-    assert out.diagnostics["model_inconsistent"]
-    assert out.diagnostics["max_discrepancy_sigma"] > 5.0
+def _sampled(setup, process, noise, scheme, n, seed):
+    """Moments of sampled records: the single read-out and the three probes."""
+    single = estimate_moments(sample(forward(setup, process, noise),
+                                     MeasurementPlan(scheme, n, seed)))
+    probes = [estimate_moments(sample(forward(dataclasses.replace(setup, probe_phase=p),
+                                              process, noise),
+                                      MeasurementPlan(scheme, n // 3, seed + 1 + j)))
+              for j, p in enumerate(PROBE_PHASES)]
+    return single, probes
 
 
-def test_combined_missing_variances_fall_back_to_equal_weights(bench_process):
-    out = est_combined(EstimateReport(params=bench_process, method="cov_method"),
-                       EstimateReport(params=bench_process, method="mean_method"))
-    assert_params_close(out.params, bench_process, 1e-12)
+def test_combined_pure_phase_converges(bench_setup):
+    # w = 0 and d = 0: the polar parameters alpha and beta are undefined
+    # there, the chart of the scoring is not.
+    truth = ProcessParams.folded(phi=0.7)
+    for seed in range(10):
+        single, probes = _sampled(bench_setup, truth, None, Scheme.JOINT, 30_000, 100 * seed)
+        out = est_combined(single, probes, bench_setup)
+        assert abs(circular_diff(out.params.phi, 0.7)) < 0.05
+        assert out.params.w < 0.1 and out.params.d < 0.5
+        assert not out.diagnostics["model_inconsistent"]
+
+
+@pytest.mark.parametrize("scheme", [Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT3,
+                                    Scheme.HOMODYNE_SPLIT2])
+def test_combined_runs_on_every_scheme(bench_setup, bench_process, scheme):
+    # homodyne2 keeps no covariance, so cov_method cannot run on it; the
+    # joint likelihood uses the variances it does keep.
+    single, probes = _sampled(bench_setup, bench_process, None, scheme, 30_000, 7)
+    out = est_combined(single, probes, bench_setup)
+    for name in ("phi", "w", "alpha", "d", "beta"):
+        assert math.isfinite(getattr(out.params, name))
+    assert abs(circular_diff(out.params.phi, bench_process.phi)) < 0.1
+    assert abs(out.params.d - bench_process.d) < 0.5
+    assert not out.diagnostics["model_inconsistent"]
+    if scheme is Scheme.HOMODYNE_SPLIT2:
+        with pytest.raises(InsufficientDataError):
+            est_general_cov(single, bench_setup)
+
+
+def test_combined_flags_model_inconsistency(bench_setup, bench_process):
+    # Records under loss t_c = 0.8 fitted with the ideal channel (what
+    # naive_combined does) leave a deviance far above its chi-square law;
+    # the calibrated fit of the same records does not.
+    noise = NoiseParams(t_c=0.8, v_c=1.0)
+    single, probes = _sampled(bench_setup, bench_process, noise, Scheme.JOINT, 100_000, 3)
+    naive = est_combined(single, probes, bench_setup)
+    assert naive.diagnostics["model_inconsistent"]
+    assert naive.diagnostics["deviance_sigma"] > 5.0
+    calibrated = est_combined(single, probes, bench_setup, noise)
+    assert not calibrated.diagnostics["model_inconsistent"]
+    assert calibrated.diagnostics["dof"] == 15
+
+
+def test_combined_scoring_cap_raises(bench_setup, bench_process, monkeypatch):
+    # A fit that has not converged within the step cap fails with a named
+    # reason instead of returning an unconverged point.
+    import lmint.estimators as estimators
+
+    monkeypatch.setattr(estimators, "_MAX_SCORING_STEPS", 0)
+    single, probes = _sampled(bench_setup, bench_process, None, Scheme.JOINT, 30_000, 5)
+    with pytest.raises(EstimationError):
+        est_combined(single, probes, bench_setup)

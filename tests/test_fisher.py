@@ -17,7 +17,7 @@ from lmint import (
     forward,
 )
 from lmint.estimators import W_MAX
-from lmint.fisher import FisherMethod, FisherResult, fisher_terms
+from lmint.fisher import FisherMethod, FisherResult, fisher_terms, moment_derivatives
 from lmint.fisher import fisher_matrix as exact_fisher_matrix
 
 from conftest import FISHER_PARAMS, fisher_matrix, three_probe_bounds
@@ -60,6 +60,38 @@ def test_interferometric_unbalanced_matches_reference():
     assert fi.method is FisherMethod.ANALYTIC_INTERFEROMETRIC
     want = fisher_matrix(s, ProcessParams.folded(d=1.0))[3, 3]
     assert fi.value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_displacement_information_under_the_channel(topology):
+    # With a channel, fisher_displacement is the d entry of the
+    # forward-difference reference under that channel; without one it keeps
+    # the one-argument value.
+    s = setup_for(topology, 0.0 if topology is Topology.SIMPLISTIC else 0.1, 0.1, 100.0)
+    noise = NoiseParams(t_c=0.5, v_c=1.2)
+    want = fisher_matrix(s, ProcessParams.folded(d=1.0), noise)[3, 3]
+    assert fisher_displacement(s, noise).value == pytest.approx(want, rel=1e-8)
+    assert fisher_displacement(s, None) == fisher_displacement(s)
+    assert fisher_displacement(s, noise).value < fisher_displacement(s).value
+
+
+@pytest.mark.parametrize("x", [(0.7, 0.0, 0.0, 0.0, 0.0), (0.7, 0.07, -0.0566, 0.0, 0.0),
+                               (0.7, 0.08, -0.0624, 0.0, 0.0), (-2.0, 0.6, 0.3, 1.5, -2.5)])
+def test_moment_derivatives_match_differences_of_the_moments(bench_setup, x):
+    # The chart (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta) is
+    # regular at w = 0 and d = 0, where the polar derivatives are not; the
+    # series branch (w < 0.1: 0, 0.09) and the closed form (w = 0.101, 0.67)
+    # agree with central differences of the moments themselves.
+    noise = NoiseParams(t_c=0.8, v_c=1.1)
+    x = np.array(x)
+    _, _, d_mu, d_sig = moment_derivatives(bench_setup, x, noise)
+    h = 1e-6
+    for i in range(5):
+        step = h * np.eye(5)[i]
+        mu_p, sig_p, _, _ = moment_derivatives(bench_setup, x + step, noise)
+        mu_m, sig_m, _, _ = moment_derivatives(bench_setup, x - step, noise)
+        assert np.abs((mu_p - mu_m) / (2 * h) - d_mu[i]).max() < 1e-8 * np.abs(d_mu).max()
+        assert np.abs((sig_p - sig_m) / (2 * h) - d_sig[i]).max() < 1e-8 * np.abs(d_sig).max()
 
 
 def test_fisher_result_rejects_negative():

@@ -18,6 +18,8 @@ from lmint import (
     run_mc,
     sweep,
 )
+from lmint.estimators import PROBE_PHASES
+from lmint.fisher import fisher_matrix
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -155,11 +157,34 @@ def test_naive_variant_ignores_the_channel(bench_setup, bench_process):
 
 
 def test_combined_estimator_runs(bench_setup, bench_process):
-    cfg = mc(bench_setup, bench_process, estimators=("combined",),
-             n=900, m_reps=2, jackknife_blocks=3)
+    cfg = mc(bench_setup, bench_process, estimators=("combined",), n=900, m_reps=2)
     report = run_mc(cfg)
     assert ("combined", "phi") in report.cells
     assert np.isfinite(report.mse("combined", "phi"))
+
+
+@pytest.mark.parametrize("t", [0.02, 0.1])
+def test_combined_beats_both_methods_at_the_joint_bound(bench_setup, bench_process, t):
+    # N = 1e5 joint shots, 60 realizations: on every parameter the joint
+    # maximum-likelihood estimate is no worse than the better of the two
+    # methods, and its MSE stays within 2x the Cramer-Rao bound of the four
+    # data sets (the single read-out and N // 3 shots at each probe phase;
+    # q = e^w by the chain rule).
+    n = 100_000
+    setup = dataclasses.replace(bench_setup, t1=t, t2=t)
+    cfg = mc(setup, bench_process, estimators=("cov_method", "mean_method", "combined"),
+             n=n, m_reps=60, seed=16384)
+    report = run_mc(cfg)
+    info = n * fisher_matrix(setup, bench_process) + sum(
+        n // 3 * fisher_matrix(dataclasses.replace(setup, probe_phase=p), bench_process)
+        for p in PROBE_PHASES)
+    bound = np.diag(np.linalg.inv(info)) * [1.0, bench_process.q ** 2, 1.0, 1.0, 1.0]
+    for par, b in zip(("phi", "q", "alpha", "d", "beta"), bound):
+        combined = report.cells[("combined", par)]
+        assert combined.n_failed == 0
+        assert combined.mse <= min(report.mse("cov_method", par),
+                                   report.mse("mean_method", par)), par
+        assert combined.mse <= 2.0 * b, (par, combined.mse / b)
 
 
 # ---------------------------------------------------------------------------

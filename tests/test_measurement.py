@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lmint import MeasurementPlan, Scheme, estimate_moments, forward, sample
+from lmint import MeasurementPlan, Scheme, estimate_moments, sample
 from lmint.gaussian_core import GaussianState, make_coherent, make_thermal, vacuum
-from lmint.measurement import SampleSet, jackknife_moments
+from lmint.measurement import SampleSet
 
 
 def plan(scheme, n, seed=0):
@@ -91,6 +91,7 @@ def test_full_cov_flags_by_scheme():
                              (Scheme.JOINT, True)):
         est = estimate_moments(sample(state, plan(scheme, 1000, seed=1)))
         assert est.has_full_cov is expected
+        assert est.scheme is scheme
 
 
 def test_degenerate_records_repair_to_vacuum_floor():
@@ -106,39 +107,3 @@ def test_estimated_covariance_is_physical():
     for seed in range(20):
         est = estimate_moments(sample(vacuum(), plan(Scheme.HETERODYNE, 50, seed=seed)))
         assert math.sqrt(np.linalg.det(est.cov)) >= 1.0 - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Leave-one-block-out moments
-
-
-def _split_blocks(samples, n_blocks):
-    """Reference: the records with each contiguous block cut out, copied."""
-    subsets = []
-    for b in range(n_blocks):
-        if samples.quad is not None:
-            quad = {}
-            for theta, g in samples.quad.items():
-                edges = np.linspace(0, g.size, n_blocks + 1).astype(int)
-                quad[theta] = np.concatenate([g[: edges[b]], g[edges[b + 1]:]])
-            subsets.append(SampleSet(plan=samples.plan, quad=quad))
-        else:
-            g = samples.pairs
-            edges = np.linspace(0, g.shape[0], n_blocks + 1).astype(int)
-            pairs = np.concatenate([g[: edges[b]], g[edges[b + 1]:]], axis=0)
-            subsets.append(SampleSet(plan=samples.plan, pairs=pairs))
-    return subsets
-
-
-@pytest.mark.parametrize("scheme", [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT3])
-def test_jackknife_moments_match_cut_records(bench_setup, bench_process, scheme):
-    # Bright working-point read-out; 30_001 shots split unevenly into blocks.
-    state = forward(bench_setup, bench_process)
-    records = sample(state, plan(scheme, 30_001, seed=9))
-    got = jackknife_moments(records, 20)
-    want = [estimate_moments(s) for s in _split_blocks(records, 20)]
-    assert len(got) == len(want) == 20
-    for g, w in zip(got, want):
-        assert np.abs(g.mean - w.mean).max() <= 1e-12 * np.abs(w.mean).max()
-        assert np.abs(g.cov - w.cov).max() <= 1e-12 * np.abs(w.cov).max()
-        assert g.n_effective == w.n_effective
