@@ -14,7 +14,6 @@ from lmint import (
     crb,
     find_r_crit,
     fisher_numeric,
-    run_mc,
     sweep,
 )
 

@@ -14,7 +14,7 @@ from .gaussian_core import (
     repair_physicality,
 )
 from .interferometer import Response, SetupConfig, Topology, forward, response
-from .measurement import MeasurementPlan, Scheme, estimate_moments, sample
+from .measurement import MeasurementPlan, Scheme, draw_moments, estimate_moments, sample
 from .estimators import (
     EstimateReport,
     est_combined,

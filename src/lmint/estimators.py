@@ -19,13 +19,7 @@ from .gaussian_core import (
 )
 from .fisher import chart, gaussian_information, moment_derivatives
 from .interferometer import SetupConfig, response
-from .measurement import (
-    InsufficientDataError,
-    MomentEstimate,
-    SampleSet,
-    Scheme,
-    _ANGLES,
-)
+from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
 
 __all__ = [
@@ -156,70 +150,49 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     return math.atan2(mp, mx - setup.r_amp * resp.direct)
 
 
-def _group_stats(samples: SampleSet):
-    """Per-group sufficient statistics for the Gaussian log-likelihood."""
-    if samples.quad is not None:
-        out = []
-        for theta in _ANGLES[samples.plan.scheme]:
-            g = samples.quad[theta]
-            out.append((theta, g.size, float(g.mean()), float(g.var())))
-        return out, None
-    pairs = samples.pairs
-    zbar = pairs.mean(axis=0)
-    dev = pairs - zbar
-    scatter = dev.T @ dev / pairs.shape[0]
-    return None, (pairs.shape[0], zbar, scatter)
-
-
-def _phase_loglik(phi, resp, m_in, groups, joint, extra_cov):
-    """Gaussian log-likelihood of the records under a pure phase shift, for a
-    scalar or an array of phi.  With A = R(phi) the model mean is
-    (through R(phi) + direct I) m_in and the model covariance is
-    (a + e + 2 b cos(phi)) I, plus extra_cov I for heterodyne records."""
+def _phase_loglik(phi, resp, m_in, sets):
+    """Log-likelihood of the data sets of a MomentEstimate (see _data_sets)
+    under a pure phase shift, for an array of phi.  With A = R(phi) the
+    model mean is (through R(phi) + direct I) m_in and the model covariance
+    (a + e + 2 b cos(phi)) I, so a set whose projection has orthonormal rows
+    sees the projected mean and that variance, plus the heterodyne unit."""
     c, s = np.cos(phi), np.sin(phi)
-    mx = resp.through * (c * m_in[0] - s * m_in[1]) + resp.direct * m_in[0]
-    mp = resp.through * (s * m_in[0] + c * m_in[1]) + resp.direct * m_in[1]
-    var = resp.a + resp.e + 2.0 * resp.b * c + extra_cov
+    mu = np.array([resp.through * (c * m_in[0] - s * m_in[1]) + resp.direct * m_in[0],
+                   resp.through * (s * m_in[0] + c * m_in[1]) + resp.direct * m_in[1]])
+    var = resp.a + resp.e + 2.0 * resp.b * c
     ll = 0.0
-    if groups is not None:
-        for theta, n, m, s2 in groups:
-            mu = math.cos(theta) * mx + math.sin(theta) * mp
-            ll = ll - 0.5 * n * (np.log(var) + (s2 + (m - mu) ** 2) / var)
-    if joint is not None:
-        n, zbar, scatter = joint
-        delta2 = (zbar[0] - mx) ** 2 + (zbar[1] - mp) ** 2
-        ll = ll - 0.5 * n * (2.0 * np.log(var) + (scatter[0, 0] + scatter[1, 1] + delta2) / var)
+    for n, proj, added, mean, scatter in sets:
+        v = var + added[0, 0]
+        spread = np.trace(scatter)
+        if mean is not None:
+            spread = spread + ((mean[:, None] - proj @ mu) ** 2).sum(axis=0)
+        ll = ll - 0.5 * n * (len(proj) * np.log(v) + spread / v)
     return ll
 
 
-def _golden_max(f, a, b, tol=1e-8, max_iter=200):
-    """Golden-section maximization on [a, b]; returns the abscissa."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
-            return 0.5 * (a + b)
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    raise EstimationError(f"golden-section search did not converge within {max_iter} iterations")
+#: Cap on the polishing steps of est_phase_ml; bisection alone meets it.
+_MAX_PHASE_STEPS = 60
+
+#: Phase step (rad) below which est_phase_ml's polish has converged.
+_PHASE_TOL = 1e-12
 
 
-def est_phase_ml(samples: SampleSet, setup: SetupConfig,
+def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> float:
-    """Maximum-likelihood phase estimate over (-pi, pi].
+    """Maximum-likelihood phase estimate over (-pi, pi]: the Gaussian
+    likelihood of the data sets that est_combined maximises, restricted to a
+    pure phase shift (mean and variance both phase-dependent).
 
-    Coarse 64-point scan of the closed-form Gaussian log-likelihood (mean
-    and variance both phase-dependent, see _phase_loglik) followed by
-    golden-section refinement.  Raises UnidentifiableError when neither
-    moment depends on the phase: no probe light passes the process
+    A 64-point scan of its closed form (_phase_loglik) brackets the maximum
+    within a grid step either side, and the polish solves the stationarity
+    condition in that bracket, on the phi entry of _joint_fit's score: a
+    Fisher-scoring step first, then secant steps, which follow the observed
+    curvature where the expected one misleads (a flat likelihood, r ~ 1).  A
+    step that would leave the bracket, or a score that does not fall, bisects
+    it instead, and the sign of each score narrows it.  So the polish
+    converges to rounding of the score where comparisons of likelihood
+    values cannot resolve the maximum.  Raises UnidentifiableError when
+    neither moment depends on the phase: no probe light passes the process
     (simplistic topology, a dark probe, t1 = 0) and the covariance has no
     linear term (b = 0).
     """
@@ -227,17 +200,26 @@ def est_phase_ml(samples: SampleSet, setup: SetupConfig,
     if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    groups, joint = _group_stats(samples)
-    extra = 1.0 if samples.plan.scheme is Scheme.HETERODYNE else 0.0
-    m_in = setup.light_mean
-
-    def ll(phi):
-        return float(_phase_loglik(phi, resp, m_in, groups, joint, extra))
-
+    sets = _data_sets(moments)
     grid = np.linspace(-math.pi, math.pi, 65)[1:]
-    k = int(np.argmax(_phase_loglik(grid, resp, m_in, groups, joint, extra)))
-    step = grid[1] - grid[0]
-    return fold_angle(_golden_max(ll, grid[k] - step, grid[k] + step, tol=1e-8))
+    k = int(np.argmax(_phase_loglik(grid, resp, setup.light_mean, sets)))
+    width = grid[1] - grid[0]
+    lo, hi = grid[k] - width, grid[k] + width
+    x, last = np.array([grid[k], 0.0, 0.0, 0.0, 0.0]), None
+    for _ in range(_MAX_PHASE_STEPS):
+        phi = x[0]
+        _, score, info = _joint_fit(x, [(setup, sets)], noise)
+        s = float(score[0])
+        lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
+        # Curvature of the log-likelihood: minus the information, then secants.
+        slope = -info[0, 0] if last is None else (s - last[1]) / (phi - last[0])
+        trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
+        if abs(trial - phi) < _PHASE_TOL:
+            return fold_angle(trial)
+        if not lo < trial < hi:
+            trial = 0.5 * (lo + hi)
+        last, x[0] = (phi, s), trial
+    raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +498,8 @@ def _data_sets(moments: MomentEstimate) -> list:
     """(n, projection P, added covariance, mean or None, scatter) of each
     Gaussian data set behind a MomentEstimate: n records of P z ~ N(P mu,
     P Sigma P^T + added).  Paired records are one set (heterodyne adds the
-    vacuum unit back), a homodyne split one set per angle; of homodyne3's
-    pi/4 group only the variance counts, since its mean is not kept."""
+    vacuum unit back), a homodyne split one set per angle; homodyne3's pi/4
+    group counts with its mean when the estimate keeps it."""
     n, cov = moments.n_effective, moments.cov
     if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
         added = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
@@ -527,7 +509,8 @@ def _data_sets(moments: MomentEstimate) -> list:
            (n["mean_p"], np.array([[0.0, 1.0]]), zero, moments.mean[1:], cov[1:, 1:])]
     if moments.scheme is Scheme.HOMODYNE_SPLIT3:
         diag = np.full((1, 2), math.sqrt(0.5))  # angle pi/4
-        out.append((n["cov_xp"], diag, zero, None, diag @ cov @ diag.T))
+        mean = None if moments.mean_diag is None else np.array([moments.mean_diag])
+        out.append((n["cov_xp"], diag, zero, mean, diag @ cov @ diag.T))
     return out
 
 

@@ -1,15 +1,18 @@
 """Monte-Carlo MSE benchmarking, parameter sweeps, scaling fits, the
 phase-estimator crossover locator, and the two-step noise calibration.
 
-Realizations are independent: realization k draws from a stream keyed by
-base_seed XOR k, so results are order-independent and reproducible.
+A realization's data are moment statistics drawn from their exact law
+(measurement.draw_moments) around forward's state, which is computed once
+per config.  Data set j of realization k at sweep point p draws from the
+stream np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
+SeedSequence(base_seed).spawn gives, so streams are independent by
+construction and results reproducible and order-independent.  Realizations
+run k = 1..m_reps; realization 0 is the point's calibration.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -29,20 +32,9 @@ from .estimators import (
 )
 from .gaussian_core import DecompositionError, ProcessParams, circular_diff
 from .interferometer import SetupConfig, forward, response
-from .measurement import (
-    InsufficientDataError,
-    MeasurementPlan,
-    MomentEstimate,
-    SampleSet,
-    estimate_moments,
-    sample,
-)
+from .measurement import InsufficientDataError, MeasurementPlan, draw_moments
 from .gaussian_core import IDENTITY_PROCESS
 from .noise import IDEAL_NOISE, NoiseParams
-
-_MASK64 = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-_CAL_SALT = 0xC0FFEE5EED
 
 
 class CalibrationError(RuntimeError):
@@ -87,6 +79,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.m_reps < 2:
             raise ValueError(f"m_reps must be >= 2, got {self.m_reps}")
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
         if self.calibration_samples is not None and self.calibration_samples < 2:
             raise ValueError(
                 f"calibration_samples must be >= 2, got {self.calibration_samples}")
@@ -134,8 +128,12 @@ def param_error(estimate: float, truth: float, parameter: str) -> float:
     return circular_diff(estimate, truth, period)
 
 
-def _probe_plan(plan: MeasurementPlan, n: int, seed: int) -> MeasurementPlan:
-    return MeasurementPlan(scheme=plan.scheme, n_samples=n, seed=seed & _MASK64)
+def _keyed_plan(plan: MeasurementPlan, n: int, entropy: int, *key) -> MeasurementPlan:
+    """Plan of n shots of plan's scheme on the stream of
+    SeedSequence(entropy, spawn_key=key); distinct keys give independent
+    streams."""
+    seed = np.random.SeedSequence(entropy, spawn_key=key).generate_state(1, np.uint64)[0]
+    return MeasurementPlan(scheme=plan.scheme, n_samples=n, seed=int(seed))
 
 
 def _report_values(report) -> dict:
@@ -147,57 +145,45 @@ def _report_values(report) -> dict:
 # Single-realization pipeline
 
 
-@dataclass
-class _RealizationData:
-    setup: SetupConfig
-    single_samples: SampleSet | None = None
-    single_moments: MomentEstimate | None = None
-    probe_moments: list | None = None
-
-
-def _simulate_realization(cfg: MonteCarloConfig, k: int) -> _RealizationData:
-    """Records and moments of realization k: the single read-out when an
-    estimator other than mean_method reads it, the three probes when
-    mean_method or combined does."""
+def _simulate_realizations(cfg: MonteCarloConfig, point: int):
+    """Moments of realizations 1 to m_reps at sweep point `point`, as pairs
+    (single read-out, three probes): data set 0, drawn when an estimator
+    other than mean_method reads it, and data sets 1 to 3, drawn when
+    mean_method or combined does (else None and []).  forward runs once per
+    state, not once per realization."""
     bases = {base_name(n) for n in cfg.estimators}
-    seed = (cfg.base_seed ^ k) & _MASK64
-    data = _RealizationData(setup=cfg.setup)
-    if bases - {"mean_method"}:
-        state = forward(cfg.setup, cfg.process, cfg.noise)
-        plan = _probe_plan(cfg.plan, cfg.plan.n_samples, seed)
-        data.single_samples = sample(state, plan)
-        data.single_moments = estimate_moments(data.single_samples)
-    if bases & _THREE_PROBE:
-        n_each = cfg.plan.n_samples // len(PROBE_PHASES)
-        data.probe_moments = []
-        for j, phase in enumerate(PROBE_PHASES):
-            setup_j = dc_replace(cfg.setup, probe_phase=phase)
-            state = forward(setup_j, cfg.process, cfg.noise)
-            plan = _probe_plan(cfg.plan, n_each, seed ^ ((j + 1) * _GOLD))
-            data.probe_moments.append(estimate_moments(sample(state, plan)))
-    return data
+    single = forward(cfg.setup, cfg.process, cfg.noise) if bases - {"mean_method"} else None
+    probes = [forward(dc_replace(cfg.setup, probe_phase=phase), cfg.process, cfg.noise)
+              for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
+    n_each = cfg.plan.n_samples // len(PROBE_PHASES)
+
+    def draw(state, n, k, j):
+        return draw_moments(state, _keyed_plan(cfg.plan, n, cfg.base_seed, point, k, j))
+
+    for k in range(1, cfg.m_reps + 1):
+        yield (None if single is None else draw(single, cfg.plan.n_samples, k, 0),
+               [draw(state, n_each, k, j) for j, state in enumerate(probes, start=1)])
 
 
-def _estimate_one(name: str, data: _RealizationData, assumed: NoiseParams,
+def _estimate_one(name: str, setup: SetupConfig, data, assumed: NoiseParams,
                   diagnostics: dict) -> dict:
     base = base_name(name)
-    setup = data.setup
+    single, probes = data
     if base == "displacement":
-        d, beta = est_displacement(data.single_moments, setup, assumed)
+        d, beta = est_displacement(single, setup, assumed)
         return {"d": d, "beta": beta}
     if base == "phase_var":
-        return {"phi": est_phase_var(data.single_moments, setup, diagnostics)}
+        return {"phi": est_phase_var(single, setup, diagnostics)}
     if base == "phase_mean":
-        return {"phi": est_phase_mean(data.single_moments, setup)}
+        return {"phi": est_phase_mean(single, setup)}
     if base == "phase_ml":
-        return {"phi": est_phase_ml(data.single_samples, setup, assumed)}
+        return {"phi": est_phase_ml(single, setup, assumed)}
     if base == "cov_method":
-        return _report_values(est_general_cov(data.single_moments, setup, assumed))
+        return _report_values(est_general_cov(single, setup, assumed))
     if base == "mean_method":
-        return _report_values(est_general_mean(data.probe_moments, setup, assumed))
+        return _report_values(est_general_mean(probes, setup, assumed))
     if base == "combined":
-        return _report_values(est_combined(data.single_moments, data.probe_moments,
-                                           setup, assumed))
+        return _report_values(est_combined(single, probes, setup, assumed))
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -212,67 +198,48 @@ def _resolve_assumed(cfg: MonteCarloConfig, name: str,
     return cfg.noise if cfg.noise is not None else IDEAL_NOISE
 
 
-def _mc_chunk(cfg: MonteCarloConfig, k_lo: int, k_hi: int,
-              calibrated: NoiseParams | None):
-    rows = []
-    for k in range(k_lo, k_hi):
-        data = _simulate_realization(cfg, k)
-        row = {}
-        for name in cfg.estimators:
-            assumed = _resolve_assumed(cfg, name, calibrated)
-            diagnostics = {}
-            try:
-                values, failure = _estimate_one(name, data, assumed, diagnostics), None
-            except _ESTIMATOR_FAILURES as exc:
-                values, failure = None, type(exc).__name__
-            row[name] = (values, failure, diagnostics.get("clamped", 0))
-        rows.append(row)
-    return rows
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LMI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def calibrated_noise(cfg: MonteCarloConfig) -> NoiseParams | None:
+def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
     """The channel estimate of a calibration="auto" run, None in the other
     modes: one calibrate call with the process switched off, at
-    cfg.calibration_samples shots (default plan.n_samples) on a stream keyed
-    by the base seed, so that every run of the config sees the same one."""
+    cfg.calibration_samples shots (default plan.n_samples), on realization 0
+    of the point, so that every run of the config sees the same one."""
     if cfg.calibration != "auto":
         return None
     n_cal = cfg.calibration_samples or cfg.plan.n_samples
-    cal_plan = _probe_plan(cfg.plan, n_cal, cfg.base_seed ^ _CAL_SALT)
-    return calibrate(cfg.setup, cal_plan, cfg.noise)
+    return calibrate(cfg.setup, _keyed_plan(cfg.plan, n_cal, cfg.base_seed, point, 0, 0),
+                     cfg.noise)
 
 
 def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
-    calibrated = calibrated_noise(cfg)
-    data = _simulate_realization(cfg, 1)
-    return [_estimate_one(name, data, _resolve_assumed(cfg, name, calibrated), {})
+    calibrated = _calibrated_noise(cfg, 0)
+    data = next(_simulate_realizations(cfg, 0))
+    return [_estimate_one(name, cfg.setup, data, _resolve_assumed(cfg, name, calibrated), {})
             for name in cfg.estimators]
 
 
 def run_mc(cfg: MonteCarloConfig) -> MSEReport:
     """Estimate MSE/bias tables over cfg.m_reps independent realizations."""
+    return _run_point(cfg, 0)
+
+
+def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
+    """run_mc on the streams of sweep point `point` (run_mc itself is point 0)."""
     t0 = time.perf_counter()
-    calibrated = calibrated_noise(cfg)
-    workers = _n_workers()
-    if workers > 1 and cfg.m_reps >= 4 * workers:
-        bounds = np.linspace(1, cfg.m_reps + 1, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_mc_chunk, cfg, int(lo), int(hi), calibrated)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            rows = [r for f in futures for r in f.result()]
-    else:
-        rows = _mc_chunk(cfg, 1, cfg.m_reps + 1, calibrated)
+    calibrated = _calibrated_noise(cfg, point)
+    rows = []
+    for data in _simulate_realizations(cfg, point):
+        row = {}
+        for name in cfg.estimators:
+            assumed = _resolve_assumed(cfg, name, calibrated)
+            diagnostics = {}
+            try:
+                values, failure = _estimate_one(name, cfg.setup, data, assumed, diagnostics), None
+            except _ESTIMATOR_FAILURES as exc:
+                values, failure = None, type(exc).__name__
+            row[name] = (values, failure, diagnostics.get("clamped", 0))
+        rows.append(row)
 
     cells = {}
     for name in cfg.estimators:
@@ -334,12 +301,8 @@ def _apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloCon
 
 def sweep(cfg: MonteCarloConfig, axis: str, grid) -> list:
     """One MSEReport per grid value; deterministic under a fixed base_seed."""
-    table = []
-    for idx, value in enumerate(grid):
-        point = _apply_axis(cfg, axis, value)
-        point = dc_replace(point, base_seed=(cfg.base_seed ^ ((idx + 1) * _GOLD)) & _MASK64)
-        table.append((float(value), run_mc(point)))
-    return table
+    return [(float(value), _run_point(_apply_axis(cfg, axis, value), idx + 1))
+            for idx, value in enumerate(grid)]
 
 
 @dataclass(frozen=True)
@@ -431,12 +394,9 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
         raise CalibrationError("calibration needs probe light through the process "
                                "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
-    moments = []
-    for j, phase in enumerate(PROBE_PHASES):
-        setup_j = dc_replace(setup, probe_phase=phase)
-        state = forward(setup_j, IDENTITY_PROCESS, true_noise)
-        s = sample(state, _probe_plan(plan, n_each, plan.seed ^ ((j + 1) * _GOLD)))
-        moments.append(estimate_moments(s))
+    moments = [draw_moments(forward(dc_replace(setup, probe_phase=phase), IDENTITY_PROCESS,
+                                    true_noise), _keyed_plan(plan, n_each, plan.seed, j))
+               for j, phase in enumerate(PROBE_PHASES)]
     m_a, m_b, m_c = (m.mean for m in moments)
     k_hat = 0.5 * (m_a + m_b)
     col1 = (m_a - m_b) / (2.0 * r)

@@ -1,8 +1,10 @@
-"""Stochastic quadrature sampling and empirical moment recovery.
+"""Stochastic quadrature sampling, empirical moment recovery, and draws of
+the moments from their exact law.
 
-A counter-based generator (Philox) keyed by the plan seed makes every draw
-reproducible and lets Monte-Carlo realizations use independent streams via
-seed = base_seed XOR realization_index.
+Every draw comes from a counter-based generator (Philox) keyed by the plan's
+64-bit seed, so it is reproducible.  The harness derives each plan seed from
+np.random.SeedSequence, keyed by (sweep point, realization, data set), which
+makes the streams of a run independent by construction.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .gaussian_core import GaussianState, is_physical, repair_physicality
-
-_MASK64 = (1 << 64) - 1
 
 
 class InsufficientDataError(ValueError):
@@ -53,6 +53,8 @@ class MeasurementPlan:
     seed: int
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         groups = len(_ANGLES.get(self.scheme, (0,)))
         if self.n_samples < 2 * groups:
             raise ValueError(
@@ -77,39 +79,51 @@ class SampleSet:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
-    """Draw measurement records from a single-mode state; pure given the seed."""
+def _record_laws(state: GaussianState, plan: MeasurementPlan) -> list:
+    """(n, mean, covariance) of each group of records the plan takes of a
+    single-mode state: one scalar law per homodyne angle, one two-dimensional
+    law for paired records (heterodyne adds one vacuum unit)."""
     if state.n_modes != 1:
         raise ValueError("sampling expects a single-mode state")
     if not is_physical(state):
         raise ValueError("cannot sample an unphysical state")
-    rng = _rng(plan.seed)
     if plan.scheme in _ANGLES:
-        quad = {}
+        laws = []
         for theta, n in zip(_ANGLES[plan.scheme], plan.group_sizes()):
             v = np.array([math.cos(theta), math.sin(theta)])
-            mu = float(v @ state.mean)
-            var = float(v @ state.cov @ v)
-            quad[theta] = mu + math.sqrt(var) * rng.standard_normal(n)
-        return SampleSet(plan=plan, quad=quad)
+            laws.append((n, float(v @ state.mean), float(v @ state.cov @ v)))
+        return laws
     cov = state.cov + np.eye(2) if plan.scheme is Scheme.HETERODYNE else state.cov
-    chol = np.linalg.cholesky(cov)
-    pairs = state.mean + rng.standard_normal((plan.n_samples, 2)) @ chol.T
+    return [(plan.n_samples, state.mean, cov)]
+
+
+def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
+    """Draw measurement records from a single-mode state; pure given the seed."""
+    laws = _record_laws(state, plan)
+    rng = _rng(plan.seed)
+    if plan.scheme in _ANGLES:
+        quad = {theta: mu + math.sqrt(var) * rng.standard_normal(n)
+                for theta, (n, mu, var) in zip(_ANGLES[plan.scheme], laws)}
+        return SampleSet(plan=plan, quad=quad)
+    ((n, mean, cov),) = laws
+    pairs = mean + rng.standard_normal((n, 2)) @ np.linalg.cholesky(cov).T
     return SampleSet(plan=plan, pairs=pairs)
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
     """Empirical mean and covariance (ddof=1) of the measured mode, the shot
-    count behind each statistic and the scheme that recorded them."""
+    count behind each statistic, the scheme that recorded them and, for
+    homodyne3, the mean of the pi/4 group (the records of (x + p) / sqrt 2)."""
 
     mean: np.ndarray
     cov: np.ndarray
     n_effective: dict = field(default_factory=dict)
     scheme: Scheme = Scheme.JOINT
+    mean_diag: float | None = None
 
     @property
     def has_full_cov(self) -> bool:
@@ -126,28 +140,67 @@ def _condition(cov: np.ndarray) -> np.ndarray:
     return repair_physicality(cov)
 
 
+def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
+    """MomentEstimate from the (size, mean, ddof=1 covariance) of each group
+    of records, laid out as _record_laws lays out their laws; the heterodyne
+    vacuum unit is taken off and the covariance conditioned here."""
+    if scheme in _ANGLES:
+        (n_x, m_x, var_x), (n_p, m_p, var_p), *diagonal = stats
+        n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
+        cov_xp, mean_diag = 0.0, None
+        if diagonal:
+            ((n_d, mean_diag, var_d),) = diagonal
+            # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
+            cov_xp = var_d - 0.5 * (var_x + var_p)
+            n_eff["cov_xp"] = n_d
+        mean = np.array([m_x, m_p])
+        cov = np.array([[var_x, cov_xp], [cov_xp, var_p]])
+    else:
+        ((n, mean, cov),) = stats
+        if scheme is Scheme.HETERODYNE:
+            cov = cov - np.eye(2)
+        n_eff, mean_diag = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n), None
+    return MomentEstimate(mean, _condition(cov), n_eff, scheme, mean_diag)
+
+
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
     """Unbiased (ddof=1) moment recovery appropriate to the sampling scheme;
     the heterodyne vacuum unit is taken off here."""
     scheme = samples.plan.scheme
     if samples.quad is not None:
-        (g_x, g_p, *diagonal) = [samples.quad[theta] for theta in _ANGLES[scheme]]
-        var_x, var_p = float(g_x.var(ddof=1)), float(g_p.var(ddof=1))
-        n_eff = {"mean_x": g_x.size, "mean_p": g_p.size, "var_x": g_x.size,
-                 "var_p": g_p.size, "cov_xp": 0}
-        cov_xp = 0.0
-        if diagonal:
-            # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
-            cov_xp = float(diagonal[0].var(ddof=1)) - 0.5 * (var_x + var_p)
-            n_eff["cov_xp"] = diagonal[0].size
-        mean = np.array([g_x.mean(), g_p.mean()])
-        cov = np.array([[var_x, cov_xp], [cov_xp, var_p]])
+        groups = [samples.quad[theta] for theta in _ANGLES[scheme]]
+        stats = [(g.size, float(g.mean()), float(g.var(ddof=1))) for g in groups]
     elif samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
     else:
         pairs = samples.pairs
-        mean, cov = pairs.mean(axis=0), np.cov(pairs.T, ddof=1)
-        if scheme is Scheme.HETERODYNE:
-            cov = cov - np.eye(2)
-        n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), pairs.shape[0])
-    return MomentEstimate(mean, _condition(cov), n_eff, scheme)
+        stats = [(pairs.shape[0], pairs.mean(axis=0), np.cov(pairs.T, ddof=1))]
+    return _estimate(scheme, stats)
+
+
+def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
+    """The MomentEstimate of the records sample(state, plan) would give, drawn
+    from its exact law at a cost independent of the shot count (the same law,
+    not the same numbers).  Per homodyne group of n records of variance s2,
+    the mean is N(mu, s2 / n) and the variance s2 chi2(n - 1) / (n - 1).  For
+    n paired records of covariance Sigma = L L^T, the mean is N(mu, Sigma / n)
+    and the scatter Wishart(Sigma, n - 1), drawn as L A A^T L^T by the Bartlett
+    decomposition (Odell & Feiveson 1966): A is lower triangular with
+    A11^2 ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1)."""
+    laws = _record_laws(state, plan)
+    rng = _rng(plan.seed)
+
+    def chi2(dof):  # 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records)
+        return 2.0 * rng.standard_gamma(0.5 * dof)
+
+    if plan.scheme in _ANGLES:
+        stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
+                  var * chi2(n - 1) / (n - 1)) for n, mu, var in laws]
+        return _estimate(plan.scheme, stats)
+    ((n, mean, cov),) = laws
+    chol = np.linalg.cholesky(cov)
+    bartlett = np.array([[math.sqrt(chi2(n - 1)), 0.0],
+                         [rng.standard_normal(), math.sqrt(chi2(n - 2))]])
+    root = chol @ bartlett
+    mean = mean + chol @ rng.standard_normal(2) / math.sqrt(n)
+    return _estimate(plan.scheme, [(n, mean, root @ root.T / (n - 1))])

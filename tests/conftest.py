@@ -85,15 +85,3 @@ def three_probe_bounds(setup, process, noise, n_samples):
                for phase in PROBE_PHASES)
     return dict(zip(FISHER_PARAMS, np.diag(np.linalg.inv(info))))
 
-
-def noiseless_pairs(state, n=4):
-    """Paired records whose sample mean and covariance equal the state moments.
-
-    Rows come in +/- pairs along scaled Cholesky columns, so the empirical
-    mean is exact and the ddof=0 scatter reproduces the covariance.
-    """
-    assert n % 4 == 0
-    chol = np.linalg.cholesky(state.cov)
-    block = np.vstack([chol[:, 0], -chol[:, 0], chol[:, 1], -chol[:, 1]])
-    dev = np.tile(np.sqrt(2.0) * block, (n // 4, 1))
-    return state.mean + dev

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import os
@@ -259,6 +258,7 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     no_sweep = write_config(tmp_path, SMALL_CONFIG, "nosweep.json")
     assert main(["sweep", "--config", no_sweep]) == 1
     assert main(["estimate", "--preset", "fig9_left"]) == 1
+    assert main(["estimate", "--preset", "fig4_left", "--seed", "-1"]) == 1
     capsys.readouterr()
 
 

@@ -25,21 +25,19 @@ from lmint.estimators import (
     EstimationError,
     FitRejectedError,
     UnidentifiableError,
-    _golden_max,
-    _group_stats,
 )
 from lmint.gaussian_core import circular_diff, fold_angle, rotation, squeeze_matrix
 from lmint.measurement import (
     InsufficientDataError,
     MeasurementPlan,
     MomentEstimate,
-    SampleSet,
     Scheme,
+    draw_moments,
     estimate_moments,
     sample,
 )
 
-from conftest import exact_moments, exact_probe_moments, noiseless_pairs
+from conftest import exact_moments, exact_probe_moments
 
 
 def assert_params_close(got, want, tol):
@@ -156,16 +154,24 @@ def test_phase_mean_unidentifiable_dark_probe(bench_setup):
 
 
 def test_phase_ml_noise_free_records(bench_setup):
+    # Exact moments: the score vanishes at the truth, so the polish lands on it.
     state = forward(bench_setup, ProcessParams.folded(phi=0.7))
-    records = SampleSet(plan=MeasurementPlan(Scheme.JOINT, 4, 0),
-                        pairs=noiseless_pairs(state))
-    assert est_phase_ml(records, bench_setup) == pytest.approx(0.7, abs=1e-6)
+    assert est_phase_ml(exact_moments(state), bench_setup) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_phase_ml_on_sampled_records(bench_setup):
     state = forward(bench_setup, ProcessParams.folded(phi=-2.5))
-    records = sample(state, MeasurementPlan(Scheme.JOINT, 20_000, seed=4))
-    assert est_phase_ml(records, bench_setup) == pytest.approx(-2.5, abs=0.02)
+    moments = estimate_moments(sample(state, MeasurementPlan(Scheme.JOINT, 20_000, seed=4)))
+    assert est_phase_ml(moments, bench_setup) == pytest.approx(-2.5, abs=0.02)
+
+
+def test_phase_ml_dark_probe_lands_on_a_maximum(bench_setup):
+    # With a dark probe the likelihood is even in phi: at a small phase its
+    # maxima at +-phi flank a minimum at 0, where the scan lands and the
+    # score vanishes; the polish must leave that stationary point.
+    dark = dataclasses.replace(bench_setup, r_amp=0.0)
+    state = forward(dark, ProcessParams.folded(phi=0.05))
+    assert abs(est_phase_ml(exact_moments(state), dark)) == pytest.approx(0.05, abs=1e-9)
 
 
 @pytest.mark.parametrize("case", ["simplistic", "cold_dark"])
@@ -178,67 +184,79 @@ def test_phase_ml_unidentifiable_without_phase_signal(bench_setup, case):
     else:
         setup = dataclasses.replace(bench_setup, v_thermal=1.0, r_amp=0.0)
     state = forward(setup, ProcessParams.folded(phi=0.7))
-    records = sample(state, MeasurementPlan(Scheme.JOINT, 2000, seed=3))
     with pytest.raises(UnidentifiableError):
-        est_phase_ml(records, setup)
+        est_phase_ml(exact_moments(state), setup)
 
 
-def _loglik(state_mean, state_cov, groups, joint, extra_cov):
-    """Gaussian log-likelihood of the group statistics under given output
-    moments, for any covariance (the reference for _phase_loglik)."""
+def _loglik(moments, state_mean, state_cov):
+    """Gaussian log-likelihood of the statistics of a MomentEstimate (ddof=1
+    scatter, the mean of every homodyne group) under given output moments,
+    for any covariance (the reference for the closed form of est_phase_ml)."""
+    n = moments.n_effective
+    if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
+        extra = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
+        groups = [(n["mean_x"], np.eye(2), moments.mean, moments.cov + extra, extra)]
+    else:
+        var_d = 0.5 * (moments.cov[0, 0] + moments.cov[1, 1]) + moments.cov[0, 1]
+        groups = [(n["mean_x"], np.array([[1.0, 0.0]]), moments.mean[:1],
+                   moments.cov[:1, :1], 0.0),
+                  (n["mean_p"], np.array([[0.0, 1.0]]), moments.mean[1:],
+                   moments.cov[1:, 1:], 0.0)]
+        if moments.scheme is Scheme.HOMODYNE_SPLIT3:
+            groups.append((n["cov_xp"], np.full((1, 2), math.sqrt(0.5)),
+                           np.array([moments.mean_diag]), np.array([[var_d]]), 0.0))
     ll = 0.0
-    if groups is not None:
-        for theta, n, m, s2 in groups:
-            v = np.array([math.cos(theta), math.sin(theta)])
-            mu = float(v @ state_mean)
-            var = float(v @ state_cov @ v) + extra_cov
-            ll += -0.5 * n * (math.log(var) + (s2 + (m - mu) ** 2) / var)
-    if joint is not None:
-        n, zbar, scatter = joint
-        sig = state_cov + extra_cov * np.eye(2)
-        det = sig[0, 0] * sig[1, 1] - sig[0, 1] * sig[1, 0]
-        inv = np.array([[sig[1, 1], -sig[0, 1]], [-sig[1, 0], sig[0, 0]]]) / det
-        delta = zbar - state_mean
-        ll += -0.5 * n * (
-            math.log(det)
-            + float(np.trace(inv @ scatter))
-            + float(delta @ inv @ delta)
-        )
+    for count, rows, mean, scatter, extra in groups:
+        sig = rows @ state_cov @ rows.T + extra
+        inv = np.linalg.inv(sig)
+        delta = mean - rows @ state_mean
+        ll -= 0.5 * count * (math.log(np.linalg.det(sig)) + np.trace(inv @ scatter)
+                             + delta @ inv @ delta)
     return ll
 
 
-def reference_phase_ml(samples, setup, noise=None):
+def reference_phase_ml(moments, setup, noise=None):
     """Maximum-likelihood phase with the Gaussian log-likelihood of the full
-    forward model at each trial phase: the 64-point scan and golden-section
-    refinement of est_phase_ml, without the closed-form response."""
-    groups, joint = _group_stats(samples)
-    extra = 1.0 if samples.plan.scheme is Scheme.HETERODYNE else 0.0
-
+    forward model at each trial phase: the 64-point scan of est_phase_ml,
+    then bisection of the stationarity condition, a central difference of
+    the log-likelihood, in the scan's bracket."""
     def ll(phi):
         state = forward(setup, ProcessParams.folded(phi=phi), noise)
-        return _loglik(state.mean, state.cov, groups, joint, extra)
+        return _loglik(moments, state.mean, state.cov)
+
+    def slope(phi, h=1e-5):
+        return ll(phi + h) - ll(phi - h)
 
     grid = np.linspace(-math.pi, math.pi, 65)[1:]
     k = int(np.argmax([ll(p) for p in grid]))
-    step = grid[1] - grid[0]
-    return fold_angle(_golden_max(ll, grid[k] - step, grid[k] + step, tol=1e-8))
+    lo, hi = grid[k] - (grid[1] - grid[0]), grid[k] + (grid[1] - grid[0])
+    assert slope(lo) > 0.0 > slope(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return fold_angle(0.5 * (lo + hi))
 
 
 @pytest.mark.parametrize("scheme", [Scheme.JOINT, Scheme.HETERODYNE,
                                     Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3])
 @pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
-    # The closed-form likelihood picks the same phase as the one built
-    # from forward, on sampled records at both probe brightnesses.  Where
-    # the likelihood is flat (a dim probe near phi = pi) its maximum is only
-    # resolved to ~sqrt(eps |ll| / curvature), a few 1e-7, by either form.
-    for k, (r_amp, phi) in enumerate([(100.0, 0.7), (100.0, -2.5), (1.0, 0.7)]):
+    # The closed-form likelihood picks the same phase as the one built from
+    # forward, on drawn moments at both probe brightnesses.  With a dim
+    # probe the likelihood is flat, so much that comparisons of its values
+    # resolve the maximum to a few 1e-7 only; both sides solve for the zero
+    # of its slope instead.
+    cases = [(100.0, 0.7), (100.0, -2.5), (1.0, 0.7), (1.0, 2.9), (1.0, -2.5), (1.0, 0.0)]
+    for k, (r_amp, phi) in enumerate(cases):
         setup = dataclasses.replace(bench_setup, r_amp=r_amp)
         state = forward(setup, ProcessParams.folded(phi=phi), noise)
-        records = sample(state, MeasurementPlan(scheme, 6000, seed=17 + k))
-        got = est_phase_ml(records, setup, noise or NoiseParams())
-        want = reference_phase_ml(records, setup, noise)
-        assert abs(circular_diff(got, want)) < 1e-7
+        moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=17 + k))
+        got = est_phase_ml(moments, setup, noise or NoiseParams())
+        want = reference_phase_ml(moments, setup, noise)
+        assert abs(circular_diff(got, want)) < 1e-7, (r_amp, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ from lmint import (
     calibrate,
     find_r_crit,
     fit_exponent,
+    forward,
     run_mc,
     sweep,
 )
-from lmint.estimators import PROBE_PHASES
+from lmint import harness
+from lmint.estimators import PROBE_PHASES, est_displacement
 from lmint.fisher import fisher_matrix
+from lmint.measurement import draw_moments
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -45,6 +48,9 @@ def test_config_validation(bench_setup, bench_process):
         mc(bench_setup, bench_process, estimators=("displacement",), calibration="bogus")
     with pytest.raises(ValueError):
         mc(bench_setup, bench_process, estimators=("displacement",), calibration_samples=1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            mc(bench_setup, bench_process, estimators=("displacement",), seed=seed)
 
 
 def test_param_error_is_circular():
@@ -104,7 +110,7 @@ def test_run_mc_records_failure_reasons(bench_setup, bench_process):
 
 def test_run_mc_counts_failed_polar_decompositions():
     # Weak coupling, dim probe, 600 shots: the three-probe estimate of the
-    # process matrix has det <= 0 on 7 of 12 realizations.
+    # process matrix has det <= 0 on 9 of 12 realizations.
     setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.01, t2=0.01,
                         v_thermal=100.0, r_amp=3.0)
     truth = ProcessParams.from_q(phi=0.7, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
@@ -112,19 +118,63 @@ def test_run_mc_counts_failed_polar_decompositions():
                        seed=0))
     for p in ESTIMATOR_PARAMS["mean_method"]:
         cell = report.cells[("mean_method", p)]
-        assert (cell.n_ok, cell.n_failed) == (5, 7)
-        assert cell.failures == {"DecompositionError": 7}
+        assert (cell.n_ok, cell.n_failed) == (3, 9)
+        assert cell.failures == {"DecompositionError": 9}
 
 
-def test_estimate_once_sees_the_data_of_run_mc(bench_setup):
-    # Realization k draws from base_seed ^ k, so realization 1 of a config
-    # seeded 123 ^ 3 holds realization 2 of the config seeded 123.
+def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
+    # run_mc runs realizations 1, 2, ... in order, so its first estimate is
+    # that of realization 1, which estimate_once reports.
+    seen = []
+
+    def spy(*args):
+        seen.append(est_displacement(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "est_displacement", spy)
     truth = ProcessParams.folded(d=4.0, beta=0.5)
     cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=2)
-    errors = [estimate_once(dataclasses.replace(cfg, base_seed=seed))[0]["d"] - truth.d
-              for seed in (123, 123 ^ 3)]
-    assert run_mc(cfg).cells[("displacement", "d")].bias == pytest.approx(
-        np.mean(errors), rel=1e-12)
+    run_mc(cfg)
+    assert seen[0] != seen[1]
+    d, beta = seen[0]
+    assert estimate_once(cfg) == [{"d": d, "beta": beta}]
+
+
+def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_process,
+                                                       monkeypatch):
+    # Every stream of a sweep (each point's calibration probes, and the
+    # single read-out and three probes of each realization at each point)
+    # has a seed of its own.
+    seeds = []
+
+    def spy(state, plan):
+        seeds.append(plan.seed)
+        return draw_moments(state, plan)
+
+    monkeypatch.setattr(harness, "draw_moments", spy)
+    cfg = mc(bench_setup, bench_process, estimators=("mean_method", "combined"), n=600,
+             m_reps=5, seed=16384, noise=NoiseParams(t_c=0.9, v_c=1.2), calibration="auto")
+    sweep(cfg, "loss", [0.0, 0.1, 0.3, 0.5])
+    assert len(seeds) == 4 * (3 + 5 * 4)
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_run_mc_calls_forward_once_per_state(bench_setup, bench_process, monkeypatch):
+    # forward runs once for the single read-out, once per probe and once
+    # per calibration probe, whatever the number of realizations.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(harness, "forward", counting)
+    for m_reps in (2, 7):
+        calls.clear()
+        run_mc(mc(bench_setup, bench_process, estimators=("cov_method", "combined"),
+                  n=600, m_reps=m_reps, noise=NoiseParams(t_c=0.9, v_c=1.2),
+                  calibration="auto"))
+        assert len(calls) == 1 + 3 + 3
 
 
 def test_clamps_are_counted_per_estimator(bench_setup):
@@ -134,16 +184,6 @@ def test_clamps_are_counted_per_estimator(bench_setup):
                        estimators=("phase_var", "phase_mean"), n=2000, m_reps=20))
     assert report.cells[("phase_var", "phi")].n_clamped > 0
     assert report.cells[("phase_mean", "phi")].n_clamped == 0
-
-
-def test_run_mc_parallel_matches_serial(bench_setup, monkeypatch):
-    truth = ProcessParams.folded(d=4.0, beta=0.5)
-    cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=8)
-    serial = run_mc(cfg)
-    monkeypatch.setenv("LMI_THREADS", "2")
-    parallel = run_mc(cfg)
-    for key in serial.cells:
-        assert serial.cells[key].mse == parallel.cells[key].mse
 
 
 def test_naive_variant_ignores_the_channel(bench_setup, bench_process):

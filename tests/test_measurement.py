@@ -5,7 +5,7 @@ import pytest
 
 from lmint import MeasurementPlan, Scheme, estimate_moments, sample
 from lmint.gaussian_core import GaussianState, make_coherent, make_thermal, vacuum
-from lmint.measurement import SampleSet
+from lmint.measurement import SampleSet, draw_moments
 
 
 def plan(scheme, n, seed=0):
@@ -16,6 +16,13 @@ def test_plan_requires_minimum_samples():
     with pytest.raises(ValueError):
         MeasurementPlan(scheme=Scheme.HOMODYNE_SPLIT3, n_samples=5, seed=0)
     MeasurementPlan(scheme=Scheme.HOMODYNE_SPLIT3, n_samples=6, seed=0)
+
+
+def test_plan_seed_is_64_bit():
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            MeasurementPlan(scheme=Scheme.JOINT, n_samples=10, seed=seed)
+    MeasurementPlan(scheme=Scheme.JOINT, n_samples=10, seed=2 ** 64 - 1)
 
 
 def test_group_sizes_sum_to_n():
@@ -35,10 +42,11 @@ def test_sampling_is_deterministic():
 
 
 def test_sampling_rejects_multimode_and_unphysical():
-    with pytest.raises(ValueError):
-        sample(GaussianState(np.zeros(4), np.eye(4)), plan(Scheme.JOINT, 100))
-    with pytest.raises(ValueError):
-        sample(GaussianState(np.zeros(2), 0.2 * np.eye(2)), plan(Scheme.JOINT, 100))
+    for draw in (sample, draw_moments):
+        with pytest.raises(ValueError):
+            draw(GaussianState(np.zeros(4), np.eye(4)), plan(Scheme.JOINT, 100))
+        with pytest.raises(ValueError):
+            draw(GaussianState(np.zeros(2), 0.2 * np.eye(2)), plan(Scheme.JOINT, 100))
 
 
 def test_joint_vacuum_variance():
@@ -107,3 +115,37 @@ def test_estimated_covariance_is_physical():
     for seed in range(20):
         est = estimate_moments(sample(vacuum(), plan(Scheme.HETERODYNE, 50, seed=seed)))
         assert math.sqrt(np.linalg.det(est.cov)) >= 1.0 - 1e-9
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the
+    empirical distribution functions."""
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), points, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), points, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def _statistics(est):
+    out = [est.mean[0], est.mean[1], est.cov[0, 0], est.cov[1, 1], est.cov[0, 1]]
+    return out + ([est.mean_diag] if est.mean_diag is not None else [])
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_drawn_moments_follow_the_law_of_sampled_records(scheme):
+    # draw_moments against the moments of sampled records, 8 records per
+    # group, where one chi-square degree of freedom more or less moves the
+    # variance law by 1/7: the two-sample Kolmogorov-Smirnov distance of
+    # every statistic over m draws each stays below 1.95 sqrt(2 / m), the
+    # 0.1% critical value.
+    state = GaussianState(np.array([1.0, -2.0]), np.array([[3.0, 1.2], [1.2, 2.0]]))
+    n = 8 * len(plan(scheme, 6).group_sizes())
+    m = 3000
+    drawn = np.array([_statistics(draw_moments(state, plan(scheme, n, seed)))
+                      for seed in range(m)])
+    sampled = np.array([_statistics(estimate_moments(sample(state, plan(scheme, n, seed))))
+                        for seed in range(m, 2 * m)])
+    assert drawn.shape == sampled.shape
+    distances = [_ks_distance(drawn[:, i], sampled[:, i]) for i in range(drawn.shape[1])]
+    assert max(distances) < 1.95 * math.sqrt(2.0 / m), distances
+
