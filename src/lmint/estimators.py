@@ -152,23 +152,36 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
 
 def _phase_loglik(phi, resp, m_in, sets):
     """Log-likelihood of the data sets of a MomentEstimate (see _data_sets)
-    under a pure phase shift, for an array of phi.  With A = R(phi) the
-    model mean is (through R(phi) + direct I) m_in and the model covariance
-    (a + e + 2 b cos(phi)) I, so a set whose projection has orthonormal rows
-    sees the projected mean and that variance, plus the heterodyne unit."""
-    c, s = np.cos(phi), np.sin(phi)
-    mu = np.array([resp.through * (c * m_in[0] - s * m_in[1]) + resp.direct * m_in[0],
-                   resp.through * (s * m_in[0] + c * m_in[1]) + resp.direct * m_in[1]])
-    var = resp.a + resp.e + 2.0 * resp.b * c
-    ll = 0.0
+    under a pure phase shift, with its score and information (the phi
+    entries of _joint_fit), for an array of phi.  With A = R(phi) the model
+    mean is mu = (through R(phi) + direct I) m_in and the covariance v I, v =
+    a + e + 2 b cos(phi), plus the heterodyne unit; a prime is d/dphi.  A set
+    of n records whose projection P has k orthonormal rows, with delta = mean
+    - P mu (0 without a mean) and spread = tr S + |delta|^2, adds n [delta^T
+    P mu' / v + v' (spread / v - k) / (2 v)] to the score and n [|P mu'|^2 /
+    v + k (v' / v)^2 / 2] to the information."""
+    cos, sin = np.cos(phi), np.sin(phi)
+    x, y = m_in
+    # Rows: through R(phi) m_in, then mu' = through J R(phi) m_in.
+    moved = resp.through * np.array([[x, -y], [y, x], [-y, -x], [x, -y]]) @ np.array([cos, sin])
+    mu, d_mu = moved[:2] + resp.direct * m_in[:, None], moved[2:]
+    var, d_var = resp.a + resp.e + 2.0 * resp.b * cos, -2.0 * resp.b * sin
+    ll = score = info = 0.0
     for n, proj, added, mean, scatter in sets:
-        v = var + added[0, 0]
-        spread = np.trace(scatter)
+        k, v = len(proj), var + added[0, 0]
+        spread, drift, pull = np.trace(scatter), 0.0, 0.0
         if mean is not None:
-            spread = spread + ((mean[:, None] - proj @ mu) ** 2).sum(axis=0)
-        ll = ll - 0.5 * n * (len(proj) * np.log(v) + spread / v)
-    return ll
+            delta, p_dmu = mean[:, None] - proj @ mu, proj @ d_mu
+            spread = spread + (delta ** 2).sum(axis=0)
+            drift, pull = (delta * p_dmu).sum(axis=0), (p_dmu ** 2).sum(axis=0)
+        ll = ll - 0.5 * n * (k * np.log(v) + spread / v)
+        score = score + n * (drift + 0.5 * d_var * (spread / v - k)) / v
+        info = info + n * (pull + 0.5 * k * d_var * d_var / v) / v
+    return ll, score, info
 
+
+#: Scan of est_phase_ml: 64 phases over (-pi, pi].
+_PHASE_GRID = np.linspace(-math.pi, math.pi, 65)[1:]
 
 #: Cap on the polishing steps of est_phase_ml; bisection alone meets it.
 _MAX_PHASE_STEPS = 60
@@ -185,13 +198,14 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
 
     A 64-point scan of its closed form (_phase_loglik) brackets the maximum
     within a grid step either side, and the polish solves the stationarity
-    condition in that bracket, on the phi entry of _joint_fit's score: a
-    Fisher-scoring step first, then secant steps, which follow the observed
-    curvature where the expected one misleads (a flat likelihood, r ~ 1).  A
-    step that would leave the bracket, or a score that does not fall, bisects
-    it instead, and the sign of each score narrows it.  So the polish
-    converges to rounding of the score where comparisons of likelihood
-    values cannot resolve the maximum.  Raises UnidentifiableError when
+    condition in that bracket, on the closed-form phi score and information
+    of the same _phase_loglik, not on _joint_fit: a Fisher-scoring step
+    first, then secant steps, which follow the observed curvature where the
+    expected one misleads (a flat likelihood, r ~ 1).  A step that would
+    leave the bracket, or a score that does not fall, bisects it instead,
+    and the sign of each score narrows it.  So the polish converges to
+    rounding of the score where comparisons of likelihood values cannot
+    resolve the maximum.  Raises UnidentifiableError when
     neither moment depends on the phase: no probe light passes the process
     (simplistic topology, a dark probe, t1 = 0) and the covariance has no
     linear term (b = 0).
@@ -200,25 +214,23 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    sets = _data_sets(moments)
-    grid = np.linspace(-math.pi, math.pi, 65)[1:]
-    k = int(np.argmax(_phase_loglik(grid, resp, setup.light_mean, sets)))
-    width = grid[1] - grid[0]
-    lo, hi = grid[k] - width, grid[k] + width
-    x, last = np.array([grid[k], 0.0, 0.0, 0.0, 0.0]), None
+    sets, m_in = _data_sets(moments), setup.light_mean
+    k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, m_in, sets)[0]))
+    phi, last = _PHASE_GRID[k], None
+    width = _PHASE_GRID[1] - _PHASE_GRID[0]
+    lo, hi = phi - width, phi + width
     for _ in range(_MAX_PHASE_STEPS):
-        phi = x[0]
-        _, score, info = _joint_fit(x, [(setup, sets)], noise)
+        _, score, info = _phase_loglik(np.array([phi]), resp, m_in, sets)
         s = float(score[0])
         lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
         # Curvature of the log-likelihood: minus the information, then secants.
-        slope = -info[0, 0] if last is None else (s - last[1]) / (phi - last[0])
+        slope = -float(info[0]) if last is None else (s - last[1]) / (phi - last[0])
         trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
         if abs(trial - phi) < _PHASE_TOL:
             return fold_angle(trial)
         if not lo < trial < hi:
             trial = 0.5 * (lo + hi)
-        last, x[0] = (phi, s), trial
+        last, phi = (phi, s), trial
     raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
 
 

@@ -7,6 +7,7 @@ operations are pure functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +26,12 @@ class DecompositionError(ValueError):
     """Raised when a matrix decomposition fails (e.g. corrupt moment data)."""
 
 
+@functools.cache
 def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form with 2x2 blocks [[0,1],[-1,0]] on the diagonal."""
-    return np.kron(np.eye(n_modes), OMEGA_1)
+    """Symplectic form with 2x2 blocks [[0,1],[-1,0]] on the diagonal, shared read-only."""
+    om = np.kron(np.eye(n_modes), OMEGA_1)
+    om.setflags(write=False)
+    return om
 
 
 def fold_angle(x: float) -> float:
@@ -279,6 +283,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted ascending."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
+    if n == 1:  # Omega Sigma has eigenvalues +-sqrt(-det Sigma), real for det < 0
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+        return np.array([math.sqrt(max(det, 0.0))])
     ev = np.linalg.eigvals(omega(n) @ cov)
     nus = np.sort(np.abs(ev.imag))
     return nus[::2]  # each value appears as a +/- i nu pair

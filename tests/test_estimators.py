@@ -259,6 +259,44 @@ def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
         assert abs(circular_diff(got, want)) < 1e-7, (r_amp, phi)
 
 
+ALL_SCHEMES = [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
+    # The closed-form phi score and information of _phase_loglik are the
+    # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0).
+    from lmint.estimators import _data_sets, _joint_fit, _phase_loglik
+
+    phis = np.array([-2.5, 0.0, 0.69, 1.3, 3.0])
+    for k, r_amp in enumerate((1.0, 100.0)):
+        setup = dataclasses.replace(bench_setup, r_amp=r_amp)
+        state = forward(setup, ProcessParams.folded(phi=0.7), noise)
+        sets = _data_sets(draw_moments(state, MeasurementPlan(scheme, 6000, seed=5 + k)))
+        _, score, info = _phase_loglik(phis, response(setup, noise), setup.light_mean, sets)
+        for phi, s, i in zip(phis, score, info):
+            _, want_s, want_i = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
+                                           [(setup, sets)], noise)
+            assert abs(s - want_s[0]) <= 1e-10 * np.abs(want_s).max(), (r_amp, phi)
+            assert abs(i - want_i[0, 0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_phase_ml_reads_neither_joint_fit_nor_moment_derivatives(bench_setup, scheme,
+                                                                 monkeypatch):
+    import lmint.estimators as estimators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("est_phase_ml reached the five-parameter kernel")
+
+    monkeypatch.setattr(estimators, "_joint_fit", refuse)
+    monkeypatch.setattr(estimators, "moment_derivatives", refuse)
+    state = forward(bench_setup, ProcessParams.folded(phi=0.7))
+    moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=3))
+    assert est_phase_ml(moments, bench_setup) == pytest.approx(0.7, abs=0.05)
+
+
 # ---------------------------------------------------------------------------
 # Covariance-based general method
 

@@ -18,6 +18,7 @@ from lmint import (
     repair_physicality,
 )
 from lmint.gaussian_core import (
+    OMEGA_1,
     DecompositionError,
     TAU,
     apply,
@@ -124,6 +125,35 @@ def test_symplectic_eigenvalues_thermal():
     assert symplectic_eigenvalues(make_thermal(5.0).cov) == pytest.approx([5.0])
     joint = tensor(make_thermal(5.0), vacuum())
     assert symplectic_eigenvalues(joint.cov) == pytest.approx([1.0, 5.0])
+
+
+def test_omega_is_built_once_and_read_only():
+    for n in (1, 2, 3):
+        assert np.array_equal(omega(n), np.kron(np.eye(n), OMEGA_1))
+        assert omega(n) is omega(n)
+        with pytest.raises(ValueError):
+            omega(n)[0, 1] = 2.0
+
+
+def test_one_mode_symplectic_eigenvalue_matches_eigvals():
+    # sqrt(det Sigma) against the general path, the moduli of the
+    # eigenvalues of Omega Sigma: physical, unphysical and within 1e-9 of
+    # the boundary (straddling is_physical's tolerance), and indefinite
+    # covariances, whose real pair of eigenvalues gives 0.
+    rng = np.random.default_rng(8)
+    nus = np.concatenate([rng.uniform(1.0, 50.0, 200), rng.uniform(0.01, 1.0, 200),
+                          1.0 + rng.uniform(-2e-9, 2e-9, 200)])
+    covs = [nu * squeeze_matrix(rng.uniform(0.0, 2.0), rng.uniform(-3.0, 3.0)) for nu in nus]
+    covs += [np.array([[a, b], [b, c]]) for a, c, b in rng.uniform(0.1, 5.0, (50, 3)) * [1, 1, 3]
+             if b * b > a * c]
+    for cov in covs:
+        want = np.sort(np.abs(np.linalg.eigvals(OMEGA_1 @ cov).imag))[::2]
+        got = symplectic_eigenvalues(cov)
+        assert got.shape == (1,)
+        assert abs(got[0] - want[0]) <= 1e-12 * np.abs(cov).max()
+        if abs(want[0] - (1.0 - 1e-9)) > 1e-12 * np.abs(cov).max():
+            state = GaussianState(np.zeros(2), cov)
+            assert is_physical(state) == (want[0] >= 1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
