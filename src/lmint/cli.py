@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -343,6 +344,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, not at import, and shared by later calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmint",

@@ -5,7 +5,7 @@ naive and calibrated variants selected through the assumed NoiseParams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .gaussian_core import (
     rotation,
     squeeze_matrix,
 )
-from .fisher import chart, gaussian_information, moment_derivatives
+from .fisher import chart, moment_derivatives
 from .interferometer import SetupConfig, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -526,33 +526,59 @@ def _data_sets(moments: MomentEstimate) -> list:
     return out
 
 
-def _joint_fit(x, sets, noise):
+def _blocks(data) -> list:
+    """The data sets of the MomentEstimates in data (see _data_sets) in blocks
+    of one projection P and added covariance, so one model covariance: per
+    set n, scatter S, det S, index into data, mean (0 without), has-mean."""
+    groups = {}
+    for row, moments in enumerate(data):
+        for n, proj, added, mean, scatter in _data_sets(moments):
+            key = (proj.tobytes(), added.tobytes())
+            groups.setdefault(key, (proj, added, []))[2].append((n, scatter, row, mean))
+    blocks = []
+    for proj, added, sets in groups.values():
+        n, scatter, rows, means = zip(*sets)
+        scatter, det_s = np.array(scatter), np.linalg.det(scatter)
+        if not (det_s > 0.0).all():
+            raise EstimationError("a data set's scatter is singular")
+        blocks.append((proj, added, np.array(n, dtype=float), scatter, det_s, list(rows),
+                       np.array([np.zeros(len(proj)) if m is None else m for m in means]),
+                       np.array([[m is not None] for m in means], dtype=float)))
+    return blocks
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _joint_fit(x, blocks, resp, m_in):
     """Deviance of the chart point x (see fisher.chart) from the saturated
-    Gaussians of the data sets, score of the log-likelihood and information.
-    Per set, with R = S + delta delta^T, delta = mean - P mu (R = S without
-    a mean), the deviance is n [tr(Sigma^-1 R) - log det(Sigma^-1 S) - k]
-    and the score n [dmu^T Sigma^-1 delta + 1/2 tr(Sigma^-1 dSigma
-    (Sigma^-1 R - I))].  The scatter S is the ddof=1 covariance, not its
-    (n-1)/n rescaling: the score then has zero mean at the truth, and exact
-    moments are a fixed point whatever their n."""
+    Gaussians of the data sets in blocks (see _blocks), probed by the rows
+    of m_in, score and information, from one moment_derivatives call.  Per
+    set, with C its block's covariance, R = S + delta delta^T and delta =
+    mean - P mu (R = S without a mean), the deviance is n [tr(C^-1 R) - k -
+    log(det S / det C)] and the score n [dmu^T C^-1 delta + 1/2 tr(C^-1 dC
+    (C^-1 R - I))].  S is the ddof=1 scatter, so the score has zero mean at
+    the truth and exact moments are a fixed point whatever their n.  A C not
+    finite and positive definite gives deviance +inf and no score."""
+    try:
+        mu, sig, d_mu, d_sig = moment_derivatives(resp, x, m_in)
+    except OverflowError:  # cosh of a squeezing exponent beyond ~710
+        return math.inf, None, None
     deviance, score, info = 0.0, np.zeros(5), np.zeros((5, 5))
-    for setup, groups in sets:
-        mu, sig, d_mu, d_sig = moment_derivatives(setup, x, noise)
-        for n, proj, added, mean, scatter in groups:
-            cov = proj @ sig @ proj.T + added
-            d_mean, d_cov = d_mu @ proj.T, proj @ d_sig @ proj.T
-            if mean is None:
-                d_mean, delta = 0.0 * d_mean, np.zeros(len(cov))
-            else:
-                delta = mean - proj @ mu
-            inv = np.linalg.inv(cov)
-            ratio = inv @ (scatter + np.outer(delta, delta))
-            deviance += n * (np.trace(ratio) - len(cov)
-                             - math.log(np.linalg.det(scatter) / np.linalg.det(cov)))
-            score += n * (d_mean @ (inv @ delta) + 0.5 * np.einsum(
-                "iab,ba->i", inv @ d_cov, ratio - np.eye(len(cov))))
-            info += n * gaussian_information(cov, d_mean, d_cov)
-    return float(deviance), score, info
+    for proj, added, n, scatter, det_s, rows, means, has_mean in blocks:
+        cov = proj @ sig @ proj.T + added
+        det, k = np.linalg.det(cov), len(cov)
+        if not (0.0 < det < math.inf and cov[0, 0] > 0.0):
+            return math.inf, None, None
+        inv = np.linalg.inv(cov)
+        delta, d_mean = has_mean * (means - mu[rows] @ proj.T), d_mu[rows] @ proj.T
+        ratio = inv @ (scatter + delta[:, :, None] * delta[:, None, :])
+        g = inv @ proj @ d_sig @ proj.T
+        weighted = (n * has_mean[:, 0])[:, None, None] * (d_mean @ inv)
+        deviance += float(n @ (np.trace(ratio, axis1=1, axis2=2) - k - np.log(det_s / det)))
+        score += (np.einsum("jia,ja->i", weighted, delta) + 0.5 * np.einsum(
+            "iab,ba->i", g, np.einsum("j,jab->ab", n, ratio) - n.sum() * np.eye(k)))
+        info += (np.einsum("jia,jca->ic", weighted, d_mean)
+                 + 0.5 * n.sum() * np.einsum("iab,jba->ij", g, g))
+    return deviance, score, info
 
 
 def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConfig,
@@ -561,37 +587,43 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     three probes, the efficient estimator of the general process: Fisher
     scoring in the chart of fisher.chart, regular at w = 0 and d = 0, from
     method (ii), which is consistent and has no twins (the probe means alone
-    identify the process, so the information is positive definite).  Steps
-    are halved until the deviance does not rise; scoring stops at a Newton
-    decrement s^T F^-1 s below _DECREMENT_TOL and fails with EstimationError
-    after _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings of one.  Under
-    the model the deviance D against the saturated per-set Gaussians is
-    chi-square with dof = statistics - 5; 'model_inconsistent' flags
-    (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.
+    identify the process, so the information is positive definite).  The
+    four data sets share Sigma(A) and are scored as blocks (see _blocks).
+    Steps are halved until the deviance does not rise; scoring stops at a
+    Newton decrement s^T F^-1 s below _DECREMENT_TOL and fails with
+    EstimationError after _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings
+    of one, or on a start or information it cannot use.  The deviance D
+    against the saturated per-set Gaussians is chi-square with dof =
+    statistics - 5 under the model; 'model_inconsistent' flags (D - dof) /
+    sqrt(2 dof) > _INCONSISTENT_SIGMA.
     """
-    start = est_general_mean(probe_moments, setup, noise).params
-    sets = [(setup, _data_sets(single_moments))] + [
-        (dc_replace(setup, probe_phase=phase), _data_sets(m))
-        for phase, m in zip(PROBE_PHASES, probe_moments)]
-    x = chart(start)[0]
-    deviance, score, info = _joint_fit(x, sets, noise)
+    x = chart(est_general_mean(probe_moments, setup, noise).params)[0]
+    resp, blocks = response(setup, noise), _blocks([single_moments, *probe_moments])
+    m_in = setup.r_amp * np.array([[math.cos(p), math.sin(p)]
+                                   for p in (setup.probe_phase, *PROBE_PHASES)])
+    deviance, score, info = _joint_fit(x, blocks, resp, m_in)
+    if score is None:
+        raise EstimationError("the start point's model covariance is not positive definite")
     for steps in range(_MAX_SCORING_STEPS + 1):
-        step = np.linalg.solve(info, score)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise EstimationError("the information matrix is singular") from None
         if score @ step < _DECREMENT_TOL:
             break
         if steps == _MAX_SCORING_STEPS:
             raise EstimationError(
                 f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
         for _ in range(_MAX_HALVINGS):
-            trial = _joint_fit(x + step, sets, noise)
+            trial = _joint_fit(x + step, blocks, resp, m_in)
             if trial[0] <= deviance:
                 break
             step = 0.5 * step
         else:
             raise EstimationError("no step along the scoring direction lowers the deviance")
         x, (deviance, score, info) = x + step, trial
-    dof = sum(len(s) * (len(s) + 1) // 2 + (0 if m is None else len(m))
-              for _, groups in sets for _, _, _, m, s in groups) - 5
+    dof = sum(len(n) * len(p) * (len(p) + 1) // 2 + int(has_mean.sum()) * len(p)
+              for p, _, n, _, _, _, _, has_mean in blocks) - 5
     sigma = (deviance - dof) / math.sqrt(2.0 * dof)
     phi, u, v, c, s = (float(t) for t in x)
     w = math.hypot(u, v)

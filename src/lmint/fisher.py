@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .gaussian_core import ProcessParams, rotation
-from .interferometer import SetupConfig, Topology, response
+from .interferometer import Response, SetupConfig, Topology, response
 from .noise import NoiseParams
 
 
@@ -87,27 +87,26 @@ def _squeeze(u: float, v: float):
             c1 * (v * eye + _SIGMA_X) + v * c2 * k)
 
 
-def moment_derivatives(setup: SetupConfig, x, noise: NoiseParams | None = None):
-    """Mean mu, covariance Sigma, dmu (5 x 2) and dSigma (5 x 2 x 2) of the
-    measured mode along the chart x (see chart), with A = R(phi) S.
+def moment_derivatives(resp: Response, x, m_in):
+    """Sigma and dSigma (5 x 2 x 2) of the measured mode along the chart x
+    (see chart), with A = R(phi) S, and mu (k x 2) and dmu (k x 5 x 2) for
+    each of the k probe inputs m_in (k x 2), on which Sigma does not depend.
 
     dA/dphi = J A and dA/du, dA/dv = R(phi) dS/du, R(phi) dS/dv.  The mean
     moves with through dA m_in and with g_d along (c, s); the covariance
     moves with a (dA A^T + A dA^T) + b (dA + dA^T) and not with (c, s).
     """
-    resp = response(setup, noise)
     rot = rotation(x[0])
     sq, sq_u, sq_v = _squeeze(x[1], x[2])
     mat = rot @ sq
     d_mat = np.array([_J @ mat, rot @ sq_u, rot @ sq_v])
-    d_mu = np.zeros((5, 2))
-    d_mu[:3] = resp.through * (d_mat @ setup.light_mean)
-    d_mu[3, 0] = d_mu[4, 1] = resp.g_d
+    d_mu = np.zeros((len(m_in), 5, 2))
+    d_mu[:, :3] = resp.through * (d_mat @ m_in.T).transpose(2, 0, 1)
+    d_mu[:, 3, 0] = d_mu[:, 4, 1] = resp.g_d
     d_sig = np.zeros((5, 2, 2))
     lin = resp.a * (d_mat @ mat.T) + resp.b * d_mat
     d_sig[:3] = lin + lin.transpose(0, 2, 1)
-    mu = resp.mean(mat, np.array([x[3], x[4]]), setup.light_mean)
-    return mu, resp.cov(mat), d_mu, d_sig
+    return resp.mean(mat, np.array([x[3], x[4]]), m_in), resp.cov(mat), d_mu, d_sig
 
 
 def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
@@ -130,8 +129,8 @@ def fisher_matrix(setup: SetupConfig, process: ProcessParams,
     point, carried to (phi, w, alpha, d, beta) by the chart's Jacobian.
     mean_only keeps the mean term of the information."""
     x, jac = chart(process)
-    _, sig, d_mu, d_sig = moment_derivatives(setup, x, noise)
-    info = gaussian_information(sig, d_mu, None if mean_only else d_sig)
+    _, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x, setup.light_mean[None])
+    info = gaussian_information(sig, d_mu[0], None if mean_only else d_sig)
     return jac.T @ info @ jac
 
 

@@ -11,6 +11,7 @@ run k = 1..m_reps; realization 0 is the point's calibration.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace as dc_replace
@@ -150,11 +151,12 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int):
     (single read-out, three probes): data set 0, drawn when an estimator
     other than mean_method reads it, and data sets 1 to 3, drawn when
     mean_method or combined does (else None and []).  forward runs once per
-    state, not once per realization."""
+    probe phase, which a probe and the single read-out may share."""
     bases = {base_name(n) for n in cfg.estimators}
-    single = forward(cfg.setup, cfg.process, cfg.noise) if bases - {"mean_method"} else None
-    probes = [forward(dc_replace(cfg.setup, probe_phase=phase), cfg.process, cfg.noise)
-              for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
+    state_at = functools.cache(lambda phase: forward(
+        dc_replace(cfg.setup, probe_phase=phase), cfg.process, cfg.noise))
+    single = state_at(cfg.setup.probe_phase) if bases - {"mean_method"} else None
+    probes = [state_at(phase) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
 
     def draw(state, n, k, j):

@@ -120,10 +120,10 @@ class Response:
         mean = (through A + direct I) m_in + g_d d_vec
         cov  = a A A^T + b (A + A^T) + e I
 
-    with m_in the input mean of the coherent probe.  Every input covariance
-    and every coupler block is proportional to the 2x2 identity, so six
-    scalars per (setup, noise) carry the whole model; forward is the
-    reference it is checked against.
+    with m_in the input mean of the coherent probe, or k of them as rows
+    of a k x 2 array.  Every input covariance and every coupler block is
+    proportional to the 2x2 identity, so six scalars per (setup, noise)
+    carry the whole model; forward is the reference it is checked against.
     """
 
     through: float
@@ -134,7 +134,7 @@ class Response:
     e: float
 
     def mean(self, mat: np.ndarray, d_vec: np.ndarray, m_in: np.ndarray) -> np.ndarray:
-        return (self.through * mat + self.direct * np.eye(2)) @ m_in + self.g_d * d_vec
+        return m_in @ (self.through * mat + self.direct * np.eye(2)).T + self.g_d * d_vec
 
     def cov(self, mat: np.ndarray) -> np.ndarray:
         return self.a * (mat @ mat.T) + self.b * (mat + mat.T) + self.e * np.eye(2)

@@ -9,6 +9,8 @@ import pytest
 
 from lmint import ProcessParams, SetupConfig, Topology, forward
 from lmint.estimators import PROBE_PHASES
+from lmint.fisher import gaussian_information, moment_derivatives
+from lmint.interferometer import response
 from lmint.measurement import MomentEstimate
 
 FULL_N_EFF = {"mean_x": 1, "mean_p": 1, "var_x": 1, "var_p": 1, "cov_xp": 1}
@@ -85,3 +87,30 @@ def three_probe_bounds(setup, process, noise, n_samples):
                for phase in PROBE_PHASES)
     return dict(zip(FISHER_PARAMS, np.diag(np.linalg.inv(info))))
 
+
+
+def reference_joint_fit(x, sets, noise):
+    """Deviance, score and information of the joint likelihood, one data set
+    at a time: sets lists (setup, _data_sets(moments)), and every data set
+    gets its own moment_derivatives call, model covariance, inverse and
+    determinants.  The reference for estimators._joint_fit, which scores
+    the data sets in blocks of one model covariance."""
+    deviance, score, info = 0.0, np.zeros(5), np.zeros((5, 5))
+    for setup, groups in sets:
+        mu, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x,
+                                                  setup.light_mean[None])
+        for n, proj, added, mean, scatter in groups:
+            cov = proj @ sig @ proj.T + added
+            d_mean, d_cov = d_mu[0] @ proj.T, proj @ d_sig @ proj.T
+            if mean is None:
+                d_mean, delta = 0.0 * d_mean, np.zeros(len(cov))
+            else:
+                delta = mean - proj @ mu[0]
+            inv = np.linalg.inv(cov)
+            ratio = inv @ (scatter + np.outer(delta, delta))
+            deviance += n * (np.trace(ratio) - len(cov)
+                             - np.log(np.linalg.det(scatter) / np.linalg.det(cov)))
+            score += n * (d_mean @ (inv @ delta) + 0.5 * np.einsum(
+                "iab,ba->i", inv @ d_cov, ratio - np.eye(len(cov))))
+            info += n * gaussian_information(cov, d_mean, d_cov)
+    return float(deviance), score, info

@@ -224,6 +224,24 @@ def test_simulate_samples_csv(tmp_path):
     assert len(rows) == 1 + 600
 
 
+def test_successive_calls_share_the_parser_not_the_options(tmp_path, capsys):
+    # The parser is built once per process; an option given to one call
+    # (simulate --samples) does not leak into the next call without it.
+    from lmint.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "shots.csv"
+    assert main(["simulate", "--config", path, "--samples", "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 1 + 600
+    capsys.readouterr()
+    assert main(["simulate", "--config", path, "--out", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["cov", "mean"]
+    assert main(["simulate", "--preset", "fig3_right", "--out", "-"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["cov", "mean"]
+
+
 def test_calibrate_json(tmp_path):
     out = tmp_path / "cal.json"
     payload = dict(SMALL_CONFIG, noise={"t_c": 0.8, "v_c": 1.2},

@@ -37,7 +37,7 @@ from lmint.measurement import (
     sample,
 )
 
-from conftest import exact_moments, exact_probe_moments
+from conftest import exact_moments, exact_probe_moments, reference_joint_fit
 
 
 def assert_params_close(got, want, tol):
@@ -267,17 +267,18 @@ ALL_SCHEMES = [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT2, Scheme.H
 def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
     # The closed-form phi score and information of _phase_loglik are the
     # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0).
-    from lmint.estimators import _data_sets, _joint_fit, _phase_loglik
+    from lmint.estimators import _blocks, _data_sets, _joint_fit, _phase_loglik
 
     phis = np.array([-2.5, 0.0, 0.69, 1.3, 3.0])
     for k, r_amp in enumerate((1.0, 100.0)):
         setup = dataclasses.replace(bench_setup, r_amp=r_amp)
         state = forward(setup, ProcessParams.folded(phi=0.7), noise)
-        sets = _data_sets(draw_moments(state, MeasurementPlan(scheme, 6000, seed=5 + k)))
-        _, score, info = _phase_loglik(phis, response(setup, noise), setup.light_mean, sets)
+        moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=5 + k))
+        resp = response(setup, noise)
+        _, score, info = _phase_loglik(phis, resp, setup.light_mean, _data_sets(moments))
         for phi, s, i in zip(phis, score, info):
             _, want_s, want_i = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
-                                           [(setup, sets)], noise)
+                                           _blocks([moments]), resp, setup.light_mean[None])
             assert abs(s - want_s[0]) <= 1e-10 * np.abs(want_s).max(), (r_amp, phi)
             assert abs(i - want_i[0, 0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
 
@@ -570,24 +571,129 @@ def test_combined_information_matches_fisher_matrix(bench_setup, bench_process):
     # The scoring's information at the truth is the joint Fisher matrix of
     # the four data sets: n fisher_matrix of the single read-out plus
     # n / 3 fisher_matrix of each probe.
-    from lmint.estimators import _data_sets, _joint_fit
+    from lmint.estimators import _blocks, _joint_fit
     from lmint.fisher import chart, fisher_matrix
 
     noise = NoiseParams(t_c=0.8, v_c=1.1)
     n = 99_999
     x, jac = chart(bench_process)
-    single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), n)
-    sets = [(bench_setup, _data_sets(single))]
+    data = [_with_shots(exact_moments(forward(bench_setup, bench_process, noise)), n)]
+    m_in = [bench_setup.light_mean]
     want = n * fisher_matrix(bench_setup, bench_process, noise)
     for phase, m in zip(PROBE_PHASES, exact_probe_moments(bench_setup, bench_process, noise)):
         setup = dataclasses.replace(bench_setup, probe_phase=phase)
-        sets.append((setup, _data_sets(_with_shots(m, n // 3))))
+        data.append(_with_shots(m, n // 3))
+        m_in.append(setup.light_mean)
         want += n // 3 * fisher_matrix(setup, bench_process, noise)
-    deviance, score, info = _joint_fit(x, sets, noise)
+    deviance, score, info = _joint_fit(x, _blocks(data), response(bench_setup, noise),
+                                       np.array(m_in))
     got = jac.T @ info @ jac
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert deviance == pytest.approx(0.0, abs=1e-6)
     assert np.abs(score).max() <= 1e-9 * np.abs(info).max()
+
+
+def _joint_data(setup, process, noise, scheme, n, seed):
+    """Drawn moments of the single read-out and the three probes, the probe
+    inputs behind them and their per-set reference layout."""
+    from lmint.estimators import _data_sets
+
+    setups = [setup] + [dataclasses.replace(setup, probe_phase=p) for p in PROBE_PHASES]
+    data = [draw_moments(forward(s, process, noise),
+                         MeasurementPlan(scheme, n if j == 0 else n // 3, seed=seed + j))
+            for j, s in enumerate(setups)]
+    sets = [(s, _data_sets(m)) for s, m in zip(setups, data)]
+    return data, np.array([s.light_mean for s in setups]), sets
+
+
+def _assert_kernel_matches(x, data, m_in, sets, setup, noise):
+    from lmint.estimators import _blocks, _joint_fit
+
+    deviance, score, info = _joint_fit(x, _blocks(data), response(setup, noise), m_in)
+    want_d, want_s, want_i = reference_joint_fit(x, sets, noise)
+    assert abs(deviance - want_d) <= 1e-9
+    assert np.abs(score - want_s).max() <= 1e-12 * np.abs(want_s).max()
+    assert np.abs(info - want_i).max() <= 1e-12 * np.abs(want_i).max()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+def test_joint_fit_matches_the_per_set_reference(bench_setup, scheme, noise):
+    # The blocked kernel equals the per-data-set loop at the pure phase
+    # shift (w = 0, d = 0) and at a random point, on drawn moments of the
+    # single read-out and the three probes at a probe phase of their own.
+    from lmint.fisher import chart
+
+    rng = np.random.default_rng(11)
+    setup = dataclasses.replace(bench_setup, r_amp=3.0, probe_phase=0.4)
+    for k in range(3):
+        truth = ProcessParams.folded(phi=0.7) if k == 0 else ProcessParams.folded(
+            phi=rng.uniform(-3, 3), w=rng.uniform(0, 1), alpha=rng.uniform(-1.5, 1.5),
+            d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
+        data, m_in, sets = _joint_data(setup, truth, noise, scheme, 6000, 40 + 5 * k)
+        _assert_kernel_matches(chart(truth)[0], data, m_in, sets, setup, noise)
+
+
+def test_joint_fit_matches_the_reference_without_the_diagonal_mean(bench_setup):
+    # A homodyne3 estimate that keeps no pi/4 mean adds that group's
+    # covariance terms only; the others keep theirs.
+    from lmint.estimators import _data_sets
+    from lmint.fisher import chart
+
+    truth = ProcessParams.folded(phi=-1.1, w=0.4, alpha=0.3, d=1.2, beta=2.0)
+    data, m_in, sets = _joint_data(bench_setup, truth, None, Scheme.HOMODYNE_SPLIT3, 6000, 3)
+    data[0] = dataclasses.replace(data[0], mean_diag=None)
+    sets[0] = (bench_setup, _data_sets(data[0]))
+    assert sets[0][1][2][3] is None and sets[1][1][2][3] is not None
+    _assert_kernel_matches(chart(truth)[0], data, m_in, sets, bench_setup, None)
+
+
+def test_joint_fit_gives_no_score_far_off(bench_setup, bench_process):
+    # Far trial points have no usable model covariance: at w = 400 its
+    # entries overflow, at w = 800 cosh itself does.  Each counts as a
+    # deviance rise, so the scoring halves the step, and warns of nothing.
+    import warnings
+
+    from lmint.estimators import _blocks, _joint_fit
+
+    blocks = _blocks([exact_moments(forward(bench_setup, bench_process))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (400.0, 800.0):
+            assert _joint_fit(np.array([0.7, w, 0.0, 0.0, 0.0]), blocks, response(bench_setup),
+                              bench_setup.light_mean[None]) == (math.inf, None, None)
+
+
+def test_combined_names_a_singular_scatter(bench_setup, bench_process):
+    # A hand-made estimate whose covariance is singular has no likelihood.
+    single = exact_moments(forward(bench_setup, bench_process))
+    single = dataclasses.replace(single, cov=np.outer(single.cov[0], single.cov[0]))
+    with pytest.raises(EstimationError, match="singular"):
+        est_combined(single, exact_probe_moments(bench_setup, bench_process), bench_setup)
+
+
+def test_combined_reads_moment_derivatives_once_per_evaluation(bench_setup, bench_process,
+                                                               monkeypatch):
+    # The four data sets share Sigma(A): one moment_derivatives call serves
+    # every likelihood evaluation, on every scheme.
+    import lmint.estimators as estimators
+
+    counts = {"kernel": 0, "fit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(estimators, "moment_derivatives",
+                        counted("kernel", estimators.moment_derivatives))
+    monkeypatch.setattr(estimators, "_joint_fit", counted("fit", estimators._joint_fit))
+    for scheme in ALL_SCHEMES:
+        single, probes = _sampled(bench_setup, bench_process, None, scheme, 30_000, 9)
+        est_combined(single, probes, bench_setup)
+    assert counts["fit"] >= len(ALL_SCHEMES)
+    assert counts["kernel"] == counts["fit"]
 
 
 def _sampled(setup, process, noise, scheme, n, seed):

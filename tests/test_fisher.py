@@ -15,6 +15,7 @@ from lmint import (
     fisher_displacement,
     fisher_numeric,
     forward,
+    response,
 )
 from lmint.estimators import W_MAX
 from lmint.fisher import FisherMethod, FisherResult, fisher_terms, moment_derivatives
@@ -81,16 +82,23 @@ def test_moment_derivatives_match_differences_of_the_moments(bench_setup, x):
     # The chart (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta) is
     # regular at w = 0 and d = 0, where the polar derivatives are not; the
     # series branch (w < 0.1: 0, 0.09) and the closed form (w = 0.101, 0.67)
-    # agree with central differences of the moments themselves.
+    # agree with central differences of the moments themselves, for each
+    # of a batch of probe inputs.
     noise = NoiseParams(t_c=0.8, v_c=1.1)
+    resp = response(bench_setup, noise)
+    m_in = np.array([dataclasses.replace(bench_setup, probe_phase=p).light_mean
+                     for p in (0.0, np.pi, np.pi / 2, -0.4)])
     x = np.array(x)
-    _, _, d_mu, d_sig = moment_derivatives(bench_setup, x, noise)
+    _, _, d_mu, d_sig = moment_derivatives(resp, x, m_in)
+    assert d_mu.shape == (4, 5, 2) and d_sig.shape == (5, 2, 2)
     h = 1e-6
     for i in range(5):
         step = h * np.eye(5)[i]
-        mu_p, sig_p, _, _ = moment_derivatives(bench_setup, x + step, noise)
-        mu_m, sig_m, _, _ = moment_derivatives(bench_setup, x - step, noise)
-        assert np.abs((mu_p - mu_m) / (2 * h) - d_mu[i]).max() < 1e-8 * np.abs(d_mu).max()
+        mu_p, sig_p, _, _ = moment_derivatives(resp, x + step, m_in)
+        mu_m, sig_m, _, _ = moment_derivatives(resp, x - step, m_in)
+        for j in range(len(m_in)):
+            assert (np.abs((mu_p[j] - mu_m[j]) / (2 * h) - d_mu[j, i]).max()
+                    < 1e-8 * np.abs(d_mu[j]).max())
         assert np.abs((sig_p - sig_m) / (2 * h) - d_sig[i]).max() < 1e-8 * np.abs(d_sig).max()
 
 

@@ -160,8 +160,9 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
 
 
 def test_run_mc_calls_forward_once_per_state(bench_setup, bench_process, monkeypatch):
-    # forward runs once for the single read-out, once per probe and once
-    # per calibration probe, whatever the number of realizations.
+    # forward runs once per distinct state, whatever the number of
+    # realizations: once per probe phase, which the single read-out shares
+    # at probe phase 0, and once per calibration probe.
     calls = []
 
     def counting(*args):
@@ -169,12 +170,32 @@ def test_run_mc_calls_forward_once_per_state(bench_setup, bench_process, monkeyp
         return forward(*args)
 
     monkeypatch.setattr(harness, "forward", counting)
-    for m_reps in (2, 7):
-        calls.clear()
-        run_mc(mc(bench_setup, bench_process, estimators=("cov_method", "combined"),
-                  n=600, m_reps=m_reps, noise=NoiseParams(t_c=0.9, v_c=1.2),
-                  calibration="auto"))
-        assert len(calls) == 1 + 3 + 3
+    for probe_phase, states in ((0.0, 3 + 3), (0.3, 1 + 3 + 3)):
+        setup = dataclasses.replace(bench_setup, probe_phase=probe_phase)
+        for m_reps in (2, 7):
+            calls.clear()
+            run_mc(mc(setup, bench_process, estimators=("cov_method", "combined"),
+                      n=600, m_reps=m_reps, noise=NoiseParams(t_c=0.9, v_c=1.2),
+                      calibration="auto"))
+            assert len(calls) == states
+
+
+def test_combined_far_trials_fail_by_name_in_run_mc():
+    # A scoring trial far from the start (here at w ~ 19) leaves the model
+    # covariance singular or of negative determinant; it counts as a
+    # deviance rise, so run_mc completes and counts any failure by a named
+    # reason instead of dying on an unnamed linear-algebra error.
+    setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.06, t2=0.344,
+                        v_thermal=100.0, r_amp=1.0, probe_phase=-2.09)
+    process = ProcessParams.folded(phi=2.38, w=1.384, alpha=-1.084, d=2.87, beta=2.97)
+    cfg = MonteCarloConfig(setup=setup, process=process,
+                           plan=MeasurementPlan(Scheme.HETERODYNE, 600, seed=0),
+                           estimators=("combined",), m_reps=12, base_seed=1)
+    cell = run_mc(cfg).cells[("combined", "phi")]
+    assert cell.n_ok + cell.n_failed == 12
+    assert sum(cell.failures.values()) == cell.n_failed
+    assert set(cell.failures) <= {"EstimationError", "DecompositionError"}
+    assert cell.failures.get("EstimationError", 0) > 0
 
 
 def test_clamps_are_counted_per_estimator(bench_setup):
