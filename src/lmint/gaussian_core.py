@@ -251,8 +251,9 @@ def bs_symplectic(t: float) -> SymplecticOp:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance must be in [0, 1], got {t}")
     ct, st = math.sqrt(t), math.sqrt(1.0 - t)
-    o = np.array([[ct, st], [-st, ct]])
-    return SymplecticOp(np.kron(o, np.eye(2)), np.zeros(4))
+    # [[ct, st], [-st, ct]] kron I2, laid out directly (the zeros keep kron's signs).
+    return SymplecticOp(np.array([[ct, 0.0, st, 0.0], [0.0, ct, 0.0, st],
+                                  [-st, -0.0, ct, 0.0], [-0.0, -st, 0.0, ct]]), np.zeros(4))
 
 
 def process_symplectic(p: ProcessParams) -> SymplecticOp:
@@ -279,13 +280,19 @@ def loss_channel(state: GaussianState, mode: int, t_c: float, v_c: float) -> Gau
     return GaussianState(state.mean * scale, cov)
 
 
+def _single_mode_nu(cov: np.ndarray) -> float:
+    """Symplectic eigenvalue of a one-mode covariance: Omega Sigma has
+    eigenvalues +-sqrt(-det Sigma), real for det < 0, so nu = sqrt(det)."""
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    return math.sqrt(max(det, 0.0))
+
+
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted ascending."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
-    if n == 1:  # Omega Sigma has eigenvalues +-sqrt(-det Sigma), real for det < 0
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        return np.array([math.sqrt(max(det, 0.0))])
+    if n == 1:
+        return np.array([_single_mode_nu(cov)])
     ev = np.linalg.eigvals(omega(n) @ cov)
     nus = np.sort(np.abs(ev.imag))
     return nus[::2]  # each value appears as a +/- i nu pair
@@ -293,6 +300,8 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def is_physical(state: GaussianState, tol: float = 1e-9) -> bool:
     """Whether all symplectic eigenvalues are >= 1 - tol (Heisenberg relation)."""
+    if state.n_modes == 1:  # in the per-draw path: no array for one eigenvalue
+        return _single_mode_nu(state.cov) >= 1.0 - tol
     return bool(symplectic_eigenvalues(state.cov).min() >= 1.0 - tol)
 
 

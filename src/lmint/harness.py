@@ -230,49 +230,44 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
     """run_mc on the streams of sweep point `point` (run_mc itself is point 0)."""
     t0 = time.perf_counter()
     calibrated = _calibrated_noise(cfg, point)
-    rows = []
+    # Per run, not per realization: each estimator's channel, each truth.
+    assumed = {name: _resolve_assumed(cfg, name, calibrated) for name in cfg.estimators}
+    errors = {name: {p: [] for p in ESTIMATOR_PARAMS[base_name(name)]}
+              for name in cfg.estimators}
+    truth = {p: _truth_value(cfg.process, p) for params in errors.values() for p in params}
+    failures = {name: {} for name in cfg.estimators}  # exception class name -> count
+    n_clamped = dict.fromkeys(cfg.estimators, 0)
     for data in _simulate_realizations(cfg, point):
-        row = {}
         for name in cfg.estimators:
-            assumed = _resolve_assumed(cfg, name, calibrated)
             diagnostics = {}
             try:
-                values, failure = _estimate_one(name, cfg.setup, data, assumed, diagnostics), None
+                values = _estimate_one(name, cfg.setup, data, assumed[name], diagnostics)
             except _ESTIMATOR_FAILURES as exc:
-                values, failure = None, type(exc).__name__
-            row[name] = (values, failure, diagnostics.get("clamped", 0))
-        rows.append(row)
+                reason = type(exc).__name__
+                failures[name][reason] = failures[name].get(reason, 0) + 1
+            else:
+                for p, errs in errors[name].items():
+                    errs.append(param_error(values[p], truth[p], p))
+            n_clamped[name] += diagnostics.get("clamped", 0)
 
     cells = {}
     for name in cfg.estimators:
-        params = ESTIMATOR_PARAMS[base_name(name)]
-        errors = {p: [] for p in params}
-        failures = {}
-        n_clamped = 0
-        for row in rows:
-            values, failure, clamped = row[name]
-            n_clamped += clamped
-            if values is None:
-                failures[failure] = failures.get(failure, 0) + 1
-                continue
-            for p in params:
-                errors[p].append(param_error(values[p], _truth_value(cfg.process, p), p))
-        n_failed = sum(failures.values())
+        n_failed = sum(failures[name].values())
         n_ok = cfg.m_reps - n_failed
         unreliable = n_failed > 0.05 * cfg.m_reps
-        for p in params:
-            errs = np.asarray(errors[p])
+        for p, errs in errors[name].items():
+            errs = np.asarray(errs)
             if errs.size == 0:
                 cells[(name, p)] = CellStats(math.nan, math.nan, math.nan, 0, n_failed,
-                                             n_clamped, True, failures)
+                                             n_clamped[name], True, failures[name])
                 continue
             mse = float((errs ** 2).mean())
             bias = float(errs.mean())
             variance = float(((errs - bias) ** 2).mean())
             cells[(name, p)] = CellStats(mse=mse, bias=bias, variance=variance,
                                          n_ok=n_ok, n_failed=n_failed,
-                                         n_clamped=n_clamped,
-                                         unreliable=unreliable, failures=failures)
+                                         n_clamped=n_clamped[name],
+                                         unreliable=unreliable, failures=failures[name])
     return MSEReport(cells=cells, config=cfg, wall_time=time.perf_counter() - t0)
 
 

@@ -6,6 +6,7 @@ ordered (matter, light).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,6 +74,7 @@ class SetupConfig:
 _MODE_SWAP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 
 
+@functools.lru_cache
 def _coupler(t: float) -> SymplecticOp:
     """Light-matter coupling on a (matter, light) pair.
 
@@ -81,7 +83,8 @@ def _coupler(t: float) -> SymplecticOp:
 
     This is bs_symplectic(t) called with (in1, in2) = (light, matter) and
     outputs read back as (matter, light); an involution, so two equal
-    couplings cancel (Mach-Zehnder identity).
+    couplings cancel (Mach-Zehnder identity).  Built once per transmittance:
+    a SymplecticOp is immutable.
     """
     return SymplecticOp(bs_symplectic(t).matrix @ _MODE_SWAP, np.zeros(4))
 

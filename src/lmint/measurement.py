@@ -2,13 +2,18 @@
 the moments from their exact law.
 
 Every draw comes from a counter-based generator (Philox) keyed by the plan's
-64-bit seed, so it is reproducible.  The harness derives each plan seed from
+64-bit seed, so it is reproducible.  One Philox bit generator per thread
+serves every draw: each draw resets its whole state to key (seed, 0) and
+counter 0, which is the stream of a fresh np.random.Philox(key=seed) at a
+fifth of the cost of building one.  The harness derives each plan seed from
 np.random.SeedSequence, keyed by (sweep point, realization, data set), which
-makes the streams of a run independent by construction.
+makes the streams of a run independent by construction.  A paired law's
+2x2 covariance is factored in closed form, with LAPACK's operations.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,8 +83,32 @@ class SampleSet:
     pairs: np.ndarray | None = None  # (N, 2) array, heterodyne/joint
 
 
+_PER_THREAD = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.setflags(write=False)  # the state setter copies it; nothing may write it
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+    """This thread's generator on the stream of np.random.Philox(key=seed):
+    its bit generator's key, counter, output buffer and buffered half-word
+    all reset, so no earlier draw leaks into this one."""
+    gen = getattr(_PER_THREAD, "generator", None)
+    if gen is None:
+        gen = _PER_THREAD.generator = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _cholesky(cov) -> tuple[float, float, float]:
+    """(L00, L10, L11) of the lower Cholesky factor of a 2x2 positive definite
+    covariance, with the operations of LAPACK's potrf (the reciprocal of the
+    pivot scales the column)."""
+    l00 = math.sqrt(cov[0, 0])
+    l10 = cov[1, 0] * (1.0 / l00)
+    return l00, l10, math.sqrt(cov[1, 1] - l10 * l10)
 
 
 def _record_laws(state: GaussianState, plan: MeasurementPlan) -> list:
@@ -109,7 +138,12 @@ def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
                 for theta, (n, mu, var) in zip(_ANGLES[plan.scheme], laws)}
         return SampleSet(plan=plan, quad=quad)
     ((n, mean, cov),) = laws
-    pairs = mean + rng.standard_normal((n, 2)) @ np.linalg.cholesky(cov).T
+    l00, l10, l11 = _cholesky(cov)
+    z = rng.standard_normal((n, 2))
+    # Column by column, so no BLAS call (and no BLAS thread) sees the N rows.
+    pairs = np.empty((n, 2))
+    pairs[:, 0] = mean[0] + l00 * z[:, 0]
+    pairs[:, 1] = mean[1] + (l10 * z[:, 0] + l11 * z[:, 1])
     return SampleSet(plan=plan, pairs=pairs)
 
 
@@ -130,11 +164,26 @@ class MomentEstimate:
         return self.n_effective.get("cov_xp", 0) > 0
 
 
+def _smaller_eigenvalue(a: float, b: float, c: float) -> float:
+    """Smaller eigenvalue of [[a, b], [b, c]] formed as LAPACK's dlae2 forms
+    it, so that its sign is the one eigh reports also at rounding level: for
+    a positive trace, det over the larger eigenvalue, which keeps the sign
+    that a + c - hypot(a - c, 2b) would lose to cancellation."""
+    total, gap, off = a + c, abs(a - c), abs(b + b)
+    big, small = (gap, off) if gap > off else (off, gap)
+    root = big * math.sqrt(1.0 + (small / big) * (small / big)) if big > 0.0 else 0.0
+    if total > 0.0:
+        larger = 0.5 * (total + root)
+        far, near = (a, c) if abs(a) > abs(c) else (c, a)
+        return (far / larger) * near - (b / larger) * b
+    return 0.5 * (total - root)
+
+
 def _condition(cov: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues (possible after the heterodyne subtraction),
-    then inflate to the physical floor."""
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[0] < 0.0:
+    then inflate to the physical floor; eigh runs only when one is negative."""
+    if _smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0:
+        evals, evecs = np.linalg.eigh(cov)
         cov = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
         cov = 0.5 * (cov + cov.T)
     return repair_physicality(cov)
@@ -173,8 +222,15 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     elif samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
     else:
-        pairs = samples.pairs
-        stats = [(pairs.shape[0], pairs.mean(axis=0), np.cov(pairs.T, ddof=1))]
+        # Elementwise sums over the two columns: no BLAS product of N rows.
+        x, p = samples.pairs[:, 0], samples.pairs[:, 1]
+        n = x.size
+        m_x, m_p = x.mean(), p.mean()
+        dx, dp = x - m_x, p - m_p
+        s_xp = float((dx * dp).sum()) / (n - 1)
+        cov = np.array([[float((dx * dx).sum()) / (n - 1), s_xp],
+                        [s_xp, float((dp * dp).sum()) / (n - 1)]])
+        stats = [(n, np.array([m_x, m_p]), cov)]
     return _estimate(scheme, stats)
 
 
@@ -198,9 +254,15 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
                   var * chi2(n - 1) / (n - 1)) for n, mu, var in laws]
         return _estimate(plan.scheme, stats)
     ((n, mean, cov),) = laws
-    chol = np.linalg.cholesky(cov)
-    bartlett = np.array([[math.sqrt(chi2(n - 1)), 0.0],
-                         [rng.standard_normal(), math.sqrt(chi2(n - 2))]])
-    root = chol @ bartlett
-    mean = mean + chol @ rng.standard_normal(2) / math.sqrt(n)
-    return _estimate(plan.scheme, [(n, mean, root @ root.T / (n - 1))])
+    l00, l10, l11 = _cholesky(cov)
+    a11 = math.sqrt(chi2(n - 1))
+    a21 = rng.standard_normal()
+    a22 = math.sqrt(chi2(n - 2))
+    z0, z1 = rng.standard_normal(), rng.standard_normal()
+    # root = L A, lower triangular; the scatter is root root^T / (n - 1).
+    r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+    s12 = r11 * r21 / (n - 1)
+    scatter = np.array([[r11 * r11 / (n - 1), s12], [s12, (r21 * r21 + r22 * r22) / (n - 1)]])
+    root_n = math.sqrt(n)
+    mean = np.array([mean[0] + l00 * z0 / root_n, mean[1] + (l10 * z0 + l11 * z1) / root_n])
+    return _estimate(plan.scheme, [(n, mean, scatter)])

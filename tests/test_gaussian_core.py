@@ -181,6 +181,15 @@ def test_bs_invalid_transmittance():
 
 
 @given(st.floats(0.0, 1.0))
+def test_bs_matrix_is_the_kronecker_product_bit_for_bit(t):
+    # The 4x4 matrix laid out directly holds the bytes of
+    # [[ct, st], [-st, ct]] kron I2, signed zeros included.
+    ct, st_ = math.sqrt(t), math.sqrt(1.0 - t)
+    want = np.kron(np.array([[ct, st_], [-st_, ct]]), np.eye(2))
+    assert bs_symplectic(t).matrix.tobytes() == want.tobytes()
+
+
+@given(st.floats(0.0, 1.0))
 def test_bs_is_symplectic(t):
     m = bs_symplectic(t).matrix
     assert np.abs(m.T @ omega(2) @ m - omega(2)).max() < 1e-12

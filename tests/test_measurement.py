@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from lmint import MeasurementPlan, Scheme, estimate_moments, sample
 from lmint.gaussian_core import GaussianState, make_coherent, make_thermal, vacuum
-from lmint.measurement import SampleSet, draw_moments
+from lmint.measurement import SampleSet, _cholesky, _rng, _smaller_eigenvalue, draw_moments
 
 
 def plan(scheme, n, seed=0):
@@ -149,3 +151,92 @@ def test_drawn_moments_follow_the_law_of_sampled_records(scheme):
     distances = [_ks_distance(drawn[:, i], sampled[:, i]) for i in range(drawn.shape[1])]
     assert max(distances) < 1.95 * math.sqrt(2.0 / m), distances
 
+
+def _variates(gen):
+    """Normal and gamma variates in the order draw_moments asks for them."""
+    return [gen.standard_gamma(0.5 * 99_999), gen.standard_normal(), gen.standard_gamma(0.5),
+            gen.standard_normal(), gen.standard_normal(5), gen.standard_gamma(3.5, size=3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x60D, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_rng_is_the_stream_of_a_fresh_philox(seed):
+    # _rng re-keys this thread's bit generator; it must give exactly the stream
+    # of Generator(Philox(key=seed)), also right after a draw that left a
+    # buffered 32-bit half-word and a part-used output block behind.
+    dirty = _rng(seed ^ 1)
+    dirty.bit_generator.random_raw()
+    dirty.random(dtype=np.float32)
+    assert dirty.bit_generator.state["has_uint32"] == 1
+    assert dirty.bit_generator.state["buffer_pos"] < 4
+    got = _variates(_rng(seed))
+    want = _variates(np.random.Generator(np.random.Philox(key=seed)))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _spd_and_subtracted(rng, m):
+    """Random SPD 2x2 matrices over nine decades, ddof=1 scatters of a few
+    heterodyne records with the vacuum unit taken off (often indefinite),
+    and matrices shifted to a zero eigenvalue at rounding level."""
+    for k in range(m):
+        if k % 3 == 0:
+            a = rng.standard_normal((2, 2)) * math.exp(rng.uniform(-3, 6))
+            yield a @ a.T + np.diag(rng.uniform(0.0, 2.0, 2))
+        elif k % 3 == 1:
+            state = np.diag(rng.uniform(1.0, 100.0, 2)) + np.eye(2)
+            n = int(rng.integers(3, 30))
+            records = rng.standard_normal((n, 2)) @ np.linalg.cholesky(state).T
+            yield np.cov(records.T) - np.eye(2)
+        else:
+            a = rng.standard_normal((2, 2))
+            cov = a @ a.T
+            yield cov - np.linalg.eigvalsh(cov)[0] * rng.uniform(1 - 4e-15, 1 + 4e-15) * np.eye(2)
+
+
+def test_closed_form_cholesky_matches_lapack():
+    # The factor draw_moments and sample use is LAPACK's within one ulp.
+    rng = np.random.default_rng(21)
+    for cov in _spd_and_subtracted(rng, 6000):
+        if np.linalg.eigvalsh(cov)[0] <= 1e-12 * np.abs(cov).max():
+            continue  # not positive definite beyond rounding
+        want = np.linalg.cholesky(cov)
+        got = _cholesky(cov)
+        for g, w in zip(got, (want[0, 0], want[1, 0], want[1, 1])):
+            assert abs(g - w) <= np.spacing(abs(w)), (cov, got, want)
+
+
+def test_clip_decision_matches_eigh():
+    # _condition clips where eigh finds a negative eigenvalue, and only there.
+    rng = np.random.default_rng(22)
+    clipped = 0
+    for cov in _spd_and_subtracted(rng, 9000):
+        want = np.linalg.eigh(cov)[0][0] < 0.0
+        clipped += want
+        assert (_smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0) == want, cov
+    assert 1000 < clipped < 8000
+
+
+def test_draws_in_threads_match_serial_draws():
+    # Each thread re-keys a bit generator of its own: draws made in four
+    # threads at once, switching every few microseconds, equal the same
+    # draws made one after another.
+    state = GaussianState(np.array([1.0, -2.0]), np.array([[3.0, 1.2], [1.2, 2.0]]))
+    plans = [plan(scheme, 600, seed) for seed in range(50) for scheme in Scheme]
+    want = [_statistics(draw_moments(state, p)) for p in plans]
+    got = [None] * 4
+
+    def work(k):
+        got[k] = [_statistics(draw_moments(state, p)) for p in plans]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
