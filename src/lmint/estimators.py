@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_core import (
-    DecompositionError,
     ProcessParams,
     fold_angle,
     polar_decompose_2x2,
@@ -239,12 +238,15 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
 
 
 def _cov_preimages(cov_model, a, b, e):
-    """All process matrices A with a A A^T + b (A + A^T) + e I = cov_model.
+    """All process matrices A, squeezing at most W_MAX, with a A A^T + b (A
+    + A^T) + e I = cov_model.  Needs lam = -b/a away from 0 (est_general_cov
+    rejects |b/a| < 1e-12): without a linear term the rotation part is
+    unidentifiable.
 
-    Writing A = P O + lam I with lam = -b/a, the lam cross term cancels, so
-    cov_model pins only P P^T; O runs over the orthogonal matrices satisfying
-    det A = 1.  That leaves up to four discrete solutions (two proper, two
-    improper), so the covariance alone cannot identify the process.
+    Writing A = P O + lam I, the lam cross term cancels, so cov_model pins
+    only P P^T; O runs over the orthogonal matrices satisfying det A = 1.
+    That leaves up to four discrete solutions (two proper, two improper), so
+    the covariance alone cannot identify the process.
 
     On the boundary of the image P P^T is singular, P has rank one, and each
     improper solution coincides with a proper one.  A best fit to data off
@@ -256,8 +258,6 @@ def _cov_preimages(cov_model, a, b, e):
     products, within 16 eps scale^2.
     """
     lam = -b / a
-    if abs(lam) < 1e-12:
-        return []  # no linear term: the rotation part is unidentifiable
     shift = e - b * b / a
     ppt = (cov_model - shift * np.eye(2)) / a
     scale = (float(np.abs(cov_model).max()) + abs(shift)) / abs(a)
@@ -290,7 +290,7 @@ def _cov_preimages(cov_model, a, b, e):
             f = np.array([[math.cos(psi), math.sin(psi)],
                           [math.sin(psi), -math.cos(psi)]])
             out.append(p @ f + lam * np.eye(2))
-    return out
+    return [m for m in out if _squeeze_exponent(m) <= W_MAX]
 
 
 def _squeeze_exponent(mat):
@@ -323,8 +323,9 @@ def _symmetric_face(mu, lam):
 
 
 def _fit_cov(cov_emp, a, b, e):
-    """Process matrix, squeezing at most W_MAX, whose model covariance is
-    Frobenius-nearest to cov_emp; returns (matrix, off_image).
+    """Process matrices, squeezing at most W_MAX, whose model covariance is
+    Frobenius-nearest to cov_emp: every preimage of that covariance (see
+    _cov_preimages), the fit first; returns (matrices, off_image).
 
     The model covariance is a M M^T + shift I with M = A - lam I (see
     _cov_preimages), so the fit is the point S = M M^T nearest to Q =
@@ -339,25 +340,30 @@ def _fit_cov(cov_emp, a, b, e):
     _symmetric_face).  A boundary at w = W_MAX is not searched: data whose
     fit would sit there are far off the model.
     """
+    exact = _cov_preimages(cov_emp, a, b, e)
+    if exact:
+        return exact, False
     lam = -b / a
     shift = e - b * b / a
     eye = np.eye(2)
-    exact = [m for m in _cov_preimages(cov_emp, a, b, e) if _squeeze_exponent(m) <= W_MAX]
-    if exact:
-        return exact[0], False
     q = (cov_emp - shift * eye) / a
     mu, vecs = np.linalg.eigh(q)
     candidates = [vecs @ np.diag([x, 1.0 / x]) @ vecs.T for x in _symmetric_face(mu, lam)]
     if mu[1] > 0.0:
         clipped = a * mu[1] * np.outer(vecs[:, 1], vecs[:, 1]) + shift * eye
-        candidates += [m for m in _cov_preimages(clipped, a, b, e)
-                       if _squeeze_exponent(m) <= W_MAX]
+        candidates += _cov_preimages(clipped, a, b, e)
 
     def distance(mat):
         m = mat - lam * eye
         return float(np.linalg.norm(m @ m.T - q))
 
-    return min(candidates, key=distance), True
+    best = min(candidates, key=distance)
+    # The other preimages are those of the covariance that the fit's
+    # (phi, w, alpha) reproduce.
+    fit = ProcessParams.folded(*polar_decompose_2x2(best))
+    fit = rotation(fit.phi) @ squeeze_matrix(fit.w, fit.alpha)
+    cov_fit = a * (fit @ fit.T) + b * (fit + fit.T) + e * eye
+    return [best, *_cov_preimages(cov_fit, a, b, e)], True
 
 
 def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
@@ -371,10 +377,11 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     map, else its nearest boundary point ('off_image' in the diagnostics).
     The covariance only determines the process matrix up to a discrete set
     of alternatives (see _cov_preimages), which a single read-out cannot
-    distinguish; the reported solution is the canonical one (least
-    squeezing, then most axis-aligned, then largest rotation), and the
-    rivals are listed in the diagnostics.  A covariance off the image fits
-    to a point on its boundary, where the rivals include a twin with equal
+    distinguish; the reported solution is the canonical one among the
+    preimages of the fitted covariance (least squeezing, then most
+    axis-aligned, then largest rotation), and the other preimages are listed
+    as rivals in the diagnostics.  A covariance off the image fits to a
+    point on its boundary, where the rivals include a twin with equal
     squeezing.
 
     Raises UnidentifiableError when the covariance response has no linear
@@ -394,42 +401,17 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
 
-    def model_cov(phi, w, alpha):
-        return resp.cov(rotation(phi) @ squeeze_matrix(w, alpha))
-
-    def sq_residual(x):
-        diff = model_cov(*x) - cov_emp
-        return float((diff * diff).sum())
-
-    best, off_image = _fit_cov(cov_emp, a, b, e)
-    fitted = ProcessParams.folded(*polar_decompose_2x2(best))
-    best_sq = sq_residual((fitted.phi, fitted.w, fitted.alpha))
-    residual = math.sqrt(best_sq)
-    rel = residual / max(float(np.linalg.norm(cov_emp)), 1e-300)
-    if rel > RESIDUAL_REL_TOL:
-        raise FitRejectedError(
-            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}"
-        )
-
-    # Enumerate every process matrix consistent with the fitted covariance
-    # and pick the canonical representative.
-    tie_tol = best_sq + 1e-9 * (1.0 + best_sq)
-    candidates = [(fitted.phi, fitted.w, fitted.alpha)]
-    seen = [rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)]
-    for mat in _cov_preimages(model_cov(fitted.phi, fitted.w, fitted.alpha), a, b, e):
+    # Every process matrix consistent with the fitted covariance, once each;
+    # the canonical representative is the pick.
+    mats, off_image = _fit_cov(cov_emp, a, b, e)
+    candidates, seen = [], []
+    for mat in mats:
         tol = _SAME_PROCESS_TOL * max(1.0, float(np.abs(mat).max()))
         if any(float(np.abs(mat - m).max()) <= tol for m in seen):
             continue
-        try:
-            phi_c, w_c, alpha_c = polar_decompose_2x2(mat)
-        except DecompositionError:
-            continue
-        if not 0.0 <= w_c <= W_MAX:
-            continue
-        if sq_residual((phi_c, w_c, alpha_c)) > tie_tol:
-            continue
+        fit = ProcessParams.folded(*polar_decompose_2x2(mat))
         seen.append(mat)
-        candidates.append((phi_c, w_c, alpha_c))
+        candidates.append((fit.phi, fit.w, fit.alpha))
     w_min = min(w for _, w, _ in candidates)
     short = [c for c in candidates if c[1] <= w_min + 1e-3]
     a_min = min(abs(al) for _, _, al in short)
@@ -437,20 +419,37 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     pick = max(short, key=lambda c: c[0])
     rivals = [c for c in candidates if c is not pick]
 
-    fitted = ProcessParams.folded(phi=pick[0], w=pick[1], alpha=pick[2])
+    fitted = ProcessParams.folded(*pick)
+    mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
+    residual = float(np.linalg.norm(resp.cov(mat) - cov_emp))
+    rel = residual / max(float(np.linalg.norm(cov_emp)), 1e-300)
+    if rel > RESIDUAL_REL_TOL:
+        raise FitRejectedError(
+            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}"
+        )
     diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
                    "ambiguity_order": len(candidates)}
     if rivals:
         diagnostics["rival_fits"] = rivals
     if fitted.w < AXIS_UNDEFINED_W:
         fitted = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=0.0)
+        mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
         diagnostics["axis_undefined"] = True
-    mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
     d_vec = (moments.mean - resp.mean(mat, np.zeros(2), setup.light_mean)) / resp.g_d
     params = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=fitted.alpha,
                                   d=math.hypot(d_vec[0], d_vec[1]),
                                   beta=math.atan2(d_vec[1], d_vec[0]))
     return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
+
+
+def _probe_inversion(probe_moments, r):
+    """Offset k and linear part M of the affine response mu = M m_in + k,
+    read off the means of the probes at PROBE_PHASES of amplitude r: the
+    opposite phases cancel M and give k and M's first column, the
+    quarter-turn probe gives its second.  Returns (k, M)."""
+    m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
+    k_hat = 0.5 * (m_a + m_b)
+    return k_hat, np.column_stack([(m_a - m_b) / (2.0 * r), (m_c - k_hat) / r])
 
 
 def est_general_mean(probe_moments, setup: SetupConfig,
@@ -472,12 +471,8 @@ def est_general_mean(probe_moments, setup: SetupConfig,
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t_c = 0): "
             "the mean carries no signal of the linear part")
-    m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
-    k_hat = 0.5 * (m_a + m_b)
+    k_hat, m_lin = _probe_inversion(probe_moments, r)
     d_vec = k_hat / resp.g_d
-    col1 = (m_a - m_b) / (2.0 * r)
-    col2 = (m_c - k_hat) / r
-    m_lin = np.column_stack([col1, col2])
     b = (m_lin - resp.direct * np.eye(2)) / resp.through
     phi, w, alpha = polar_decompose_2x2(b)
     diagnostics = {"det_b": float(np.linalg.det(b)), "w_raw": w}

@@ -23,6 +23,7 @@ from .estimators import (
     EstimationError,
     PROBE_PHASES,
     UnidentifiableError,
+    _probe_inversion,
     est_combined,
     est_displacement,
     est_general_cov,
@@ -394,11 +395,8 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     moments = [draw_moments(forward(dc_replace(setup, probe_phase=phase), IDENTITY_PROCESS,
                                     true_noise), _keyed_plan(plan, n_each, plan.seed, j))
                for j, phase in enumerate(PROBE_PHASES)]
-    m_a, m_b, m_c = (m.mean for m in moments)
-    k_hat = 0.5 * (m_a + m_b)
-    col1 = (m_a - m_b) / (2.0 * r)
-    col2 = (m_c - k_hat) / r
-    gain = 0.5 * (col1[0] + col2[1])
+    m_lin = _probe_inversion(moments, r)[1]
+    gain = 0.5 * (m_lin[0, 0] + m_lin[1, 1])
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
     if t_c_hat > (1.0 + margin) ** 2 or t_c_hat <= 0.0:

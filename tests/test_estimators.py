@@ -322,6 +322,35 @@ def test_cov_method_rivals_reproduce_the_covariance(bench_setup, bench_process):
         # Every rival is observationally equivalent at the covariance level.
         assert np.abs(forward(bench_setup, rival).cov - state.cov).max() < 1e-6
         assert w >= report.params.w - 1e-3
+    # On and off the image, the rivals are the other preimages of the fitted
+    # covariance: each reproduces the pick's model covariance.
+    inputs = [(bench_setup, exact_moments(state)), _shrunk_near_identity(bench_setup)]
+    inputs += [_pushed_off_image(bench_setup, bench_process, depth)
+               for depth in (0.002, 0.005, 0.01)]
+    for setup, moments in inputs:
+        report = est_general_cov(moments, setup)
+        resp, pick = response(setup), report.params
+        fitted = resp.cov(rotation(pick.phi) @ squeeze_matrix(pick.w, pick.alpha))
+        for phi, w, alpha in report.diagnostics.get("rival_fits", []):
+            model = resp.cov(rotation(phi) @ squeeze_matrix(w, alpha))
+            assert np.linalg.norm(model - fitted) <= 1e-9 * np.linalg.norm(fitted)
+
+
+def test_cov_method_enumerates_the_preimages_once(bench_setup, bench_process, monkeypatch):
+    import lmint.estimators as estimators
+
+    calls = []
+    enumerate_preimages = estimators._cov_preimages
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_preimages(*args)
+
+    monkeypatch.setattr(estimators, "_cov_preimages", counted)
+    report = est_general_cov(exact_moments(forward(bench_setup, bench_process)), bench_setup)
+    assert not report.diagnostics["off_image"]
+    assert report.diagnostics["ambiguity_order"] > 1
+    assert len(calls) == 1
 
 
 def test_cov_method_canonical_pick_is_deterministic(bench_setup, bench_process):
