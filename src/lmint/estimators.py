@@ -16,7 +16,6 @@ from .gaussian_core import (
     rotation,
     squeeze_matrix,
 )
-from .fisher import chart, moment_derivatives
 from .interferometer import SetupConfig, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -110,19 +109,19 @@ def _frame_mean(moments: MomentEstimate, setup: SetupConfig) -> np.ndarray:
     return rotation(-setup.probe_phase) @ moments.mean
 
 
-def est_phase_var(moments: MomentEstimate, setup: SetupConfig,
-                  diagnostics: dict | None = None) -> float:
+def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict | None = None,
+                  *, noise: NoiseParams = IDEAL_NOISE) -> float:
     """Variance-based phase estimator: arccos of the centered mean variance.
 
-    Under A = R(phi) the response covariance is (a + e + 2 b cos(phi)) I, so
-    the phase signal is 2 b, which vanishes wherever the response has no
-    linear term: the blocked beam, the simplistic topology, cold matter
-    (V = 1) and t1 or t2 in {0, 1}.  The arccos argument is clamped to
-    [-1, 1] (clamp events are counted in the diagnostics dict when given);
-    the sign is resolved through the mean's p-component when the probe is
-    bright, otherwise the magnitude is returned.
+    Under A = R(phi) and the channel noise the response covariance is (a +
+    e + 2 b cos(phi)) I, so the phase signal is 2 b, which vanishes wherever
+    the response has no linear term: the blocked beam, the simplistic
+    topology, cold matter (V = 1) and t1 or t2 in {0, 1}.  The arccos
+    argument is clamped to [-1, 1] (clamp events are counted in the
+    diagnostics dict when given); the sign is resolved through the mean's
+    p-component when the probe is bright, otherwise the magnitude is returned.
     """
-    resp = response(setup)
+    resp = response(setup, noise)
     if resp.b == 0.0:
         raise UnidentifiableError("b = 0: the output variance carries no phase signal")
     arg = ((moments.cov[0, 0] + moments.cov[1, 1]) / 2.0 - (resp.a + resp.e)) / (2.0 * resp.b)
@@ -137,7 +136,8 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig,
 
 
 def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
-    """Mean-based phase estimator: two-argument arctangent of the displaced mean."""
+    """Mean-based phase estimator: two-argument arctangent of the displaced
+    mean, the same under any channel, which scales through R(phi) m_in alone."""
     if setup.r_amp <= 0.0:
         raise UnidentifiableError("r = 0: the output mean carries no phase signal")
     resp = response(setup)
@@ -256,13 +256,21 @@ def _cov_preimages(cov_model, a, b, e):
     the division), so each is off by at most 3 eps scale and the 2x2
     determinant by at most 4 * 3 eps scale^2 plus 2 eps scale^2 from its own
     products, within 16 eps scale^2.
-    """
+
+    A fit on the symmetric face puts the proper branch at a double root, cos
+    th = c = +-1, where rounding over a small lam decides between no root
+    and two twins, so a c within rounding of +-1 counts as +-1: det P = s =
+    sqrt(det P P^T) is off by err_s = 8 eps scale^2 / s (4 sqrt(eps) scale
+    if that counted as zero) through P P^T and again through s, and by 3 eps
+    tr(P)^2 from its products, so c by (2 err_s + 3 eps tr(P)^2 + 4 eps) /
+    |lam tr(P)| + 4 eps."""
+    eps = np.finfo(float).eps
     lam = -b / a
     shift = e - b * b / a
     ppt = (cov_model - shift * np.eye(2)) / a
     scale = (float(np.abs(cov_model).max()) + abs(shift)) / abs(a)
     det_p2 = float(np.linalg.det(ppt))
-    if abs(det_p2) <= 16.0 * np.finfo(float).eps * scale * scale:
+    if abs(det_p2) <= 16.0 * eps * scale * scale:
         det_p2 = 0.0
     if det_p2 < 0.0 or ppt[0, 0] + ppt[1, 1] <= 0.0:
         return []
@@ -273,6 +281,10 @@ def _cov_preimages(cov_model, a, b, e):
     out = []
     # Proper branch: det(P R(th) + lam I) = 1 fixes cos(th).
     c = (1.0 - lam * lam - det_p) / (lam * tr_p)
+    err_s = 8.0 * eps * scale * scale / max(s, 2.0 * math.sqrt(eps) * scale)
+    if abs(abs(c) - 1.0) <= (2.0 * err_s + 3.0 * eps * tr_p ** 2 + 4.0 * eps) / abs(
+            lam * tr_p) + 4.0 * eps:
+        c = math.copysign(1.0, c)
     if abs(c) <= 1.0:
         th = math.acos(c)
         for sign in (1.0, -1.0):
@@ -508,6 +520,18 @@ _DEVIANCE_ROUNDING = 16.0 * np.finfo(float).eps
 _INCONSISTENT_SIGMA = 5.0
 
 
+def chart(process: ProcessParams):
+    """Chart point x = (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta),
+    regular at w = 0 and d = 0 where alpha and beta are undefined, and its
+    Jacobian dx / d(phi, w, alpha, d, beta)."""
+    x, jac = np.array([process.phi, 0.0, 0.0, 0.0, 0.0]), np.eye(5)
+    for i, r, angle, k in ((1, process.w, process.alpha, 2.0), (3, process.d, process.beta, 1.0)):
+        c, s = math.cos(k * angle), math.sin(k * angle)
+        x[i:i + 2] = r * c, r * s
+        jac[i:i + 2, i:i + 2] = [[c, -k * r * s], [s, k * r * c]]
+    return x, jac
+
+
 def _data_sets(moments: MomentEstimate) -> list:
     """(n, projection P, added covariance, mean or None, scatter) of each
     Gaussian data set behind a MomentEstimate: n records of P z ~ N(P mu,
@@ -528,86 +552,181 @@ def _data_sets(moments: MomentEstimate) -> list:
     return out
 
 
-def _blocks(data) -> list:
-    """The data sets of the MomentEstimates in data (see _data_sets) in blocks
-    of one projection P and added covariance, so one model covariance: per
-    set n, scatter S, det S, index into data, mean (0 without), has-mean."""
+def _blocks(data, m_in) -> list:
+    """The data sets of the MomentEstimates in data (see _data_sets), probed
+    by the rows of m_in, in blocks of one projection P and added covariance
+    (one model covariance), in the pair form of _mul.  Per block: p of P =
+    p^T (None for P = I), the added variance, the sums N = sum_j n_j, N_h =
+    sum_j n_j h_j, M1 = sum_j n_j h_j m_j, M2 = sum_j n_j h_j m_j m_j^T and
+    sum_j n_j P^T S_j P over its sets j (h_j has-mean, m_j the probe input),
+    and per set (n, m, conj(m), P^T mean or None, P^T S P, det S)."""
     groups = {}
-    for row, moments in enumerate(data):
+    for moments, m in zip(data, m_in):
+        m = complex(*m)
         for n, proj, added, mean, scatter in _data_sets(moments):
-            key = (proj.tobytes(), added.tobytes())
-            groups.setdefault(key, (proj, added, []))[2].append((n, scatter, row, mean))
+            if len(proj) == 2:  # the full pair
+                (sxx, sxp), (spx, spp) = scatter.tolist()
+                p, det_s = None, sxx * spp - sxp * spx
+                form = (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
+                mean = None if mean is None else complex(*mean)
+            else:  # one quadrature, along p
+                p, det_s = complex(*proj[0]), float(scatter[0, 0])
+                form = (0.5 * det_s, 0.5 * det_s * p * p)
+                mean = None if mean is None else p * float(mean[0])
+            if not det_s > 0.0:
+                raise EstimationError("a data set's scatter is singular")
+            groups.setdefault((p, float(added[0, 0])), []).append(
+                (float(n), m, m.conjugate(), mean, form, det_s))
     blocks = []
-    for proj, added, sets in groups.values():
-        n, scatter, rows, means = zip(*sets)
-        scatter, det_s = np.array(scatter), np.linalg.det(scatter)
-        if not (det_s > 0.0).all():
-            raise EstimationError("a data set's scatter is singular")
-        blocks.append((proj, added, np.array(n, dtype=float), scatter, det_s, list(rows),
-                       np.array([np.zeros(len(proj)) if m is None else m for m in means]),
-                       np.array([[m is not None] for m in means], dtype=float)))
+    for (p, added), sets in groups.items():
+        probed = [(n, m) for n, m, _, mean, _, _ in sets if mean is not None]
+        m2 = (sum(n * abs(m) ** 2 for n, m in probed) / 2, sum(n * m * m for n, m in probed) / 2)
+        scatter = (sum(n * f[0] for n, *_, f, _ in sets), sum(n * f[1] for n, *_, f, _ in sets))
+        blocks.append((p, added, (sum(n for n, *_ in sets), sum(n for n, _ in probed),
+                                  sum(n * m for n, m in probed), m2, scatter), sets))
     return blocks
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _joint_fit(x, blocks, resp, m_in):
-    """Deviance of the chart point x (see fisher.chart) from the saturated
-    Gaussians of the data sets in blocks (see _blocks), probed by the rows
-    of m_in, score and information, from one moment_derivatives call.  Per
-    set, with C its block's covariance, R = S + delta delta^T and delta =
-    mean - P mu (R = S without a mean), the deviance is n [tr(C^-1 R) - k -
-    log(det S / det C)] and the score n [dmu^T C^-1 delta + 1/2 tr(C^-1 dC
-    (C^-1 R - I))].  S is the ddof=1 scatter, so the score has zero mean at
-    the truth and exact moments are a fixed point whatever their n.  Returns
-    (deviance, score, information, rounding bound of the deviance).  A C not
-    finite and positive definite gives deviance +inf and no score."""
-    try:
-        mu, sig, d_mu, d_sig = moment_derivatives(resp, x, m_in)
-    except OverflowError:  # cosh of a squeezing exponent beyond ~710
+def _record_block(m, mean_only):
+    """A block of no data whose sums count one record of the full pair with a
+    mean probed by m, and none of its covariance (N = 0) when mean_only."""
+    m = complex(*m)
+    return None, 0.0, (0.0 if mean_only else 1.0, 1.0, m, (abs(m) ** 2 / 2, m * m / 2), (0, 0)), []
+
+
+def _mul(x, y):
+    """Product XY in the pair form of _joint_fit: a quadrature pair (x, p) is
+    z = x + ip and a real 2x2 M the pair (m0, m1) with M z = m0 z + m1 conj(z),
+    as a -> mu a + nu a^dagger.  R(phi) is (e^{i phi}, 0), M^T (conj(m0), m1),
+    tr M = 2 Re m0, det M = |m0|^2 - |m1|^2, z m^T = (z conj(m), z m) / 2."""
+    return x[0] * y[0] + x[1] * y[1].conjugate(), x[0] * y[1] + x[1] * y[0].conjugate()
+
+
+def _dot(x, y):
+    """Frobenius product tr(X^T Y) of two 2x2 matrices in the pair form."""
+    return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
+
+
+def _joint_fit(x, blocks, resp):
+    """Deviance of the chart point x (see chart) from the saturated Gaussians
+    of the data sets in blocks (see _blocks), score and information, closed
+    form in the 2x2 algebra of A = R(phi) S(u, v), S = exp(u sz + v sx):
+    the mean is through A m + direct m + g_d (c, s) and Sigma = a A A^T + b
+    (A + A^T) + e I.  Per block C = P Sigma P^T + added, W = P^T C^-1 P; per
+    set delta = P^T mean - mu (0 without a mean), R = S + delta delta^T and
+    the deviance n [tr(C^-1 R) - k - log(det S / det C)].  The Gaussian
+    information dmu^T C^-1 dmu + 1/2 tr(C^-1 dC C^-1 dC) and the score,
+    summed by linearity, read the sets through the pooled sums of _blocks,
+    E = sum_j n_j delta_j m_j^T and R_pool = sum_j n_j P^T R_j P:
+
+        I(A_i, A_l) = through^2 tr(dA_i^T W dA_l M2) + N/2 tr(W dSig_i W dSig_l)
+        I(A_i, d) = through g_d W dA_i M1,   I(d, d) = g_d^2 N_h W
+        s(A_i) = through tr(dA_i^T W E) + 1/2 tr(dSig_i (W R_pool W - N W))
+        s(d) = g_d W sum_j n_j delta_j
+
+    S is the ddof=1 scatter, so the score has zero mean at the truth and
+    exact moments are a fixed point whatever their n.  Returns (deviance,
+    score, information, rounding bound of the deviance); a C not finite and
+    positive definite gives deviance +inf and no score."""
+    phi, u, v, c, s = x.tolist()
+    a, b, through, g_d = resp.a, resp.b, resp.through, resp.g_d
+    w = math.hypot(u, v)
+    if w > 700.0:  # cosh overflows beyond ~710
         return math.inf, None, None, 0.0
-    deviance, score, info, scale = 0.0, np.zeros(5), np.zeros((5, 5)), 0.0
-    for proj, added, n, scatter, det_s, rows, means, has_mean in blocks:
-        cov = proj @ sig @ proj.T + added
-        det, k = np.linalg.det(cov), len(cov)
-        if not (0.0 < det < math.inf and cov[0, 0] > 0.0):
+    ch, sh = math.cosh(w), math.sinh(w)
+    # S = cosh(w) I + c1 K, dS/du = c1 (u I + sz) + u c2 K, K = u sz + v sx, c1 = sinh(w) / w,
+    # c2 = (w cosh w - sinh w) / w^3; c2 cancels, so below w = 0.1 both are series to w^8.
+    if w < 0.1:
+        w2 = w * w
+        c1 = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0 * (1.0 + w2 / 72.0)))
+        c2 = (1.0 + w2 / 10.0 * (1.0 + w2 / 28.0 * (1.0 + w2 / 54.0 * (1.0 + w2 / 88.0)))) / 3.0
+    else:
+        c1, c2 = sh / w, (w * ch - sh) / w ** 3
+    rot, zeta = complex(math.cos(phi), math.sin(phi)), complex(u, v)
+    al, be = rot * ch, rot * c1 * zeta
+    d_a = ((1j * al, 1j * be), (rot * c1 * u, rot * (c1 + c2 * u * zeta)),
+           (rot * c1 * v, rot * (1j * c1 + c2 * v * zeta)))
+    lin = (a * al + b, a * be)  # a A + b I
+    sig = (a * (al * al.conjugate() + be * be.conjugate()).real + 2.0 * b * al.real + resp.e,
+           2.0 * be * lin[0])
+    d_sig = [(2.0 * (lin[0].conjugate() * da + lin[1].conjugate() * db).real,
+              2.0 * (a * be * da + lin[0] * db)) for da, db in d_a]
+    mu0, mu1, shift = through * al + resp.direct, through * be, g_d * complex(c, s)
+    deviance, scale, score_d, grad, info = 0.0, 0.0, 0.0, (0.0, 0.0), [[0.0] * 5 for _ in range(5)]
+    for p, added, (n_all, n_mean, m1, m2, scatter), sets in blocks:
+        if p is None:  # C = Sigma + added I, W = C^-1
+            k, c0 = 2, sig[0] + added
+            det = c0 * c0 - (sig[1] * sig[1].conjugate()).real
+        else:  # C = p^T Sigma p + added, W = p p^T / C
+            k, p_conj = 1, p.conjugate()
+            det = c0 = sig[0] + (sig[1] * p_conj * p_conj).real + added
+        if not (0.0 < det < math.inf and c0 > 0.0):
             return math.inf, None, None, 0.0
-        inv = np.linalg.inv(cov)
-        delta, d_mean = has_mean * (means - mu[rows] @ proj.T), d_mu[rows] @ proj.T
-        ratio = inv @ (scatter + delta[:, :, None] * delta[:, None, :])
-        g = inv @ proj @ d_sig @ proj.T
-        weighted = (n * has_mean[:, 0])[:, None, None] * (d_mean @ inv)
-        trace, log_ratio = np.trace(ratio, axis1=1, axis2=2), np.log(det_s / det)
-        deviance += float(n @ (trace - k - log_ratio))
-        scale += float(n @ (np.abs(trace) + k + np.abs(log_ratio)))
-        score += (np.einsum("jia,ja->i", weighted, delta) + 0.5 * np.einsum(
-            "iab,ba->i", g, np.einsum("j,jab->ab", n, ratio) - n.sum() * np.eye(k)))
-        info += (np.einsum("jia,jca->ic", weighted, d_mean)
-                 + 0.5 * n.sum() * np.einsum("iab,jba->ij", g, g))
-    return deviance, score, info, _DEVIANCE_ROUNDING * scale
+        w0, w1 = wm = (c0 / det, -sig[1] / det) if p is None else (0.5 / det, 0.5 * p * p / det)
+        e_conj, e_plain, drift, pool = 0.0, 0.0, 0.0, scatter
+        for n, m, m_conj, mean, form, det_s in sets:
+            ratio, log_ratio = _dot(wm, form), math.log(det_s / det)
+            if mean is not None:
+                delta = mean - mu0 * m - mu1 * m_conj - shift
+                if p is not None:  # the measured quadrature alone, for precision
+                    delta = p * (p_conj * delta).real
+                weighted, square = n * delta, (delta * delta.conjugate()).real
+                ratio += w0 * square + (w1.conjugate() * delta * delta).real
+                e_conj, e_plain, drift = (e_conj + weighted * m_conj, e_plain + weighted * m,
+                                          drift + weighted)
+                pool = [pool[0] + 0.5 * n * square, pool[1] + 0.5 * weighted * delta]
+            deviance += n * (ratio - k - log_ratio)
+            scale += n * (abs(ratio) + k + abs(log_ratio))
+        # s(A_i) = <dA_i, grad>: 1/2 tr(dSig_i T) = <dA_i, T (a A + b I)>, T = W R_pool W - N W.
+        w_pool, w_e = _mul(_mul(wm, pool), wm), _mul(wm, (0.5 * e_conj, 0.5 * e_plain))
+        t_lin = _mul((w_pool[0] - n_all * w0, w_pool[1] - n_all * w1), lin)
+        grad = (grad[0] + through * w_e[0] + t_lin[0], grad[1] + through * w_e[1] + t_lin[1])
+        score_d += g_d * (w0 * drift + w1 * drift.conjugate())
+        w_da, da_m2 = [_mul(wm, da) for da in d_a], [_mul(da, m2) for da in d_a]
+        w_dsig = [_mul(wm, ds) for ds in d_sig]
+        for i, (wa0, wa1) in enumerate(w_da):
+            mixed = through * g_d * (wa0 * m1 + wa1 * m1.conjugate())  # W dA_i M1
+            row, (gi0, gi1) = info[i], w_dsig[i]
+            row[3], row[4] = row[3] + mixed.real, row[4] + mixed.imag
+            for j in range(i, 3):
+                # <W dA_i, dA_j M2>, and tr(G_i G_j) = <G_i^T, G_j> for G = W dSig.
+                gj0, gj1 = w_dsig[j]
+                row[j] += (through * through * _dot(w_da[i], da_m2[j])
+                           + n_all * (gi0 * gj0 + gi1.conjugate() * gj1).real)
+        dd = g_d * g_d * n_mean  # g_d^2 N_h W as a real matrix
+        info[3][3], info[3][4] = info[3][3] + dd * (w0 + w1.real), info[3][4] + dd * w1.imag
+        info[4][4] += dd * (w0 - w1.real)
+    for i in range(5):  # the lower triangle
+        for j in range(i):
+            info[i][j] = info[j][i]
+    score = [_dot(da, grad) for da in d_a] + [score_d.real, score_d.imag]
+    return deviance, np.array(score), np.array(info), _DEVIANCE_ROUNDING * scale
 
 
 def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> EstimateReport:
     """Joint maximum-likelihood estimate from the single read-out and the
     three probes, the efficient estimator of the general process: Fisher
-    scoring in the chart of fisher.chart, regular at w = 0 and d = 0, from
+    scoring in the chart x (see chart), regular at w = 0 and d = 0, from
     method (ii), which is consistent and has no twins (the probe means alone
     identify the process, so the information is positive definite).  The
-    four data sets share Sigma(A) and are scored as blocks (see _blocks).
-    Steps are halved until the deviance does not rise by more than the
-    rounding bound of the two deviances (_DEVIANCE_ROUNDING); scoring stops at a
-    Newton decrement s^T F^-1 s below _DECREMENT_TOL and fails with
-    EstimationError after _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings
-    of one, or on a start or information it cannot use.  The deviance D
-    against the saturated per-set Gaussians is chi-square with dof =
-    statistics - 5 under the model; 'model_inconsistent' flags (D - dof) /
-    sqrt(2 dof) > _INCONSISTENT_SIGMA.
+    four data sets share Sigma(A): each evaluation is one closed-form
+    _joint_fit call on the pooled sums of their blocks (see _blocks), whose
+    information is fisher_matrix's.  Steps are halved until the deviance
+    does not rise by more than the rounding bound of the two deviances
+    (_DEVIANCE_ROUNDING); scoring stops at a Newton decrement s^T F^-1 s
+    below _DECREMENT_TOL and fails with EstimationError after
+    _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings of one, or on a start
+    or information it cannot use.  The deviance D against the saturated
+    per-set Gaussians is chi-square with dof = statistics - 5 under the
+    model; 'model_inconsistent' flags (D - dof) / sqrt(2 dof) >
+    _INCONSISTENT_SIGMA.
     """
     x = chart(est_general_mean(probe_moments, setup, noise).params)[0]
-    resp, blocks = response(setup, noise), _blocks([single_moments, *probe_moments])
-    m_in = setup.r_amp * np.array([[math.cos(p), math.sin(p)]
-                                   for p in (setup.probe_phase, *PROBE_PHASES)])
-    deviance, score, info, rounding = _joint_fit(x, blocks, resp, m_in)
+    m_in = [(setup.r_amp * math.cos(p), setup.r_amp * math.sin(p))
+            for p in (setup.probe_phase, *PROBE_PHASES)]
+    resp, blocks = response(setup, noise), _blocks([single_moments, *probe_moments], m_in)
+    deviance, score, info, rounding = _joint_fit(x, blocks, resp)
     if score is None:
         raise EstimationError("the start point's model covariance is not positive definite")
     for steps in range(_MAX_SCORING_STEPS + 1):
@@ -621,15 +740,16 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
             raise EstimationError(
                 f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
         for _ in range(_MAX_HALVINGS):
-            trial = _joint_fit(x + step, blocks, resp, m_in)
+            trial = _joint_fit(x + step, blocks, resp)
             if trial[0] <= deviance + rounding + trial[3]:  # no rise beyond rounding
                 break
             step = 0.5 * step
         else:
             raise EstimationError("no step along the scoring direction lowers the deviance")
         x, (deviance, score, info, rounding) = x + step, trial
-    dof = sum(len(n) * len(p) * (len(p) + 1) // 2 + int(has_mean.sum()) * len(p)
-              for p, _, n, _, _, _, _, has_mean in blocks) - 5
+    # Per set k (k + 1) / 2 = 2 k - 1 scatter entries and k mean components, k = 2 for P = I.
+    dof = sum((2 if p is None else 1) * (2 + (mean is not None)) - 1
+              for p, _, _, sets in blocks for *_, mean, _, _ in sets) - 5
     sigma = (deviance - dof) / math.sqrt(2.0 * dof)
     phi, u, v, c, s = (float(t) for t in x)
     w = math.hypot(u, v)

@@ -32,10 +32,9 @@ from .estimators import (
     est_phase_ml,
     est_phase_var,
 )
-from .gaussian_core import DecompositionError, ProcessParams, circular_diff
+from .gaussian_core import IDENTITY_PROCESS, DecompositionError, ProcessParams, circular_diff
 from .interferometer import SetupConfig, forward, response
 from .measurement import InsufficientDataError, MeasurementPlan, draw_moments
-from .gaussian_core import IDENTITY_PROCESS
 from .noise import IDEAL_NOISE, NoiseParams
 
 
@@ -176,7 +175,7 @@ def _estimate_one(name: str, setup: SetupConfig, data, assumed: NoiseParams,
         d, beta = est_displacement(single, setup, assumed)
         return {"d": d, "beta": beta}
     if base == "phase_var":
-        return {"phi": est_phase_var(single, setup, diagnostics)}
+        return {"phi": est_phase_var(single, setup, diagnostics, noise=assumed)}
     if base == "phase_mean":
         return {"phi": est_phase_mean(single, setup)}
     if base == "phase_ml":

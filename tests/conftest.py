@@ -3,14 +3,15 @@ figures (interferometric coupling T=0.1, hot matter V=100, bright probe r=100)
 and helpers to turn exact forward moments into MomentEstimate objects.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from lmint import ProcessParams, SetupConfig, Topology, forward
 from lmint.estimators import PROBE_PHASES
-from lmint.fisher import gaussian_information, moment_derivatives
-from lmint.interferometer import response
+from lmint.gaussian_core import rotation
+from lmint.interferometer import Response, response
 from lmint.measurement import MomentEstimate
 
 FULL_N_EFF = {"mean_x": 1, "mean_p": 1, "var_x": 1, "var_p": 1, "cov_xp": 1}
@@ -87,6 +88,69 @@ def three_probe_bounds(setup, process, noise, n_samples):
                for phase in PROBE_PHASES)
     return dict(zip(FISHER_PARAMS, np.diag(np.linalg.inv(info))))
 
+
+# The model derivatives and the Gaussian information one data set at a
+# time: the reference that the closed-form kernel estimators._joint_fit is
+# checked against.
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])  # generator of rotations: R' = J R
+_SIGMA_Z = np.diag([1.0, -1.0])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _squeeze(u: float, v: float):
+    """S = exp(u sz + v sx) = cosh(w) I + (sinh(w) / w) K, with K = u sz + v sx
+    and K^2 = w^2 I, and its derivatives in u and v.  (w cosh w - sinh w) / w^3
+    cancels near w = 0, so below w = 0.1 both coefficients come from their
+    series, truncated after w^8 (relative error below 1e-16)."""
+    w = math.hypot(u, v)
+    if w < 0.1:
+        w2 = w * w
+        c1 = 1.0 + w2 / 6.0 * (1.0 + w2 / 20.0 * (1.0 + w2 / 42.0 * (1.0 + w2 / 72.0)))
+        c2 = (1.0 + w2 / 10.0 * (1.0 + w2 / 28.0 * (1.0 + w2 / 54.0 * (1.0 + w2 / 88.0)))) / 3.0
+    else:
+        c1 = math.sinh(w) / w
+        c2 = (w * math.cosh(w) - math.sinh(w)) / w ** 3
+    k = u * _SIGMA_Z + v * _SIGMA_X
+    eye = np.eye(2)
+    return (math.cosh(w) * eye + c1 * k,
+            c1 * (u * eye + _SIGMA_Z) + u * c2 * k,
+            c1 * (v * eye + _SIGMA_X) + v * c2 * k)
+
+
+def moment_derivatives(resp: Response, x, m_in):
+    """Sigma and dSigma (5 x 2 x 2) of the measured mode along the chart x
+    (see estimators.chart), with A = R(phi) S, and mu (k x 2) and dmu (k x 5 x 2) for
+    each of the k probe inputs m_in (k x 2), on which Sigma does not depend.
+
+    dA/dphi = J A and dA/du, dA/dv = R(phi) dS/du, R(phi) dS/dv.  The mean
+    moves with through dA m_in and with g_d along (c, s); the covariance
+    moves with a (dA A^T + A dA^T) + b (dA + dA^T) and not with (c, s).
+    """
+    rot = rotation(x[0])
+    sq, sq_u, sq_v = _squeeze(x[1], x[2])
+    mat = rot @ sq
+    d_mat = np.array([_J @ mat, rot @ sq_u, rot @ sq_v])
+    d_mu = np.zeros((len(m_in), 5, 2))
+    d_mu[:, :3] = resp.through * (d_mat @ m_in.T).transpose(2, 0, 1)
+    d_mu[:, 3, 0] = d_mu[:, 4, 1] = resp.g_d
+    d_sig = np.zeros((5, 2, 2))
+    lin = resp.a * (d_mat @ mat.T) + resp.b * d_mat
+    d_sig[:3] = lin + lin.transpose(0, 2, 1)
+    return resp.mean(mat, np.array([x[3], x[4]]), m_in), resp.cov(mat), d_mu, d_sig
+
+
+def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
+                         d_cov: np.ndarray | None) -> np.ndarray:
+    """Information of one record of a Gaussian with covariance cov (k x k):
+    dmu_i^T cov^-1 dmu_j + 1/2 tr(cov^-1 dcov_i cov^-1 dcov_j), with d_mean
+    (p x k) and d_cov (p x k x k); d_cov None keeps the mean term."""
+    inv = np.linalg.inv(cov)
+    info = d_mean @ inv @ d_mean.T
+    if d_cov is not None:
+        g = inv @ d_cov
+        info += 0.5 * np.einsum("iab,jba->ij", g, g)
+    return info
 
 
 def reference_joint_fit(x, sets, noise):

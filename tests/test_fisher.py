@@ -17,11 +17,12 @@ from lmint import (
     forward,
     response,
 )
-from lmint.estimators import W_MAX
-from lmint.fisher import FisherMethod, FisherResult, fisher_terms, moment_derivatives
+from lmint.estimators import W_MAX, chart
+from lmint.fisher import FisherMethod, FisherResult, fisher_terms
 from lmint.fisher import fisher_matrix as exact_fisher_matrix
 
-from conftest import FISHER_PARAMS, fisher_matrix, three_probe_bounds
+from conftest import (FISHER_PARAMS, exact_moments, exact_probe_moments, fisher_matrix,
+                      gaussian_information, moment_derivatives, three_probe_bounds)
 
 
 def setup_for(topology, t1, t2, v):
@@ -74,6 +75,53 @@ def test_displacement_information_under_the_channel(topology):
     assert fisher_displacement(s, noise).value == pytest.approx(want, rel=1e-8)
     assert fisher_displacement(s, None) == fisher_displacement(s)
     assert fisher_displacement(s, noise).value < fisher_displacement(s).value
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.7, v_c=1.3)])
+@pytest.mark.parametrize("mean_only", [False, True])
+def test_fisher_matrix_matches_the_reference_information(topology, noise, mean_only):
+    # fisher_matrix reads the likelihood kernel of est_combined; it equals
+    # the Gaussian information of the reference moment derivatives, carried
+    # by the chart's Jacobian, at the pure phase shift and at random points.
+    rng = np.random.default_rng(23)
+    for k in range(6):
+        setup = dataclasses.replace(
+            setup_for(topology, 0.0 if topology is Topology.SIMPLISTIC else rng.uniform(0.05, 0.95),
+                      rng.uniform(0.05, 0.95), rng.uniform(1.0, 200.0)),
+            r_amp=rng.uniform(0.0, 50.0), probe_phase=rng.uniform(-3, 3))
+        process = ProcessParams.folded(phi=0.7) if k == 0 else ProcessParams.folded(
+            phi=rng.uniform(-3, 3), w=rng.uniform(0, 1.5), alpha=rng.uniform(-1.5, 1.5),
+            d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
+        x, jac = chart(process)
+        _, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x,
+                                                 setup.light_mean[None])
+        want = jac.T @ gaussian_information(sig, d_mu[0], None if mean_only else d_sig) @ jac
+        got = exact_fisher_matrix(setup, process, noise, mean_only=mean_only)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (k, setup, process)
+
+
+@pytest.mark.parametrize("w", [400.0, 800.0])
+def test_fisher_matrix_names_an_overflow(bench_setup, w):
+    # At w = 400 the model covariance overflows, at w = 800 cosh itself does.
+    with pytest.raises(OverflowError, match="overflows"):
+        exact_fisher_matrix(bench_setup, ProcessParams.folded(phi=0.7, w=w))
+
+
+def test_fisher_matrix_and_combined_share_one_kernel(bench_setup, bench_process, monkeypatch):
+    # Both read estimators._joint_fit: with it refusing, both raise.
+    import lmint.estimators as estimators
+
+    def refuse(*args):
+        raise RuntimeError("the shared kernel")
+
+    single = exact_moments(forward(bench_setup, bench_process))
+    probes = exact_probe_moments(bench_setup, bench_process)
+    monkeypatch.setattr(estimators, "_joint_fit", refuse)
+    with pytest.raises(RuntimeError, match="the shared kernel"):
+        exact_fisher_matrix(bench_setup, bench_process)
+    with pytest.raises(RuntimeError, match="the shared kernel"):
+        estimators.est_combined(single, probes, bench_setup)
 
 
 @pytest.mark.parametrize("x", [(0.7, 0.0, 0.0, 0.0, 0.0), (0.7, 0.07, -0.0566, 0.0, 0.0),

@@ -217,6 +217,18 @@ def test_naive_variant_ignores_the_channel(bench_setup, bench_process):
     assert report.mse("mean_method", "d") < 0.1 * report.mse("naive_mean_method", "d")
 
 
+def test_phase_var_reads_the_channel_in_run_mc(bench_setup):
+    # run_mc hands phase_var the channel and naive_phase_var an ideal one;
+    # under t_c = 0.8, v_c = 1.2 only the naive variant keeps the -0.0301 rad
+    # bias of exact moments.
+    cfg = mc(bench_setup, ProcessParams.folded(phi=0.7),
+             estimators=("phase_var", "naive_phase_var"), n=100_000, m_reps=10,
+             noise=NoiseParams(t_c=0.8, v_c=1.2), calibration="true")
+    report = run_mc(cfg)
+    assert abs(report.cells[("phase_var", "phi")].bias) < 0.005
+    assert report.cells[("naive_phase_var", "phi")].bias == pytest.approx(-0.0301, abs=0.005)
+
+
 def test_combined_estimator_runs(bench_setup, bench_process):
     cfg = mc(bench_setup, bench_process, estimators=("combined",), n=900, m_reps=2)
     report = run_mc(cfg)
