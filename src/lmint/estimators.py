@@ -4,18 +4,13 @@ naive and calibrated variants selected through the assumed NoiseParams.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_core import (
-    ProcessParams,
-    fold_angle,
-    polar_decompose_2x2,
-    rotation,
-    squeeze_matrix,
-)
+from .gaussian_core import ProcessParams, fold_angle, polar_pair, rotation
 from .interferometer import SetupConfig, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -64,11 +59,11 @@ W_MAX = 3.0
 #: Relative covariance residual above which a fit is taken for model mismatch.
 RESIDUAL_REL_TOL = 0.5
 
-#: Relative entrywise distance below which two process matrices are one
-#: solution.  Coincident preimages (the fit itself, the two branches on the
-#: image boundary, a double root of either branch) come out of a square root
-#: of a quantity known to a few eps, so they scatter by ~1e-8 (a few
-#: sqrt(eps)); distinct solutions lie O(1) apart.
+#: Relative distance (spectral norm, |dm0| + |dm1| for pairs, see _mul) below
+#: which two process matrices are one solution.  Coincident preimages (the
+#: fit itself, the two branches on the image boundary, a double root of
+#: either branch) come out of a square root of a quantity known to a few eps,
+#: so they scatter by ~1e-8 (a few sqrt(eps)); distinct solutions lie O(1) apart.
 _SAME_PROCESS_TOL = 1e-6
 
 _PARAM_PERIODS = {"phi": 2 * math.pi, "alpha": math.pi, "beta": 2 * math.pi}
@@ -237,78 +232,101 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
 # General-process estimation
 
 
-def _cov_preimages(cov_model, a, b, e):
-    """All process matrices A, squeezing at most W_MAX, with a A A^T + b (A
-    + A^T) + e I = cov_model.  Needs lam = -b/a away from 0 (est_general_cov
-    rejects |b/a| < 1e-12): without a linear term the rotation part is
-    unidentifiable.
+def _mul(x, y):
+    """Product XY in the pair form of the general process: a quadrature pair
+    (x, p) is z = x + ip and a real 2x2 M the pair (m0, m1) with M z = m0 z
+    + m1 conj(z), as a -> mu a + nu a^dagger.  R(phi) S(w, alpha) is (e^{i
+    phi} cosh w, e^{i (phi + 2 alpha)} sinh w), M^T (conj(m0), m1), tr M =
+    2 Re m0, det M = |m0|^2 - |m1|^2, z m^T = (z conj(m), z m) / 2; the
+    singular values are |m0| +- |m1|, and a symmetric M (m0 real) has the
+    eigenvalues m0 +- |m1|, the larger along the axis arg(m1) / 2."""
+    return x[0] * y[0] + x[1] * y[1].conjugate(), x[0] * y[1] + x[1] * y[0].conjugate()
 
-    Writing A = P O + lam I, the lam cross term cancels, so cov_model pins
-    only P P^T; O runs over the orthogonal matrices satisfying det A = 1.
-    That leaves up to four discrete solutions (two proper, two improper), so
-    the covariance alone cannot identify the process.
 
-    On the boundary of the image P P^T is singular, P has rank one, and each
+def _dot(x, y):
+    """Frobenius product tr(X^T Y) of two 2x2 matrices in the pair form."""
+    return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
+
+
+def _sigma(m, resp):
+    """Sigma(A) = a A A^T + b (A + A^T) + e I of the pair A = (m0, m1): (a
+    (|m0|^2 + |m1|^2) + 2 b Re m0 + e, 2 m1 (a m0 + b)), inf past the floats."""
+    m0, m1 = m
+    return (resp.a * (m0 * m0.conjugate() + m1 * m1.conjugate()).real + 2.0 * resp.b * m0.real
+            + resp.e, 2.0 * m1 * (resp.a * m0 + resp.b))
+
+
+def _process_pair(phi, w, alpha):
+    """The pair of the process matrix R(phi) S(w, alpha)."""
+    return cmath.rect(math.cosh(w), phi), cmath.rect(math.sinh(w), phi + 2.0 * alpha)
+
+
+def _cov_preimages(cov, resp):
+    """All process matrices A (pairs, see _mul), squeezing at most W_MAX
+    (|m1| <= sinh W_MAX), with Sigma(A) = cov = (c0, c1).  Needs lam = -b/a
+    away from 0 (est_general_cov rejects |b/a| < 1e-12): without a linear
+    term the rotation part is unidentifiable.
+
+    Writing A = P O + lam I, the lam cross term cancels, so cov pins only
+    P P^T = Q = (cov - shift I) / a, shift = e - b^2 / a; O runs over the
+    orthogonal matrices satisfying det A = 1.  That leaves up to four
+    discrete solutions (two proper, two improper), so the covariance alone
+    cannot identify the process.  For Q = (q0, q1), P = (q0 + s, q1) / tr P
+    with s = det P = sqrt(q0^2 - |q1|^2) and tr P = sqrt(2 (q0 + s)); O =
+    R(th) = (e^{i th}, 0) gives A = (p0 e^{i th} + lam, p1 e^{-i th}), a
+    reflection (0, e^{i psi}) A = (p1 e^{-i psi} + lam, p0 e^{i psi}).
+
+    On the boundary of the image Q is singular, P has rank one, and each
     improper solution coincides with a proper one.  A best fit to data off
     the image lands there, so a determinant within rounding of zero counts
-    as zero: the entries of P P^T come from operands of magnitude at most
-    |a| * scale through three roundings (the model covariance, the shift,
-    the division), so each is off by at most 3 eps scale and the 2x2
-    determinant by at most 4 * 3 eps scale^2 plus 2 eps scale^2 from its own
-    products, within 16 eps scale^2.
+    as zero: scale = (|c0| + |c1| + |shift|) / |a| bounds |q0| + |q1|, and
+    q0 and q1 come from operands of magnitude at most |a| scale through at
+    most three roundings (the model covariance, the shift, the division),
+    so each is off by at most 3 eps scale and q0^2 - |q1|^2 by 6 eps
+    scale^2 through them and 4 eps scale^2 through its own operations,
+    within 16 eps scale^2.
 
     A fit on the symmetric face puts the proper branch at a double root, cos
     th = c = +-1, where rounding over a small lam decides between no root
-    and two twins, so a c within rounding of +-1 counts as +-1: det P = s =
-    sqrt(det P P^T) is off by err_s = 8 eps scale^2 / s (4 sqrt(eps) scale
-    if that counted as zero) through P P^T and again through s, and by 3 eps
-    tr(P)^2 from its products, so c by (2 err_s + 3 eps tr(P)^2 + 4 eps) /
-    |lam tr(P)| + 4 eps."""
+    and two twins, so a c within rounding of +-1 counts as +-1.  In c = (1 -
+    lam^2 - s) / (lam tr P), s is off by err_s = 8 eps scale^2 / s (4
+    sqrt(eps) scale if that counted as zero), the numerator by 3 eps (1 +
+    lam^2 + s) more, tr P relatively by (3 eps scale + err_s) / tr(P)^2 + 2
+    eps and the quotient by 2 eps, so c by (err_s + 3 eps (1 + lam^2 + s)) /
+    |lam tr P| + (3 eps scale + err_s) / tr(P)^2 + 4 eps near |c| = 1."""
     eps = np.finfo(float).eps
-    lam = -b / a
-    shift = e - b * b / a
-    ppt = (cov_model - shift * np.eye(2)) / a
-    scale = (float(np.abs(cov_model).max()) + abs(shift)) / abs(a)
-    det_p2 = float(np.linalg.det(ppt))
-    if abs(det_p2) <= 16.0 * eps * scale * scale:
-        det_p2 = 0.0
-    if det_p2 < 0.0 or ppt[0, 0] + ppt[1, 1] <= 0.0:
+    lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
+    (c0, c1), a = cov, resp.a
+    q0, q1 = (c0 - shift) / a, c1 / a
+    scale = (abs(c0) + abs(c1) + abs(shift)) / abs(a)
+    det_q = q0 * q0 - (q1 * q1.conjugate()).real
+    if abs(det_q) <= 16.0 * eps * scale * scale:
+        det_q = 0.0
+    if det_q < 0.0 or q0 <= 0.0:
         return []
-    s = math.sqrt(det_p2)
-    p = (ppt + s * np.eye(2)) / math.sqrt(ppt[0, 0] + ppt[1, 1] + 2.0 * s)
-    det_p = float(np.linalg.det(p))
-    tr_p = float(np.trace(p))
+    s = math.sqrt(det_q)
+    tr_p = math.sqrt(2.0 * (q0 + s))
+    p0, p1 = 0.5 * tr_p, q1 / tr_p
     out = []
     # Proper branch: det(P R(th) + lam I) = 1 fixes cos(th).
-    c = (1.0 - lam * lam - det_p) / (lam * tr_p)
+    c = (1.0 - lam * lam - s) / (lam * tr_p)
     err_s = 8.0 * eps * scale * scale / max(s, 2.0 * math.sqrt(eps) * scale)
-    if abs(abs(c) - 1.0) <= (2.0 * err_s + 3.0 * eps * tr_p ** 2 + 4.0 * eps) / abs(
-            lam * tr_p) + 4.0 * eps:
+    if abs(abs(c) - 1.0) <= ((err_s + 3.0 * eps * (1.0 + lam * lam + s)) / abs(lam * tr_p)
+                             + (3.0 * eps * scale + err_s) / (tr_p * tr_p) + 4.0 * eps):
         c = math.copysign(1.0, c)
     if abs(c) <= 1.0:
         th = math.acos(c)
-        for sign in (1.0, -1.0):
-            out.append(p @ rotation(sign * th) + lam * np.eye(2))
-    # Improper branch: reflections F(psi) with tr(P F(psi)) on target.
-    target = (1.0 - lam * lam + det_p) / lam
-    fx = p[0, 0] - p[1, 1]
-    fy = 2.0 * p[0, 1]
-    amp = math.hypot(fx, fy)
+        for turn in (cmath.rect(1.0, th), cmath.rect(1.0, -th)):
+            out.append((p0 * turn + lam, p1 * turn.conjugate()))
+    # Improper branch: reflections with tr(P F(psi)) = 2 Re(p1 e^{-i psi}) on target.
+    target = (1.0 - lam * lam + s) / lam
+    amp = 2.0 * abs(p1)
     if amp >= abs(target) > 0.0 or (target == 0.0 and amp > 0.0):
         delta = math.acos(max(-1.0, min(1.0, target / amp)))
-        base = math.atan2(fy, fx)
-        for sign in (1.0, -1.0):
-            psi = base + sign * delta
-            f = np.array([[math.cos(psi), math.sin(psi)],
-                          [math.sin(psi), -math.cos(psi)]])
-            out.append(p @ f + lam * np.eye(2))
-    return [m for m in out if _squeeze_exponent(m) <= W_MAX]
-
-
-def _squeeze_exponent(mat):
-    """Squeezing exponent w of a unit-determinant 2x2 matrix: its singular
-    values are e^w and e^-w, so the squared Frobenius norm is 2 cosh(2w)."""
-    return 0.5 * math.acosh(max(1.0, 0.5 * float((mat * mat).sum())))
+        for psi in (cmath.phase(p1) + delta, cmath.phase(p1) - delta):
+            turn = cmath.rect(1.0, psi)
+            out.append((p1 * turn.conjugate() + lam, p0 * turn))
+    return [m for m in out if abs(m[1]) <= math.sinh(W_MAX)]
 
 
 def _symmetric_face(mu, lam):
@@ -334,48 +352,47 @@ def _symmetric_face(mu, lam):
     return [x for x in points if lo <= abs(x) <= hi]
 
 
-def _fit_cov(cov_emp, a, b, e):
-    """Process matrices, squeezing at most W_MAX, whose model covariance is
-    Frobenius-nearest to cov_emp: every preimage of that covariance (see
-    _cov_preimages), the fit first; returns (matrices, off_image).
+def _fit_cov(cov, resp):
+    """Process matrices (pairs, see _mul), squeezing at most W_MAX, whose
+    model covariance is Frobenius-nearest to cov: every preimage of that
+    covariance (see _cov_preimages), the fit first; returns (matrices,
+    off_image).
 
     The model covariance is a M M^T + shift I with M = A - lam I (see
-    _cov_preimages), so the fit is the point S = M M^T nearest to Q =
-    (cov_emp - shift I) / a.  An exact preimage of cov_emp is that point.
-    Otherwise the nearest S lies on the boundary of the set of S, which is
-    invariant under orthogonal conjugation (U A U^T keeps det A = 1): it
-    shares Q's eigenvectors, and only two eigenvalues are left to fit.  The
-    boundary is made of the rank-one M and the critical points of A -> S on
-    det A = 1, where the derivative loses rank; for lam != 0 these are
-    exactly the symmetric A.  So the candidates are the preimages of Q with
-    its smaller eigenvalue clipped to 0 and the best symmetric A (see
-    _symmetric_face).  A boundary at w = W_MAX is not searched: data whose
-    fit would sit there are far off the model.
+    _cov_preimages), so the fit is the point S = M M^T nearest to Q = (cov
+    - shift I) / a.  An exact preimage of cov is that point.  Otherwise the
+    nearest S lies on the boundary of the set of S, which is invariant
+    under orthogonal conjugation (U A U^T keeps det A = 1): it shares Q's
+    eigenvectors, and only two eigenvalues are left to fit.  The boundary is
+    made of the rank-one M and the critical points of A -> S on det A = 1,
+    where the derivative loses rank; for lam != 0 these are exactly the
+    symmetric A.  So the candidates are the preimages of Q = (q0, q1) with
+    its smaller eigenvalue q0 - |q1| clipped to 0 and the best symmetric A
+    (see _symmetric_face), on Q's axis.  A boundary at w = W_MAX is not
+    searched: data whose fit would sit there are far off the model.
     """
-    exact = _cov_preimages(cov_emp, a, b, e)
+    exact = _cov_preimages(cov, resp)
     if exact:
         return exact, False
-    lam = -b / a
-    shift = e - b * b / a
-    eye = np.eye(2)
-    q = (cov_emp - shift * eye) / a
-    mu, vecs = np.linalg.eigh(q)
-    candidates = [vecs @ np.diag([x, 1.0 / x]) @ vecs.T for x in _symmetric_face(mu, lam)]
+    lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
+    q0, q1 = (cov[0] - shift) / resp.a, cov[1] / resp.a
+    radius = abs(q1)
+    axis = q1 / radius if radius > 0.0 else 1.0  # e^{2i theta} of the larger eigenvalue
+    mu = (q0 - radius, q0 + radius)
+    candidates = [(0.5 * (x + 1.0 / x), 0.5 * (1.0 / x - x) * axis)
+                  for x in _symmetric_face(mu, lam)]
     if mu[1] > 0.0:
-        clipped = a * mu[1] * np.outer(vecs[:, 1], vecs[:, 1]) + shift * eye
-        candidates += _cov_preimages(clipped, a, b, e)
+        half = 0.5 * resp.a * mu[1]
+        candidates += _cov_preimages((half + shift, half * axis), resp)
 
-    def distance(mat):
-        m = mat - lam * eye
-        return float(np.linalg.norm(m @ m.T - q))
+    def distance(m):  # |S - Q|^2, which is |Sigma(A) - cov|^2 / a^2 without its cancellation
+        m0 = m[0] - lam
+        gap = ((m0 * m0.conjugate() + m[1] * m[1].conjugate()).real - q0, 2.0 * m0 * m[1] - q1)
+        return _dot(gap, gap)
 
     best = min(candidates, key=distance)
-    # The other preimages are those of the covariance that the fit's
-    # (phi, w, alpha) reproduce.
-    fit = ProcessParams.folded(*polar_decompose_2x2(best))
-    fit = rotation(fit.phi) @ squeeze_matrix(fit.w, fit.alpha)
-    cov_fit = a * (fit @ fit.T) + b * (fit + fit.T) + e * eye
-    return [best, *_cov_preimages(cov_fit, a, b, e)], True
+    # The other preimages are those of the covariance that the fit reproduces.
+    return [best, *_cov_preimages(_sigma(best, resp), resp)], True
 
 
 def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
@@ -403,26 +420,25 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     if not moments.has_full_cov:
         raise InsufficientDataError(
             "covariance-based estimation needs the full covariance "
-            "(homodyne 3-angle split, heterodyne or joint read-out)"
-        )
-    cov_emp = moments.cov
+            "(homodyne 3-angle split, heterodyne or joint read-out)")
+    (sxx, sxp), (_, spp) = moments.cov.tolist()
+    cov_emp = (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
     resp = response(setup, noise)
-    a, b, e = resp.a, resp.b, resp.e
-    if a <= 0.0 or abs(b / a) < 1e-12:
+    if resp.a <= 0.0 or abs(resp.b / resp.a) < 1e-12:
         raise UnidentifiableError(
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
 
     # Every process matrix consistent with the fitted covariance, once each;
     # the canonical representative is the pick.
-    mats, off_image = _fit_cov(cov_emp, a, b, e)
+    mats, off_image = _fit_cov(cov_emp, resp)
     candidates, seen = [], []
-    for mat in mats:
-        tol = _SAME_PROCESS_TOL * max(1.0, float(np.abs(mat).max()))
-        if any(float(np.abs(mat - m).max()) <= tol for m in seen):
+    for m0, m1 in mats:
+        tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
+        if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
             continue
-        fit = ProcessParams.folded(*polar_decompose_2x2(mat))
-        seen.append(mat)
+        fit = ProcessParams.folded(*polar_pair(m0, m1))
+        seen.append((m0, m1))
         candidates.append((fit.phi, fit.w, fit.alpha))
     w_min = min(w for _, w, _ in candidates)
     short = [c for c in candidates if c[1] <= w_min + 1e-3]
@@ -431,37 +447,36 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     pick = max(short, key=lambda c: c[0])
     rivals = [c for c in candidates if c is not pick]
 
-    fitted = ProcessParams.folded(*pick)
-    mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
-    residual = float(np.linalg.norm(resp.cov(mat) - cov_emp))
-    rel = residual / max(float(np.linalg.norm(cov_emp)), 1e-300)
+    gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
+    residual = math.sqrt(_dot(gap, gap))
+    rel = residual / max(math.sqrt(_dot(cov_emp, cov_emp)), 1e-300)
     if rel > RESIDUAL_REL_TOL:
         raise FitRejectedError(
-            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}"
-        )
+            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}")
     diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
                    "ambiguity_order": len(candidates)}
     if rivals:
         diagnostics["rival_fits"] = rivals
-    if fitted.w < AXIS_UNDEFINED_W:
-        fitted = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=0.0)
-        mat = rotation(fitted.phi) @ squeeze_matrix(fitted.w, fitted.alpha)
-        diagnostics["axis_undefined"] = True
-    d_vec = (moments.mean - resp.mean(mat, np.zeros(2), setup.light_mean)) / resp.g_d
-    params = ProcessParams.folded(phi=fitted.phi, w=fitted.w, alpha=fitted.alpha,
-                                  d=math.hypot(d_vec[0], d_vec[1]),
-                                  beta=math.atan2(d_vec[1], d_vec[0]))
+    phi, w, alpha = pick
+    if w < AXIS_UNDEFINED_W:
+        alpha, diagnostics["axis_undefined"] = 0.0, True
+    m0, m1 = _process_pair(phi, w, alpha)
+    m_in = complex(*setup.light_mean)
+    d_vec = (complex(*moments.mean) - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+             - resp.direct * m_in) / resp.g_d
+    params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
     return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
 
 
 def _probe_inversion(probe_moments, r):
-    """Offset k and linear part M of the affine response mu = M m_in + k,
-    read off the means of the probes at PROBE_PHASES of amplitude r: the
-    opposite phases cancel M and give k and M's first column, the
-    quarter-turn probe gives its second.  Returns (k, M)."""
-    m_a, m_b, m_c = (np.asarray(m.mean, dtype=float) for m in probe_moments)
+    """Offset k and linear part M = (m0, m1) (see _mul) of the affine response
+    mu = M m_in + k, read off the complex probe means at PROBE_PHASES of
+    amplitude r: the opposite phases cancel M and give k and M 1 = m0 + m1,
+    the quarter-turn probe gives M i = i (m0 - m1).  Returns (k, (m0, m1))."""
+    m_a, m_b, m_c = (complex(*m.mean) for m in probe_moments)
     k_hat = 0.5 * (m_a + m_b)
-    return k_hat, np.column_stack([(m_a - m_b) / (2.0 * r), (m_c - k_hat) / r])
+    first, second = (m_a - m_b) / (2.0 * r), (m_c - k_hat) / r
+    return k_hat, (0.5 * (first - 1j * second), 0.5 * (first + 1j * second))
 
 
 def est_general_mean(probe_moments, setup: SetupConfig,
@@ -483,19 +498,16 @@ def est_general_mean(probe_moments, setup: SetupConfig,
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t_c = 0): "
             "the mean carries no signal of the linear part")
-    k_hat, m_lin = _probe_inversion(probe_moments, r)
+    k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
     d_vec = k_hat / resp.g_d
-    b = (m_lin - resp.direct * np.eye(2)) / resp.through
-    phi, w, alpha = polar_decompose_2x2(b)
-    diagnostics = {"det_b": float(np.linalg.det(b)), "w_raw": w}
+    b0, b1 = (m0 - resp.direct) / resp.through, m1 / resp.through
+    phi, w, alpha = polar_pair(b0, b1)
+    diagnostics = {"det_b": (b0 * b0.conjugate() - b1 * b1.conjugate()).real, "w_raw": w}
     if w < AXIS_UNDEFINED_W:
         alpha = 0.0
         if abs(w) < AXIS_UNDEFINED_W:
             diagnostics["axis_undefined"] = True
-    params = ProcessParams.folded(
-        phi=phi, w=w, alpha=alpha,
-        d=math.hypot(d_vec[0], d_vec[1]), beta=math.atan2(d_vec[1], d_vec[0]),
-    )
+    params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
     return EstimateReport(params=params, method="mean_method", diagnostics=diagnostics)
 
 
@@ -594,19 +606,6 @@ def _record_block(m, mean_only):
     return None, 0.0, (0.0 if mean_only else 1.0, 1.0, m, (abs(m) ** 2 / 2, m * m / 2), (0, 0)), []
 
 
-def _mul(x, y):
-    """Product XY in the pair form of _joint_fit: a quadrature pair (x, p) is
-    z = x + ip and a real 2x2 M the pair (m0, m1) with M z = m0 z + m1 conj(z),
-    as a -> mu a + nu a^dagger.  R(phi) is (e^{i phi}, 0), M^T (conj(m0), m1),
-    tr M = 2 Re m0, det M = |m0|^2 - |m1|^2, z m^T = (z conj(m), z m) / 2."""
-    return x[0] * y[0] + x[1] * y[1].conjugate(), x[0] * y[1] + x[1] * y[0].conjugate()
-
-
-def _dot(x, y):
-    """Frobenius product tr(X^T Y) of two 2x2 matrices in the pair form."""
-    return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
-
-
 def _joint_fit(x, blocks, resp):
     """Deviance of the chart point x (see chart) from the saturated Gaussians
     of the data sets in blocks (see _blocks), score and information, closed
@@ -647,8 +646,7 @@ def _joint_fit(x, blocks, resp):
     d_a = ((1j * al, 1j * be), (rot * c1 * u, rot * (c1 + c2 * u * zeta)),
            (rot * c1 * v, rot * (1j * c1 + c2 * v * zeta)))
     lin = (a * al + b, a * be)  # a A + b I
-    sig = (a * (al * al.conjugate() + be * be.conjugate()).real + 2.0 * b * al.real + resp.e,
-           2.0 * be * lin[0])
+    sig = _sigma((al, be), resp)
     d_sig = [(2.0 * (lin[0].conjugate() * da + lin[1].conjugate() * db).real,
               2.0 * (a * be * da + lin[0] * db)) for da, db in d_a]
     mu0, mu1, shift = through * al + resp.direct, through * be, g_d * complex(c, s)

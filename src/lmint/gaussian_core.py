@@ -7,6 +7,7 @@ operations are pure functions.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -328,36 +329,35 @@ def repair_physicality(cov: np.ndarray) -> np.ndarray:
     return np.array([[a + add, b], [b, c + add]])
 
 
-def polar_decompose_2x2(b: np.ndarray, degenerate_tol: float = 1e-9):
-    """Left polar decomposition B = R(phi) S with S symmetric positive.
+#: Relative singular-value gap 2 |m1| / |m0| below which polar_pair takes
+#: the squeeze axis as undefined.
+_ISOTROPIC_TOL = 1e-9
 
-    Returns (phi, w, alpha) such that, for det B = 1, S = squeeze_matrix(w,
-    alpha) exactly.  For det B != 1, w is taken from the largest singular
-    value (log s1), so a uniform shrink of B lowers w.  For a nearly
-    isotropic S the axis is undefined and alpha is returned as 0.
 
-    Raises DecompositionError for det B <= 0 (corrupt moment estimates).
-    """
+def polar_pair(m0: complex, m1: complex):
+    """Left polar decomposition B = R(phi) S, S symmetric positive, of B z =
+    m0 z + m1 conj(z) on the quadrature pair z = x + ip.  R(phi) S(w, alpha)
+    is (e^{i phi} cosh w, e^{i (phi + 2 alpha)} sinh w) and the singular
+    values are |m0| +- |m1|, so phi = arg m0, w = log(|m0| + |m1|) (for det
+    B != 1 the largest singular value, so a uniform shrink of B lowers w)
+    and alpha = (arg m1 - phi) / 2, or 0 for a nearly isotropic S.  Raises
+    DecompositionError for det B = |m0|^2 - |m1|^2 <= 0 (corrupt moments)."""
+    r0, r1 = abs(m0), abs(m1)
+    if r0 <= r1:
+        raise DecompositionError(
+            f"polar decomposition requires det > 0, got {(r0 - r1) * (r0 + r1)}")
+    phi = cmath.phase(m0)
+    if 2.0 * r1 <= _ISOTROPIC_TOL * r0:
+        return phi, math.log(r0), 0.0
+    return phi, math.log(r0 + r1), fold_axis(0.5 * (cmath.phase(m1) - phi))
+
+
+def polar_decompose_2x2(b: np.ndarray):
+    """polar_pair of a real 2x2 matrix B, whose pair is m0 = (b00 + b11 + i
+    (b10 - b01)) / 2, m1 = (b00 - b11 + i (b10 + b01)) / 2."""
     b = np.asarray(b, dtype=float)
     if b.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {b.shape}")
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    if det <= 0.0:
-        raise DecompositionError(f"polar decomposition requires det > 0, got {det}")
-    btb = b.T @ b
-    # Analytic sqrt of an SPD 2x2: (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)).
-    sdet = det  # sqrt(det(B^T B)) = |det B|
-    denom = math.sqrt(btb[0, 0] + btb[1, 1] + 2.0 * sdet)
-    s = (btb + sdet * np.eye(2)) / denom
-    r = b @ np.linalg.inv(s)
-    phi = math.atan2(r[1, 0], r[0, 0])
-    # Analytic eigendecomposition of symmetric S.
-    half_diff = 0.5 * (s[0, 0] - s[1, 1])
-    mean_ev = 0.5 * (s[0, 0] + s[1, 1])
-    radius = math.hypot(half_diff, s[0, 1])
-    s1 = mean_ev + radius
-    s2 = mean_ev - radius
-    if s1 - s2 <= degenerate_tol * mean_ev:
-        return phi, math.log(mean_ev), 0.0
-    theta = 0.5 * math.atan2(2.0 * s[0, 1], s[0, 0] - s[1, 1])
-    return phi, math.log(s1), fold_axis(theta)
+    (b00, b01), (b10, b11) = b.tolist()
+    return polar_pair(complex(0.5 * (b00 + b11), 0.5 * (b10 - b01)),
+                      complex(0.5 * (b00 - b11), 0.5 * (b10 + b01)))

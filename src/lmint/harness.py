@@ -394,8 +394,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     moments = [draw_moments(forward(dc_replace(setup, probe_phase=phase), IDENTITY_PROCESS,
                                     true_noise), _keyed_plan(plan, n_each, plan.seed, j))
                for j, phase in enumerate(PROBE_PHASES)]
-    m_lin = _probe_inversion(moments, r)[1]
-    gain = 0.5 * (m_lin[0, 0] + m_lin[1, 1])
+    gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
     if t_c_hat > (1.0 + margin) ** 2 or t_c_hat <= 0.0:

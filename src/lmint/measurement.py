@@ -114,17 +114,18 @@ def _cholesky(cov) -> tuple[float, float, float]:
 def _record_laws(state: GaussianState, plan: MeasurementPlan) -> list:
     """(n, mean, covariance) of each group of records the plan takes of a
     single-mode state: one scalar law per homodyne angle, one two-dimensional
-    law for paired records (heterodyne adds one vacuum unit)."""
+    law for paired records (heterodyne adds one vacuum unit).  The records
+    at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with variances
+    Sxx, Spp and (Sxx + Spp) / 2 + Sxp."""
     if state.n_modes != 1:
         raise ValueError("sampling expects a single-mode state")
     if not is_physical(state):
         raise ValueError("cannot sample an unphysical state")
     if plan.scheme in _ANGLES:
-        laws = []
-        for theta, n in zip(_ANGLES[plan.scheme], plan.group_sizes()):
-            v = np.array([math.cos(theta), math.sin(theta)])
-            laws.append((n, float(v @ state.mean), float(v @ state.cov @ v)))
-        return laws
+        (m_x, m_p), ((s_xx, s_xp), (_, s_pp)) = state.mean.tolist(), state.cov.tolist()
+        laws = ((m_x, s_xx), (m_p, s_pp),
+                ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
+        return [(n, mu, var) for n, (mu, var) in zip(plan.group_sizes(), laws)]
     cov = state.cov + np.eye(2) if plan.scheme is Scheme.HETERODYNE else state.cov
     return [(plan.n_samples, state.mean, cov)]
 

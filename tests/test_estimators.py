@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -729,6 +730,29 @@ def test_joint_fit_gives_no_score_far_off(bench_setup, bench_process):
         for w in (400.0, 800.0):
             assert _joint_fit(np.array([0.7, w, 0.0, 0.0, 0.0]), blocks,
                               response(bench_setup)) == (math.inf, None, None, 0.0)
+
+
+def test_sigma_pair_matches_the_response_covariance(bench_setup):
+    # The pair form (s0, s1) of _sigma is the symmetric matrix s0 I + Re s1
+    # sz + Im s1 sx; the pair (m0, m1) is the matrix with columns m0 + m1
+    # and i (m0 - m1).
+    from lmint.estimators import _process_pair, _sigma
+
+    rng = np.random.default_rng(4242)
+    for _ in range(100):
+        setup = dataclasses.replace(bench_setup, t1=rng.uniform(0.05, 0.95),
+                                    t2=rng.uniform(0.05, 0.95), v_thermal=rng.uniform(1.0, 200.0))
+        resp = response(setup, NoiseParams(t_c=rng.uniform(0.5, 1.0), v_c=rng.uniform(1.0, 2.0)))
+        m0, m1 = complex(*rng.normal(size=2) * 3.0), complex(*rng.normal(size=2) * 3.0)
+        first, second = m0 + m1, 1j * (m0 - m1)
+        mat = np.array([[first.real, second.real], [first.imag, second.imag]])
+        s0, s1 = _sigma((m0, m1), resp)
+        want = resp.cov(mat)
+        got = np.array([[s0 + s1.real, s1.imag], [s1.imag, s0 - s1.real]])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Far off, the entries overflow to inf rather than raising.
+    s0, s1 = _sigma(_process_pair(0.7, 400.0, 0.3), response(bench_setup))
+    assert s0 == math.inf and not cmath.isfinite(s1)
 
 
 def test_combined_names_a_singular_scatter(bench_setup, bench_process):

@@ -384,3 +384,32 @@ def test_polar_roundtrip_random(phi, w, alpha):
     assert np.abs(rebuilt - b).max() < 1e-8
     assert abs(circular_diff(phi_r, phi)) < 1e-6
     assert w_r == pytest.approx(w, abs=1e-6)
+
+
+def test_polar_matches_the_svd_off_unit_determinant():
+    # mean_method's path: B with det B > 0 but not 1.  With B = U diag(s1,
+    # s2) V^T, R = U V^T, w = log s1 and alpha is the axis of V's first column.
+    rng = np.random.default_rng(7331)
+    for _ in range(300):
+        b = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2, 2)
+        if np.linalg.det(b) < 0.0:
+            b[:, 1] = -b[:, 1]
+        u, sv, vt = np.linalg.svd(b)
+        if sv[0] - sv[1] <= 1e-6 * sv[0]:
+            continue
+        r = u @ vt
+        phi, w, alpha = polar_decompose_2x2(b)
+        assert abs(circular_diff(phi, math.atan2(r[1, 0], r[0, 0]))) < 1e-10
+        assert w == pytest.approx(math.log(sv[0]), abs=1e-12)
+        assert abs(circular_diff(alpha, math.atan2(vt[0, 1], vt[0, 0]), math.pi)) < 1e-9
+        axis = rotation(alpha)
+        rebuilt = rotation(phi) @ axis @ np.diag(sv) @ axis.T
+        assert np.abs(rebuilt - b).max() < 1e-10 * sv[0]
+
+
+def test_polar_pair_names_a_nonpositive_determinant():
+    from lmint.gaussian_core import polar_pair
+
+    with pytest.raises(DecompositionError, match="polar decomposition requires det > 0"):
+        polar_pair(0.5 + 0.5j, 1.0j)
+    assert polar_pair(2.0, 1e-12) == (0.0, math.log(2.0), 0.0)  # isotropic: no axis
