@@ -13,7 +13,7 @@ from .gaussian_core import (
     process_symplectic,
     repair_physicality,
 )
-from .interferometer import Response, SetupConfig, Topology, forward, response
+from .interferometer import Response, SetupConfig, Topology, forward, measured_state, response
 from .measurement import MeasurementPlan, Scheme, draw_moments, estimate_moments, sample
 from .estimators import (
     EstimateReport,

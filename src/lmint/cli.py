@@ -20,7 +20,7 @@ from .estimators import EstimationError, UnidentifiableError
 from .fisher import PARAMETERS, FisherMethod, fisher_displacement, fisher_matrix
 from .gaussian_core import DecompositionError, ProcessParams
 from .harness import CalibrationError, MonteCarloConfig, calibrate, estimate_once, sweep
-from .interferometer import SetupConfig, Topology, forward
+from .interferometer import SetupConfig, Topology, measured_state
 from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
 from .noise import NoiseParams
 
@@ -250,7 +250,7 @@ def _csv_text(header, rows) -> str:
 
 
 def cmd_simulate(cfg, args) -> int:
-    state = forward(cfg["setup"], cfg["process"], cfg["noise"])
+    state = measured_state(cfg["setup"], cfg["process"], cfg["noise"])
     payload = {"mean": list(state.mean), "cov": [list(row) for row in state.cov]}
     if args.samples:
         records = sample(state, cfg["plan"])

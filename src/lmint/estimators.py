@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_core import ProcessParams, fold_angle, polar_pair, rotation
+from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair, rotation
 from .interferometer import SetupConfig, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -437,9 +437,9 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
         if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
             continue
-        fit = ProcessParams.folded(*polar_pair(m0, m1))
+        phi, w, alpha = polar_pair(m0, m1)
         seen.append((m0, m1))
-        candidates.append((fit.phi, fit.w, fit.alpha))
+        candidates.append((fold_angle(phi), max(w, 0.0), fold_axis(alpha)))
     w_min = min(w for _, w, _ in candidates)
     short = [c for c in candidates if c[1] <= w_min + 1e-3]
     a_min = min(abs(al) for _, _, al in short)

@@ -2,8 +2,9 @@
 phase-estimator crossover locator, and the two-step noise calibration.
 
 A realization's data are moment statistics drawn from their exact law
-(measurement.draw_moments) around forward's state, which is computed once
-per config.  Data set j of realization k at sweep point p draws from the
+(measurement.draw_moments) around the measured state of the closed-form
+response (interferometer.measured_state), computed once per config and
+probe phase.  Data set j of realization k at sweep point p draws from the
 stream np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
 SeedSequence(base_seed).spawn gives, so streams are independent by
 construction and results reproducible and order-independent.  Realizations
@@ -33,7 +34,7 @@ from .estimators import (
     est_phase_var,
 )
 from .gaussian_core import IDENTITY_PROCESS, DecompositionError, ProcessParams, circular_diff
-from .interferometer import SetupConfig, forward, response
+from .interferometer import SetupConfig, measured_state, response
 from .measurement import InsufficientDataError, MeasurementPlan, draw_moments
 from .noise import IDEAL_NOISE, NoiseParams
 
@@ -150,10 +151,11 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int):
     """Moments of realizations 1 to m_reps at sweep point `point`, as pairs
     (single read-out, three probes): data set 0, drawn when an estimator
     other than mean_method reads it, and data sets 1 to 3, drawn when
-    mean_method or combined does (else None and []).  forward runs once per
-    probe phase, which a probe and the single read-out may share."""
+    mean_method or combined does (else None and []).  The measured state is
+    formed once per probe phase, which a probe and the single read-out may
+    share."""
     bases = {base_name(n) for n in cfg.estimators}
-    state_at = functools.cache(lambda phase: forward(
+    state_at = functools.cache(lambda phase: measured_state(
         dc_replace(cfg.setup, probe_phase=phase), cfg.process, cfg.noise))
     single = state_at(cfg.setup.probe_phase) if bases - {"mean_method"} else None
     probes = [state_at(phase) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
@@ -391,8 +393,9 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
         raise CalibrationError("calibration needs probe light through the process "
                                "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
-    moments = [draw_moments(forward(dc_replace(setup, probe_phase=phase), IDENTITY_PROCESS,
-                                    true_noise), _keyed_plan(plan, n_each, plan.seed, j))
+    moments = [draw_moments(measured_state(dc_replace(setup, probe_phase=phase),
+                                           IDENTITY_PROCESS, true_noise),
+                            _keyed_plan(plan, n_each, plan.seed, j))
                for j, phase in enumerate(PROBE_PHASES)]
     gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through

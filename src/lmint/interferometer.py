@@ -25,6 +25,8 @@ from .gaussian_core import (
     make_thermal,
     marginal,
     process_symplectic,
+    rotation,
+    squeeze_matrix,
     tensor,
     vacuum,
 )
@@ -127,6 +129,7 @@ class Response:
     of a k x 2 array.  Every input covariance and every coupler block is
     proportional to the 2x2 identity, so six scalars per (setup, noise)
     carry the whole model; forward is the reference it is checked against.
+    measured_state turns them into forward's state.
     """
 
     through: float
@@ -169,3 +172,14 @@ def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
     return Response(through=through, direct=math.sqrt((1.0 - t1) * (1.0 - t2)), g_d=g_d,
                     a=a, b=math.sqrt(t1 * (1.0 - t1) * t2 * (1.0 - t2) * t_c) * (1.0 - v),
                     e=bath + (1.0 - t2) * (t1 * v + 1.0 - t1))
+
+
+def measured_state(setup: SetupConfig, process: ProcessParams,
+                   noise: NoiseParams | None = None) -> GaussianState:
+    """forward's measured light mode, read from the closed-form response:
+    one state instead of forward's chain of two-mode ones.  The simulated
+    data draw from it; forward stays the reference the tests check it
+    against."""
+    resp = response(setup, noise)
+    mat = rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
+    return GaussianState(resp.mean(mat, process.d_vec, setup.light_mean), resp.cov(mat))

@@ -182,11 +182,17 @@ def _smaller_eigenvalue(a: float, b: float, c: float) -> float:
 
 def _condition(cov: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues (possible after the heterodyne subtraction),
-    then inflate to the physical floor; eigh runs only when one is negative."""
-    if _smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0:
-        evals, evecs = np.linalg.eigh(cov)
-        cov = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-        cov = 0.5 * (cov + cov.T)
+    then inflate to the physical floor.  With eigenvalues lo < 0 and hi the
+    clipped matrix is max(hi, 0) (Sigma - lo I) / (hi - lo), of rank at most
+    one, so the floor adds exactly I; its rounded determinant, whose root is
+    of order sqrt(eps) |Sigma|, never decides the repair."""
+    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
+    lo = _smaller_eigenvalue(a, b, c)
+    if lo < 0.0:
+        gap = math.hypot(a - c, b + b)  # hi - lo
+        hi = 0.5 * (a + c + gap)
+        k = hi / gap if hi > 0.0 else 0.0
+        return np.array([[k * (a - lo) + 1.0, k * b], [k * b, k * (c - lo) + 1.0]])
     return repair_physicality(cov)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lmint import (
     find_r_crit,
     fit_exponent,
     forward,
+    measured_state,
     run_mc,
     sweep,
 )
@@ -159,25 +161,38 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
     assert len(set(seeds)) == len(seeds)
 
 
-def test_run_mc_calls_forward_once_per_state(bench_setup, bench_process, monkeypatch):
-    # forward runs once per distinct state, whatever the number of
-    # realizations: once per probe phase, which the single read-out shares
-    # at probe phase 0, and once per calibration probe.
-    calls = []
+def test_run_mc_forms_each_state_once_without_forward(bench_setup, bench_process,
+                                                      monkeypatch):
+    # The measured state is formed once per distinct state, whatever the
+    # number of realizations: once per probe phase, which the single
+    # read-out shares at probe phase 0, and once per calibration probe.
+    # The symplectic forward is the tests' reference and never runs here.
+    calls, forward_calls = [], []
 
     def counting(*args):
         calls.append(args)
+        return measured_state(*args)
+
+    def forbidden(*args):
+        forward_calls.append(args)
         return forward(*args)
 
-    monkeypatch.setattr(harness, "forward", counting)
+    monkeypatch.setattr(harness, "measured_state", counting)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "lmint" and getattr(module, "forward", None) is forward:
+            monkeypatch.setattr(module, "forward", forbidden)
     for probe_phase, states in ((0.0, 3 + 3), (0.3, 1 + 3 + 3)):
         setup = dataclasses.replace(bench_setup, probe_phase=probe_phase)
         for m_reps in (2, 7):
             calls.clear()
-            run_mc(mc(setup, bench_process, estimators=("cov_method", "combined"),
-                      n=600, m_reps=m_reps, noise=NoiseParams(t_c=0.9, v_c=1.2),
-                      calibration="auto"))
+            cfg = mc(setup, bench_process, estimators=("cov_method", "combined"),
+                     n=600, m_reps=m_reps, noise=NoiseParams(t_c=0.9, v_c=1.2),
+                     calibration="auto")
+            run_mc(cfg)
             assert len(calls) == states
+            estimate_once(cfg)
+    calibrate(bench_setup, cal_plan(1000), NoiseParams(t_c=0.9, v_c=1.2))
+    assert forward_calls == []
 
 
 def test_combined_far_trials_fail_by_name_in_run_mc():

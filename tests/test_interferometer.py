@@ -12,6 +12,7 @@ from lmint import (
     SetupConfig,
     Topology,
     forward,
+    measured_state,
     response,
 )
 from lmint.estimators import W_MAX
@@ -182,3 +183,7 @@ def test_response_matches_forward(topology, t1, t2, v, r, probe_phase, phi, w, a
     cov = resp.cov(mat)
     assert np.abs(mean - state.mean).max() <= 1e-9 * max(1.0, np.abs(state.mean).max())
     assert np.abs(cov - state.cov).max() <= 1e-9 * np.abs(state.cov).max()
+    # The simulated data draw from measured_state, the response's own state.
+    drawn = measured_state(setup, process, noise)
+    assert np.abs(drawn.mean - state.mean).max() <= 1e-12 * max(1.0, np.abs(state.mean).max())
+    assert np.abs(drawn.cov - state.cov).max() <= 1e-12 * np.abs(state.cov).max()

@@ -7,7 +7,9 @@ import pytest
 
 from lmint import MeasurementPlan, Scheme, estimate_moments, sample
 from lmint.gaussian_core import GaussianState, make_coherent, make_thermal, vacuum
-from lmint.measurement import SampleSet, _cholesky, _rng, _smaller_eigenvalue, draw_moments
+from lmint.measurement import (
+    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_moments,
+)
 
 
 def plan(scheme, n, seed=0):
@@ -214,6 +216,29 @@ def test_clip_decision_matches_eigh():
         clipped += want
         assert (_smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0) == want, cov
     assert 1000 < clipped < 8000
+
+
+def test_clipped_covariance_is_not_decided_by_rounding():
+    # A clipped covariance has rank one, so the floor adds exactly I and a
+    # one-ulp rescale moves the result by rounding only; a repair read off
+    # the clipped matrix's rounded determinant moves this one by 5.4e-6.
+    def clipped_plus_floor(cov):
+        evals, evecs = np.linalg.eigh(cov)
+        return (evecs * np.clip(evals, 0.0, None)) @ evecs.T + np.eye(2)
+
+    cov = np.array([[300.0, 420.0], [420.0, 500.0]])
+    eps = np.finfo(float).eps
+    for scale in (1.0, 1.0 + eps, 1.0 - eps / 2):
+        got = _condition(cov * scale)
+        assert np.abs(got - clipped_plus_floor(cov)).max() <= 1e-14 * 500.0
+    rng = np.random.default_rng(23)
+    clipped = 0
+    for cov in _spd_and_subtracted(rng, 3000):
+        if _smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0:
+            clipped += 1
+            gap = np.abs(_condition(cov) - clipped_plus_floor(cov)).max()
+            assert gap <= 1e-14 * max(1.0, np.abs(cov).max()), cov
+    assert clipped > 300
 
 
 def test_draws_in_threads_match_serial_draws():
