@@ -330,7 +330,10 @@ def cmd_sweep(cfg, args) -> int:
 
 
 def cmd_calibrate(cfg, args) -> int:
-    est = calibrate(cfg["setup"], cfg["plan"], cfg["noise"])
+    try:
+        est = calibrate(cfg["setup"], cfg["plan"], cfg["noise"])
+    except ValueError as exc:  # too few shots for the three probes
+        raise ConfigError(f"plan: {exc}") from None
     _write_text(cfg["out"], json.dumps({"t_c": est.t_c, "v_c": est.v_c}, indent=2) + "\n")
     return 0
 

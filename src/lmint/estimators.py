@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair, rotation
+from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair
 from .interferometer import SetupConfig, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -76,6 +76,13 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _pair(moments: MomentEstimate):
+    """The mean z = x + ip and covariance (c0, c1) of a MomentEstimate in the
+    pair form of _mul: the one reader of its arrays."""
+    (x, p), ((sxx, sxp), (_, spp)) = moments.mean.tolist(), moments.cov.tolist()
+    return complex(x, p), (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
+
+
 # ---------------------------------------------------------------------------
 # Displacement-only estimation
 
@@ -90,18 +97,13 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     resp = response(setup, noise)
     if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
-    baseline = (resp.through + resp.direct) * setup.light_mean  # resp.mean at A = I, d = 0
-    dx, dp = (moments.mean - baseline) / resp.g_d
-    return math.hypot(dx, dp), math.atan2(dp, dx)
+    baseline = (resp.through + resp.direct) * complex(*setup.light_mean)  # mean at A = I, d = 0
+    d_vec = (_pair(moments)[0] - baseline) / resp.g_d
+    return abs(d_vec), cmath.phase(d_vec)
 
 
 # ---------------------------------------------------------------------------
 # Phase-only estimation
-
-
-def _frame_mean(moments: MomentEstimate, setup: SetupConfig) -> np.ndarray:
-    """Measured mean rotated into the probe frame (probe phase -> 0)."""
-    return rotation(-setup.probe_phase) @ moments.mean
 
 
 def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict | None = None,
@@ -119,13 +121,14 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict
     resp = response(setup, noise)
     if resp.b == 0.0:
         raise UnidentifiableError("b = 0: the output variance carries no phase signal")
-    arg = ((moments.cov[0, 0] + moments.cov[1, 1]) / 2.0 - (resp.a + resp.e)) / (2.0 * resp.b)
+    z, (c0, _) = _pair(moments)
+    arg = (c0 - (resp.a + resp.e)) / (2.0 * resp.b)
     if abs(arg) > 1.0:
         if diagnostics is not None:
             diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
         arg = max(-1.0, min(1.0, arg))
     phi = math.acos(arg)
-    if setup.r_amp > 0.0 and _frame_mean(moments, setup)[1] < 0.0:
+    if setup.r_amp > 0.0 and (z * cmath.rect(1.0, -setup.probe_phase)).imag < 0.0:
         phi = -phi
     return fold_angle(phi)
 
@@ -140,37 +143,36 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the output mean carries no phase signal")
-    mx, mp = _frame_mean(moments, setup)
-    return math.atan2(mp, mx - setup.r_amp * resp.direct)
+    frame = _pair(moments)[0] * cmath.rect(1.0, -setup.probe_phase)  # probe phase -> 0
+    return math.atan2(frame.imag, frame.real - setup.r_amp * resp.direct)
 
 
-def _phase_loglik(phi, resp, m_in, sets):
-    """Log-likelihood of the data sets of a MomentEstimate (see _data_sets)
-    under a pure phase shift, with its score and information (the phi
-    entries of _joint_fit), for an array of phi.  With A = R(phi) the model
-    mean is mu = (through R(phi) + direct I) m_in and the covariance v I, v =
-    a + e + 2 b cos(phi), plus the heterodyne unit; a prime is d/dphi.  A set
-    of n records whose projection P has k orthonormal rows, with delta = mean
-    - P mu (0 without a mean) and spread = tr S + |delta|^2, adds n [delta^T
-    P mu' / v + v' (spread / v - k) / (2 v)] to the score and n [|P mu'|^2 /
-    v + k (v' / v)^2 / 2] to the information."""
-    cos, sin = np.cos(phi), np.sin(phi)
-    x, y = m_in
-    # Rows: through R(phi) m_in, then mu' = through J R(phi) m_in.
-    moved = resp.through * np.array([[x, -y], [y, x], [-y, -x], [x, -y]]) @ np.array([cos, sin])
-    mu, d_mu = moved[:2] + resp.direct * m_in[:, None], moved[2:]
-    var, d_var = resp.a + resp.e + 2.0 * resp.b * cos, -2.0 * resp.b * sin
+def _phase_loglik(phi, resp, blocks):
+    """Log-likelihood of the data sets in blocks (see _blocks) under a pure
+    phase shift A = (e^{i phi}, 0), with its score and information (the phi
+    entries of _joint_fit), for phi an array or a float: mean mu = (through
+    e^{i phi} + direct) m, mu' = i through e^{i phi} m, covariance v I, v = a
+    + e + 2 b cos(phi) plus the block's added variance.  A set of n records
+    of k components, delta and mu'_P the parts of mean - mu (0 without a
+    mean) and mu' it measures, spread = tr S + |delta|^2 = 2 c0 + |delta|^2,
+    adds n [<delta, mu'_P> / v + v' (spread / v - k) / (2 v)] to the score
+    and n [|mu'_P|^2 / v + k (v' / v)^2 / 2] to the information."""
+    turn = np.exp(1j * phi)
+    var, d_var = resp.a + resp.e + 2.0 * resp.b * turn.real, -2.0 * resp.b * turn.imag
     ll = score = info = 0.0
-    for n, proj, added, mean, scatter in sets:
-        k, v = len(proj), var + added[0, 0]
-        spread, drift, pull = np.trace(scatter), 0.0, 0.0
-        if mean is not None:
-            delta, p_dmu = mean[:, None] - proj @ mu, proj @ d_mu
-            spread = spread + (delta ** 2).sum(axis=0)
-            drift, pull = (delta * p_dmu).sum(axis=0), (p_dmu ** 2).sum(axis=0)
-        ll = ll - 0.5 * n * (k * np.log(v) + spread / v)
-        score = score + n * (drift + 0.5 * d_var * (spread / v - k)) / v
-        info = info + n * (pull + 0.5 * k * d_var * d_var / v) / v
+    for p, added, (n_all, *_, scatter), sets in blocks:
+        k, v = (2 if p is None else 1), var + added
+        spread, drift, pull = 2.0 * scatter[0], 0.0, 0.0  # n-weighted sums over the sets
+        for n, m, _, mean, _, _ in (s for s in sets if s[3] is not None):
+            moved = resp.through * m * turn  # through R(phi) m
+            delta, d_mu = mean - resp.direct * m - moved, 1j * moved
+            if p is not None:  # the measured quadrature alone
+                delta, d_mu = (p.conjugate() * delta).real, (p.conjugate() * d_mu).real
+            spread = spread + n * (delta * np.conj(delta)).real
+            drift, pull = drift + n * (np.conj(delta) * d_mu).real, pull + n * abs(d_mu) ** 2
+        ll = ll - 0.5 * (n_all * k * np.log(v) + spread / v)
+        score = score + (drift + 0.5 * d_var * (spread / v - n_all * k)) / v
+        info = info + (pull + 0.5 * n_all * k * d_var * d_var / v) / v
     return ll, score, info
 
 
@@ -187,8 +189,8 @@ _PHASE_TOL = 1e-12
 def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> float:
     """Maximum-likelihood phase estimate over (-pi, pi]: the Gaussian
-    likelihood of the data sets that est_combined maximises, restricted to a
-    pure phase shift (mean and variance both phase-dependent).
+    likelihood of est_combined's blocks (see _blocks), restricted to a pure
+    phase shift (mean and variance both phase-dependent).
 
     A 64-point scan of its closed form (_phase_loglik) brackets the maximum
     within a grid step either side, and the polish solves the stationarity
@@ -208,17 +210,17 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    sets, m_in = _data_sets(moments), setup.light_mean
-    k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, m_in, sets)[0]))
+    blocks = _blocks([moments], [setup.light_mean])
+    k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))
     phi, last = _PHASE_GRID[k], None
     width = _PHASE_GRID[1] - _PHASE_GRID[0]
     lo, hi = phi - width, phi + width
     for _ in range(_MAX_PHASE_STEPS):
-        _, score, info = _phase_loglik(np.array([phi]), resp, m_in, sets)
-        s = float(score[0])
+        _, score, info = _phase_loglik(phi, resp, blocks)
+        s = float(score)
         lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
         # Curvature of the log-likelihood: minus the information, then secants.
-        slope = -float(info[0]) if last is None else (s - last[1]) / (phi - last[0])
+        slope = -float(info) if last is None else (s - last[1]) / (phi - last[0])
         trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
         if abs(trial - phi) < _PHASE_TOL:
             return fold_angle(trial)
@@ -421,8 +423,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         raise InsufficientDataError(
             "covariance-based estimation needs the full covariance "
             "(homodyne 3-angle split, heterodyne or joint read-out)")
-    (sxx, sxp), (_, spp) = moments.cov.tolist()
-    cov_emp = (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
+    z, cov_emp = _pair(moments)
     resp = response(setup, noise)
     if resp.a <= 0.0 or abs(resp.b / resp.a) < 1e-12:
         raise UnidentifiableError(
@@ -462,7 +463,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         alpha, diagnostics["axis_undefined"] = 0.0, True
     m0, m1 = _process_pair(phi, w, alpha)
     m_in = complex(*setup.light_mean)
-    d_vec = (complex(*moments.mean) - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+    d_vec = (z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
              - resp.direct * m_in) / resp.g_d
     params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
     return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
@@ -473,7 +474,7 @@ def _probe_inversion(probe_moments, r):
     mu = M m_in + k, read off the complex probe means at PROBE_PHASES of
     amplitude r: the opposite phases cancel M and give k and M 1 = m0 + m1,
     the quarter-turn probe gives M i = i (m0 - m1).  Returns (k, (m0, m1))."""
-    m_a, m_b, m_c = (complex(*m.mean) for m in probe_moments)
+    m_a, m_b, m_c = (_pair(m)[0] for m in probe_moments)
     k_hat = 0.5 * (m_a + m_b)
     first, second = (m_a - m_b) / (2.0 * r), (m_c - k_hat) / r
     return k_hat, (0.5 * (first - 1j * second), 0.5 * (first + 1j * second))
@@ -496,7 +497,7 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     resp = response(setup, noise)
     if resp.through == 0.0:
         raise UnidentifiableError(
-            "no probe light passes the process (simplistic topology, t1 = 0 or t_c = 0): "
+            "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the mean carries no signal of the linear part")
     k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
     d_vec = k_hat / resp.g_d
@@ -544,51 +545,37 @@ def chart(process: ProcessParams):
     return x, jac
 
 
-def _data_sets(moments: MomentEstimate) -> list:
-    """(n, projection P, added covariance, mean or None, scatter) of each
-    Gaussian data set behind a MomentEstimate: n records of P z ~ N(P mu,
-    P Sigma P^T + added).  Paired records are one set (heterodyne adds the
-    vacuum unit back), a homodyne split one set per angle; homodyne3's pi/4
-    group counts with its mean when the estimate keeps it."""
-    n, cov = moments.n_effective, moments.cov
-    if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
-        added = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
-        return [(n["mean_x"], np.eye(2), added, moments.mean, cov + added)]
-    zero = np.zeros((1, 1))
-    out = [(n["mean_x"], np.array([[1.0, 0.0]]), zero, moments.mean[:1], cov[:1, :1]),
-           (n["mean_p"], np.array([[0.0, 1.0]]), zero, moments.mean[1:], cov[1:, 1:])]
-    if moments.scheme is Scheme.HOMODYNE_SPLIT3:
-        diag = np.full((1, 2), math.sqrt(0.5))  # angle pi/4
-        mean = None if moments.mean_diag is None else np.array([moments.mean_diag])
-        out.append((n["cov_xp"], diag, zero, mean, diag @ cov @ diag.T))
-    return out
-
-
 def _blocks(data, m_in) -> list:
-    """The data sets of the MomentEstimates in data (see _data_sets), probed
-    by the rows of m_in, in blocks of one projection P and added covariance
-    (one model covariance), in the pair form of _mul.  Per block: p of P =
-    p^T (None for P = I), the added variance, the sums N = sum_j n_j, N_h =
-    sum_j n_j h_j, M1 = sum_j n_j h_j m_j, M2 = sum_j n_j h_j m_j m_j^T and
-    sum_j n_j P^T S_j P over its sets j (h_j has-mean, m_j the probe input),
-    and per set (n, m, conj(m), P^T mean or None, P^T S P, det S)."""
+    """The Gaussian data sets behind the MomentEstimates in data, probed by
+    the rows of m_in, in the pair form (see _pair): n records of P z ~ N(P
+    mu, P Sigma P^T + added), one set of paired records (P = I, heterodyne
+    adds the vacuum unit back) or one per homodyne angle (P = p^T, p the
+    angle's unit vector; homodyne3's pi/4 mean only if kept), in blocks of
+    one P and added variance.  Per block: p (None for P = I), the added
+    variance, the sums N = sum_j n_j, N_h = sum_j n_j h_j, M1 = sum_j n_j h_j
+    m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P over its sets j
+    (h_j has-mean, m_j the probe input), and per set (n, m, conj(m), P^T
+    mean or None, P^T S P, det S)."""
     groups = {}
     for moments, m in zip(data, m_in):
-        m = complex(*m)
-        for n, proj, added, mean, scatter in _data_sets(moments):
-            if len(proj) == 2:  # the full pair
-                (sxx, sxp), (spx, spp) = scatter.tolist()
-                p, det_s = None, sxx * spp - sxp * spx
-                form = (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
-                mean = None if mean is None else complex(*mean)
-            else:  # one quadrature, along p
-                p, det_s = complex(*proj[0]), float(scatter[0, 0])
-                form = (0.5 * det_s, 0.5 * det_s * p * p)
-                mean = None if mean is None else p * float(mean[0])
+        m, n = complex(*m), moments.n_effective
+        z, (c0, c1) = _pair(moments)
+        if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
+            added = 1.0 if moments.scheme is Scheme.HETERODYNE else 0.0
+            f0 = c0 + added
+            sets = [(n["mean_x"], None, added, z, (f0, c1), f0 * f0 - (c1 * c1.conjugate()).real)]
+        else:  # the records along x, p and (x + p) / sqrt 2: key, p, mean, variance
+            quads = [("mean_x", 1 + 0j, z.real, c0 + c1.real),
+                     ("mean_p", 1j, z.imag, c0 - c1.real)]
+            if moments.scheme is Scheme.HOMODYNE_SPLIT3:
+                quads.append(("cov_xp", (1 + 1j) * math.sqrt(0.5), moments.mean_diag, c0 + c1.imag))
+            sets = [(n[key], p, 0.0, None if mean is None else p * mean,
+                     (0.5 * var, 0.5 * var * p * p), var) for key, p, mean, var in quads]
+        for n_j, p, added, mean, form, det_s in sets:
             if not det_s > 0.0:
                 raise EstimationError("a data set's scatter is singular")
-            groups.setdefault((p, float(added[0, 0])), []).append(
-                (float(n), m, m.conjugate(), mean, form, det_s))
+            groups.setdefault((p, added), []).append(
+                (float(n_j), m, m.conjugate(), mean, form, det_s))
     blocks = []
     for (p, added), sets in groups.items():
         probed = [(n, m) for n, m, _, mean, _, _ in sets if mean is not None]

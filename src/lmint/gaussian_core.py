@@ -313,11 +313,9 @@ def repair_physicality(cov: np.ndarray) -> np.ndarray:
     idempotent.  Rejects non-symmetric or indefinite input.
     """
     # Scalar arithmetic throughout: this sits in the per-realization hot path.
-    a = cov[0, 0]
-    b = cov[0, 1]
-    c = cov[1, 1]
+    (a, b), (b_low, c) = cov.tolist()
     scale = 1.0 if -1.0 < a < 1.0 and -1.0 < c < 1.0 else max(abs(a), abs(c))
-    if abs(b - cov[1, 0]) > 1e-10 * scale:
+    if abs(b - b_low) > 1e-10 * scale:
         raise ValueError("covariance matrix is not symmetric")
     det = a * c - b * b
     if det < -1e-12 * scale * scale or a + c < 0.0:

@@ -24,6 +24,7 @@ from .estimators import (
     EstimationError,
     PROBE_PHASES,
     UnidentifiableError,
+    _pair,
     _probe_inversion,
     est_combined,
     est_displacement,
@@ -83,15 +84,25 @@ class MonteCarloConfig:
             raise ValueError(f"m_reps must be >= 2, got {self.m_reps}")
         if not 0 <= self.base_seed < 2 ** 64:
             raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
-        if self.calibration_samples is not None and self.calibration_samples < 2:
-            raise ValueError(
-                f"calibration_samples must be >= 2, got {self.calibration_samples}")
         if self.calibration not in ("true", "auto", "ideal"):
             raise ValueError(f"unknown calibration mode {self.calibration!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         for name in self.estimators:
             if base_name(name) not in ESTIMATOR_PARAMS:
                 raise ValueError(f"unknown estimator {name!r}")
+        if self.calibration_samples is not None:
+            _check_probe_shots(self.plan.scheme, self.calibration_samples, "calibration_samples")
+        if ({base_name(n) for n in self.estimators} & _THREE_PROBE
+                or self.calibration == "auto" and self.calibration_samples is None):
+            _check_probe_shots(self.plan.scheme, self.plan.n_samples, "n_samples")
+
+
+def _check_probe_shots(scheme, n: int, name: str) -> None:
+    """Raise ValueError unless n shots over the three probes make valid plans."""
+    try:
+        MeasurementPlan(scheme, n // len(PROBE_PHASES), seed=0)
+    except ValueError as exc:
+        raise ValueError(f"{name} = {n} over the {len(PROBE_PHASES)} probes: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -383,8 +394,9 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     Runs the three-probe mean protocol against the identity process: the mean
     gain pins t_c, the variance residual pins v_c.  Estimates are clamped to
     the physical ranges; a gain beyond the clamping margin raises
-    CalibrationError.
+    CalibrationError, and too few shots for the three probes ValueError.
     """
+    _check_probe_shots(plan.scheme, plan.n_samples, "n_samples")
     r = setup.r_amp
     if r <= 0.0:
         raise CalibrationError("calibration needs a bright probe (r > 0)")
@@ -405,7 +417,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     t_c_hat = min(t_c_hat, 1.0)
     if 1.0 - t_c_hat < 1e-9:
         return NoiseParams(t_c=1.0, v_c=1.0)
-    var_meas = float(np.mean([(m.cov[0, 0] + m.cov[1, 1]) / 2.0 for m in moments]))
+    var_meas = sum(_pair(m)[1][0] for m in moments) / len(moments)  # half the trace
     # Response variance at A = I; it is affine in v_c with slope (1 - t_c) t2.
     model = response(setup, NoiseParams(t_c=t_c_hat, v_c=1.0))
     var_model = model.a + 2.0 * model.b + model.e

@@ -12,7 +12,7 @@ from lmint import ProcessParams, SetupConfig, Topology, forward
 from lmint.estimators import PROBE_PHASES
 from lmint.gaussian_core import rotation
 from lmint.interferometer import Response, response
-from lmint.measurement import MomentEstimate
+from lmint.measurement import MomentEstimate, Scheme
 
 FULL_N_EFF = {"mean_x": 1, "mean_p": 1, "var_x": 1, "var_p": 1, "cov_xp": 1}
 
@@ -153,11 +153,33 @@ def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
     return info
 
 
+def reference_data_sets(moments: MomentEstimate) -> list:
+    """(n, projection P, added covariance, mean or None, scatter) of each
+    Gaussian data set behind a MomentEstimate, as numpy arrays: n records of
+    P z ~ N(P mu, P Sigma P^T + added).  Paired records are one set
+    (heterodyne adds the vacuum unit back), a homodyne split one set per
+    angle; homodyne3's pi/4 group counts with its mean when the estimate
+    keeps it.  The reference layout for estimators._blocks, which holds the
+    same sets in the pair form."""
+    n, cov = moments.n_effective, moments.cov
+    if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
+        added = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
+        return [(n["mean_x"], np.eye(2), added, moments.mean, cov + added)]
+    zero = np.zeros((1, 1))
+    out = [(n["mean_x"], np.array([[1.0, 0.0]]), zero, moments.mean[:1], cov[:1, :1]),
+           (n["mean_p"], np.array([[0.0, 1.0]]), zero, moments.mean[1:], cov[1:, 1:])]
+    if moments.scheme is Scheme.HOMODYNE_SPLIT3:
+        diag = np.full((1, 2), math.sqrt(0.5))  # angle pi/4
+        mean = None if moments.mean_diag is None else np.array([moments.mean_diag])
+        out.append((n["cov_xp"], diag, zero, mean, diag @ cov @ diag.T))
+    return out
+
+
 def reference_joint_fit(x, sets, noise):
     """Deviance, score and information of the joint likelihood, one data set
-    at a time: sets lists (setup, _data_sets(moments)), and every data set
-    gets its own moment_derivatives call, model covariance, inverse and
-    determinants.  The reference for estimators._joint_fit, which scores
+    at a time: sets lists (setup, reference_data_sets(moments)), and every
+    data set gets its own moment_derivatives call, model covariance, inverse
+    and determinants.  The reference for estimators._joint_fit, which scores
     the data sets in blocks of one model covariance."""
     deviance, score, info = 0.0, np.zeros(5), np.zeros((5, 5))
     for setup, groups in sets:

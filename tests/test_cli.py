@@ -278,6 +278,18 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     assert main(["estimate", "--preset", "fig9_left"]) == 1
     assert main(["estimate", "--preset", "fig4_left", "--seed", "-1"]) == 1
     capsys.readouterr()
+    # Too few shots for the three probes: 12 homodyne3 shots leave each probe
+    # 4, under 2 for each of 3 angle groups; 4 calibration shots and 5 shots to
+    # calibrate with leave 1.
+    few = write_config(tmp_path, dict(SMALL_CONFIG, plan={"scheme": "homodyne3",
+                                                          "n_samples": 12, "seed": 0}), "few.json")
+    cal = write_config(tmp_path, dict(SMALL_CONFIG, estimators=["displacement"],
+                                      calibration="auto", calibration_samples=4), "cal.json")
+    for argv in (["estimate", "--config", few], ["estimate", "--config", cal],
+                 ["calibrate", "--preset", "fig3_left", "--n-samples", "5"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "over the 3 probes" in err, argv
 
 
 def test_exit_code_2_on_estimation_failure(tmp_path, capsys):

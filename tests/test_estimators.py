@@ -38,7 +38,12 @@ from lmint.measurement import (
     sample,
 )
 
-from conftest import exact_moments, exact_probe_moments, reference_joint_fit
+from conftest import (
+    exact_moments,
+    exact_probe_moments,
+    reference_data_sets,
+    reference_joint_fit,
+)
 
 
 def assert_params_close(got, want, tol):
@@ -201,27 +206,15 @@ def test_phase_ml_unidentifiable_without_phase_signal(bench_setup, case):
 
 
 def _loglik(moments, state_mean, state_cov):
-    """Gaussian log-likelihood of the statistics of a MomentEstimate (ddof=1
-    scatter, the mean of every homodyne group) under given output moments,
-    for any covariance (the reference for the closed form of est_phase_ml)."""
-    n = moments.n_effective
-    if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
-        extra = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
-        groups = [(n["mean_x"], np.eye(2), moments.mean, moments.cov + extra, extra)]
-    else:
-        var_d = 0.5 * (moments.cov[0, 0] + moments.cov[1, 1]) + moments.cov[0, 1]
-        groups = [(n["mean_x"], np.array([[1.0, 0.0]]), moments.mean[:1],
-                   moments.cov[:1, :1], 0.0),
-                  (n["mean_p"], np.array([[0.0, 1.0]]), moments.mean[1:],
-                   moments.cov[1:, 1:], 0.0)]
-        if moments.scheme is Scheme.HOMODYNE_SPLIT3:
-            groups.append((n["cov_xp"], np.full((1, 2), math.sqrt(0.5)),
-                           np.array([moments.mean_diag]), np.array([[var_d]]), 0.0))
+    """Gaussian log-likelihood of the data sets of a MomentEstimate (see
+    reference_data_sets: ddof=1 scatter, the mean of every set that keeps
+    one) under given output moments, for any covariance (the reference for
+    the closed form of est_phase_ml)."""
     ll = 0.0
-    for count, rows, mean, scatter, extra in groups:
-        sig = rows @ state_cov @ rows.T + extra
+    for count, rows, added, mean, scatter in reference_data_sets(moments):
+        sig = rows @ state_cov @ rows.T + added
         inv = np.linalg.inv(sig)
-        delta = mean - rows @ state_mean
+        delta = np.zeros(len(rows)) if mean is None else mean - rows @ state_mean
         ll -= 0.5 * count * (math.log(np.linalg.det(sig)) + np.trace(inv @ scatter)
                              + delta @ inv @ delta)
     return ll
@@ -278,8 +271,10 @@ ALL_SCHEMES = [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT2, Scheme.H
 @pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
     # The closed-form phi score and information of _phase_loglik are the
-    # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0).
-    from lmint.estimators import _blocks, _data_sets, _joint_fit, _phase_loglik
+    # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0),
+    # both read from the same blocks; a homodyne3 estimate is also checked
+    # without its pi/4 mean.
+    from lmint.estimators import _blocks, _joint_fit, _phase_loglik
 
     phis = np.array([-2.5, 0.0, 0.69, 1.3, 3.0])
     for k, r_amp in enumerate((1.0, 100.0)):
@@ -287,12 +282,17 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
         state = forward(setup, ProcessParams.folded(phi=0.7), noise)
         moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=5 + k))
         resp = response(setup, noise)
-        _, score, info = _phase_loglik(phis, resp, setup.light_mean, _data_sets(moments))
-        for phi, s, i in zip(phis, score, info):
-            _, want_s, want_i, _ = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
-                                              _blocks([moments], [setup.light_mean]), resp)
-            assert abs(s - want_s[0]) <= 1e-10 * np.abs(want_s).max(), (r_amp, phi)
-            assert abs(i - want_i[0, 0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
+        inputs = [moments]
+        if scheme is Scheme.HOMODYNE_SPLIT3:
+            inputs.append(dataclasses.replace(moments, mean_diag=None))
+        for data in inputs:
+            blocks = _blocks([data], [setup.light_mean])
+            _, score, info = _phase_loglik(phis, resp, blocks)
+            for phi, s, i in zip(phis, score, info):
+                _, want_s, want_i, _ = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
+                                                  blocks, resp)
+                assert abs(s - want_s[0]) <= 1e-10 * np.abs(want_s).max(), (r_amp, phi)
+                assert abs(i - want_i[0, 0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -574,9 +574,12 @@ def test_mean_method_needs_bright_probe(bench_setup, bench_process):
 
 
 def test_mean_method_unidentifiable_without_probe_path(bench_setup, bench_process):
-    # Simplistic topology: no probe light passes the process.
+    # Simplistic topology, or no second coupling: no probe light passes the process.
     setup = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
     with pytest.raises(UnidentifiableError):
+        est_general_mean(exact_probe_moments(setup, bench_process), setup)
+    setup = dataclasses.replace(bench_setup, t2=0.0)
+    with pytest.raises(UnidentifiableError, match="t2 = 0"):
         est_general_mean(exact_probe_moments(setup, bench_process), setup)
 
 
@@ -663,13 +666,11 @@ def test_combined_information_matches_fisher_matrix(bench_setup, bench_process):
 def _joint_data(setup, process, noise, scheme, n, seed):
     """Drawn moments of the single read-out and the three probes, the probe
     inputs behind them and their per-set reference layout."""
-    from lmint.estimators import _data_sets
-
     setups = [setup] + [dataclasses.replace(setup, probe_phase=p) for p in PROBE_PHASES]
     data = [draw_moments(forward(s, process, noise),
                          MeasurementPlan(scheme, n if j == 0 else n // 3, seed=seed + j))
             for j, s in enumerate(setups)]
-    sets = [(s, _data_sets(m)) for s, m in zip(setups, data)]
+    sets = [(s, reference_data_sets(m)) for s, m in zip(setups, data)]
     return data, np.array([s.light_mean for s in setups]), sets
 
 
@@ -704,13 +705,12 @@ def test_joint_fit_matches_the_per_set_reference(bench_setup, scheme, noise):
 def test_joint_fit_matches_the_reference_without_the_diagonal_mean(bench_setup):
     # A homodyne3 estimate that keeps no pi/4 mean adds that group's
     # covariance terms only; the others keep theirs.
-    from lmint.estimators import _data_sets
     from lmint.estimators import chart
 
     truth = ProcessParams.folded(phi=-1.1, w=0.4, alpha=0.3, d=1.2, beta=2.0)
     data, m_in, sets = _joint_data(bench_setup, truth, None, Scheme.HOMODYNE_SPLIT3, 6000, 3)
     data[0] = dataclasses.replace(data[0], mean_diag=None)
-    sets[0] = (bench_setup, _data_sets(data[0]))
+    sets[0] = (bench_setup, reference_data_sets(data[0]))
     assert sets[0][1][2][3] is None and sets[1][1][2][3] is not None
     _assert_kernel_matches(chart(truth)[0], data, m_in, sets, bench_setup, None)
 
