@@ -9,7 +9,6 @@ from .gaussian_core import (
     loss_channel,
     make_coherent,
     make_thermal,
-    polar_decompose_2x2,
     process_symplectic,
     repair_physicality,
 )

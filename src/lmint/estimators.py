@@ -588,9 +588,14 @@ def _blocks(data, m_in) -> list:
 
 def _record_block(m, mean_only):
     """A block of no data whose sums count one record of the full pair with a
-    mean probed by m, and none of its covariance (N = 0) when mean_only."""
+    mean probed by m, and none of its covariance (N = 0) when mean_only, for
+    _joint_fit's information; its one set (n = 1, m, conj m, mean 0, the
+    identity form, det 1) is the same record for _phase_loglik's mean term.
+    Neither information reads a mean, form or scatter, so only the
+    information of either kernel means anything for this block."""
     m = complex(*m)
-    return None, 0.0, (0.0 if mean_only else 1.0, 1.0, m, (abs(m) ** 2 / 2, m * m / 2), (0, 0)), []
+    sums = (0.0 if mean_only else 1.0, 1.0, m, (abs(m) ** 2 / 2, m * m / 2), (0, 0))
+    return None, 0.0, sums, [(1.0, m, m.conjugate(), 0j, (1.0, 0j), 1.0)]
 
 
 def _joint_fit(x, blocks, resp):

@@ -3,7 +3,9 @@
 The per-sample likelihood is the two-dimensional Gaussian of the measured
 quadrature pair, so the Gaussian-model identity
 I_ij = dmu_i^T Sigma^-1 dmu_j + 1/2 tr(Sigma^-1 dSigma_i Sigma^-1 dSigma_j)
-is exact; fisher_matrix reads it off est_combined's closed-form kernel.
+is exact; fisher_matrix reads it off est_combined's closed-form kernel, and
+compare_blocked_vs_interferometric reads its phi entry off est_phase_ml's
+kernel over a whole phase grid at once.
 """
 from __future__ import annotations
 
@@ -117,29 +119,30 @@ class CrossingReport:
     phi_grid: np.ndarray
     info_interferometric: np.ndarray
     info_blocked: np.ndarray
-    crossings: list  # sign-change abscissas of (interferometric - blocked)
+    crossings: list  # abscissas where (interferometric - blocked) is zero or changes sign
 
 
 def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> CrossingReport:
-    """Phase information of both topologies over a phase grid.
+    """Phase information of both topologies over a phase grid: the
+    information of est_phase_ml's kernel (estimators._phase_loglik) for one
+    record probed by setup.light_mean, over the whole grid in one array pass
+    per topology.  At a pure phase shift the chart's Jacobian is the identity
+    in the phi row, so this is fisher_matrix(...)[0, 0] at each grid point.
 
-    Reports where the interferometric advantage changes sign; an empty
-    crossing list is a valid result.
+    Reports where the interferometric advantage changes sign, and every grid
+    point where it is exactly zero; an empty crossing list is a valid result.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
-
-    def phase_info(topology):
-        s = dc_replace(setup, topology=topology)
-        return np.array([fisher_matrix(s, ProcessParams.folded(phi=p))[0, 0] for p in phi_grid])
-
-    fi_i = phase_info(Topology.INTERFEROMETRIC)
-    fi_b = phase_info(Topology.BLOCKED_BEAM)
+    block = estimators._record_block(setup.light_mean, False)
+    fi_i, fi_b = (estimators._phase_loglik(phi_grid, response(dc_replace(setup, topology=t)),
+                                           [block])[2]
+                  for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM))
     diff = fi_i - fi_b
     crossings = []
-    for k in range(len(phi_grid) - 1):
+    for k in range(len(phi_grid)):
         if diff[k] == 0.0:
             crossings.append(float(phi_grid[k]))
-        elif diff[k] * diff[k + 1] < 0.0:
+        elif k + 1 < len(phi_grid) and diff[k] * diff[k + 1] < 0.0:
             # Linear interpolation of the sign change.
             frac = diff[k] / (diff[k] - diff[k + 1])
             crossings.append(float(phi_grid[k] + frac * (phi_grid[k + 1] - phi_grid[k])))

@@ -348,14 +348,3 @@ def polar_pair(m0: complex, m1: complex):
     if 2.0 * r1 <= _ISOTROPIC_TOL * r0:
         return phi, math.log(r0), 0.0
     return phi, math.log(r0 + r1), fold_axis(0.5 * (cmath.phase(m1) - phi))
-
-
-def polar_decompose_2x2(b: np.ndarray):
-    """polar_pair of a real 2x2 matrix B, whose pair is m0 = (b00 + b11 + i
-    (b10 - b01)) / 2, m1 = (b00 - b11 + i (b10 + b01)) / 2."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {b.shape}")
-    (b00, b01), (b10, b11) = b.tolist()
-    return polar_pair(complex(0.5 * (b00 + b11), 0.5 * (b10 - b01)),
-                      complex(0.5 * (b00 - b11), 0.5 * (b10 + b01)))

@@ -319,3 +319,106 @@ def test_cold_matter_comparison_driven_by_means():
         dark = dataclasses.replace(s, r_amp=0.0)
         mean_term, cov_term = fisher_terms(dark, ProcessParams.folded(phi=phi), None, "phi")
         assert cov_term == pytest.approx(0.0, abs=1e-10)
+
+
+def _per_point_report(setup, grid):
+    """The comparison as a loop of fisher_matrix over the grid, crossing
+    rule included: the reference of the array pass."""
+    info = [np.array([exact_fisher_matrix(dataclasses.replace(setup, topology=t),
+                                          ProcessParams.folded(phi=p))[0, 0] for p in grid])
+            for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM)]
+    diff, crossings = info[0] - info[1], []
+    for k in range(len(grid)):
+        if diff[k] == 0.0:
+            crossings.append(float(grid[k]))
+        elif k + 1 < len(grid) and diff[k] * diff[k + 1] < 0.0:
+            frac = diff[k] / (diff[k] - diff[k + 1])
+            crossings.append(float(grid[k] + frac * (grid[k + 1] - grid[k])))
+    return info, crossings
+
+
+@pytest.mark.parametrize("r_amp", [0.0, 1.0, 100.0])
+@pytest.mark.parametrize("v", [1.0, 100.0])
+@pytest.mark.parametrize("probe_phase", [0.0, 1.1])
+def test_comparison_matches_the_per_point_fisher_matrix(r_amp, v, probe_phase):
+    # Both information arrays are fisher_matrix's phi entry at every grid
+    # point, read in one array pass of est_phase_ml's kernel, relative to
+    # the larger of the two, and the crossings are the per-point loop's.
+    # The grids hold 0 and +-pi.  Where a topology has no phase information
+    # at all (the blocked beam with a dark probe, both topologies with cold
+    # matter too) the array pass reads exact zeros, the loop rounding noise.
+    s = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.1, t2=0.1, v_thermal=v,
+                    r_amp=r_amp, probe_phase=probe_phase)
+    for grid in (np.linspace(-math.pi, math.pi, 25), np.linspace(0.0, math.pi, 7),
+                 np.array([-math.pi, -2.0, -0.3, 0.0, 0.4, 2.9])):
+        report = compare_blocked_vs_interferometric(s, grid)
+        (want_i, want_b), want_crossings = _per_point_report(s, grid)
+        scale = max(np.abs(want_i).max(), np.abs(want_b).max())
+        if r_amp == 0.0 and v == 1.0:
+            assert not report.info_interferometric.any() and not report.info_blocked.any()
+            assert scale < 1e-30
+            continue
+        for got, want in ((report.info_interferometric, want_i), (report.info_blocked, want_b)):
+            assert np.abs(got - want).max() <= 1e-12 * scale, (grid, got, want)
+        assert report.crossings == pytest.approx(want_crossings, abs=1e-12)
+
+
+@pytest.mark.parametrize("r_amp, grid", [
+    (0.0, np.linspace(0.0, 1.0, 5)), (0.0, np.linspace(-1.0, 1.0, 5)),
+    (0.0, np.linspace(0.0, math.pi, 9)), (100.0, np.linspace(0.0, math.pi, 13)),
+    (1.0, np.linspace(0.05, 3.1, 40))])
+def test_comparison_of_a_mirrored_grid_mirrors_the_crossings(r_amp, grid):
+    # The phase information is even in phi, so a grid and its mirror image
+    # give mirrored crossing lists, an exact zero at the last grid point
+    # counting as one at the first.  The dark probe has one at phi = 0.
+    s = dataclasses.replace(setup_for(Topology.INTERFEROMETRIC, 0.1, 0.1, 100.0), r_amp=r_amp)
+    crossings = compare_blocked_vs_interferometric(s, grid).crossings
+    mirrored = compare_blocked_vs_interferometric(s, -grid[::-1]).crossings
+    assert mirrored == pytest.approx([-c for c in reversed(crossings)], abs=1e-12)
+    if r_amp == 0.0:
+        assert 0.0 in crossings and 0.0 in mirrored
+
+
+def test_comparison_reads_neither_joint_fit_nor_fisher_matrix(monkeypatch):
+    import lmint.estimators as estimators
+    import lmint.fisher as fisher
+
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"the comparison reached {name}")
+        return call
+
+    monkeypatch.setattr(estimators, "_joint_fit", refuse("_joint_fit"))
+    monkeypatch.setattr(fisher, "fisher_matrix", refuse("fisher_matrix"))
+    s = dataclasses.replace(setup_for(Topology.INTERFEROMETRIC, 0.1, 0.1, 100.0), r_amp=1.0)
+    report = compare_blocked_vs_interferometric(s, np.linspace(-math.pi, math.pi, 25))
+    assert calls == []
+    assert len(report.crossings) == 2
+
+
+@pytest.mark.parametrize("mean_only", [False, True])
+def test_record_block_set_moves_no_information(mean_only):
+    # _record_block's one set is read by _phase_loglik alone: fisher_matrix
+    # equals, bit for bit, _joint_fit's information of the block without it.
+    from lmint.estimators import _joint_fit, _record_block
+
+    rng = np.random.default_rng(16)
+    for k in range(60):
+        topology = list(Topology)[k % 3]
+        setup = SetupConfig(topology=topology, t1=rng.uniform(0.0, 1.0), t2=rng.uniform(0.0, 1.0),
+                            v_thermal=rng.uniform(1.0, 200.0), r_amp=rng.uniform(0.0, 100.0),
+                            probe_phase=rng.uniform(-3, 3))
+        noise = None if k % 2 else NoiseParams(t_c=rng.uniform(0.5, 1.0), v_c=rng.uniform(1.0, 2.0))
+        process = ProcessParams.folded(  # w = 0 and d = 0 in some
+            phi=rng.uniform(-3, 3), w=rng.uniform(0, 1.5) * (k % 4 > 0),
+            alpha=rng.uniform(-1.5, 1.5), d=rng.uniform(0, 3) * (k % 5 > 0),
+            beta=rng.uniform(-3, 3))
+        x, jac = chart(process)
+        block = _record_block(setup.light_mean, mean_only)
+        assert len(block[3]) == 1
+        want = jac.T @ _joint_fit(x, [(*block[:3], [])], response(setup, noise))[2] @ jac
+        got = exact_fisher_matrix(setup, process, noise, mean_only=mean_only)
+        assert np.array_equal(got, want), (k, setup, process)

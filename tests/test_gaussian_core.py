@@ -13,7 +13,6 @@ from lmint import (
     loss_channel,
     make_coherent,
     make_thermal,
-    polar_decompose_2x2,
     process_symplectic,
     repair_physicality,
 )
@@ -28,6 +27,7 @@ from lmint.gaussian_core import (
     is_physical,
     marginal,
     omega,
+    polar_pair,
     rotation,
     squeeze_matrix,
     symplectic_eigenvalues,
@@ -349,13 +349,20 @@ def test_repair_idempotent_and_physical(sx, sp, rho):
 # Polar decomposition
 
 
+def _pair(b):
+    """The pair (m0, m1) of a real 2x2 matrix B, B z = m0 z + m1 conj(z)."""
+    (b00, b01), (b10, b11) = np.asarray(b, dtype=float).tolist()
+    return (complex(0.5 * (b00 + b11), 0.5 * (b10 - b01)),
+            complex(0.5 * (b00 - b11), 0.5 * (b10 + b01)))
+
+
 def test_polar_pure_squeeze():
-    phi, w, alpha = polar_decompose_2x2(np.diag([2.0, 0.5]))
+    phi, w, alpha = polar_pair(*_pair(np.diag([2.0, 0.5])))
     assert (phi, w, alpha) == pytest.approx((0.0, math.log(2.0), 0.0))
 
 
 def test_polar_pure_rotation_axis_undefined():
-    phi, w, alpha = polar_decompose_2x2(rotation(0.7))
+    phi, w, alpha = polar_pair(*_pair(rotation(0.7)))
     assert phi == pytest.approx(0.7)
     assert abs(w) < 1e-9
     assert alpha == 0.0
@@ -363,15 +370,15 @@ def test_polar_pure_rotation_axis_undefined():
 
 def test_polar_roundtrip_reference_point():
     b = rotation(0.7) @ squeeze_matrix(math.log(2.0), -0.3)
-    phi, w, alpha = polar_decompose_2x2(b)
+    phi, w, alpha = polar_pair(*_pair(b))
     assert (phi, w, alpha) == pytest.approx((0.7, math.log(2.0), -0.3), abs=1e-12)
 
 
 def test_polar_rejects_singular():
     with pytest.raises(DecompositionError):
-        polar_decompose_2x2(np.diag([1.0, 0.0]))
+        polar_pair(*_pair(np.diag([1.0, 0.0])))
     with pytest.raises(DecompositionError):
-        polar_decompose_2x2(np.diag([1.0, -1.0]))
+        polar_pair(*_pair(np.diag([1.0, -1.0])))
 
 
 @given(st.floats(-math.pi + 1e-6, math.pi), st.floats(1e-3, 3.0),
@@ -379,7 +386,7 @@ def test_polar_rejects_singular():
 @settings(max_examples=100)
 def test_polar_roundtrip_random(phi, w, alpha):
     b = rotation(phi) @ squeeze_matrix(w, alpha)
-    phi_r, w_r, alpha_r = polar_decompose_2x2(b)
+    phi_r, w_r, alpha_r = polar_pair(*_pair(b))
     rebuilt = rotation(phi_r) @ squeeze_matrix(w_r, alpha_r)
     assert np.abs(rebuilt - b).max() < 1e-8
     assert abs(circular_diff(phi_r, phi)) < 1e-6
@@ -398,7 +405,7 @@ def test_polar_matches_the_svd_off_unit_determinant():
         if sv[0] - sv[1] <= 1e-6 * sv[0]:
             continue
         r = u @ vt
-        phi, w, alpha = polar_decompose_2x2(b)
+        phi, w, alpha = polar_pair(*_pair(b))
         assert abs(circular_diff(phi, math.atan2(r[1, 0], r[0, 0]))) < 1e-10
         assert w == pytest.approx(math.log(sv[0]), abs=1e-12)
         assert abs(circular_diff(alpha, math.atan2(vt[0, 1], vt[0, 0]), math.pi)) < 1e-9
@@ -408,8 +415,6 @@ def test_polar_matches_the_svd_off_unit_determinant():
 
 
 def test_polar_pair_names_a_nonpositive_determinant():
-    from lmint.gaussian_core import polar_pair
-
     with pytest.raises(DecompositionError, match="polar decomposition requires det > 0"):
         polar_pair(0.5 + 0.5j, 1.0j)
     assert polar_pair(2.0, 1e-12) == (0.0, math.log(2.0), 0.0)  # isotropic: no axis
