@@ -76,13 +76,6 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pair(moments: MomentEstimate):
-    """The mean z = x + ip and covariance (c0, c1) of a MomentEstimate in the
-    pair form of _mul: the one reader of its arrays."""
-    (x, p), ((sxx, sxp), (_, spp)) = moments.mean.tolist(), moments.cov.tolist()
-    return complex(x, p), (0.5 * (sxx + spp), complex(0.5 * (sxx - spp), sxp))
-
-
 # ---------------------------------------------------------------------------
 # Displacement-only estimation
 
@@ -98,7 +91,7 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
     baseline = (resp.through + resp.direct) * complex(*setup.light_mean)  # mean at A = I, d = 0
-    d_vec = (_pair(moments)[0] - baseline) / resp.g_d
+    d_vec = (moments.z - baseline) / resp.g_d
     return abs(d_vec), cmath.phase(d_vec)
 
 
@@ -121,14 +114,13 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict
     resp = response(setup, noise)
     if resp.b == 0.0:
         raise UnidentifiableError("b = 0: the output variance carries no phase signal")
-    z, (c0, _) = _pair(moments)
-    arg = (c0 - (resp.a + resp.e)) / (2.0 * resp.b)
+    arg = (moments.c0 - (resp.a + resp.e)) / (2.0 * resp.b)
     if abs(arg) > 1.0:
         if diagnostics is not None:
             diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
         arg = max(-1.0, min(1.0, arg))
     phi = math.acos(arg)
-    if setup.r_amp > 0.0 and (z * cmath.rect(1.0, -setup.probe_phase)).imag < 0.0:
+    if setup.r_amp > 0.0 and (moments.z * cmath.rect(1.0, -setup.probe_phase)).imag < 0.0:
         phi = -phi
     return fold_angle(phi)
 
@@ -143,7 +135,7 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the output mean carries no phase signal")
-    frame = _pair(moments)[0] * cmath.rect(1.0, -setup.probe_phase)  # probe phase -> 0
+    frame = moments.z * cmath.rect(1.0, -setup.probe_phase)  # probe phase -> 0
     return math.atan2(frame.imag, frame.real - setup.r_amp * resp.direct)
 
 
@@ -423,7 +415,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         raise InsufficientDataError(
             "covariance-based estimation needs the full covariance "
             "(homodyne 3-angle split, heterodyne or joint read-out)")
-    z, cov_emp = _pair(moments)
+    cov_emp = moments.c0, moments.c1
     resp = response(setup, noise)
     if resp.a <= 0.0 or abs(resp.b / resp.a) < 1e-12:
         raise UnidentifiableError(
@@ -463,7 +455,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
         alpha, diagnostics["axis_undefined"] = 0.0, True
     m0, m1 = _process_pair(phi, w, alpha)
     m_in = complex(*setup.light_mean)
-    d_vec = (z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+    d_vec = (moments.z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
              - resp.direct * m_in) / resp.g_d
     params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
     return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
@@ -474,7 +466,7 @@ def _probe_inversion(probe_moments, r):
     mu = M m_in + k, read off the complex probe means at PROBE_PHASES of
     amplitude r: the opposite phases cancel M and give k and M 1 = m0 + m1,
     the quarter-turn probe gives M i = i (m0 - m1).  Returns (k, (m0, m1))."""
-    m_a, m_b, m_c = (_pair(m)[0] for m in probe_moments)
+    m_a, m_b, m_c = (m.z for m in probe_moments)
     k_hat = 0.5 * (m_a + m_b)
     first, second = (m_a - m_b) / (2.0 * r), (m_c - k_hat) / r
     return k_hat, (0.5 * (first - 1j * second), 0.5 * (first + 1j * second))
@@ -547,8 +539,8 @@ def chart(process: ProcessParams):
 
 def _blocks(data, m_in) -> list:
     """The Gaussian data sets behind the MomentEstimates in data, probed by
-    the rows of m_in, in the pair form (see _pair): n records of P z ~ N(P
-    mu, P Sigma P^T + added), one set of paired records (P = I, heterodyne
+    the rows of m_in, in their pair form: n records of P z ~ N(P mu, P Sigma
+    P^T + added), one set of paired records (P = I, heterodyne
     adds the vacuum unit back) or one per homodyne angle (P = p^T, p the
     angle's unit vector; homodyne3's pi/4 mean only if kept), in blocks of
     one P and added variance.  Per block: p (None for P = I), the added
@@ -559,7 +551,7 @@ def _blocks(data, m_in) -> list:
     groups = {}
     for moments, m in zip(data, m_in):
         m, n = complex(*m), moments.n_effective
-        z, (c0, c1) = _pair(moments)
+        z, c0, c1 = moments.z, moments.c0, moments.c1
         if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
             added = 1.0 if moments.scheme is Scheme.HETERODYNE else 0.0
             f0 = c0 + added

@@ -119,7 +119,7 @@ class CrossingReport:
     phi_grid: np.ndarray
     info_interferometric: np.ndarray
     info_blocked: np.ndarray
-    crossings: list  # abscissas where (interferometric - blocked) is zero or changes sign
+    crossings: list  # abscissas where (interferometric - blocked) changes sign
 
 
 def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> CrossingReport:
@@ -129,22 +129,27 @@ def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> Crossing
     per topology.  At a pure phase shift the chart's Jacobian is the identity
     in the phi row, so this is fisher_matrix(...)[0, 0] at each grid point.
 
-    Reports where the interferometric advantage changes sign, and every grid
-    point where it is exactly zero; an empty crossing list is a valid result.
+    Reports where the interferometric advantage changes sign: between two
+    neighbouring grid points of opposite sign by linear interpolation, and
+    once for a run of exact zeros, at its middle, when the nonzero values on
+    either side have opposite signs.  A zero that the advantage only touches,
+    or a difference that is zero everywhere, is no crossing; an empty
+    crossing list is a valid result.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     block = estimators._record_block(setup.light_mean, False)
     fi_i, fi_b = (estimators._phase_loglik(phi_grid, response(dc_replace(setup, topology=t)),
                                            [block])[2]
                   for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM))
-    diff = fi_i - fi_b
-    crossings = []
-    for k in range(len(phi_grid)):
-        if diff[k] == 0.0:
-            crossings.append(float(phi_grid[k]))
-        elif k + 1 < len(phi_grid) and diff[k] * diff[k + 1] < 0.0:
-            # Linear interpolation of the sign change.
-            frac = diff[k] / (diff[k] - diff[k + 1])
-            crossings.append(float(phi_grid[k] + frac * (phi_grid[k + 1] - phi_grid[k])))
+    diff, grid, crossings = (fi_i - fi_b).tolist(), phi_grid.tolist(), []
+    nonzero = [k for k, d in enumerate(diff) if d != 0.0]
+    for k, m in zip(nonzero, nonzero[1:]):
+        if (diff[k] < 0.0) == (diff[m] < 0.0):
+            continue
+        if m == k + 1:  # linear interpolation of the sign change
+            frac = diff[k] / (diff[k] - diff[m])
+            crossings.append(grid[k] + frac * (grid[m] - grid[k]))
+        else:  # the middle of the zeros between
+            crossings.append(0.5 * (grid[k + 1] + grid[m - 1]))
     return CrossingReport(phi_grid=phi_grid, info_interferometric=fi_i,
                           info_blocked=fi_b, crossings=crossings)

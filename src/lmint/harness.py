@@ -7,8 +7,13 @@ response (interferometer.measured_state), computed once per config and
 probe phase.  Data set j of realization k at sweep point p draws from the
 stream np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
 SeedSequence(base_seed).spawn gives, so streams are independent by
-construction and results reproducible and order-independent.  Realizations
-run k = 1..m_reps; realization 0 is the point's calibration.
+construction and results reproducible and order-independent.  The seed of
+each child is computed bit for bit as SeedSequence computes it, from shared
+prefixes: the state after the base seed once per seed, after p once per
+point, after k once per realization, and only j per data set.  Keys are
+formed as realizations are drawn, so reading realization 1 costs the same
+at any m_reps.  Realizations run k = 1..m_reps; realization 0 is the
+point's calibration.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ from .estimators import (
     EstimationError,
     PROBE_PHASES,
     UnidentifiableError,
-    _pair,
     _probe_inversion,
     est_combined,
     est_displacement,
@@ -141,12 +145,62 @@ def param_error(estimate: float, truth: float, parameter: str) -> float:
     return circular_diff(estimate, truth, period)
 
 
-def _keyed_plan(plan: MeasurementPlan, n: int, entropy: int, *key) -> MeasurementPlan:
-    """Plan of n shots of plan's scheme on the stream of
-    SeedSequence(entropy, spawn_key=key); distinct keys give independent
-    streams."""
-    seed = np.random.SeedSequence(entropy, spawn_key=key).generate_state(1, np.uint64)[0]
-    return MeasurementPlan(scheme=plan.scheme, n_samples=n, seed=int(seed))
+# ---------------------------------------------------------------------------
+# Stream keys: the seeds of numpy's SeedSequence children, from shared prefixes
+
+_MASK32 = 0xFFFF_FFFF
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx).
+_MULT_A, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_OUT_1 = _INIT_B * _MULT_B & _MASK32  # generate_state's hash constants, words 0 and 1
+_OUT_2 = _OUT_1 * _MULT_B & _MASK32
+_ROOT_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 2 ** 32) & _MASK32  # INIT_A after the pool's 16 hashes
+
+
+@functools.lru_cache(maxsize=8)
+def _key_root(entropy: int) -> tuple:
+    """The (pool, hash constant) state of SeedSequence(entropy, spawn_key=key)
+    before its first key word, for entropy < 2**128.  A spawn key pads the
+    entropy with zero words to the 4-word pool, which hash into the pool as
+    the missing words of an unspawned SeedSequence(entropy) do, so its pool
+    is this state, after 4 + 12 hashes."""
+    return tuple(np.random.SeedSequence(entropy).pool.tolist()), _ROOT_HASH
+
+
+def _key_child(prefix: tuple, entry: int) -> tuple:
+    """The state of SeedSequence after one more spawn-key entry: each of its
+    32-bit words, least significant first, is hashed into every pool word."""
+    pool, h = prefix
+    while True:
+        word, mixed = entry & _MASK32, []
+        for x in pool:
+            v = word ^ h
+            h = h * _MULT_A & _MASK32
+            v = v * h & _MASK32
+            v = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK32
+            mixed.append(v ^ v >> 16)
+        pool, entry = mixed, entry >> 32
+        if not entry:
+            return pool, h
+
+
+def _key_seed(prefix: tuple, entry: int) -> int:
+    """SeedSequence(entropy, spawn_key=key + (entry,)).generate_state(1,
+    np.uint64)[0], for prefix the state of (entropy, key): the first two pool
+    words, hashed, are the low and high half."""
+    pool, _ = _key_child(prefix, entry)
+    low = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK32
+    high = (pool[1] ^ _OUT_1) * _OUT_2 & _MASK32
+    return (high ^ high >> 16) << 32 | low ^ low >> 16
+
+
+def _plan_seed(entropy: int, *key: int) -> int:
+    """The seed of SeedSequence(entropy, spawn_key=key)'s stream; distinct
+    keys give independent streams."""
+    prefix = _key_root(entropy)
+    for entry in key[:-1]:
+        prefix = _key_child(prefix, entry)
+    return _key_seed(prefix, key[-1])
 
 
 def _report_values(report) -> dict:
@@ -171,13 +225,15 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int):
     single = state_at(cfg.setup.probe_phase) if bases - {"mean_method"} else None
     probes = [state_at(phase) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
+    at_point = _key_child(_key_root(cfg.base_seed), point)
 
-    def draw(state, n, k, j):
-        return draw_moments(state, _keyed_plan(cfg.plan, n, cfg.base_seed, point, k, j))
+    def draw(state, n, at_k, j):
+        return draw_moments(state, MeasurementPlan(cfg.plan.scheme, n, _key_seed(at_k, j)))
 
     for k in range(1, cfg.m_reps + 1):
-        yield (None if single is None else draw(single, cfg.plan.n_samples, k, 0),
-               [draw(state, n_each, k, j) for j, state in enumerate(probes, start=1)])
+        at_k = _key_child(at_point, k)
+        yield (None if single is None else draw(single, cfg.plan.n_samples, at_k, 0),
+               [draw(state, n_each, at_k, j) for j, state in enumerate(probes, start=1)])
 
 
 def _estimate_one(name: str, setup: SetupConfig, data, assumed: NoiseParams,
@@ -221,7 +277,8 @@ def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
     if cfg.calibration != "auto":
         return None
     n_cal = cfg.calibration_samples or cfg.plan.n_samples
-    return calibrate(cfg.setup, _keyed_plan(cfg.plan, n_cal, cfg.base_seed, point, 0, 0),
+    return calibrate(cfg.setup, MeasurementPlan(cfg.plan.scheme, n_cal,
+                                                _plan_seed(cfg.base_seed, point, 0, 0)),
                      cfg.noise)
 
 
@@ -407,7 +464,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     n_each = plan.n_samples // len(PROBE_PHASES)
     moments = [draw_moments(measured_state(dc_replace(setup, probe_phase=phase),
                                            IDENTITY_PROCESS, true_noise),
-                            _keyed_plan(plan, n_each, plan.seed, j))
+                            MeasurementPlan(plan.scheme, n_each, _plan_seed(plan.seed, j)))
                for j, phase in enumerate(PROBE_PHASES)]
     gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through
@@ -417,7 +474,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     t_c_hat = min(t_c_hat, 1.0)
     if 1.0 - t_c_hat < 1e-9:
         return NoiseParams(t_c=1.0, v_c=1.0)
-    var_meas = sum(_pair(m)[1][0] for m in moments) / len(moments)  # half the trace
+    var_meas = sum(m.c0 for m in moments) / len(moments)  # half the trace
     # Response variance at A = I; it is affine in v_c with slope (1 - t_c) t2.
     model = response(setup, NoiseParams(t_c=t_c_hat, v_c=1.0))
     var_model = model.a + 2.0 * model.b + model.e

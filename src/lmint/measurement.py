@@ -5,21 +5,23 @@ Every draw comes from a counter-based generator (Philox) keyed by the plan's
 64-bit seed, so it is reproducible.  One Philox bit generator per thread
 serves every draw: each draw resets its whole state to key (seed, 0) and
 counter 0, which is the stream of a fresh np.random.Philox(key=seed) at a
-fifth of the cost of building one.  The harness derives each plan seed from
-np.random.SeedSequence, keyed by (sweep point, realization, data set), which
-makes the streams of a run independent by construction.  A paired law's
-2x2 covariance is factored in closed form, with LAPACK's operations.
+fifth of the cost of building one.  The harness gives each plan the seed of
+the np.random.SeedSequence child keyed by (sweep point, realization, data
+set), which makes the streams of a run independent by construction.  A
+paired law's 2x2 covariance is factored in closed form, with LAPACK's
+operations.  The drawn statistics are held in the pair form the estimators
+read (see MomentEstimate), formed from scalars with no array per draw.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .gaussian_core import GaussianState, is_physical, repair_physicality
+from .gaussian_core import GaussianState, is_physical
 
 
 class InsufficientDataError(ValueError):
@@ -104,30 +106,32 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _cholesky(cov) -> tuple[float, float, float]:
     """(L00, L10, L11) of the lower Cholesky factor of a 2x2 positive definite
-    covariance, with the operations of LAPACK's potrf (the reciprocal of the
-    pivot scales the column)."""
-    l00 = math.sqrt(cov[0, 0])
-    l10 = cov[1, 0] * (1.0 / l00)
-    return l00, l10, math.sqrt(cov[1, 1] - l10 * l10)
+    covariance (an array or a pair of rows), with the operations of LAPACK's
+    potrf (the reciprocal of the pivot scales the column)."""
+    (s_xx, _), (s_px, s_pp) = cov
+    l00 = math.sqrt(s_xx)
+    l10 = s_px * (1.0 / l00)
+    return l00, l10, math.sqrt(s_pp - l10 * l10)
 
 
 def _record_laws(state: GaussianState, plan: MeasurementPlan) -> list:
     """(n, mean, covariance) of each group of records the plan takes of a
     single-mode state: one scalar law per homodyne angle, one two-dimensional
-    law for paired records (heterodyne adds one vacuum unit).  The records
-    at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with variances
-    Sxx, Spp and (Sxx + Spp) / 2 + Sxp."""
+    law for paired records, its mean (x, p) and covariance rows (heterodyne
+    adds one vacuum unit).  The records at angles 0, pi/2 and pi/4 are x, p
+    and (x + p) / sqrt 2, with variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp."""
     if state.n_modes != 1:
         raise ValueError("sampling expects a single-mode state")
     if not is_physical(state):
         raise ValueError("cannot sample an unphysical state")
+    (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)) = state.mean.tolist(), state.cov.tolist()
     if plan.scheme in _ANGLES:
-        (m_x, m_p), ((s_xx, s_xp), (_, s_pp)) = state.mean.tolist(), state.cov.tolist()
         laws = ((m_x, s_xx), (m_p, s_pp),
                 ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
         return [(n, mu, var) for n, (mu, var) in zip(plan.group_sizes(), laws)]
-    cov = state.cov + np.eye(2) if plan.scheme is Scheme.HETERODYNE else state.cov
-    return [(plan.n_samples, state.mean, cov)]
+    if plan.scheme is Scheme.HETERODYNE:
+        s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
+    return [(plan.n_samples, (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)))]
 
 
 def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
@@ -148,17 +152,44 @@ def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
     return SampleSet(plan=plan, pairs=pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentEstimate:
-    """Empirical mean and covariance (ddof=1) of the measured mode, the shot
-    count behind each statistic, the scheme that recorded them and, for
-    homodyne3, the mean of the pi/4 group (the records of (x + p) / sqrt 2)."""
+    """Empirical mean and covariance (ddof=1) of the measured mode in the pair
+    form of estimators._mul, the shot count behind each statistic, the scheme
+    that recorded them and, for homodyne3, the mean of the pi/4 group (the
+    records of (x + p) / sqrt 2).  The mean is z = x + ip and the covariance
+    Sigma z = c0 z + c1 conj(z): c0 = (Sxx + Spp) / 2, c1 = (Sxx - Spp) / 2 +
+    i Sxp, with eigenvalues c0 +- |c1|.  MomentEstimate(mean=..., cov=...)
+    builds one from arrays, which .mean and .cov give back."""
 
-    mean: np.ndarray
-    cov: np.ndarray
-    n_effective: dict = field(default_factory=dict)
-    scheme: Scheme = Scheme.JOINT
-    mean_diag: float | None = None
+    z: complex
+    c0: float
+    c1: complex
+    n_effective: dict
+    scheme: Scheme
+    mean_diag: float | None
+
+    def __init__(self, z=None, c0=None, c1=None, n_effective=None, scheme=Scheme.JOINT,
+                 mean_diag=None, *, mean=None, cov=None):
+        if mean is not None:
+            z = complex(mean[0], mean[1])
+        if cov is not None:
+            (s_xx, s_xp), (_, s_pp) = np.asarray(cov, dtype=float).tolist()
+            c0, c1 = 0.5 * (s_xx + s_pp), complex(0.5 * (s_xx - s_pp), s_xp)
+        if z is None or c0 is None or c1 is None:
+            raise TypeError("MomentEstimate needs a mean (z or mean=) and a covariance "
+                            "(c0 and c1, or cov=)")
+        self.__dict__.update(z=z, c0=c0, c1=c1, scheme=scheme, mean_diag=mean_diag,
+                             n_effective={} if n_effective is None else n_effective)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.array([self.z.real, self.z.imag])
+
+    @property
+    def cov(self) -> np.ndarray:
+        c0, c1 = self.c0, self.c1
+        return np.array([[c0 + c1.real, c1.imag], [c1.imag, c0 - c1.real]])
 
     @property
     def has_full_cov(self) -> bool:
@@ -180,26 +211,32 @@ def _smaller_eigenvalue(a: float, b: float, c: float) -> float:
     return 0.5 * (total - root)
 
 
-def _condition(cov: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues (possible after the heterodyne subtraction),
-    then inflate to the physical floor.  With eigenvalues lo < 0 and hi the
+def _condition(a: float, b: float, c: float) -> tuple[float, complex]:
+    """The pair form (c0, c1) of the covariance [[a, b], [b, c]], a negative
+    eigenvalue clipped (possible after the heterodyne subtraction), then
+    inflated to the physical floor.  The eigenvalues are lo, as
+    _smaller_eigenvalue forms it, and hi = c0 + |c1|.  With lo < 0 the
     clipped matrix is max(hi, 0) (Sigma - lo I) / (hi - lo), of rank at most
     one, so the floor adds exactly I; its rounded determinant, whose root is
-    of order sqrt(eps) |Sigma|, never decides the repair."""
-    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
-    lo = _smaller_eigenvalue(a, b, c)
+    of order sqrt(eps) |Sigma|, never decides the repair.  Otherwise nu =
+    sqrt(lo hi) < 1 adds 1 - nu to both eigenvalues, as
+    gaussian_core.repair_physicality does."""
+    c0, c1 = 0.5 * (a + c), complex(0.5 * (a - c), b)
+    lo, radius = _smaller_eigenvalue(a, b, c), abs(c1)
+    hi = c0 + radius
     if lo < 0.0:
-        gap = math.hypot(a - c, b + b)  # hi - lo
-        hi = 0.5 * (a + c + gap)
-        k = hi / gap if hi > 0.0 else 0.0
-        return np.array([[k * (a - lo) + 1.0, k * b], [k * b, k * (c - lo) + 1.0]])
-    return repair_physicality(cov)
+        k = hi / (radius + radius) if hi > 0.0 else 0.0  # hi - lo = 2 |c1|
+        return k * (c0 - lo) + 1.0, k * c1
+    nu = math.sqrt(lo * hi)
+    return (c0, c1) if nu >= 1.0 else (c0 + (1.0 - nu), c1)
 
 
 def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
-    """MomentEstimate from the (size, mean, ddof=1 covariance) of each group
-    of records, laid out as _record_laws lays out their laws; the heterodyne
-    vacuum unit is taken off and the covariance conditioned here."""
+    """MomentEstimate from the statistics of each group of records, laid out
+    as _record_laws lays out their laws: (size, mean, ddof=1 variance) per
+    homodyne angle, or (size, (mean x, mean p), (Sxx, Sxp, Spp)) for paired
+    records; the heterodyne vacuum unit is taken off and the covariance
+    conditioned here."""
     if scheme in _ANGLES:
         (n_x, m_x, var_x), (n_p, m_p, var_p), *diagonal = stats
         n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
@@ -209,14 +246,13 @@ def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
             # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
             cov_xp = var_d - 0.5 * (var_x + var_p)
             n_eff["cov_xp"] = n_d
-        mean = np.array([m_x, m_p])
-        cov = np.array([[var_x, cov_xp], [cov_xp, var_p]])
-    else:
-        ((n, mean, cov),) = stats
-        if scheme is Scheme.HETERODYNE:
-            cov = cov - np.eye(2)
-        n_eff, mean_diag = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n), None
-    return MomentEstimate(mean, _condition(cov), n_eff, scheme, mean_diag)
+        return MomentEstimate(complex(m_x, m_p), *_condition(var_x, cov_xp, var_p), n_eff,
+                              scheme, mean_diag)
+    ((n, (m_x, m_p), (s_xx, s_xp, s_pp)),) = stats
+    if scheme is Scheme.HETERODYNE:
+        s_xx, s_pp = s_xx - 1.0, s_pp - 1.0
+    n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
+    return MomentEstimate(complex(m_x, m_p), *_condition(s_xx, s_xp, s_pp), n_eff, scheme)
 
 
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
@@ -234,10 +270,9 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
         n = x.size
         m_x, m_p = x.mean(), p.mean()
         dx, dp = x - m_x, p - m_p
-        s_xp = float((dx * dp).sum()) / (n - 1)
-        cov = np.array([[float((dx * dx).sum()) / (n - 1), s_xp],
-                        [s_xp, float((dp * dp).sum()) / (n - 1)]])
-        stats = [(n, np.array([m_x, m_p]), cov)]
+        stats = [(n, (m_x, m_p), (float((dx * dx).sum()) / (n - 1),
+                                  float((dx * dp).sum()) / (n - 1),
+                                  float((dp * dp).sum()) / (n - 1)))]
     return _estimate(scheme, stats)
 
 
@@ -260,7 +295,7 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
         stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
                   var * chi2(n - 1) / (n - 1)) for n, mu, var in laws]
         return _estimate(plan.scheme, stats)
-    ((n, mean, cov),) = laws
+    ((n, (m_x, m_p), cov),) = laws
     l00, l10, l11 = _cholesky(cov)
     a11 = math.sqrt(chi2(n - 1))
     a21 = rng.standard_normal()
@@ -268,8 +303,7 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     z0, z1 = rng.standard_normal(), rng.standard_normal()
     # root = L A, lower triangular; the scatter is root root^T / (n - 1).
     r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-    s12 = r11 * r21 / (n - 1)
-    scatter = np.array([[r11 * r11 / (n - 1), s12], [s12, (r21 * r21 + r22 * r22) / (n - 1)]])
     root_n = math.sqrt(n)
-    mean = np.array([mean[0] + l00 * z0 / root_n, mean[1] + (l10 * z0 + l11 * z1) / root_n])
+    mean = (m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n)
+    scatter = (r11 * r11 / (n - 1), r11 * r21 / (n - 1), (r21 * r21 + r22 * r22) / (n - 1))
     return _estimate(plan.scheme, [(n, mean, scatter)])

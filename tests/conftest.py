@@ -42,6 +42,12 @@ def exact_probe_moments(setup, process, noise=None):
     return out
 
 
+def seed_sequence_child(entropy, key) -> int:
+    """The seed of the stream SeedSequence(entropy, spawn_key=key): numpy's
+    own derivation, the reference of the harness's stream keys."""
+    return int(np.random.SeedSequence(entropy, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
 #: Parameter order of fisher_matrix rows, as in the Monte-Carlo MSE cells.
 FISHER_PARAMS = ("phi", "q", "alpha", "d", "beta")
 

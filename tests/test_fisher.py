@@ -328,12 +328,12 @@ def _per_point_report(setup, grid):
                                           ProcessParams.folded(phi=p))[0, 0] for p in grid])
             for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM)]
     diff, crossings = info[0] - info[1], []
-    for k in range(len(grid)):
-        if diff[k] == 0.0:
-            crossings.append(float(grid[k]))
-        elif k + 1 < len(grid) and diff[k] * diff[k + 1] < 0.0:
-            frac = diff[k] / (diff[k] - diff[k + 1])
-            crossings.append(float(grid[k] + frac * (grid[k + 1] - grid[k])))
+    signed = [(k, d) for k, d in enumerate(diff) if d != 0.0]
+    for (k, a), (m, b) in zip(signed, signed[1:]):
+        if a * b < 0.0 and m == k + 1:
+            crossings.append(float(grid[k] + a / (a - b) * (grid[m] - grid[k])))
+        elif a * b < 0.0:  # a run of exact zeros counts once, at its middle
+            crossings.append(float(0.5 * (grid[k + 1] + grid[m - 1])))
     return info, crossings
 
 
@@ -369,14 +369,42 @@ def test_comparison_matches_the_per_point_fisher_matrix(r_amp, v, probe_phase):
     (1.0, np.linspace(0.05, 3.1, 40))])
 def test_comparison_of_a_mirrored_grid_mirrors_the_crossings(r_amp, grid):
     # The phase information is even in phi, so a grid and its mirror image
-    # give mirrored crossing lists, an exact zero at the last grid point
-    # counting as one at the first.  The dark probe has one at phi = 0.
+    # give mirrored crossing lists.  With the dark probe the advantage only
+    # touches zero at phi = 0, which is no sign change and no crossing.
     s = dataclasses.replace(setup_for(Topology.INTERFEROMETRIC, 0.1, 0.1, 100.0), r_amp=r_amp)
     crossings = compare_blocked_vs_interferometric(s, grid).crossings
     mirrored = compare_blocked_vs_interferometric(s, -grid[::-1]).crossings
     assert mirrored == pytest.approx([-c for c in reversed(crossings)], abs=1e-12)
     if r_amp == 0.0:
-        assert 0.0 in crossings and 0.0 in mirrored
+        assert crossings == mirrored == []
+
+
+def test_equal_information_everywhere_has_no_crossing():
+    # Cold matter (V = 1) leaves both topologies the same mean-borne phase
+    # information, bit for bit: a difference of zero at every grid point
+    # is no advantage either way, not a crossing at each point.
+    s = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.3, t2=0.4,
+                    v_thermal=1.0, r_amp=10.0)
+    report = compare_blocked_vs_interferometric(s, np.linspace(0.2, 3.0, 8))
+    assert np.array_equal(report.info_interferometric, report.info_blocked)
+    assert report.crossings == []
+
+
+def test_a_run_of_zeros_between_opposite_signs_crosses_once(monkeypatch):
+    # Exact zeros between values of opposite sign are one crossing, at the
+    # middle of the run; zeros between values of one sign are none.
+    import lmint.estimators as estimators
+
+    diff = {"interferometric": np.array([1.0, 0.0, 0.0, 0.0, -2.0, 0.0, -1.0, 3.0]),
+            "blocked_beam": np.zeros(8)}
+
+    def kernel(phi, resp, blocks):
+        return None, None, diff["blocked_beam" if resp.b == 0.0 else "interferometric"]
+
+    monkeypatch.setattr(estimators, "_phase_loglik", kernel)
+    s = setup_for(Topology.INTERFEROMETRIC, 0.1, 0.1, 100.0)
+    report = compare_blocked_vs_interferometric(s, np.arange(8.0))
+    assert report.crossings == [2.0, 6.25]
 
 
 def test_comparison_reads_neither_joint_fit_nor_fisher_matrix(monkeypatch):

@@ -33,6 +33,8 @@ from lmint.harness import (
     param_error,
 )
 
+from conftest import seed_sequence_child
+
 
 def mc(setup, process, *, estimators, n=2000, m_reps=20, seed=123, **kw):
     plan = MeasurementPlan(scheme=Scheme.JOINT, n_samples=n, seed=0)
@@ -146,7 +148,10 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
                                                        monkeypatch):
     # Every stream of a sweep (each point's calibration probes, and the
     # single read-out and three probes of each realization at each point)
-    # has a seed of its own.
+    # has a seed of its own: point p = 1, 2, ... calibrates on the child
+    # SeedSequence(base_seed, spawn_key=(p, 0, 0)), whose probe j draws from
+    # SeedSequence(that seed, spawn_key=(j,)), and data set j of realization
+    # k draws from SeedSequence(base_seed, spawn_key=(p, k, j)).
     seeds = []
 
     def spy(state, plan):
@@ -159,6 +164,12 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
     sweep(cfg, "loss", [0.0, 0.1, 0.3, 0.5])
     assert len(seeds) == 4 * (3 + 5 * 4)
     assert len(set(seeds)) == len(seeds)
+    want = []
+    for p in range(1, 5):
+        calibration = seed_sequence_child(16384, (p, 0, 0))
+        want += [seed_sequence_child(calibration, (j,)) for j in range(3)]
+        want += [seed_sequence_child(16384, (p, k, j)) for k in range(1, 6) for j in range(4)]
+    assert seeds == want
 
 
 def test_run_mc_forms_each_state_once_without_forward(bench_setup, bench_process,

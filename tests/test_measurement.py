@@ -218,6 +218,12 @@ def test_clip_decision_matches_eigh():
     assert 1000 < clipped < 8000
 
 
+def _conditioned(cov):
+    """_condition of a 2x2 array, read back as an array."""
+    c0, c1 = _condition(cov[0, 0], cov[0, 1], cov[1, 1])
+    return np.array([[c0 + c1.real, c1.imag], [c1.imag, c0 - c1.real]])
+
+
 def test_clipped_covariance_is_not_decided_by_rounding():
     # A clipped covariance has rank one, so the floor adds exactly I and a
     # one-ulp rescale moves the result by rounding only; a repair read off
@@ -229,14 +235,14 @@ def test_clipped_covariance_is_not_decided_by_rounding():
     cov = np.array([[300.0, 420.0], [420.0, 500.0]])
     eps = np.finfo(float).eps
     for scale in (1.0, 1.0 + eps, 1.0 - eps / 2):
-        got = _condition(cov * scale)
+        got = _conditioned(cov * scale)
         assert np.abs(got - clipped_plus_floor(cov)).max() <= 1e-14 * 500.0
     rng = np.random.default_rng(23)
     clipped = 0
     for cov in _spd_and_subtracted(rng, 3000):
         if _smaller_eigenvalue(cov[0, 0], cov[0, 1], cov[1, 1]) < 0.0:
             clipped += 1
-            gap = np.abs(_condition(cov) - clipped_plus_floor(cov)).max()
+            gap = np.abs(_conditioned(cov) - clipped_plus_floor(cov)).max()
             assert gap <= 1e-14 * max(1.0, np.abs(cov).max()), cov
     assert clipped > 300
 
