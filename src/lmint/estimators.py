@@ -1,6 +1,11 @@
 """Parameter estimators: displacement-only, phase-only, the two general-process
 methods (covariance- and mean-based) and their joint maximum likelihood, with
 naive and calibrated variants selected through the assumed NoiseParams.
+
+prepare_<name> reads the response and the probe inputs of one setup and
+channel, raises the estimator's data-independent failures, and returns the
+estimate as a function of the moments; est_<name> applies it at once, a
+Monte-Carlo run to every realization.
 """
 from __future__ import annotations
 
@@ -87,12 +92,21 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     The baseline is the model mean with the process switched off (A = I); the
     gain is sqrt(t2 t_c) for every topology.
     """
+    return prepare_displacement(setup, noise)(moments)
+
+
+def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
+    """est_displacement for one setup and channel; UnidentifiableError when t2 = 0."""
     resp = response(setup, noise)
     if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
     baseline = (resp.through + resp.direct) * complex(*setup.light_mean)  # mean at A = I, d = 0
-    d_vec = (moments.z - baseline) / resp.g_d
-    return abs(d_vec), cmath.phase(d_vec)
+
+    def estimate(moments: MomentEstimate) -> tuple[float, float]:
+        d_vec = (moments.z - baseline) / resp.g_d
+        return abs(d_vec), cmath.phase(d_vec)
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +125,39 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict
     diagnostics dict when given); the sign is resolved through the mean's
     p-component when the probe is bright, otherwise the magnitude is returned.
     """
+    return prepare_phase_var(setup, noise)(moments, diagnostics)
+
+
+def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
+    """est_phase_var for one setup and channel; UnidentifiableError when b = 0."""
     resp = response(setup, noise)
     if resp.b == 0.0:
         raise UnidentifiableError("b = 0: the output variance carries no phase signal")
-    arg = (moments.c0 - (resp.a + resp.e)) / (2.0 * resp.b)
-    if abs(arg) > 1.0:
-        if diagnostics is not None:
-            diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
-        arg = max(-1.0, min(1.0, arg))
-    phi = math.acos(arg)
-    if setup.r_amp > 0.0 and (moments.z * cmath.rect(1.0, -setup.probe_phase)).imag < 0.0:
-        phi = -phi
-    return fold_angle(phi)
+    centre, signal = resp.a + resp.e, 2.0 * resp.b
+    frame = cmath.rect(1.0, -setup.probe_phase) if setup.r_amp > 0.0 else None
+
+    def estimate(moments: MomentEstimate, diagnostics: dict | None = None) -> float:
+        arg = (moments.c0 - centre) / signal
+        if abs(arg) > 1.0:
+            if diagnostics is not None:
+                diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
+            arg = max(-1.0, min(1.0, arg))
+        phi = math.acos(arg)
+        if frame is not None and (moments.z * frame).imag < 0.0:
+            phi = -phi
+        return fold_angle(phi)
+
+    return estimate
 
 
 def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     """Mean-based phase estimator: two-argument arctangent of the displaced
     mean, the same under any channel, which scales through R(phi) m_in alone."""
+    return prepare_phase_mean(setup)(moments)
+
+
+def prepare_phase_mean(setup: SetupConfig):
+    """est_phase_mean for one setup; UnidentifiableError when r = 0 or through = 0."""
     if setup.r_amp <= 0.0:
         raise UnidentifiableError("r = 0: the output mean carries no phase signal")
     resp = response(setup)
@@ -135,8 +165,13 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the output mean carries no phase signal")
-    frame = moments.z * cmath.rect(1.0, -setup.probe_phase)  # probe phase -> 0
-    return math.atan2(frame.imag, frame.real - setup.r_amp * resp.direct)
+    frame, offset = cmath.rect(1.0, -setup.probe_phase), setup.r_amp * resp.direct
+
+    def estimate(moments: MomentEstimate) -> float:
+        turned = moments.z * frame  # probe phase -> 0
+        return math.atan2(turned.imag, turned.real - offset)
+
+    return estimate
 
 
 def _phase_loglik(phi, resp, blocks):
@@ -198,28 +233,38 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     (simplistic topology, a dark probe, t1 = 0) and the covariance has no
     linear term (b = 0).
     """
+    return prepare_phase_ml(setup, noise)(moments)
+
+
+def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
+    """est_phase_ml for one setup and channel; UnidentifiableError when through r = b = 0."""
     resp = response(setup, noise)
     if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    blocks = _blocks([moments], [setup.light_mean])
-    k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))
-    phi, last = _PHASE_GRID[k], None
+    m_in = [setup.light_mean.tolist()]
     width = _PHASE_GRID[1] - _PHASE_GRID[0]
-    lo, hi = phi - width, phi + width
-    for _ in range(_MAX_PHASE_STEPS):
-        _, score, info = _phase_loglik(phi, resp, blocks)
-        s = float(score)
-        lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
-        # Curvature of the log-likelihood: minus the information, then secants.
-        slope = -float(info) if last is None else (s - last[1]) / (phi - last[0])
-        trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
-        if abs(trial - phi) < _PHASE_TOL:
-            return fold_angle(trial)
-        if not lo < trial < hi:
-            trial = 0.5 * (lo + hi)
-        last, phi = (phi, s), trial
-    raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
+
+    def estimate(moments: MomentEstimate) -> float:
+        blocks = _blocks([moments], m_in)
+        k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))
+        phi, last = _PHASE_GRID[k], None
+        lo, hi = phi - width, phi + width
+        for _ in range(_MAX_PHASE_STEPS):
+            _, score, info = _phase_loglik(phi, resp, blocks)
+            s = float(score)
+            lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
+            # Curvature of the log-likelihood: minus the information, then secants.
+            slope = -float(info) if last is None else (s - last[1]) / (phi - last[0])
+            trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
+            if abs(trial - phi) < _PHASE_TOL:
+                return fold_angle(trial)
+            if not lo < trial < hi:
+                trial = 0.5 * (lo + hi)
+            last, phi = (phi, s), trial
+        raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -409,56 +454,66 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
 
     Raises UnidentifiableError when the covariance response has no linear
     term (cold matter V = 1, the blocked beam, t2 = 0): the covariance then
-    carries no rotation signal.
+    carries no rotation signal, and InsufficientDataError when the read-out
+    lacks the full covariance.
     """
-    if not moments.has_full_cov:
+    return prepare_general_cov(setup, noise, moments.has_full_cov)(moments)
+
+
+def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
+    """est_general_cov for one setup and channel, on a read-out that pins
+    Cov(x, p) when full_cov (else InsufficientDataError)."""
+    if not full_cov:
         raise InsufficientDataError(
             "covariance-based estimation needs the full covariance "
             "(homodyne 3-angle split, heterodyne or joint read-out)")
-    cov_emp = moments.c0, moments.c1
     resp = response(setup, noise)
     if resp.a <= 0.0 or abs(resp.b / resp.a) < 1e-12:
         raise UnidentifiableError(
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
-
-    # Every process matrix consistent with the fitted covariance, once each;
-    # the canonical representative is the pick.
-    mats, off_image = _fit_cov(cov_emp, resp)
-    candidates, seen = [], []
-    for m0, m1 in mats:
-        tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
-        if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
-            continue
-        phi, w, alpha = polar_pair(m0, m1)
-        seen.append((m0, m1))
-        candidates.append((fold_angle(phi), max(w, 0.0), fold_axis(alpha)))
-    w_min = min(w for _, w, _ in candidates)
-    short = [c for c in candidates if c[1] <= w_min + 1e-3]
-    a_min = min(abs(al) for _, _, al in short)
-    short = [c for c in short if abs(c[2]) <= a_min + 1e-3]
-    pick = max(short, key=lambda c: c[0])
-    rivals = [c for c in candidates if c is not pick]
-
-    gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
-    residual = math.sqrt(_dot(gap, gap))
-    rel = residual / max(math.sqrt(_dot(cov_emp, cov_emp)), 1e-300)
-    if rel > RESIDUAL_REL_TOL:
-        raise FitRejectedError(
-            f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}")
-    diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
-                   "ambiguity_order": len(candidates)}
-    if rivals:
-        diagnostics["rival_fits"] = rivals
-    phi, w, alpha = pick
-    if w < AXIS_UNDEFINED_W:
-        alpha, diagnostics["axis_undefined"] = 0.0, True
-    m0, m1 = _process_pair(phi, w, alpha)
     m_in = complex(*setup.light_mean)
-    d_vec = (moments.z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
-             - resp.direct * m_in) / resp.g_d
-    params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
-    return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
+
+    def estimate(moments: MomentEstimate) -> EstimateReport:
+        # Every process matrix consistent with the fitted covariance, once each;
+        # the canonical representative is the pick.
+        cov_emp = moments.c0, moments.c1
+        mats, off_image = _fit_cov(cov_emp, resp)
+        candidates, seen = [], []
+        for m0, m1 in mats:
+            tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
+            if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
+                continue
+            phi, w, alpha = polar_pair(m0, m1)
+            seen.append((m0, m1))
+            candidates.append((fold_angle(phi), max(w, 0.0), fold_axis(alpha)))
+        w_min = min(w for _, w, _ in candidates)
+        short = [c for c in candidates if c[1] <= w_min + 1e-3]
+        a_min = min(abs(al) for _, _, al in short)
+        short = [c for c in short if abs(c[2]) <= a_min + 1e-3]
+        pick = max(short, key=lambda c: c[0])
+        rivals = [c for c in candidates if c is not pick]
+
+        gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
+        residual = math.sqrt(_dot(gap, gap))
+        rel = residual / max(math.sqrt(_dot(cov_emp, cov_emp)), 1e-300)
+        if rel > RESIDUAL_REL_TOL:
+            raise FitRejectedError(
+                f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}")
+        diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
+                       "ambiguity_order": len(candidates)}
+        if rivals:
+            diagnostics["rival_fits"] = rivals
+        phi, w, alpha = pick
+        if w < AXIS_UNDEFINED_W:
+            alpha, diagnostics["axis_undefined"] = 0.0, True
+        m0, m1 = _process_pair(phi, w, alpha)
+        d_vec = (moments.z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+                 - resp.direct * m_in) / resp.g_d
+        params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
+        return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
+
+    return estimate
 
 
 def _probe_inversion(probe_moments, r):
@@ -483,6 +538,11 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     above the bound of the means; a weighted (GLS) fit of the same means
     reaches ~1.  est_combined, started here, is the efficient estimator.
     """
+    return prepare_general_mean(setup, noise)(probe_moments)
+
+
+def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
+    """est_general_mean for one setup and channel; UnidentifiableError when r = 0 or through = 0."""
     r = setup.r_amp
     if r <= 0.0:
         raise UnidentifiableError("r = 0: mean-based estimation needs a bright probe")
@@ -491,17 +551,21 @@ def est_general_mean(probe_moments, setup: SetupConfig,
         raise UnidentifiableError(
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the mean carries no signal of the linear part")
-    k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
-    d_vec = k_hat / resp.g_d
-    b0, b1 = (m0 - resp.direct) / resp.through, m1 / resp.through
-    phi, w, alpha = polar_pair(b0, b1)
-    diagnostics = {"det_b": (b0 * b0.conjugate() - b1 * b1.conjugate()).real, "w_raw": w}
-    if w < AXIS_UNDEFINED_W:
-        alpha = 0.0
-        if abs(w) < AXIS_UNDEFINED_W:
-            diagnostics["axis_undefined"] = True
-    params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
-    return EstimateReport(params=params, method="mean_method", diagnostics=diagnostics)
+
+    def estimate(probe_moments) -> EstimateReport:
+        k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
+        d_vec = k_hat / resp.g_d
+        b0, b1 = (m0 - resp.direct) / resp.through, m1 / resp.through
+        phi, w, alpha = polar_pair(b0, b1)
+        diagnostics = {"det_b": (b0 * b0.conjugate() - b1 * b1.conjugate()).real, "w_raw": w}
+        if w < AXIS_UNDEFINED_W:
+            alpha = 0.0
+            if abs(w) < AXIS_UNDEFINED_W:
+                diagnostics["axis_undefined"] = True
+        params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
+        return EstimateReport(params=params, method="mean_method", diagnostics=diagnostics)
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -702,42 +766,56 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     or information it cannot use.  The deviance D against the saturated
     per-set Gaussians is chi-square with dof = statistics - 5 under the
     model; 'model_inconsistent' flags (D - dof) / sqrt(2 dof) >
-    _INCONSISTENT_SIGMA.
+    _INCONSISTENT_SIGMA.  Fails as est_general_mean does when the probes
+    cannot start it.
     """
-    x = chart(est_general_mean(probe_moments, setup, noise).params)[0]
+    return prepare_combined(setup, noise)(single_moments, probe_moments)
+
+
+def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
+    """est_combined for one setup and channel, failing as its start does.  Each
+    estimate starts from est_general_mean, which the tests replace."""
+    prepare_general_mean(setup, noise)  # the start's checks
+    resp = response(setup, noise)
     m_in = [(setup.r_amp * math.cos(p), setup.r_amp * math.sin(p))
             for p in (setup.probe_phase, *PROBE_PHASES)]
-    resp, blocks = response(setup, noise), _blocks([single_moments, *probe_moments], m_in)
-    deviance, score, info, rounding = _joint_fit(x, blocks, resp)
-    if score is None:
-        raise EstimationError("the start point's model covariance is not positive definite")
-    for steps in range(_MAX_SCORING_STEPS + 1):
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise EstimationError("the information matrix is singular") from None
-        if score @ step < _DECREMENT_TOL:
-            break
-        if steps == _MAX_SCORING_STEPS:
-            raise EstimationError(
-                f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
-        for _ in range(_MAX_HALVINGS):
-            trial = _joint_fit(x + step, blocks, resp)
-            if trial[0] <= deviance + rounding + trial[3]:  # no rise beyond rounding
+
+    def estimate(single_moments: MomentEstimate, probe_moments) -> EstimateReport:
+        x = chart(est_general_mean(probe_moments, setup, noise).params)[0]
+        blocks = _blocks([single_moments, *probe_moments], m_in)
+        deviance, score, info, rounding = _joint_fit(x, blocks, resp)
+        if score is None:
+            raise EstimationError("the start point's model covariance is not positive definite")
+        for steps in range(_MAX_SCORING_STEPS + 1):
+            try:
+                step = np.linalg.solve(info, score)
+            except np.linalg.LinAlgError:
+                raise EstimationError("the information matrix is singular") from None
+            if score @ step < _DECREMENT_TOL:
                 break
-            step = 0.5 * step
-        else:
-            raise EstimationError("no step along the scoring direction lowers the deviance")
-        x, (deviance, score, info, rounding) = x + step, trial
-    # Per set k (k + 1) / 2 = 2 k - 1 scatter entries and k mean components, k = 2 for P = I.
-    dof = sum((2 if p is None else 1) * (2 + (mean is not None)) - 1
-              for p, _, _, sets in blocks for *_, mean, _, _ in sets) - 5
-    sigma = (deviance - dof) / math.sqrt(2.0 * dof)
-    phi, u, v, c, s = (float(t) for t in x)
-    w = math.hypot(u, v)
-    undefined = w < AXIS_UNDEFINED_W
-    params = ProcessParams.folded(phi=phi, w=w, alpha=0.0 if undefined else 0.5 * math.atan2(v, u),
-                                  d=math.hypot(c, s), beta=math.atan2(s, c))
-    return EstimateReport(params=params, method="combined", diagnostics={
-        "deviance": deviance, "dof": dof, "deviance_sigma": sigma, "scoring_steps": steps,
-        "model_inconsistent": sigma > _INCONSISTENT_SIGMA, "axis_undefined": undefined})
+            if steps == _MAX_SCORING_STEPS:
+                raise EstimationError(
+                    f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
+            for _ in range(_MAX_HALVINGS):
+                trial = _joint_fit(x + step, blocks, resp)
+                if trial[0] <= deviance + rounding + trial[3]:  # no rise beyond rounding
+                    break
+                step = 0.5 * step
+            else:
+                raise EstimationError("no step along the scoring direction lowers the deviance")
+            x, (deviance, score, info, rounding) = x + step, trial
+        # Per set k (k + 1) / 2 = 2 k - 1 scatter entries and k mean components, k = 2 for P = I.
+        dof = sum((2 if p is None else 1) * (2 + (mean is not None)) - 1
+                  for p, _, _, sets in blocks for *_, mean, _, _ in sets) - 5
+        sigma = (deviance - dof) / math.sqrt(2.0 * dof)
+        phi, u, v, c, s = (float(t) for t in x)
+        w = math.hypot(u, v)
+        undefined = w < AXIS_UNDEFINED_W
+        params = ProcessParams.folded(phi=phi, w=w,
+                                      alpha=0.0 if undefined else 0.5 * math.atan2(v, u),
+                                      d=math.hypot(c, s), beta=math.atan2(s, c))
+        return EstimateReport(params=params, method="combined", diagnostics={
+            "deviance": deviance, "dof": dof, "deviance_sigma": sigma, "scoring_steps": steps,
+            "model_inconsistent": sigma > _INCONSISTENT_SIGMA, "axis_undefined": undefined})
+
+    return estimate

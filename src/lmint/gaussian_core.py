@@ -301,8 +301,6 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def is_physical(state: GaussianState, tol: float = 1e-9) -> bool:
     """Whether all symplectic eigenvalues are >= 1 - tol (Heisenberg relation)."""
-    if state.n_modes == 1:  # in the per-draw path: no array for one eigenvalue
-        return _single_mode_nu(state.cov) >= 1.0 - tol
     return bool(symplectic_eigenvalues(state.cov).min() >= 1.0 - tol)
 
 

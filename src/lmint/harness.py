@@ -1,11 +1,15 @@
 """Monte-Carlo MSE benchmarking, parameter sweeps, scaling fits, the
 phase-estimator crossover locator, and the two-step noise calibration.
 
-A realization's data are moment statistics drawn from their exact law
-(measurement.draw_moments) around the measured state of the closed-form
-response (interferometer.measured_state), computed once per config and
-probe phase.  Data set j of realization k at sweep point p draws from the
-stream np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
+A run is prepared before its first draw: each estimator for its assumed
+channel (estimators.prepare_<name>), and each data set's record law
+(measurement.record_laws) from one covariance of the closed-form response
+and the mean at its probe phase (interferometer.measured_moments).  An
+estimator that fails its data-independent checks books m_reps failures of
+that reason unrun, and a run with none left draws nothing.  A realization
+only keys its streams, draws (measurement.draw_from_laws) and estimates.
+Data set j of realization k at sweep point p draws from the stream
+np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
 SeedSequence(base_seed).spawn gives, so streams are independent by
 construction and results reproducible and order-independent.  The seed of
 each child is computed bit for bit as SeedSequence computes it, from shared
@@ -30,17 +34,17 @@ from .estimators import (
     PROBE_PHASES,
     UnidentifiableError,
     _probe_inversion,
-    est_combined,
-    est_displacement,
-    est_general_cov,
-    est_general_mean,
-    est_phase_mean,
-    est_phase_ml,
-    est_phase_var,
+    prepare_combined,
+    prepare_displacement,
+    prepare_general_cov,
+    prepare_general_mean,
+    prepare_phase_mean,
+    prepare_phase_ml,
+    prepare_phase_var,
 )
 from .gaussian_core import IDENTITY_PROCESS, DecompositionError, ProcessParams, circular_diff
-from .interferometer import SetupConfig, measured_state, response
-from .measurement import InsufficientDataError, MeasurementPlan, draw_moments
+from .interferometer import SetupConfig, measured_moments, response
+from .measurement import InsufficientDataError, MeasurementPlan, draw_from_laws, record_laws
 from .noise import IDEAL_NOISE, NoiseParams
 
 
@@ -131,12 +135,6 @@ class MSEReport:
         return self.cells[(estimator, parameter)].mse
 
 
-def _truth_value(process: ProcessParams, parameter: str) -> float:
-    if parameter == "q":
-        return process.q
-    return getattr(process, parameter)
-
-
 def param_error(estimate: float, truth: float, parameter: str) -> float:
     """Signed error, on the circle for angular parameters."""
     period = _PARAM_PERIODS.get(parameter)
@@ -203,59 +201,70 @@ def _plan_seed(entropy: int, *key: int) -> int:
     return _key_seed(prefix, key[-1])
 
 
-def _report_values(report) -> dict:
+def _report_values(report) -> tuple:
     p = report.params
-    return {"phi": p.phi, "q": p.q, "alpha": p.alpha, "d": p.d, "beta": p.beta}
+    return p.phi, p.q, p.alpha, p.d, p.beta
 
 
 # ---------------------------------------------------------------------------
 # Single-realization pipeline
 
 
-def _simulate_realizations(cfg: MonteCarloConfig, point: int):
+def _record_laws(setup: SetupConfig, process: ProcessParams, noise, scheme, sets) -> list:
+    """The record laws of data sets (probe phase, shot count) read out on
+    `scheme`: one covariance and the mean at each distinct probe phase, which
+    data sets may share."""
+    phases = list(dict.fromkeys(phase for phase, _ in sets))
+    means, cov = measured_moments(setup, process, noise, phases)
+    mean_at = dict(zip(phases, means))
+    return [record_laws(mean_at[phase], cov, scheme, n) for phase, n in sets]
+
+
+def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases):
     """Moments of realizations 1 to m_reps at sweep point `point`, as pairs
-    (single read-out, three probes): data set 0, drawn when an estimator
-    other than mean_method reads it, and data sets 1 to 3, drawn when
-    mean_method or combined does (else None and []).  The measured state is
-    formed once per probe phase, which a probe and the single read-out may
-    share."""
-    bases = {base_name(n) for n in cfg.estimators}
-    state_at = functools.cache(lambda phase: measured_state(
-        dc_replace(cfg.setup, probe_phase=phase), cfg.process, cfg.noise))
-    single = state_at(cfg.setup.probe_phase) if bases - {"mean_method"} else None
-    probes = [state_at(phase) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []
+    (single read-out, three probes) for the estimators `bases`: data set 0
+    when one other than mean_method reads it, and data sets 1 to 3 when
+    mean_method or combined does (else None and []).  Their laws are formed
+    once, before the first draw."""
+    single = bool(bases - {"mean_method"})
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
+    sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
+            + ([(phase, n_each) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []))
+    laws = _record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, sets)
     at_point = _key_child(_key_root(cfg.base_seed), point)
-
-    def draw(state, n, at_k, j):
-        return draw_moments(state, MeasurementPlan(cfg.plan.scheme, n, _key_seed(at_k, j)))
-
     for k in range(1, cfg.m_reps + 1):
         at_k = _key_child(at_point, k)
-        yield (None if single is None else draw(single, cfg.plan.n_samples, at_k, 0),
-               [draw(state, n_each, at_k, j) for j, state in enumerate(probes, start=1)])
+        drawn = [draw_from_laws(law, _key_seed(at_k, j))
+                 for j, law in enumerate(laws, start=0 if single else 1)]
+        yield (drawn[0], drawn[1:]) if single else (None, drawn)
 
 
-def _estimate_one(name: str, setup: SetupConfig, data, assumed: NoiseParams,
-                  diagnostics: dict) -> dict:
-    base = base_name(name)
-    single, probes = data
+def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
+    """Estimator `name` prepared for a run under the channel `noise`: a
+    function of one realization's data (single read-out, three probes) and
+    the run's diagnostics dict that returns its values in ESTIMATOR_PARAMS
+    order.  Raises the estimator's data-independent failure."""
+    base, setup = base_name(name), cfg.setup
     if base == "displacement":
-        d, beta = est_displacement(single, setup, assumed)
-        return {"d": d, "beta": beta}
+        est = prepare_displacement(setup, noise)
+        return lambda single, probes, diagnostics: est(single)
     if base == "phase_var":
-        return {"phi": est_phase_var(single, setup, diagnostics, noise=assumed)}
+        est = prepare_phase_var(setup, noise)
+        return lambda single, probes, diagnostics: (est(single, diagnostics),)
     if base == "phase_mean":
-        return {"phi": est_phase_mean(single, setup)}
+        est = prepare_phase_mean(setup)
+        return lambda single, probes, diagnostics: (est(single),)
     if base == "phase_ml":
-        return {"phi": est_phase_ml(single, setup, assumed)}
+        est = prepare_phase_ml(setup, noise)
+        return lambda single, probes, diagnostics: (est(single),)
     if base == "cov_method":
-        return _report_values(est_general_cov(single, setup, assumed))
+        est = prepare_general_cov(setup, noise, cfg.plan.scheme.has_full_cov)
+        return lambda single, probes, diagnostics: _report_values(est(single))
     if base == "mean_method":
-        return _report_values(est_general_mean(probes, setup, assumed))
-    if base == "combined":
-        return _report_values(est_combined(single, probes, setup, assumed))
-    raise ValueError(f"unknown estimator {name!r}")
+        est = prepare_general_mean(setup, noise)
+        return lambda single, probes, diagnostics: _report_values(est(probes))
+    est = prepare_combined(setup, noise)
+    return lambda single, probes, diagnostics: _report_values(est(single, probes))
 
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
@@ -286,8 +295,9 @@ def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
     calibrated = _calibrated_noise(cfg, 0)
-    data = next(_simulate_realizations(cfg, 0))
-    return [_estimate_one(name, cfg.setup, data, _resolve_assumed(cfg, name, calibrated), {})
+    data = next(_simulate_realizations(cfg, 0, {base_name(n) for n in cfg.estimators}))
+    return [dict(zip(ESTIMATOR_PARAMS[base_name(name)],
+                     _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))(*data, {})))
             for name in cfg.estimators]
 
 
@@ -297,48 +307,57 @@ def run_mc(cfg: MonteCarloConfig) -> MSEReport:
 
 
 def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
-    """run_mc on the streams of sweep point `point` (run_mc itself is point 0)."""
+    """run_mc on the streams of sweep point `point` (run_mc itself is point 0).
+    Each estimator is prepared once; one that fails its data-independent
+    checks counts m_reps failures of that reason."""
     t0 = time.perf_counter()
     calibrated = _calibrated_noise(cfg, point)
-    # Per run, not per realization: each estimator's channel, each truth.
-    assumed = {name: _resolve_assumed(cfg, name, calibrated) for name in cfg.estimators}
-    errors = {name: {p: [] for p in ESTIMATOR_PARAMS[base_name(name)]}
-              for name in cfg.estimators}
-    truth = {p: _truth_value(cfg.process, p) for params in errors.values() for p in params}
     failures = {name: {} for name in cfg.estimators}  # exception class name -> count
-    n_clamped = dict.fromkeys(cfg.estimators, 0)
-    for data in _simulate_realizations(cfg, point):
-        for name in cfg.estimators:
-            diagnostics = {}
-            try:
-                values = _estimate_one(name, cfg.setup, data, assumed[name], diagnostics)
-            except _ESTIMATOR_FAILURES as exc:
-                reason = type(exc).__name__
-                failures[name][reason] = failures[name].get(reason, 0) + 1
-            else:
-                for p, errs in errors[name].items():
-                    errs.append(param_error(values[p], truth[p], p))
-            n_clamped[name] += diagnostics.get("clamped", 0)
-
+    rows = {name: [] for name in cfg.estimators}      # the values of each success
+    diagnostics = {name: {} for name in cfg.estimators}
+    live = {}  # name -> prepared estimator
+    for name in cfg.estimators:
+        try:
+            live[name] = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
+        except _ESTIMATOR_FAILURES as exc:
+            reason = type(exc).__name__
+            failures[name][reason] = failures[name].get(reason, 0) + cfg.m_reps
+    loop = [(live[n], rows[n], diagnostics[n], failures[n]) for n in cfg.estimators if n in live]
+    if loop:
+        for single, probes in _simulate_realizations(cfg, point, {base_name(n) for n in live}):
+            for estimate, done, diag, failed in loop:
+                try:
+                    done.append(estimate(single, probes, diag))
+                except _ESTIMATOR_FAILURES as exc:
+                    reason = type(exc).__name__
+                    failed[reason] = failed.get(reason, 0) + 1
     cells = {}
     for name in cfg.estimators:
-        n_failed = sum(failures[name].values())
-        n_ok = cfg.m_reps - n_failed
-        unreliable = n_failed > 0.05 * cfg.m_reps
-        for p, errs in errors[name].items():
-            errs = np.asarray(errs)
-            if errs.size == 0:
-                cells[(name, p)] = CellStats(math.nan, math.nan, math.nan, 0, n_failed,
-                                             n_clamped[name], True, failures[name])
-                continue
-            mse = float((errs ** 2).mean())
-            bias = float(errs.mean())
-            variance = float(((errs - bias) ** 2).mean())
-            cells[(name, p)] = CellStats(mse=mse, bias=bias, variance=variance,
-                                         n_ok=n_ok, n_failed=n_failed,
-                                         n_clamped=n_clamped[name],
-                                         unreliable=unreliable, failures=failures[name])
+        cells.update(_cell_stats(cfg, name, rows[name], failures[name],
+                                 diagnostics[name].get("clamped", 0)))
     return MSEReport(cells=cells, config=cfg, wall_time=time.perf_counter() - t0)
+
+
+def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
+                n_clamped: int) -> dict:
+    """The CellStats of each parameter of estimator `name`, from its values on
+    the successful realizations (one row each), in one array pass: a row of
+    errors per parameter, each reduced as the 1-D array of its errors is."""
+    params = ESTIMATOR_PARAMS[base_name(name)]
+    n_failed = sum(failures.values())
+    if not rows:
+        cell = CellStats(math.nan, math.nan, math.nan, 0, n_failed, n_clamped, True, failures)
+        return dict.fromkeys(((name, p) for p in params), cell)
+    truth = [getattr(cfg.process, p) for p in params]
+    errs = np.array([[param_error(v, t, p) for v in column]  # one row per parameter
+                     for p, t, column in zip(params, truth, zip(*rows))])
+    mse, bias = (errs ** 2).mean(axis=1).tolist(), errs.mean(axis=1)
+    variance = ((errs - bias[:, None]) ** 2).mean(axis=1).tolist()
+    n_ok, unreliable = cfg.m_reps - n_failed, n_failed > 0.05 * cfg.m_reps
+    return {(name, p): CellStats(mse=mse[i], bias=float(bias[i]), variance=variance[i],
+                                 n_ok=n_ok, n_failed=n_failed, n_clamped=n_clamped,
+                                 unreliable=unreliable, failures=failures)
+            for i, p in enumerate(params)}
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +481,9 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
         raise CalibrationError("calibration needs probe light through the process "
                                "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
-    moments = [draw_moments(measured_state(dc_replace(setup, probe_phase=phase),
-                                           IDENTITY_PROCESS, true_noise),
-                            MeasurementPlan(plan.scheme, n_each, _plan_seed(plan.seed, j)))
-               for j, phase in enumerate(PROBE_PHASES)]
+    laws = _record_laws(setup, IDENTITY_PROCESS, true_noise, plan.scheme,
+                        [(phase, n_each) for phase in PROBE_PHASES])
+    moments = [draw_from_laws(law, _plan_seed(plan.seed, j)) for j, law in enumerate(laws)]
     gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0

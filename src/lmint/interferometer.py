@@ -68,9 +68,12 @@ class SetupConfig:
     @property
     def light_mean(self) -> np.ndarray:
         """Input mean of the coherent probe."""
-        return np.array(
-            [self.r_amp * math.cos(self.probe_phase), self.r_amp * math.sin(self.probe_phase)]
-        )
+        return probe_mean(self.r_amp, self.probe_phase)
+
+
+def probe_mean(r_amp: float, phase: float) -> np.ndarray:
+    """Input mean of a coherent probe of amplitude r_amp at the given phase."""
+    return np.array([r_amp * math.cos(phase), r_amp * math.sin(phase)])
 
 
 _MODE_SWAP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -174,12 +177,24 @@ def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
                     e=bath + (1.0 - t2) * (t1 * v + 1.0 - t1))
 
 
+def measured_moments(setup: SetupConfig, process: ProcessParams,
+                     noise: NoiseParams | None = None, phases=None) -> tuple[list, np.ndarray]:
+    """forward's measured light mode, read from the closed-form response at
+    each probe phase of `phases` (the setup's own by default): the list of
+    its means, one per phase, and its covariance, which no probe phase
+    changes.  One response and one process matrix serve every phase."""
+    resp = response(setup, noise)
+    mat = rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
+    d_vec = process.d_vec
+    means = [resp.mean(mat, d_vec, probe_mean(setup.r_amp, phase))
+             for phase in ((setup.probe_phase,) if phases is None else phases)]
+    return means, resp.cov(mat)
+
+
 def measured_state(setup: SetupConfig, process: ProcessParams,
                    noise: NoiseParams | None = None) -> GaussianState:
     """forward's measured light mode, read from the closed-form response:
-    one state instead of forward's chain of two-mode ones.  The simulated
-    data draw from it; forward stays the reference the tests check it
-    against."""
-    resp = response(setup, noise)
-    mat = rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
-    return GaussianState(resp.mean(mat, process.d_vec, setup.light_mean), resp.cov(mat))
+    one state instead of forward's chain of two-mode ones.  forward stays the
+    reference the tests check it against."""
+    (mean,), cov = measured_moments(setup, process, noise)
+    return GaussianState(mean, cov)

@@ -1,16 +1,19 @@
 """Stochastic quadrature sampling, empirical moment recovery, and draws of
 the moments from their exact law.
 
-Every draw comes from a counter-based generator (Philox) keyed by the plan's
-64-bit seed, so it is reproducible.  One Philox bit generator per thread
-serves every draw: each draw resets its whole state to key (seed, 0) and
-counter 0, which is the stream of a fresh np.random.Philox(key=seed) at a
-fifth of the cost of building one.  The harness gives each plan the seed of
-the np.random.SeedSequence child keyed by (sweep point, realization, data
-set), which makes the streams of a run independent by construction.  A
-paired law's 2x2 covariance is factored in closed form, with LAPACK's
-operations.  The drawn statistics are held in the pair form the estimators
-read (see MomentEstimate), formed from scalars with no array per draw.
+record_laws forms the law of the records a scheme takes of one state, with
+its physicality check and the closed-form factor of a paired covariance
+(LAPACK's operations), once per data set and run; draw_from_laws draws one
+realization's statistics from it, and draw_moments composes the two.  Every
+draw comes from a counter-based generator (Philox) keyed by a 64-bit seed,
+so it is reproducible.  One Philox bit generator per thread serves every
+draw: each draw resets its whole state to key (seed, 0) and counter 0, which
+is the stream of a fresh np.random.Philox(key=seed) at a fifth of the cost
+of building one.  The harness seeds each draw from the np.random.SeedSequence
+child keyed by (sweep point, realization, data set), which makes the streams
+of a run independent by construction.  The drawn statistics are held in the
+pair form the estimators read (see MomentEstimate), formed from scalars with
+no array per draw.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian_core import GaussianState, is_physical
+from .gaussian_core import GaussianState, _single_mode_nu
 
 
 class InsufficientDataError(ValueError):
@@ -46,6 +49,11 @@ class Scheme(Enum):
     HETERODYNE = "heterodyne"
     JOINT = "joint"
 
+    @property
+    def has_full_cov(self) -> bool:
+        """Whether the records pin Cov(x, p), as each MomentEstimate of them says."""
+        return self is not Scheme.HOMODYNE_SPLIT2
+
 
 _ANGLES = {
     Scheme.HOMODYNE_SPLIT2: (0.0, math.pi / 2),
@@ -69,11 +77,16 @@ class MeasurementPlan:
             )
 
     def group_sizes(self) -> list[int]:
-        groups = len(_ANGLES.get(self.scheme, (0,)))
-        base = self.n_samples // groups
-        sizes = [base] * groups
-        sizes[0] += self.n_samples - base * groups
-        return sizes
+        return _group_sizes(self.scheme, self.n_samples)
+
+
+def _group_sizes(scheme: Scheme, n: int) -> list[int]:
+    """Records per angle group: n split evenly, the remainder to the first."""
+    groups = len(_ANGLES.get(scheme, (0,)))
+    base = n // groups
+    sizes = [base] * groups
+    sizes[0] += n - base * groups
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -114,36 +127,38 @@ def _cholesky(cov) -> tuple[float, float, float]:
     return l00, l10, math.sqrt(s_pp - l10 * l10)
 
 
-def _record_laws(state: GaussianState, plan: MeasurementPlan) -> list:
-    """(n, mean, covariance) of each group of records the plan takes of a
-    single-mode state: one scalar law per homodyne angle, one two-dimensional
-    law for paired records, its mean (x, p) and covariance rows (heterodyne
-    adds one vacuum unit).  The records at angles 0, pi/2 and pi/4 are x, p
-    and (x + p) / sqrt 2, with variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp."""
-    if state.n_modes != 1:
+def record_laws(mean, cov, scheme: Scheme, n_samples: int) -> tuple:
+    """The exact law of n_samples records that `scheme` takes of the
+    single-mode state (mean, cov), arrays of shape (2,) and (2, 2), as
+    (scheme, groups): per homodyne angle its group size, mean and variance,
+    or for paired records their count, mean (x, p) and the lower Cholesky
+    factor of their covariance (heterodyne adds one vacuum unit).  The
+    records at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with
+    variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp.  Raises ValueError for a
+    state of more modes or an unphysical one."""
+    if mean.size != 2:
         raise ValueError("sampling expects a single-mode state")
-    if not is_physical(state):
+    if not _single_mode_nu(cov) >= 1.0 - 1e-9:  # gaussian_core.is_physical's test
         raise ValueError("cannot sample an unphysical state")
-    (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)) = state.mean.tolist(), state.cov.tolist()
-    if plan.scheme in _ANGLES:
+    (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)) = mean.tolist(), cov.tolist()
+    if scheme in _ANGLES:
         laws = ((m_x, s_xx), (m_p, s_pp),
                 ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
-        return [(n, mu, var) for n, (mu, var) in zip(plan.group_sizes(), laws)]
-    if plan.scheme is Scheme.HETERODYNE:
+        return scheme, [(n, mu, var) for n, (mu, var) in zip(_group_sizes(scheme, n_samples), laws)]
+    if scheme is Scheme.HETERODYNE:
         s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
-    return [(plan.n_samples, (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)))]
+    return scheme, [(n_samples, (m_x, m_p), _cholesky(((s_xx, s_xp), (s_px, s_pp))))]
 
 
 def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
     """Draw measurement records from a single-mode state; pure given the seed."""
-    laws = _record_laws(state, plan)
+    _, laws = record_laws(state.mean, state.cov, plan.scheme, plan.n_samples)
     rng = _rng(plan.seed)
     if plan.scheme in _ANGLES:
         quad = {theta: mu + math.sqrt(var) * rng.standard_normal(n)
                 for theta, (n, mu, var) in zip(_ANGLES[plan.scheme], laws)}
         return SampleSet(plan=plan, quad=quad)
-    ((n, mean, cov),) = laws
-    l00, l10, l11 = _cholesky(cov)
+    ((n, mean, (l00, l10, l11)),) = laws
     z = rng.standard_normal((n, 2))
     # Column by column, so no BLAS call (and no BLAS thread) sees the N rows.
     pairs = np.empty((n, 2))
@@ -233,7 +248,7 @@ def _condition(a: float, b: float, c: float) -> tuple[float, complex]:
 
 def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
     """MomentEstimate from the statistics of each group of records, laid out
-    as _record_laws lays out their laws: (size, mean, ddof=1 variance) per
+    as record_laws lays out their laws: (size, mean, ddof=1 variance) per
     homodyne angle, or (size, (mean x, mean p), (Sxx, Sxp, Spp)) for paired
     records; the heterodyne vacuum unit is taken off and the covariance
     conditioned here."""
@@ -278,25 +293,32 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
 
 def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     """The MomentEstimate of the records sample(state, plan) would give, drawn
-    from its exact law at a cost independent of the shot count (the same law,
-    not the same numbers).  Per homodyne group of n records of variance s2,
-    the mean is N(mu, s2 / n) and the variance s2 chi2(n - 1) / (n - 1).  For
-    n paired records of covariance Sigma = L L^T, the mean is N(mu, Sigma / n)
-    and the scatter Wishart(Sigma, n - 1), drawn as L A A^T L^T by the Bartlett
-    decomposition (Odell & Feiveson 1966): A is lower triangular with
-    A11^2 ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1)."""
-    laws = _record_laws(state, plan)
-    rng = _rng(plan.seed)
+    from its exact law (the same law, not the same numbers): record_laws,
+    then draw_from_laws on the plan's seed."""
+    return draw_from_laws(record_laws(state.mean, state.cov, plan.scheme, plan.n_samples),
+                          plan.seed)
+
+
+def draw_from_laws(laws: tuple, seed: int) -> MomentEstimate:
+    """The MomentEstimate of records of the law `laws` (see record_laws),
+    drawn on the stream of `seed` at a cost independent of the shot count.
+    Per homodyne group of n records of variance s2, the mean is N(mu, s2 /
+    n) and the variance s2 chi2(n - 1) / (n - 1).  For n paired records of
+    covariance Sigma = L L^T, the mean is N(mu, Sigma / n) and the scatter
+    Wishart(Sigma, n - 1), drawn as L A A^T L^T by the Bartlett
+    decomposition (Odell & Feiveson 1966): A is lower triangular with A11^2
+    ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1)."""
+    scheme, groups = laws
+    rng = _rng(seed)
 
     def chi2(dof):  # 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records)
         return 2.0 * rng.standard_gamma(0.5 * dof)
 
-    if plan.scheme in _ANGLES:
+    if scheme in _ANGLES:
         stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
-                  var * chi2(n - 1) / (n - 1)) for n, mu, var in laws]
-        return _estimate(plan.scheme, stats)
-    ((n, (m_x, m_p), cov),) = laws
-    l00, l10, l11 = _cholesky(cov)
+                  var * chi2(n - 1) / (n - 1)) for n, mu, var in groups]
+        return _estimate(scheme, stats)
+    ((n, (m_x, m_p), (l00, l10, l11)),) = groups
     a11 = math.sqrt(chi2(n - 1))
     a21 = rng.standard_normal()
     a22 = math.sqrt(chi2(n - 2))
@@ -306,4 +328,4 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     root_n = math.sqrt(n)
     mean = (m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n)
     scatter = (r11 * r11 / (n - 1), r11 * r21 / (n - 1), (r21 * r21 + r22 * r22) / (n - 1))
-    return _estimate(plan.scheme, [(n, mean, scatter)])
+    return _estimate(scheme, [(n, mean, scatter)])

@@ -17,14 +17,14 @@ from lmint import (
     find_r_crit,
     fit_exponent,
     forward,
-    measured_state,
     run_mc,
     sweep,
 )
 from lmint import harness
-from lmint.estimators import PROBE_PHASES, est_displacement
+from lmint.estimators import PROBE_PHASES, prepare_displacement
 from lmint.fisher import fisher_matrix
-from lmint.measurement import draw_moments
+from lmint.interferometer import measured_moments
+from lmint.measurement import draw_from_laws
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -128,14 +128,20 @@ def test_run_mc_counts_failed_polar_decompositions():
 
 def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
     # run_mc runs realizations 1, 2, ... in order, so its first estimate is
-    # that of realization 1, which estimate_once reports.
+    # that of realization 1, which estimate_once reports.  The spy records
+    # what the displacement estimator, prepared once per run, returns.
     seen = []
 
     def spy(*args):
-        seen.append(est_displacement(*args))
-        return seen[-1]
+        estimate = prepare_displacement(*args)
 
-    monkeypatch.setattr(harness, "est_displacement", spy)
+        def recorded(moments):
+            seen.append(estimate(moments))
+            return seen[-1]
+
+        return recorded
+
+    monkeypatch.setattr(harness, "prepare_displacement", spy)
     truth = ProcessParams.folded(d=4.0, beta=0.5)
     cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=2)
     run_mc(cfg)
@@ -154,11 +160,11 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
     # k draws from SeedSequence(base_seed, spawn_key=(p, k, j)).
     seeds = []
 
-    def spy(state, plan):
-        seeds.append(plan.seed)
-        return draw_moments(state, plan)
+    def spy(laws, seed):
+        seeds.append(seed)
+        return draw_from_laws(laws, seed)
 
-    monkeypatch.setattr(harness, "draw_moments", spy)
+    monkeypatch.setattr(harness, "draw_from_laws", spy)
     cfg = mc(bench_setup, bench_process, estimators=("mean_method", "combined"), n=600,
              m_reps=5, seed=16384, noise=NoiseParams(t_c=0.9, v_c=1.2), calibration="auto")
     sweep(cfg, "loss", [0.0, 0.1, 0.3, 0.5])
@@ -174,21 +180,21 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
 
 def test_run_mc_forms_each_state_once_without_forward(bench_setup, bench_process,
                                                       monkeypatch):
-    # The measured state is formed once per distinct state, whatever the
-    # number of realizations: once per probe phase, which the single
+    # The laws are formed once per distinct state, whatever the number of
+    # realizations: the measured mean once per probe phase, which the single
     # read-out shares at probe phase 0, and once per calibration probe.
     # The symplectic forward is the tests' reference and never runs here.
     calls, forward_calls = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return measured_state(*args)
+    def counting(setup, process, noise, phases):
+        calls.extend(phases)
+        return measured_moments(setup, process, noise, phases)
 
     def forbidden(*args):
         forward_calls.append(args)
         return forward(*args)
 
-    monkeypatch.setattr(harness, "measured_state", counting)
+    monkeypatch.setattr(harness, "measured_moments", counting)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "lmint" and getattr(module, "forward", None) is forward:
             monkeypatch.setattr(module, "forward", forbidden)
