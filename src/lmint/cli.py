@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import EstimationError, UnidentifiableError
-from .fisher import PARAMETERS, FisherMethod, fisher_displacement, fisher_matrix
+from .fisher import PARAMETERS, fisher_displacement, fisher_matrix
 from .gaussian_core import DecompositionError, ProcessParams
-from .harness import CalibrationError, MonteCarloConfig, calibrate, estimate_once, sweep
+from .harness import AXES, CalibrationError, MonteCarloConfig, calibrate, estimate_once, sweep
 from .interferometer import SetupConfig, Topology, measured_state
 from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
 from .noise import NoiseParams
@@ -55,6 +55,15 @@ def _number(mapping, path, key, default=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def _integer(mapping, path, key, default=None):
+    """mapping[key], an integer; default when the key is absent (or, for an
+    optional key whose default is None, null)."""
+    value = mapping.get(key, default)
+    if value is not default and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{path}{key}: expected an integer, got {value!r}")
+    return value
 
 
 def _parse_setup(raw) -> SetupConfig:
@@ -110,14 +119,9 @@ def _parse_plan(raw) -> MeasurementPlan:
         scheme = Scheme(raw["scheme"])
     except ValueError:
         raise ConfigError(f"plan.scheme: unknown scheme {raw['scheme']!r}") from None
-    n = raw["n_samples"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"plan.n_samples: expected an integer, got {n!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"plan.seed: expected an integer, got {seed!r}")
     try:
-        return MeasurementPlan(scheme=scheme, n_samples=n, seed=seed)
+        return MeasurementPlan(scheme=scheme, n_samples=_integer(raw, "plan.", "n_samples"),
+                               seed=_integer(raw, "plan.", "seed", 0))
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from None
 
@@ -169,26 +173,21 @@ def load_config(path: str, overrides) -> dict:
         raw["m_reps"] = overrides.m_reps
     if overrides.out is not None:
         raw["out"] = overrides.out
+    for key in ("axis", "grid"):
+        if getattr(overrides, key) is not None and isinstance(raw.setdefault("sweep", {}), dict):
+            raw["sweep"][key] = getattr(overrides, key)
     cfg = {
         "setup": _parse_setup(raw.get("setup", {})),
         "process": _parse_process(raw.get("process", {})),
         "noise": _parse_noise(raw["noise"]) if "noise" in raw else None,
         "plan": _parse_plan(raw.get("plan", {})),
-        "m_reps": raw.get("m_reps", 500),
-        "base_seed": raw.get("base_seed", 0),
+        "m_reps": _integer(raw, "", "m_reps", 500),
+        "base_seed": _integer(raw, "", "base_seed", 0),
         "estimators": raw.get("estimators", []),
         "calibration": raw.get("calibration", "true"),
-        "calibration_samples": raw.get("calibration_samples"),
+        "calibration_samples": _integer(raw, "", "calibration_samples"),
         "out": raw.get("out"),
     }
-    if not isinstance(cfg["m_reps"], int) or isinstance(cfg["m_reps"], bool):
-        raise ConfigError("m_reps: expected an integer")
-    if cfg["calibration_samples"] is not None and (
-            not isinstance(cfg["calibration_samples"], int)
-            or isinstance(cfg["calibration_samples"], bool)):
-        raise ConfigError("calibration_samples: expected an integer")
-    if not isinstance(cfg["base_seed"], int) or isinstance(cfg["base_seed"], bool):
-        raise ConfigError("base_seed: expected an integer")
     if not isinstance(cfg["estimators"], list) or not all(
             isinstance(e, str) for e in cfg["estimators"]):
         raise ConfigError("estimators: expected a list of names")
@@ -197,11 +196,15 @@ def load_config(path: str, overrides) -> dict:
         if not isinstance(sw, dict):
             raise ConfigError("sweep: expected an object")
         _require(sw, "sweep.", {"axis", "grid"}, {"axis", "grid"})
+        if sw["axis"] not in AXES:
+            raise ConfigError(f"sweep.axis: unknown axis {sw['axis']!r}; expected one of {AXES}")
         cfg["sweep"] = {"axis": sw["axis"], "grid": parse_grid(sw["grid"])}
     return cfg
 
 
 def _mc_config(cfg) -> MonteCarloConfig:
+    if not cfg["estimators"]:
+        raise ConfigError("estimators: at least one estimator is required")
     try:
         return MonteCarloConfig(
             setup=cfg["setup"], process=cfg["process"], plan=cfg["plan"],
@@ -272,15 +275,9 @@ def cmd_simulate(cfg, args) -> int:
     return 0
 
 
-def report_to_dict(name, values) -> dict:
-    return {"estimator": name, "params": values}
-
-
 def cmd_estimate(cfg, args) -> int:
     mc = _mc_config(cfg)
-    if not mc.estimators:
-        raise ConfigError("estimators: at least one estimator is required")
-    reports = [report_to_dict(name, values)
+    reports = [{"estimator": name, "params": values}
                for name, values in zip(mc.estimators, estimate_once(mc))]
     _write_text(cfg["out"], json.dumps(reports, indent=2) + "\n")
     return 0
@@ -289,13 +286,14 @@ def cmd_estimate(cfg, args) -> int:
 def cmd_fisher(cfg, args) -> int:
     setup = cfg["setup"]
     rows = []
-    for topology in (Topology.SIMPLISTIC, Topology.BLOCKED_BEAM, Topology.INTERFEROMETRIC):
-        s = dataclasses.replace(setup, topology=topology)
-        fi = fisher_displacement(s, cfg["noise"])
-        rows.append([topology.value, fi.parameter, fi.method.value, fi.value])
+    for topology, method in ((Topology.SIMPLISTIC, "analytic_simplistic"),
+                             (Topology.BLOCKED_BEAM, "analytic_blocked"),
+                             (Topology.INTERFEROMETRIC, "analytic_interferometric")):
+        fi = fisher_displacement(dataclasses.replace(setup, topology=topology), cfg["noise"])
+        rows.append([topology.value, fi.parameter, method, fi.value])
     info = fisher_matrix(setup, cfg["process"], cfg["noise"])
     for k, parameter in enumerate(PARAMETERS):
-        rows.append([setup.topology.value, parameter, FisherMethod.NUMERIC_GAUSSIAN.value,
+        rows.append([setup.topology.value, parameter, "numeric_gaussian",
                      max(float(info[k, k]), 0.0)])
     _write_text(cfg["out"], _csv_text(["topology", "parameter", "method", "value"], rows))
     return 0
@@ -315,8 +313,6 @@ def cmd_sweep(cfg, args) -> int:
     if "sweep" not in cfg:
         raise ConfigError("missing key: sweep")
     mc = _mc_config(cfg)
-    if not mc.estimators:
-        raise ConfigError("estimators: at least one estimator is required")
     axis, grid = cfg["sweep"]["axis"], cfg["sweep"]["grid"]
     table = sweep(mc, axis, grid)
     _write_text(cfg["out"], sweep_csv(axis, table, mc.plan, mc.m_reps, mc.base_seed))
@@ -326,7 +322,10 @@ def cmd_sweep(cfg, args) -> int:
         reasons = ", ".join(f"{name} x{count}" for name, count in sorted(cell.failures.items()))
         print(f"estimation failed: {axis}={value!r} {estimator}/{parameter}: "
               f"no realization succeeded ({reasons})", file=sys.stderr)
-    return 2 if empty else 0
+    # Exit 2 only when an estimator succeeds at no grid point.
+    cells = table[0][1].cells if table else {}
+    return 2 if any(all(report.cells[key].n_ok == 0 for _, report in table)
+                    for key in cells) else 0
 
 
 def cmd_calibrate(cfg, args) -> int:
@@ -375,17 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         path = args.config if args.config else _preset_path(args.preset)
-        cfg = load_config(path, args)
-        if args.axis is not None or args.grid is not None:
-            sw = cfg.get("sweep", {"axis": None, "grid": None})
-            if args.axis is not None:
-                sw["axis"] = args.axis
-            if args.grid is not None:
-                sw["grid"] = parse_grid(args.grid)
-            if sw["axis"] is None or sw["grid"] is None:
-                raise ConfigError("sweep needs both an axis and a grid")
-            cfg["sweep"] = sw
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](load_config(path, args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

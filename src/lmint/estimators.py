@@ -773,15 +773,15 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
-    """est_combined for one setup and channel, failing as its start does.  Each
-    estimate starts from est_general_mean, which the tests replace."""
-    prepare_general_mean(setup, noise)  # the start's checks
+    """est_combined for one setup and channel, failing as its start does: each
+    estimate starts from prepare_general_mean's estimate."""
+    start = prepare_general_mean(setup, noise)
     resp = response(setup, noise)
     m_in = [(setup.r_amp * math.cos(p), setup.r_amp * math.sin(p))
             for p in (setup.probe_phase, *PROBE_PHASES)]
 
     def estimate(single_moments: MomentEstimate, probe_moments) -> EstimateReport:
-        x = chart(est_general_mean(probe_moments, setup, noise).params)[0]
+        x = chart(start(probe_moments).params)[0]
         blocks = _blocks([single_moments, *probe_moments], m_in)
         deviance, score, info, rounding = _joint_fit(x, blocks, resp)
         if score is None:

@@ -10,7 +10,6 @@ kernel over a whole phase grid at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from enum import Enum
 
 import numpy as np
 
@@ -18,13 +17,6 @@ from . import estimators
 from .gaussian_core import ProcessParams
 from .interferometer import SetupConfig, Topology, response
 from .noise import NoiseParams
-
-
-class FisherMethod(Enum):
-    ANALYTIC_SIMPLISTIC = "analytic_simplistic"
-    ANALYTIC_BLOCKED = "analytic_blocked"
-    ANALYTIC_INTERFEROMETRIC = "analytic_interferometric"
-    NUMERIC_GAUSSIAN = "numeric_gaussian"
 
 
 # Kept for callers that import and catch it; nothing in lmint raises it.
@@ -41,7 +33,6 @@ class NumericFisherError(RuntimeError):
 class FisherResult:
     value: float  # information per sample, inverse variance units
     parameter: str
-    method: FisherMethod
 
     def __post_init__(self):
         if self.value < -1e-9:
@@ -67,44 +58,23 @@ def fisher_matrix(setup: SetupConfig, process: ProcessParams,
     return jac.T @ info @ jac
 
 
-def _index(parameter: str) -> int:
-    if parameter not in PARAMETERS:
-        raise ValueError(f"unknown process parameter {parameter!r}")
-    return PARAMETERS.index(parameter)
-
-
-_DISPLACEMENT_METHODS = {
-    Topology.SIMPLISTIC: FisherMethod.ANALYTIC_SIMPLISTIC,
-    Topology.BLOCKED_BEAM: FisherMethod.ANALYTIC_BLOCKED,
-    Topology.INTERFEROMETRIC: FisherMethod.ANALYTIC_INTERFEROMETRIC,
-}
-
-
 def fisher_displacement(setup: SetupConfig, noise: NoiseParams | None = None) -> FisherResult:
     """Per-sample information about the displacement magnitude under the
     channel, g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I,
     where the output covariance is (a + 2b + e) I."""
     resp = response(setup, noise)
-    return FisherResult(value=resp.g_d ** 2 / (resp.a + 2.0 * resp.b + resp.e),
-                        parameter="d", method=_DISPLACEMENT_METHODS[setup.topology])
+    return FisherResult(value=resp.g_d ** 2 / (resp.a + 2.0 * resp.b + resp.e), parameter="d")
 
 
 def fisher_numeric(setup: SetupConfig, process: ProcessParams,
                    noise: NoiseParams | None, parameter: str) -> FisherResult:
     """Per-sample information about one process parameter: a diagonal entry
     of fisher_matrix."""
-    k = _index(parameter)
+    if parameter not in PARAMETERS:
+        raise ValueError(f"unknown process parameter {parameter!r}")
+    k = PARAMETERS.index(parameter)
     value = float(fisher_matrix(setup, process, noise)[k, k])
-    return FisherResult(value=max(value, 0.0), parameter=parameter,
-                        method=FisherMethod.NUMERIC_GAUSSIAN)
-
-
-def fisher_terms(setup: SetupConfig, process: ProcessParams,
-                 noise: NoiseParams | None, parameter: str) -> tuple[float, float]:
-    """(mean term, covariance term) of the information about one parameter."""
-    k = _index(parameter)
-    mean_term = float(fisher_matrix(setup, process, noise, mean_only=True)[k, k])
-    return mean_term, float(fisher_matrix(setup, process, noise)[k, k]) - mean_term
+    return FisherResult(value=max(value, 0.0), parameter=parameter)
 
 
 def crb(fi: FisherResult, n: int) -> float:

@@ -81,7 +81,6 @@ class MonteCarloConfig:
     plan: MeasurementPlan
     estimators: tuple
     noise: NoiseParams | None = None           # true channel used in simulation
-    assumed_noise: NoiseParams | None = None   # channel handed to the estimators
     calibration: str = "true"                  # "true" | "auto" | "ideal"
     calibration_samples: int | None = None     # probe shots for "auto"; defaults to plan.n_samples
     m_reps: int = 10_000
@@ -271,11 +270,9 @@ def _resolve_assumed(cfg: MonteCarloConfig, name: str,
                      calibrated: NoiseParams | None) -> NoiseParams:
     if name.startswith("naive_") or cfg.calibration == "ideal":
         return IDEAL_NOISE
-    if cfg.assumed_noise is not None:
-        return cfg.assumed_noise
     if cfg.calibration == "auto":
-        return calibrated if calibrated is not None else IDEAL_NOISE
-    return cfg.noise if cfg.noise is not None else IDEAL_NOISE
+        return calibrated
+    return cfg.noise or IDEAL_NOISE
 
 
 def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
@@ -363,7 +360,8 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
 # ---------------------------------------------------------------------------
 # Sweeps and fits
 
-_AXES = ("r", "V", "T", "loss", "Phi")
+#: Axes a sweep can run over.
+AXES = ("r", "V", "T", "loss", "Phi")
 
 
 def _apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloConfig:
@@ -382,7 +380,7 @@ def _apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloCon
         return dc_replace(cfg, process=ProcessParams.folded(
             phi=float(value), w=cfg.process.w, alpha=cfg.process.alpha,
             d=cfg.process.d, beta=cfg.process.beta))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
+    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
 
 
 def sweep(cfg: MonteCarloConfig, axis: str, grid) -> list:
@@ -395,25 +393,35 @@ def sweep(cfg: MonteCarloConfig, axis: str, grid) -> list:
 class ExponentFit:
     c: float        # MSE ~ axis^(-c)
     r_squared: float
-    reliable: bool  # False when r_squared < 0.9
+    reliable: bool  # r_squared >= _R2_RELIABLE
 
 
-def fit_exponent(table, r2_threshold: float = 0.9) -> dict:
-    """Least-squares power-law exponents of log MSE vs log axis value.
+#: The r^2 from which an exponent fit counts as reliable.
+_R2_RELIABLE = 0.9
+
+
+def fit_exponent(table) -> dict:
+    """Least-squares power-law exponents of log MSE vs log axis value, over
+    the grid points where the cell's MSE is finite and positive (an empty
+    cell has none); with fewer than 4 such points c and r_squared are NaN.
 
     Returns (estimator, parameter) -> ExponentFit for every cell in the table.
     """
     if len(table) < 4:
         raise ValueError(f"need at least 4 grid points for an exponent fit, got {len(table)}")
-    xs = np.log([v for v, _ in table])
     out = {}
     for key in table[0][1].cells:
-        ys = np.log([rep.cells[key].mse for _, rep in table])
+        points = [(v, rep.cells[key].mse) for v, rep in table
+                  if 0.0 < rep.cells[key].mse < math.inf]
+        if len(points) < 4:
+            out[key] = ExponentFit(c=math.nan, r_squared=math.nan, reliable=False)
+            continue
+        xs, ys = np.log([v for v, _ in points]), np.log([mse for _, mse in points])
         slope, intercept = np.polyfit(xs, ys, 1)
         resid = ys - (slope * xs + intercept)
         ss_tot = float(((ys - ys.mean()) ** 2).sum())
         r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0
-        out[key] = ExponentFit(c=-float(slope), r_squared=r2, reliable=r2 >= r2_threshold)
+        out[key] = ExponentFit(c=-float(slope), r_squared=r2, reliable=r2 >= _R2_RELIABLE)
     return out
 
 
@@ -424,35 +432,40 @@ class RCritResult:
     bracket_high: float
 
 
-def find_r_crit(cfg: MonteCarloConfig, r_range, tol_log: float = 0.02,
-                max_iter: int = 40) -> RCritResult | None:
+#: find_r_crit bisects until its bracket is narrower than this in log r.
+_R_CRIT_WIDTH = 0.02
+
+
+def find_r_crit(cfg: MonteCarloConfig, r_range) -> RCritResult | None:
     """Locate the probe amplitude where the variance- and mean-based phase
-    estimators have equal MSE; None when there is no crossing in range."""
+    estimators have equal MSE, by bisection in log r; None when there is no
+    crossing in range, or when an MSE the search reads is not finite (an
+    estimator that succeeds in no realization there): a NaN difference
+    passes no sign test, so the search could not tell where it crosses."""
     cfg = dc_replace(cfg, estimators=("phase_var", "phase_mean"))
 
     def diff(log_r):
-        point = _apply_axis(cfg, "r", math.exp(log_r))
-        rep = run_mc(point)
+        rep = run_mc(_apply_axis(cfg, "r", math.exp(log_r)))
         return rep.mse("phase_var", "phi") - rep.mse("phase_mean", "phi")
 
     lo, hi = math.log(r_range[0]), math.log(r_range[1])
     d_lo, d_hi = diff(lo), diff(hi)
+    if not (math.isfinite(d_lo) and math.isfinite(d_hi)) or d_lo * d_hi > 0.0:
+        return None
     if d_lo == 0.0:
         return RCritResult(math.exp(lo), math.exp(lo), math.exp(lo))
     if d_hi == 0.0:
         return RCritResult(math.exp(hi), math.exp(hi), math.exp(hi))
-    if d_lo * d_hi > 0.0:
-        return None
-    for _ in range(max_iter):
-        if hi - lo < tol_log:
-            break
+    while hi - lo >= _R_CRIT_WIDTH:
         mid = 0.5 * (lo + hi)
         d_mid = diff(mid)
+        if not math.isfinite(d_mid):
+            return None
         if d_mid == 0.0:
             lo = hi = mid
             break
         if d_lo * d_mid < 0.0:
-            hi, d_hi = mid, d_mid
+            hi = mid
         else:
             lo, d_lo = mid, d_mid
     return RCritResult(r_crit=math.exp(0.5 * (lo + hi)),
@@ -463,8 +476,12 @@ def find_r_crit(cfg: MonteCarloConfig, r_range, tol_log: float = 0.02,
 # Calibration
 
 
+#: calibrate fails on a gain that implies t_c above (1 + _GAIN_MARGIN)^2.
+_GAIN_MARGIN = 0.10
+
+
 def calibrate(setup: SetupConfig, plan: MeasurementPlan,
-              true_noise: NoiseParams | None, margin: float = 0.10) -> NoiseParams:
+              true_noise: NoiseParams | None) -> NoiseParams:
     """Estimate the decoherence channel with the unknown process switched off.
 
     Runs the three-probe mean protocol against the identity process: the mean
@@ -487,7 +504,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
-    if t_c_hat > (1.0 + margin) ** 2 or t_c_hat <= 0.0:
+    if t_c_hat > (1.0 + _GAIN_MARGIN) ** 2 or t_c_hat <= 0.0:
         raise CalibrationError(f"estimated gain implies t_c = {t_c_hat:.4g}, outside (0, 1]")
     t_c_hat = min(t_c_hat, 1.0)
     if 1.0 - t_c_hat < 1e-9:

@@ -38,6 +38,8 @@ class Overrides:
     seed = None
     m_reps = None
     out = None
+    axis = None
+    grid = None
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -181,6 +183,9 @@ def test_fisher_reference_values(tmp_path):
     assert main(["fisher", "--config", cfg_path, "--out", str(out)]) == 0
     rows = read_rows(out)
     assert rows[0] == ["topology", "parameter", "method", "value"]
+    assert [row[2] for row in rows[1:]] == [
+        "analytic_simplistic", "analytic_blocked", "analytic_interferometric",
+        *["numeric_gaussian"] * 5]
     closed = {row[0]: float(row[3]) for row in rows[1:4]}
     assert closed["simplistic"] == pytest.approx(0.0091743, abs=5e-8)
     assert closed["blocked_beam"] == pytest.approx(0.1 / 9.91)
@@ -292,6 +297,21 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
         assert err.startswith("error: ") and "over the 3 probes" in err, argv
 
 
+def test_config_errors_name_their_key(tmp_path, capsys):
+    # The integer fields and the sweep overrides, which load_config applies
+    # with the others: each error names its key path and exits 1.
+    cases = [(dict(SMALL_CONFIG, m_reps="3"), [], "m_reps: expected an integer"),
+             (dict(SMALL_CONFIG, calibration_samples=2.5), [], "calibration_samples: expected"),
+             (dict(SMALL_CONFIG, plan=dict(SMALL_CONFIG["plan"], seed=True)), [],
+              "plan.seed: expected an integer"),
+             (SMALL_CONFIG, ["--axis", "zeta", "--grid", "lin:1:2:2"], "sweep.axis: unknown axis"),
+             (SMALL_CONFIG, ["--axis", "V"], "missing key: sweep.grid"),
+             (SMALL_CONFIG, ["--axis", "V", "--grid", "geo:1:2:3"], "sweep.grid: malformed")]
+    for payload, extra, message in cases:
+        assert main(["sweep", "--config", write_config(tmp_path, payload), *extra]) == 1
+        assert message in capsys.readouterr().err, message
+
+
 def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
     # Cold matter and dark probe: the phase carries no signal anywhere.
     payload = dict(SMALL_CONFIG,
@@ -368,11 +388,10 @@ def test_preset_sweeps_end_with_their_exit_code(tmp_path, capsys, preset):
         assert err == []
         return
     # The V grid starts at cold matter, V = 1, where the covariance carries
-    # no rotation signal: every cov_method cell of that point is empty, so
-    # the sweep exits 2.  Once a point that is unidentifiable by
-    # construction is only named on stderr (ROADMAP, "Every shipped preset
-    # sweep ends with its documented exit code"), this preset exits 0.
-    assert code == 2
+    # no rotation signal: every cov_method cell of that point is empty and
+    # named on stderr.  cov_method succeeds at the other points, so the
+    # sweep exits 0.
+    assert code == 0
     assert len(err) == 5
     for line in err:
         assert "V=1.0 cov_method/" in line

@@ -625,8 +625,8 @@ def test_combined_exact_recovery_from_a_distant_start(bench_setup, bench_process
     import lmint.estimators as estimators
 
     start = ProcessParams.folded(phi=1.2, w=0.2, alpha=0.3, d=2.5, beta=1.2)
-    monkeypatch.setattr(estimators, "est_general_mean",
-                        lambda *args: EstimateReport(params=start, method="mean_method"))
+    report = EstimateReport(params=start, method="mean_method")
+    monkeypatch.setattr(estimators, "prepare_general_mean", lambda *args: lambda probes: report)
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), 30_000,
                          scheme)

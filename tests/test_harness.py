@@ -361,6 +361,20 @@ def test_fit_exponent_exact_power_law(bench_setup, bench_process):
         fit_exponent(table[:3])
 
 
+def test_fit_exponent_reads_only_the_cells_with_an_mse(bench_setup, bench_process):
+    # Cold matter (V = 1) carries no rotation signal, so cov_method fails in
+    # every realization there and its MSE is NaN: the fit reads the other
+    # four points, and with three left it reports no exponent.
+    cfg = mc(bench_setup, bench_process, estimators=("cov_method",), m_reps=10)
+    table = sweep(cfg, "V", [1.0, 3.0, 10.0, 30.0, 100.0])
+    assert math.isnan(table[0][1].mse("cov_method", "phi"))
+    fits = fit_exponent(table)
+    assert fits == fit_exponent(table[1:])
+    assert all(math.isfinite(fit.c) and fit.r_squared > 0.0 for fit in fits.values())
+    for fit in fit_exponent(table[:4]).values():
+        assert math.isnan(fit.c) and math.isnan(fit.r_squared) and not fit.reliable
+
+
 # ---------------------------------------------------------------------------
 # Phase-estimator crossover
 
@@ -378,6 +392,16 @@ def test_find_r_crit_none_when_no_crossing(bench_setup):
     cfg = mc(bench_setup, ProcessParams.folded(phi=0.7),
              estimators=("phase_var", "phase_mean"), n=2000, m_reps=30)
     assert find_r_crit(cfg, (150.0, 300.0)) is None
+
+
+def test_find_r_crit_none_when_an_mse_is_undefined(bench_setup):
+    # Blocked beam: the covariance carries no phase (b = 0), so phase_var
+    # fails at every r and its MSE is NaN; no crossing can be located.
+    blocked = dataclasses.replace(bench_setup, topology=Topology.BLOCKED_BEAM)
+    cfg = mc(blocked, ProcessParams.folded(phi=0.7),
+             estimators=("phase_var", "phase_mean"), n=2000, m_reps=30)
+    assert math.isnan(run_mc(cfg).mse("phase_var", "phi"))
+    assert find_r_crit(cfg, (1.0, 300.0)) is None
 
 
 # ---------------------------------------------------------------------------
