@@ -164,6 +164,9 @@ def load_config(path: str, overrides) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _require(raw, "", _TOP_KEYS, {"setup", "plan"})
+    for section in ("setup", "process", "noise", "plan", "sweep"):
+        if section in raw and not isinstance(raw[section], dict):
+            raise ConfigError(f"{section}: expected an object")
     if overrides.n_samples is not None:
         raw.setdefault("plan", {})["n_samples"] = overrides.n_samples
     if overrides.seed is not None:
@@ -174,8 +177,8 @@ def load_config(path: str, overrides) -> dict:
     if overrides.out is not None:
         raw["out"] = overrides.out
     for key in ("axis", "grid"):
-        if getattr(overrides, key) is not None and isinstance(raw.setdefault("sweep", {}), dict):
-            raw["sweep"][key] = getattr(overrides, key)
+        if getattr(overrides, key) is not None:
+            raw.setdefault("sweep", {})[key] = getattr(overrides, key)
     cfg = {
         "setup": _parse_setup(raw.get("setup", {})),
         "process": _parse_process(raw.get("process", {})),
@@ -193,8 +196,6 @@ def load_config(path: str, overrides) -> dict:
         raise ConfigError("estimators: expected a list of names")
     if "sweep" in raw:
         sw = raw["sweep"]
-        if not isinstance(sw, dict):
-            raise ConfigError("sweep: expected an object")
         _require(sw, "sweep.", {"axis", "grid"}, {"axis", "grid"})
         if sw["axis"] not in AXES:
             raise ConfigError(f"sweep.axis: unknown axis {sw['axis']!r}; expected one of {AXES}")

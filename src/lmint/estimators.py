@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,7 @@ W_MAX = 3.0
 #: Relative covariance residual above which a fit is taken for model mismatch.
 RESIDUAL_REL_TOL = 0.5
 
-#: Relative distance (spectral norm, |dm0| + |dm1| for pairs, see _mul) below
+#: Relative distance (spectral norm, |dm0| + |dm1| for pairs, see _dot) below
 #: which two process matrices are one solution.  Coincident preimages (the
 #: fit itself, the two branches on the image boundary, a double root of
 #: either branch) come out of a square root of a quantity known to a few eps,
@@ -177,27 +178,33 @@ def prepare_phase_mean(setup: SetupConfig):
 def _phase_loglik(phi, resp, blocks):
     """Log-likelihood of the data sets in blocks (see _blocks) under a pure
     phase shift A = (e^{i phi}, 0), with its score and information (the phi
-    entries of _joint_fit), for phi an array or a float: mean mu = (through
+    entries of _joint_fit), for phi an array (one pass over a grid) or a
+    float (plain Python arithmetic, the same operations): mean mu = (through
     e^{i phi} + direct) m, mu' = i through e^{i phi} m, covariance v I, v = a
     + e + 2 b cos(phi) plus the block's added variance.  A set of n records
     of k components, delta and mu'_P the parts of mean - mu (0 without a
     mean) and mu' it measures, spread = tr S + |delta|^2 = 2 c0 + |delta|^2,
     adds n [<delta, mu'_P> / v + v' (spread / v - k) / (2 v)] to the score
     and n [|mu'_P|^2 / v + k (v' / v)^2 / 2] to the information."""
-    turn = np.exp(1j * phi)
+    if isinstance(phi, float):
+        turn, log = complex(math.cos(phi), math.sin(phi)), math.log
+    else:
+        turn, log = np.exp(1j * phi), np.log
     var, d_var = resp.a + resp.e + 2.0 * resp.b * turn.real, -2.0 * resp.b * turn.imag
     ll = score = info = 0.0
     for p, added, (n_all, *_, scatter), sets in blocks:
         k, v = (2 if p is None else 1), var + added
         spread, drift, pull = 2.0 * scatter[0], 0.0, 0.0  # n-weighted sums over the sets
-        for n, m, _, mean, _, _ in (s for s in sets if s[3] is not None):
+        for n, m, _, mean, _, _ in sets:
+            if mean is None:
+                continue
             moved = resp.through * m * turn  # through R(phi) m
             delta, d_mu = mean - resp.direct * m - moved, 1j * moved
             if p is not None:  # the measured quadrature alone
                 delta, d_mu = (p.conjugate() * delta).real, (p.conjugate() * d_mu).real
-            spread = spread + n * (delta * np.conj(delta)).real
-            drift, pull = drift + n * (np.conj(delta) * d_mu).real, pull + n * abs(d_mu) ** 2
-        ll = ll - 0.5 * (n_all * k * np.log(v) + spread / v)
+            spread = spread + n * (delta * delta.conjugate()).real
+            drift, pull = drift + n * (delta.conjugate() * d_mu).real, pull + n * abs(d_mu) ** 2
+        ll = ll - 0.5 * (n_all * k * log(v) + spread / v)
         score = score + (drift + 0.5 * d_var * (spread / v - n_all * k)) / v
         info = info + (pull + 0.5 * n_all * k * d_var * d_var / v) / v
     return ll, score, info
@@ -243,19 +250,18 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
     m_in = [setup.light_mean.tolist()]
-    width = _PHASE_GRID[1] - _PHASE_GRID[0]
+    grid = _PHASE_GRID.tolist()
+    width = grid[1] - grid[0]
 
     def estimate(moments: MomentEstimate) -> float:
         blocks = _blocks([moments], m_in)
-        k = int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))
-        phi, last = _PHASE_GRID[k], None
-        lo, hi = phi - width, phi + width
+        phi = grid[int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))]
+        lo, hi, last = phi - width, phi + width, None
         for _ in range(_MAX_PHASE_STEPS):
-            _, score, info = _phase_loglik(phi, resp, blocks)
-            s = float(score)
+            _, s, info = _phase_loglik(phi, resp, blocks)
             lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
             # Curvature of the log-likelihood: minus the information, then secants.
-            slope = -float(info) if last is None else (s - last[1]) / (phi - last[0])
+            slope = -info if last is None else (s - last[1]) / (phi - last[0])
             trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
             if abs(trial - phi) < _PHASE_TOL:
                 return fold_angle(trial)
@@ -271,19 +277,16 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
 # General-process estimation
 
 
-def _mul(x, y):
-    """Product XY in the pair form of the general process: a quadrature pair
-    (x, p) is z = x + ip and a real 2x2 M the pair (m0, m1) with M z = m0 z
-    + m1 conj(z), as a -> mu a + nu a^dagger.  R(phi) S(w, alpha) is (e^{i
-    phi} cosh w, e^{i (phi + 2 alpha)} sinh w), M^T (conj(m0), m1), tr M =
-    2 Re m0, det M = |m0|^2 - |m1|^2, z m^T = (z conj(m), z m) / 2; the
-    singular values are |m0| +- |m1|, and a symmetric M (m0 real) has the
-    eigenvalues m0 +- |m1|, the larger along the axis arg(m1) / 2."""
-    return x[0] * y[0] + x[1] * y[1].conjugate(), x[0] * y[1] + x[1] * y[0].conjugate()
-
-
 def _dot(x, y):
-    """Frobenius product tr(X^T Y) of two 2x2 matrices in the pair form."""
+    """Frobenius product tr(X^T Y) of two 2x2 matrices in the pair form of
+    the general process: a quadrature pair (x, p) is z = x + ip and a real
+    2x2 M the pair (m0, m1) with M z = m0 z + m1 conj(z), as a -> mu a + nu
+    a^dagger.  The product XY is (x0 y0 + x1 conj(y1), x0 y1 + x1 conj(y0)),
+    R(phi) S(w, alpha) is (e^{i phi} cosh w, e^{i (phi + 2 alpha)} sinh w),
+    M^T (conj(m0), m1), tr M = 2 Re m0, det M = |m0|^2 - |m1|^2, z m^T = (z
+    conj(m), z m) / 2; the singular values are |m0| +- |m1|, and a
+    symmetric M (m0 real) has the eigenvalues m0 +- |m1|, the larger along
+    the axis arg(m1) / 2."""
     return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
 
 
@@ -301,7 +304,7 @@ def _process_pair(phi, w, alpha):
 
 
 def _cov_preimages(cov, resp):
-    """All process matrices A (pairs, see _mul), squeezing at most W_MAX
+    """All process matrices A (pairs, see _dot), squeezing at most W_MAX
     (|m1| <= sinh W_MAX), with Sigma(A) = cov = (c0, c1).  Needs lam = -b/a
     away from 0 (est_general_cov rejects |b/a| < 1e-12): without a linear
     term the rotation part is unidentifiable.
@@ -392,7 +395,7 @@ def _symmetric_face(mu, lam):
 
 
 def _fit_cov(cov, resp):
-    """Process matrices (pairs, see _mul), squeezing at most W_MAX, whose
+    """Process matrices (pairs, see _dot), squeezing at most W_MAX, whose
     model covariance is Frobenius-nearest to cov: every preimage of that
     covariance (see _cov_preimages), the fit first; returns (matrices,
     off_image).
@@ -517,7 +520,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
 
 
 def _probe_inversion(probe_moments, r):
-    """Offset k and linear part M = (m0, m1) (see _mul) of the affine response
+    """Offset k and linear part M = (m0, m1) (see _dot) of the affine response
     mu = M m_in + k, read off the complex probe means at PROBE_PHASES of
     amplitude r: the opposite phases cancel M and give k and M 1 = m0 + m1,
     the quarter-turn probe gives M i = i (m0 - m1).  Returns (k, (m0, m1))."""
@@ -582,7 +585,7 @@ _DECREMENT_TOL = 1e-9
 #: 2162 random converged fits, moving the chart point by 1e-14 (40 times
 #: each) changed the deviance by up to 26 eps of that unit, 99% of fits
 #: below 3.5; a trial and its start together allow 32.
-_DEVIANCE_ROUNDING = 16.0 * np.finfo(float).eps
+_DEVIANCE_ROUNDING = 16.0 * sys.float_info.epsilon
 
 #: Deviance excess over its degrees of freedom, in standard deviations
 #: sqrt(2 dof) of its chi-square law, above which the fit is inconsistent.
@@ -593,12 +596,22 @@ def chart(process: ProcessParams):
     """Chart point x = (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta),
     regular at w = 0 and d = 0 where alpha and beta are undefined, and its
     Jacobian dx / d(phi, w, alpha, d, beta)."""
-    x, jac = np.array([process.phi, 0.0, 0.0, 0.0, 0.0]), np.eye(5)
+    jac = np.eye(5)
     for i, r, angle, k in ((1, process.w, process.alpha, 2.0), (3, process.d, process.beta, 1.0)):
         c, s = math.cos(k * angle), math.sin(k * angle)
-        x[i:i + 2] = r * c, r * s
         jac[i:i + 2, i:i + 2] = [[c, -k * r * s], [s, k * r * c]]
-    return x, jac
+    return np.array(_chart_point(process)), jac
+
+
+def _chart_point(process: ProcessParams) -> list:
+    """The chart point x of chart as a list of floats."""
+    p, double = process, 2.0 * process.alpha
+    return [p.phi, p.w * math.cos(double), p.w * math.sin(double),
+            p.d * math.cos(p.beta), p.d * math.sin(p.beta)]
+
+
+#: Unit vector of the homodyne records along (x + p) / sqrt 2, in the pair form.
+_DIAGONAL = (1 + 1j) * math.sqrt(0.5)
 
 
 def _blocks(data, m_in) -> list:
@@ -612,33 +625,38 @@ def _blocks(data, m_in) -> list:
     m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P over its sets j
     (h_j has-mean, m_j the probe input), and per set (n, m, conj(m), P^T
     mean or None, P^T S P, det S)."""
-    groups = {}
+    keys, groups = [], []  # (p, added) of each block and its sets, in order of first use
     for moments, m in zip(data, m_in):
         m, n = complex(*m), moments.n_effective
-        z, c0, c1 = moments.z, moments.c0, moments.c1
-        if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
-            added = 1.0 if moments.scheme is Scheme.HETERODYNE else 0.0
+        z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
+        if scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE:
+            added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
             f0 = c0 + added
             sets = [(n["mean_x"], None, added, z, (f0, c1), f0 * f0 - (c1 * c1.conjugate()).real)]
-        else:  # the records along x, p and (x + p) / sqrt 2: key, p, mean, variance
-            quads = [("mean_x", 1 + 0j, z.real, c0 + c1.real),
-                     ("mean_p", 1j, z.imag, c0 - c1.real)]
-            if moments.scheme is Scheme.HOMODYNE_SPLIT3:
-                quads.append(("cov_xp", (1 + 1j) * math.sqrt(0.5), moments.mean_diag, c0 + c1.imag))
-            sets = [(n[key], p, 0.0, None if mean is None else p * mean,
-                     (0.5 * var, 0.5 * var * p * p), var) for key, p, mean, var in quads]
+        else:  # the records along x, p and (x + p) / sqrt 2: size, p, mean, variance
+            quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
+                     (n["mean_p"], 1j, z.imag, c0 - c1.real)]
+            if scheme is Scheme.HOMODYNE_SPLIT3:
+                quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
+            sets = [(n_j, p, 0.0, None if mean is None else p * mean,
+                     (0.5 * var, 0.5 * var * p * p), var) for n_j, p, mean, var in quads]
         for n_j, p, added, mean, form, det_s in sets:
             if not det_s > 0.0:
                 raise EstimationError("a data set's scatter is singular")
-            groups.setdefault((p, added), []).append(
-                (float(n_j), m, m.conjugate(), mean, form, det_s))
+            key = (p, added)
+            if key not in keys:
+                keys.append(key)
+                groups.append([])
+            groups[keys.index(key)].append((float(n_j), m, m.conjugate(), mean, form, det_s))
     blocks = []
-    for (p, added), sets in groups.items():
-        probed = [(n, m) for n, m, _, mean, _, _ in sets if mean is not None]
-        m2 = (sum(n * abs(m) ** 2 for n, m in probed) / 2, sum(n * m * m for n, m in probed) / 2)
-        scatter = (sum(n * f[0] for n, *_, f, _ in sets), sum(n * f[1] for n, *_, f, _ in sets))
-        blocks.append((p, added, (sum(n for n, *_ in sets), sum(n for n, _ in probed),
-                                  sum(n * m for n, m in probed), m2, scatter), sets))
+    for (p, added), sets in zip(keys, groups):
+        n_all = n_mean = m1 = m2_0 = m2_1 = s0 = s1 = 0.0  # running sums over the sets, in order
+        for n, m, _, mean, form, _ in sets:
+            n_all, s0, s1 = n_all + n, s0 + n * form[0], s1 + n * form[1]
+            if mean is not None:
+                n_mean, m1 = n_mean + n, m1 + n * m
+                m2_0, m2_1 = m2_0 + n * abs(m) ** 2, m2_1 + n * m * m
+        blocks.append((p, added, (n_all, n_mean, m1, (m2_0 / 2, m2_1 / 2), (s0, s1)), sets))
     return blocks
 
 
@@ -672,10 +690,14 @@ def _joint_fit(x, blocks, resp):
         s(d) = g_d W sum_j n_j delta_j
 
     S is the ddof=1 scatter, so the score has zero mean at the truth and
-    exact moments are a fixed point whatever their n.  Returns (deviance,
-    score, information, rounding bound of the deviance); a C not finite and
-    positive definite gives deviance +inf and no score."""
-    phi, u, v, c, s = x.tolist()
+    exact moments are a fixed point whatever their n.  x is any sequence of
+    five floats.  Returns (deviance, score, information, rounding bound of
+    the deviance), the score a list of five floats and the information a
+    list of five rows; a C not finite and positive definite gives deviance
+    +inf and no score.  The pair algebra (see _dot) is written out on plain
+    Python scalars, with the 15 information entries and the gradient pair
+    in locals."""
+    phi, u, v, c, s = map(float, x)
     a, b, through, g_d = resp.a, resp.b, resp.through, resp.g_d
     w = math.hypot(u, v)
     if w > 700.0:  # cosh overflows beyond ~710
@@ -690,63 +712,94 @@ def _joint_fit(x, blocks, resp):
     else:
         c1, c2 = sh / w, (w * ch - sh) / w ** 3
     rot, zeta = complex(math.cos(phi), math.sin(phi)), complex(u, v)
-    al, be = rot * ch, rot * c1 * zeta
-    d_a = ((1j * al, 1j * be), (rot * c1 * u, rot * (c1 + c2 * u * zeta)),
-           (rot * c1 * v, rot * (1j * c1 + c2 * v * zeta)))
-    lin = (a * al + b, a * be)  # a A + b I
-    sig = _sigma((al, be), resp)
-    d_sig = [(2.0 * (lin[0].conjugate() * da + lin[1].conjugate() * db).real,
-              2.0 * (a * be * da + lin[0] * db)) for da, db in d_a]
+    rc1 = rot * c1
+    al, be = rot * ch, rc1 * zeta
+    # The pairs dA_i = (da_i, db_i) for the chart coordinates phi, u, v, lin = a A + b I,
+    # Sigma and dSig_i = (ds_i, dt_i); a conjugate of a real entry is left out.
+    da0, db0, da1, db1 = 1j * al, 1j * be, rc1 * u, rot * (c1 + c2 * u * zeta)
+    da2, db2 = rc1 * v, rot * (1j * c1 + c2 * v * zeta)
+    da0c, db0c, da1c, db1c, da2c, db2c = (da0.conjugate(), db0.conjugate(), da1.conjugate(),
+                                          db1.conjugate(), da2.conjugate(), db2.conjugate())
+    lin0, lin1 = a * al + b, a * be
+    lin0c, lin1c = lin0.conjugate(), lin1.conjugate()
+    sig0, sig1 = _sigma((al, be), resp)
+    ds0, dt0 = 2.0 * (lin0c * da0 + lin1c * db0).real, 2.0 * (lin1 * da0 + lin0 * db0)
+    ds1, dt1 = 2.0 * (lin0c * da1 + lin1c * db1).real, 2.0 * (lin1 * da1 + lin0 * db1)
+    ds2, dt2 = 2.0 * (lin0c * da2 + lin1c * db2).real, 2.0 * (lin1 * da2 + lin0 * db2)
+    dt0c, dt1c, dt2c = dt0.conjugate(), dt1.conjugate(), dt2.conjugate()
     mu0, mu1, shift = through * al + resp.direct, through * be, g_d * complex(c, s)
-    deviance, scale, score_d, grad, info = 0.0, 0.0, 0.0, (0.0, 0.0), [[0.0] * 5 for _ in range(5)]
-    for p, added, (n_all, n_mean, m1, m2, scatter), sets in blocks:
+    tt, tg, gg = through * through, through * g_d, g_d * g_d
+    deviance = scale = score_d = g0 = g1 = 0.0  # g = (g0, g1): the gradient pair
+    i00 = i01 = i02 = i03 = i04 = i11 = i12 = i13 = i14 = i22 = i23 = i24 = i33 = i34 = i44 = 0.0
+    for p, added, (n_all, n_mean, m1, (m20, m21), (pool0, pool1)), sets in blocks:
         if p is None:  # C = Sigma + added I, W = C^-1
-            k, c0 = 2, sig[0] + added
-            det = c0 * c0 - (sig[1] * sig[1].conjugate()).real
+            k, c0 = 2, sig0 + added
+            det = c0 * c0 - (sig1 * sig1.conjugate()).real
         else:  # C = p^T Sigma p + added, W = p p^T / C
             k, p_conj = 1, p.conjugate()
-            det = c0 = sig[0] + (sig[1] * p_conj * p_conj).real + added
+            det = c0 = sig0 + (sig1 * p_conj * p_conj).real + added
         if not (0.0 < det < math.inf and c0 > 0.0):
             return math.inf, None, None, 0.0
-        w0, w1 = wm = (c0 / det, -sig[1] / det) if p is None else (0.5 / det, 0.5 * p * p / det)
-        e_conj, e_plain, drift, pool = 0.0, 0.0, 0.0, scatter
-        for n, m, m_conj, mean, form, det_s in sets:
-            ratio, log_ratio = _dot(wm, form), math.log(det_s / det)
+        w0, w1 = (c0 / det, -sig1 / det) if p is None else (0.5 / det, 0.5 * p * p / det)
+        w1c = w1.conjugate()
+        e_conj, e_plain, drift = 0.0, 0.0, 0.0  # pool = (pool0, pool1) from the scatter
+        for n, m, m_conj, mean, (f0, f1), det_s in sets:
+            ratio, log_ratio = 2.0 * (w0 * f0 + w1c * f1).real, math.log(det_s / det)
             if mean is not None:
                 delta = mean - mu0 * m - mu1 * m_conj - shift
                 if p is not None:  # the measured quadrature alone, for precision
                     delta = p * (p_conj * delta).real
                 weighted, square = n * delta, (delta * delta.conjugate()).real
-                ratio += w0 * square + (w1.conjugate() * delta * delta).real
+                ratio += w0 * square + (w1c * delta * delta).real
                 e_conj, e_plain, drift = (e_conj + weighted * m_conj, e_plain + weighted * m,
                                           drift + weighted)
-                pool = [pool[0] + 0.5 * n * square, pool[1] + 0.5 * weighted * delta]
+                pool0, pool1 = pool0 + 0.5 * n * square, pool1 + 0.5 * weighted * delta
             deviance += n * (ratio - k - log_ratio)
             scale += n * (abs(ratio) + k + abs(log_ratio))
         # s(A_i) = <dA_i, grad>: 1/2 tr(dSig_i T) = <dA_i, T (a A + b I)>, T = W R_pool W - N W.
-        w_pool, w_e = _mul(_mul(wm, pool), wm), _mul(wm, (0.5 * e_conj, 0.5 * e_plain))
-        t_lin = _mul((w_pool[0] - n_all * w0, w_pool[1] - n_all * w1), lin)
-        grad = (grad[0] + through * w_e[0] + t_lin[0], grad[1] + through * w_e[1] + t_lin[1])
+        t0, t1 = w0 * pool0 + w1 * pool1.conjugate(), w0 * pool1 + w1 * pool0  # W R_pool
+        t0, t1 = t0 * w0 + t1 * w1c - n_all * w0, t0 * w1 + t1 * w0 - n_all * w1  # T
+        h0, h1 = 0.5 * e_conj, 0.5 * e_plain
+        g0 = g0 + through * (w0 * h0 + w1 * h1.conjugate()) + (t0 * lin0 + t1 * lin1c)
+        g1 = g1 + through * (w0 * h1 + w1 * h0.conjugate()) + (t0 * lin1 + t1 * lin0c)
         score_d += g_d * (w0 * drift + w1 * drift.conjugate())
-        w_da, da_m2 = [_mul(wm, da) for da in d_a], [_mul(da, m2) for da in d_a]
-        w_dsig = [_mul(wm, ds) for ds in d_sig]
-        for i, (wa0, wa1) in enumerate(w_da):
-            mixed = through * g_d * (wa0 * m1 + wa1 * m1.conjugate())  # W dA_i M1
-            row, (gi0, gi1) = info[i], w_dsig[i]
-            row[3], row[4] = row[3] + mixed.real, row[4] + mixed.imag
-            for j in range(i, 3):
-                # <W dA_i, dA_j M2>, and tr(G_i G_j) = <G_i^T, G_j> for G = W dSig.
-                gj0, gj1 = w_dsig[j]
-                row[j] += (through * through * _dot(w_da[i], da_m2[j])
-                           + n_all * (gi0 * gj0 + gi1.conjugate() * gj1).real)
-        dd = g_d * g_d * n_mean  # g_d^2 N_h W as a real matrix
-        info[3][3], info[3][4] = info[3][3] + dd * (w0 + w1.real), info[3][4] + dd * w1.imag
-        info[4][4] += dd * (w0 - w1.real)
-    for i in range(5):  # the lower triangle
-        for j in range(i):
-            info[i][j] = info[j][i]
-    score = [_dot(da, grad) for da in d_a] + [score_d.real, score_d.imag]
-    return deviance, np.array(score), np.array(info), _DEVIANCE_ROUNDING * scale
+        # W dA_i = (wa_i, wb_i), dA_i M2 = (ma_i, mb_i) and G_i = W dSig_i = (ws_i, wt_i):
+        # I(A_i, A_j) += through^2 <W dA_i, dA_j M2> + N/2 <G_i^T, G_j>, <G_i^T, G_j> = tr(G_i G_j).
+        wa0, wb0 = w0 * da0 + w1 * db0c, w0 * db0 + w1 * da0c
+        wa1, wb1 = w0 * da1 + w1 * db1c, w0 * db1 + w1 * da1c
+        wa2, wb2 = w0 * da2 + w1 * db2c, w0 * db2 + w1 * da2c
+        ma0, mb0 = da0 * m20 + db0 * m21.conjugate(), da0 * m21 + db0 * m20
+        ma1, mb1 = da1 * m20 + db1 * m21.conjugate(), da1 * m21 + db1 * m20
+        ma2, mb2 = da2 * m20 + db2 * m21.conjugate(), da2 * m21 + db2 * m20
+        ws0, wt0 = w0 * ds0 + w1 * dt0c, w0 * dt0 + w1 * ds0
+        ws1, wt1 = w0 * ds1 + w1 * dt1c, w0 * dt1 + w1 * ds1
+        ws2, wt2 = w0 * ds2 + w1 * dt2c, w0 * dt2 + w1 * ds2
+        wa0c, wb0c, wa1c, wb1c, wa2c, wb2c = (
+            wa0.conjugate(), wb0.conjugate(), wa1.conjugate(), wb1.conjugate(),
+            wa2.conjugate(), wb2.conjugate())
+        wt0c, wt1c, wt2c = wt0.conjugate(), wt1.conjugate(), wt2.conjugate()
+        i00 += tt * (2.0 * (wa0c * ma0 + wb0c * mb0).real) + n_all * (ws0 * ws0 + wt0c * wt0).real
+        i01 += tt * (2.0 * (wa0c * ma1 + wb0c * mb1).real) + n_all * (ws0 * ws1 + wt0c * wt1).real
+        i02 += tt * (2.0 * (wa0c * ma2 + wb0c * mb2).real) + n_all * (ws0 * ws2 + wt0c * wt2).real
+        i11 += tt * (2.0 * (wa1c * ma1 + wb1c * mb1).real) + n_all * (ws1 * ws1 + wt1c * wt1).real
+        i12 += tt * (2.0 * (wa1c * ma2 + wb1c * mb2).real) + n_all * (ws1 * ws2 + wt1c * wt2).real
+        i22 += tt * (2.0 * (wa2c * ma2 + wb2c * mb2).real) + n_all * (ws2 * ws2 + wt2c * wt2).real
+        # I(A_i, d) = through g_d W dA_i M1.
+        m1c = m1.conjugate()
+        mixed = tg * (wa0 * m1 + wb0 * m1c)
+        i03, i04 = i03 + mixed.real, i04 + mixed.imag
+        mixed = tg * (wa1 * m1 + wb1 * m1c)
+        i13, i14 = i13 + mixed.real, i14 + mixed.imag
+        mixed = tg * (wa2 * m1 + wb2 * m1c)
+        i23, i24 = i23 + mixed.real, i24 + mixed.imag
+        dd = gg * n_mean  # g_d^2 N_h W as a real matrix
+        i33, i34 = i33 + dd * (w0 + w1.real), i34 + dd * w1.imag
+        i44 += dd * (w0 - w1.real)
+    score = [2.0 * (da0c * g0 + db0c * g1).real, 2.0 * (da1c * g0 + db1c * g1).real,
+             2.0 * (da2c * g0 + db2c * g1).real, score_d.real, score_d.imag]
+    info = [[i00, i01, i02, i03, i04], [i01, i11, i12, i13, i14], [i02, i12, i22, i23, i24],
+            [i03, i13, i23, i33, i34], [i04, i14, i24, i34, i44]]
+    return deviance, score, info, _DEVIANCE_ROUNDING * scale
 
 
 def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConfig,
@@ -781,34 +834,40 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             for p in (setup.probe_phase, *PROBE_PHASES)]
 
     def estimate(single_moments: MomentEstimate, probe_moments) -> EstimateReport:
-        x = chart(start(probe_moments).params)[0]
+        x = _chart_point(start(probe_moments).params)
         blocks = _blocks([single_moments, *probe_moments], m_in)
         deviance, score, info, rounding = _joint_fit(x, blocks, resp)
         if score is None:
             raise EstimationError("the start point's model covariance is not positive definite")
         for steps in range(_MAX_SCORING_STEPS + 1):
+            score = np.array(score)
             try:
-                step = np.linalg.solve(info, score)
+                step = np.linalg.solve(np.array(info), score)
             except np.linalg.LinAlgError:
                 raise EstimationError("the information matrix is singular") from None
-            if score @ step < _DECREMENT_TOL:
+            if score @ step < _DECREMENT_TOL:  # numpy's dot: a Python sum rounds differently
                 break
             if steps == _MAX_SCORING_STEPS:
                 raise EstimationError(
                     f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
+            step = step.tolist()
             for _ in range(_MAX_HALVINGS):
-                trial = _joint_fit(x + step, blocks, resp)
+                point = [t + d for t, d in zip(x, step)]
+                trial = _joint_fit(point, blocks, resp)
                 if trial[0] <= deviance + rounding + trial[3]:  # no rise beyond rounding
                     break
-                step = 0.5 * step
+                step = [0.5 * d for d in step]
             else:
                 raise EstimationError("no step along the scoring direction lowers the deviance")
-            x, (deviance, score, info, rounding) = x + step, trial
+            x, (deviance, score, info, rounding) = point, trial
         # Per set k (k + 1) / 2 = 2 k - 1 scatter entries and k mean components, k = 2 for P = I.
-        dof = sum((2 if p is None else 1) * (2 + (mean is not None)) - 1
-                  for p, _, _, sets in blocks for *_, mean, _, _ in sets) - 5
+        dof = -5
+        for p, _, _, sets in blocks:
+            k = 2 if p is None else 1
+            for data_set in sets:
+                dof += k * (2 + (data_set[3] is not None)) - 1
         sigma = (deviance - dof) / math.sqrt(2.0 * dof)
-        phi, u, v, c, s = (float(t) for t in x)
+        phi, u, v, c, s = x
         w = math.hypot(u, v)
         undefined = w < AXIS_UNDEFINED_W
         params = ProcessParams.folded(phi=phi, w=w,

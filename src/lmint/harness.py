@@ -151,43 +151,46 @@ _MULT_A, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _OUT_1 = _INIT_B * _MULT_B & _MASK32  # generate_state's hash constants, words 0 and 1
 _OUT_2 = _OUT_1 * _MULT_B & _MASK32
+_MULT_A2 = _MULT_A * _MULT_A & _MASK32  # the hashes of pool words 2 and 3
 _ROOT_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 2 ** 32) & _MASK32  # INIT_A after the pool's 16 hashes
 
 
 @functools.lru_cache(maxsize=8)
 def _key_root(entropy: int) -> tuple:
-    """The (pool, hash constant) state of SeedSequence(entropy, spawn_key=key)
-    before its first key word, for entropy < 2**128.  A spawn key pads the
-    entropy with zero words to the 4-word pool, which hash into the pool as
-    the missing words of an unspawned SeedSequence(entropy) do, so its pool
-    is this state, after 4 + 12 hashes."""
-    return tuple(np.random.SeedSequence(entropy).pool.tolist()), _ROOT_HASH
+    """The state of SeedSequence(entropy, spawn_key=key) before its first key
+    word, for entropy < 2**128: pool words 0 and 1 and the hash constant.  A
+    spawn key pads the entropy with zero words to the 4-word pool, which hash
+    into the pool as the missing words of an unspawned SeedSequence(entropy)
+    do, so its pool is this state, after 4 + 12 hashes.  A seed reads pool
+    words 0 and 1 alone, and each word mixes only its own past, so words 2
+    and 3 are not carried."""
+    pool = np.random.SeedSequence(entropy).pool
+    return int(pool[0]), int(pool[1]), _ROOT_HASH
 
 
 def _key_child(prefix: tuple, entry: int) -> tuple:
     """The state of SeedSequence after one more spawn-key entry: each of its
-    32-bit words, least significant first, is hashed into every pool word."""
-    pool, h = prefix
+    32-bit words, least significant first, is hashed into every pool word,
+    and the hash constant advances over all four."""
+    x0, x1, h = prefix
     while True:
-        word, mixed = entry & _MASK32, []
-        for x in pool:
-            v = word ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            v = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK32
-            mixed.append(v ^ v >> 16)
-        pool, entry = mixed, entry >> 32
+        word, h1 = entry & _MASK32, h * _MULT_A & _MASK32
+        h2 = h1 * _MULT_A & _MASK32
+        v0, v1 = (word ^ h) * h1 & _MASK32, (word ^ h1) * h2 & _MASK32
+        v0 = (_MIX_L * x0 - _MIX_R * (v0 ^ v0 >> 16)) & _MASK32
+        v1 = (_MIX_L * x1 - _MIX_R * (v1 ^ v1 >> 16)) & _MASK32
+        x0, x1, h, entry = v0 ^ v0 >> 16, v1 ^ v1 >> 16, h2 * _MULT_A2 & _MASK32, entry >> 32
         if not entry:
-            return pool, h
+            return x0, x1, h
 
 
 def _key_seed(prefix: tuple, entry: int) -> int:
     """SeedSequence(entropy, spawn_key=key + (entry,)).generate_state(1,
     np.uint64)[0], for prefix the state of (entropy, key): the first two pool
     words, hashed, are the low and high half."""
-    pool, _ = _key_child(prefix, entry)
-    low = (pool[0] ^ _INIT_B) * _OUT_1 & _MASK32
-    high = (pool[1] ^ _OUT_1) * _OUT_2 & _MASK32
+    x0, x1, _ = _key_child(prefix, entry)
+    low = (x0 ^ _INIT_B) * _OUT_1 & _MASK32
+    high = (x1 ^ _OUT_1) * _OUT_2 & _MASK32
     return (high ^ high >> 16) << 32 | low ^ low >> 16
 
 

@@ -170,7 +170,7 @@ def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
 @dataclass(frozen=True, init=False)
 class MomentEstimate:
     """Empirical mean and covariance (ddof=1) of the measured mode in the pair
-    form of estimators._mul, the shot count behind each statistic, the scheme
+    form of estimators._dot, the shot count behind each statistic, the scheme
     that recorded them and, for homodyne3, the mean of the pi/4 group (the
     records of (x + p) / sqrt 2).  The mean is z = x + ip and the covariance
     Sigma z = c0 z + c1 conj(z): c0 = (Sxx + Spp) / 2, c1 = (Sxx - Spp) / 2 +
@@ -264,10 +264,18 @@ def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
         return MomentEstimate(complex(m_x, m_p), *_condition(var_x, cov_xp, var_p), n_eff,
                               scheme, mean_diag)
     ((n, (m_x, m_p), (s_xx, s_xp, s_pp)),) = stats
+    return _paired_estimate(scheme, n, complex(m_x, m_p), s_xx, s_xp, s_pp)
+
+
+def _paired_estimate(scheme: Scheme, n: int, z: complex, s_xx: float, s_xp: float,
+                     s_pp: float) -> MomentEstimate:
+    """MomentEstimate of n paired records of mean z and scatter (Sxx, Sxp,
+    Spp), ddof=1; the heterodyne vacuum unit is taken off and the covariance
+    conditioned here."""
     if scheme is Scheme.HETERODYNE:
         s_xx, s_pp = s_xx - 1.0, s_pp - 1.0
     n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
-    return MomentEstimate(complex(m_x, m_p), *_condition(s_xx, s_xp, s_pp), n_eff, scheme)
+    return MomentEstimate(z, *_condition(s_xx, s_xp, s_pp), n_eff, scheme)
 
 
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
@@ -310,22 +318,21 @@ def draw_from_laws(laws: tuple, seed: int) -> MomentEstimate:
     ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1)."""
     scheme, groups = laws
     rng = _rng(seed)
-
-    def chi2(dof):  # 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records)
-        return 2.0 * rng.standard_gamma(0.5 * dof)
-
+    # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
     if scheme in _ANGLES:
         stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
-                  var * chi2(n - 1) / (n - 1)) for n, mu, var in groups]
+                  var * (2.0 * rng.standard_gamma(0.5 * (n - 1))) / (n - 1))
+                 for n, mu, var in groups]
         return _estimate(scheme, stats)
     ((n, (m_x, m_p), (l00, l10, l11)),) = groups
-    a11 = math.sqrt(chi2(n - 1))
+    a11 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 1)))
     a21 = rng.standard_normal()
-    a22 = math.sqrt(chi2(n - 2))
+    a22 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 2)))
     z0, z1 = rng.standard_normal(), rng.standard_normal()
     # root = L A, lower triangular; the scatter is root root^T / (n - 1).
     r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
     root_n = math.sqrt(n)
-    mean = (m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n)
-    scatter = (r11 * r11 / (n - 1), r11 * r21 / (n - 1), (r21 * r21 + r22 * r22) / (n - 1))
-    return _estimate(scheme, [(n, mean, scatter)])
+    return _paired_estimate(scheme, n, complex(m_x + l00 * z0 / root_n,
+                                               m_p + (l10 * z0 + l11 * z1) / root_n),
+                            r11 * r11 / (n - 1), r11 * r21 / (n - 1),
+                            (r21 * r21 + r22 * r22) / (n - 1))

@@ -312,6 +312,23 @@ def test_config_errors_name_their_key(tmp_path, capsys):
         assert message in capsys.readouterr().err, message
 
 
+def test_config_sections_must_be_objects(tmp_path, capsys):
+    # A section that is not an object is named, with exit 1, before any
+    # override reads it: no "unknown key: plan.1" from its entries and no
+    # traceback from --seed writing into a list.
+    cases = [dict(SMALL_CONFIG, plan=[1]), dict(SMALL_CONFIG, setup="abc"),
+             dict(SMALL_CONFIG, process=[0.7]), dict(SMALL_CONFIG, noise=1.0)]
+    for payload in cases:
+        section = next(key for key in ("setup", "process", "noise", "plan")
+                       if not isinstance(payload.get(key, {}), dict))
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+            load_config(path, Overrides())
+        for extra in ([], ["--seed", "3"], ["--n-samples", "900"]):
+            assert main(["estimate", "--config", path, *extra]) == 1, (section, extra)
+            assert capsys.readouterr().err == f"error: {section}: expected an object\n"
+
+
 def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
     # Cold matter and dark probe: the phase carries no signal anywhere.
     payload = dict(SMALL_CONFIG,

@@ -292,7 +292,52 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
                 _, want_s, want_i, _ = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
                                                   blocks, resp)
                 assert abs(s - want_s[0]) <= 1e-10 * np.abs(want_s).max(), (r_amp, phi)
-                assert abs(i - want_i[0, 0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
+                assert abs(i - want_i[0][0]) <= 1e-10 * np.abs(want_i).max(), (r_amp, phi)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+def test_phase_kernel_at_a_float_is_its_grid_pass(bench_setup, scheme, noise):
+    # est_phase_ml scans the grid in one array pass and polishes with the
+    # same _phase_loglik at a Python float, on plain Python scalars.  At each
+    # grid point both passes agree to rounding, not bit for bit: numpy's
+    # array loops round a complex product or modulus differently from scalar
+    # arithmetic (up to 35 of the 64 points differ by an ulp at r = 100).
+    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik
+
+    for k, r_amp in enumerate((1.0, 100.0)):
+        setup = dataclasses.replace(bench_setup, r_amp=r_amp, probe_phase=0.3)
+        state = forward(setup, ProcessParams.folded(phi=0.7, w=0.2, d=1.0), noise)
+        moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=7 + k))
+        resp = response(setup, noise)
+        blocks = _blocks([moments], [setup.light_mean])
+        grid = _phase_loglik(_PHASE_GRID, resp, blocks)
+        scale = [np.abs(values).max() for values in grid]
+        for j, phi in enumerate(_PHASE_GRID.tolist()):
+            at_phi = _phase_loglik(phi, resp, blocks)
+            assert [type(t) for t in at_phi] == [float] * 3
+            for got, want, size in zip(at_phi, grid, scale):
+                assert abs(got - want[j]) <= 1e-13 * size, (r_amp, phi)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_joint_fit_reads_a_list_as_its_array(bench_setup, scheme):
+    # The scoring steps on lists of floats: _joint_fit gives the same
+    # deviance, score, information and rounding bound, bit for bit, for the
+    # chart point as a list and as an array.
+    from lmint.estimators import _blocks, _joint_fit
+
+    rng = np.random.default_rng(31)
+    noise = NoiseParams(t_c=0.7, v_c=1.2)
+    setup = dataclasses.replace(bench_setup, r_amp=3.0, probe_phase=0.4)
+    data, m_in, _ = _joint_data(setup, ProcessParams.folded(phi=0.7, w=0.5, d=1.0), noise,
+                                scheme, 6000, 60)
+    blocks, resp = _blocks(data, m_in), response(setup, noise)
+    for x in [np.array([0.7, 0.0, 0.0, 0.0, 0.0]), np.array([0.7, 0.05, -0.03, 0.0, 0.0])] + [
+            rng.uniform(-1.5, 1.5, size=5) for _ in range(6)]:
+        got, want = _joint_fit(x.tolist(), blocks, resp), _joint_fit(x, blocks, resp)
+        assert got == want
+        assert [type(t) for t in got[1]] == [float] * 5
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
