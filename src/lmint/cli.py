@@ -1,6 +1,6 @@
 """Command-line driver: config parsing, the five workflows, CSV/JSON emission.
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime estimation failure.
+Exit codes: 0 success, 1 usage/config/validation error, 2 runtime estimation failure.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class ConfigError(ValueError):
 # Config parsing / validation
 
 
-def _require(mapping, path, allowed, required):
+def _require(mapping, path, allowed, required=()):
     unknown = set(mapping) - set(allowed)
     if unknown:
         key = sorted(unknown)[0]
@@ -46,90 +47,79 @@ def _require(mapping, path, allowed, required):
             raise ConfigError(f"missing key: {path}{key}")
 
 
-def _number(mapping, path, key, default=None):
-    if key not in mapping:
-        if default is None:
+_REQUIRED = object()  # the default of a key that must be given
+
+#: What each kind of key accepts, and its name in the error message.
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+
+
+def _finite(value) -> bool:
+    """A JSON number that is a finite float (no NaN, no infinity, no
+    integer beyond the float range)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _read(mapping, path, key, kind, default=_REQUIRED, low=None):
+    """mapping[key] as kind: a finite float (at least low, if given), an int,
+    a str or a value of an Enum class.  The default stands in for an absent
+    key, and for null when the default is None."""
+    value = mapping.get(key)
+    if key not in mapping or value is None and default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing key: {path}{key}")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{path}{key}: unknown {key} {value!r}") from None
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}{key}: expected {name}, got {value!r}")
+    if kind is not float:
+        return value
+    if not _finite(value):
+        raise ConfigError(f"{path}{key}: expected a finite number, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{path}{key}: must be >= {low:g}, got {value!r}")
     return float(value)
 
 
-def _integer(mapping, path, key, default=None):
-    """mapping[key], an integer; default when the key is absent (or, for an
-    optional key whose default is None, null)."""
-    value = mapping.get(key, default)
-    if value is not default and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{path}{key}: expected an integer, got {value!r}")
-    return value
+#: Each section's class and keys, key -> (kind[, default[, least value]]); a
+#: key without a default is required.  The process takes q = e^w in place of
+#: w, which load_config converts before the section is read.
+_SECTIONS = {
+    "setup": (SetupConfig, {"topology": (Topology,), "t1": (float, 0.0), "t2": (float,),
+                            "v_thermal": (float,), "r_amp": (float,),
+                            "probe_phase": (float, 0.0)}),
+    "process": (ProcessParams.folded, {"phi": (float, 0.0), "w": (float, 0.0, 0.0),
+                                       "alpha": (float, 0.0), "d": (float, 0.0, 0.0),
+                                       "beta": (float, 0.0)}),
+    "noise": (NoiseParams, {"t_c": (float, 1.0), "v_c": (float, 1.0)}),
+    "plan": (MeasurementPlan, {"scheme": (Scheme,), "n_samples": (int,), "seed": (int, 0)}),
+}
+
+#: The top-level keys other than the sections, "estimators" and "sweep".
+_TOP = {"m_reps": (int, 500), "base_seed": (int, 0), "calibration": (str, "true"),
+        "calibration_samples": (int, None), "out": (str, None)}
 
 
-def _parse_setup(raw) -> SetupConfig:
-    _require(raw, "setup.", {"topology", "t1", "t2", "v_thermal", "r_amp", "probe_phase"},
-             {"topology", "t2", "v_thermal", "r_amp"})
+def _section(raw, name):
+    """The section `name` of a config, built from its keys by _SECTIONS."""
+    build, keys = _SECTIONS[name]
+    _require(raw, f"{name}.", keys)
+    values = {key: _read(raw, f"{name}.", key, *spec) for key, spec in keys.items()}
     try:
-        topology = Topology(raw["topology"])
-    except ValueError:
-        raise ConfigError(f"setup.topology: unknown topology {raw['topology']!r}") from None
-    try:
-        return SetupConfig(
-            topology=topology,
-            t1=_number(raw, "setup.", "t1", 0.0),
-            t2=_number(raw, "setup.", "t2"),
-            v_thermal=_number(raw, "setup.", "v_thermal"),
-            r_amp=_number(raw, "setup.", "r_amp"),
-            probe_phase=_number(raw, "setup.", "probe_phase", 0.0),
-        )
+        return build(**values)
     except ValueError as exc:
-        raise ConfigError(f"setup: {exc}") from None
-
-
-def _parse_process(raw) -> ProcessParams:
-    _require(raw, "process.", {"phi", "q", "w", "alpha", "d", "beta"}, set())
-    if "q" in raw and "w" in raw:
-        raise ConfigError("process: give either q or w, not both")
-    w = math.log(_number(raw, "process.", "q", 1.0)) if "q" in raw \
-        else _number(raw, "process.", "w", 0.0)
-    try:
-        return ProcessParams.folded(
-            phi=_number(raw, "process.", "phi", 0.0),
-            w=w,
-            alpha=_number(raw, "process.", "alpha", 0.0),
-            d=_number(raw, "process.", "d", 0.0),
-            beta=_number(raw, "process.", "beta", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"process: {exc}") from None
-
-
-def _parse_noise(raw) -> NoiseParams:
-    _require(raw, "noise.", {"t_c", "v_c"}, set())
-    try:
-        return NoiseParams(t_c=_number(raw, "noise.", "t_c", 1.0),
-                           v_c=_number(raw, "noise.", "v_c", 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
-
-
-def _parse_plan(raw) -> MeasurementPlan:
-    _require(raw, "plan.", {"scheme", "n_samples", "seed"}, {"scheme", "n_samples"})
-    try:
-        scheme = Scheme(raw["scheme"])
-    except ValueError:
-        raise ConfigError(f"plan.scheme: unknown scheme {raw['scheme']!r}") from None
-    try:
-        return MeasurementPlan(scheme=scheme, n_samples=_integer(raw, "plan.", "n_samples"),
-                               seed=_integer(raw, "plan.", "seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_grid(spec) -> list:
     """Grid given either as a list of numbers or 'log:lo:hi:n' / 'lin:lo:hi:n'."""
     if isinstance(spec, list):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec):
+        if not all(_finite(v) for v in spec):
             raise ConfigError("sweep.grid: expected numbers")
         return [float(v) for v in spec]
     if isinstance(spec, str):
@@ -138,6 +128,8 @@ def parse_grid(spec) -> list:
             raise ConfigError(f"sweep.grid: malformed grid spec {spec!r}")
         try:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("a bound is not finite")
         except ValueError:
             raise ConfigError(f"sweep.grid: malformed grid spec {spec!r}") from None
         if n < 1:
@@ -150,10 +142,6 @@ def parse_grid(spec) -> list:
     raise ConfigError(f"sweep.grid: expected a list or a grid spec string, got {spec!r}")
 
 
-_TOP_KEYS = {"setup", "process", "noise", "plan", "m_reps", "base_seed",
-             "estimators", "calibration", "calibration_samples", "sweep", "out"}
-
-
 def load_config(path: str, overrides) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -163,15 +151,15 @@ def load_config(path: str, overrides) -> dict:
         raise ConfigError(f"malformed config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _require(raw, "", _TOP_KEYS, {"setup", "plan"})
-    for section in ("setup", "process", "noise", "plan", "sweep"):
+    _require(raw, "", {*_SECTIONS, *_TOP, "estimators", "sweep"}, ("setup", "plan"))
+    for section in (*_SECTIONS, "sweep"):
         if section in raw and not isinstance(raw[section], dict):
             raise ConfigError(f"{section}: expected an object")
     if overrides.n_samples is not None:
-        raw.setdefault("plan", {})["n_samples"] = overrides.n_samples
+        raw["plan"]["n_samples"] = overrides.n_samples
     if overrides.seed is not None:
         raw["base_seed"] = overrides.seed
-        raw.setdefault("plan", {})["seed"] = overrides.seed
+        raw["plan"]["seed"] = overrides.seed
     if overrides.m_reps is not None:
         raw["m_reps"] = overrides.m_reps
     if overrides.out is not None:
@@ -179,24 +167,21 @@ def load_config(path: str, overrides) -> dict:
     for key in ("axis", "grid"):
         if getattr(overrides, key) is not None:
             raw.setdefault("sweep", {})[key] = getattr(overrides, key)
-    cfg = {
-        "setup": _parse_setup(raw.get("setup", {})),
-        "process": _parse_process(raw.get("process", {})),
-        "noise": _parse_noise(raw["noise"]) if "noise" in raw else None,
-        "plan": _parse_plan(raw.get("plan", {})),
-        "m_reps": _integer(raw, "", "m_reps", 500),
-        "base_seed": _integer(raw, "", "base_seed", 0),
-        "estimators": raw.get("estimators", []),
-        "calibration": raw.get("calibration", "true"),
-        "calibration_samples": _integer(raw, "", "calibration_samples"),
-        "out": raw.get("out"),
-    }
+    process = raw.setdefault("process", {})
+    if "q" in process:
+        if "w" in process:
+            raise ConfigError("process: give either q or w, not both")
+        process["w"] = math.log(_read(process, "process.", "q", float, low=1))
+        del process["q"]
+    cfg = {name: _section(raw[name], name) if name in raw else None for name in _SECTIONS}
+    cfg.update({key: _read(raw, "", key, *spec) for key, spec in _TOP.items()})
+    cfg["estimators"] = raw.get("estimators", [])
     if not isinstance(cfg["estimators"], list) or not all(
             isinstance(e, str) for e in cfg["estimators"]):
         raise ConfigError("estimators: expected a list of names")
     if "sweep" in raw:
         sw = raw["sweep"]
-        _require(sw, "sweep.", {"axis", "grid"}, {"axis", "grid"})
+        _require(sw, "sweep.", {"axis", "grid"}, ("axis", "grid"))
         if sw["axis"] not in AXES:
             raise ConfigError(f"sweep.axis: unknown axis {sw['axis']!r}; expected one of {AXES}")
         cfg["sweep"] = {"axis": sw["axis"], "grid": parse_grid(sw["grid"])}
@@ -347,9 +332,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # built on first use, not at import, and shared by later calls
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmint",
         description="Gaussian light-matter interferometry simulation and estimation",
     )
@@ -372,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         path = args.config if args.config else _preset_path(args.preset)
         return _COMMANDS[args.command](load_config(path, args), args)
     except ConfigError as exc:

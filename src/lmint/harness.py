@@ -81,7 +81,7 @@ class MonteCarloConfig:
     plan: MeasurementPlan
     estimators: tuple
     noise: NoiseParams | None = None           # true channel used in simulation
-    calibration: str = "true"                  # "true" | "auto" | "ideal"
+    calibration: str = "true"                  # "true" | "auto"
     calibration_samples: int | None = None     # probe shots for "auto"; defaults to plan.n_samples
     m_reps: int = 10_000
     base_seed: int = 0
@@ -91,7 +91,7 @@ class MonteCarloConfig:
             raise ValueError(f"m_reps must be >= 2, got {self.m_reps}")
         if not 0 <= self.base_seed < 2 ** 64:
             raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
-        if self.calibration not in ("true", "auto", "ideal"):
+        if self.calibration not in ("true", "auto"):
             raise ValueError(f"unknown calibration mode {self.calibration!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         for name in self.estimators:
@@ -271,7 +271,7 @@ def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
                      calibrated: NoiseParams | None) -> NoiseParams:
-    if name.startswith("naive_") or cfg.calibration == "ideal":
+    if name.startswith("naive_"):
         return IDEAL_NOISE
     if cfg.calibration == "auto":
         return calibrated

@@ -329,6 +329,92 @@ def test_config_sections_must_be_objects(tmp_path, capsys):
             assert capsys.readouterr().err == f"error: {section}: expected an object\n"
 
 
+def run_error(argv, capsys):
+    """main's exit code and its one stderr line, which must be an error."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err.rstrip("\n")
+
+
+def test_out_of_range_and_non_finite_values_exit_1_by_name(tmp_path, capsys):
+    # q <= 0 once ended in a traceback, and q < 1, w < 0 and d < 0 were
+    # silently clamped to the identity squeeze or no displacement; NaN and
+    # infinity passed every check.
+    process = {key: value for key, value in SMALL_CONFIG["process"].items() if key != "q"}
+    cases = [("process", dict(process, q=0), "process.q: must be >= 1, got 0"),
+             ("process", dict(process, q=0.5), "process.q: must be >= 1, got 0.5"),
+             ("process", dict(process, w=-0.5), "process.w: must be >= 0, got -0.5"),
+             ("process", dict(SMALL_CONFIG["process"], d=-1), "process.d: must be >= 0, got -1"),
+             ("setup", dict(SMALL_CONFIG["setup"], r_amp=math.nan),
+              "setup.r_amp: expected a finite number, got nan"),
+             ("setup", dict(SMALL_CONFIG["setup"], v_thermal=math.inf),
+              "setup.v_thermal: expected a finite number, got inf")]
+    for section, value, message in cases:
+        path = write_config(tmp_path, dict(SMALL_CONFIG, **{section: value}))
+        assert run_error(["estimate", "--config", path], capsys) == (1, f"error: {message}")
+
+
+def test_out_must_be_a_string(tmp_path, capsys):
+    path = write_config(tmp_path, dict(SMALL_CONFIG, out=5))
+    assert run_error(["simulate", "--config", path], capsys) == (
+        1, "error: out: expected a string, got 5")
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # Exit 2 is reserved for estimation failures; a malformed command line
+    # is a config error like any other.
+    path = write_config(tmp_path, SMALL_CONFIG)
+    cases = [(["estimate"], "--config --preset is required"),
+             (["estimate", "--config", path, "--seed", "abc"],
+              "argument --seed: invalid int value: 'abc'"),
+             (["estimate", "--config", path, "--bogus"], "unrecognized arguments: --bogus")]
+    for argv, message in cases:
+        code, err = run_error(argv, capsys)
+        assert code == 1 and message in err, argv
+
+
+def test_calibration_ideal_is_not_a_mode(tmp_path, capsys):
+    # The naive_ prefix assumes an ideal channel per estimator.
+    path = write_config(tmp_path, dict(SMALL_CONFIG, calibration="ideal"))
+    assert run_error(["estimate", "--config", path], capsys) == (
+        1, "error: unknown calibration mode 'ideal'")
+
+
+#: The keys a config must give, as the README lists them.
+REQUIRED_KEYS = {"setup", "plan", "setup.topology", "setup.t2", "setup.v_thermal",
+                 "setup.r_amp", "plan.scheme", "plan.n_samples", "sweep.axis", "sweep.grid"}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_key_fails_by_its_path(tmp_path, capsys, preset):
+    # Every key the preset gives, each in turn: a value of the wrong type
+    # (an object) and a non-finite one exit 1 naming its path; leaving it
+    # out exits 1 naming it when it is required and loads when it is not.
+    text = Path(_preset_path(preset)).read_text()
+    keys = [(section, key) for section, value in json.loads(text).items()
+            for key in (value if isinstance(value, dict) else [None])]
+    for section, key in keys:
+        keypath = section if key is None else f"{section}.{key}"
+
+        def edited(change):
+            raw = json.loads(text)
+            parent, name = (raw, section) if key is None else (raw[section], key)
+            change(parent, name)
+            return write_config(tmp_path, raw)
+
+        for bad in ({}, math.nan, math.inf):
+            path = edited(lambda parent, name: parent.__setitem__(name, bad))
+            code, err = run_error(["estimate", "--config", path], capsys)
+            assert code == 1 and err.startswith(f"error: {keypath}: "), (keypath, bad, err)
+        path = edited(lambda parent, name: parent.pop(name))
+        if keypath in REQUIRED_KEYS:
+            assert run_error(["estimate", "--config", path], capsys) == (
+                1, f"error: missing key: {keypath}")
+        else:
+            load_config(path, Overrides())
+
+
 def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
     # Cold matter and dark probe: the phase carries no signal anywhere.
     payload = dict(SMALL_CONFIG,
