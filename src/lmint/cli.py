@@ -20,7 +20,8 @@ import numpy as np
 from .estimators import EstimationError, UnidentifiableError
 from .fisher import PARAMETERS, fisher_displacement, fisher_matrix
 from .gaussian_core import DecompositionError, ProcessParams
-from .harness import AXES, CalibrationError, MonteCarloConfig, calibrate, estimate_once, sweep
+from .harness import (AXES, CalibrationError, MonteCarloConfig, apply_axis, calibrate,
+                      check_run_keys, estimate_once, sweep)
 from .interferometer import SetupConfig, Topology, measured_state
 from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
 from .noise import NoiseParams
@@ -179,6 +180,10 @@ def load_config(path: str, overrides) -> dict:
     if not isinstance(cfg["estimators"], list) or not all(
             isinstance(e, str) for e in cfg["estimators"]):
         raise ConfigError("estimators: expected a list of names")
+    try:
+        check_run_keys(cfg["m_reps"], cfg["base_seed"], cfg["calibration"], cfg["estimators"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if "sweep" in raw:
         sw = raw["sweep"]
         _require(sw, "sweep.", {"axis", "grid"}, ("axis", "grid"))
@@ -300,6 +305,11 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigError("missing key: sweep")
     mc = _mc_config(cfg)
     axis, grid = cfg["sweep"]["axis"], cfg["sweep"]["grid"]
+    try:  # every grid value, before the first run; estimator failures are ValueErrors too
+        for value in grid:
+            apply_axis(mc, axis, value)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.grid: {exc}") from None
     table = sweep(mc, axis, grid)
     _write_text(cfg["out"], sweep_csv(axis, table, mc.plan, mc.m_reps, mc.base_seed))
     empty = [(value, key, cell) for value, report in table

@@ -213,6 +213,37 @@ def _phase_loglik(phi, resp, blocks):
 #: Scan of est_phase_ml: 64 phases over (-pi, pi].
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 65)[1:]
 
+
+def _phase_scan(resp, m):
+    """_phase_loglik(_PHASE_GRID, resp, blocks)[0], bit for bit, as a
+    function of the blocks of data probed by m alone: e^{i phi}, v and log v
+    for either added variance (0, and 1 for heterodyne) and the moved mean
+    through e^{i phi} m are formed once, and each call subtracts the moved
+    mean from the set's mean - direct m and projects the difference after,
+    in the grid pass's order."""
+    turn = np.exp(1j * _PHASE_GRID)
+    var = resp.a + resp.e + 2.0 * resp.b * turn.real
+    laws = {added: (var + added, np.log(var + added)) for added in (0.0, 1.0)}
+    offset, moved = resp.direct * m, resp.through * m * turn
+
+    def loglik(blocks):
+        ll = 0.0
+        for p, added, (n_all, *_, scatter), sets in blocks:
+            k, (v, log_v) = (2 if p is None else 1), laws[added]
+            spread = 2.0 * scatter[0]
+            for n, _, _, mean, _, _ in sets:
+                if mean is None:
+                    continue
+                delta = mean - offset - moved
+                if p is not None:
+                    delta = (p.conjugate() * delta).real
+                spread = spread + n * (delta * delta.conjugate()).real
+            ll = ll - 0.5 * (n_all * k * log_v + spread / v)
+        return ll
+
+    return loglik
+
+
 #: Cap on the polishing steps of est_phase_ml; bisection alone meets it.
 _MAX_PHASE_STEPS = 60
 
@@ -226,8 +257,10 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     likelihood of est_combined's blocks (see _blocks), restricted to a pure
     phase shift (mean and variance both phase-dependent).
 
-    A 64-point scan of its closed form (_phase_loglik) brackets the maximum
-    within a grid step either side, and the polish solves the stationarity
+    A 64-point scan of its closed form (_phase_loglik's log-likelihood, bit
+    for bit, from the grid terms no data enters, which prepare_phase_ml
+    forms once per run: see _phase_scan) brackets the maximum within a grid
+    step either side, and the polish solves the stationarity
     condition in that bracket, on the closed-form phi score and information
     of the same _phase_loglik, not on _joint_fit: a Fisher-scoring step
     first, then secant steps, which follow the observed curvature where the
@@ -252,10 +285,11 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     m_in = [setup.light_mean.tolist()]
     grid = _PHASE_GRID.tolist()
     width = grid[1] - grid[0]
+    scan = _phase_scan(resp, complex(*m_in[0]))
 
     def estimate(moments: MomentEstimate) -> float:
         blocks = _blocks([moments], m_in)
-        phi = grid[int(np.argmax(_phase_loglik(_PHASE_GRID, resp, blocks)[0]))]
+        phi = grid[int(np.argmax(scan(blocks)))]
         lo, hi, last = phi - width, phi + width, None
         for _ in range(_MAX_PHASE_STEPS):
             _, s, info = _phase_loglik(phi, resp, blocks)

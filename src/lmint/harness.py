@@ -87,21 +87,28 @@ class MonteCarloConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.m_reps < 2:
-            raise ValueError(f"m_reps must be >= 2, got {self.m_reps}")
-        if not 0 <= self.base_seed < 2 ** 64:
-            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
-        if self.calibration not in ("true", "auto"):
-            raise ValueError(f"unknown calibration mode {self.calibration!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        for name in self.estimators:
-            if base_name(name) not in ESTIMATOR_PARAMS:
-                raise ValueError(f"unknown estimator {name!r}")
+        check_run_keys(self.m_reps, self.base_seed, self.calibration, self.estimators)
         if self.calibration_samples is not None:
             _check_probe_shots(self.plan.scheme, self.calibration_samples, "calibration_samples")
         if ({base_name(n) for n in self.estimators} & _THREE_PROBE
                 or self.calibration == "auto" and self.calibration_samples is None):
             _check_probe_shots(self.plan.scheme, self.plan.n_samples, "n_samples")
+
+
+def check_run_keys(m_reps: int, base_seed: int, calibration: str, estimators) -> None:
+    """Raise ValueError, naming the key, on an m_reps, base_seed,
+    calibration mode or estimator name that no Monte-Carlo run accepts;
+    load_config checks them for every command, not only those that run."""
+    if m_reps < 2:
+        raise ValueError(f"m_reps must be >= 2, got {m_reps}")
+    if not 0 <= base_seed < 2 ** 64:
+        raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
+    if calibration not in ("true", "auto"):
+        raise ValueError(f"unknown calibration mode {calibration!r}")
+    for name in estimators:
+        if base_name(name) not in ESTIMATOR_PARAMS:
+            raise ValueError(f"unknown estimator {name!r}")
 
 
 def _check_probe_shots(scheme, n: int, name: str) -> None:
@@ -367,7 +374,9 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
 AXES = ("r", "V", "T", "loss", "Phi")
 
 
-def _apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloConfig:
+def apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloConfig:
+    """cfg at the sweep point value of axis; ValueError when the value lies
+    outside the axis's range (the setup, channel or process rejects it)."""
     if axis == "r":
         return dc_replace(cfg, setup=dc_replace(cfg.setup, r_amp=float(value)))
     if axis == "V":
@@ -388,7 +397,7 @@ def _apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloCon
 
 def sweep(cfg: MonteCarloConfig, axis: str, grid) -> list:
     """One MSEReport per grid value; deterministic under a fixed base_seed."""
-    return [(float(value), _run_point(_apply_axis(cfg, axis, value), idx + 1))
+    return [(float(value), _run_point(apply_axis(cfg, axis, value), idx + 1))
             for idx, value in enumerate(grid)]
 
 
@@ -448,7 +457,7 @@ def find_r_crit(cfg: MonteCarloConfig, r_range) -> RCritResult | None:
     cfg = dc_replace(cfg, estimators=("phase_var", "phase_mean"))
 
     def diff(log_r):
-        rep = run_mc(_apply_axis(cfg, "r", math.exp(log_r)))
+        rep = run_mc(apply_axis(cfg, "r", math.exp(log_r)))
         return rep.mse("phase_var", "phi") - rep.mse("phase_mean", "phi")
 
     lo, hi = math.log(r_range[0]), math.log(r_range[1])

@@ -106,14 +106,19 @@ _ZEROS.setflags(write=False)  # the state setter copies it; nothing may write it
 def _rng(seed: int) -> np.random.Generator:
     """This thread's generator on the stream of np.random.Philox(key=seed):
     its bit generator's key, counter, output buffer and buffered half-word
-    all reset, so no earlier draw leaks into this one."""
+    all reset, so no earlier draw leaks into this one.  The thread keeps one
+    state dict, whose key array each call rewrites in place; the setter
+    copies it."""
     gen = getattr(_PER_THREAD, "generator", None)
     if gen is None:
         gen = _PER_THREAD.generator = np.random.Generator(np.random.Philox(key=0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _PER_THREAD.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": np.zeros(2, dtype=np.uint64)},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _PER_THREAD.state
+    state["state"]["key"][0] = seed
+    gen.bit_generator.state = state
     return gen
 
 

@@ -381,6 +381,46 @@ def test_calibration_ideal_is_not_a_mode(tmp_path, capsys):
         1, "error: unknown calibration mode 'ideal'")
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep", "calibrate"])
+def test_run_keys_are_checked_by_every_command(tmp_path, capsys, command):
+    # The keys of a Monte-Carlo run are checked as the config loads, so a
+    # config that one command rejects, no other command accepts.
+    cases = [(dict(SMALL_CONFIG, calibration="bogus"), "unknown calibration mode 'bogus'"),
+             (dict(SMALL_CONFIG, m_reps=1), "m_reps must be >= 2, got 1"),
+             (dict(SMALL_CONFIG, base_seed=-1), "base_seed must lie in [0, 2**64), got -1"),
+             (dict(SMALL_CONFIG, estimators=["mean_method", "phase_mll"]),
+              "unknown estimator 'phase_mll'")]
+    for payload, message in cases:
+        path = write_config(tmp_path, payload)
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        assert run_error(argv, capsys) == (1, f"error: {message}"), message
+    assert not (tmp_path / "out").exists()
+
+
+def test_only_estimate_and_sweep_need_an_estimator(tmp_path, capsys):
+    payload = {key: value for key, value in SMALL_CONFIG.items() if key != "estimators"}
+    path = write_config(tmp_path, dict(payload, sweep={"axis": "r", "grid": [10.0, 100.0]}))
+    for command in ("simulate", "fisher", "calibrate"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0, command
+    for command in ("estimate", "sweep"):
+        argv = [command, "--config", path, "--out", str(tmp_path / command)]
+        assert run_error(argv, capsys) == (
+            1, "error: estimators: at least one estimator is required"), command
+
+
+@pytest.mark.parametrize("axis, grid, message", [
+    ("T", "lin:0.5:2:2", "t1 must be in [0, 1], got 2.0"),
+    ("loss", "lin:0:1:2", "t_c must be in (0, 1], got 0.0"),
+    ("V", "lin:0.5:1:2", "v_thermal must be >= 1, got 0.5")])
+def test_sweep_grid_values_out_of_range_exit_1(tmp_path, capsys, axis, grid, message):
+    # Every grid point is applied before the first run: a value outside its
+    # axis's range names sweep.grid and exits 1, with nothing written.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "fig3_left", "--axis", axis, "--grid", grid, "--out", str(out)]
+    assert run_error(argv, capsys) == (1, f"error: sweep.grid: {message}")
+    assert not out.exists()
+
+
 #: The keys a config must give, as the README lists them.
 REQUIRED_KEYS = {"setup", "plan", "setup.topology", "setup.t2", "setup.v_thermal",
                  "setup.r_amp", "plan.scheme", "plan.n_samples", "sweep.axis", "sweep.grid"}

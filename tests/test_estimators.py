@@ -297,6 +297,39 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+def test_phase_scan_is_the_grid_pass_bit_for_bit(bench_setup, scheme, noise):
+    # est_phase_ml's scan forms its data-free grid terms once per run; its
+    # log-likelihood must be _phase_loglik's grid pass bit for bit, so the
+    # argmax, the polish and every estimate stay the same.  A dark probe, r
+    # = 1 and r = 100 on every topology; the simplistic response has b = 0,
+    # so it is given a linear term by hand, and a homodyne3 estimate is also
+    # checked without its pi/4 mean.
+    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik, _phase_scan
+
+    k = 0
+    for topology in Topology:
+        for r_amp in (0.0, 1.0, 100.0):
+            setup = dataclasses.replace(bench_setup, topology=topology, r_amp=r_amp,
+                                        probe_phase=0.3)
+            state = forward(setup, ProcessParams.folded(phi=0.7, w=0.2, d=1.0), noise)
+            moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=11 + k))
+            k += 1
+            resp = response(setup, noise)
+            if topology is Topology.SIMPLISTIC:
+                resp = dataclasses.replace(resp, b=-0.3 * resp.a)
+            m = setup.light_mean.tolist()
+            inputs = [moments]
+            if scheme is Scheme.HOMODYNE_SPLIT3:
+                inputs.append(dataclasses.replace(moments, mean_diag=None))
+            for data in inputs:
+                blocks = _blocks([data], [m])
+                got = _phase_scan(resp, complex(*m))(blocks)
+                want = _phase_loglik(_PHASE_GRID, resp, blocks)[0]
+                assert got.tobytes() == want.tobytes(), (topology, r_amp, len(blocks[0][3]))
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_kernel_at_a_float_is_its_grid_pass(bench_setup, scheme, noise):
     # est_phase_ml scans the grid in one array pass and polishes with the
     # same _phase_loglik at a Python float, on plain Python scalars.  At each

@@ -28,7 +28,7 @@ from lmint.measurement import draw_from_laws
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
-    _apply_axis,
+    apply_axis,
     estimate_once,
     param_error,
 )
@@ -324,16 +324,16 @@ def test_mean_method_brightness_tradeoff(bench_setup, bench_process):
 def test_sweep_axes(bench_setup, bench_process):
     cfg = mc(bench_setup, bench_process, estimators=("displacement",),
              noise=NoiseParams(t_c=0.9, v_c=1.3))
-    assert _apply_axis(cfg, "r", 5.0).setup.r_amp == 5.0
-    assert _apply_axis(cfg, "V", 50.0).setup.v_thermal == 50.0
-    point = _apply_axis(cfg, "T", 0.25)
+    assert apply_axis(cfg, "r", 5.0).setup.r_amp == 5.0
+    assert apply_axis(cfg, "V", 50.0).setup.v_thermal == 50.0
+    point = apply_axis(cfg, "T", 0.25)
     assert (point.setup.t1, point.setup.t2) == (0.25, 0.25)
-    point = _apply_axis(cfg, "loss", 0.4)
+    point = apply_axis(cfg, "loss", 0.4)
     assert point.noise == NoiseParams(t_c=0.6, v_c=1.3)
-    assert _apply_axis(cfg, "loss", 0.0).noise == NoiseParams(t_c=1.0, v_c=1.3)
-    assert _apply_axis(cfg, "Phi", 0.9).process.phi == pytest.approx(0.9)
+    assert apply_axis(cfg, "loss", 0.0).noise == NoiseParams(t_c=1.0, v_c=1.3)
+    assert apply_axis(cfg, "Phi", 0.9).process.phi == pytest.approx(0.9)
     with pytest.raises(ValueError):
-        _apply_axis(cfg, "zeta", 1.0)
+        apply_axis(cfg, "zeta", 1.0)
 
 
 def test_sweep_empty_grid(bench_setup, bench_process):
