@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair
-from .interferometer import SetupConfig, response
+from .interferometer import SetupConfig, _process_pair, _sigma, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
 
@@ -210,21 +210,24 @@ def _phase_loglik(phi, resp, blocks):
     return ll, score, info
 
 
-#: Scan of est_phase_ml: 64 phases over (-pi, pi].
+#: Scan of est_phase_ml: 64 phases over (-pi, pi], their e^{i phi}, and the
+#: grid as Python floats with its step; no setup enters them.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 65)[1:]
+_PHASE_TURN = np.exp(1j * _PHASE_GRID)
+_GRID = _PHASE_GRID.tolist()
+_GRID_STEP = _GRID[1] - _GRID[0]
 
 
 def _phase_scan(resp, m):
     """_phase_loglik(_PHASE_GRID, resp, blocks)[0], bit for bit, as a
-    function of the blocks of data probed by m alone: e^{i phi}, v and log v
-    for either added variance (0, and 1 for heterodyne) and the moved mean
+    function of the blocks of data probed by m alone: v and log v for
+    either added variance (0, and 1 for heterodyne) and the moved mean
     through e^{i phi} m are formed once, and each call subtracts the moved
     mean from the set's mean - direct m and projects the difference after,
     in the grid pass's order."""
-    turn = np.exp(1j * _PHASE_GRID)
-    var = resp.a + resp.e + 2.0 * resp.b * turn.real
+    var = resp.a + resp.e + 2.0 * resp.b * _PHASE_TURN.real
     laws = {added: (var + added, np.log(var + added)) for added in (0.0, 1.0)}
-    offset, moved = resp.direct * m, resp.through * m * turn
+    offset, moved = resp.direct * m, resp.through * m * _PHASE_TURN
 
     def loglik(blocks):
         ll = 0.0
@@ -283,14 +286,12 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
     m_in = [setup.light_mean.tolist()]
-    grid = _PHASE_GRID.tolist()
-    width = grid[1] - grid[0]
     scan = _phase_scan(resp, complex(*m_in[0]))
 
     def estimate(moments: MomentEstimate) -> float:
         blocks = _blocks([moments], m_in)
-        phi = grid[int(np.argmax(scan(blocks)))]
-        lo, hi, last = phi - width, phi + width, None
+        phi = _GRID[int(np.argmax(scan(blocks)))]
+        lo, hi, last = phi - _GRID_STEP, phi + _GRID_STEP, None
         for _ in range(_MAX_PHASE_STEPS):
             _, s, info = _phase_loglik(phi, resp, blocks)
             lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
@@ -322,19 +323,6 @@ def _dot(x, y):
     symmetric M (m0 real) has the eigenvalues m0 +- |m1|, the larger along
     the axis arg(m1) / 2."""
     return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
-
-
-def _sigma(m, resp):
-    """Sigma(A) = a A A^T + b (A + A^T) + e I of the pair A = (m0, m1): (a
-    (|m0|^2 + |m1|^2) + 2 b Re m0 + e, 2 m1 (a m0 + b)), inf past the floats."""
-    m0, m1 = m
-    return (resp.a * (m0 * m0.conjugate() + m1 * m1.conjugate()).real + 2.0 * resp.b * m0.real
-            + resp.e, 2.0 * m1 * (resp.a * m0 + resp.b))
-
-
-def _process_pair(phi, w, alpha):
-    """The pair of the process matrix R(phi) S(w, alpha)."""
-    return cmath.rect(math.cosh(w), phi), cmath.rect(math.sinh(w), phi + 2.0 * alpha)
 
 
 def _cov_preimages(cov, resp):

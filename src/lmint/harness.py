@@ -3,11 +3,11 @@ phase-estimator crossover locator, and the two-step noise calibration.
 
 A run is prepared before its first draw: each estimator for its assumed
 channel (estimators.prepare_<name>), and each data set's record law
-(measurement.record_laws) from one covariance of the closed-form response
-and the mean at its probe phase (interferometer.measured_moments).  An
-estimator that fails its data-independent checks books m_reps failures of
-that reason unrun, and a run with none left draws nothing.  A realization
-only keys its streams, draws (measurement.draw_from_laws) and estimates.
+(measurement.record_laws) from the scalars of interferometer.measured_moments:
+one covariance, and the mean at its probe phase.  An estimator that fails
+its data-independent checks books m_reps failures of that reason unrun, and
+a run with none left draws nothing.  A realization only keys its streams,
+draws (measurement.draw_from_laws) and estimates.
 Data set j of realization k at sweep point p draws from the stream
 np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
 SeedSequence(base_seed).spawn gives, so streams are independent by
@@ -348,23 +348,25 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
 def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
                 n_clamped: int) -> dict:
     """The CellStats of each parameter of estimator `name`, from its values on
-    the successful realizations (one row each), in one array pass: a row of
-    errors per parameter, each reduced as the 1-D array of its errors is."""
+    the successful realizations (one row each): per parameter, the means of
+    the squared errors, of the errors and of the squared deviations from
+    that, each summed on Python floats by math.fsum (correctly rounded)."""
     params = ESTIMATOR_PARAMS[base_name(name)]
     n_failed = sum(failures.values())
+    n_ok, unreliable = cfg.m_reps - n_failed, n_failed > 0.05 * cfg.m_reps
     if not rows:
         cell = CellStats(math.nan, math.nan, math.nan, 0, n_failed, n_clamped, True, failures)
         return dict.fromkeys(((name, p) for p in params), cell)
-    truth = [getattr(cfg.process, p) for p in params]
-    errs = np.array([[param_error(v, t, p) for v in column]  # one row per parameter
-                     for p, t, column in zip(params, truth, zip(*rows))])
-    mse, bias = (errs ** 2).mean(axis=1).tolist(), errs.mean(axis=1)
-    variance = ((errs - bias[:, None]) ** 2).mean(axis=1).tolist()
-    n_ok, unreliable = cfg.m_reps - n_failed, n_failed > 0.05 * cfg.m_reps
-    return {(name, p): CellStats(mse=mse[i], bias=float(bias[i]), variance=variance[i],
-                                 n_ok=n_ok, n_failed=n_failed, n_clamped=n_clamped,
-                                 unreliable=unreliable, failures=failures)
-            for i, p in enumerate(params)}
+    cells = {}
+    for p, column in zip(params, zip(*rows)):
+        truth, period = getattr(cfg.process, p), _PARAM_PERIODS.get(p)
+        errs = ([v - truth for v in column] if period is None  # param_error, by column
+                else [math.remainder(v - truth, period) for v in column])
+        bias = math.fsum(errs) / len(errs)
+        cells[name, p] = CellStats(math.fsum([e * e for e in errs]) / len(errs), bias,
+                                   math.fsum([(e - bias) * (e - bias) for e in errs]) / len(errs),
+                                   n_ok, n_failed, n_clamped, unreliable, failures)
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ ordered (matter, light).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ from .gaussian_core import (
     make_thermal,
     marginal,
     process_symplectic,
-    rotation,
-    squeeze_matrix,
     tensor,
     vacuum,
 )
@@ -68,12 +67,8 @@ class SetupConfig:
     @property
     def light_mean(self) -> np.ndarray:
         """Input mean of the coherent probe."""
-        return probe_mean(self.r_amp, self.probe_phase)
-
-
-def probe_mean(r_amp: float, phase: float) -> np.ndarray:
-    """Input mean of a coherent probe of amplitude r_amp at the given phase."""
-    return np.array([r_amp * math.cos(phase), r_amp * math.sin(phase)])
+        return np.array([self.r_amp * math.cos(self.probe_phase),
+                         self.r_amp * math.sin(self.probe_phase)])
 
 
 _MODE_SWAP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -128,11 +123,11 @@ class Response:
         mean = (through A + direct I) m_in + g_d d_vec
         cov  = a A A^T + b (A + A^T) + e I
 
-    with m_in the input mean of the coherent probe, or k of them as rows
-    of a k x 2 array.  Every input covariance and every coupler block is
-    proportional to the 2x2 identity, so six scalars per (setup, noise)
-    carry the whole model; forward is the reference it is checked against.
-    measured_state turns them into forward's state.
+    with m_in the probe's input mean, or k of them as rows.  Every input
+    covariance and coupler block is proportional to the 2x2 identity, so six
+    scalars per (setup, noise) carry the whole model.  The code runs it in
+    pair form on Python scalars (_process_pair, _sigma, measured_moments);
+    the tests check that against this matrix form (.mean, .cov) and forward.
     """
 
     through: float
@@ -147,6 +142,19 @@ class Response:
 
     def cov(self, mat: np.ndarray) -> np.ndarray:
         return self.a * (mat @ mat.T) + self.b * (mat + mat.T) + self.e * np.eye(2)
+
+
+def _process_pair(phi, w, alpha):
+    """The pair of the process matrix R(phi) S(w, alpha)."""
+    return cmath.rect(math.cosh(w), phi), cmath.rect(math.sinh(w), phi + 2.0 * alpha)
+
+
+def _sigma(m, resp):
+    """Sigma(A) = a A A^T + b (A + A^T) + e I of the pair A = (m0, m1): (a
+    (|m0|^2 + |m1|^2) + 2 b Re m0 + e, 2 m1 (a m0 + b)), inf past the floats."""
+    m0, m1 = m
+    return (resp.a * (m0 * m0.conjugate() + m1 * m1.conjugate()).real + 2.0 * resp.b * m0.real
+            + resp.e, 2.0 * m1 * (resp.a * m0 + resp.b))
 
 
 def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
@@ -178,23 +186,29 @@ def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
 
 
 def measured_moments(setup: SetupConfig, process: ProcessParams,
-                     noise: NoiseParams | None = None, phases=None) -> tuple[list, np.ndarray]:
-    """forward's measured light mode, read from the closed-form response at
-    each probe phase of `phases` (the setup's own by default): the list of
-    its means, one per phase, and its covariance, which no probe phase
-    changes.  One response and one process matrix serve every phase."""
+                     noise: NoiseParams | None = None, phases=None) -> tuple[list, tuple]:
+    """forward's measured light mode, in Python scalars, at each probe phase
+    of `phases` (the setup's own by default): the list of its means z = x +
+    ip, through (m0 z_in + m1 conj(z_in)) + direct z_in + g_d d e^{i beta}
+    for z_in = r e^{i phase} and the process pair (m0, m1), and its
+    covariance (Sxx, Sxp, Spp) = (c0 + Re c1, Im c1, c0 - Re c1) from
+    _sigma's (c0, c1), which no probe phase changes.  With s = |m0| + |m1|,
+    each is exact to a few eps of (through s + direct) r + g_d d (the mean)
+    or a s^2 + 2 |b| s + e (the covariance)."""
     resp = response(setup, noise)
-    mat = rotation(process.phi) @ squeeze_matrix(process.w, process.alpha)
-    d_vec = process.d_vec
-    means = [resp.mean(mat, d_vec, probe_mean(setup.r_amp, phase))
+    m0, m1 = pair = _process_pair(process.phi, process.w, process.alpha)
+    shift = resp.g_d * cmath.rect(process.d, process.beta)
+    z_ins = [cmath.rect(setup.r_amp, phase)
              for phase in ((setup.probe_phase,) if phases is None else phases)]
-    return means, resp.cov(mat)
+    c0, c1 = _sigma(pair, resp)
+    return ([resp.through * (m0 * z + m1 * z.conjugate()) + resp.direct * z + shift
+             for z in z_ins], (c0 + c1.real, c1.imag, c0 - c1.real))
 
 
 def measured_state(setup: SetupConfig, process: ProcessParams,
                    noise: NoiseParams | None = None) -> GaussianState:
-    """forward's measured light mode, read from the closed-form response:
-    one state instead of forward's chain of two-mode ones.  forward stays the
-    reference the tests check it against."""
-    (mean,), cov = measured_moments(setup, process, noise)
-    return GaussianState(mean, cov)
+    """forward's measured light mode as one state, built from the numbers of
+    measured_moments, instead of forward's chain of two-mode ones.  forward
+    stays the reference the tests check it against."""
+    (z,), (s_xx, s_xp, s_pp) = measured_moments(setup, process, noise)
+    return GaussianState(np.array([z.real, z.imag]), np.array([[s_xx, s_xp], [s_xp, s_pp]]))

@@ -1,19 +1,19 @@
 """Stochastic quadrature sampling, empirical moment recovery, and draws of
 the moments from their exact law.
 
-record_laws forms the law of the records a scheme takes of one state, with
-its physicality check and the closed-form factor of a paired covariance
-(LAPACK's operations), once per data set and run; draw_from_laws draws one
-realization's statistics from it, and draw_moments composes the two.  Every
-draw comes from a counter-based generator (Philox) keyed by a 64-bit seed,
-so it is reproducible.  One Philox bit generator per thread serves every
-draw: each draw resets its whole state to key (seed, 0) and counter 0, which
-is the stream of a fresh np.random.Philox(key=seed) at a fifth of the cost
-of building one.  The harness seeds each draw from the np.random.SeedSequence
+record_laws forms the law of the records a scheme takes of one state, given
+as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check
+and the closed-form factor of a paired covariance (LAPACK's operations),
+once per data set and run; draw_from_laws draws one realization's
+statistics from it, and draw_moments composes the two.  Every draw comes
+from a counter-based generator (Philox) keyed by a 64-bit seed, so it is
+reproducible.  One Philox bit generator per thread serves every draw: each
+draw resets its whole state to key (seed, 0) and counter 0, which is the
+stream of a fresh np.random.Philox(key=seed) at a fifth of the cost of
+building one.  The harness seeds each draw from the np.random.SeedSequence
 child keyed by (sweep point, realization, data set), which makes the streams
-of a run independent by construction.  The drawn statistics are held in the
-pair form the estimators read (see MomentEstimate), formed from scalars with
-no array per draw.
+of a run independent by construction.  The drawn statistics are formed from
+scalars in the pair form the estimators read (see MomentEstimate).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gaussian_core import GaussianState, _single_mode_nu
+from .gaussian_core import GaussianState
 
 
 class InsufficientDataError(ValueError):
@@ -132,32 +132,39 @@ def _cholesky(cov) -> tuple[float, float, float]:
     return l00, l10, math.sqrt(s_pp - l10 * l10)
 
 
-def record_laws(mean, cov, scheme: Scheme, n_samples: int) -> tuple:
+def record_laws(z: complex, cov: tuple, scheme: Scheme, n_samples: int) -> tuple:
     """The exact law of n_samples records that `scheme` takes of the
-    single-mode state (mean, cov), arrays of shape (2,) and (2, 2), as
-    (scheme, groups): per homodyne angle its group size, mean and variance,
-    or for paired records their count, mean (x, p) and the lower Cholesky
-    factor of their covariance (heterodyne adds one vacuum unit).  The
-    records at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with
-    variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp.  Raises ValueError for a
-    state of more modes or an unphysical one."""
-    if mean.size != 2:
-        raise ValueError("sampling expects a single-mode state")
-    if not _single_mode_nu(cov) >= 1.0 - 1e-9:  # gaussian_core.is_physical's test
+    single-mode state of mean z = x + ip and covariance cov = (Sxx, Sxp,
+    Spp), as (scheme, groups): per homodyne angle its group size, mean and
+    variance, or for paired records their count, mean (x, p) and the lower
+    Cholesky factor of their covariance (heterodyne adds one vacuum unit).
+    The records at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2,
+    with variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp.  Raises ValueError
+    for an unphysical state (gaussian_core.is_physical's test)."""
+    s_xx, s_xp, s_pp = cov
+    if not math.sqrt(max(s_xx * s_pp - s_xp * s_xp, 0.0)) >= 1.0 - 1e-9:
         raise ValueError("cannot sample an unphysical state")
-    (m_x, m_p), ((s_xx, s_xp), (s_px, s_pp)) = mean.tolist(), cov.tolist()
+    m_x, m_p = z.real, z.imag
     if scheme in _ANGLES:
         laws = ((m_x, s_xx), (m_p, s_pp),
                 ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
         return scheme, [(n, mu, var) for n, (mu, var) in zip(_group_sizes(scheme, n_samples), laws)]
     if scheme is Scheme.HETERODYNE:
         s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
-    return scheme, [(n_samples, (m_x, m_p), _cholesky(((s_xx, s_xp), (s_px, s_pp))))]
+    return scheme, [(n_samples, (m_x, m_p), _cholesky(((s_xx, s_xp), (s_xp, s_pp))))]
+
+
+def _state_laws(state: GaussianState, plan: MeasurementPlan) -> tuple:
+    """record_laws of a single-mode state (else ValueError) under the plan."""
+    if state.mean.size != 2:
+        raise ValueError("sampling expects a single-mode state")
+    (m_x, m_p), ((s_xx, s_xp), (_, s_pp)) = state.mean.tolist(), state.cov.tolist()
+    return record_laws(complex(m_x, m_p), (s_xx, s_xp, s_pp), plan.scheme, plan.n_samples)
 
 
 def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
     """Draw measurement records from a single-mode state; pure given the seed."""
-    _, laws = record_laws(state.mean, state.cov, plan.scheme, plan.n_samples)
+    _, laws = _state_laws(state, plan)
     rng = _rng(plan.seed)
     if plan.scheme in _ANGLES:
         quad = {theta: mu + math.sqrt(var) * rng.standard_normal(n)
@@ -308,8 +315,7 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     """The MomentEstimate of the records sample(state, plan) would give, drawn
     from its exact law (the same law, not the same numbers): record_laws,
     then draw_from_laws on the plan's seed."""
-    return draw_from_laws(record_laws(state.mean, state.cov, plan.scheme, plan.n_samples),
-                          plan.seed)
+    return draw_from_laws(_state_laws(state, plan), plan.seed)
 
 
 def draw_from_laws(laws: tuple, seed: int) -> MomentEstimate:

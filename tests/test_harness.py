@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,63 @@ def test_param_error_is_circular():
     assert param_error(3.1, -3.1, "phi") == pytest.approx(6.2 - 2 * math.pi)
     assert param_error(1.5, -1.5, "alpha") == pytest.approx(3.0 - math.pi)
     assert param_error(5.0, 1.0, "d") == pytest.approx(4.0)
+
+
+def test_cell_stats_match_a_numpy_reduction(bench_setup):
+    # _cell_stats sums each parameter's errors on Python floats (math.fsum).
+    # It must agree with numpy's mean of e^2, mean, and mean squared
+    # deviation about that mean within a few ulps of scale (the MSE, or
+    # the mean |e| for the bias), at any size and for angular errors that
+    # wrap near +-pi.
+    few = 4 * np.finfo(float).eps
+    rng = np.random.default_rng(4242)
+    process = ProcessParams.from_q(phi=3.0, q=2.0, alpha=1.4, d=4.0, beta=-3.1)
+    params = ESTIMATOR_PARAMS["cov_method"]
+    truth = [getattr(process, p) for p in params]
+    for n in (1, 2, *rng.integers(3, 2001, size=12).tolist()):
+        cfg = mc(bench_setup, process, estimators=("cov_method",), m_reps=max(n, 2))
+        rows = []
+        for _ in range(n):
+            row = []
+            for p, t in zip(params, truth):
+                period = harness._PARAM_PERIODS.get(p)
+                if period is None:
+                    row.append(t + rng.normal(0.0, rng.choice([1e-3, 1.0])))
+                else:  # an error of nearly half a period, either sign
+                    side = rng.choice([-1.0, 1.0])
+                    row.append(math.remainder(
+                        t + side * (0.5 * period - abs(rng.normal(0.0, 0.05))), period))
+            rows.append(tuple(row))
+        cells = harness._cell_stats(cfg, "cov_method", rows, {}, 0)
+        for i, p in enumerate(params):
+            errs = np.array([param_error(row[i], truth[i], p) for row in rows])
+            mse, bias = np.mean(errs ** 2), np.mean(errs)
+            cell = cells[("cov_method", p)]
+            assert abs(cell.mse - mse) <= few * mse
+            assert abs(cell.bias - bias) <= few * np.mean(np.abs(errs))
+            assert abs(cell.variance - np.mean((errs - bias) ** 2)) <= few * mse
+            # The sums are correctly rounded: the exact sum of the floats, rounded once.
+            assert cell.bias == float(sum(Fraction(e) for e in errs.tolist())) / n
+            assert cell.mse == float(sum(Fraction(e * e) for e in errs.tolist())) / n
+            assert (cell.n_ok, cell.n_failed, cell.failures) == (cfg.m_reps, 0, {})
+
+
+def test_cell_stats_of_empty_and_failed_cells(bench_setup, bench_process):
+    # A cell with no success keeps NaN statistics and books its failures;
+    # more than 5% failed marks a cell unreliable.
+    cfg = mc(bench_setup, bench_process, estimators=("phase_ml",), m_reps=20)
+    for failures in ({"UnidentifiableError": 20}, {"EstimationError": 12, "FitRejectedError": 8}):
+        (cell,) = harness._cell_stats(cfg, "phase_ml", [], failures, 3).values()
+        assert math.isnan(cell.mse) and math.isnan(cell.bias) and math.isnan(cell.variance)
+        assert (cell.n_ok, cell.n_failed, cell.n_clamped) == (0, 20, 3)
+        assert cell.unreliable and cell.failures == failures
+    rows = [(bench_process.phi + 0.01,)] * 18
+    (cell,) = harness._cell_stats(cfg, "phase_ml", rows, {"EstimationError": 2}, 0).values()
+    assert (cell.n_ok, cell.n_failed, cell.unreliable) == (18, 2, True)
+    assert cell.bias == pytest.approx(0.01) and cell.variance == pytest.approx(0.0, abs=1e-30)
+    (cell,) = harness._cell_stats(cfg, "phase_ml", rows[:1] * 19, {"EstimationError": 1},
+                                  0).values()
+    assert (cell.n_ok, cell.n_failed, cell.unreliable) == (19, 1, False)
 
 
 def test_run_mc_shape_and_determinism(bench_setup, bench_process):

@@ -17,6 +17,7 @@ from lmint import (
 )
 from lmint.estimators import W_MAX
 from lmint.gaussian_core import is_physical, make_coherent, rotation, squeeze_matrix
+from lmint.interferometer import measured_moments
 
 
 def test_setup_validation():
@@ -187,3 +188,46 @@ def test_response_matches_forward(topology, t1, t2, v, r, probe_phase, phi, w, a
     drawn = measured_state(setup, process, noise)
     assert np.abs(drawn.mean - state.mean).max() <= 1e-12 * max(1.0, np.abs(state.mean).max())
     assert np.abs(drawn.cov - state.cov).max() <= 1e-12 * np.abs(state.cov).max()
+
+
+def test_pair_form_matches_matrix_form_and_forward():
+    # measured_moments runs the response in pair form on Python scalars.
+    # Each entry must agree with the matrix form (Response.mean and .cov of
+    # R(phi) S(w, alpha)) and with forward to a few eps of the size its
+    # docstring names: (through s + direct) r + g_d d for the mean and
+    # a s^2 + 2 |b| s + e for the covariance, s = |m0| + |m1| = e^w.
+    # measured_state is those very numbers as a GaussianState.
+    few = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(2323)
+    for topology in Topology:
+        for noisy in (False, True):
+            for _ in range(40):
+                noise = (NoiseParams(t_c=rng.uniform(0.01, 1.0), v_c=rng.uniform(1.0, 5.0))
+                         if noisy else None)
+                setup = SetupConfig(topology, t1=rng.uniform(), t2=rng.uniform(),
+                                    v_thermal=rng.uniform(1.0, 300.0),
+                                    r_amp=rng.uniform(0.0, 300.0),
+                                    probe_phase=rng.uniform(-math.pi, math.pi))
+                process = ProcessParams.folded(
+                    phi=rng.uniform(-math.pi, math.pi), w=rng.uniform(0.0, W_MAX),
+                    alpha=rng.uniform(-math.pi / 2, math.pi / 2), d=rng.uniform(0.0, 20.0),
+                    beta=rng.uniform(-math.pi, math.pi))
+                phases = [0.0, math.pi / 2, math.pi, rng.uniform(-math.pi, math.pi)]
+                means, (s_xx, s_xp, s_pp) = measured_moments(setup, process, noise, phases)
+                resp, s = response(setup, noise), math.exp(process.w)
+                mean_tol = few * ((resp.through * s + resp.direct) * setup.r_amp
+                                  + resp.g_d * process.d)
+                cov_tol = few * (resp.a * s * s + 2.0 * abs(resp.b) * s + resp.e)
+                cov = np.array([[s_xx, s_xp], [s_xp, s_pp]])
+                assert np.abs(cov - resp.cov(_matrix(process))).max() <= cov_tol
+                for phase, z in zip(phases, means):
+                    at_phase = dataclasses.replace(setup, probe_phase=phase)
+                    mean = np.array([z.real, z.imag])
+                    want = resp.mean(_matrix(process), process.d_vec, at_phase.light_mean)
+                    assert np.abs(mean - want).max() <= mean_tol
+                    state = forward(at_phase, process, noise)
+                    assert np.abs(mean - state.mean).max() <= mean_tol
+                    assert np.abs(cov - state.cov).max() <= cov_tol
+                    drawn = measured_state(at_phase, process, noise)
+                    assert drawn.mean.tolist() == mean.tolist()
+                    assert drawn.cov.tolist() == cov.tolist()

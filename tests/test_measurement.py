@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lmint import MeasurementPlan, Scheme, estimate_moments, sample
-from lmint.gaussian_core import GaussianState, make_coherent, make_thermal, vacuum
+from lmint.gaussian_core import (
+    GaussianState, is_physical, make_coherent, make_thermal, squeeze_matrix, vacuum,
+)
 from lmint.measurement import (
-    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_moments,
+    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_moments, record_laws,
 )
 
 
@@ -51,6 +53,35 @@ def test_sampling_rejects_multimode_and_unphysical():
             draw(GaussianState(np.zeros(4), np.eye(4)), plan(Scheme.JOINT, 100))
         with pytest.raises(ValueError):
             draw(GaussianState(np.zeros(2), 0.2 * np.eye(2)), plan(Scheme.JOINT, 100))
+
+
+def test_record_laws_rejects_exactly_the_unphysical_states():
+    # record_laws reads the covariance as scalars; it must reject exactly
+    # the states gaussian_core.is_physical rejects, also where rounding
+    # decides: symplectic eigenvalues a few eps either side of 1 and of
+    # the tolerance edge 1 - 1e-9.
+    rng = np.random.default_rng(77)
+    eps = np.finfo(float).eps
+    verdicts = set()
+    for edge in (1.0, 1.0 - 1e-9):
+        for k in range(-6, 7):
+            for _ in range(20):
+                cov = edge * (1.0 + k * eps) * squeeze_matrix(rng.uniform(0.0, 2.0),
+                                                                rng.uniform(-3.0, 3.0))
+                state = GaussianState(np.array([0.3, -1.2]), cov)
+                (s_xx, s_xp), (_, s_pp) = state.cov.tolist()
+                physical = is_physical(state)
+                verdicts.add(physical)
+                for scheme in Scheme:
+                    if physical:
+                        record_laws(0.3 - 1.2j, (s_xx, s_xp, s_pp), scheme, 30)
+                        draw_moments(state, plan(scheme, 30))
+                    else:
+                        with pytest.raises(ValueError, match="unphysical"):
+                            record_laws(0.3 - 1.2j, (s_xx, s_xp, s_pp), scheme, 30)
+                        with pytest.raises(ValueError, match="unphysical"):
+                            draw_moments(state, plan(scheme, 30))
+    assert verdicts == {True, False}
 
 
 def test_joint_vacuum_variance():
