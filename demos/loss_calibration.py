@@ -32,11 +32,10 @@ print("\n== naive versus calibrated estimation under loss ==")
 print(f"{'loss':>5s} {'naive d MSE':>12s} {'cal d MSE':>12s}"
       f" {'naive q MSE':>12s} {'cal q MSE':>12s}")
 for loss in (0.0, 0.3, 0.5):
-    noise = None if loss == 0.0 else NoiseParams(t_c=1.0 - loss, v_c=1.2)
     report = run_mc(MonteCarloConfig(
         setup=setup, process=truth, plan=plan,
         estimators=("mean_method", "naive_mean_method"),
-        noise=noise, calibration="auto", m_reps=30, base_seed=17,
+        noise=NoiseParams(t_c=1.0 - loss, v_c=1.2), calibration="auto", m_reps=30, base_seed=17,
     ))
     print(f"{loss:5.1f} {report.mse('naive_mean_method', 'd'):12.3e}"
           f" {report.mse('mean_method', 'd'):12.3e}"

@@ -5,6 +5,7 @@ flat in r; the mean-based estimator improves as 1/r^2.  The two curves
 cross at a critical amplitude, above which the bright probe wins.
 """
 from lmint import (
+    IDEAL_NOISE,
     MeasurementPlan,
     MonteCarloConfig,
     ProcessParams,
@@ -29,7 +30,7 @@ print(f"{'r':>8s} {'var-based':>12s} {'mean-based':>12s} {'max-lik':>12s} {'CRB'
 for r, report in sweep(cfg, "r", [2.0, 10.0, 50.0, 250.0]):
     point = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.1, t2=0.1,
                         v_thermal=100.0, r_amp=r)
-    bound = crb(fisher_numeric(point, process, None, "phi"), plan.n_samples)
+    bound = crb(fisher_numeric(point, process, IDEAL_NOISE, "phi"), plan.n_samples)
     print(f"{r:8.1f} {report.mse('phase_var', 'phi'):12.3e}"
           f" {report.mse('phase_mean', 'phi'):12.3e}"
           f" {report.mse('phase_ml', 'phi'):12.3e} {bound:12.3e}")

@@ -174,7 +174,8 @@ def load_config(path: str, overrides) -> dict:
             raise ConfigError("process: give either q or w, not both")
         process["w"] = math.log(_read(process, "process.", "q", float, low=1))
         del process["q"]
-    cfg = {name: _section(raw[name], name) if name in raw else None for name in _SECTIONS}
+    # Only the noise section may be absent; its defaults are IDEAL_NOISE.
+    cfg = {name: _section(raw.get(name, {}), name) for name in _SECTIONS}
     cfg.update({key: _read(raw, "", key, *spec) for key, spec in _TOP.items()})
     cfg["estimators"] = raw.get("estimators", [])
     if not isinstance(cfg["estimators"], list) or not all(

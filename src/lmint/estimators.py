@@ -101,7 +101,7 @@ def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     resp = response(setup, noise)
     if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
-    baseline = (resp.through + resp.direct) * complex(*setup.light_mean)  # mean at A = I, d = 0
+    baseline = (resp.through + resp.direct) * setup.light_mean  # mean at A = I, d = 0
 
     def estimate(moments: MomentEstimate) -> tuple[float, float]:
         d_vec = (moments.z - baseline) / resp.g_d
@@ -271,7 +271,10 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     leave the bracket, or a score that does not fall, bisects it instead,
     and the sign of each score narrows it.  So the polish converges to
     rounding of the score where comparisons of likelihood values cannot
-    resolve the maximum.  Raises UnidentifiableError when
+    resolve the maximum.  When no probe light passes the process (a dark
+    probe) only the variance carries the phase, the likelihood is even in
+    phi, and the non-negative one of the two mirror maxima is returned, as
+    est_phase_var returns |phi|.  Raises UnidentifiableError when
     neither moment depends on the phase: no probe light passes the process
     (simplistic topology, a dark probe, t1 = 0) and the covariance has no
     linear term (b = 0).
@@ -282,11 +285,12 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
 def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     """est_phase_ml for one setup and channel; UnidentifiableError when through r = b = 0."""
     resp = response(setup, noise)
-    if resp.through * setup.r_amp == 0.0 and resp.b == 0.0:
+    dark = resp.through * setup.r_amp == 0.0  # the likelihood is even in phi
+    if dark and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    m_in = [setup.light_mean.tolist()]
-    scan = _phase_scan(resp, complex(*m_in[0]))
+    m_in = [setup.light_mean]
+    scan = _phase_scan(resp, m_in[0])
 
     def estimate(moments: MomentEstimate) -> float:
         blocks = _blocks([moments], m_in)
@@ -299,7 +303,7 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             slope = -info if last is None else (s - last[1]) / (phi - last[0])
             trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
             if abs(trial - phi) < _PHASE_TOL:
-                return fold_angle(trial)
+                return abs(fold_angle(trial)) if dark else fold_angle(trial)
             if not lo < trial < hi:
                 trial = 0.5 * (lo + hi)
             last, phi = (phi, s), trial
@@ -482,7 +486,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     carries no rotation signal, and InsufficientDataError when the read-out
     lacks the full covariance.
     """
-    return prepare_general_cov(setup, noise, moments.has_full_cov)(moments)
+    return prepare_general_cov(setup, noise, moments.scheme.has_full_cov)(moments)
 
 
 def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
@@ -497,7 +501,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         raise UnidentifiableError(
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
-    m_in = complex(*setup.light_mean)
+    m_in = setup.light_mean
 
     def estimate(moments: MomentEstimate) -> EstimateReport:
         # Every process matrix consistent with the fitted covariance, once each;
@@ -638,8 +642,8 @@ _DIAGONAL = (1 + 1j) * math.sqrt(0.5)
 
 def _blocks(data, m_in) -> list:
     """The Gaussian data sets behind the MomentEstimates in data, probed by
-    the rows of m_in, in their pair form: n records of P z ~ N(P mu, P Sigma
-    P^T + added), one set of paired records (P = I, heterodyne
+    the complex inputs m_in, in their pair form: n records of P z ~ N(P mu,
+    P Sigma P^T + added), one set of paired records (P = I, heterodyne
     adds the vacuum unit back) or one per homodyne angle (P = p^T, p the
     angle's unit vector; homodyne3's pi/4 mean only if kept), in blocks of
     one P and added variance.  Per block: p (None for P = I), the added
@@ -649,7 +653,7 @@ def _blocks(data, m_in) -> list:
     mean or None, P^T S P, det S)."""
     keys, groups = [], []  # (p, added) of each block and its sets, in order of first use
     for moments, m in zip(data, m_in):
-        m, n = complex(*m), moments.n_effective
+        n = moments.n_effective
         z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
         if scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE:
             added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
@@ -680,18 +684,6 @@ def _blocks(data, m_in) -> list:
                 m2_0, m2_1 = m2_0 + n * abs(m) ** 2, m2_1 + n * m * m
         blocks.append((p, added, (n_all, n_mean, m1, (m2_0 / 2, m2_1 / 2), (s0, s1)), sets))
     return blocks
-
-
-def _record_block(m, mean_only):
-    """A block of no data whose sums count one record of the full pair with a
-    mean probed by m, and none of its covariance (N = 0) when mean_only, for
-    _joint_fit's information; its one set (n = 1, m, conj m, mean 0, the
-    identity form, det 1) is the same record for _phase_loglik's mean term.
-    Neither information reads a mean, form or scatter, so only the
-    information of either kernel means anything for this block."""
-    m = complex(*m)
-    sums = (0.0 if mean_only else 1.0, 1.0, m, (abs(m) ** 2 / 2, m * m / 2), (0, 0))
-    return None, 0.0, sums, [(1.0, m, m.conjugate(), 0j, (1.0, 0j), 1.0)]
 
 
 def _joint_fit(x, blocks, resp):
@@ -852,8 +844,7 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     estimate starts from prepare_general_mean's estimate."""
     start = prepare_general_mean(setup, noise)
     resp = response(setup, noise)
-    m_in = [(setup.r_amp * math.cos(p), setup.r_amp * math.sin(p))
-            for p in (setup.probe_phase, *PROBE_PHASES)]
+    m_in = [cmath.rect(setup.r_amp, p) for p in (setup.probe_phase, *PROBE_PHASES)]
 
     def estimate(single_moments: MomentEstimate, probe_moments) -> EstimateReport:
         x = _chart_point(start(probe_moments).params)

@@ -16,7 +16,8 @@ import numpy as np
 from . import estimators
 from .gaussian_core import ProcessParams
 from .interferometer import SetupConfig, Topology, response
-from .noise import NoiseParams
+from .measurement import MomentEstimate
+from .noise import IDEAL_NOISE, NoiseParams
 
 
 # Kept for callers that import and catch it; nothing in lmint raises it.
@@ -42,23 +43,28 @@ class FisherResult:
 #: Row and column order of fisher_matrix.
 PARAMETERS = ("phi", "w", "alpha", "d", "beta")
 
+#: One record of the joint read-out, of mean 0 and scatter I: the kernels'
+#: information over its _blocks reads no mean or scatter, only the record
+#: count and the probe.
+_ONE_RECORD = MomentEstimate(0j, 1.0, 0j,
+                             dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), 1))
+
 
 def fisher_matrix(setup: SetupConfig, process: ProcessParams,
-                  noise: NoiseParams | None = None, *, mean_only: bool = False) -> np.ndarray:
+                  noise: NoiseParams = IDEAL_NOISE) -> np.ndarray:
     """Per-sample 5x5 Fisher information of the joint read-out in PARAMETERS
     order: the information of estimators._joint_fit for one record probed by
     setup.light_mean at the process's chart point, carried to (phi, w,
-    alpha, d, beta) by the chart's Jacobian.  mean_only keeps the mean term
-    of the information."""
+    alpha, d, beta) by the chart's Jacobian."""
     x, jac = estimators.chart(process)
-    block = estimators._record_block(setup.light_mean, mean_only)
-    info = estimators._joint_fit(x, [block], response(setup, noise))[2]
+    blocks = estimators._blocks([_ONE_RECORD], [setup.light_mean])
+    info = estimators._joint_fit(x, blocks, response(setup, noise))[2]
     if info is None:
         raise OverflowError(f"the model covariance overflows at w = {process.w}")
     return jac.T @ info @ jac
 
 
-def fisher_displacement(setup: SetupConfig, noise: NoiseParams | None = None) -> FisherResult:
+def fisher_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE) -> FisherResult:
     """Per-sample information about the displacement magnitude under the
     channel, g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I,
     where the output covariance is (a + 2b + e) I."""
@@ -67,7 +73,7 @@ def fisher_displacement(setup: SetupConfig, noise: NoiseParams | None = None) ->
 
 
 def fisher_numeric(setup: SetupConfig, process: ProcessParams,
-                   noise: NoiseParams | None, parameter: str) -> FisherResult:
+                   noise: NoiseParams, parameter: str) -> FisherResult:
     """Per-sample information about one process parameter: a diagonal entry
     of fisher_matrix."""
     if parameter not in PARAMETERS:
@@ -107,9 +113,9 @@ def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> Crossing
     crossing list is a valid result.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
-    block = estimators._record_block(setup.light_mean, False)
+    blocks = estimators._blocks([_ONE_RECORD], [setup.light_mean])
     fi_i, fi_b = (estimators._phase_loglik(phi_grid, response(dc_replace(setup, topology=t)),
-                                           [block])[2]
+                                           blocks)[2]
                   for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM))
     diff, grid, crossings = (fi_i - fi_b).tolist(), phi_grid.tolist(), []
     nonzero = [k for k, d in enumerate(diff) if d != 0.0]

@@ -80,7 +80,7 @@ class MonteCarloConfig:
     process: ProcessParams
     plan: MeasurementPlan
     estimators: tuple
-    noise: NoiseParams | None = None           # true channel used in simulation
+    noise: NoiseParams = IDEAL_NOISE           # true channel used in simulation
     calibration: str = "true"                  # "true" | "auto"
     calibration_samples: int | None = None     # probe shots for "auto"; defaults to plan.n_samples
     m_reps: int = 10_000
@@ -282,7 +282,7 @@ def _resolve_assumed(cfg: MonteCarloConfig, name: str,
         return IDEAL_NOISE
     if cfg.calibration == "auto":
         return calibrated
-    return cfg.noise or IDEAL_NOISE
+    return cfg.noise
 
 
 def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
@@ -386,10 +386,7 @@ def apply_axis(cfg: MonteCarloConfig, axis: str, value: float) -> MonteCarloConf
     if axis == "T":
         return dc_replace(cfg, setup=dc_replace(cfg.setup, t1=float(value), t2=float(value)))
     if axis == "loss":
-        v_c = cfg.noise.v_c if cfg.noise is not None else 1.0
-        t_c = 1.0 - float(value)
-        noise = None if t_c >= 1.0 and v_c == 1.0 else NoiseParams(t_c=t_c, v_c=v_c)
-        return dc_replace(cfg, noise=noise)
+        return dc_replace(cfg, noise=NoiseParams(t_c=1.0 - float(value), v_c=cfg.noise.v_c))
     if axis == "Phi":
         return dc_replace(cfg, process=ProcessParams.folded(
             phi=float(value), w=cfg.process.w, alpha=cfg.process.alpha,
@@ -416,8 +413,10 @@ _R2_RELIABLE = 0.9
 
 def fit_exponent(table) -> dict:
     """Least-squares power-law exponents of log MSE vs log axis value, over
-    the grid points where the cell's MSE is finite and positive (an empty
-    cell has none); with fewer than 4 such points c and r_squared are NaN.
+    the grid points where the axis value is positive and the cell's MSE
+    finite and positive (an empty cell has none; a loss of 0 or a phase of
+    0 or below has no logarithm); with fewer than 4 such points c and
+    r_squared are NaN.
 
     Returns (estimator, parameter) -> ExponentFit for every cell in the table.
     """
@@ -426,7 +425,7 @@ def fit_exponent(table) -> dict:
     out = {}
     for key in table[0][1].cells:
         points = [(v, rep.cells[key].mse) for v, rep in table
-                  if 0.0 < rep.cells[key].mse < math.inf]
+                  if v > 0.0 and 0.0 < rep.cells[key].mse < math.inf]
         if len(points) < 4:
             out[key] = ExponentFit(c=math.nan, r_squared=math.nan, reliable=False)
             continue
@@ -495,7 +494,7 @@ _GAIN_MARGIN = 0.10
 
 
 def calibrate(setup: SetupConfig, plan: MeasurementPlan,
-              true_noise: NoiseParams | None) -> NoiseParams:
+              true_noise: NoiseParams) -> NoiseParams:
     """Estimate the decoherence channel with the unknown process switched off.
 
     Runs the three-probe mean protocol against the identity process: the mean

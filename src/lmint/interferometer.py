@@ -29,7 +29,7 @@ from .gaussian_core import (
     tensor,
     vacuum,
 )
-from .noise import NoiseParams
+from .noise import IDEAL_NOISE, NoiseParams
 
 
 class Topology(Enum):
@@ -65,10 +65,9 @@ class SetupConfig:
             raise ValueError(f"r_amp must be >= 0, got {self.r_amp}")
 
     @property
-    def light_mean(self) -> np.ndarray:
-        """Input mean of the coherent probe."""
-        return np.array([self.r_amp * math.cos(self.probe_phase),
-                         self.r_amp * math.sin(self.probe_phase)])
+    def light_mean(self) -> complex:
+        """Input mean z_in = r e^{i probe_phase} of the coherent probe."""
+        return cmath.rect(self.r_amp, self.probe_phase)
 
 
 _MODE_SWAP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -90,15 +89,13 @@ def _coupler(t: float) -> SymplecticOp:
 
 
 def _apply_process(state: GaussianState, process: ProcessParams,
-                   noise: NoiseParams | None, mode: int) -> GaussianState:
+                   noise: NoiseParams, mode: int) -> GaussianState:
     out = apply(embed(process_symplectic(process), state.n_modes, mode), state)
-    if noise is not None:
-        out = loss_channel(out, mode, noise.t_c, noise.v_c)
-    return out
+    return loss_channel(out, mode, noise.t_c, noise.v_c)
 
 
 def forward(setup: SetupConfig, process: ProcessParams,
-            noise: NoiseParams | None = None) -> GaussianState:
+            noise: NoiseParams = IDEAL_NOISE) -> GaussianState:
     """Propagate probe and matter through the setup; return the measured light mode."""
     if setup.topology is Topology.SIMPLISTIC:
         m = _apply_process(make_thermal(setup.v_thermal), process, noise, 0)
@@ -123,11 +120,13 @@ class Response:
         mean = (through A + direct I) m_in + g_d d_vec
         cov  = a A A^T + b (A + A^T) + e I
 
-    with m_in the probe's input mean, or k of them as rows.  Every input
-    covariance and coupler block is proportional to the 2x2 identity, so six
-    scalars per (setup, noise) carry the whole model.  The code runs it in
-    pair form on Python scalars (_process_pair, _sigma, measured_moments);
-    the tests check that against this matrix form (.mean, .cov) and forward.
+    with m_in the vector (x, p) of the probe's input mean z_in = x + ip, or
+    k of them as rows; .mean takes z_in (see SetupConfig.light_mean) or an
+    array of k of them.  Every input covariance and coupler block is
+    proportional to the 2x2 identity, so six scalars per (setup, noise)
+    carry the whole model.  The code runs it in pair form on Python scalars
+    (_process_pair, _sigma, measured_moments); the tests check that against
+    this matrix form (.mean, .cov) and forward.
     """
 
     through: float
@@ -137,7 +136,8 @@ class Response:
     b: float
     e: float
 
-    def mean(self, mat: np.ndarray, d_vec: np.ndarray, m_in: np.ndarray) -> np.ndarray:
+    def mean(self, mat: np.ndarray, d_vec: np.ndarray, z_in) -> np.ndarray:
+        m_in = np.stack([np.real(z_in), np.imag(z_in)], axis=-1)
         return m_in @ (self.through * mat + self.direct * np.eye(2)).T + self.g_d * d_vec
 
     def cov(self, mat: np.ndarray) -> np.ndarray:
@@ -157,10 +157,10 @@ def _sigma(m, resp):
             + resp.e, 2.0 * m1 * (resp.a * m0 + resp.b))
 
 
-def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
+def response(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE) -> Response:
     """The six response scalars of the setup under the matter channel.
 
-    Write V for v_thermal and take t_c = v_c = 1 without noise.  The matter
+    Write V for v_thermal; IDEAL_NOISE is t_c = v_c = 1.  The matter
     leg carries t2 t_c times the process output; what it carries in is the
     thermal matter alone (simplistic), or that mixed with the probe by the
     first coupler, V (1 - t1) + t1 (blocked beam and interferometric).  The
@@ -169,7 +169,7 @@ def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
     topology no probe light passes the process (through = 0).
     """
     t1, t2, v = setup.t1, setup.t2, setup.v_thermal
-    t_c, v_c = (1.0, 1.0) if noise is None else (noise.t_c, noise.v_c)
+    t_c, v_c = noise.t_c, noise.v_c
     g_d = math.sqrt(t2 * t_c)
     bath = t2 * (1.0 - t_c) * v_c
     if setup.topology is Topology.SIMPLISTIC:
@@ -186,7 +186,7 @@ def response(setup: SetupConfig, noise: NoiseParams | None = None) -> Response:
 
 
 def measured_moments(setup: SetupConfig, process: ProcessParams,
-                     noise: NoiseParams | None = None, phases=None) -> tuple[list, tuple]:
+                     noise: NoiseParams = IDEAL_NOISE, phases=None) -> tuple[list, tuple]:
     """forward's measured light mode, in Python scalars, at each probe phase
     of `phases` (the setup's own by default): the list of its means z = x +
     ip, through (m0 z_in + m1 conj(z_in)) + direct z_in + g_d d e^{i beta}
@@ -206,7 +206,7 @@ def measured_moments(setup: SetupConfig, process: ProcessParams,
 
 
 def measured_state(setup: SetupConfig, process: ProcessParams,
-                   noise: NoiseParams | None = None) -> GaussianState:
+                   noise: NoiseParams = IDEAL_NOISE) -> GaussianState:
     """forward's measured light mode as one state, built from the numbers of
     measured_moments, instead of forward's chain of two-mode ones.  forward
     stays the reference the tests check it against."""

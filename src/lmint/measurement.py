@@ -51,7 +51,7 @@ class Scheme(Enum):
 
     @property
     def has_full_cov(self) -> bool:
-        """Whether the records pin Cov(x, p), as each MomentEstimate of them says."""
+        """Whether the records pin Cov(x, p)."""
         return self is not Scheme.HOMODYNE_SPLIT2
 
 
@@ -217,10 +217,6 @@ class MomentEstimate:
     def cov(self) -> np.ndarray:
         c0, c1 = self.c0, self.c1
         return np.array([[c0 + c1.real, c1.imag], [c1.imag, c0 - c1.real]])
-
-    @property
-    def has_full_cov(self) -> bool:
-        return self.n_effective.get("cov_xp", 0) > 0
 
 
 def _smaller_eigenvalue(a: float, b: float, c: float) -> float:

@@ -13,8 +13,12 @@ from lmint.estimators import PROBE_PHASES
 from lmint.gaussian_core import rotation
 from lmint.interferometer import Response, response
 from lmint.measurement import MomentEstimate, Scheme
+from lmint.noise import IDEAL_NOISE
 
 FULL_N_EFF = {"mean_x": 1, "mean_p": 1, "var_x": 1, "var_p": 1, "cov_xp": 1}
+
+#: No channel (IDEAL_NOISE) as a test parameter, under the id "None".
+NO_CHANNEL = pytest.param(IDEAL_NOISE, id="None")
 
 
 @pytest.fixture
@@ -33,7 +37,7 @@ def exact_moments(state) -> MomentEstimate:
     return MomentEstimate(mean=state.mean, cov=state.cov, n_effective=FULL_N_EFF)
 
 
-def exact_probe_moments(setup, process, noise=None):
+def exact_probe_moments(setup, process, noise=IDEAL_NOISE):
     """Noise-free moments for the three-probe protocol."""
     out = []
     for phase in PROBE_PHASES:
@@ -59,7 +63,7 @@ def _forward_moments(setup, theta, noise):
     return state.mean, state.cov
 
 
-def fisher_matrix(setup, process, noise=None, *, mean_only=False):
+def fisher_matrix(setup, process, noise=IDEAL_NOISE, *, mean_only=False):
     """Per-sample 5x5 Fisher matrix of one joint read-out in (phi, q, alpha, d, beta).
 
     Gaussian identity (as in lmint.fisher):
@@ -124,15 +128,16 @@ def _squeeze(u: float, v: float):
             c1 * (v * eye + _SIGMA_X) + v * c2 * k)
 
 
-def moment_derivatives(resp: Response, x, m_in):
+def moment_derivatives(resp: Response, x, z_in):
     """Sigma and dSigma (5 x 2 x 2) of the measured mode along the chart x
     (see estimators.chart), with A = R(phi) S, and mu (k x 2) and dmu (k x 5 x 2) for
-    each of the k probe inputs m_in (k x 2), on which Sigma does not depend.
+    each of the k complex probe inputs z_in, on which Sigma does not depend.
 
     dA/dphi = J A and dA/du, dA/dv = R(phi) dS/du, R(phi) dS/dv.  The mean
     moves with through dA m_in and with g_d along (c, s); the covariance
     moves with a (dA A^T + A dA^T) + b (dA + dA^T) and not with (c, s).
     """
+    m_in = np.array([[z.real, z.imag] for z in z_in])
     rot = rotation(x[0])
     sq, sq_u, sq_v = _squeeze(x[1], x[2])
     mat = rot @ sq
@@ -143,7 +148,7 @@ def moment_derivatives(resp: Response, x, m_in):
     d_sig = np.zeros((5, 2, 2))
     lin = resp.a * (d_mat @ mat.T) + resp.b * d_mat
     d_sig[:3] = lin + lin.transpose(0, 2, 1)
-    return resp.mean(mat, np.array([x[3], x[4]]), m_in), resp.cov(mat), d_mu, d_sig
+    return resp.mean(mat, np.array([x[3], x[4]]), z_in), resp.cov(mat), d_mu, d_sig
 
 
 def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
@@ -190,7 +195,7 @@ def reference_joint_fit(x, sets, noise):
     deviance, score, info = 0.0, np.zeros(5), np.zeros((5, 5))
     for setup, groups in sets:
         mu, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x,
-                                                  setup.light_mean[None])
+                                                  [setup.light_mean])
         for n, proj, added, mean, scatter in groups:
             cov = proj @ sig @ proj.T + added
             d_mean, d_cov = d_mu[0] @ proj.T, proj @ d_sig @ proj.T

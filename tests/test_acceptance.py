@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from lmint import (
+    IDEAL_NOISE,
     IDENTITY_PROCESS,
     MeasurementPlan,
     MonteCarloConfig,
@@ -121,7 +122,7 @@ def test_criterion_03_phase_estimator_crossover():
     ml_ratios = {}
     for r in (1.0, 100.0):
         point = dataclasses.replace(setup, r_amp=r)
-        bound = crb(fisher_numeric(point, PHASE_PROCESS, None, "phi"), n)
+        bound = crb(fisher_numeric(point, PHASE_PROCESS, IDEAL_NOISE, "phi"), n)
         ml = run_mc(dataclasses.replace(cfg, setup=point, estimators=("phase_ml",)))
         ml_ratios[r] = ml.mse("phase_ml", "phi") / bound
     elapsed = time.perf_counter() - t0
@@ -174,7 +175,7 @@ def test_criterion_05_information_cross_check():
             t1 = t2  # the closed form assumes a balanced interferometer
         setup = bench(topology=topology, t1=t1, t2=t2, v=rng.uniform(1.0, 300.0))
         analytic = fisher_displacement(setup).value
-        numeric = fisher_numeric(setup, process, None, "d").value
+        numeric = fisher_numeric(setup, process, IDEAL_NOISE, "d").value
         worst = max(worst, abs(numeric - analytic) / analytic)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 5.0

@@ -62,6 +62,7 @@ def test_load_config_minimal(tmp_path):
     assert cfg["m_reps"] == 3
     assert cfg["plan"].n_samples == 600
     assert cfg["process"].q == pytest.approx(2.0)
+    assert cfg["noise"] == lmint.IDEAL_NOISE  # no noise section
 
 
 def test_unknown_keys_rejected_with_field_path(tmp_path):
@@ -411,6 +412,7 @@ def test_only_estimate_and_sweep_need_an_estimator(tmp_path, capsys):
 @pytest.mark.parametrize("axis, grid, message", [
     ("T", "lin:0.5:2:2", "t1 must be in [0, 1], got 2.0"),
     ("loss", "lin:0:1:2", "t_c must be in (0, 1], got 0.0"),
+    ("loss", "lin:-0.5:0:2", "t_c must be in (0, 1], got 1.5"),
     ("V", "lin:0.5:1:2", "v_thermal must be >= 1, got 0.5")])
 def test_sweep_grid_values_out_of_range_exit_1(tmp_path, capsys, axis, grid, message):
     # Every grid point is applied before the first run: a value outside its

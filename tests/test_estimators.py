@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmint import (
+    IDEAL_NOISE,
     NoiseParams,
     ProcessParams,
     SetupConfig,
@@ -39,6 +40,7 @@ from lmint.measurement import (
 )
 
 from conftest import (
+    NO_CHANNEL,
     exact_moments,
     exact_probe_moments,
     reference_data_sets,
@@ -191,6 +193,20 @@ def test_phase_ml_dark_probe_lands_on_a_maximum(bench_setup):
     assert abs(est_phase_ml(exact_moments(state), dark)) == pytest.approx(0.05, abs=1e-9)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_phase_ml_dark_probe_returns_the_non_negative_mirror(scheme):
+    # The likelihood of a dark probe is even in phi, so +-phi fit alike and
+    # the estimate is the non-negative one, as est_phase_var returns |phi|.
+    # Left to the scan's rounding, nearly every draw here read a negative phase.
+    setup = SetupConfig(Topology.INTERFEROMETRIC, t1=0.737, t2=0.453, v_thermal=182.0,
+                        r_amp=0.0)
+    for seed in range(25):
+        for phi in (1.9934, -1.9934):
+            state = forward(setup, ProcessParams.folded(phi=phi))
+            got = est_phase_ml(draw_moments(state, MeasurementPlan(scheme, 600, seed)), setup)
+            assert 0.0 <= got <= math.pi, (seed, phi, got)
+
+
 @pytest.mark.parametrize("case", ["simplistic", "cold_dark"])
 def test_phase_ml_unidentifiable_without_phase_signal(bench_setup, case):
     # Simplistic topology: no probe light passes the process and the
@@ -220,7 +236,7 @@ def _loglik(moments, state_mean, state_cov):
     return ll
 
 
-def reference_phase_ml(moments, setup, noise=None):
+def reference_phase_ml(moments, setup, noise=IDEAL_NOISE):
     """Maximum-likelihood phase with the Gaussian log-likelihood of the full
     forward model at each trial phase: the 64-point scan of est_phase_ml,
     then bisection of the stationarity condition, a central difference of
@@ -247,7 +263,7 @@ def reference_phase_ml(moments, setup, noise=None):
 
 @pytest.mark.parametrize("scheme", [Scheme.JOINT, Scheme.HETERODYNE,
                                     Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3])
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
     # The closed-form likelihood picks the same phase as the one built from
     # forward, on drawn moments at both probe brightnesses.  With a dim
@@ -259,7 +275,7 @@ def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
         setup = dataclasses.replace(bench_setup, r_amp=r_amp)
         state = forward(setup, ProcessParams.folded(phi=phi), noise)
         moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=17 + k))
-        got = est_phase_ml(moments, setup, noise or NoiseParams())
+        got = est_phase_ml(moments, setup, noise)
         want = reference_phase_ml(moments, setup, noise)
         assert abs(circular_diff(got, want)) < 1e-7, (r_amp, phi)
 
@@ -268,7 +284,7 @@ ALL_SCHEMES = [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT2, Scheme.H
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
     # The closed-form phi score and information of _phase_loglik are the
     # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0),
@@ -296,7 +312,7 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_scan_is_the_grid_pass_bit_for_bit(bench_setup, scheme, noise):
     # est_phase_ml's scan forms its data-free grid terms once per run; its
     # log-likelihood must be _phase_loglik's grid pass bit for bit, so the
@@ -317,19 +333,19 @@ def test_phase_scan_is_the_grid_pass_bit_for_bit(bench_setup, scheme, noise):
             resp = response(setup, noise)
             if topology is Topology.SIMPLISTIC:
                 resp = dataclasses.replace(resp, b=-0.3 * resp.a)
-            m = setup.light_mean.tolist()
+            m = setup.light_mean
             inputs = [moments]
             if scheme is Scheme.HOMODYNE_SPLIT3:
                 inputs.append(dataclasses.replace(moments, mean_diag=None))
             for data in inputs:
                 blocks = _blocks([data], [m])
-                got = _phase_scan(resp, complex(*m))(blocks)
+                got = _phase_scan(resp, m)(blocks)
                 want = _phase_loglik(_PHASE_GRID, resp, blocks)[0]
                 assert got.tobytes() == want.tobytes(), (topology, r_amp, len(blocks[0][3]))
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_kernel_at_a_float_is_its_grid_pass(bench_setup, scheme, noise):
     # est_phase_ml scans the grid in one array pass and polishes with the
     # same _phase_loglik at a Python float, on plain Python scalars.  At each
@@ -481,6 +497,12 @@ def test_cov_method_needs_full_covariance(bench_setup, bench_process):
     split2 = estimate_moments(sample(state, MeasurementPlan(Scheme.HOMODYNE_SPLIT2, 1000, 0)))
     with pytest.raises(InsufficientDataError):
         est_general_cov(split2, bench_setup)
+    # The scheme decides, not the shot counts: a hand-built joint estimate
+    # keeps none and runs, a homodyne2 one with every count still fails.
+    est_general_cov(MomentEstimate(mean=state.mean, cov=state.cov), bench_setup)
+    with pytest.raises(InsufficientDataError):
+        est_general_cov(dataclasses.replace(exact_moments(state), scheme=Scheme.HOMODYNE_SPLIT2),
+                        bench_setup)
 
 
 def test_cov_method_rejects_off_manifold_data(bench_setup):
@@ -749,7 +771,7 @@ def _joint_data(setup, process, noise, scheme, n, seed):
                          MeasurementPlan(scheme, n if j == 0 else n // 3, seed=seed + j))
             for j, s in enumerate(setups)]
     sets = [(s, reference_data_sets(m)) for s, m in zip(setups, data)]
-    return data, np.array([s.light_mean for s in setups]), sets
+    return data, [s.light_mean for s in setups], sets
 
 
 def _assert_kernel_matches(x, data, m_in, sets, setup, noise):
@@ -763,7 +785,7 @@ def _assert_kernel_matches(x, data, m_in, sets, setup, noise):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.6, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_joint_fit_matches_the_per_set_reference(bench_setup, scheme, noise):
     # The blocked kernel equals the per-data-set loop at the pure phase
     # shift (w = 0, d = 0) and at a random point, on drawn moments of the
@@ -786,11 +808,12 @@ def test_joint_fit_matches_the_reference_without_the_diagonal_mean(bench_setup):
     from lmint.estimators import chart
 
     truth = ProcessParams.folded(phi=-1.1, w=0.4, alpha=0.3, d=1.2, beta=2.0)
-    data, m_in, sets = _joint_data(bench_setup, truth, None, Scheme.HOMODYNE_SPLIT3, 6000, 3)
+    data, m_in, sets = _joint_data(bench_setup, truth, IDEAL_NOISE, Scheme.HOMODYNE_SPLIT3,
+                                   6000, 3)
     data[0] = dataclasses.replace(data[0], mean_diag=None)
     sets[0] = (bench_setup, reference_data_sets(data[0]))
     assert sets[0][1][2][3] is None and sets[1][1][2][3] is not None
-    _assert_kernel_matches(chart(truth)[0], data, m_in, sets, bench_setup, None)
+    _assert_kernel_matches(chart(truth)[0], data, m_in, sets, bench_setup, IDEAL_NOISE)
 
 
 def test_joint_fit_gives_no_score_far_off(bench_setup, bench_process):
@@ -859,7 +882,7 @@ def test_combined_reads_moment_derivatives_once_per_evaluation(bench_setup, benc
     monkeypatch.setattr(estimators, "_joint_fit", counted)
     points = 0
     for scheme in ALL_SCHEMES:
-        single, probes = _sampled(bench_setup, bench_process, None, scheme, 30_000, 9)
+        single, probes = _sampled(bench_setup, bench_process, IDEAL_NOISE, scheme, 30_000, 9)
         points += est_combined(single, probes, bench_setup).diagnostics["scoring_steps"] + 1
     assert len(calls) == points
 
@@ -880,7 +903,8 @@ def test_combined_pure_phase_converges(bench_setup):
     # there, the chart of the scoring is not.
     truth = ProcessParams.folded(phi=0.7)
     for seed in range(10):
-        single, probes = _sampled(bench_setup, truth, None, Scheme.JOINT, 30_000, 100 * seed)
+        single, probes = _sampled(bench_setup, truth, IDEAL_NOISE, Scheme.JOINT, 30_000,
+                                  100 * seed)
         out = est_combined(single, probes, bench_setup)
         assert abs(circular_diff(out.params.phi, 0.7)) < 0.05
         assert out.params.w < 0.1 and out.params.d < 0.5
@@ -892,7 +916,7 @@ def test_combined_pure_phase_converges(bench_setup):
 def test_combined_runs_on_every_scheme(bench_setup, bench_process, scheme):
     # homodyne2 keeps no covariance, so cov_method cannot run on it; the
     # joint likelihood uses the variances it does keep.
-    single, probes = _sampled(bench_setup, bench_process, None, scheme, 30_000, 7)
+    single, probes = _sampled(bench_setup, bench_process, IDEAL_NOISE, scheme, 30_000, 7)
     out = est_combined(single, probes, bench_setup)
     for name in ("phi", "w", "alpha", "d", "beta"):
         assert math.isfinite(getattr(out.params, name))
@@ -924,7 +948,7 @@ def test_combined_scoring_cap_raises(bench_setup, bench_process, monkeypatch):
     import lmint.estimators as estimators
 
     monkeypatch.setattr(estimators, "_MAX_SCORING_STEPS", 0)
-    single, probes = _sampled(bench_setup, bench_process, None, Scheme.JOINT, 30_000, 5)
+    single, probes = _sampled(bench_setup, bench_process, IDEAL_NOISE, Scheme.JOINT, 30_000, 5)
     with pytest.raises(EstimationError):
         est_combined(single, probes, bench_setup)
 

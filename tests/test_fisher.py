@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmint import (
+    IDEAL_NOISE,
     NoiseParams,
     ProcessParams,
     SetupConfig,
@@ -17,21 +18,36 @@ from lmint import (
     forward,
     response,
 )
-from lmint.estimators import W_MAX, chart
-from lmint.fisher import FisherResult
+from lmint.estimators import W_MAX, _blocks, _joint_fit, chart
+from lmint.fisher import _ONE_RECORD, FisherResult
 from lmint.fisher import fisher_matrix as exact_fisher_matrix
 
-from conftest import (FISHER_PARAMS, exact_moments, exact_probe_moments, fisher_matrix,
-                      gaussian_information, moment_derivatives, three_probe_bounds)
+from conftest import (FISHER_PARAMS, NO_CHANNEL, exact_moments, exact_probe_moments,
+                      fisher_matrix, gaussian_information, moment_derivatives,
+                      three_probe_bounds)
 
 
 def setup_for(topology, t1, t2, v):
     return SetupConfig(topology=topology, t1=t1, t2=t2, v_thermal=v, r_amp=100.0)
 
 
+def record_block(setup, mean_only):
+    """The one block of fisher_matrix's record probed by setup.light_mean;
+    mean_only sets the record count N of its covariance term to 0, which
+    leaves _joint_fit the mean term of the information."""
+    ((p, added, (n_all, *sums), sets),) = _blocks([_ONE_RECORD], [setup.light_mean])
+    return p, added, (0.0 if mean_only else n_all, *sums), sets
+
+
+def kernel_information(setup, process, noise, block):
+    """_joint_fit's information of one block at the process, in PARAMETERS order."""
+    x, jac = chart(process)
+    return jac.T @ np.array(_joint_fit(x, [block], response(setup, noise))[2]) @ jac
+
+
 def phi_terms(setup, process):
     """(mean term, covariance term) of the information about phi."""
-    mean_term = exact_fisher_matrix(setup, process, mean_only=True)[0, 0]
+    mean_term = kernel_information(setup, process, IDEAL_NOISE, record_block(setup, True))[0, 0]
     return mean_term, exact_fisher_matrix(setup, process)[0, 0] - mean_term
 
 
@@ -76,17 +92,18 @@ def test_displacement_information_under_the_channel(topology):
     noise = NoiseParams(t_c=0.5, v_c=1.2)
     want = fisher_matrix(s, ProcessParams.folded(d=1.0), noise)[3, 3]
     assert fisher_displacement(s, noise).value == pytest.approx(want, rel=1e-8)
-    assert fisher_displacement(s, None) == fisher_displacement(s)
+    assert fisher_displacement(s, IDEAL_NOISE) == fisher_displacement(s)
     assert fisher_displacement(s, noise).value < fisher_displacement(s).value
 
 
 @pytest.mark.parametrize("topology", list(Topology))
-@pytest.mark.parametrize("noise", [None, NoiseParams(t_c=0.7, v_c=1.3)])
+@pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.7, v_c=1.3)])
 @pytest.mark.parametrize("mean_only", [False, True])
 def test_fisher_matrix_matches_the_reference_information(topology, noise, mean_only):
     # fisher_matrix reads the likelihood kernel of est_combined; it equals
     # the Gaussian information of the reference moment derivatives, carried
     # by the chart's Jacobian, at the pure phase shift and at random points.
+    # With the covariance term's record count at 0 the kernel keeps the mean term.
     rng = np.random.default_rng(23)
     for k in range(6):
         setup = dataclasses.replace(
@@ -97,10 +114,10 @@ def test_fisher_matrix_matches_the_reference_information(topology, noise, mean_o
             phi=rng.uniform(-3, 3), w=rng.uniform(0, 1.5), alpha=rng.uniform(-1.5, 1.5),
             d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
         x, jac = chart(process)
-        _, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x,
-                                                 setup.light_mean[None])
+        _, sig, d_mu, d_sig = moment_derivatives(response(setup, noise), x, [setup.light_mean])
         want = jac.T @ gaussian_information(sig, d_mu[0], None if mean_only else d_sig) @ jac
-        got = exact_fisher_matrix(setup, process, noise, mean_only=mean_only)
+        got = (kernel_information(setup, process, noise, record_block(setup, True)) if mean_only
+               else exact_fisher_matrix(setup, process, noise))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (k, setup, process)
 
 
@@ -183,7 +200,8 @@ def test_numeric_matches_analytic_sample():
             s = setup_for(topology, t_in, t2, v)
             want = paper_displacement_information(topology, t_in, t2, v)
             assert fisher_displacement(s).value == pytest.approx(want, rel=1e-12)
-            assert fisher_numeric(s, process, None, "d").value == pytest.approx(want, rel=1e-12)
+            got = fisher_numeric(s, process, IDEAL_NOISE, "d").value
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_phase_information_terms(bench_setup):
@@ -199,7 +217,7 @@ def test_phase_information_terms(bench_setup):
 
 def test_unknown_parameter_rejected(bench_setup, bench_process):
     with pytest.raises(ValueError):
-        fisher_numeric(bench_setup, bench_process, None, "nope")
+        fisher_numeric(bench_setup, bench_process, IDEAL_NOISE, "nope")
 
 
 def test_fisher_matrix_diagonal_matches_numeric(bench_setup, bench_process):
@@ -207,10 +225,10 @@ def test_fisher_matrix_diagonal_matches_numeric(bench_setup, bench_process):
     for k, name in enumerate(FISHER_PARAMS):
         if name == "q":
             # Chain rule through q = e^w: I_q = I_w (dw/dq)^2 = I_w / q^2.
-            want = fisher_numeric(bench_setup, bench_process, None, "w").value
+            want = fisher_numeric(bench_setup, bench_process, IDEAL_NOISE, "w").value
             want /= bench_process.q ** 2
         else:
-            want = fisher_numeric(bench_setup, bench_process, None, name).value
+            want = fisher_numeric(bench_setup, bench_process, IDEAL_NOISE, name).value
         assert info[k, k] == pytest.approx(want, rel=1e-6)
 
 
@@ -222,7 +240,7 @@ def test_fisher_matrix_diagonal_matches_numeric(bench_setup, bench_process):
        phi=st.floats(-math.pi, math.pi), w=st.floats(1e-3, W_MAX),
        alpha=st.floats(-math.pi / 2, math.pi / 2), d=st.floats(1e-3, 20.0),
        beta=st.floats(-math.pi, math.pi),
-       noise=st.none() | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
+       noise=st.just(IDEAL_NOISE) | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
                                    v_c=st.floats(1.0, 5.0)))
 @settings(max_examples=200, deadline=None)
 def test_fisher_matrix_matches_forward_reference(topology, t1, t2, v, r, probe_phase,
@@ -240,7 +258,8 @@ def test_fisher_matrix_matches_forward_reference(topology, t1, t2, v, r, probe_p
     lam = np.linalg.eigvalsh(state.cov)[0]
     delta = 1e-10 * (np.abs(state.mean).max() / math.sqrt(lam) + np.abs(state.cov).max() / lam)
     for mean_only in (False, True):
-        got = jac @ exact_fisher_matrix(setup, process, noise, mean_only=mean_only) @ jac
+        got = jac @ (kernel_information(setup, process, noise, record_block(setup, True))
+                     if mean_only else exact_fisher_matrix(setup, process, noise)) @ jac
         want = fisher_matrix(setup, process, noise, mean_only=mean_only)
         floor = delta * (2.0 * math.sqrt(np.diag(want).max()) + delta)
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max() + floor
@@ -432,24 +451,24 @@ def test_comparison_reads_neither_joint_fit_nor_fisher_matrix(monkeypatch):
 
 @pytest.mark.parametrize("mean_only", [False, True])
 def test_record_block_set_moves_no_information(mean_only):
-    # _record_block's one set is read by _phase_loglik alone: fisher_matrix
-    # equals, bit for bit, _joint_fit's information of the block without it.
-    from lmint.estimators import _joint_fit, _record_block
-
+    # The information of the one-record block reads its probe and record
+    # counts, not its set's mean or scatter: fisher_matrix, and the mean term,
+    # equal bit for bit _joint_fit's information of the block without its set.
     rng = np.random.default_rng(16)
     for k in range(60):
         topology = list(Topology)[k % 3]
         setup = SetupConfig(topology=topology, t1=rng.uniform(0.0, 1.0), t2=rng.uniform(0.0, 1.0),
                             v_thermal=rng.uniform(1.0, 200.0), r_amp=rng.uniform(0.0, 100.0),
                             probe_phase=rng.uniform(-3, 3))
-        noise = None if k % 2 else NoiseParams(t_c=rng.uniform(0.5, 1.0), v_c=rng.uniform(1.0, 2.0))
+        noise = IDEAL_NOISE if k % 2 else NoiseParams(t_c=rng.uniform(0.5, 1.0),
+                                                      v_c=rng.uniform(1.0, 2.0))
         process = ProcessParams.folded(  # w = 0 and d = 0 in some
             phi=rng.uniform(-3, 3), w=rng.uniform(0, 1.5) * (k % 4 > 0),
             alpha=rng.uniform(-1.5, 1.5), d=rng.uniform(0, 3) * (k % 5 > 0),
             beta=rng.uniform(-3, 3))
-        x, jac = chart(process)
-        block = _record_block(setup.light_mean, mean_only)
+        block = record_block(setup, mean_only)
         assert len(block[3]) == 1
-        want = jac.T @ _joint_fit(x, [(*block[:3], [])], response(setup, noise))[2] @ jac
-        got = exact_fisher_matrix(setup, process, noise, mean_only=mean_only)
+        want = kernel_information(setup, process, noise, (*block[:3], []))
+        got = (kernel_information(setup, process, noise, block) if mean_only
+               else exact_fisher_matrix(setup, process, noise))
         assert np.array_equal(got, want), (k, setup, process)

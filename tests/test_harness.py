@@ -2,11 +2,13 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lmint import (
+    IDEAL_NOISE,
     MeasurementPlan,
     MonteCarloConfig,
     NoiseParams,
@@ -419,6 +421,23 @@ def test_fit_exponent_exact_power_law(bench_setup, bench_process):
         fit_exponent(table[:3])
 
 
+def test_fit_exponent_skips_non_positive_axis_values():
+    # A loss grid from 0 (fig5_right's lin:0.0:0.5:6) and a phase grid
+    # through 0 hold axis values with no logarithm: the fit reads the
+    # positive ones alone, and with fewer than 4 of them gives no exponent.
+    def table(grid):
+        return [(v, SimpleNamespace(cells={("e", "p"): SimpleNamespace(
+            mse=7.0 * abs(v) ** -2 if v else 3.0)})) for v in grid]
+
+    loss = np.linspace(0.0, 0.5, 6).tolist()
+    assert fit_exponent(table(loss)) == fit_exponent(table(loss[1:]))
+    assert fit_exponent(table(loss))[("e", "p")].c == pytest.approx(2.0, abs=1e-9)
+    phases = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    fit = fit_exponent(table(phases))[("e", "p")]
+    assert math.isnan(fit.c) and math.isnan(fit.r_squared) and not fit.reliable
+    assert fit_exponent(table(phases + [3.0]))[("e", "p")].c == pytest.approx(2.0, abs=1e-9)
+
+
 def test_fit_exponent_reads_only_the_cells_with_an_mse(bench_setup, bench_process):
     # Cold matter (V = 1) carries no rotation signal, so cov_method fails in
     # every realization there and its MSE is NaN: the fit reads the other
@@ -471,7 +490,7 @@ def cal_plan(n, seed=0):
 
 
 def test_calibrate_ideal_channel(bench_setup):
-    est = calibrate(bench_setup, cal_plan(100_000), None)
+    est = calibrate(bench_setup, cal_plan(100_000), IDEAL_NOISE)
     assert est.t_c == pytest.approx(1.0, abs=0.01)
 
 
@@ -487,13 +506,13 @@ def test_calibrate_recovers_lossy_channel(bench_setup):
 def test_calibrate_needs_bright_probe(bench_setup):
     dark = dataclasses.replace(bench_setup, r_amp=0.0)
     with pytest.raises(CalibrationError):
-        calibrate(dark, cal_plan(1000), None)
+        calibrate(dark, cal_plan(1000), IDEAL_NOISE)
 
 
 def test_calibrate_needs_probe_light_through_the_process(bench_setup):
     simplistic = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC, t1=0.0)
     with pytest.raises(CalibrationError):
-        calibrate(simplistic, cal_plan(1000), None)
+        calibrate(simplistic, cal_plan(1000), IDEAL_NOISE)
 
 
 def test_auto_calibration_budget_knob(bench_setup, bench_process):

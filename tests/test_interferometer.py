@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmint import (
+    IDEAL_NOISE,
     IDENTITY_PROCESS,
     NoiseParams,
     ProcessParams,
@@ -85,7 +86,8 @@ def test_blocked_beam_sees_vacuum_on_second_coupler():
     # No direct light path: the mean is the matter leak only.
     resp = response(setup)
     assert resp.direct == 0.0
-    assert np.allclose(out.mean, resp.through * setup.light_mean)
+    z = resp.through * setup.light_mean
+    assert np.allclose(out.mean, [z.real, z.imag])
 
 
 def test_displacement_gain(bench_setup):
@@ -113,7 +115,7 @@ def _matrix(process):
 def test_mean_map_identity_is_identity(bench_setup):
     resp = response(bench_setup)
     m_in = bench_setup.light_mean
-    assert np.allclose(resp.mean(np.eye(2), np.zeros(2), m_in), m_in)
+    assert np.allclose(resp.mean(np.eye(2), np.zeros(2), m_in), [m_in.real, m_in.imag])
     assert resp.g_d == pytest.approx(math.sqrt(0.1))
     assert resp.through == pytest.approx(0.1)
     assert resp.direct == pytest.approx(0.9)
@@ -133,7 +135,7 @@ def test_mean_map_with_loss(bench_setup):
 
 
 def test_mean_map_predicts_forward(bench_setup, bench_process):
-    for noise in (None, NoiseParams(t_c=0.7, v_c=1.2)):
+    for noise in (IDEAL_NOISE, NoiseParams(t_c=0.7, v_c=1.2)):
         resp = response(bench_setup, noise)
         predicted = resp.mean(_matrix(bench_process), bench_process.d_vec,
                               bench_setup.light_mean)
@@ -145,7 +147,7 @@ def test_mean_map_simplistic_predicts_forward(bench_process):
     # No probe light passes the process: only the displacement reaches the mean.
     setup = SetupConfig(Topology.SIMPLISTIC, t1=0.0, t2=0.3, v_thermal=100.0,
                         r_amp=100.0, probe_phase=0.4)
-    for noise in (None, NoiseParams(t_c=0.7, v_c=1.2)):
+    for noise in (IDEAL_NOISE, NoiseParams(t_c=0.7, v_c=1.2)):
         resp = response(setup, noise)
         assert resp.through == 0.0
         assert resp.direct == pytest.approx(math.sqrt(0.7))
@@ -169,7 +171,7 @@ def test_response_reference_values(bench_setup):
        phi=st.floats(-math.pi, math.pi), w=st.floats(0.0, W_MAX),
        alpha=st.floats(-math.pi / 2, math.pi / 2), d=st.floats(0.0, 20.0),
        beta=st.floats(-math.pi, math.pi),
-       noise=st.none() | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
+       noise=st.just(IDEAL_NOISE) | st.builds(NoiseParams, t_c=st.floats(0.01, 1.0),
                                    v_c=st.floats(1.0, 5.0)))
 @settings(max_examples=200, deadline=None)
 def test_response_matches_forward(topology, t1, t2, v, r, probe_phase, phi, w, alpha,
@@ -203,7 +205,7 @@ def test_pair_form_matches_matrix_form_and_forward():
         for noisy in (False, True):
             for _ in range(40):
                 noise = (NoiseParams(t_c=rng.uniform(0.01, 1.0), v_c=rng.uniform(1.0, 5.0))
-                         if noisy else None)
+                         if noisy else IDEAL_NOISE)
                 setup = SetupConfig(topology, t1=rng.uniform(), t2=rng.uniform(),
                                     v_thermal=rng.uniform(1.0, 300.0),
                                     r_amp=rng.uniform(0.0, 300.0),

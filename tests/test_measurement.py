@@ -123,7 +123,7 @@ def test_split3_recovers_cross_covariance():
     est = estimate_moments(sample(state, plan(Scheme.HOMODYNE_SPLIT3, 100_000, seed=5)))
     # Var at pi/4 has sampling error ~ sqrt(2/N) * var; allow 3 sigma-ish.
     assert est.cov[0, 1] == pytest.approx(5.0, abs=0.5)
-    assert est.has_full_cov
+    assert est.scheme.has_full_cov
 
 
 def test_full_cov_flags_by_scheme():
@@ -133,7 +133,7 @@ def test_full_cov_flags_by_scheme():
                              (Scheme.HETERODYNE, True),
                              (Scheme.JOINT, True)):
         est = estimate_moments(sample(state, plan(scheme, 1000, seed=1)))
-        assert est.has_full_cov is expected
+        assert est.scheme.has_full_cov is expected
         assert est.scheme is scheme
 
 

@@ -39,8 +39,9 @@ from test_golden import FAMILIES, GOLDEN, SETUP
 #: beam (b = 0, so phase_var and cov_method fail before any draw) and the
 #: golden point under a channel handed to the estimators.
 SETUPS = {
-    "golden": (SETUP, None),
-    "blocked": (dataclasses.replace(SETUP, topology=Topology.BLOCKED_BEAM, t1=0.3, t2=0.4), None),
+    "golden": (SETUP, IDEAL_NOISE),
+    "blocked": (dataclasses.replace(SETUP, topology=Topology.BLOCKED_BEAM, t1=0.3, t2=0.4),
+                IDEAL_NOISE),
     "noisy": (SETUP, NoiseParams(t_c=0.8, v_c=1.2)),
 }
 
@@ -109,7 +110,6 @@ def test_prepared_run_books_the_public_estimates(scheme, where, family, monkeypa
                            plan=MeasurementPlan(scheme, N_SHOTS, 0), estimators=estimators,
                            noise=noise, calibration="true", m_reps=M_REPS, base_seed=BASE_SEED)
     report = run_mc(cfg)
-    assumed = IDEAL_NOISE if noise is None else noise
     for k in range(1, M_REPS + 1):
         single = draw_moments(measured_state(setup, process, noise), MeasurementPlan(
             scheme, N_SHOTS, seed_sequence_child(BASE_SEED, (0, k, 0))))
@@ -120,7 +120,7 @@ def test_prepared_run_books_the_public_estimates(scheme, where, family, monkeypa
                   for j, phase in enumerate(PROBE_PHASES, start=1)]
         for name in estimators:
             try:
-                want = _public(name, setup, assumed, single, probes)
+                want = _public(name, setup, noise, single, probes)
             except harness._ESTIMATOR_FAILURES as exc:
                 want = type(exc).__name__
             assert booked[name][k - 1] == want, (name, k)
