@@ -650,22 +650,31 @@ def _blocks(data, m_in) -> list:
     variance, the sums N = sum_j n_j, N_h = sum_j n_j h_j, M1 = sum_j n_j h_j
     m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P over its sets j
     (h_j has-mean, m_j the probe input), and per set (n, m, conj(m), P^T
-    mean or None, P^T S P, det S)."""
+    mean or None, P^T S P, det S).  A data set without the shot counts its
+    records need fails with InsufficientDataError naming them."""
     keys, groups = [], []  # (p, added) of each block and its sets, in order of first use
     for moments, m in zip(data, m_in):
         n = moments.n_effective
         z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
-        if scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE:
-            added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
-            f0 = c0 + added
-            sets = [(n["mean_x"], None, added, z, (f0, c1), f0 * f0 - (c1 * c1.conjugate()).real)]
-        else:  # the records along x, p and (x + p) / sqrt 2: size, p, mean, variance
-            quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
-                     (n["mean_p"], 1j, z.imag, c0 - c1.real)]
-            if scheme is Scheme.HOMODYNE_SPLIT3:
-                quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
-            sets = [(n_j, p, 0.0, None if mean is None else p * mean,
-                     (0.5 * var, 0.5 * var * p * p), var) for n_j, p, mean, var in quads]
+        paired = scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE
+        try:
+            if paired:
+                added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
+                f0 = c0 + added
+                sets = [(n["mean_x"], None, added, z, (f0, c1),
+                         f0 * f0 - (c1 * c1.conjugate()).real)]
+            else:  # the records along x, p and (x + p) / sqrt 2: size, p, mean, variance
+                quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
+                         (n["mean_p"], 1j, z.imag, c0 - c1.real)]
+                if scheme is Scheme.HOMODYNE_SPLIT3:
+                    quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
+                sets = [(n_j, p, 0.0, None if mean is None else p * mean,
+                         (0.5 * var, 0.5 * var * p * p), var) for n_j, p, mean, var in quads]
+        except KeyError:  # e.g. MomentEstimate(mean=..., cov=...), which keeps no counts
+            read = 1 if paired else 3 if scheme is Scheme.HOMODYNE_SPLIT3 else 2
+            missing = [key for key in ("mean_x", "mean_p", "cov_xp")[:read] if key not in n]
+            raise InsufficientDataError(f"a {scheme.value} data set has no shot count for "
+                                        + ", ".join(missing)) from None
         for n_j, p, added, mean, form, det_s in sets:
             if not det_s > 0.0:
                 raise EstimationError("a data set's scatter is singular")
@@ -816,6 +825,46 @@ def _joint_fit(x, blocks, resp):
     return deviance, score, info, _DEVIANCE_ROUNDING * scale
 
 
+def _pivot_root(pivot):
+    """The root of a Cholesky pivot of _newton_step, which must be finite and
+    positive."""
+    if not 0.0 < pivot < math.inf:
+        raise EstimationError("the information matrix is not positive definite")
+    return math.sqrt(pivot)
+
+
+def _newton_step(info, score):
+    """The scoring step F^-1 s and the Newton decrement s^T F^-1 s for the
+    information F and score s of _joint_fit (five rows, five floats), by
+    the Cholesky factor F = L L^T written out on Python floats: forward
+    substitution gives y = L^-1 s, whose square |y|^2 is the decrement, and
+    back substitution the step L^-T y.  Only the lower triangle of F is
+    read."""
+    (f00, _, _, _, _), (f10, f11, _, _, _), (f20, f21, f22, _, _), (f30, f31, f32, f33, _), (
+        f40, f41, f42, f43, f44) = info
+    s0, s1, s2, s3, s4 = score
+    l00 = _pivot_root(f00)
+    l10, l20, l30, l40 = f10 / l00, f20 / l00, f30 / l00, f40 / l00
+    l11 = _pivot_root(f11 - l10 * l10)
+    l21, l31, l41 = (f21 - l20 * l10) / l11, (f31 - l30 * l10) / l11, (f41 - l40 * l10) / l11
+    l22 = _pivot_root(f22 - l20 * l20 - l21 * l21)
+    l32, l42 = (f32 - l30 * l20 - l31 * l21) / l22, (f42 - l40 * l20 - l41 * l21) / l22
+    l33 = _pivot_root(f33 - l30 * l30 - l31 * l31 - l32 * l32)
+    l43 = (f43 - l40 * l30 - l41 * l31 - l42 * l32) / l33
+    l44 = _pivot_root(f44 - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43)
+    y0 = s0 / l00
+    y1 = (s1 - l10 * y0) / l11
+    y2 = (s2 - l20 * y0 - l21 * y1) / l22
+    y3 = (s3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+    y4 = (s4 - l40 * y0 - l41 * y1 - l42 * y2 - l43 * y3) / l44
+    x4 = y4 / l44
+    x3 = (y3 - l43 * x4) / l33
+    x2 = (y2 - l32 * x3 - l42 * x4) / l22
+    x1 = (y1 - l21 * x2 - l31 * x3 - l41 * x4) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3 - l40 * x4) / l00
+    return [x0, x1, x2, x3, x4], y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4
+
+
 def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> EstimateReport:
     """Joint maximum-likelihood estimate from the single read-out and the
@@ -827,21 +876,26 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     _joint_fit call on the pooled sums of their blocks (see _blocks), whose
     information is fisher_matrix's.  Steps are halved until the deviance
     does not rise by more than the rounding bound of the two deviances
-    (_DEVIANCE_ROUNDING); scoring stops at a Newton decrement s^T F^-1 s
+    (_DEVIANCE_ROUNDING).  Each step F^-1 s and its Newton decrement
+    s^T F^-1 s = |L^-1 s|^2 come from the closed-form Cholesky factor F =
+    L L^T of the information (_newton_step); scoring stops at a decrement
     below _DECREMENT_TOL and fails with EstimationError after
-    _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings of one, or on a start
-    or information it cannot use.  The deviance D against the saturated
-    per-set Gaussians is chi-square with dof = statistics - 5 under the
-    model; 'model_inconsistent' flags (D - dof) / sqrt(2 dof) >
-    _INCONSISTENT_SIGMA.  Fails as est_general_mean does when the probes
-    cannot start it.
+    _MAX_SCORING_STEPS steps or _MAX_HALVINGS halvings of one, on a start
+    whose model covariance is not positive definite, or on an information
+    that is not ("the information matrix is not positive definite").  The
+    deviance D against the saturated per-set Gaussians is chi-square with
+    dof = statistics - 5 under the model; 'model_inconsistent' flags
+    (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.  Fails as
+    est_general_mean does when the probes cannot start it.
     """
     return prepare_combined(setup, noise)(single_moments, probe_moments)
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     """est_combined for one setup and channel, failing as its start does: each
-    estimate starts from prepare_general_mean's estimate."""
+    estimate starts from prepare_general_mean's estimate and scores on
+    Python floats, _joint_fit for the deviance, score and information and
+    _newton_step for the step and the decrement."""
     start = prepare_general_mean(setup, noise)
     resp = response(setup, noise)
     m_in = [cmath.rect(setup.r_amp, p) for p in (setup.probe_phase, *PROBE_PHASES)]
@@ -853,17 +907,12 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
         if score is None:
             raise EstimationError("the start point's model covariance is not positive definite")
         for steps in range(_MAX_SCORING_STEPS + 1):
-            score = np.array(score)
-            try:
-                step = np.linalg.solve(np.array(info), score)
-            except np.linalg.LinAlgError:
-                raise EstimationError("the information matrix is singular") from None
-            if score @ step < _DECREMENT_TOL:  # numpy's dot: a Python sum rounds differently
+            step, decrement = _newton_step(info, score)
+            if decrement < _DECREMENT_TOL:
                 break
             if steps == _MAX_SCORING_STEPS:
                 raise EstimationError(
                     f"Fisher scoring did not converge within {_MAX_SCORING_STEPS} steps")
-            step = step.tolist()
             for _ in range(_MAX_HALVINGS):
                 point = [t + d for t, d in zip(x, step)]
                 trial = _joint_fit(point, blocks, resp)

@@ -864,6 +864,109 @@ def test_combined_names_a_singular_scatter(bench_setup, bench_process):
         est_combined(single, exact_probe_moments(bench_setup, bench_process), bench_setup)
 
 
+def _assert_step_matches_numpy(info, score):
+    # A backward-stable solve of a 5x5 system moves its result by up to
+    # ~5 cond eps relative to its size, so two such solves differ by at most
+    # twice that: numpy's LU (LAPACK dgesv) against the Cholesky factor.
+    from lmint.estimators import _newton_step
+
+    info, score = np.asarray(info), np.asarray(score)
+    tol = 2 * 5 * np.linalg.cond(info) * np.finfo(float).eps
+    step, decrement = _newton_step(info.tolist(), score.tolist())
+    want = np.linalg.solve(info, score)
+    assert np.abs(np.array(step) - want).max() <= tol * np.abs(want).max()
+    assert abs(decrement - score @ want) <= tol * abs(score @ want)
+
+
+def test_newton_step_matches_numpy_on_random_information():
+    # Random symmetric positive definite matrices of condition 1 to 1e12, at
+    # scales 1e-3 to 1e8, and scores of scales 1e-3 to 1e3.
+    rng = np.random.default_rng(2501)
+    for _ in range(500):
+        q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        info = (q * np.logspace(0.0, -rng.uniform(0.0, 12.0), 5)) @ q.T
+        info = 10.0 ** rng.uniform(-3.0, 8.0) * (info + info.T) / 2
+        _assert_step_matches_numpy(info, rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0))
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_newton_step_matches_numpy_on_the_scoring_information(bench_setup, scheme):
+    # _joint_fit's information and score near the truth, on drawn moments of
+    # the single read-out and the three probes, with and without a channel
+    # and at r = 1 and 100.
+    from lmint.estimators import _blocks, _chart_point, _joint_fit
+
+    rng = np.random.default_rng(2502)
+    for k in range(8):
+        noise = IDEAL_NOISE if k % 2 else NoiseParams(t_c=0.7, v_c=1.2)
+        setup = dataclasses.replace(bench_setup, r_amp=(1.0, 100.0)[k // 4], probe_phase=0.3)
+        truth = ProcessParams.folded(
+            phi=rng.uniform(-3, 3), w=rng.uniform(0, 1), alpha=rng.uniform(-1.5, 1.5),
+            d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
+        data, m_in, _ = _joint_data(setup, truth, noise, scheme, 6000, 60 + k)
+        x = np.array(_chart_point(truth)) + rng.normal(size=5) * 0.01
+        _, score, info, _ = _joint_fit(x, _blocks(data, m_in), response(setup, noise))
+        _assert_step_matches_numpy(info, score)
+
+
+@pytest.mark.parametrize("info", [np.diag([4.0, 3.0, 2.0, 1.0, -1e-6]),
+                                  np.diag([4.0, 3.0, 0.0, 2.0, 1.0]),
+                                  np.ones((5, 5))],
+                         ids=["indefinite", "zero-row", "rank-one"])
+def test_newton_step_names_an_information_that_is_not_positive_definite(info):
+    from lmint.estimators import _newton_step
+
+    with pytest.raises(EstimationError, match="the information matrix is not positive definite"):
+        _newton_step(info.tolist(), [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_combined_names_an_information_that_is_not_positive_definite(bench_setup, bench_process,
+                                                                     monkeypatch):
+    # The scoring fails with the named reason when the information it is
+    # handed is indefinite: here _joint_fit's with the sign of I(d_x, d_x)
+    # flipped.
+    import lmint.estimators as estimators
+
+    joint_fit = estimators._joint_fit
+
+    def flipped(*args):
+        deviance, score, info, rounding = joint_fit(*args)
+        info[3][3] = -info[3][3]
+        return deviance, score, info, rounding
+
+    monkeypatch.setattr(estimators, "_joint_fit", flipped)
+    single, probes = _sampled(bench_setup, bench_process, IDEAL_NOISE, Scheme.JOINT, 30_000, 5)
+    with pytest.raises(EstimationError, match="the information matrix is not positive definite"):
+        est_combined(single, probes, bench_setup)
+
+
+def test_combined_scores_without_numpy_solve(bench_setup, bench_process, monkeypatch):
+    # The scoring step is the Cholesky factor on Python floats, not a numpy
+    # solve.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    single, probes = _sampled(bench_setup, bench_process, IDEAL_NOISE, Scheme.JOINT, 30_000, 5)
+    out = est_combined(single, probes, bench_setup)
+    assert out.diagnostics["scoring_steps"] > 0
+    assert abs(circular_diff(out.params.phi, bench_process.phi)) < 0.1
+
+
+@pytest.mark.parametrize("scheme, missing", [(Scheme.JOINT, "mean_x"),
+                                             (Scheme.HOMODYNE_SPLIT3, "mean_x, mean_p, cov_xp")])
+def test_moments_without_shot_counts_are_named(bench_setup, bench_process, scheme, missing):
+    # MomentEstimate(mean=..., cov=...) keeps no shot counts, which the
+    # likelihoods of phase_ml and combined weigh each data set by.
+    state = forward(bench_setup, bench_process)
+    bare = MomentEstimate(mean=state.mean, cov=state.cov, scheme=scheme)
+    message = f"a {scheme.value} data set has no shot count for {missing}$"
+    with pytest.raises(InsufficientDataError, match=message):
+        est_phase_ml(bare, bench_setup)
+    with pytest.raises(InsufficientDataError, match=message):
+        est_combined(bare, exact_probe_moments(bench_setup, bench_process), bench_setup)
+
+
 def test_combined_reads_moment_derivatives_once_per_evaluation(bench_setup, bench_process,
                                                                monkeypatch):
     # The data sets share Sigma(A): one _joint_fit call, which builds the
