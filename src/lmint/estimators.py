@@ -404,18 +404,21 @@ def _symmetric_face(mu, lam):
     lies at squared distance f(x) = ((x - lam)^2 - mu[0])^2 + ((1/x - lam)^2
     - mu[1])^2 from P P^T, and x < 0 gives phi = pi.  The minimum of f over
     e^-W_MAX <= |x| <= e^W_MAX lies among the real parts of the roots of
-    x^5 f'(x) / 4 (a degree-8 polynomial), the ends of the range and the
-    points x = lam, 1/lam where the face meets the rank-one face.  Returns
-    those in range; x and 1/x give the two pairings of eigenvalues.
+    x^5 f'(x) / 4 = x^5 (x - lam) ((x - lam)^2 - mu[0]) - (1 - lam x) ((1 -
+    lam x)^2 - mu[1] x^2), the ends of the range and the points x = lam,
+    1/lam where the face meets the rank-one face.  That polynomial is monic
+    of degree 8 with the coefficients [-1, 3 lam, mu[1] - 3 lam^2, lam^3 -
+    mu[1] lam, 0, mu[0] lam - lam^3, 3 lam^2 - mu[0], -3 lam, 1] of x^0 ...
+    x^8, and its roots are the eigenvalues of its companion matrix, one
+    eigvals call.  Returns the points in range; x and 1/x give the two
+    pairings of eigenvalues.
     """
-    poly = np.polynomial.polynomial
-    xl = [-lam, 1.0]  # x - lam
-    ol = [1.0, -lam]  # 1 - lam x
-    first = poly.polymul([0.0] * 5 + [1.0],
-                         poly.polymul(xl, poly.polysub(poly.polymul(xl, xl), [mu[0]])))
-    second = poly.polymul(ol, poly.polysub(poly.polymul(ol, ol), [0.0, 0.0, mu[1]]))
+    lam2 = lam * lam
+    companion = np.eye(8, k=1)  # numpy's polyroots layout: ones above the diagonal
+    companion[:, 0] = [3.0 * lam, mu[0] - 3.0 * lam2, lam * (lam2 - mu[0]), 0.0,
+                       lam * (mu[1] - lam2), 3.0 * lam2 - mu[1], -3.0 * lam, 1.0]
     lo, hi = math.exp(-W_MAX), math.exp(W_MAX)
-    points = [float(x) for x in poly.polyroots(poly.polysub(first, second)).real]
+    points = np.linalg.eigvals(companion).real.tolist()
     points += [lam, 1.0 / lam, lo, hi, -lo, -hi]
     return [x for x in points if lo <= abs(x) <= hi]
 
@@ -436,7 +439,9 @@ def _fit_cov(cov, resp):
     where the derivative loses rank; for lam != 0 these are exactly the
     symmetric A.  So the candidates are the preimages of Q = (q0, q1) with
     its smaller eigenvalue q0 - |q1| clipped to 0 and the best symmetric A
-    (see _symmetric_face), on Q's axis.  A boundary at w = W_MAX is not
+    on Q's axis: the points of _symmetric_face (the roots of one
+    closed-form polynomial) are scored by their f on Python floats, and
+    only the best becomes a matrix.  A boundary at w = W_MAX is not
     searched: data whose fit would sit there are far off the model.
     """
     exact = _cov_preimages(cov, resp)
@@ -447,8 +452,9 @@ def _fit_cov(cov, resp):
     radius = abs(q1)
     axis = q1 / radius if radius > 0.0 else 1.0  # e^{2i theta} of the larger eigenvalue
     mu = (q0 - radius, q0 + radius)
-    candidates = [(0.5 * (x + 1.0 / x), 0.5 * (1.0 / x - x) * axis)
-                  for x in _symmetric_face(mu, lam)]
+    x = min(_symmetric_face(mu, lam),
+            key=lambda x: ((x - lam) ** 2 - mu[0]) ** 2 + ((1.0 / x - lam) ** 2 - mu[1]) ** 2)
+    candidates = [(0.5 * (x + 1.0 / x), 0.5 * (1.0 / x - x) * axis)]
     if mu[1] > 0.0:
         half = 0.5 * resp.a * mu[1]
         candidates += _cov_preimages((half + shift, half * axis), resp)
@@ -483,8 +489,9 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
 
     Raises UnidentifiableError when the covariance response has no linear
     term (cold matter V = 1, the blocked beam, t2 = 0): the covariance then
-    carries no rotation signal, and InsufficientDataError when the read-out
-    lacks the full covariance.
+    carries no rotation signal, InsufficientDataError when the read-out
+    lacks the full covariance, and EstimationError when the mean or the
+    covariance is not finite.
     """
     return prepare_general_cov(setup, noise, moments.scheme.has_full_cov)(moments)
 
@@ -507,6 +514,8 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         # Every process matrix consistent with the fitted covariance, once each;
         # the canonical representative is the pick.
         cov_emp = moments.c0, moments.c1
+        if not all(map(cmath.isfinite, (moments.z, *cov_emp))):
+            raise EstimationError(f"the moments are not finite: mean {moments.z}, cov {cov_emp}")
         mats, off_image = _fit_cov(cov_emp, resp)
         candidates, seen = [], []
         for m0, m1 in mats:

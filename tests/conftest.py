@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lmint import ProcessParams, SetupConfig, Topology, forward
-from lmint.estimators import PROBE_PHASES
+from lmint.estimators import PROBE_PHASES, W_MAX
 from lmint.gaussian_core import rotation
 from lmint.interferometer import Response, response
 from lmint.measurement import MomentEstimate, Scheme
@@ -50,6 +50,24 @@ def seed_sequence_child(entropy, key) -> int:
     """The seed of the stream SeedSequence(entropy, spawn_key=key): numpy's
     own derivation, the reference of the harness's stream keys."""
     return int(np.random.SeedSequence(entropy, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def reference_symmetric_face(mu, lam):
+    """The points estimators._symmetric_face returns, with the face
+    polynomial x^5 (x - lam) ((x - lam)^2 - mu[0]) - (1 - lam x) ((1 - lam
+    x)^2 - mu[1] x^2) built by numpy.polynomial products and its roots from
+    polyroots: the reference for the closed-form coefficients and the single
+    eigenvalue call."""
+    poly = np.polynomial.polynomial
+    xl = [-lam, 1.0]  # x - lam
+    ol = [1.0, -lam]  # 1 - lam x
+    first = poly.polymul([0.0] * 5 + [1.0],
+                         poly.polymul(xl, poly.polysub(poly.polymul(xl, xl), [mu[0]])))
+    second = poly.polymul(ol, poly.polysub(poly.polymul(ol, ol), [0.0, 0.0, mu[1]]))
+    lo, hi = math.exp(-W_MAX), math.exp(W_MAX)
+    points = [float(x) for x in poly.polyroots(poly.polysub(first, second)).real]
+    points += [lam, 1.0 / lam, lo, hi, -lo, -hi]
+    return [x for x in points if lo <= abs(x) <= hi]
 
 
 #: Parameter order of fisher_matrix rows, as in the Monte-Carlo MSE cells.

@@ -557,3 +557,27 @@ def test_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "False"
+
+
+def test_off_image_fit_leaves_numpy_polynomial_out():
+    # The covariance fit off the image takes its face roots from one
+    # eigenvalue call on a closed-form companion matrix, so numpy.polynomial
+    # stays out of the import surface.
+    src = str(Path(lmint.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "\n".join([
+        "import sys",
+        "from lmint import ProcessParams, SetupConfig, Topology, est_general_cov, forward, response",
+        "from lmint.measurement import MomentEstimate",
+        "setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.1, t2=0.1,",
+        "                    v_thermal=100.0, r_amp=100.0)",
+        "state = forward(setup, ProcessParams.folded(phi=0.02, w=0.03, alpha=0.5, d=4.0))",
+        "exact = MomentEstimate(mean=state.mean, cov=state.cov)",
+        "shrunk = MomentEstimate(z=exact.z, c0=exact.c0 - 0.005 * response(setup).a, c1=exact.c1)",
+        "report = est_general_cov(shrunk, setup)",
+        "print(report.diagnostics['off_image'], 'numpy.polynomial' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.split() == ["True", "False"]

@@ -45,6 +45,7 @@ from conftest import (
     exact_probe_moments,
     reference_data_sets,
     reference_joint_fit,
+    reference_symmetric_face,
 )
 
 
@@ -591,6 +592,71 @@ def test_cov_method_off_image_fit_is_optimal(bench_setup, bench_process, case):
         x *= 10.0 ** rng.uniform(-4.0, -1.0) / np.linalg.norm(x)
         m = pick_mat @ (np.eye(2) + x)
         assert residual(m / math.sqrt(np.linalg.det(m))) >= best - slack
+
+
+def test_symmetric_face_matches_the_polynomial_reference():
+    # The closed-form coefficients and the single eigenvalue call give the
+    # points of the numpy.polynomial construction: the same number, each
+    # within 1e-12 of the largest |x|.  A quarter of the cases each: any
+    # lam, lam < 0, |lam| near 1, and mu[0] <= 0 (off the image past the
+    # rank-one face) beside |lam| near 1 too, where roots cluster near x = 1.
+    from lmint.estimators import _symmetric_face
+
+    rng = np.random.default_rng(26)
+    for k in range(2400):
+        kind = k % 4
+        lam = rng.uniform(-1.5, 1.5)
+        if kind == 1:
+            lam = -abs(lam)
+        elif kind >= 2:
+            lam = math.copysign(1.0 - 10.0 ** rng.uniform(-6.0, -1.0), rng.uniform(-1.0, 1.0))
+        mu0 = -10.0 ** rng.uniform(-6.0, 0.0) if kind == 3 else rng.uniform(-2.0, 3.0)
+        mu = (mu0, mu0 + 10.0 ** rng.uniform(-3.0, 1.0))
+        got, want = sorted(_symmetric_face(mu, lam)), sorted(reference_symmetric_face(mu, lam))
+        assert len(got) == len(want), (k, mu, lam)
+        scale = max(abs(x) for x in want)
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want)), (k, mu, lam)
+
+
+def test_cov_method_off_image_pick_matches_the_polynomial_reference(bench_setup,
+                                                                     bench_process, monkeypatch):
+    # Off the image, the pick and the preimage count are those of a fit
+    # whose face points come from the numpy.polynomial reference.
+    import lmint.estimators as estimators
+
+    inputs = [_shrunk_near_identity(bench_setup)]
+    inputs += [_pushed_off_image(bench_setup, bench_process, depth)
+               for depth in (0.002, 0.005, 0.01)]
+    weak = dataclasses.replace(bench_setup, t1=0.01, t2=0.01)
+    near_cold = dataclasses.replace(bench_setup, v_thermal=1.001)
+    for k in range(60):
+        setup = (weak, near_cold)[k % 2]
+        scheme = (Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT3)[k % 3]
+        inputs.append((setup, draw_moments(forward(setup, bench_process),
+                                           MeasurementPlan(scheme, 100_000, seed=k))))
+    closed = [est_general_cov(moments, setup) for setup, moments in inputs]
+    monkeypatch.setattr(estimators, "_symmetric_face", reference_symmetric_face)
+    off_image = 0
+    for (setup, moments), got in zip(inputs, closed):
+        want = est_general_cov(moments, setup)
+        assert got.diagnostics["off_image"] == want.diagnostics["off_image"]
+        off_image += want.diagnostics["off_image"]
+        assert got.diagnostics["ambiguity_order"] == want.diagnostics["ambiguity_order"]
+        assert_params_close(got.params, want.params, 1e-9)
+    assert off_image >= 20
+
+
+@pytest.mark.parametrize("entry", ["c0_nan", "c0_inf", "c1_nan", "mean_nan", "mean_inf"])
+def test_cov_method_names_non_finite_moments(bench_setup, bench_process, entry):
+    # A NaN or infinite statistic fails with a named EstimationError before
+    # the fit, not with numpy's LinAlgError or ProcessParams' range check.
+    moments = exact_moments(forward(bench_setup, bench_process))
+    bad = {"c0_nan": {"c0": math.nan}, "c0_inf": {"c0": math.inf},
+           "c1_nan": {"c1": complex(math.nan, 0.0)},
+           "mean_nan": {"z": complex(math.nan, moments.z.imag)},
+           "mean_inf": {"z": complex(moments.z.real, -math.inf)}}[entry]
+    with pytest.raises(EstimationError, match="not finite"):
+        est_general_cov(dataclasses.replace(moments, **bad), bench_setup)
 
 
 def test_cov_method_unidentifiable_cold_matter(bench_setup, bench_process):
