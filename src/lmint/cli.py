@@ -8,11 +8,11 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,9 @@ from .noise import NoiseParams
 
 SWEEP_CSV_HEADER = ["axis", "value", "estimator", "parameter",
                     "mse", "bias", "variance", "n_samples", "m_reps", "seed"]
+
+#: The shipped figure presets, next to this module.
+_PRESETS = Path(__file__).with_name("presets")
 
 
 class ConfigError(ValueError):
@@ -117,8 +120,9 @@ def _section(raw, name):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def parse_grid(spec) -> list:
-    """Grid given either as a list of numbers or 'log:lo:hi:n' / 'lin:lo:hi:n'."""
+def _grid_spec(spec):
+    """sweep.grid checked, not yet spaced out: the floats of a list, or the numpy
+    spacing and its (lo, hi, n) for a 'log:lo:hi:n' / 'lin:lo:hi:n' string."""
     if isinstance(spec, list):
         if not all(_finite(v) for v in spec):
             raise ConfigError("sweep.grid: expected numbers")
@@ -135,12 +139,19 @@ def parse_grid(spec) -> list:
             raise ConfigError(f"sweep.grid: malformed grid spec {spec!r}") from None
         if n < 1:
             raise ConfigError("sweep.grid: need at least one point")
-        if parts[0] == "log":
-            if lo <= 0 or hi <= 0:
-                raise ConfigError("sweep.grid: log grid needs positive bounds")
-            return list(np.geomspace(lo, hi, n))
-        return list(np.linspace(lo, hi, n))
+        if parts[0] == "log" and (lo <= 0 or hi <= 0):
+            raise ConfigError("sweep.grid: log grid needs positive bounds")
+        return (np.geomspace if parts[0] == "log" else np.linspace), lo, hi, n
     raise ConfigError(f"sweep.grid: expected a list or a grid spec string, got {spec!r}")
+
+
+def parse_grid(spec) -> list:
+    """Grid given either as a list of numbers or 'log:lo:hi:n' / 'lin:lo:hi:n'."""
+    grid = _grid_spec(spec)
+    if isinstance(grid, list):
+        return grid
+    space, *bounds = grid
+    return list(space(*bounds))
 
 
 def load_config(path: str, overrides) -> dict:
@@ -190,7 +201,8 @@ def load_config(path: str, overrides) -> dict:
         _require(sw, "sweep.", {"axis", "grid"}, ("axis", "grid"))
         if sw["axis"] not in AXES:
             raise ConfigError(f"sweep.axis: unknown axis {sw['axis']!r}; expected one of {AXES}")
-        cfg["sweep"] = {"axis": sw["axis"], "grid": parse_grid(sw["grid"])}
+        _grid_spec(sw["grid"])  # checked by every command, spaced out by sweep alone
+        cfg["sweep"] = {"axis": sw["axis"], "grid": sw["grid"]}
     return cfg
 
 
@@ -210,16 +222,14 @@ def _mc_config(cfg) -> MonteCarloConfig:
 
 
 def _preset_path(name: str) -> str:
-    candidate = resources.files("lmint").joinpath("presets", f"{name}.json")
+    candidate = _PRESETS / f"{name}.json"
     if not candidate.is_file():
         raise ConfigError(f"unknown preset {name!r}")
     return str(candidate)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _write_text(path, text):
@@ -230,13 +240,10 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -249,19 +256,14 @@ def cmd_simulate(cfg, args) -> int:
     payload = {"mean": list(state.mean), "cov": [list(row) for row in state.cov]}
     if args.samples:
         records = sample(state, cfg["plan"])
-        rows = []
         if records.quad is not None:
-            idx = 0
-            for theta, values in records.quad.items():
-                for v in values:
-                    rows.append([idx, repr(float(theta)), repr(float(v)), ""])
-                    idx += 1
+            rows = [(repr(float(theta)), repr(float(v)), "")
+                    for theta, values in records.quad.items() for v in values]
         else:
             tag = "het" if cfg["plan"].scheme is Scheme.HETERODYNE else "joint"
-            for idx, (x, p) in enumerate(records.pairs):
-                rows.append([idx, tag, repr(float(x)), repr(float(p))])
-        _write_text(cfg["out"], _csv_text(
-            ["shot_index", "angle_rad_or_het", "value_x", "value_p"], rows))
+            rows = [(tag, repr(float(x)), repr(float(p))) for x, p in records.pairs]
+        _write_text(cfg["out"], _csv_text(["shot_index", "angle_rad_or_het", "value_x", "value_p"],
+                                          ((idx, *row) for idx, row in enumerate(rows))))
     else:
         _write_text(cfg["out"], json.dumps(payload, indent=2) + "\n")
     return 0
@@ -292,12 +294,9 @@ def cmd_fisher(cfg, args) -> int:
 
 
 def sweep_csv(axis, table, plan, m_reps, base_seed) -> str:
-    rows = []
-    for value, report in table:
-        for (estimator, parameter), cell in report.cells.items():
-            rows.append([axis, value, estimator, parameter,
-                         cell.mse, cell.bias, cell.variance,
-                         plan.n_samples, m_reps, base_seed])
+    rows = ([axis, value, estimator, parameter, cell.mse, cell.bias, cell.variance,
+             plan.n_samples, m_reps, base_seed]
+            for value, report in table for (estimator, parameter), cell in report.cells.items())
     return _csv_text(SWEEP_CSV_HEADER, rows)
 
 
@@ -305,7 +304,7 @@ def cmd_sweep(cfg, args) -> int:
     if "sweep" not in cfg:
         raise ConfigError("missing key: sweep")
     mc = _mc_config(cfg)
-    axis, grid = cfg["sweep"]["axis"], cfg["sweep"]["grid"]
+    axis, grid = cfg["sweep"]["axis"], parse_grid(cfg["sweep"]["grid"])
     try:  # every grid value, before the first run; estimator failures are ValueErrors too
         for value in grid:
             apply_axis(mc, axis, value)
@@ -356,27 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lmint",
         description="Gaussian light-matter interferometry simulation and estimation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--config", help="path to a JSON run config")
-        src.add_argument("--preset", help="name of a shipped figure preset")
-        p.add_argument("--seed", type=int, default=None, help="override base seed")
-        p.add_argument("--m-reps", type=int, default=None, help="override repetition count")
-        p.add_argument("--n-samples", type=int, default=None, help="override sample count")
-        p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--axis", default=None, help="sweep axis override")
-        p.add_argument("--grid", default=None, help="sweep grid override, e.g. log:1:300:15")
-        if name == "simulate":
-            p.add_argument("--samples", action="store_true",
-                           help="dump sample records as CSV instead of the state")
+    parser.add_argument("command", choices=_COMMANDS)
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--config", help="path to a JSON run config")
+    src.add_argument("--preset", help="name of a shipped figure preset")
+    parser.add_argument("--seed", type=int, default=None, help="override base seed")
+    parser.add_argument("--m-reps", type=int, default=None, help="override repetition count")
+    parser.add_argument("--n-samples", type=int, default=None, help="override sample count")
+    parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
+    parser.add_argument("--axis", default=None, help="sweep axis override")
+    parser.add_argument("--grid", default=None, help="sweep grid override, e.g. log:1:300:15")
+    parser.add_argument("--samples", action="store_true",
+                        help="simulate only: dump sample records as CSV instead of the state")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.samples and args.command != "simulate":  # read by simulate alone
+            raise ConfigError("unrecognized arguments: --samples")
         path = args.config if args.config else _preset_path(args.preset)
         return _COMMANDS[args.command](load_config(path, args), args)
     except ConfigError as exc:

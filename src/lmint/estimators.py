@@ -4,8 +4,8 @@ naive and calibrated variants selected through the assumed NoiseParams.
 
 prepare_<name> reads the response and the probe inputs of one setup and
 channel, raises the estimator's data-independent failures, and returns the
-estimate as a function of the moments; est_<name> applies it at once, a
-Monte-Carlo run to every realization.
+estimate as a function of the moments; est_<name> checks that the moments
+are finite and applies it at once, a Monte-Carlo run to every realization.
 """
 from __future__ import annotations
 
@@ -82,6 +82,22 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _require_finite(moments=None, probes=()):
+    """EstimationError naming each moment that is not finite, if any: the
+    mean, c0, c1 and (homodyne3) pi/4 mean of the single read-out and of
+    each probe, numbered in PROBE_PHASES order.  The est_* entry points
+    check their data here; of the prepared estimates that a Monte-Carlo run
+    applies to moments of finite records, only cov_method's calls it, on
+    data its fit could not take."""
+    sets = [("", moments)] if moments is not None else []
+    sets += [(f"probe {k} ", m) for k, m in enumerate(probes)]
+    bad = [f"{label}{name} {value!r}" for label, m in sets for name, value in
+           (("mean", m.z), ("c0", m.c0), ("c1", m.c1), ("mean_diag", m.mean_diag))
+           if value is not None and not cmath.isfinite(value)]
+    if bad:
+        raise EstimationError(f"the moments are not finite: {', '.join(bad)}")
+
+
 # ---------------------------------------------------------------------------
 # Displacement-only estimation
 
@@ -93,7 +109,9 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     The baseline is the model mean with the process switched off (A = I); the
     gain is sqrt(t2 t_c) for every topology.
     """
-    return prepare_displacement(setup, noise)(moments)
+    estimate = prepare_displacement(setup, noise)
+    _require_finite(moments)
+    return estimate(moments)
 
 
 def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -126,7 +144,9 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict
     diagnostics dict when given); the sign is resolved through the mean's
     p-component when the probe is bright, otherwise the magnitude is returned.
     """
-    return prepare_phase_var(setup, noise)(moments, diagnostics)
+    estimate = prepare_phase_var(setup, noise)
+    _require_finite(moments)
+    return estimate(moments, diagnostics)
 
 
 def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -154,7 +174,9 @@ def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
 def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     """Mean-based phase estimator: two-argument arctangent of the displaced
     mean, the same under any channel, which scales through R(phi) m_in alone."""
-    return prepare_phase_mean(setup)(moments)
+    estimate = prepare_phase_mean(setup)
+    _require_finite(moments)
+    return estimate(moments)
 
 
 def prepare_phase_mean(setup: SetupConfig):
@@ -279,7 +301,9 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     (simplistic topology, a dark probe, t1 = 0) and the covariance has no
     linear term (b = 0).
     """
-    return prepare_phase_ml(setup, noise)(moments)
+    estimate = prepare_phase_ml(setup, noise)
+    _require_finite(moments)
+    return estimate(moments)
 
 
 def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -515,7 +539,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         # the canonical representative is the pick.
         cov_emp = moments.c0, moments.c1
         if not all(map(cmath.isfinite, (moments.z, *cov_emp))):
-            raise EstimationError(f"the moments are not finite: mean {moments.z}, cov {cov_emp}")
+            _require_finite(moments)  # raises, naming the entries
         mats, off_image = _fit_cov(cov_emp, resp)
         candidates, seen = [], []
         for m0, m1 in mats:
@@ -576,7 +600,9 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     above the bound of the means; a weighted (GLS) fit of the same means
     reaches ~1.  est_combined, started here, is the efficient estimator.
     """
-    return prepare_general_mean(setup, noise)(probe_moments)
+    estimate = prepare_general_mean(setup, noise)
+    _require_finite(probes=probe_moments)
+    return estimate(probe_moments)
 
 
 def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -897,7 +923,9 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.  Fails as
     est_general_mean does when the probes cannot start it.
     """
-    return prepare_combined(setup, noise)(single_moments, probe_moments)
+    estimate = prepare_combined(setup, noise)
+    _require_finite(single_moments, probe_moments)
+    return estimate(single_moments, probe_moments)
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):

@@ -14,6 +14,7 @@ from lmint.cli import (
     SWEEP_CSV_HEADER,
     ConfigError,
     _preset_path,
+    build_parser,
     load_config,
     main,
     parse_grid,
@@ -233,8 +234,6 @@ def test_simulate_samples_csv(tmp_path):
 def test_successive_calls_share_the_parser_not_the_options(tmp_path, capsys):
     # The parser is built once per process; an option given to one call
     # (simulate --samples) does not leak into the next call without it.
-    from lmint.cli import build_parser
-
     assert build_parser() is build_parser()
     path = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "shots.csv"
@@ -366,13 +365,84 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # Exit 2 is reserved for estimation failures; a malformed command line
     # is a config error like any other.
     path = write_config(tmp_path, SMALL_CONFIG)
+    choices = "'simulate', 'estimate', 'fisher', 'sweep', 'calibrate'"
     cases = [(["estimate"], "--config --preset is required"),
              (["estimate", "--config", path, "--seed", "abc"],
               "argument --seed: invalid int value: 'abc'"),
-             (["estimate", "--config", path, "--bogus"], "unrecognized arguments: --bogus")]
+             (["estimate", "--config", path, "--bogus"], "unrecognized arguments: --bogus"),
+             ([], "error: the following arguments are required: command"),
+             (["simulte", "--config", path],
+              f"error: argument command: invalid choice: 'simulte' (choose from {choices})"),
+             (["fisher", "--config", path, "--preset", "fig3_left"],
+              "error: argument --preset: not allowed with argument --config"),
+             (["sweep", "--config", path, "--m-reps", "2.5"],
+              "error: argument --m-reps: invalid int value: '2.5'"),
+             (["calibrate", "--config"], "error: argument --config: expected one argument"),
+             (["estimate", "--config", path, "extra"], "error: unrecognized arguments: extra")]
     for argv, message in cases:
         code, err = run_error(argv, capsys)
         assert code == 1 and message in err, argv
+
+
+#: The Namespace of an argv that gives no option but --preset.
+DEFAULTS = {"config": None, "preset": "fig4_left", "seed": None, "m_reps": None,
+            "n_samples": None, "out": None, "axis": None, "grid": None, "samples": False}
+
+#: Each option with the argv words that give it and the field they set.
+OPTIONS = [(["--config", "c.json"], {"config": "c.json", "preset": None}),
+           (["--seed", "7"], {"seed": 7}), (["--m-reps", "20"], {"m_reps": 20}),
+           (["--n-samples", "900"], {"n_samples": 900}), (["--out", "-"], {"out": "-"}),
+           (["--axis", "V"], {"axis": "V"}), (["--grid", "log:1:300:15"], {"grid": "log:1:300:15"}),
+           (["--seed=0", "--out=x.csv"], {"seed": 0, "out": "x.csv"})]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep", "calibrate"])
+@pytest.mark.parametrize("words, fields", [([], {})] + OPTIONS,
+                         ids=["no_option"] + [" ".join(words) for words, _ in OPTIONS])
+def test_parser_fields(command, words, fields):
+    # One parser for every command: each option sets its field alone, the
+    # others keep their defaults, and --preset fig4_left stands unless
+    # --config replaces it.
+    source = [] if "config" in fields else ["--preset", "fig4_left"]
+    args = build_parser().parse_args([command, *source, *words])
+    assert vars(args) == {"command": command, **DEFAULTS, **fields}
+
+
+def test_parser_samples_field():
+    args = build_parser().parse_args(["simulate", "--preset", "fig4_left", "--samples"])
+    assert vars(args) == {"command": "simulate", **DEFAULTS, "samples": True}
+
+
+@pytest.mark.parametrize("command", ["estimate", "fisher", "sweep", "calibrate"])
+def test_samples_belongs_to_simulate_alone(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--preset", "fig3_left", "--samples", "--out", str(out)]
+    assert run_error(argv, capsys) == (1, "error: unrecognized arguments: --samples")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_only_sweep_spaces_out_the_grid(capsys, monkeypatch, preset):
+    # Every preset's sweep.grid is a spec string: the other commands check
+    # it as the config loads but build no grid, so they run with numpy's
+    # spacing functions broken.
+    def broken(*args, **kwargs):
+        raise AssertionError("a grid was spaced out")
+
+    monkeypatch.setattr(np, "geomspace", broken)
+    monkeypatch.setattr(np, "linspace", broken)
+    for command in ("simulate", "estimate", "fisher", "calibrate"):
+        assert main([command, "--preset", preset, "--out", "-"]) == 0, command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep", "calibrate"])
+def test_malformed_grid_fails_every_command(tmp_path, capsys, command):
+    raw = json.loads(Path(_preset_path("fig4_left")).read_text())
+    raw["sweep"]["grid"] = "log:0:2:3"
+    argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+    assert run_error(argv, capsys) == (1, "error: sweep.grid: log grid needs positive bounds")
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibration_ideal_is_not_a_mode(tmp_path, capsys):

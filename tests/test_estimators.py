@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -657,6 +658,46 @@ def test_cov_method_names_non_finite_moments(bench_setup, bench_process, entry):
            "mean_inf": {"z": complex(moments.z.real, -math.inf)}}[entry]
     with pytest.raises(EstimationError, match="not finite"):
         est_general_cov(dataclasses.replace(moments, **bad), bench_setup)
+
+
+#: A NaN or infinite entry of each moment, and how the failure names it.
+NON_FINITE = [({"z": complex(math.nan, 9.41)}, "mean (nan+9.41j)"),
+              ({"z": complex(39.3, -math.inf)}, "mean (39.3-infj)"),
+              ({"c0": math.nan}, "c0 nan"), ({"c0": math.inf}, "c0 inf"),
+              ({"c1": complex(math.nan, 0.0)}, "c1 (nan+0j)"),
+              ({"mean_diag": math.nan}, "mean_diag nan")]
+
+
+@pytest.mark.parametrize("bad, named", NON_FINITE)
+def test_every_estimator_names_non_finite_moments(bench_setup, bench_process, bad, named):
+    # Each public estimator fails with one EstimationError naming the entry,
+    # where it returned -pi, NaN or a finite value that ignores it, or failed
+    # for another cause ("scatter is singular", a bare ValueError, "no step
+    # lowers the deviance").
+    single = exact_moments(forward(bench_setup, bench_process))
+    probes = exact_probe_moments(bench_setup, bench_process)
+    broken = dataclasses.replace(single, **bad)
+    cases = [(est_displacement, (broken,), named), (est_phase_var, (broken,), named),
+             (est_phase_mean, (broken,), named), (est_phase_ml, (broken,), named),
+             (est_general_cov, (broken,), named),
+             (est_general_mean, ([probes[0], broken, probes[2]],), f"probe 1 {named}"),
+             (est_combined, (broken, probes), named),
+             (est_combined, (single, [*probes[:2], broken]), f"probe 2 {named}")]
+    for estimator, data, message in cases:
+        if estimator is est_general_cov and "mean_diag" in bad:
+            continue  # the covariance fit reads no pi/4 mean
+        match = f"^the moments are not finite: {re.escape(message)}$"
+        with pytest.raises(EstimationError, match=match):
+            estimator(*data, bench_setup)
+
+
+def test_finite_moments_check_runs_after_the_setup_checks(bench_process):
+    # A setup the estimator cannot identify fails as such, whatever the data.
+    cold = SetupConfig(Topology.BLOCKED_BEAM, t1=0.1, t2=0.1, v_thermal=1.0, r_amp=0.0)
+    broken = dataclasses.replace(exact_moments(forward(cold, bench_process)), c0=math.nan)
+    for estimator in (est_phase_var, est_phase_mean, est_phase_ml):
+        with pytest.raises(UnidentifiableError):
+            estimator(broken, cold)
 
 
 def test_cov_method_unidentifiable_cold_matter(bench_setup, bench_process):
