@@ -126,6 +126,8 @@ def _grid_spec(spec):
     if isinstance(spec, list):
         if not all(_finite(v) for v in spec):
             raise ConfigError("sweep.grid: expected numbers")
+        if not spec:
+            raise ConfigError("sweep.grid: need at least one point")
         return [float(v) for v in spec]
     if isinstance(spec, str):
         parts = spec.split(":")

@@ -147,9 +147,9 @@ class ProcessParams:
     _EPS = 1e-9
 
     def __post_init__(self):
-        if self.w < -self._EPS:
+        if not -self._EPS <= self.w < math.inf:
             raise ValueError(f"w must be >= 0, got {self.w}")
-        if self.d < -self._EPS:
+        if not -self._EPS <= self.d < math.inf:
             raise ValueError(f"d must be >= 0, got {self.d}")
         for name, val, lo, hi in (
             ("phi", self.phi, -math.pi, math.pi),
@@ -166,8 +166,8 @@ class ProcessParams:
 
     @classmethod
     def from_q(cls, phi=0.0, q=1.0, alpha=0.0, d=0.0, beta=0.0) -> "ProcessParams":
-        if q <= 0:
-            raise ValueError(f"q must be positive, got {q}")
+        if not 0.0 < q < math.inf:
+            raise ValueError(f"q must be positive and finite, got {q}")
         return cls.folded(phi=phi, w=math.log(q), alpha=alpha, d=d, beta=beta)
 
     @property

@@ -6,8 +6,9 @@ channel (estimators.prepare_<name>), and each data set's record law
 (measurement.record_laws) from the scalars of interferometer.measured_moments:
 one covariance, and the mean at its probe phase.  An estimator that fails
 its data-independent checks books m_reps failures of that reason unrun, and
-a run with none left draws nothing.  A realization only keys its streams,
-draws (measurement.draw_from_laws) and estimates.
+a run with none left draws nothing.  A realization only keys its streams
+and draws (measurement.draw_from_laws); each estimator runs over a block of
+_BLOCK drawn realizations, in order, before the next block is drawn.
 Data set j of realization k at sweep point p draws from the stream
 np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
 SeedSequence(base_seed).spawn gives, so streams are independent by
@@ -22,6 +23,7 @@ point's calibration.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace as dc_replace
@@ -68,6 +70,11 @@ ESTIMATOR_PARAMS = {
 
 #: Estimators that consume the three-probe mean protocol.
 _THREE_PROBE = {"mean_method", "combined"}
+
+#: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
+#: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 71.7/60.6/55.6/55.1/56.8/55.6.
+#: Drawing all m_reps first would hold 2.5 KB per realization, 25 MB at 10 000.
+_BLOCK = 64
 
 
 def base_name(estimator: str) -> str:
@@ -316,7 +323,9 @@ def run_mc(cfg: MonteCarloConfig) -> MSEReport:
 def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
     """run_mc on the streams of sweep point `point` (run_mc itself is point 0).
     Each estimator is prepared once; one that fails its data-independent
-    checks counts m_reps failures of that reason."""
+    checks counts m_reps failures of that reason.  Each live estimator, in
+    cfg.estimators order, runs over a block of _BLOCK realizations before the
+    next is drawn, so it sees them in order, as if each right after its draw."""
     t0 = time.perf_counter()
     calibrated = _calibrated_noise(cfg, point)
     failures = {name: {} for name in cfg.estimators}  # exception class name -> count
@@ -330,9 +339,10 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
             reason = type(exc).__name__
             failures[name][reason] = failures[name].get(reason, 0) + cfg.m_reps
     loop = [(live[n], rows[n], diagnostics[n], failures[n]) for n in cfg.estimators if n in live]
-    if loop:
-        for single, probes in _simulate_realizations(cfg, point, {base_name(n) for n in live}):
-            for estimate, done, diag, failed in loop:
+    realizations = _simulate_realizations(cfg, point, {base_name(n) for n in live})  # lazy
+    while loop and (block := list(itertools.islice(realizations, _BLOCK))):
+        for estimate, done, diag, failed in loop:
+            for single, probes in block:
                 try:
                     done.append(estimate(single, probes, diag))
                 except _ESTIMATOR_FAILURES as exc:

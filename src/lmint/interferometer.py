@@ -59,10 +59,12 @@ class SetupConfig:
         for name, t in (("t1", self.t1), ("t2", self.t2)):
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {t}")
-        if self.v_thermal < 1.0:
+        if not 1.0 <= self.v_thermal < math.inf:
             raise ValueError(f"v_thermal must be >= 1, got {self.v_thermal}")
-        if self.r_amp < 0.0:
+        if not 0.0 <= self.r_amp < math.inf:
             raise ValueError(f"r_amp must be >= 0, got {self.r_amp}")
+        if not -math.inf < self.probe_phase < math.inf:
+            raise ValueError(f"probe_phase must be finite, got {self.probe_phase}")
 
     @property
     def light_mean(self) -> complex:

@@ -1,6 +1,7 @@
 """Decoherence channel attached to the matter mode after the unknown process."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -14,7 +15,7 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 < self.t_c <= 1.0:
             raise ValueError(f"t_c must be in (0, 1], got {self.t_c}")
-        if self.v_c < 1.0:
+        if not 1.0 <= self.v_c < math.inf:
             raise ValueError(f"v_c must be >= 1, got {self.v_c}")
 
 

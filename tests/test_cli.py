@@ -438,11 +438,15 @@ def test_only_sweep_spaces_out_the_grid(capsys, monkeypatch, preset):
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep", "calibrate"])
 def test_malformed_grid_fails_every_command(tmp_path, capsys, command):
+    # An empty list is refused as the string form with no point is.
     raw = json.loads(Path(_preset_path("fig4_left")).read_text())
-    raw["sweep"]["grid"] = "log:0:2:3"
-    argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
-    assert run_error(argv, capsys) == (1, "error: sweep.grid: log grid needs positive bounds")
-    assert not (tmp_path / "out").exists()
+    for grid, message in (("log:0:2:3", "log grid needs positive bounds"),
+                          ([], "need at least one point")):
+        raw["sweep"]["grid"] = grid
+        argv = [command, "--config", write_config(tmp_path, raw),
+                "--out", str(tmp_path / "out")]
+        assert run_error(argv, capsys) == (1, f"error: sweep.grid: {message}"), grid
+        assert not (tmp_path / "out").exists()
 
 
 def test_calibration_ideal_is_not_a_mode(tmp_path, capsys):

@@ -210,6 +210,99 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
     assert estimate_once(cfg) == [{"d": d, "beta": beta}]
 
 
+def _per_realization_cells(cfg):
+    """run_mc's cells by the per-realization order: draw one realization,
+    apply every prepared estimator to it, then draw the next."""
+    calibrated = harness._calibrated_noise(cfg, 0)
+    failures = {name: {} for name in cfg.estimators}
+    rows = {name: [] for name in cfg.estimators}
+    diagnostics = {name: {} for name in cfg.estimators}
+    live = {}
+    for name in cfg.estimators:
+        try:
+            live[name] = harness._prepare(name, cfg,
+                                          harness._resolve_assumed(cfg, name, calibrated))
+        except harness._ESTIMATOR_FAILURES as exc:
+            failures[name][type(exc).__name__] = cfg.m_reps
+    bases = {harness.base_name(name) for name in live}
+    for single, probes in (harness._simulate_realizations(cfg, 0, bases) if live else ()):
+        for name, estimate in live.items():
+            try:
+                rows[name].append(estimate(single, probes, diagnostics[name]))
+            except harness._ESTIMATOR_FAILURES as exc:
+                reason = type(exc).__name__
+                failures[name][reason] = failures[name].get(reason, 0) + 1
+    cells = {}
+    for name in cfg.estimators:
+        cells.update(harness._cell_stats(cfg, name, rows[name], failures[name],
+                                         diagnostics[name].get("clamped", 0)))
+    return cells
+
+
+def test_blocks_give_the_cells_of_the_per_realization_order():
+    # run_mc runs each estimator over a block of realizations before it
+    # draws the next block.  Every estimator still sees the realizations in
+    # order, so every cell (failure reasons and their order, clamp counts,
+    # and the statistics, compared through repr so that NaNs and signed
+    # zeros count) is that of the per-realization order, across two block
+    # boundaries.  At T = 0.1, r = 10 and 600 shots the set fails by three
+    # reasons, combined by two in the same run, and phase_var clamps.
+    setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.1, t2=0.1,
+                        v_thermal=100.0, r_amp=10.0)
+    process = ProcessParams.from_q(phi=2.9, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
+    reasons, clamps = set(), 0
+    for scheme in Scheme:
+        for estimators in (("displacement", "phase_var", "phase_mean", "phase_ml"),
+                           ("cov_method", "mean_method"), ("combined",)):
+            for noise, calibration in ((IDEAL_NOISE, "true"),
+                                       (NoiseParams(t_c=0.9, v_c=1.2), "auto")):
+                cfg = MonteCarloConfig(setup=setup, process=process,
+                                       plan=MeasurementPlan(scheme, 600, seed=0),
+                                       estimators=estimators, noise=noise,
+                                       calibration=calibration,
+                                       m_reps=2 * harness._BLOCK + 3, base_seed=16384)
+                cells = run_mc(cfg).cells
+                assert repr(cells) == repr(_per_realization_cells(cfg)), cfg
+                for cell in cells.values():
+                    reasons |= set(cell.failures)
+                    clamps += cell.n_clamped
+    assert len(reasons) >= 2
+    assert clamps > 0
+
+
+def test_a_run_holds_at_most_one_block(bench_setup, bench_process, monkeypatch):
+    # The first estimator runs over each block before the next is drawn:
+    # at each of its calls at most _BLOCK realizations are drawn and not
+    # yet seen by it, and a run of 3 * _BLOCK reps draws in three blocks.
+    drawn, seen, ahead = [0], [0], []
+    simulate, prepare = harness._simulate_realizations, harness._prepare
+
+    def counted(*args):
+        for realization in simulate(*args):
+            drawn[0] += 1
+            yield realization
+
+    def watched(name, *args):
+        estimate = prepare(name, *args)
+        if name != "displacement":
+            return estimate
+
+        def first(*data):
+            assert drawn[0] - seen[0] <= harness._BLOCK
+            ahead.append(drawn[0])
+            seen[0] += 1
+            return estimate(*data)
+
+        return first
+
+    monkeypatch.setattr(harness, "_simulate_realizations", counted)
+    monkeypatch.setattr(harness, "_prepare", watched)
+    run_mc(mc(bench_setup, bench_process, estimators=("displacement", "phase_mean"),
+              n=600, m_reps=3 * harness._BLOCK))
+    assert drawn[0] == seen[0] == 3 * harness._BLOCK
+    assert sorted(set(ahead)) == [harness._BLOCK * b for b in (1, 2, 3)]
+
+
 def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_process,
                                                        monkeypatch):
     # Every stream of a sweep (each point's calibration probes, and the

@@ -30,6 +30,31 @@ def test_setup_validation():
         SetupConfig(Topology.INTERFEROMETRIC, t1=0.1, t2=0.1, v_thermal=100.0, r_amp=-1.0)
 
 
+_RECORDS = {
+    "SetupConfig": lambda **kw: SetupConfig(**{
+        "topology": Topology.INTERFEROMETRIC, "t1": 0.1, "t2": 0.1,
+        "v_thermal": 100.0, "r_amp": 100.0, **kw}),
+    "ProcessParams": lambda **kw: ProcessParams(**{
+        "phi": 0.7, "w": 0.5, "alpha": -0.3, "d": 4.0, "beta": 0.5, **kw}),
+    "ProcessParams.from_q": ProcessParams.from_q,
+    "NoiseParams": NoiseParams,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, field", [
+    ("SetupConfig", "t1"), ("SetupConfig", "t2"), ("SetupConfig", "v_thermal"),
+    ("SetupConfig", "r_amp"), ("SetupConfig", "probe_phase"),
+    ("ProcessParams", "phi"), ("ProcessParams", "w"), ("ProcessParams", "alpha"),
+    ("ProcessParams", "d"), ("ProcessParams", "beta"), ("ProcessParams.from_q", "q"),
+    ("NoiseParams", "t_c"), ("NoiseParams", "v_c")])
+def test_config_records_refuse_non_finite_values(record, field, value):
+    # A non-finite value fails every range test of the records, as it fails
+    # load_config's, and the message names the field.
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        _RECORDS[record](**{field: value})
+
+
 @given(st.floats(0.0, 1.0), st.floats(0.0, 300.0), st.floats(1.0, 300.0),
        st.floats(-math.pi, math.pi))
 @settings(max_examples=60, deadline=None)
