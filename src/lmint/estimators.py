@@ -4,8 +4,11 @@ naive and calibrated variants selected through the assumed NoiseParams.
 
 prepare_<name> reads the response and the probe inputs of one setup and
 channel, raises the estimator's data-independent failures, and returns the
-estimate as a function of the moments; est_<name> checks that the moments
-are finite and applies it at once, a Monte-Carlo run to every realization.
+estimate as a function of the moments, values in and out: a general method
+returns (phi, w, alpha, d, beta) as ProcessParams.folded stores them and fills
+diagnostics only into a dict passed in.  est_<name> checks that the moments are
+finite, applies it and wraps the values as an EstimateReport; a Monte-Carlo
+run applies it to every realization and keeps the values.
 """
 from __future__ import annotations
 
@@ -20,23 +23,6 @@ from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair
 from .interferometer import SetupConfig, _process_pair, _sigma, response
 from .measurement import InsufficientDataError, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
-
-__all__ = [
-    "NoiseParams",
-    "IDEAL_NOISE",
-    "EstimateReport",
-    "UnidentifiableError",
-    "EstimationError",
-    "FitRejectedError",
-    "est_displacement",
-    "est_phase_var",
-    "est_phase_mean",
-    "est_phase_ml",
-    "est_general_cov",
-    "est_general_mean",
-    "est_combined",
-    "PROBE_PHASES",
-]
 
 
 class UnidentifiableError(ValueError):
@@ -517,7 +503,8 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     lacks the full covariance, and EstimationError when the mean or the
     covariance is not finite.
     """
-    return prepare_general_cov(setup, noise, moments.scheme.has_full_cov)(moments)
+    estimate, diag = prepare_general_cov(setup, noise, moments.scheme.has_full_cov), {}
+    return EstimateReport(ProcessParams(*estimate(moments, diag)), "cov_method", diag)
 
 
 def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
@@ -534,7 +521,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
             "so it carries no rotation signal")
     m_in = setup.light_mean
 
-    def estimate(moments: MomentEstimate) -> EstimateReport:
+    def estimate(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
         # Every process matrix consistent with the fitted covariance, once each;
         # the canonical representative is the pick.
         cov_emp = moments.c0, moments.c1
@@ -554,7 +541,6 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         a_min = min(abs(al) for _, _, al in short)
         short = [c for c in short if abs(c[2]) <= a_min + 1e-3]
         pick = max(short, key=lambda c: c[0])
-        rivals = [c for c in candidates if c is not pick]
 
         gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
         residual = math.sqrt(_dot(gap, gap))
@@ -562,18 +548,21 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         if rel > RESIDUAL_REL_TOL:
             raise FitRejectedError(
                 f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}")
-        diagnostics = {"residual": residual, "residual_rel": rel, "off_image": off_image,
-                       "ambiguity_order": len(candidates)}
-        if rivals:
-            diagnostics["rival_fits"] = rivals
         phi, w, alpha = pick
+        if diagnostics is not None:
+            diagnostics.update(residual=residual, residual_rel=rel, off_image=off_image,
+                               ambiguity_order=len(candidates))
+            rivals = [c for c in candidates if c is not pick]
+            if rivals:
+                diagnostics["rival_fits"] = rivals
+            if w < AXIS_UNDEFINED_W:
+                diagnostics["axis_undefined"] = True
         if w < AXIS_UNDEFINED_W:
-            alpha, diagnostics["axis_undefined"] = 0.0, True
+            alpha = 0.0
         m0, m1 = _process_pair(phi, w, alpha)
         d_vec = (moments.z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
                  - resp.direct * m_in) / resp.g_d
-        params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
-        return EstimateReport(params=params, method="cov_method", diagnostics=diagnostics)
+        return phi, w, alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))  # pick is folded
 
     return estimate
 
@@ -600,9 +589,9 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     above the bound of the means; a weighted (GLS) fit of the same means
     reaches ~1.  est_combined, started here, is the efficient estimator.
     """
-    estimate = prepare_general_mean(setup, noise)
+    estimate, diag = prepare_general_mean(setup, noise), {}
     _require_finite(probes=probe_moments)
-    return estimate(probe_moments)
+    return EstimateReport(ProcessParams(*estimate(probe_moments, diag)), "mean_method", diag)
 
 
 def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -616,18 +605,18 @@ def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the mean carries no signal of the linear part")
 
-    def estimate(probe_moments) -> EstimateReport:
+    def estimate(probe_moments, diagnostics: dict | None = None) -> tuple:
         k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
         d_vec = k_hat / resp.g_d
         b0, b1 = (m0 - resp.direct) / resp.through, m1 / resp.through
         phi, w, alpha = polar_pair(b0, b1)
-        diagnostics = {"det_b": (b0 * b0.conjugate() - b1 * b1.conjugate()).real, "w_raw": w}
-        if w < AXIS_UNDEFINED_W:
-            alpha = 0.0
+        if diagnostics is not None:
+            diagnostics.update(det_b=(b0 * b0.conjugate() - b1 * b1.conjugate()).real, w_raw=w)
             if abs(w) < AXIS_UNDEFINED_W:
                 diagnostics["axis_undefined"] = True
-        params = ProcessParams.folded(phi, w, alpha, abs(d_vec), cmath.phase(d_vec))
-        return EstimateReport(params=params, method="mean_method", diagnostics=diagnostics)
+        if w < AXIS_UNDEFINED_W:
+            alpha = 0.0
+        return fold_angle(phi), max(w, 0.0), alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))
 
     return estimate
 
@@ -657,18 +646,17 @@ def chart(process: ProcessParams):
     """Chart point x = (phi, w cos 2alpha, w sin 2alpha, d cos beta, d sin beta),
     regular at w = 0 and d = 0 where alpha and beta are undefined, and its
     Jacobian dx / d(phi, w, alpha, d, beta)."""
-    jac = np.eye(5)
-    for i, r, angle, k in ((1, process.w, process.alpha, 2.0), (3, process.d, process.beta, 1.0)):
+    p, jac = process, np.eye(5)
+    for i, r, angle, k in ((1, p.w, p.alpha, 2.0), (3, p.d, p.beta, 1.0)):
         c, s = math.cos(k * angle), math.sin(k * angle)
         jac[i:i + 2, i:i + 2] = [[c, -k * r * s], [s, k * r * c]]
-    return np.array(_chart_point(process)), jac
+    return np.array(_chart_point(p.phi, p.w, p.alpha, p.d, p.beta)), jac
 
 
-def _chart_point(process: ProcessParams) -> list:
-    """The chart point x of chart as a list of floats."""
-    p, double = process, 2.0 * process.alpha
-    return [p.phi, p.w * math.cos(double), p.w * math.sin(double),
-            p.d * math.cos(p.beta), p.d * math.sin(p.beta)]
+def _chart_point(phi, w, alpha, d, beta) -> list:
+    """The chart point x of chart, of the values of a process, as a list of floats."""
+    double = 2.0 * alpha
+    return [phi, w * math.cos(double), w * math.sin(double), d * math.cos(beta), d * math.sin(beta)]
 
 
 #: Unit vector of the homodyne records along (x + p) / sqrt 2, in the pair form.
@@ -923,22 +911,24 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.  Fails as
     est_general_mean does when the probes cannot start it.
     """
-    estimate = prepare_combined(setup, noise)
+    estimate, diag = prepare_combined(setup, noise), {}
     _require_finite(single_moments, probe_moments)
-    return estimate(single_moments, probe_moments)
+    values = estimate(single_moments, probe_moments, diag)
+    return EstimateReport(ProcessParams(*values), "combined", diag)
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     """est_combined for one setup and channel, failing as its start does: each
-    estimate starts from prepare_general_mean's estimate and scores on
-    Python floats, _joint_fit for the deviance, score and information and
-    _newton_step for the step and the decrement."""
+    estimate starts from the values of prepare_general_mean's estimate and
+    scores on Python floats, _joint_fit for the deviance, score and
+    information and _newton_step for the step and the decrement."""
     start = prepare_general_mean(setup, noise)
     resp = response(setup, noise)
     m_in = [cmath.rect(setup.r_amp, p) for p in (setup.probe_phase, *PROBE_PHASES)]
 
-    def estimate(single_moments: MomentEstimate, probe_moments) -> EstimateReport:
-        x = _chart_point(start(probe_moments).params)
+    def estimate(single_moments: MomentEstimate, probe_moments,
+                 diagnostics: dict | None = None) -> tuple:
+        x = _chart_point(*start(probe_moments))
         blocks = _blocks([single_moments, *probe_moments], m_in)
         deviance, score, info, rounding = _joint_fit(x, blocks, resp)
         if score is None:
@@ -959,21 +949,20 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             else:
                 raise EstimationError("no step along the scoring direction lowers the deviance")
             x, (deviance, score, info, rounding) = point, trial
-        # Per set k (k + 1) / 2 = 2 k - 1 scatter entries and k mean components, k = 2 for P = I.
-        dof = -5
-        for p, _, _, sets in blocks:
-            k = 2 if p is None else 1
-            for data_set in sets:
-                dof += k * (2 + (data_set[3] is not None)) - 1
-        sigma = (deviance - dof) / math.sqrt(2.0 * dof)
         phi, u, v, c, s = x
         w = math.hypot(u, v)
         undefined = w < AXIS_UNDEFINED_W
-        params = ProcessParams.folded(phi=phi, w=w,
-                                      alpha=0.0 if undefined else 0.5 * math.atan2(v, u),
-                                      d=math.hypot(c, s), beta=math.atan2(s, c))
-        return EstimateReport(params=params, method="combined", diagnostics={
-            "deviance": deviance, "dof": dof, "deviance_sigma": sigma, "scoring_steps": steps,
-            "model_inconsistent": sigma > _INCONSISTENT_SIGMA, "axis_undefined": undefined})
+        if diagnostics is not None:
+            dof = -5  # per set 2 k - 1 scatter entries and k mean components, k = 2 for P = I
+            for p, _, _, sets in blocks:
+                k = 2 if p is None else 1
+                for data_set in sets:
+                    dof += k * (2 + (data_set[3] is not None)) - 1
+            sigma = (deviance - dof) / math.sqrt(2.0 * dof)
+            diagnostics.update(deviance=deviance, dof=dof, deviance_sigma=sigma,
+                               scoring_steps=steps, model_inconsistent=sigma > _INCONSISTENT_SIGMA,
+                               axis_undefined=undefined)
+        return (fold_angle(phi), w, 0.0 if undefined else fold_axis(0.5 * math.atan2(v, u)),
+                math.hypot(c, s), fold_angle(math.atan2(s, c)))
 
     return estimate

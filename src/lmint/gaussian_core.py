@@ -161,7 +161,10 @@ class ProcessParams:
 
     @classmethod
     def folded(cls, phi=0.0, w=0.0, alpha=0.0, d=0.0, beta=0.0) -> "ProcessParams":
-        """Build params with angles folded into their canonical ranges."""
+        """Build params with angles folded into their ranges; a value not finite raises."""
+        for name, value in (("phi", phi), ("w", w), ("alpha", alpha), ("d", d), ("beta", beta)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         return cls(fold_angle(phi), max(w, 0.0), fold_axis(alpha), max(d, 0.0), fold_angle(beta))
 
     @classmethod

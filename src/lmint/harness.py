@@ -15,7 +15,7 @@ SeedSequence(base_seed).spawn gives, so streams are independent by
 construction and results reproducible and order-independent.  The seed of
 each child is computed bit for bit as SeedSequence computes it, from shared
 prefixes: the state after the base seed once per seed, after p once per
-point, after k once per realization, and only j per data set.  Keys are
+point, after k once per realization, and all its j in one pass.  Keys are
 formed as realizations are drawn, so reading realization 1 costs the same
 at any m_reps.  Realizations run k = 1..m_reps; realization 0 is the
 point's calibration.
@@ -198,28 +198,32 @@ def _key_child(prefix: tuple, entry: int) -> tuple:
             return x0, x1, h
 
 
-def _key_seed(prefix: tuple, entry: int) -> int:
-    """SeedSequence(entropy, spawn_key=key + (entry,)).generate_state(1,
-    np.uint64)[0], for prefix the state of (entropy, key): the first two pool
-    words, hashed, are the low and high half."""
-    x0, x1, _ = _key_child(prefix, entry)
-    low = (x0 ^ _INIT_B) * _OUT_1 & _MASK32
-    high = (x1 ^ _OUT_1) * _OUT_2 & _MASK32
-    return (high ^ high >> 16) << 32 | low ^ low >> 16
+def _key_seeds(prefix: tuple, words) -> list:
+    """SeedSequence(entropy, spawn_key=key + (j,)).generate_state(1, np.uint64)[0]
+    for each j < 2**32 in words, prefix the state of (entropy, key): one word
+    j hashes with the same h A and h A^2, and pool words 0 and 1 give its seed."""
+    x0, x1, h = prefix
+    h1, h2 = h * _MULT_A & _MASK32, h * _MULT_A2 & _MASK32
+    seeds = []
+    for word in words:
+        v0, v1 = (word ^ h) * h1 & _MASK32, (word ^ h1) * h2 & _MASK32
+        v0 = (_MIX_L * x0 - _MIX_R * (v0 ^ v0 >> 16)) & _MASK32
+        v1 = (_MIX_L * x1 - _MIX_R * (v1 ^ v1 >> 16)) & _MASK32
+        low = (v0 ^ v0 >> 16 ^ _INIT_B) * _OUT_1 & _MASK32
+        high = (v1 ^ v1 >> 16 ^ _OUT_1) * _OUT_2 & _MASK32
+        seeds.append((high ^ high >> 16) << 32 | low ^ low >> 16)
+    return seeds
 
 
 def _plan_seed(entropy: int, *key: int) -> int:
     """The seed of SeedSequence(entropy, spawn_key=key)'s stream; distinct
     keys give independent streams."""
-    prefix = _key_root(entropy)
+    prefix, last = _key_root(entropy), key[-1]
     for entry in key[:-1]:
         prefix = _key_child(prefix, entry)
-    return _key_seed(prefix, key[-1])
-
-
-def _report_values(report) -> tuple:
-    p = report.params
-    return p.phi, p.q, p.alpha, p.d, p.beta
+    while last >> 32:  # the words of the last entry but its last, least significant first
+        prefix, last = _key_child(prefix, last & _MASK32), last >> 32
+    return _key_seeds(prefix, (last,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,40 +251,47 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases):
     sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
             + ([(phase, n_each) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []))
     laws = _record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, sets)
+    words = range(len(laws)) if single else range(1, len(laws) + 1)  # its data sets j
     at_point = _key_child(_key_root(cfg.base_seed), point)
     for k in range(1, cfg.m_reps + 1):
-        at_k = _key_child(at_point, k)
-        drawn = [draw_from_laws(law, _key_seed(at_k, j))
-                 for j, law in enumerate(laws, start=0 if single else 1)]
+        drawn = [draw_from_laws(law, seed)
+                 for law, seed in zip(laws, _key_seeds(_key_child(at_point, k), words))]
         yield (drawn[0], drawn[1:]) if single else (None, drawn)
 
 
+#: Per estimator: its prepare function of the run's config and channel, called by
+#: its name here so that a rebound name is the one called, and the data its
+#: estimate reads, a slice of a realization's (single read-out, three probes).
+_PREPARED = {
+    "displacement": (lambda cfg, noise: prepare_displacement(cfg.setup, noise), slice(1)),
+    "phase_var": (lambda cfg, noise: prepare_phase_var(cfg.setup, noise), slice(1)),
+    "phase_mean": (lambda cfg, noise: prepare_phase_mean(cfg.setup), slice(1)),
+    "phase_ml": (lambda cfg, noise: prepare_phase_ml(cfg.setup, noise), slice(1)),
+    "cov_method": (lambda cfg, noise: prepare_general_cov(cfg.setup, noise,
+                                                          cfg.plan.scheme.has_full_cov), slice(1)),
+    "mean_method": (lambda cfg, noise: prepare_general_mean(cfg.setup, noise), slice(1, 2)),
+    "combined": (lambda cfg, noise: prepare_combined(cfg.setup, noise), slice(2)),
+}
+
+
 def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
-    """Estimator `name` prepared for a run under the channel `noise`: a
-    function of one realization's data (single read-out, three probes) and
-    the run's diagnostics dict that returns its values in ESTIMATOR_PARAMS
-    order.  Raises the estimator's data-independent failure."""
-    base, setup = base_name(name), cfg.setup
-    if base == "displacement":
-        est = prepare_displacement(setup, noise)
-        return lambda single, probes, diagnostics: est(single)
-    if base == "phase_var":
-        est = prepare_phase_var(setup, noise)
-        return lambda single, probes, diagnostics: (est(single, diagnostics),)
-    if base == "phase_mean":
-        est = prepare_phase_mean(setup)
-        return lambda single, probes, diagnostics: (est(single),)
-    if base == "phase_ml":
-        est = prepare_phase_ml(setup, noise)
-        return lambda single, probes, diagnostics: (est(single),)
-    if base == "cov_method":
-        est = prepare_general_cov(setup, noise, cfg.plan.scheme.has_full_cov)
-        return lambda single, probes, diagnostics: _report_values(est(single))
-    if base == "mean_method":
-        est = prepare_general_mean(setup, noise)
-        return lambda single, probes, diagnostics: _report_values(est(probes))
-    est = prepare_combined(setup, noise)
-    return lambda single, probes, diagnostics: _report_values(est(single, probes))
+    """Estimator `name` prepared for a run under the channel `noise`: a function
+    of one realization's data and the run's diagnostics dict (phase_var's clamps)
+    that returns its values in ESTIMATOR_PARAMS order, q = e^w as ProcessParams.q
+    forms it.  Raises the estimator's data-independent failure."""
+    base = base_name(name)
+    prepare, reads = _PREPARED[base]
+    estimate, n_values = prepare(cfg, noise), len(ESTIMATOR_PARAMS[base])
+
+    def row(single, probes, diagnostics):
+        if n_values == 5:
+            phi, w, alpha, d, beta = estimate(*(single, probes)[reads])
+            return phi, math.exp(w), alpha, d, beta
+        if n_values == 2:
+            return estimate(single)
+        return (estimate(single, diagnostics) if base == "phase_var" else estimate(single),)
+
+    return row
 
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
@@ -360,10 +371,12 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
     """The CellStats of each parameter of estimator `name`, from its values on
     the successful realizations (one row each): per parameter, the means of
     the squared errors, of the errors and of the squared deviations from
-    that, each summed on Python floats by math.fsum (correctly rounded)."""
+    that, each summed on Python floats by math.fsum (correctly rounded); unreliable
+    when failures and clamps exceed 5% of m_reps.  A general method's value that
+    ProcessParams refuses (NaN, infinite w or d) raises as est_<name> does."""
     params = ESTIMATOR_PARAMS[base_name(name)]
     n_failed = sum(failures.values())
-    n_ok, unreliable = cfg.m_reps - n_failed, n_failed > 0.05 * cfg.m_reps
+    n_ok, unreliable = cfg.m_reps - n_failed, n_failed + n_clamped > 0.05 * cfg.m_reps
     if not rows:
         cell = CellStats(math.nan, math.nan, math.nan, 0, n_failed, n_clamped, True, failures)
         return dict.fromkeys(((name, p) for p in params), cell)
@@ -373,6 +386,9 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
         errs = ([v - truth for v in column] if period is None  # param_error, by column
                 else [math.remainder(v - truth, period) for v in column])
         bias = math.fsum(errs) / len(errs)
+        if len(params) == 5 and not math.isfinite(bias):  # a value est_<name> would refuse
+            phi, q, alpha, d, beta = next(r for r in rows if not all(map(math.isfinite, r)))
+            ProcessParams(phi, math.log(q), alpha, d, beta)  # raises, naming it
         cells[name, p] = CellStats(math.fsum([e * e for e in errs]) / len(errs), bias,
                                    math.fsum([(e - bias) * (e - bias) for e in errs]) / len(errs),
                                    n_ok, n_failed, n_clamped, unreliable, failures)

@@ -122,13 +122,12 @@ class Response:
         mean = (through A + direct I) m_in + g_d d_vec
         cov  = a A A^T + b (A + A^T) + e I
 
-    with m_in the vector (x, p) of the probe's input mean z_in = x + ip, or
-    k of them as rows; .mean takes z_in (see SetupConfig.light_mean) or an
-    array of k of them.  Every input covariance and coupler block is
+    with m_in the vector (x, p) of the probe's input mean z_in = x + ip (see
+    SetupConfig.light_mean).  Every input covariance and coupler block is
     proportional to the 2x2 identity, so six scalars per (setup, noise)
     carry the whole model.  The code runs it in pair form on Python scalars
     (_process_pair, _sigma, measured_moments); the tests check that against
-    this matrix form (.mean, .cov) and forward.
+    this matrix form and forward.
     """
 
     through: float
@@ -137,13 +136,6 @@ class Response:
     a: float
     b: float
     e: float
-
-    def mean(self, mat: np.ndarray, d_vec: np.ndarray, z_in) -> np.ndarray:
-        m_in = np.stack([np.real(z_in), np.imag(z_in)], axis=-1)
-        return m_in @ (self.through * mat + self.direct * np.eye(2)).T + self.g_d * d_vec
-
-    def cov(self, mat: np.ndarray) -> np.ndarray:
-        return self.a * (mat @ mat.T) + self.b * (mat + mat.T) + self.e * np.eye(2)
 
 
 def _process_pair(phi, w, alpha):

@@ -146,6 +146,19 @@ def _squeeze(u: float, v: float):
             c1 * (v * eye + _SIGMA_X) + v * c2 * k)
 
 
+def response_mean(resp: Response, mat, d_vec, z_in) -> np.ndarray:
+    """The matrix form of Response's mean, (through A + direct I) m_in + g_d
+    d_vec, for A = mat, at the complex input z_in or an array of k of them
+    (k x 2)."""
+    m_in = np.stack([np.real(z_in), np.imag(z_in)], axis=-1)
+    return m_in @ (resp.through * mat + resp.direct * np.eye(2)).T + resp.g_d * d_vec
+
+
+def response_cov(resp: Response, mat) -> np.ndarray:
+    """The matrix form of Response's covariance, a A A^T + b (A + A^T) + e I, for A = mat."""
+    return resp.a * (mat @ mat.T) + resp.b * (mat + mat.T) + resp.e * np.eye(2)
+
+
 def moment_derivatives(resp: Response, x, z_in):
     """Sigma and dSigma (5 x 2 x 2) of the measured mode along the chart x
     (see estimators.chart), with A = R(phi) S, and mu (k x 2) and dmu (k x 5 x 2) for
@@ -166,7 +179,8 @@ def moment_derivatives(resp: Response, x, z_in):
     d_sig = np.zeros((5, 2, 2))
     lin = resp.a * (d_mat @ mat.T) + resp.b * d_mat
     d_sig[:3] = lin + lin.transpose(0, 2, 1)
-    return resp.mean(mat, np.array([x[3], x[4]]), z_in), resp.cov(mat), d_mu, d_sig
+    return (response_mean(resp, mat, np.array([x[3], x[4]]), z_in), response_cov(resp, mat),
+            d_mu, d_sig)
 
 
 def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,

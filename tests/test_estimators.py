@@ -24,7 +24,6 @@ from lmint import (
 )
 from lmint.estimators import (
     PROBE_PHASES,
-    EstimateReport,
     EstimationError,
     FitRejectedError,
     UnidentifiableError,
@@ -47,6 +46,7 @@ from conftest import (
     reference_data_sets,
     reference_joint_fit,
     reference_symmetric_face,
+    response_cov,
 )
 
 
@@ -437,9 +437,9 @@ def test_cov_method_rivals_reproduce_the_covariance(bench_setup, bench_process):
     for setup, moments in inputs:
         report = est_general_cov(moments, setup)
         resp, pick = response(setup), report.params
-        fitted = resp.cov(rotation(pick.phi) @ squeeze_matrix(pick.w, pick.alpha))
+        fitted = response_cov(resp, rotation(pick.phi) @ squeeze_matrix(pick.w, pick.alpha))
         for phi, w, alpha in report.diagnostics.get("rival_fits", []):
-            model = resp.cov(rotation(phi) @ squeeze_matrix(w, alpha))
+            model = response_cov(resp, rotation(phi) @ squeeze_matrix(w, alpha))
             assert np.linalg.norm(model - fitted) <= 1e-9 * np.linalg.norm(fitted)
 
 
@@ -831,9 +831,9 @@ def test_combined_exact_recovery_from_a_distant_start(bench_setup, bench_process
     # moments carry the vacuum unit already taken off.
     import lmint.estimators as estimators
 
-    start = ProcessParams.folded(phi=1.2, w=0.2, alpha=0.3, d=2.5, beta=1.2)
-    report = EstimateReport(params=start, method="mean_method")
-    monkeypatch.setattr(estimators, "prepare_general_mean", lambda *args: lambda probes: report)
+    p = ProcessParams.folded(phi=1.2, w=0.2, alpha=0.3, d=2.5, beta=1.2)
+    start = p.phi, p.w, p.alpha, p.d, p.beta
+    monkeypatch.setattr(estimators, "prepare_general_mean", lambda *args: lambda probes: start)
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), 30_000,
                          scheme)
@@ -955,7 +955,7 @@ def test_sigma_pair_matches_the_response_covariance(bench_setup):
         first, second = m0 + m1, 1j * (m0 - m1)
         mat = np.array([[first.real, second.real], [first.imag, second.imag]])
         s0, s1 = _sigma((m0, m1), resp)
-        want = resp.cov(mat)
+        want = response_cov(resp, mat)
         got = np.array([[s0 + s1.real, s1.imag], [s1.imag, s0 - s1.real]])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # Far off, the entries overflow to inf rather than raising.
@@ -1001,7 +1001,7 @@ def test_newton_step_matches_numpy_on_the_scoring_information(bench_setup, schem
     # _joint_fit's information and score near the truth, on drawn moments of
     # the single read-out and the three probes, with and without a channel
     # and at r = 1 and 100.
-    from lmint.estimators import _blocks, _chart_point, _joint_fit
+    from lmint.estimators import _blocks, _joint_fit, chart
 
     rng = np.random.default_rng(2502)
     for k in range(8):
@@ -1011,7 +1011,7 @@ def test_newton_step_matches_numpy_on_the_scoring_information(bench_setup, schem
             phi=rng.uniform(-3, 3), w=rng.uniform(0, 1), alpha=rng.uniform(-1.5, 1.5),
             d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
         data, m_in, _ = _joint_data(setup, truth, noise, scheme, 6000, 60 + k)
-        x = np.array(_chart_point(truth)) + rng.normal(size=5) * 0.01
+        x = chart(truth)[0] + rng.normal(size=5) * 0.01
         _, score, info, _ = _joint_fit(x, _blocks(data, m_in), response(setup, noise))
         _assert_step_matches_numpy(info, score)
 

@@ -272,6 +272,20 @@ def test_folded_normalizes_angles():
     assert -math.pi < p.beta <= math.pi
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", ["phi", "w", "alpha", "d", "beta"])
+def test_folded_names_a_value_that_is_not_finite(field, value):
+    # Neither clipped to 0 (d = -inf, w = -inf) nor left to fold_angle's
+    # bare "math domain error" (phi = inf): the error names the field, and
+    # from_q, which folds, says the same of every field but w.
+    message = f"{field} must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProcessParams.folded(**{field: value})
+    if field != "w":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProcessParams.from_q(q=2.0, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Loss channel
 

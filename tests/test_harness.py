@@ -24,10 +24,10 @@ from lmint import (
     sweep,
 )
 from lmint import harness
-from lmint.estimators import PROBE_PHASES, prepare_displacement
+from lmint.estimators import PROBE_PHASES, EstimateReport, est_general_mean, prepare_displacement
 from lmint.fisher import fisher_matrix
 from lmint.interferometer import measured_moments
-from lmint.measurement import draw_from_laws
+from lmint.measurement import MomentEstimate, draw_from_laws
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -121,6 +121,59 @@ def test_cell_stats_of_empty_and_failed_cells(bench_setup, bench_process):
     (cell,) = harness._cell_stats(cfg, "phase_ml", rows[:1] * 19, {"EstimationError": 1},
                                   0).values()
     assert (cell.n_ok, cell.n_failed, cell.unreliable) == (19, 1, False)
+
+
+def test_clamps_make_a_cell_unreliable(bench_setup, bench_process):
+    # A clamp is a realization whose variance lies outside the model's
+    # range, as unusable as a failure: failures and clamps together above 5%
+    # of m_reps mark the cell.  At r = 10, phi = 2.9 and 600 shots phase_var
+    # clamps in every realization and its variance reads ~1e-33; the cell
+    # is unreliable though none failed.
+    setup = dataclasses.replace(bench_setup, r_amp=10.0)
+    cfg = mc(setup, ProcessParams.from_q(phi=2.9, q=2.0), estimators=("phase_var",), n=600,
+             m_reps=100, seed=16384)
+    cell = run_mc(cfg).cells[("phase_var", "phi")]
+    assert (cell.n_ok, cell.n_failed, cell.n_clamped, cell.unreliable) == (100, 0, 100, True)
+    assert cell.variance < 1e-30
+    cfg = mc(bench_setup, bench_process, estimators=("phase_var",), m_reps=20)
+    rows = [(bench_process.phi,)] * 19
+    for n_failed, n_clamped, unreliable in ((0, 1, False), (0, 2, True), (1, 1, True)):
+        failures = {"EstimationError": n_failed} if n_failed else {}
+        (cell,) = harness._cell_stats(cfg, "phase_var", rows, failures, n_clamped).values()
+        assert cell.unreliable is unreliable, (n_failed, n_clamped)
+
+
+def test_run_mc_builds_no_report_per_realization(bench_setup, bench_process, monkeypatch):
+    # The prepared general methods return bare values: a run builds neither
+    # an EstimateReport nor a ProcessParams per realization, and its cells
+    # are those of the values.
+    cfg = mc(bench_setup, bench_process, estimators=("cov_method", "mean_method", "combined"),
+             n=3000, m_reps=5)
+    built = []
+    post_init, init = ProcessParams.__post_init__, EstimateReport.__init__
+    monkeypatch.setattr(ProcessParams, "__post_init__",
+                        lambda self: built.append("ProcessParams") or post_init(self))
+    monkeypatch.setattr(EstimateReport, "__init__",
+                        lambda self, *a, **k: built.append("EstimateReport") or init(self, *a, **k))
+    report = run_mc(cfg)
+    assert built == []
+    assert all(cell.n_ok == 5 for cell in report.cells.values())
+
+
+def test_a_run_books_no_value_that_the_public_path_refuses(bench_setup, bench_process,
+                                                           monkeypatch):
+    # Finite probe means near the float limit put mean_method's displacement
+    # past it (d = inf), which ProcessParams refuses.  est_general_mean raises
+    # its ValueError, and a run of the same data raises the same one rather
+    # than booking the value.
+    probe = MomentEstimate(z=8e307 + 0j, c0=1.0, c1=0j, n_effective={"mean_x": 200})
+    with pytest.raises(ValueError) as public:
+        est_general_mean([probe] * 3, bench_setup)
+    assert str(public.value) == "d must be >= 0, got inf"
+    monkeypatch.setattr(harness, "draw_from_laws", lambda laws, seed: probe)
+    with pytest.raises(ValueError) as run:
+        run_mc(mc(bench_setup, bench_process, estimators=("mean_method",), n=600, m_reps=3))
+    assert str(run.value) == str(public.value)
 
 
 def test_run_mc_shape_and_determinism(bench_setup, bench_process):

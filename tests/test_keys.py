@@ -7,7 +7,7 @@ import time
 import pytest
 
 from lmint import MeasurementPlan, MonteCarloConfig, NoiseParams, Scheme
-from lmint.harness import _plan_seed, estimate_once
+from lmint.harness import _key_child, _key_root, _key_seeds, _plan_seed, estimate_once
 
 from conftest import seed_sequence_child
 
@@ -28,6 +28,22 @@ def test_key_is_the_seed_sequence_child(entropy):
     # every stream moving silently.
     for key in _KEYS:
         assert _plan_seed(entropy, *key) == seed_sequence_child(entropy, key), key
+
+
+@pytest.mark.parametrize("entropy", _ENTROPIES[::4])
+def test_one_pass_seeds_are_the_seed_sequence_children(entropy):
+    # A realization keys its data sets j = 0..3 (or 1..3 without the single
+    # read-out) in one pass from the prefix (p, k): bit for bit the seeds of
+    # SeedSequence(entropy, spawn_key=(p, k, j)), for prefix words of 0 and
+    # 2**32 - 1, random ones and entries of two words, and for j = 2**32 - 1.
+    prefixes = [(0, 0), (0, 1), (2 ** 32 - 1, 2 ** 32 - 1), (3, 2 ** 32 - 1), (2 ** 32 + 5, 9)]
+    drawn = random.Random(entropy)
+    prefixes += [(drawn.getrandbits(32), drawn.getrandbits(32)) for _ in range(4)]
+    for p, k in prefixes:
+        at_k = _key_child(_key_child(_key_root(entropy), p), k)
+        for words in (range(0, 4), range(1, 4), (0, 2 ** 32 - 1)):
+            want = [seed_sequence_child(entropy, (p, k, j)) for j in words]
+            assert _key_seeds(at_k, words) == want, (p, k, words)
 
 
 def test_estimate_once_draws_realization_one_only(bench_setup, bench_process):
