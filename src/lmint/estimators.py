@@ -118,8 +118,8 @@ def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
 # Phase-only estimation
 
 
-def est_phase_var(moments: MomentEstimate, setup: SetupConfig, diagnostics: dict | None = None,
-                  *, noise: NoiseParams = IDEAL_NOISE) -> float:
+def est_phase_var(moments: MomentEstimate, setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE,
+                  *, diagnostics: dict | None = None) -> float:
     """Variance-based phase estimator: arccos of the centered mean variance.
 
     Under A = R(phi) and the channel noise the response covariance is (a +

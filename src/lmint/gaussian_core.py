@@ -147,9 +147,10 @@ class ProcessParams:
     _EPS = 1e-9
 
     def __post_init__(self):
-        if not -self._EPS <= self.w < math.inf:
+        _check_finite(vars(self))
+        if not -self._EPS <= self.w:
             raise ValueError(f"w must be >= 0, got {self.w}")
-        if not -self._EPS <= self.d < math.inf:
+        if not -self._EPS <= self.d:
             raise ValueError(f"d must be >= 0, got {self.d}")
         for name, val, lo, hi in (
             ("phi", self.phi, -math.pi, math.pi),
@@ -162,9 +163,7 @@ class ProcessParams:
     @classmethod
     def folded(cls, phi=0.0, w=0.0, alpha=0.0, d=0.0, beta=0.0) -> "ProcessParams":
         """Build params with angles folded into their ranges; a value not finite raises."""
-        for name, value in (("phi", phi), ("w", w), ("alpha", alpha), ("d", d), ("beta", beta)):
-            if not -math.inf < value < math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_finite({"phi": phi, "w": w, "alpha": alpha, "d": d, "beta": beta})
         return cls(fold_angle(phi), max(w, 0.0), fold_axis(alpha), max(d, 0.0), fold_angle(beta))
 
     @classmethod
@@ -180,6 +179,13 @@ class ProcessParams:
     @property
     def d_vec(self) -> np.ndarray:
         return np.array([self.d * math.cos(self.beta), self.d * math.sin(self.beta)])
+
+
+def _check_finite(values: dict) -> None:
+    """ValueError naming the first of `values` (name -> number) that is NaN or infinite."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 IDENTITY_PROCESS = ProcessParams(0.0, 0.0, 0.0, 0.0, 0.0)

@@ -15,10 +15,11 @@ SeedSequence(base_seed).spawn gives, so streams are independent by
 construction and results reproducible and order-independent.  The seed of
 each child is computed bit for bit as SeedSequence computes it, from shared
 prefixes: the state after the base seed once per seed, after p once per
-point, after k once per realization, and all its j in one pass.  Keys are
-formed as realizations are drawn, so reading realization 1 costs the same
-at any m_reps.  Realizations run k = 1..m_reps; realization 0 is the
-point's calibration.
+point, after k once per realization, and all its j in one pass from hashed
+terms that all realizations of a run share.  Keys are formed as
+realizations are drawn, so reading realization 1 costs the same at any
+m_reps.  Realizations run k = 1..m_reps; realization 0 is the point's
+calibration.
 """
 from __future__ import annotations
 
@@ -200,19 +201,27 @@ def _key_child(prefix: tuple, entry: int) -> tuple:
 
 def _key_seeds(prefix: tuple, words) -> list:
     """SeedSequence(entropy, spawn_key=key + (j,)).generate_state(1, np.uint64)[0]
-    for each j < 2**32 in words, prefix the state of (entropy, key): one word
-    j hashes with the same h A and h A^2, and pool words 0 and 1 give its seed."""
+    for each j < 2**32 in words (a range or tuple), prefix the state of
+    (entropy, key): pool words 0 and 1 give each seed."""
     x0, x1, h = prefix
-    h1, h2 = h * _MULT_A & _MASK32, h * _MULT_A2 & _MASK32
+    x0, x1 = _MIX_L * x0, _MIX_L * x1
     seeds = []
-    for word in words:
-        v0, v1 = (word ^ h) * h1 & _MASK32, (word ^ h1) * h2 & _MASK32
-        v0 = (_MIX_L * x0 - _MIX_R * (v0 ^ v0 >> 16)) & _MASK32
-        v1 = (_MIX_L * x1 - _MIX_R * (v1 ^ v1 >> 16)) & _MASK32
+    for t0, t1 in _seed_terms(h, words):
+        v0, v1 = (x0 - t0) & _MASK32, (x1 - t1) & _MASK32
         low = (v0 ^ v0 >> 16 ^ _INIT_B) * _OUT_1 & _MASK32
         high = (v1 ^ v1 >> 16 ^ _OUT_1) * _OUT_2 & _MASK32
         seeds.append((high ^ high >> 16) << 32 | low ^ low >> 16)
     return seeds
+
+
+@functools.lru_cache(maxsize=32)
+def _seed_terms(h: int, words) -> tuple:
+    """Per word j, the terms _key_seeds takes off the mixed pool words 0 and 1.
+    j hashes with h A and h A^2, whatever the pool, and h advances with the
+    number of key words hashed before, so a run's realizations share them."""
+    h1, h2 = h * _MULT_A & _MASK32, h * _MULT_A2 & _MASK32
+    hashed = [((j ^ h) * h1 & _MASK32, (j ^ h1) * h2 & _MASK32) for j in words]
+    return tuple((_MIX_R * (v0 ^ v0 >> 16), _MIX_R * (v1 ^ v1 >> 16)) for v0, v1 in hashed)
 
 
 def _plan_seed(entropy: int, *key: int) -> int:

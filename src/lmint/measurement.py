@@ -2,14 +2,14 @@
 the moments from their exact law.
 
 record_laws forms the law of the records a scheme takes of one state, given
-as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check
-and the closed-form factor of a paired covariance (LAPACK's operations),
-once per data set and run; draw_from_laws draws one realization's
-statistics from it, and draw_moments composes the two.  Every draw comes
-from a counter-based generator (Philox) keyed by a 64-bit seed, so it is
-reproducible.  One Philox bit generator per thread serves every draw: each
-draw resets its whole state to key (seed, 0) and counter 0, which is the
-stream of a fresh np.random.Philox(key=seed) at a fifth of the cost of
+as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check,
+the closed-form factor of a paired covariance (LAPACK's operations) and all
+else a draw reuses, once per data set and run; draw_from_laws draws one
+realization's statistics from it, and draw_moments composes the two.
+Every draw comes from a counter-based generator (Philox) keyed by a 64-bit
+seed, so it is reproducible.  One Philox bit generator per thread serves
+every draw: each draw resets its whole state to key (seed, 0) and counter 0
+from plain lists, the stream of a fresh np.random.Philox(key=seed) without
 building one.  The harness seeds each draw from the np.random.SeedSequence
 child keyed by (sweep point, realization, data set), which makes the streams
 of a run independent by construction.  The drawn statistics are formed from
@@ -21,6 +21,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -99,23 +100,20 @@ class SampleSet:
 
 
 _PER_THREAD = threading.local()
-_ZEROS = np.zeros(4, dtype=np.uint64)
-_ZEROS.setflags(write=False)  # the state setter copies it; nothing may write it
 
 
 def _rng(seed: int) -> np.random.Generator:
     """This thread's generator on the stream of np.random.Philox(key=seed):
     its bit generator's key, counter, output buffer and buffered half-word
     all reset, so no earlier draw leaks into this one.  The thread keeps one
-    state dict, whose key array each call rewrites in place; the setter
-    copies it."""
+    state dict of plain lists (cheaper to read than uint64 arrays), whose
+    key entry each call rewrites; the setter reads it entry by entry."""
     gen = getattr(_PER_THREAD, "generator", None)
     if gen is None:
         gen = _PER_THREAD.generator = np.random.Generator(np.random.Philox(key=0))
         _PER_THREAD.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": np.zeros(2, dtype=np.uint64)},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     state = _PER_THREAD.state
     state["state"]["key"][0] = seed
     gen.bit_generator.state = state
@@ -135,23 +133,39 @@ def _cholesky(cov) -> tuple[float, float, float]:
 def record_laws(z: complex, cov: tuple, scheme: Scheme, n_samples: int) -> tuple:
     """The exact law of n_samples records that `scheme` takes of the
     single-mode state of mean z = x + ip and covariance cov = (Sxx, Sxp,
-    Spp), as (scheme, groups): per homodyne angle its group size, mean and
-    variance, or for paired records their count, mean (x, p) and the lower
-    Cholesky factor of their covariance (heterodyne adds one vacuum unit).
-    The records at angles 0, pi/2 and pi/4 are x, p and (x + p) / sqrt 2,
-    with variances Sxx, Spp and (Sxx + Spp) / 2 + Sxp.  Raises ValueError
-    for an unphysical state (gaussian_core.is_physical's test)."""
+    Spp), with what its draws reuse, as (paired, scheme, n_effective,
+    groups).  Per homodyne angle, groups holds (n, mean, variance s2,
+    sqrt(s2 / n), (n - 1) / 2, n - 1); for n paired records it is (n,
+    mean x, mean p, L00, L10, L11, (n - 1) / 2, (n - 2) / 2, sqrt n,
+    n - 1, vacuum unit), L the lower Cholesky factor of their covariance,
+    which heterodyne widens by the vacuum unit.  The records at angles 0,
+    pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with variances Sxx, Spp
+    and (Sxx + Spp) / 2 + Sxp.  Raises ValueError for an unphysical state
+    (gaussian_core.is_physical's test)."""
     s_xx, s_xp, s_pp = cov
     if not math.sqrt(max(s_xx * s_pp - s_xp * s_xp, 0.0)) >= 1.0 - 1e-9:
         raise ValueError("cannot sample an unphysical state")
     m_x, m_p = z.real, z.imag
     if scheme in _ANGLES:
+        sizes = _group_sizes(scheme, n_samples)
         laws = ((m_x, s_xx), (m_p, s_pp),
                 ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
-        return scheme, [(n, mu, var) for n, (mu, var) in zip(_group_sizes(scheme, n_samples), laws)]
-    if scheme is Scheme.HETERODYNE:
-        s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
-    return scheme, [(n_samples, (m_x, m_p), _cholesky(((s_xx, s_xp), (s_xp, s_pp))))]
+        return False, scheme, _n_effective(sizes), tuple(
+            (n, mu, var, math.sqrt(var / n), 0.5 * (n - 1), n - 1)
+            for n, (mu, var) in zip(sizes, laws))
+    n, vacuum = n_samples, 1.0 if scheme is Scheme.HETERODYNE else 0.0
+    factor = _cholesky(((s_xx + vacuum, s_xp), (s_xp, s_pp + vacuum)))
+    return True, scheme, _n_effective([n]), (
+        n, m_x, m_p, *factor, 0.5 * (n - 1), 0.5 * (n - 2), math.sqrt(n), n - 1, vacuum)
+
+
+def _n_effective(sizes: list) -> MappingProxyType:
+    """The shot count behind each statistic of records in groups of `sizes`
+    (record_laws' layout; one paired group counts for all five), read-only:
+    all draws of a law share it."""
+    n_x, n_p, n_d = sizes * 3 if len(sizes) == 1 else (*sizes, 0)[:3]
+    return MappingProxyType({"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p,
+                             "cov_xp": n_d})
 
 
 def _state_laws(state: GaussianState, plan: MeasurementPlan) -> tuple:
@@ -164,18 +178,18 @@ def _state_laws(state: GaussianState, plan: MeasurementPlan) -> tuple:
 
 def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
     """Draw measurement records from a single-mode state; pure given the seed."""
-    _, laws = _state_laws(state, plan)
+    paired, _, _, groups = _state_laws(state, plan)
     rng = _rng(plan.seed)
-    if plan.scheme in _ANGLES:
+    if not paired:
         quad = {theta: mu + math.sqrt(var) * rng.standard_normal(n)
-                for theta, (n, mu, var) in zip(_ANGLES[plan.scheme], laws)}
+                for theta, (n, mu, var, *_) in zip(_ANGLES[plan.scheme], groups)}
         return SampleSet(plan=plan, quad=quad)
-    ((n, mean, (l00, l10, l11)),) = laws
+    n, m_x, m_p, l00, l10, l11, *_ = groups
     z = rng.standard_normal((n, 2))
     # Column by column, so no BLAS call (and no BLAS thread) sees the N rows.
     pairs = np.empty((n, 2))
-    pairs[:, 0] = mean[0] + l00 * z[:, 0]
-    pairs[:, 1] = mean[1] + (l10 * z[:, 0] + l11 * z[:, 1])
+    pairs[:, 0] = m_x + l00 * z[:, 0]
+    pairs[:, 1] = m_p + (l10 * z[:, 0] + l11 * z[:, 1])
     return SampleSet(plan=plan, pairs=pairs)
 
 
@@ -254,36 +268,27 @@ def _condition(a: float, b: float, c: float) -> tuple[float, complex]:
     return (c0, c1) if nu >= 1.0 else (c0 + (1.0 - nu), c1)
 
 
-def _estimate(scheme: Scheme, stats: list) -> MomentEstimate:
-    """MomentEstimate from the statistics of each group of records, laid out
-    as record_laws lays out their laws: (size, mean, ddof=1 variance) per
-    homodyne angle, or (size, (mean x, mean p), (Sxx, Sxp, Spp)) for paired
-    records; the heterodyne vacuum unit is taken off and the covariance
-    conditioned here."""
-    if scheme in _ANGLES:
-        (n_x, m_x, var_x), (n_p, m_p, var_p), *diagonal = stats
-        n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
-        cov_xp, mean_diag = 0.0, None
-        if diagonal:
-            ((n_d, mean_diag, var_d),) = diagonal
-            # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
-            cov_xp = var_d - 0.5 * (var_x + var_p)
-            n_eff["cov_xp"] = n_d
-        return MomentEstimate(complex(m_x, m_p), *_condition(var_x, cov_xp, var_p), n_eff,
-                              scheme, mean_diag)
-    ((n, (m_x, m_p), (s_xx, s_xp, s_pp)),) = stats
-    return _paired_estimate(scheme, n, complex(m_x, m_p), s_xx, s_xp, s_pp)
+def _estimate(z: complex, s_xx: float, s_xp: float, s_pp: float, n_effective, scheme: Scheme,
+              mean_diag: float | None = None) -> MomentEstimate:
+    """The MomentEstimate of mean z and covariance (Sxx, Sxp, Spp), which is
+    conditioned here, built without the keyword parsing of its __init__."""
+    c0, c1 = _condition(s_xx, s_xp, s_pp)
+    est = object.__new__(MomentEstimate)
+    object.__setattr__(est, "__dict__", {"z": z, "c0": c0, "c1": c1, "n_effective": n_effective,
+                                         "scheme": scheme, "mean_diag": mean_diag})
+    return est
 
 
-def _paired_estimate(scheme: Scheme, n: int, z: complex, s_xx: float, s_xp: float,
-                     s_pp: float) -> MomentEstimate:
-    """MomentEstimate of n paired records of mean z and scatter (Sxx, Sxp,
-    Spp), ddof=1; the heterodyne vacuum unit is taken off and the covariance
-    conditioned here."""
-    if scheme is Scheme.HETERODYNE:
-        s_xx, s_pp = s_xx - 1.0, s_pp - 1.0
-    n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
-    return MomentEstimate(z, *_condition(s_xx, s_xp, s_pp), n_eff, scheme)
+def _angles_estimate(scheme: Scheme, n_effective, stats: list) -> MomentEstimate:
+    """MomentEstimate of homodyne records from the (mean, ddof=1 variance) of
+    each angle group, laid out as record_laws lays out their laws."""
+    (m_x, var_x), (m_p, var_p), *diagonal = stats
+    cov_xp, mean_diag = 0.0, None
+    if diagonal:
+        ((mean_diag, var_d),) = diagonal
+        # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
+        cov_xp = var_d - 0.5 * (var_x + var_p)
+    return _estimate(complex(m_x, m_p), var_x, cov_xp, var_p, n_effective, scheme, mean_diag)
 
 
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
@@ -292,19 +297,18 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     scheme = samples.plan.scheme
     if samples.quad is not None:
         groups = [samples.quad[theta] for theta in _ANGLES[scheme]]
-        stats = [(g.size, float(g.mean()), float(g.var(ddof=1))) for g in groups]
-    elif samples.pairs is None:
+        return _angles_estimate(scheme, _n_effective([g.size for g in groups]),
+                                [(float(g.mean()), float(g.var(ddof=1))) for g in groups])
+    if samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
-    else:
-        # Elementwise sums over the two columns: no BLAS product of N rows.
-        x, p = samples.pairs[:, 0], samples.pairs[:, 1]
-        n = x.size
-        m_x, m_p = x.mean(), p.mean()
-        dx, dp = x - m_x, p - m_p
-        stats = [(n, (m_x, m_p), (float((dx * dx).sum()) / (n - 1),
-                                  float((dx * dp).sum()) / (n - 1),
-                                  float((dp * dp).sum()) / (n - 1)))]
-    return _estimate(scheme, stats)
+    # Elementwise sums over the two columns: no BLAS product of N rows.
+    x, p = samples.pairs[:, 0], samples.pairs[:, 1]
+    n, vacuum = x.size, 1.0 if scheme is Scheme.HETERODYNE else 0.0
+    m_x, m_p = x.mean(), p.mean()
+    dx, dp = x - m_x, p - m_p
+    s_xx, s_xp, s_pp = (float(d.sum()) / (n - 1) for d in (dx * dx, dx * dp, dp * dp))
+    return _estimate(complex(m_x, m_p), s_xx - vacuum, s_xp, s_pp - vacuum, _n_effective([n]),
+                     scheme)
 
 
 def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
@@ -322,24 +326,23 @@ def draw_from_laws(laws: tuple, seed: int) -> MomentEstimate:
     covariance Sigma = L L^T, the mean is N(mu, Sigma / n) and the scatter
     Wishart(Sigma, n - 1), drawn as L A A^T L^T by the Bartlett
     decomposition (Odell & Feiveson 1966): A is lower triangular with A11^2
-    ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1)."""
-    scheme, groups = laws
+    ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1); the vacuum unit
+    is taken off the scatter."""
+    paired, scheme, n_effective, groups = laws
     rng = _rng(seed)
+    normal, gamma = rng.standard_normal, rng.standard_gamma
     # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
-    if scheme in _ANGLES:
-        stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
-                  var * (2.0 * rng.standard_gamma(0.5 * (n - 1))) / (n - 1))
-                 for n, mu, var in groups]
-        return _estimate(scheme, stats)
-    ((n, (m_x, m_p), (l00, l10, l11)),) = groups
-    a11 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 1)))
-    a21 = rng.standard_normal()
-    a22 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 2)))
-    z0, z1 = rng.standard_normal(), rng.standard_normal()
+    if not paired:
+        return _angles_estimate(scheme, n_effective, [
+            (mu + se * normal(), var * (2.0 * gamma(shape)) / dof)
+            for _, mu, var, se, shape, dof in groups])
+    _, m_x, m_p, l00, l10, l11, shape_1, shape_2, root_n, dof, vacuum = groups
+    a11 = math.sqrt(2.0 * gamma(shape_1))
+    a21 = normal()
+    a22 = math.sqrt(2.0 * gamma(shape_2))
+    z0, z1 = normal(), normal()
     # root = L A, lower triangular; the scatter is root root^T / (n - 1).
     r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-    root_n = math.sqrt(n)
-    return _paired_estimate(scheme, n, complex(m_x + l00 * z0 / root_n,
-                                               m_p + (l10 * z0 + l11 * z1) / root_n),
-                            r11 * r11 / (n - 1), r11 * r21 / (n - 1),
-                            (r21 * r21 + r22 * r22) / (n - 1))
+    return _estimate(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n),
+                     r11 * r11 / dof - vacuum, r11 * r21 / dof,
+                     (r21 * r21 + r22 * r22) / dof - vacuum, n_effective, scheme)

@@ -12,7 +12,7 @@ from lmint import ProcessParams, SetupConfig, Topology, forward
 from lmint.estimators import PROBE_PHASES, W_MAX
 from lmint.gaussian_core import rotation
 from lmint.interferometer import Response, response
-from lmint.measurement import MomentEstimate, Scheme
+from lmint.measurement import MomentEstimate, Scheme, _cholesky, _condition
 from lmint.noise import IDEAL_NOISE
 
 FULL_N_EFF = {"mean_x": 1, "mean_p": 1, "var_x": 1, "var_p": 1, "cov_xp": 1}
@@ -68,6 +68,51 @@ def reference_symmetric_face(mu, lam):
     points = [float(x) for x in poly.polyroots(poly.polysub(first, second)).real]
     points += [lam, 1.0 / lam, lo, hi, -lo, -hi]
     return [x for x in points if lo <= abs(x) <= hi]
+
+
+def reference_draw(law_args, seed) -> tuple:
+    """(z, c0, c1, mean_diag, n_effective, scheme) of the draw of the law
+    record_laws(*law_args) on the stream of `seed`, formed as the draw
+    first formed it: a fresh Generator(Philox(key=seed)), and every
+    constant of the law (group sizes, roots, gamma shapes, the heterodyne
+    vacuum unit) and the shot counts formed again in the draw.  The
+    reference for measurement.draw_from_laws, which reads them off the law."""
+    z, (s_xx, s_xp, s_pp), scheme, n_samples = law_args
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m_x, m_p = z.real, z.imag
+    if scheme in (Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3):
+        groups = 2 if scheme is Scheme.HOMODYNE_SPLIT2 else 3
+        sizes = [n_samples // groups] * groups
+        sizes[0] += n_samples - sizes[0] * groups
+        laws = ((m_x, s_xx), (m_p, s_pp),
+                ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
+        stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
+                  var * (2.0 * rng.standard_gamma(0.5 * (n - 1))) / (n - 1))
+                 for n, (mu, var) in zip(sizes, laws)]
+        (n_x, m_x, var_x), (n_p, m_p, var_p), *diagonal = stats
+        n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
+        cov_xp, mean_diag = 0.0, None
+        if diagonal:
+            ((n_d, mean_diag, var_d),) = diagonal
+            cov_xp = var_d - 0.5 * (var_x + var_p)
+            n_eff["cov_xp"] = n_d
+        return (complex(m_x, m_p), *_condition(var_x, cov_xp, var_p), mean_diag, n_eff, scheme)
+    if scheme is Scheme.HETERODYNE:
+        s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
+    n = n_samples
+    l00, l10, l11 = _cholesky(((s_xx, s_xp), (s_xp, s_pp)))
+    a11 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 1)))
+    a21 = rng.standard_normal()
+    a22 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 2)))
+    z0, z1 = rng.standard_normal(), rng.standard_normal()
+    r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+    mean = complex(m_x + l00 * z0 / math.sqrt(n), m_p + (l10 * z0 + l11 * z1) / math.sqrt(n))
+    s_xx, s_xp = r11 * r11 / (n - 1), r11 * r21 / (n - 1)
+    s_pp = (r21 * r21 + r22 * r22) / (n - 1)
+    if scheme is Scheme.HETERODYNE:
+        s_xx, s_pp = s_xx - 1.0, s_pp - 1.0
+    n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
+    return (mean, *_condition(s_xx, s_xp, s_pp), None, n_eff, scheme)
 
 
 #: Parameter order of fisher_matrix rows, as in the Monte-Carlo MSE cells.

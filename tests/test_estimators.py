@@ -137,7 +137,7 @@ def test_phase_var_clamps_out_of_range_argument(bench_setup):
     bad = MomentEstimate(mean=np.array([100.0, 1.0]),
                          cov=(resp.a + resp.e + 1.02 * 2.0 * resp.b) * np.eye(2))
     diagnostics = {}
-    assert est_phase_var(bad, bench_setup, diagnostics) == pytest.approx(0.0)
+    assert est_phase_var(bad, bench_setup, diagnostics=diagnostics) == pytest.approx(0.0)
     assert diagnostics["clamped"] == 1
 
 
@@ -156,6 +156,19 @@ def test_phase_var_reads_the_assumed_channel(bench_setup):
     assert est_phase_var(moments, bench_setup, noise=noise) == pytest.approx(0.7, abs=1e-9)
     assert est_phase_var(moments, bench_setup) == pytest.approx(0.6699, abs=1e-4)
     assert est_phase_mean(moments, bench_setup) == pytest.approx(0.7, abs=1e-9)
+
+
+def test_phase_var_takes_the_channel_third_as_every_estimator_does(bench_setup):
+    # A channel passed by position is the channel assumed: on drawn joint
+    # moments under t_c = 0.7, phase_var reads 0.700 with it and 0.661
+    # with none.
+    noise = NoiseParams(t_c=0.7, v_c=1.2)
+    state = forward(bench_setup, ProcessParams.folded(phi=0.7), noise)
+    moments = draw_moments(state, MeasurementPlan(Scheme.JOINT, 100_000, 3))
+    got = est_phase_var(moments, bench_setup, noise)
+    assert got == est_phase_var(moments, bench_setup, noise=noise)
+    assert got == pytest.approx(0.700, abs=5e-4)
+    assert est_phase_var(moments, bench_setup) == pytest.approx(0.661, abs=5e-4)
 
 
 def test_phase_mean_exact(bench_setup):

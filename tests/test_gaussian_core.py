@@ -286,6 +286,16 @@ def test_folded_names_a_value_that_is_not_finite(field, value):
             ProcessParams.from_q(q=2.0, **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", ["phi", "w", "alpha", "d", "beta"])
+def test_process_params_names_a_value_that_is_not_finite(field, value):
+    # The constructor says what folded says, not a range message that reads
+    # "w must be >= 0, got inf" or "phi=nan outside (...)".
+    fields = {"phi": 0.5, "w": 0.3, "alpha": -0.2, "d": 1.0, "beta": 2.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        ProcessParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Loss channel
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -169,7 +170,7 @@ def test_a_run_books_no_value_that_the_public_path_refuses(bench_setup, bench_pr
     probe = MomentEstimate(z=8e307 + 0j, c0=1.0, c1=0j, n_effective={"mean_x": 200})
     with pytest.raises(ValueError) as public:
         est_general_mean([probe] * 3, bench_setup)
-    assert str(public.value) == "d must be >= 0, got inf"
+    assert str(public.value) == "d must be finite, got inf"
     monkeypatch.setattr(harness, "draw_from_laws", lambda laws, seed: probe)
     with pytest.raises(ValueError) as run:
         run_mc(mc(bench_setup, bench_process, estimators=("mean_method",), n=600, m_reps=3))
@@ -382,6 +383,33 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
         want += [seed_sequence_child(calibration, (j,)) for j in range(3)]
         want += [seed_sequence_child(16384, (p, k, j)) for k in range(1, 6) for j in range(4)]
     assert seeds == want
+
+
+def test_shared_seed_terms_cannot_go_stale():
+    # The hashed terms of a data set's word depend only on the word and on
+    # the hash constant, which advances with the number of key words hashed
+    # before; they are formed once and shared.  A run's keys interleaved with
+    # calibrate's (j,) keys, with one-entry prefixes whose entry spans two
+    # words (the hash constant of a (p, k) prefix), with three-word prefixes
+    # and with enough distinct words to cycle the shared terms out, are each
+    # still the SeedSequence child.
+    key_root, key_child, key_seeds, plan_seed = (harness._key_root, harness._key_child,
+                                                 harness._key_seeds, harness._plan_seed)
+    drawn = random.Random(30)
+    entropy, calibration = drawn.getrandbits(64), drawn.getrandbits(64)
+    at_point = key_child(key_root(entropy), 7)
+    for k in range(1, 41):
+        words = range(k % 2, 4)
+        assert key_seeds(key_child(at_point, k), words) == [
+            seed_sequence_child(entropy, (7, k, j)) for j in words]
+        assert plan_seed(calibration, k % 3) == seed_sequence_child(calibration, (k % 3,))
+        wide = 2 ** 32 * k + drawn.getrandbits(32)
+        assert key_seeds(key_child(key_root(entropy), wide), words) == [
+            seed_sequence_child(entropy, (wide, j)) for j in words]
+        assert plan_seed(entropy, wide, k, 2) == seed_sequence_child(entropy, (wide, k, 2))
+        for _ in range(k % 5 * 10):
+            word = drawn.getrandbits(32)
+            assert plan_seed(entropy, k, word) == seed_sequence_child(entropy, (k, word))
 
 
 def test_run_mc_forms_each_state_once_without_forward(bench_setup, bench_process,

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 
@@ -10,8 +11,11 @@ from lmint.gaussian_core import (
     GaussianState, is_physical, make_coherent, make_thermal, squeeze_matrix, vacuum,
 )
 from lmint.measurement import (
-    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_moments, record_laws,
+    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_from_laws, draw_moments,
+    record_laws,
 )
+
+from conftest import reference_draw
 
 
 def plan(scheme, n, seed=0):
@@ -205,6 +209,50 @@ def test_rng_is_the_stream_of_a_fresh_philox(seed):
     want = _variates(np.random.Generator(np.random.Philox(key=seed)))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _hex_draw(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
+    """A draw's statistics as float.hex strings, its shot counts and scheme."""
+    floats = (z.real, z.imag, c0, c1.real, c1.imag)
+    floats += (mean_diag,) if mean_diag is not None else ()
+    return tuple(x.hex() for x in floats), dict(n_effective), scheme
+
+
+def test_draws_are_the_reference_draws_bit_for_bit():
+    # draw_from_laws reads what its law carries (shot counts, gamma shapes,
+    # roots, the vacuum unit) and re-keys one generator per thread; every
+    # statistic it draws equals the draw formed in full per seed, over the
+    # four schemes, n from the smallest valid size (paired n = 2, a gamma
+    # shape of 0) to 2e6, states from near the vacuum floor to 1e4 and
+    # seeds 0 and 2**64 - 1.
+    drawn = random.Random(30)
+    for case in range(2400):
+        scheme = list(Scheme)[case % 4]
+        smallest = {Scheme.HOMODYNE_SPLIT2: 4, Scheme.HOMODYNE_SPLIT3: 6}.get(scheme, 2)
+        n = [smallest, smallest + 1, smallest + 2, 600, 100_000, 2_000_000,
+             int(smallest * 10 ** drawn.uniform(0.0, 5.5))][case // 4 % 7]
+        seed = [0, 2 ** 64 - 1, drawn.getrandbits(64)][case // 28 % 3]
+        s_xx, s_pp = math.exp(drawn.uniform(0.0, 9.2)), math.exp(drawn.uniform(0.0, 9.2))
+        s_xp = drawn.uniform(-1.0, 1.0) * math.sqrt(max(s_xx * s_pp - 1.0, 0.0))
+        z = complex(drawn.uniform(-200.0, 200.0), drawn.uniform(-200.0, 200.0))
+        law_args = (z, (s_xx, s_xp, s_pp), scheme, n)
+        got = draw_from_laws(record_laws(*law_args), seed)
+        assert _hex_draw(got.z, got.c0, got.c1, got.mean_diag, got.n_effective, got.scheme) \
+            == _hex_draw(*reference_draw(law_args, seed)), (law_args, seed)
+
+
+def test_a_draw_cannot_change_the_shot_counts_of_its_law():
+    # The draws of one law share its shot counts, read-only: writing one
+    # draw's counts raises, and the next draw of the law reads them intact.
+    for scheme in Scheme:
+        law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, 600)
+        first = draw_from_laws(law, 1)
+        want = dict(first.n_effective)
+        with pytest.raises(TypeError):
+            first.n_effective["mean_x"] = 1
+        with pytest.raises(TypeError):
+            del first.n_effective["cov_xp"]
+        assert dict(draw_from_laws(law, 2).n_effective) == want == dict(first.n_effective)
 
 
 def _spd_and_subtracted(rng, m):

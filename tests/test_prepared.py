@@ -56,7 +56,7 @@ def _public(name, setup, noise, single, probes) -> tuple:
     if name == "displacement":
         return est_displacement(single, setup, noise)
     if name == "phase_var":
-        return (est_phase_var(single, setup, {}, noise=noise),)
+        return (est_phase_var(single, setup, diagnostics={}, noise=noise),)
     if name == "phase_mean":
         return (est_phase_mean(single, setup),)
     if name == "phase_ml":
