@@ -6,24 +6,20 @@ channel (estimators.prepare_<name>), and each data set's record law
 (measurement.record_laws) from the scalars of interferometer.measured_moments:
 one covariance, and the mean at its probe phase.  An estimator that fails
 its data-independent checks books m_reps failures of that reason unrun, and
-a run with none left draws nothing.  A realization only keys its streams
-and draws (measurement.draw_from_laws); each estimator runs over a block of
-_BLOCK drawn realizations, in order, before the next block is drawn.
-Data set j of realization k at sweep point p draws from the stream
-np.random.SeedSequence(base_seed, spawn_key=(p, k, j)), the child
-SeedSequence(base_seed).spawn gives, so streams are independent by
-construction and results reproducible and order-independent.  The seed of
-each child is computed bit for bit as SeedSequence computes it, from shared
-prefixes: the state after the base seed once per seed, after p once per
-point, after k once per realization, and all its j in one pass from hashed
-terms that all realizations of a run share.  Keys are formed as
-realizations are drawn, so reading realization 1 costs the same at any
-m_reps.  Realizations run k = 1..m_reps; realization 0 is the point's
-calibration.
+a run with none left draws nothing.  Then each data set draws the variates
+of all its realizations, one call per stream (measurement.draw_variates),
+and realizations are formed from them _BLOCK at a time
+(measurement.form_moments); each estimator runs over a block, in order,
+before the next is formed.  Variate kind v of data set j at sweep point p
+comes from the Philox stream keyed (base_seed, p 2^32 + j 2^8 + v): j = 0
+is the single read-out, 1 to 3 the probes and 4 to 6 the point's
+calibration probes; v = 0 the normals and 1, 2, ... one per gamma column.
+Philox streams under distinct keys are independent by design, so results
+are reproducible and order-independent with no hash of the seed.
+Realization k is row k - 1 of every stream, so it does not depend on m_reps.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -47,7 +43,8 @@ from .estimators import (
 )
 from .gaussian_core import IDENTITY_PROCESS, DecompositionError, ProcessParams, circular_diff
 from .interferometer import SetupConfig, measured_moments, response
-from .measurement import InsufficientDataError, MeasurementPlan, draw_from_laws, record_laws
+from .measurement import (InsufficientDataError, MeasurementPlan, draw_variates, form_moments,
+                          record_laws)
 from .noise import IDEAL_NOISE, NoiseParams
 
 
@@ -74,7 +71,9 @@ _THREE_PROBE = {"mean_method", "combined"}
 
 #: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
 #: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 71.7/60.6/55.6/55.1/56.8/55.6.
-#: Drawing all m_reps first would hold 2.5 KB per realization, 25 MB at 10 000.
+#: A run draws the variates of all m_reps up front, 8 bytes each and about 5 per data set
+#: per realization (1.6 MB for 4 data sets at 10 000), but builds MomentEstimates, 2.5 KB
+#: per realization, one block at a time.
 _BLOCK = 64
 
 
@@ -158,84 +157,6 @@ def param_error(estimate: float, truth: float, parameter: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stream keys: the seeds of numpy's SeedSequence children, from shared prefixes
-
-_MASK32 = 0xFFFF_FFFF
-# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx).
-_MULT_A, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_OUT_1 = _INIT_B * _MULT_B & _MASK32  # generate_state's hash constants, words 0 and 1
-_OUT_2 = _OUT_1 * _MULT_B & _MASK32
-_MULT_A2 = _MULT_A * _MULT_A & _MASK32  # the hashes of pool words 2 and 3
-_ROOT_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 2 ** 32) & _MASK32  # INIT_A after the pool's 16 hashes
-
-
-@functools.lru_cache(maxsize=8)
-def _key_root(entropy: int) -> tuple:
-    """The state of SeedSequence(entropy, spawn_key=key) before its first key
-    word, for entropy < 2**128: pool words 0 and 1 and the hash constant.  A
-    spawn key pads the entropy with zero words to the 4-word pool, which hash
-    into the pool as the missing words of an unspawned SeedSequence(entropy)
-    do, so its pool is this state, after 4 + 12 hashes.  A seed reads pool
-    words 0 and 1 alone, and each word mixes only its own past, so words 2
-    and 3 are not carried."""
-    pool = np.random.SeedSequence(entropy).pool
-    return int(pool[0]), int(pool[1]), _ROOT_HASH
-
-
-def _key_child(prefix: tuple, entry: int) -> tuple:
-    """The state of SeedSequence after one more spawn-key entry: each of its
-    32-bit words, least significant first, is hashed into every pool word,
-    and the hash constant advances over all four."""
-    x0, x1, h = prefix
-    while True:
-        word, h1 = entry & _MASK32, h * _MULT_A & _MASK32
-        h2 = h1 * _MULT_A & _MASK32
-        v0, v1 = (word ^ h) * h1 & _MASK32, (word ^ h1) * h2 & _MASK32
-        v0 = (_MIX_L * x0 - _MIX_R * (v0 ^ v0 >> 16)) & _MASK32
-        v1 = (_MIX_L * x1 - _MIX_R * (v1 ^ v1 >> 16)) & _MASK32
-        x0, x1, h, entry = v0 ^ v0 >> 16, v1 ^ v1 >> 16, h2 * _MULT_A2 & _MASK32, entry >> 32
-        if not entry:
-            return x0, x1, h
-
-
-def _key_seeds(prefix: tuple, words) -> list:
-    """SeedSequence(entropy, spawn_key=key + (j,)).generate_state(1, np.uint64)[0]
-    for each j < 2**32 in words (a range or tuple), prefix the state of
-    (entropy, key): pool words 0 and 1 give each seed."""
-    x0, x1, h = prefix
-    x0, x1 = _MIX_L * x0, _MIX_L * x1
-    seeds = []
-    for t0, t1 in _seed_terms(h, words):
-        v0, v1 = (x0 - t0) & _MASK32, (x1 - t1) & _MASK32
-        low = (v0 ^ v0 >> 16 ^ _INIT_B) * _OUT_1 & _MASK32
-        high = (v1 ^ v1 >> 16 ^ _OUT_1) * _OUT_2 & _MASK32
-        seeds.append((high ^ high >> 16) << 32 | low ^ low >> 16)
-    return seeds
-
-
-@functools.lru_cache(maxsize=32)
-def _seed_terms(h: int, words) -> tuple:
-    """Per word j, the terms _key_seeds takes off the mixed pool words 0 and 1.
-    j hashes with h A and h A^2, whatever the pool, and h advances with the
-    number of key words hashed before, so a run's realizations share them."""
-    h1, h2 = h * _MULT_A & _MASK32, h * _MULT_A2 & _MASK32
-    hashed = [((j ^ h) * h1 & _MASK32, (j ^ h1) * h2 & _MASK32) for j in words]
-    return tuple((_MIX_R * (v0 ^ v0 >> 16), _MIX_R * (v1 ^ v1 >> 16)) for v0, v1 in hashed)
-
-
-def _plan_seed(entropy: int, *key: int) -> int:
-    """The seed of SeedSequence(entropy, spawn_key=key)'s stream; distinct
-    keys give independent streams."""
-    prefix, last = _key_root(entropy), key[-1]
-    for entry in key[:-1]:
-        prefix = _key_child(prefix, entry)
-    while last >> 32:  # the words of the last entry but its last, least significant first
-        prefix, last = _key_child(prefix, last & _MASK32), last >> 32
-    return _key_seeds(prefix, (last,))[0]
-
-
-# ---------------------------------------------------------------------------
 # Single-realization pipeline
 
 
@@ -249,23 +170,33 @@ def _record_laws(setup: SetupConfig, process: ProcessParams, noise, scheme, sets
     return [record_laws(mean_at[phase], cov, scheme, n) for phase, n in sets]
 
 
-def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases):
-    """Moments of realizations 1 to m_reps at sweep point `point`, as pairs
-    (single read-out, three probes) for the estimators `bases`: data set 0
-    when one other than mean_method reads it, and data sets 1 to 3 when
-    mean_method or combined does (else None and []).  Their laws are formed
-    once, before the first draw."""
+def _stream_word(point: int, data_set: int) -> int:
+    """The second Philox key word of a data set at a sweep point, p 2^32 +
+    j 2^8, to which each variate kind adds its v."""
+    return point << 32 | data_set << 8
+
+
+def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | None = None):
+    """Moments of realizations 1 to m (default m_reps) at sweep point
+    `point`, as pairs (single read-out, three probes) for the estimators
+    `bases`: data set 0 when one other than mean_method reads it, and data
+    sets 1 to 3 when mean_method or combined does (else None and []).  Their
+    laws are formed and all their variates drawn before the first
+    realization, which are then formed _BLOCK at a time."""
     single = bool(bases - {"mean_method"})
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
     sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
             + ([(phase, n_each) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []))
     laws = _record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, sets)
-    words = range(len(laws)) if single else range(1, len(laws) + 1)  # its data sets j
-    at_point = _key_child(_key_root(cfg.base_seed), point)
-    for k in range(1, cfg.m_reps + 1):
-        drawn = [draw_from_laws(law, seed)
-                 for law, seed in zip(laws, _key_seeds(_key_child(at_point, k), words))]
-        yield (drawn[0], drawn[1:]) if single else (None, drawn)
+    data_sets = range(len(laws)) if single else range(1, len(laws) + 1)
+    m = cfg.m_reps if m is None else m
+    variates = [draw_variates(law, cfg.base_seed, _stream_word(point, j), m)
+                for law, j in zip(laws, data_sets)]
+    for start in range(0, m, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = [form_moments(law, drawn, rows) for law, drawn in zip(laws, variates)]
+        for moments in zip(*block):
+            yield (moments[0], list(moments[1:])) if single else (None, list(moments))
 
 
 #: Per estimator: its prepare function of the run's config and channel, called by
@@ -315,21 +246,21 @@ def _resolve_assumed(cfg: MonteCarloConfig, name: str,
 def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
     """The channel estimate of a calibration="auto" run, None in the other
     modes: one calibrate call with the process switched off, at
-    cfg.calibration_samples shots (default plan.n_samples), on realization 0
-    of the point, so that every run of the config sees the same one."""
+    cfg.calibration_samples shots (default plan.n_samples), on the
+    calibration probes of the point (data sets 4 to 6), so that every run of
+    the config sees the same one."""
     if cfg.calibration != "auto":
         return None
     n_cal = cfg.calibration_samples or cfg.plan.n_samples
-    return calibrate(cfg.setup, MeasurementPlan(cfg.plan.scheme, n_cal,
-                                                _plan_seed(cfg.base_seed, point, 0, 0)),
-                     cfg.noise)
+    return calibrate(cfg.setup, MeasurementPlan(cfg.plan.scheme, n_cal, cfg.base_seed),
+                     cfg.noise, point=point)
 
 
 def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
     calibrated = _calibrated_noise(cfg, 0)
-    data = next(_simulate_realizations(cfg, 0, {base_name(n) for n in cfg.estimators}))
+    data = next(_simulate_realizations(cfg, 0, {base_name(n) for n in cfg.estimators}, 1))
     return [dict(zip(ESTIMATOR_PARAMS[base_name(name)],
                      _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))(*data, {})))
             for name in cfg.estimators]
@@ -529,13 +460,15 @@ _GAIN_MARGIN = 0.10
 
 
 def calibrate(setup: SetupConfig, plan: MeasurementPlan,
-              true_noise: NoiseParams) -> NoiseParams:
+              true_noise: NoiseParams, *, point: int = 0) -> NoiseParams:
     """Estimate the decoherence channel with the unknown process switched off.
 
     Runs the three-probe mean protocol against the identity process: the mean
-    gain pins t_c, the variance residual pins v_c.  Estimates are clamped to
-    the physical ranges; a gain beyond the clamping margin raises
-    CalibrationError, and too few shots for the three probes ValueError.
+    gain pins t_c, the variance residual pins v_c.  The probes draw as the
+    calibration probes (data sets 4 to 6) of sweep point `point` under the
+    base seed plan.seed.  Estimates are clamped to the physical ranges; a
+    gain beyond the clamping margin raises CalibrationError, and too few
+    shots for the three probes ValueError.
     """
     _check_probe_shots(plan.scheme, plan.n_samples, "n_samples")
     r = setup.r_amp
@@ -548,7 +481,8 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     n_each = plan.n_samples // len(PROBE_PHASES)
     laws = _record_laws(setup, IDENTITY_PROCESS, true_noise, plan.scheme,
                         [(phase, n_each) for phase in PROBE_PHASES])
-    moments = [draw_from_laws(law, _plan_seed(plan.seed, j)) for j, law in enumerate(laws)]
+    moments = [form_moments(law, draw_variates(law, plan.seed, _stream_word(point, j), 1))[0]
+               for j, law in enumerate(laws, start=4)]
     gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0

@@ -4,16 +4,19 @@ the moments from their exact law.
 record_laws forms the law of the records a scheme takes of one state, given
 as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check,
 the closed-form factor of a paired covariance (LAPACK's operations) and all
-else a draw reuses, once per data set and run; draw_from_laws draws one
-realization's statistics from it, and draw_moments composes the two.
-Every draw comes from a counter-based generator (Philox) keyed by a 64-bit
-seed, so it is reproducible.  One Philox bit generator per thread serves
-every draw: each draw resets its whole state to key (seed, 0) and counter 0
-from plain lists, the stream of a fresh np.random.Philox(key=seed) without
-building one.  The harness seeds each draw from the np.random.SeedSequence
-child keyed by (sweep point, realization, data set), which makes the streams
-of a run independent by construction.  The drawn statistics are formed from
-scalars in the pair form the estimators read (see MomentEstimate).
+else a draw reuses, once per data set and run.  draw_variates draws the
+variates of m realizations of a data set as arrays, and form_moments forms a
+MomentEstimate from each of their rows; draw_moments composes the three for
+one realization.  Every draw comes from a counter-based generator (Philox)
+keyed by two 64-bit words, so it is reproducible, and streams under distinct
+keys are independent by design (Salmon et al. 2011): a data set's variates
+come from one stream per variate kind v, keyed (seed, word + v), where the
+harness packs the sweep point and the data set into the word.  One Philox
+bit generator per thread serves every draw: each draw resets its whole
+state to the key and counter 0 from plain lists, the stream of a fresh
+np.random.Philox(key=[seed, word]) without building one.  The drawn
+statistics are formed from scalars in the pair form the estimators read
+(see MomentEstimate).
 """
 from __future__ import annotations
 
@@ -102,12 +105,13 @@ class SampleSet:
 _PER_THREAD = threading.local()
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """This thread's generator on the stream of np.random.Philox(key=seed):
-    its bit generator's key, counter, output buffer and buffered half-word
-    all reset, so no earlier draw leaks into this one.  The thread keeps one
-    state dict of plain lists (cheaper to read than uint64 arrays), whose
-    key entry each call rewrites; the setter reads it entry by entry."""
+def _rng(seed: int, word: int) -> np.random.Generator:
+    """This thread's generator on the stream of np.random.Philox(key=[seed,
+    word]): its bit generator's key, counter, output buffer and buffered
+    half-word all reset, so no earlier draw leaks into this one.  The thread
+    keeps one state dict of plain lists (cheaper to read than uint64 arrays),
+    whose two key entries each call rewrites; the setter reads it entry by
+    entry."""
     gen = getattr(_PER_THREAD, "generator", None)
     if gen is None:
         gen = _PER_THREAD.generator = np.random.Generator(np.random.Philox(key=0))
@@ -115,7 +119,8 @@ def _rng(seed: int) -> np.random.Generator:
             "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     state = _PER_THREAD.state
-    state["state"]["key"][0] = seed
+    key = state["state"]["key"]
+    key[0], key[1] = seed, word
     gen.bit_generator.state = state
     return gen
 
@@ -179,7 +184,7 @@ def _state_laws(state: GaussianState, plan: MeasurementPlan) -> tuple:
 def sample(state: GaussianState, plan: MeasurementPlan) -> SampleSet:
     """Draw measurement records from a single-mode state; pure given the seed."""
     paired, _, _, groups = _state_laws(state, plan)
-    rng = _rng(plan.seed)
+    rng = _rng(plan.seed, 0)
     if not paired:
         quad = {theta: mu + math.sqrt(var) * rng.standard_normal(n)
                 for theta, (n, mu, var, *_) in zip(_ANGLES[plan.scheme], groups)}
@@ -314,35 +319,54 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
 def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     """The MomentEstimate of the records sample(state, plan) would give, drawn
     from its exact law (the same law, not the same numbers): record_laws,
-    then draw_from_laws on the plan's seed."""
-    return draw_from_laws(_state_laws(state, plan), plan.seed)
+    then one realization of draw_variates on the key (plan.seed, 0), which
+    the harness reads as data set 0 of sweep point 0."""
+    laws = _state_laws(state, plan)
+    return form_moments(laws, draw_variates(laws, plan.seed, 0, 1))[0]
 
 
-def draw_from_laws(laws: tuple, seed: int) -> MomentEstimate:
-    """The MomentEstimate of records of the law `laws` (see record_laws),
-    drawn on the stream of `seed` at a cost independent of the shot count.
-    Per homodyne group of n records of variance s2, the mean is N(mu, s2 /
-    n) and the variance s2 chi2(n - 1) / (n - 1).  For n paired records of
-    covariance Sigma = L L^T, the mean is N(mu, Sigma / n) and the scatter
-    Wishart(Sigma, n - 1), drawn as L A A^T L^T by the Bartlett
-    decomposition (Odell & Feiveson 1966): A is lower triangular with A11^2
-    ~ chi2(n - 1), A22^2 ~ chi2(n - 2) and A21 ~ N(0, 1); the vacuum unit
-    is taken off the scatter."""
+def draw_variates(laws: tuple, seed: int, word: int, m: int) -> tuple:
+    """The variates of m realizations of records of the law `laws` (see
+    record_laws), one call per stream, as (normals, gammas): the normals an
+    (m, k) array from the stream keyed (seed, word), then one gamma column of
+    m per shape, column v - 1 from the stream keyed (seed, word + v).  Row i
+    of every stream belongs to realization i + 1, whatever m.  Per homodyne
+    group there is one normal and one gamma column of shape (n - 1) / 2;
+    paired records take the normals (A21, z0, z1) and the shapes (n - 1) / 2
+    and (n - 2) / 2 (see form_moments)."""
+    paired, _, _, groups = laws
+    shapes = groups[6:8] if paired else [group[4] for group in groups]
+    normals = _rng(seed, word).standard_normal((m, 3 if paired else len(groups)))
+    return normals, [_rng(seed, word + v).standard_gamma(shape, size=m)
+                     for v, shape in enumerate(shapes, start=1)]
+
+
+def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> list:
+    """The MomentEstimate of each realization in `rows` of draw_variates'
+    variates, at a cost independent of the shot count.  Per homodyne group
+    of n records of variance s2, the mean is N(mu, s2 / n) and the variance
+    s2 chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
+    L^T, the mean is N(mu, Sigma / n) and the scatter Wishart(Sigma, n - 1),
+    drawn as L A A^T L^T by the Bartlett decomposition (Odell & Feiveson
+    1966): A is lower triangular with A11^2 ~ chi2(n - 1), A22^2 ~ chi2(n -
+    2) and A21 ~ N(0, 1); the vacuum unit is taken off the scatter."""
     paired, scheme, n_effective, groups = laws
-    rng = _rng(seed)
-    normal, gamma = rng.standard_normal, rng.standard_gamma
+    normals, gammas = variates
+    drawn = zip(normals[rows].tolist(), *(column[rows].tolist() for column in gammas))
     # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
     if not paired:
-        return _angles_estimate(scheme, n_effective, [
-            (mu + se * normal(), var * (2.0 * gamma(shape)) / dof)
-            for _, mu, var, se, shape, dof in groups])
-    _, m_x, m_p, l00, l10, l11, shape_1, shape_2, root_n, dof, vacuum = groups
-    a11 = math.sqrt(2.0 * gamma(shape_1))
-    a21 = normal()
-    a22 = math.sqrt(2.0 * gamma(shape_2))
-    z0, z1 = normal(), normal()
-    # root = L A, lower triangular; the scatter is root root^T / (n - 1).
-    r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-    return _estimate(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n),
-                     r11 * r11 / dof - vacuum, r11 * r21 / dof,
-                     (r21 * r21 + r22 * r22) / dof - vacuum, n_effective, scheme)
+        return [_angles_estimate(scheme, n_effective, [
+            (mu + se * normal, var * (2.0 * gamma) / dof)
+            for (_, mu, var, se, _, dof), normal, gamma in zip(groups, row, gammas_k)])
+            for row, *gammas_k in drawn]
+    _, m_x, m_p, l00, l10, l11, _, _, root_n, dof, vacuum = groups
+    out = []
+    for (a21, z0, z1), gamma_1, gamma_2 in drawn:
+        a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
+        # root = L A, lower triangular; the scatter is root root^T / (n - 1).
+        r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+        out.append(_estimate(
+            complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n),
+            r11 * r11 / dof - vacuum, r11 * r21 / dof, (r21 * r21 + r22 * r22) / dof - vacuum,
+            n_effective, scheme))
+    return out

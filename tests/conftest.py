@@ -46,12 +46,6 @@ def exact_probe_moments(setup, process, noise=IDEAL_NOISE):
     return out
 
 
-def seed_sequence_child(entropy, key) -> int:
-    """The seed of the stream SeedSequence(entropy, spawn_key=key): numpy's
-    own derivation, the reference of the harness's stream keys."""
-    return int(np.random.SeedSequence(entropy, spawn_key=key).generate_state(1, np.uint64)[0])
-
-
 def reference_symmetric_face(mu, lam):
     """The points estimators._symmetric_face returns, with the face
     polynomial x^5 (x - lam) ((x - lam)^2 - mu[0]) - (1 - lam x) ((1 - lam
@@ -70,15 +64,20 @@ def reference_symmetric_face(mu, lam):
     return [x for x in points if lo <= abs(x) <= hi]
 
 
-def reference_draw(law_args, seed) -> tuple:
-    """(z, c0, c1, mean_diag, n_effective, scheme) of the draw of the law
-    record_laws(*law_args) on the stream of `seed`, formed as the draw
-    first formed it: a fresh Generator(Philox(key=seed)), and every
-    constant of the law (group sizes, roots, gamma shapes, the heterodyne
-    vacuum unit) and the shot counts formed again in the draw.  The
-    reference for measurement.draw_from_laws, which reads them off the law."""
+def reference_draw(law_args, seed, word, m) -> list:
+    """(z, c0, c1, mean_diag, n_effective, scheme) of each of the m draws of
+    the law record_laws(*law_args) on the streams keyed (seed, word + v),
+    formed as the draw is specified: a fresh Generator(Philox(key=[seed,
+    word + v])) per variate kind v, the normals an (m, k) array from v = 0
+    and gamma column i from v = i + 1, and every constant of the law (group
+    sizes, roots, gamma shapes, the heterodyne vacuum unit) and the shot
+    counts formed again per draw.  The reference for measurement's
+    draw_variates and form_moments, which read them off the law."""
     z, (s_xx, s_xp, s_pp), scheme, n_samples = law_args
-    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def stream(v):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, word + v], np.uint64)))
+
     m_x, m_p = z.real, z.imag
     if scheme in (Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3):
         groups = 2 if scheme is Scheme.HOMODYNE_SPLIT2 else 3
@@ -86,33 +85,45 @@ def reference_draw(law_args, seed) -> tuple:
         sizes[0] += n_samples - sizes[0] * groups
         laws = ((m_x, s_xx), (m_p, s_pp),
                 ((m_x + m_p) / math.sqrt(2.0), 0.5 * (s_xx + s_pp) + s_xp))
-        stats = [(n, mu + math.sqrt(var / n) * rng.standard_normal(),
-                  var * (2.0 * rng.standard_gamma(0.5 * (n - 1))) / (n - 1))
-                 for n, (mu, var) in zip(sizes, laws)]
-        (n_x, m_x, var_x), (n_p, m_p, var_p), *diagonal = stats
-        n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
-        cov_xp, mean_diag = 0.0, None
-        if diagonal:
-            ((n_d, mean_diag, var_d),) = diagonal
-            cov_xp = var_d - 0.5 * (var_x + var_p)
-            n_eff["cov_xp"] = n_d
-        return (complex(m_x, m_p), *_condition(var_x, cov_xp, var_p), mean_diag, n_eff, scheme)
+        normals = stream(0).standard_normal((m, groups))
+        gammas = [stream(v).standard_gamma(0.5 * (n - 1), size=m)
+                  for v, n in enumerate(sizes, start=1)]
+        out = []
+        for k in range(m):
+            stats = [(n, mu + math.sqrt(var / n) * float(normals[k, i]),
+                      var * (2.0 * float(gammas[i][k])) / (n - 1))
+                     for i, (n, (mu, var)) in enumerate(zip(sizes, laws))]
+            (n_x, mean_x, var_x), (n_p, mean_p, var_p), *diagonal = stats
+            n_eff = {"mean_x": n_x, "mean_p": n_p, "var_x": n_x, "var_p": n_p, "cov_xp": 0}
+            cov_xp, mean_diag = 0.0, None
+            if diagonal:
+                ((n_d, mean_diag, var_d),) = diagonal
+                cov_xp = var_d - 0.5 * (var_x + var_p)
+                n_eff["cov_xp"] = n_d
+            out.append((complex(mean_x, mean_p), *_condition(var_x, cov_xp, var_p), mean_diag,
+                        n_eff, scheme))
+        return out
     if scheme is Scheme.HETERODYNE:
         s_xx, s_pp = s_xx + 1.0, s_pp + 1.0
     n = n_samples
     l00, l10, l11 = _cholesky(((s_xx, s_xp), (s_xp, s_pp)))
-    a11 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 1)))
-    a21 = rng.standard_normal()
-    a22 = math.sqrt(2.0 * rng.standard_gamma(0.5 * (n - 2)))
-    z0, z1 = rng.standard_normal(), rng.standard_normal()
-    r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-    mean = complex(m_x + l00 * z0 / math.sqrt(n), m_p + (l10 * z0 + l11 * z1) / math.sqrt(n))
-    s_xx, s_xp = r11 * r11 / (n - 1), r11 * r21 / (n - 1)
-    s_pp = (r21 * r21 + r22 * r22) / (n - 1)
-    if scheme is Scheme.HETERODYNE:
-        s_xx, s_pp = s_xx - 1.0, s_pp - 1.0
-    n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
-    return (mean, *_condition(s_xx, s_xp, s_pp), None, n_eff, scheme)
+    normals = stream(0).standard_normal((m, 3))
+    gammas_1 = stream(1).standard_gamma(0.5 * (n - 1), size=m)
+    gammas_2 = stream(2).standard_gamma(0.5 * (n - 2), size=m)
+    out = []
+    for k in range(m):
+        a11 = math.sqrt(2.0 * float(gammas_1[k]))
+        a21, z0, z1 = (float(x) for x in normals[k])
+        a22 = math.sqrt(2.0 * float(gammas_2[k]))
+        r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+        mean = complex(m_x + l00 * z0 / math.sqrt(n), m_p + (l10 * z0 + l11 * z1) / math.sqrt(n))
+        c_xx, c_xp = r11 * r11 / (n - 1), r11 * r21 / (n - 1)
+        c_pp = (r21 * r21 + r22 * r22) / (n - 1)
+        if scheme is Scheme.HETERODYNE:
+            c_xx, c_pp = c_xx - 1.0, c_pp - 1.0
+        n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
+        out.append((mean, *_condition(c_xx, c_xp, c_pp), None, n_eff, scheme))
+    return out
 
 
 #: Parameter order of fisher_matrix rows, as in the Monte-Carlo MSE cells.

@@ -558,12 +558,12 @@ def test_exit_code_2_for_mean_method_on_the_simplistic_topology(tmp_path, capsys
 
 def test_exit_code_2_when_the_polar_decomposition_fails(tmp_path, capsys):
     # Weak coupling, dim probe: at 600 shots the three-probe estimate of
-    # the process matrix has det <= 0 on realization 1 of seed 1.
+    # the process matrix has det <= 0 on realization 1 of seed 2.
     payload = dict(SMALL_CONFIG,
                    setup={"topology": "interferometric", "t1": 0.01, "t2": 0.01,
                           "v_thermal": 100.0, "r_amp": 3.0})
     assert main(["estimate", "--config", write_config(tmp_path, payload),
-                 "--seed", "1"]) == 2
+                 "--seed", "2"]) == 2
     assert "polar decomposition" in capsys.readouterr().err
 
 

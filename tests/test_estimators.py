@@ -164,7 +164,7 @@ def test_phase_var_takes_the_channel_third_as_every_estimator_does(bench_setup):
     # with none.
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     state = forward(bench_setup, ProcessParams.folded(phi=0.7), noise)
-    moments = draw_moments(state, MeasurementPlan(Scheme.JOINT, 100_000, 3))
+    moments = draw_moments(state, MeasurementPlan(Scheme.JOINT, 100_000, 1))
     got = est_phase_var(moments, bench_setup, noise)
     assert got == est_phase_var(moments, bench_setup, noise=noise)
     assert got == pytest.approx(0.700, abs=5e-4)

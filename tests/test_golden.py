@@ -1,12 +1,11 @@
 """Golden Monte-Carlo cells: run_mc over every scheme, every estimator family
 and a run with and without a calibrated channel, pinned at 1e-9 relative.
 
-The pinned values in golden_run_mc.json were computed by the code before the
-sampling layer re-keyed one Philox generator and factored its 2x2 covariances
-in closed form (commit 5c42ed0).  Those changes keep every random variate and
-move a result only by the rounding of that factor, so a cell that moves by
-more than 1e-9 means a stream, a law or an estimator changed.  After a
-deliberate change of results, rewrite the file with
+The pinned values in golden_run_mc.json were computed by the code that
+keys each stream of a run directly by its Philox key (base_seed, p 2^32 +
+j 2^8 + v) and draws each data set's variates for all realizations at once.
+A cell that moves by more than 1e-9 means a stream, a law or an estimator
+changed.  After a deliberate change of results, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -1,7 +1,7 @@
 import dataclasses
 import math
-import random
 import sys
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,11 +24,11 @@ from lmint import (
     run_mc,
     sweep,
 )
-from lmint import harness
+from lmint import harness, measurement
 from lmint.estimators import PROBE_PHASES, EstimateReport, est_general_mean, prepare_displacement
 from lmint.fisher import fisher_matrix
 from lmint.interferometer import measured_moments
-from lmint.measurement import MomentEstimate, draw_from_laws
+from lmint.measurement import MomentEstimate
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -36,8 +36,6 @@ from lmint.harness import (
     estimate_once,
     param_error,
 )
-
-from conftest import seed_sequence_child
 
 
 def mc(setup, process, *, estimators, n=2000, m_reps=20, seed=123, **kw):
@@ -171,7 +169,8 @@ def test_a_run_books_no_value_that_the_public_path_refuses(bench_setup, bench_pr
     with pytest.raises(ValueError) as public:
         est_general_mean([probe] * 3, bench_setup)
     assert str(public.value) == "d must be finite, got inf"
-    monkeypatch.setattr(harness, "draw_from_laws", lambda laws, seed: probe)
+    monkeypatch.setattr(harness, "form_moments",
+                        lambda laws, variates, rows: [probe] * len(variates[0][rows]))
     with pytest.raises(ValueError) as run:
         run_mc(mc(bench_setup, bench_process, estimators=("mean_method",), n=600, m_reps=3))
     assert str(run.value) == str(public.value)
@@ -228,7 +227,7 @@ def test_run_mc_records_failure_reasons(bench_setup, bench_process):
 
 def test_run_mc_counts_failed_polar_decompositions():
     # Weak coupling, dim probe, 600 shots: the three-probe estimate of the
-    # process matrix has det <= 0 on 9 of 12 realizations.
+    # process matrix has det <= 0 on 2 of 12 realizations.
     setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.01, t2=0.01,
                         v_thermal=100.0, r_amp=3.0)
     truth = ProcessParams.from_q(phi=0.7, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
@@ -236,8 +235,8 @@ def test_run_mc_counts_failed_polar_decompositions():
                        seed=0))
     for p in ESTIMATOR_PARAMS["mean_method"]:
         cell = report.cells[("mean_method", p)]
-        assert (cell.n_ok, cell.n_failed) == (3, 9)
-        assert cell.failures == {"DecompositionError": 9}
+        assert (cell.n_ok, cell.n_failed) == (10, 2)
+        assert cell.failures == {"DecompositionError": 2}
 
 
 def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
@@ -262,6 +261,22 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
     assert seen[0] != seen[1]
     d, beta = seen[0]
     assert estimate_once(cfg) == [{"d": d, "beta": beta}]
+
+
+def test_estimate_once_draws_realization_one_only(bench_setup, bench_process):
+    # estimate_once draws one realization of each stream: realization 1
+    # does not depend on m_reps, and estimate_once at m_reps = 10**6 costs
+    # what it costs at 2, far below the seconds a draw of 10**6 would take.
+    cfg = MonteCarloConfig(setup=bench_setup, process=bench_process,
+                           plan=MeasurementPlan(Scheme.JOINT, 3000, 0),
+                           estimators=("displacement", "cov_method", "mean_method"),
+                           noise=NoiseParams(t_c=0.9, v_c=1.2), calibration="auto",
+                           m_reps=2, base_seed=16384)
+    want = estimate_once(cfg)
+    start = time.perf_counter()
+    got = estimate_once(dataclasses.replace(cfg, m_reps=10 ** 6))
+    assert time.perf_counter() - start < 0.2
+    assert got == want
 
 
 def _per_realization_cells(cfg):
@@ -360,56 +375,33 @@ def test_a_run_holds_at_most_one_block(bench_setup, bench_process, monkeypatch):
 def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_process,
                                                        monkeypatch):
     # Every stream of a sweep (each point's calibration probes, and the
-    # single read-out and three probes of each realization at each point)
-    # has a seed of its own: point p = 1, 2, ... calibrates on the child
-    # SeedSequence(base_seed, spawn_key=(p, 0, 0)), whose probe j draws from
-    # SeedSequence(that seed, spawn_key=(j,)), and data set j of realization
-    # k draws from SeedSequence(base_seed, spawn_key=(p, k, j)).
-    seeds = []
+    # single read-out and three probes of every realization at each point)
+    # has a Philox key of its own, packed as the harness documents: variate
+    # kind v of data set j at point p draws from the key (base_seed, p 2^32
+    # + j 2^8 + v), with j = 4..6 the calibration probes, and v = 0 the
+    # normals and 1, 2 the two gamma columns of paired records.  Each data
+    # set draws all its realizations in one call per stream.
+    keys, rows = [], []
 
-    def spy(laws, seed):
-        seeds.append(seed)
-        return draw_from_laws(laws, seed)
+    def spy(seed, word):
+        keys.append((seed, word))
+        return rng(seed, word)
 
-    monkeypatch.setattr(harness, "draw_from_laws", spy)
+    def counted(laws, seed, word, m):
+        rows.append(m)
+        return draw_variates(laws, seed, word, m)
+
+    rng, draw_variates = measurement._rng, harness.draw_variates
+    monkeypatch.setattr(measurement, "_rng", spy)
+    monkeypatch.setattr(harness, "draw_variates", counted)
     cfg = mc(bench_setup, bench_process, estimators=("mean_method", "combined"), n=600,
              m_reps=5, seed=16384, noise=NoiseParams(t_c=0.9, v_c=1.2), calibration="auto")
     sweep(cfg, "loss", [0.0, 0.1, 0.3, 0.5])
-    assert len(seeds) == 4 * (3 + 5 * 4)
-    assert len(set(seeds)) == len(seeds)
-    want = []
-    for p in range(1, 5):
-        calibration = seed_sequence_child(16384, (p, 0, 0))
-        want += [seed_sequence_child(calibration, (j,)) for j in range(3)]
-        want += [seed_sequence_child(16384, (p, k, j)) for k in range(1, 6) for j in range(4)]
-    assert seeds == want
-
-
-def test_shared_seed_terms_cannot_go_stale():
-    # The hashed terms of a data set's word depend only on the word and on
-    # the hash constant, which advances with the number of key words hashed
-    # before; they are formed once and shared.  A run's keys interleaved with
-    # calibrate's (j,) keys, with one-entry prefixes whose entry spans two
-    # words (the hash constant of a (p, k) prefix), with three-word prefixes
-    # and with enough distinct words to cycle the shared terms out, are each
-    # still the SeedSequence child.
-    key_root, key_child, key_seeds, plan_seed = (harness._key_root, harness._key_child,
-                                                 harness._key_seeds, harness._plan_seed)
-    drawn = random.Random(30)
-    entropy, calibration = drawn.getrandbits(64), drawn.getrandbits(64)
-    at_point = key_child(key_root(entropy), 7)
-    for k in range(1, 41):
-        words = range(k % 2, 4)
-        assert key_seeds(key_child(at_point, k), words) == [
-            seed_sequence_child(entropy, (7, k, j)) for j in words]
-        assert plan_seed(calibration, k % 3) == seed_sequence_child(calibration, (k % 3,))
-        wide = 2 ** 32 * k + drawn.getrandbits(32)
-        assert key_seeds(key_child(key_root(entropy), wide), words) == [
-            seed_sequence_child(entropy, (wide, j)) for j in words]
-        assert plan_seed(entropy, wide, k, 2) == seed_sequence_child(entropy, (wide, k, 2))
-        for _ in range(k % 5 * 10):
-            word = drawn.getrandbits(32)
-            assert plan_seed(entropy, k, word) == seed_sequence_child(entropy, (k, word))
+    assert len(set(keys)) == len(keys) == 4 * 7 * 3
+    want = [(16384, p << 32 | j << 8 | v) for p in range(1, 5)
+            for j in (4, 5, 6, 0, 1, 2, 3) for v in range(3)]
+    assert keys == want
+    assert rows == [1, 1, 1, 5, 5, 5, 5] * 4
 
 
 def test_run_mc_forms_each_state_once_without_forward(bench_setup, bench_process,

@@ -11,8 +11,8 @@ from lmint.gaussian_core import (
     GaussianState, is_physical, make_coherent, make_thermal, squeeze_matrix, vacuum,
 )
 from lmint.measurement import (
-    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_from_laws, draw_moments,
-    record_laws,
+    SampleSet, _cholesky, _condition, _rng, _smaller_eigenvalue, draw_moments, draw_variates,
+    form_moments, record_laws,
 )
 
 from conftest import reference_draw
@@ -170,23 +170,31 @@ def _statistics(est):
     return out + ([est.mean_diag] if est.mean_diag is not None else [])
 
 
+#: Record counts of the law test per scheme: 8 records per group, and the
+#: unequal groups of 25 homodyne3 records and two paired records.
+_LAW_TEST_SIZES = {Scheme.HOMODYNE_SPLIT2: (16,), Scheme.HOMODYNE_SPLIT3: (24, 25),
+                   Scheme.HETERODYNE: (8, 2), Scheme.JOINT: (8, 2)}
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_drawn_moments_follow_the_law_of_sampled_records(scheme):
-    # draw_moments against the moments of sampled records, 8 records per
-    # group, where one chi-square degree of freedom more or less moves the
-    # variance law by 1/7: the two-sample Kolmogorov-Smirnov distance of
-    # every statistic over m draws each stays below 1.95 sqrt(2 / m), the
-    # 0.1% critical value.
+    # The m rows of one block draw against the moments of m sets of sampled
+    # records, 8 records per group, where one chi-square degree of freedom
+    # more or less moves the variance law by 1/7; also homodyne3 at 25
+    # records (groups of 9, 8 and 8: unequal gamma shapes) and two paired
+    # records (a gamma shape of 0).  The two-sample Kolmogorov-Smirnov
+    # distance of every statistic stays below 1.95 sqrt(2 / m), the 0.1%
+    # critical value.
     state = GaussianState(np.array([1.0, -2.0]), np.array([[3.0, 1.2], [1.2, 2.0]]))
-    n = 8 * len(plan(scheme, 6).group_sizes())
     m = 3000
-    drawn = np.array([_statistics(draw_moments(state, plan(scheme, n, seed)))
-                      for seed in range(m)])
-    sampled = np.array([_statistics(estimate_moments(sample(state, plan(scheme, n, seed))))
-                        for seed in range(m, 2 * m)])
-    assert drawn.shape == sampled.shape
-    distances = [_ks_distance(drawn[:, i], sampled[:, i]) for i in range(drawn.shape[1])]
-    assert max(distances) < 1.95 * math.sqrt(2.0 / m), distances
+    for n in _LAW_TEST_SIZES[scheme]:
+        law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, n)
+        drawn = np.array([_statistics(e) for e in form_moments(law, draw_variates(law, n, 0, m))])
+        sampled = np.array([_statistics(estimate_moments(sample(state, plan(scheme, n, seed))))
+                            for seed in range(m, 2 * m)])
+        assert drawn.shape == sampled.shape
+        distances = [_ks_distance(drawn[:, i], sampled[:, i]) for i in range(drawn.shape[1])]
+        assert max(distances) < 1.95 * math.sqrt(2.0 / m), (n, distances)
 
 
 def _variates(gen):
@@ -197,18 +205,22 @@ def _variates(gen):
 
 @pytest.mark.parametrize("seed", [0, 1, 0x60D, 2 ** 63 + 5, 2 ** 64 - 1])
 def test_rng_is_the_stream_of_a_fresh_philox(seed):
-    # _rng re-keys this thread's bit generator; it must give exactly the stream
-    # of Generator(Philox(key=seed)), also right after a draw that left a
-    # buffered 32-bit half-word and a part-used output block behind.
-    dirty = _rng(seed ^ 1)
-    dirty.bit_generator.random_raw()
-    dirty.random(dtype=np.float32)
-    assert dirty.bit_generator.state["has_uint32"] == 1
-    assert dirty.bit_generator.state["buffer_pos"] < 4
-    got = _variates(_rng(seed))
-    want = _variates(np.random.Generator(np.random.Philox(key=seed)))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    # _rng re-keys this thread's bit generator on both key words; it must
+    # give exactly the stream of Generator(Philox(key=[seed, word])), also
+    # right after a draw under another second word that left a buffered
+    # 32-bit half-word and a part-used output block behind.
+    for word in (0, 1, 5 << 32 | 6 << 8 | 3, 2 ** 64 - 1):
+        dirty = _rng(seed, word ^ 1)
+        dirty.bit_generator.random_raw()
+        dirty.random(dtype=np.float32)
+        assert dirty.bit_generator.state["has_uint32"] == 1
+        assert dirty.bit_generator.state["buffer_pos"] < 4
+        got = _variates(_rng(seed, word))
+        want = _variates(np.random.Generator(np.random.Philox(
+            key=np.array([seed, word], np.uint64))))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), word
+        assert _variates(_rng(seed, word ^ 1))[1] != want[1]
 
 
 def _hex_draw(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
@@ -219,26 +231,31 @@ def _hex_draw(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
 
 
 def test_draws_are_the_reference_draws_bit_for_bit():
-    # draw_from_laws reads what its law carries (shot counts, gamma shapes,
-    # roots, the vacuum unit) and re-keys one generator per thread; every
-    # statistic it draws equals the draw formed in full per seed, over the
-    # four schemes, n from the smallest valid size (paired n = 2, a gamma
-    # shape of 0) to 2e6, states from near the vacuum floor to 1e4 and
-    # seeds 0 and 2**64 - 1.
-    drawn = random.Random(30)
-    for case in range(2400):
-        scheme = list(Scheme)[case % 4]
-        smallest = {Scheme.HOMODYNE_SPLIT2: 4, Scheme.HOMODYNE_SPLIT3: 6}.get(scheme, 2)
-        n = [smallest, smallest + 1, smallest + 2, 600, 100_000, 2_000_000,
-             int(smallest * 10 ** drawn.uniform(0.0, 5.5))][case // 4 % 7]
-        seed = [0, 2 ** 64 - 1, drawn.getrandbits(64)][case // 28 % 3]
-        s_xx, s_pp = math.exp(drawn.uniform(0.0, 9.2)), math.exp(drawn.uniform(0.0, 9.2))
-        s_xp = drawn.uniform(-1.0, 1.0) * math.sqrt(max(s_xx * s_pp - 1.0, 0.0))
-        z = complex(drawn.uniform(-200.0, 200.0), drawn.uniform(-200.0, 200.0))
-        law_args = (z, (s_xx, s_xp, s_pp), scheme, n)
-        got = draw_from_laws(record_laws(*law_args), seed)
-        assert _hex_draw(got.z, got.c0, got.c1, got.mean_diag, got.n_effective, got.scheme) \
-            == _hex_draw(*reference_draw(law_args, seed)), (law_args, seed)
+    # draw_variates and form_moments read what the law carries (shot counts,
+    # gamma shapes, roots, the vacuum unit) and re-key one generator per
+    # thread; every statistic of each of m realizations (m = 70 crosses a
+    # harness block) equals the draw formed in full per stream and
+    # realization, over the four schemes, n from the smallest valid size
+    # (paired n = 2, a gamma shape of 0) to 2e6, states from near the vacuum
+    # floor to 1e4, seeds 0 and 2**64 - 1 and key words of every data set.
+    for m in (1, 70):
+        drawn = random.Random(30)
+        for case in range(2400):
+            scheme = list(Scheme)[case % 4]
+            smallest = {Scheme.HOMODYNE_SPLIT2: 4, Scheme.HOMODYNE_SPLIT3: 6}.get(scheme, 2)
+            n = [smallest, smallest + 1, smallest + 2, 600, 100_000, 2_000_000,
+                 int(smallest * 10 ** drawn.uniform(0.0, 5.5))][case // 4 % 7]
+            seed = [0, 2 ** 64 - 1, drawn.getrandbits(64)][case // 28 % 3]
+            word = drawn.getrandbits(32) << 32 | drawn.randrange(7) << 8
+            s_xx, s_pp = math.exp(drawn.uniform(0.0, 9.2)), math.exp(drawn.uniform(0.0, 9.2))
+            s_xp = drawn.uniform(-1.0, 1.0) * math.sqrt(max(s_xx * s_pp - 1.0, 0.0))
+            z = complex(drawn.uniform(-200.0, 200.0), drawn.uniform(-200.0, 200.0))
+            law_args = (z, (s_xx, s_xp, s_pp), scheme, n)
+            law = record_laws(*law_args)
+            got = [_hex_draw(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
+                   for e in form_moments(law, draw_variates(law, seed, word, m))]
+            assert got == [_hex_draw(*want) for want in reference_draw(law_args, seed, word, m)], \
+                (law_args, seed, word)
 
 
 def test_a_draw_cannot_change_the_shot_counts_of_its_law():
@@ -246,13 +263,13 @@ def test_a_draw_cannot_change_the_shot_counts_of_its_law():
     # draw's counts raises, and the next draw of the law reads them intact.
     for scheme in Scheme:
         law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, 600)
-        first = draw_from_laws(law, 1)
+        first, second = form_moments(law, draw_variates(law, 1, 0, 2))
         want = dict(first.n_effective)
         with pytest.raises(TypeError):
             first.n_effective["mean_x"] = 1
         with pytest.raises(TypeError):
             del first.n_effective["cov_xp"]
-        assert dict(draw_from_laws(law, 2).n_effective) == want == dict(first.n_effective)
+        assert dict(second.n_effective) == want == dict(first.n_effective)
 
 
 def _spd_and_subtracted(rng, m):
