@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -261,22 +260,6 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
     assert seen[0] != seen[1]
     d, beta = seen[0]
     assert estimate_once(cfg) == [{"d": d, "beta": beta}]
-
-
-def test_estimate_once_draws_realization_one_only(bench_setup, bench_process):
-    # estimate_once draws one realization of each stream: realization 1
-    # does not depend on m_reps, and estimate_once at m_reps = 10**6 costs
-    # what it costs at 2, far below the seconds a draw of 10**6 would take.
-    cfg = MonteCarloConfig(setup=bench_setup, process=bench_process,
-                           plan=MeasurementPlan(Scheme.JOINT, 3000, 0),
-                           estimators=("displacement", "cov_method", "mean_method"),
-                           noise=NoiseParams(t_c=0.9, v_c=1.2), calibration="auto",
-                           m_reps=2, base_seed=16384)
-    want = estimate_once(cfg)
-    start = time.perf_counter()
-    got = estimate_once(dataclasses.replace(cfg, m_reps=10 ** 6))
-    assert time.perf_counter() - start < 0.2
-    assert got == want
 
 
 def _per_realization_cells(cfg):
