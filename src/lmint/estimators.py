@@ -183,76 +183,66 @@ def prepare_phase_mean(setup: SetupConfig):
     return estimate
 
 
-def _phase_loglik(phi, resp, blocks):
-    """Log-likelihood of the data sets in blocks (see _blocks) under a pure
-    phase shift A = (e^{i phi}, 0), with its score and information (the phi
-    entries of _joint_fit), for phi an array (one pass over a grid) or a
-    float (plain Python arithmetic, the same operations): mean mu = (through
-    e^{i phi} + direct) m, mu' = i through e^{i phi} m, covariance v I, v = a
-    + e + 2 b cos(phi) plus the block's added variance.  A set of n records
-    of k components, delta and mu'_P the parts of mean - mu (0 without a
-    mean) and mu' it measures, spread = tr S + |delta|^2 = 2 c0 + |delta|^2,
-    adds n [<delta, mu'_P> / v + v' (spread / v - k) / (2 v)] to the score
-    and n [|mu'_P|^2 / v + k (v' / v)^2 / 2] to the information."""
+def _phase_terms(resp, sets) -> dict:
+    """The data sets `sets` ((p, added, set), see _data_sets) reduced per
+    added variance to (K, S0, S1, S2, P0) under A = (e^{i phi}, 0): K =
+    sum_j n_j k_j, the spread sum_j n_j (tr S_j + |delta_j|^2) = S0 + Re(S1
+    e^{i phi}) + Re(S2 e^{2i phi}) and sum_j n_j |mu'_P|^2 = P0 - Re(S2 e^{2i
+    phi}), delta = c - u e^{i phi} and mu' = i u e^{i phi} for c = mean -
+    direct m and u = through m, read as x = conj(c) and w = u by paired
+    records and as x = Re(conj(p) c) and w = conj(p) u along p."""
+    terms, direct, through = {}, resp.direct, resp.through
+    for p, added, (n, m, _, mean, (f0, _), _) in sets:
+        k, s0, s1, s2, p0 = terms.get(added, (0.0, 0.0, 0j, 0j, 0.0))
+        k, s0 = k + (2.0 * n if p is None else n), s0 + 2.0 * n * f0
+        if mean is not None:
+            c, u = mean - direct * m, through * m
+            x, w, half = ((c.conjugate(), u, 1.0) if p is None
+                          else ((p.conjugate() * c).real, p.conjugate() * u, 0.5))
+            q = half * n * (w * w.conjugate()).real
+            s0, s1, p0 = s0 + n * (x * x.conjugate()).real + q, s1 - 2.0 * n * x * w, p0 + q
+            s2 += (1.0 - half) * n * w * w
+        terms[added] = k, s0, s1, s2, p0
+    return terms
+
+
+def _phase_kernel(phi, resp, terms):
+    """Log-likelihood of the data sets behind terms (see _phase_terms) under
+    a pure phase shift, with its score and information (the phi entries of
+    _joint_fit), for phi an array (one pass over a grid) or a float (plain
+    Python arithmetic, the same operations): per added variance, v = a + e +
+    added + 2 b cos(phi) and the spread S give ll = -(K log v + S / v) / 2,
+    score (v' (S / v - K) - S') / (2 v), information (P0 - Re(S2 e^{2i phi})
+    + K v'^2 / (2 v)) / v."""
     if isinstance(phi, float):
         turn, log = complex(math.cos(phi), math.sin(phi)), math.log
     else:
         turn, log = np.exp(1j * phi), np.log
     var, d_var = resp.a + resp.e + 2.0 * resp.b * turn.real, -2.0 * resp.b * turn.imag
     ll = score = info = 0.0
-    for p, added, (n_all, *_, scatter), sets in blocks:
-        k, v = (2 if p is None else 1), var + added
-        spread, drift, pull = 2.0 * scatter[0], 0.0, 0.0  # n-weighted sums over the sets
-        for n, m, _, mean, _, _ in sets:
-            if mean is None:
-                continue
-            moved = resp.through * m * turn  # through R(phi) m
-            delta, d_mu = mean - resp.direct * m - moved, 1j * moved
-            if p is not None:  # the measured quadrature alone
-                delta, d_mu = (p.conjugate() * delta).real, (p.conjugate() * d_mu).real
-            spread = spread + n * (delta * delta.conjugate()).real
-            drift, pull = drift + n * (delta.conjugate() * d_mu).real, pull + n * abs(d_mu) ** 2
-        ll = ll - 0.5 * (n_all * k * log(v) + spread / v)
-        score = score + (drift + 0.5 * d_var * (spread / v - n_all * k)) / v
-        info = info + (pull + 0.5 * n_all * k * d_var * d_var / v) / v
+    for added, (k, s0, s1, s2, p0) in terms.items():
+        v, first, second = var + added, s1 * turn, s2 * turn * turn
+        spread = s0 + first.real + second.real
+        ll = ll - 0.5 * (k * log(v) + spread / v)
+        score = score + 0.5 * (first.imag + 2.0 * second.imag + d_var * (spread / v - k)) / v
+        info = info + (p0 - second.real + 0.5 * k * d_var * d_var / v) / v
     return ll, score, info
 
 
-#: Scan of est_phase_ml: 64 phases over (-pi, pi], their e^{i phi}, and the
-#: grid as Python floats with its step; no setup enters them.
+def _phase_loglik(phi, resp, blocks):
+    """_phase_kernel at phi of the data sets in blocks (see _blocks)."""
+    sets = ((p, added, data_set) for p, added, _, block in blocks for data_set in block)
+    return _phase_kernel(phi, resp, _phase_terms(resp, sets))
+
+
+#: Scan of est_phase_ml: 64 phases over (-pi, pi], its basis's columns 1 (to
+#: become log v), 1, cos, -sin, cos 2 phi and -sin 2 phi before their division
+#: by v, and the grid as Python floats with its step; no setup enters them.
 _PHASE_GRID = np.linspace(-math.pi, math.pi, 65)[1:]
-_PHASE_TURN = np.exp(1j * _PHASE_GRID)
+_GRID_TRIG = np.column_stack([np.ones(64), np.ones(64), np.cos(_PHASE_GRID), -np.sin(_PHASE_GRID),
+                              np.cos(2.0 * _PHASE_GRID), -np.sin(2.0 * _PHASE_GRID)])
 _GRID = _PHASE_GRID.tolist()
 _GRID_STEP = _GRID[1] - _GRID[0]
-
-
-def _phase_scan(resp, m):
-    """_phase_loglik(_PHASE_GRID, resp, blocks)[0], bit for bit, as a
-    function of the blocks of data probed by m alone: v and log v for
-    either added variance (0, and 1 for heterodyne) and the moved mean
-    through e^{i phi} m are formed once, and each call subtracts the moved
-    mean from the set's mean - direct m and projects the difference after,
-    in the grid pass's order."""
-    var = resp.a + resp.e + 2.0 * resp.b * _PHASE_TURN.real
-    laws = {added: (var + added, np.log(var + added)) for added in (0.0, 1.0)}
-    offset, moved = resp.direct * m, resp.through * m * _PHASE_TURN
-
-    def loglik(blocks):
-        ll = 0.0
-        for p, added, (n_all, *_, scatter), sets in blocks:
-            k, (v, log_v) = (2 if p is None else 1), laws[added]
-            spread = 2.0 * scatter[0]
-            for n, _, _, mean, _, _ in sets:
-                if mean is None:
-                    continue
-                delta = mean - offset - moved
-                if p is not None:
-                    delta = (p.conjugate() * delta).real
-                spread = spread + n * (delta * delta.conjugate()).real
-            ll = ll - 0.5 * (n_all * k * log_v + spread / v)
-        return ll
-
-    return loglik
 
 
 #: Cap on the polishing steps of est_phase_ml; bisection alone meets it.
@@ -265,27 +255,23 @@ _PHASE_TOL = 1e-12
 def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
                  noise: NoiseParams = IDEAL_NOISE) -> float:
     """Maximum-likelihood phase estimate over (-pi, pi]: the Gaussian
-    likelihood of est_combined's blocks (see _blocks), restricted to a pure
-    phase shift (mean and variance both phase-dependent).
+    likelihood of est_combined's data sets (see _data_sets), restricted to
+    a pure phase shift (mean and variance both phase-dependent).
 
-    A 64-point scan of its closed form (_phase_loglik's log-likelihood, bit
-    for bit, from the grid terms no data enters, which prepare_phase_ml
-    forms once per run: see _phase_scan) brackets the maximum within a grid
-    step either side, and the polish solves the stationarity
-    condition in that bracket, on the closed-form phi score and information
-    of the same _phase_loglik, not on _joint_fit: a Fisher-scoring step
-    first, then secant steps, which follow the observed curvature where the
-    expected one misleads (a flat likelihood, r ~ 1).  A step that would
-    leave the bracket, or a score that does not fall, bisects it instead,
-    and the sign of each score narrows it.  So the polish converges to
-    rounding of the score where comparisons of likelihood values cannot
-    resolve the maximum.  When no probe light passes the process (a dark
-    probe) only the variance carries the phase, the likelihood is even in
-    phi, and the non-negative one of the two mirror maxima is returned, as
-    est_phase_var returns |phi|.  Raises UnidentifiableError when
-    neither moment depends on the phase: no probe light passes the process
-    (simplistic topology, a dark probe, t1 = 0) and the covariance has no
-    linear term (b = 0).
+    The data enter once, as _phase_terms' six terms.  A 64-point scan, one
+    product of them with prepare_phase_ml's basis, brackets the maximum
+    within a grid step either side; the polish solves the stationarity
+    condition there on _phase_kernel's phi score and information at Python
+    floats: a Fisher-scoring step, then secant steps, which follow the
+    observed curvature where the expected one misleads (a flat likelihood,
+    r ~ 1).  A step leaving the bracket, or a score that does not fall,
+    bisects it instead, and each score's sign narrows it, so the polish
+    converges to rounding of the score.  With a dark probe only the variance
+    carries the phase, the likelihood is even in phi, and the non-negative
+    one of the two mirror maxima is returned, as est_phase_var returns
+    |phi|.  Raises UnidentifiableError when neither moment depends on the
+    phase: no probe light passes the process (simplistic topology, a dark
+    probe, t1 = 0) and the covariance has no linear term (b = 0).
     """
     estimate = prepare_phase_ml(setup, noise)
     _require_finite(moments)
@@ -293,21 +279,27 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
 
 
 def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
-    """est_phase_ml for one setup and channel; UnidentifiableError when through r = b = 0."""
+    """est_phase_ml for one setup and channel; UnidentifiableError when
+    through r = b = 0.  The scan's basis, -1/2 [log v, 1/v, cos/v, -sin/v,
+    cos 2 phi/v, -sin 2 phi/v] on the grid, is formed once per added variance."""
     resp = response(setup, noise)
     dark = resp.through * setup.r_amp == 0.0  # the likelihood is even in phi
     if dark and resp.b == 0.0:
         raise UnidentifiableError(
             "neither the output mean nor its variance depends on the phase")
-    m_in = [setup.light_mean]
-    scan = _phase_scan(resp, m_in[0])
+    m, var, bases = setup.light_mean, resp.a + resp.e + 2.0 * resp.b * _GRID_TRIG[:, 2], {}
 
     def estimate(moments: MomentEstimate) -> float:
-        blocks = _blocks([moments], m_in)
-        phi = _GRID[int(np.argmax(scan(blocks)))]
+        terms = _phase_terms(resp, _data_sets(moments, m))
+        ((added, (k, s0, s1, s2, _)),) = terms.items()  # one read-out, one added variance
+        if added not in bases:
+            v = var + added
+            bases[added] = basis = _GRID_TRIG / (-2.0 * v[:, None])
+            basis[:, 0] = -0.5 * np.log(v)
+        phi = _GRID[int((bases[added] @ (k, s0, s1.real, s1.imag, s2.real, s2.imag)).argmax())]
         lo, hi, last = phi - _GRID_STEP, phi + _GRID_STEP, None
         for _ in range(_MAX_PHASE_STEPS):
-            _, s, info = _phase_loglik(phi, resp, blocks)
+            _, s, info = _phase_kernel(phi, resp, terms)
             lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
             # Curvature of the log-likelihood: minus the information, then secants.
             slope = -info if last is None else (s - last[1]) / (phi - last[0])
@@ -663,51 +655,54 @@ def _chart_point(phi, w, alpha, d, beta) -> list:
 _DIAGONAL = (1 + 1j) * math.sqrt(0.5)
 
 
+def _data_sets(moments, m) -> list:
+    """The Gaussian data sets behind one MomentEstimate probed by the complex
+    input m, in their pair form: n records of P z ~ N(P mu, P Sigma P^T +
+    added), one set of paired records (P = I; heterodyne adds the vacuum
+    unit back) or one per homodyne angle (P = p^T, p its unit vector;
+    homodyne3's pi/4 mean only if kept), each (p or None, added, (n, m,
+    conj(m), P^T mean or None, P^T S P, det S)).  Missing shot counts fail
+    with InsufficientDataError naming them, a singular scatter with
+    EstimationError."""
+    n, m_conj = moments.n_effective, m.conjugate()
+    z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
+    paired = scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE
+    try:
+        if paired:
+            added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
+            f0 = c0 + added
+            sets = [(None, added, (float(n["mean_x"]), m, m_conj, z, (f0, c1),
+                                   f0 * f0 - (c1 * c1.conjugate()).real))]
+        else:  # the records along x, p and (x + p) / sqrt 2: size, p, mean, variance
+            quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
+                     (n["mean_p"], 1j, z.imag, c0 - c1.real)]
+            if scheme is Scheme.HOMODYNE_SPLIT3:
+                quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
+            sets = [(p, 0.0, (float(n_j), m, m_conj, None if mean is None else p * mean,
+                              (0.5 * var, 0.5 * var * p * p), var)) for n_j, p, mean, var in quads]
+    except KeyError:  # e.g. MomentEstimate(mean=..., cov=...), which keeps no counts
+        read = 1 if paired else 3 if scheme is Scheme.HOMODYNE_SPLIT3 else 2
+        missing = [key for key in ("mean_x", "mean_p", "cov_xp")[:read] if key not in n]
+        raise InsufficientDataError(f"a {scheme.value} data set has no shot count for "
+                                    + ", ".join(missing)) from None
+    for _, _, data_set in sets:
+        if not data_set[-1] > 0.0:
+            raise EstimationError("a data set's scatter is singular")
+    return sets
+
+
 def _blocks(data, m_in) -> list:
-    """The Gaussian data sets behind the MomentEstimates in data, probed by
-    the complex inputs m_in, in their pair form: n records of P z ~ N(P mu,
-    P Sigma P^T + added), one set of paired records (P = I, heterodyne
-    adds the vacuum unit back) or one per homodyne angle (P = p^T, p the
-    angle's unit vector; homodyne3's pi/4 mean only if kept), in blocks of
-    one P and added variance.  Per block: p (None for P = I), the added
-    variance, the sums N = sum_j n_j, N_h = sum_j n_j h_j, M1 = sum_j n_j h_j
-    m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P over its sets j
-    (h_j has-mean, m_j the probe input), and per set (n, m, conj(m), P^T
-    mean or None, P^T S P, det S).  A data set without the shot counts its
-    records need fails with InsufficientDataError naming them."""
-    keys, groups = [], []  # (p, added) of each block and its sets, in order of first use
+    """The data sets (see _data_sets) of the MomentEstimates in data probed
+    by the inputs m_in, in blocks of one P and added variance: p (None for P
+    = I), the added variance, the sums N = sum_j n_j, N_h = sum_j n_j h_j, M1
+    = sum_j n_j h_j m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P
+    over its sets j (h_j has-mean, m_j the probe input), and the sets."""
+    groups = {}  # the sets of each (p, added), in order of first use
     for moments, m in zip(data, m_in):
-        n = moments.n_effective
-        z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
-        paired = scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE
-        try:
-            if paired:
-                added = 1.0 if scheme is Scheme.HETERODYNE else 0.0
-                f0 = c0 + added
-                sets = [(n["mean_x"], None, added, z, (f0, c1),
-                         f0 * f0 - (c1 * c1.conjugate()).real)]
-            else:  # the records along x, p and (x + p) / sqrt 2: size, p, mean, variance
-                quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
-                         (n["mean_p"], 1j, z.imag, c0 - c1.real)]
-                if scheme is Scheme.HOMODYNE_SPLIT3:
-                    quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
-                sets = [(n_j, p, 0.0, None if mean is None else p * mean,
-                         (0.5 * var, 0.5 * var * p * p), var) for n_j, p, mean, var in quads]
-        except KeyError:  # e.g. MomentEstimate(mean=..., cov=...), which keeps no counts
-            read = 1 if paired else 3 if scheme is Scheme.HOMODYNE_SPLIT3 else 2
-            missing = [key for key in ("mean_x", "mean_p", "cov_xp")[:read] if key not in n]
-            raise InsufficientDataError(f"a {scheme.value} data set has no shot count for "
-                                        + ", ".join(missing)) from None
-        for n_j, p, added, mean, form, det_s in sets:
-            if not det_s > 0.0:
-                raise EstimationError("a data set's scatter is singular")
-            key = (p, added)
-            if key not in keys:
-                keys.append(key)
-                groups.append([])
-            groups[keys.index(key)].append((float(n_j), m, m.conjugate(), mean, form, det_s))
+        for p, added, data_set in _data_sets(moments, m):
+            groups.setdefault((p, added), []).append(data_set)
     blocks = []
-    for (p, added), sets in zip(keys, groups):
+    for (p, added), sets in groups.items():
         n_all = n_mean = m1 = m2_0 = m2_1 = s0 = s1 = 0.0  # running sums over the sets, in order
         for n, m, _, mean, form, _ in sets:
             n_all, s0, s1 = n_all + n, s0 + n * form[0], s1 + n * form[1]

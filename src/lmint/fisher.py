@@ -101,9 +101,10 @@ class CrossingReport:
 def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> CrossingReport:
     """Phase information of both topologies over a phase grid: the
     information of est_phase_ml's kernel (estimators._phase_loglik) for one
-    record probed by setup.light_mean, over the whole grid in one array pass
-    per topology.  At a pure phase shift the chart's Jacobian is the identity
-    in the phi row, so this is fisher_matrix(...)[0, 0] at each grid point.
+    record probed by setup.light_mean, whose phase terms are formed once per
+    topology and read over the whole grid in one array pass.  At a pure
+    phase shift the chart's Jacobian is the identity in the phi row, so this
+    is fisher_matrix(...)[0, 0] at each grid point.
 
     Reports where the interferometric advantage changes sign: between two
     neighbouring grid points of opposite sign by linear interpolation, and

@@ -406,6 +406,9 @@ def fit_exponent(table) -> dict:
 
 @dataclass(frozen=True)
 class RCritResult:
+    """find_r_crit's crossing and its last bisection bracket in r, at most
+    _R_CRIT_WIDTH wide in log r (one point on an exact zero): the search
+    width, not a confidence interval, for no Monte-Carlo error enters it."""
     r_crit: float
     bracket_low: float
     bracket_high: float

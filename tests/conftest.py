@@ -299,3 +299,40 @@ def reference_joint_fit(x, sets, noise):
                 "iab,ba->i", inv @ d_cov, ratio - np.eye(len(cov))))
             info += n * gaussian_information(cov, d_mean, d_cov)
     return float(deviance), score, info
+
+
+def reference_phase_loglik(phi, resp, blocks):
+    """Log-likelihood of the data sets in blocks (see _blocks) under a pure
+    phase shift A = (e^{i phi}, 0), with its score and information (the phi
+    entries of _joint_fit), for phi an array (one pass over a grid) or a
+    float (plain Python arithmetic, the same operations): mean mu = (through
+    e^{i phi} + direct) m, mu' = i through e^{i phi} m, covariance v I, v = a
+    + e + 2 b cos(phi) plus the block's added variance.  A set of n records
+    of k components, delta and mu'_P the parts of mean - mu (0 without a
+    mean) and mu' it measures, spread = tr S + |delta|^2 = 2 c0 + |delta|^2,
+    adds n [<delta, mu'_P> / v + v' (spread / v - k) / (2 v)] to the score
+    and n [|mu'_P|^2 / v + k (v' / v)^2 / 2] to the information.  The
+    per-set reference for estimators._phase_loglik, which reduces the sets
+    to their phase terms once."""
+    if isinstance(phi, float):
+        turn, log = complex(math.cos(phi), math.sin(phi)), math.log
+    else:
+        turn, log = np.exp(1j * phi), np.log
+    var, d_var = resp.a + resp.e + 2.0 * resp.b * turn.real, -2.0 * resp.b * turn.imag
+    ll = score = info = 0.0
+    for p, added, (n_all, *_, scatter), sets in blocks:
+        k, v = (2 if p is None else 1), var + added
+        spread, drift, pull = 2.0 * scatter[0], 0.0, 0.0  # n-weighted sums over the sets
+        for n, m, _, mean, _, _ in sets:
+            if mean is None:
+                continue
+            moved = resp.through * m * turn  # through R(phi) m
+            delta, d_mu = mean - resp.direct * m - moved, 1j * moved
+            if p is not None:  # the measured quadrature alone
+                delta, d_mu = (p.conjugate() * delta).real, (p.conjugate() * d_mu).real
+            spread = spread + n * (delta * delta.conjugate()).real
+            drift, pull = drift + n * (delta.conjugate() * d_mu).real, pull + n * abs(d_mu) ** 2
+        ll = ll - 0.5 * (n_all * k * log(v) + spread / v)
+        score = score + (drift + 0.5 * d_var * (spread / v - n_all * k)) / v
+        info = info + (pull + 0.5 * n_all * k * d_var * d_var / v) / v
+    return ll, score, info

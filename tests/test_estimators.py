@@ -45,6 +45,7 @@ from conftest import (
     exact_probe_moments,
     reference_data_sets,
     reference_joint_fit,
+    reference_phase_loglik,
     reference_symmetric_face,
     response_cov,
 )
@@ -159,16 +160,20 @@ def test_phase_var_reads_the_assumed_channel(bench_setup):
 
 
 def test_phase_var_takes_the_channel_third_as_every_estimator_does(bench_setup):
-    # A channel passed by position is the channel assumed: on drawn joint
-    # moments under t_c = 0.7, phase_var reads 0.700 with it and 0.661
-    # with none.
+    # A channel passed by position is the channel assumed: on exact moments
+    # under t_c = 0.7, phase_var reads the truth with it, and with none the
+    # arccos of the channel's variance read through the ideal response
+    # (0.6607).
     noise = NoiseParams(t_c=0.7, v_c=1.2)
-    state = forward(bench_setup, ProcessParams.folded(phi=0.7), noise)
-    moments = draw_moments(state, MeasurementPlan(Scheme.JOINT, 100_000, 1))
+    moments = exact_moments(forward(bench_setup, ProcessParams.folded(phi=0.7), noise))
     got = est_phase_var(moments, bench_setup, noise)
     assert got == est_phase_var(moments, bench_setup, noise=noise)
-    assert got == pytest.approx(0.700, abs=5e-4)
-    assert est_phase_var(moments, bench_setup) == pytest.approx(0.661, abs=5e-4)
+    assert got == pytest.approx(0.7, abs=1e-9)
+    seen, ideal = response(bench_setup, noise), response(bench_setup)
+    variance = seen.a + seen.e + 2.0 * seen.b * math.cos(0.7)
+    naive = math.acos((variance - ideal.a - ideal.e) / (2.0 * ideal.b))
+    assert est_phase_var(moments, bench_setup) == pytest.approx(naive, abs=1e-9)
+    assert naive == pytest.approx(0.6607, abs=1e-4)
 
 
 def test_phase_mean_exact(bench_setup):
@@ -328,14 +333,16 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
-def test_phase_scan_is_the_grid_pass_bit_for_bit(bench_setup, scheme, noise):
-    # est_phase_ml's scan forms its data-free grid terms once per run; its
-    # log-likelihood must be _phase_loglik's grid pass bit for bit, so the
-    # argmax, the polish and every estimate stay the same.  A dark probe, r
-    # = 1 and r = 100 on every topology; the simplistic response has b = 0,
-    # so it is given a linear term by hand, and a homodyne3 estimate is also
-    # checked without its pi/4 mean.
-    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik, _phase_scan
+def test_phase_kernel_matches_its_per_set_reference(bench_setup, scheme, noise):
+    # _phase_loglik reduces the data sets to their six phase terms once and
+    # evaluates from them; its log-likelihood, score and information match
+    # the per-set kernel it replaced (conftest.reference_phase_loglik) to
+    # 1e-13 of each quantity's largest magnitude over the grid, over the
+    # grid and at Python floats.  A dark probe, r = 1 and r = 100 on every
+    # topology; the simplistic response has b = 0, so it is given a linear
+    # term by hand, and a homodyne3 estimate is also checked without its
+    # pi/4 mean.
+    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik
 
     k = 0
     for topology in Topology:
@@ -348,15 +355,78 @@ def test_phase_scan_is_the_grid_pass_bit_for_bit(bench_setup, scheme, noise):
             resp = response(setup, noise)
             if topology is Topology.SIMPLISTIC:
                 resp = dataclasses.replace(resp, b=-0.3 * resp.a)
-            m = setup.light_mean
             inputs = [moments]
             if scheme is Scheme.HOMODYNE_SPLIT3:
                 inputs.append(dataclasses.replace(moments, mean_diag=None))
             for data in inputs:
-                blocks = _blocks([data], [m])
-                got = _phase_scan(resp, m)(blocks)
-                want = _phase_loglik(_PHASE_GRID, resp, blocks)[0]
-                assert got.tobytes() == want.tobytes(), (topology, r_amp, len(blocks[0][3]))
+                blocks = _blocks([data], [setup.light_mean])
+                want = reference_phase_loglik(_PHASE_GRID, resp, blocks)
+                got = _phase_loglik(_PHASE_GRID, resp, blocks)
+                scale = [np.abs(values).max() for values in want]
+                for g, w, size in zip(got, want, scale):
+                    assert np.abs(g - w).max() <= 1e-13 * size, (topology, r_amp)
+                for phi in (-2.5, 0.0, 0.69, 3.0):
+                    at_phi = _phase_loglik(phi, resp, blocks)
+                    assert [type(t) for t in at_phi] == [float] * 3
+                    for g, w, size in zip(at_phi, reference_phase_loglik(phi, resp, blocks),
+                                          scale):
+                        assert abs(g - w) <= 1e-13 * size, (topology, r_amp, phi)
+
+
+def reference_scan_and_polish(moments, setup, noise):
+    """est_phase_ml's scan and polish on the per-set reference kernel: the
+    argmax of reference_phase_loglik over the grid (bit for bit the scan
+    est_phase_ml ran before its data were reduced to phase terms), then
+    the same Fisher, secant and bisection steps at Python floats."""
+    from lmint.estimators import (_GRID, _GRID_STEP, _MAX_PHASE_STEPS, _PHASE_GRID, _PHASE_TOL,
+                                  _blocks)
+
+    resp = response(setup, noise)
+    dark = resp.through * setup.r_amp == 0.0
+    blocks = _blocks([moments], [setup.light_mean])
+    phi = _GRID[int(np.argmax(reference_phase_loglik(_PHASE_GRID, resp, blocks)[0]))]
+    lo, hi, last = phi - _GRID_STEP, phi + _GRID_STEP, None
+    for _ in range(_MAX_PHASE_STEPS):
+        _, s, info = reference_phase_loglik(phi, resp, blocks)
+        lo, hi = (phi, hi) if s > 0.0 else (lo, phi)
+        slope = -info if last is None else (s - last[1]) / (phi - last[0])
+        trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
+        if abs(trial - phi) < _PHASE_TOL:
+            return abs(fold_angle(trial)) if dark else fold_angle(trial)
+        if not lo < trial < hi:
+            trial = 0.5 * (lo + hi)
+        last, phi = (phi, s), trial
+    raise EstimationError("the reference polish did not converge")
+
+
+def test_prepared_phase_ml_agrees_with_the_reference_scan_and_polish(bench_setup):
+    # 1024 drawn realizations: four schemes, r in {0, 1, 3, 100}, with and
+    # without a channel, 32 each at random true and probe phases.  The
+    # prepared phase_ml, which scans and polishes on the phase terms, lands
+    # within 1e-12 rad of the scan and polish on the per-set kernel.  One
+    # case may flip the grid argmax on rounding: the dark probe (r = 0),
+    # whose even likelihood ties the mirror points +-phi of the grid; both
+    # sides return the non-negative mirror, so the estimate does not move.
+    from lmint.estimators import prepare_phase_ml
+
+    rng = np.random.default_rng(32)
+    worst, count = 0.0, 0
+    for scheme in ALL_SCHEMES:
+        for r_amp in (0.0, 1.0, 3.0, 100.0):
+            for noise in (IDEAL_NOISE, NoiseParams(t_c=0.6, v_c=1.3)):
+                for k in range(32):
+                    setup = dataclasses.replace(bench_setup, r_amp=r_amp,
+                                                probe_phase=rng.uniform(-math.pi, math.pi))
+                    state = forward(setup, ProcessParams.folded(phi=rng.uniform(-3.1, 3.1)),
+                                    noise)
+                    moments = draw_moments(state, MeasurementPlan(scheme, 2000, seed=count))
+                    got = prepare_phase_ml(setup, noise)(moments)
+                    want = reference_scan_and_polish(moments, setup, noise)
+                    worst = max(worst, abs(circular_diff(got, want)))
+                    assert abs(circular_diff(got, want)) <= 1e-12, (scheme, r_amp, noise, k)
+                    count += 1
+    assert count == 1024
+    print(f"phase_ml against the reference scan and polish: max |dphi| {worst:.2g} rad")
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
