@@ -4,11 +4,19 @@ naive and calibrated variants selected through the assumed NoiseParams.
 
 prepare_<name> reads the response and the probe inputs of one setup and
 channel, raises the estimator's data-independent failures, and returns the
-estimate as a function of the moments, values in and out: a general method
-returns (phi, w, alpha, d, beta) as ProcessParams.folded stores them and fills
-diagnostics only into a dict passed in.  est_<name> checks that the moments are
-finite, applies it and wraps the values as an EstimateReport; a Monte-Carlo
-run applies it to every realization and keeps the values.
+estimate as a function of a block of realizations (measurement.MomentBlock:
+the single read-out's block and the probes' blocks) and a diagnostics dict or
+None.  It returns one entry per realization: the values, a general method's
+(phi, w, alpha, d, beta) as ProcessParams.folded stores them, or the failure
+(_ESTIMATOR_FAILURES) that stopped it.  displacement, phase_mean, phase_var
+and mean_method loop over the columns they read, the means and phase_var's
+conditioned c0; cov_method, phase_ml and combined run their per-realization
+code over the block's rows.  phase_var counts its clamps into diagnostics, and
+a general method fills in its realization's diagnostics for a one-row block
+only.  est_<name> checks that the moments are finite, applies the same
+function to one-row blocks of them and returns that row's values (a general
+method's as an EstimateReport) or raises its failure; a Monte-Carlo run
+applies it once per block and books the entries.
 """
 from __future__ import annotations
 
@@ -19,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_core import ProcessParams, fold_angle, fold_axis, polar_pair
+from .gaussian_core import DecompositionError, ProcessParams, fold_angle, fold_axis, polar_pair
 from .interferometer import SetupConfig, _process_pair, _sigma, response
-from .measurement import InsufficientDataError, MomentEstimate, Scheme
+from .measurement import InsufficientDataError, MomentBlock, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
 
 
@@ -35,6 +43,11 @@ class EstimationError(RuntimeError):
 
 class FitRejectedError(EstimationError):
     """Model-vs-data residual too large: likely model mismatch."""
+
+
+#: The failures an estimate books for a realization rather than raising.
+_ESTIMATOR_FAILURES = (EstimationError, UnidentifiableError, InsufficientDataError,
+                       DecompositionError)
 
 
 #: Absolute probe phases of the three-input mean protocol: two opposite
@@ -84,6 +97,32 @@ def _require_finite(moments=None, probes=()):
         raise EstimationError(f"the moments are not finite: {', '.join(bad)}")
 
 
+def _per_row(values, diagnostics, *columns) -> list:
+    """values(*row, diagnostics) of each row of the columns in turn, or the
+    failure that stopped it.  Only a one-row block, as est_<name> reads, is
+    given the diagnostics to fill in; a longer block pays for none."""
+    if len(columns[0]) != 1:
+        diagnostics = None
+    out = []
+    for row in zip(*columns):
+        try:
+            out.append(values(*row, diagnostics))
+        except _ESTIMATOR_FAILURES as exc:
+            out.append(exc)
+    return out
+
+
+def _one(estimate, single=None, probes=(), diagnostics=None):
+    """The values of a prepared estimate on one realization's MomentEstimates
+    (the single read-out, the probes), each read as a one-row block; raises
+    the failure that stopped it."""
+    (entry,) = estimate(None if single is None else MomentBlock.of(single),
+                        [MomentBlock.of(m) for m in probes], diagnostics)
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # Displacement-only estimation
 
@@ -97,7 +136,7 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     """
     estimate = prepare_displacement(setup, noise)
     _require_finite(moments)
-    return estimate(moments)
+    return _one(estimate, moments)
 
 
 def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -106,10 +145,14 @@ def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     if resp.g_d == 0.0:
         raise UnidentifiableError("t2 = 0: displacement does not reach the detector")
     baseline = (resp.through + resp.direct) * setup.light_mean  # mean at A = I, d = 0
+    g_d = resp.g_d
 
-    def estimate(moments: MomentEstimate) -> tuple[float, float]:
-        d_vec = (moments.z - baseline) / resp.g_d
-        return abs(d_vec), cmath.phase(d_vec)
+    def estimate(single: MomentBlock, probes=(), diagnostics: dict | None = None) -> list:
+        out = []
+        for z in single.z:
+            d_vec = (z - baseline) / g_d
+            out.append((abs(d_vec), cmath.phase(d_vec)))
+        return out
 
     return estimate
 
@@ -132,7 +175,7 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, noise: NoiseParam
     """
     estimate = prepare_phase_var(setup, noise)
     _require_finite(moments)
-    return estimate(moments, diagnostics)
+    return _one(estimate, moments, diagnostics=diagnostics)[0]
 
 
 def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -143,16 +186,19 @@ def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     centre, signal = resp.a + resp.e, 2.0 * resp.b
     frame = cmath.rect(1.0, -setup.probe_phase) if setup.r_amp > 0.0 else None
 
-    def estimate(moments: MomentEstimate, diagnostics: dict | None = None) -> float:
-        arg = (moments.c0 - centre) / signal
-        if abs(arg) > 1.0:
-            if diagnostics is not None:
-                diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
-            arg = max(-1.0, min(1.0, arg))
-        phi = math.acos(arg)
-        if frame is not None and (moments.z * frame).imag < 0.0:
-            phi = -phi
-        return fold_angle(phi)
+    def estimate(single: MomentBlock, probes=(), diagnostics: dict | None = None) -> list:
+        out = []
+        for z, (c0, _) in zip(single.z, single.conditioned):
+            arg = (c0 - centre) / signal
+            if abs(arg) > 1.0:
+                if diagnostics is not None:
+                    diagnostics["clamped"] = diagnostics.get("clamped", 0) + 1
+                arg = max(-1.0, min(1.0, arg))
+            phi = math.acos(arg)
+            if frame is not None and (z * frame).imag < 0.0:
+                phi = -phi
+            out.append((fold_angle(phi),))
+        return out
 
     return estimate
 
@@ -162,7 +208,7 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     mean, the same under any channel, which scales through R(phi) m_in alone."""
     estimate = prepare_phase_mean(setup)
     _require_finite(moments)
-    return estimate(moments)
+    return _one(estimate, moments)[0]
 
 
 def prepare_phase_mean(setup: SetupConfig):
@@ -176,9 +222,12 @@ def prepare_phase_mean(setup: SetupConfig):
             "the output mean carries no phase signal")
     frame, offset = cmath.rect(1.0, -setup.probe_phase), setup.r_amp * resp.direct
 
-    def estimate(moments: MomentEstimate) -> float:
-        turned = moments.z * frame  # probe phase -> 0
-        return math.atan2(turned.imag, turned.real - offset)
+    def estimate(single: MomentBlock, probes=(), diagnostics: dict | None = None) -> list:
+        out = []
+        for z in single.z:
+            turned = z * frame  # probe phase -> 0
+            out.append((math.atan2(turned.imag, turned.real - offset),))
+        return out
 
     return estimate
 
@@ -275,7 +324,7 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     """
     estimate = prepare_phase_ml(setup, noise)
     _require_finite(moments)
-    return estimate(moments)
+    return _one(estimate, moments)[0]
 
 
 def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -289,7 +338,7 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             "neither the output mean nor its variance depends on the phase")
     m, var, bases = setup.light_mean, resp.a + resp.e + 2.0 * resp.b * _GRID_TRIG[:, 2], {}
 
-    def estimate(moments: MomentEstimate) -> float:
+    def values(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
         terms = _phase_terms(resp, _data_sets(moments, m))
         ((added, (k, s0, s1, s2, _)),) = terms.items()  # one read-out, one added variance
         if added not in bases:
@@ -305,13 +354,13 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             slope = -info if last is None else (s - last[1]) / (phi - last[0])
             trial = phi - s / slope if slope < 0.0 else 0.5 * (lo + hi)
             if abs(trial - phi) < _PHASE_TOL:
-                return abs(fold_angle(trial)) if dark else fold_angle(trial)
+                return (abs(fold_angle(trial)) if dark else fold_angle(trial),)
             if not lo < trial < hi:
                 trial = 0.5 * (lo + hi)
             last, phi = (phi, s), trial
         raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
 
-    return estimate
+    return lambda single, probes=(), diagnostics=None: _per_row(values, diagnostics, single.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +545,8 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     covariance is not finite.
     """
     estimate, diag = prepare_general_cov(setup, noise, moments.scheme.has_full_cov), {}
-    return EstimateReport(ProcessParams(*estimate(moments, diag)), "cov_method", diag)
+    return EstimateReport(ProcessParams(*_one(estimate, moments, diagnostics=diag)), "cov_method",
+                          diag)
 
 
 def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
@@ -513,7 +563,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
             "so it carries no rotation signal")
     m_in = setup.light_mean
 
-    def estimate(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
+    def values(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
         # Every process matrix consistent with the fitted covariance, once each;
         # the canonical representative is the pick.
         cov_emp = moments.c0, moments.c1
@@ -556,15 +606,15 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
                  - resp.direct * m_in) / resp.g_d
         return phi, w, alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))  # pick is folded
 
-    return estimate
+    return lambda single, probes=(), diagnostics=None: _per_row(values, diagnostics, single.rows())
 
 
-def _probe_inversion(probe_moments, r):
+def _probe_inversion(m_a, m_b, m_c, r):
     """Offset k and linear part M = (m0, m1) (see _dot) of the affine response
-    mu = M m_in + k, read off the complex probe means at PROBE_PHASES of
-    amplitude r: the opposite phases cancel M and give k and M 1 = m0 + m1,
-    the quarter-turn probe gives M i = i (m0 - m1).  Returns (k, (m0, m1))."""
-    m_a, m_b, m_c = (m.z for m in probe_moments)
+    mu = M m_in + k, read off the complex probe means m_a, m_b, m_c at
+    PROBE_PHASES of amplitude r: the opposite phases cancel M and give k and
+    M 1 = m0 + m1, the quarter-turn probe gives M i = i (m0 - m1).  Returns
+    (k, (m0, m1))."""
     k_hat = 0.5 * (m_a + m_b)
     first, second = (m_a - m_b) / (2.0 * r), (m_c - k_hat) / r
     return k_hat, (0.5 * (first - 1j * second), 0.5 * (first + 1j * second))
@@ -583,11 +633,25 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     """
     estimate, diag = prepare_general_mean(setup, noise), {}
     _require_finite(probes=probe_moments)
-    return EstimateReport(ProcessParams(*estimate(probe_moments, diag)), "mean_method", diag)
+    return EstimateReport(ProcessParams(*_one(estimate, probes=probe_moments, diagnostics=diag)),
+                          "mean_method", diag)
 
 
 def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
-    """est_general_mean for one setup and channel; UnidentifiableError when r = 0 or through = 0."""
+    """est_general_mean for one setup and channel; UnidentifiableError when r = 0 or through = 0.
+    It reads the probes' mean columns alone."""
+    values = _general_mean(setup, noise)
+
+    def estimate(single, probes, diagnostics: dict | None = None) -> list:
+        probe_a, probe_b, probe_c = probes
+        return _per_row(values, diagnostics, probe_a.z, probe_b.z, probe_c.z)
+
+    return estimate
+
+
+def _general_mean(setup: SetupConfig, noise: NoiseParams):
+    """prepare_general_mean's estimate of one realization, from its three
+    probe means, which est_combined starts from."""
     r = setup.r_amp
     if r <= 0.0:
         raise UnidentifiableError("r = 0: mean-based estimation needs a bright probe")
@@ -597,8 +661,8 @@ def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             "no probe light passes the process (simplistic topology, t1 = 0 or t2 = 0): "
             "the mean carries no signal of the linear part")
 
-    def estimate(probe_moments, diagnostics: dict | None = None) -> tuple:
-        k_hat, (m0, m1) = _probe_inversion(probe_moments, r)
+    def values(m_a: complex, m_b: complex, m_c: complex, diagnostics: dict | None = None) -> tuple:
+        k_hat, (m0, m1) = _probe_inversion(m_a, m_b, m_c, r)
         d_vec = k_hat / resp.g_d
         b0, b1 = (m0 - resp.direct) / resp.through, m1 / resp.through
         phi, w, alpha = polar_pair(b0, b1)
@@ -610,7 +674,7 @@ def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             alpha = 0.0
         return fold_angle(phi), max(w, 0.0), alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))
 
-    return estimate
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -908,23 +972,24 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     """
     estimate, diag = prepare_combined(setup, noise), {}
     _require_finite(single_moments, probe_moments)
-    values = estimate(single_moments, probe_moments, diag)
+    values = _one(estimate, single_moments, probe_moments, diag)
     return EstimateReport(ProcessParams(*values), "combined", diag)
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     """est_combined for one setup and channel, failing as its start does: each
-    estimate starts from the values of prepare_general_mean's estimate and
-    scores on Python floats, _joint_fit for the deviance, score and
-    information and _newton_step for the step and the decrement."""
-    start = prepare_general_mean(setup, noise)
+    realization starts from mean_method's values of its probe means
+    (_general_mean) and scores on Python floats, _joint_fit for the
+    deviance, score and information and _newton_step for the step and the
+    decrement."""
+    start = _general_mean(setup, noise)
     resp = response(setup, noise)
     m_in = [cmath.rect(setup.r_amp, p) for p in (setup.probe_phase, *PROBE_PHASES)]
 
-    def estimate(single_moments: MomentEstimate, probe_moments,
-                 diagnostics: dict | None = None) -> tuple:
-        x = _chart_point(*start(probe_moments))
-        blocks = _blocks([single_moments, *probe_moments], m_in)
+    def values(single_moments: MomentEstimate, m_a: MomentEstimate, m_b: MomentEstimate,
+               m_c: MomentEstimate, diagnostics: dict | None = None) -> tuple:
+        x = _chart_point(*start(m_a.z, m_b.z, m_c.z))
+        blocks = _blocks([single_moments, m_a, m_b, m_c], m_in)
         deviance, score, info, rounding = _joint_fit(x, blocks, resp)
         if score is None:
             raise EstimationError("the start point's model covariance is not positive definite")
@@ -959,5 +1024,10 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
                                axis_undefined=undefined)
         return (fold_angle(phi), w, 0.0 if undefined else fold_axis(0.5 * math.atan2(v, u)),
                 math.hypot(c, s), fold_angle(math.atan2(s, c)))
+
+    def estimate(single, probes, diagnostics: dict | None = None) -> list:
+        probe_a, probe_b, probe_c = probes
+        return _per_row(values, diagnostics, single.rows(), probe_a.rows(), probe_b.rows(),
+                        probe_c.rows())
 
     return estimate

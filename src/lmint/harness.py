@@ -8,19 +8,20 @@ one covariance, and the mean at its probe phase.  An estimator that fails
 its data-independent checks books m_reps failures of that reason unrun, and
 a run with none left draws nothing.  Then each data set draws the variates
 of all its realizations, one call per stream (measurement.draw_variates),
-and realizations are formed from them _BLOCK at a time
-(measurement.form_moments); each estimator runs over a block, in order,
-before the next is formed.  Variate kind v of data set j at sweep point p
-comes from the Philox stream keyed (base_seed, p 2^32 + j 2^8 + v): j = 0
-is the single read-out, 1 to 3 the probes and 4 to 6 the point's
-calibration probes; v = 0 the normals and 1, 2, ... one per gamma column.
+and they are formed _BLOCK realizations at a time, one MomentBlock per data
+set (measurement.form_moments); each estimator runs once over a block and
+returns an entry per realization, its values or its failure, which the run
+books in order before the next block is formed.  Variate kind v of data set
+j at sweep point p comes from the Philox stream keyed (base_seed, p 2^32 +
+j 2^8 + v): j = 0 is the single read-out, 1 to 3 the probes and 4 to 6 the
+point's calibration probes; v = 0 the normals and 1, 2, ... one per gamma
+column.
 Philox streams under distinct keys are independent by design, so results
 are reproducible and order-independent with no hash of the seed.
 Realization k is row k - 1 of every stream, so it does not depend on m_reps.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace as dc_replace
@@ -28,10 +29,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .estimators import (
+    _ESTIMATOR_FAILURES,
     _PARAM_PERIODS,
-    EstimationError,
     PROBE_PHASES,
-    UnidentifiableError,
     _probe_inversion,
     prepare_combined,
     prepare_displacement,
@@ -41,19 +41,15 @@ from .estimators import (
     prepare_phase_ml,
     prepare_phase_var,
 )
-from .gaussian_core import IDENTITY_PROCESS, DecompositionError, ProcessParams, circular_diff
+from .gaussian_core import IDENTITY_PROCESS, ProcessParams, circular_diff
 from .interferometer import SetupConfig, measured_moments, response
-from .measurement import (InsufficientDataError, MeasurementPlan, draw_variates, form_moments,
-                          record_laws)
+from .measurement import MeasurementPlan, draw_variates, form_moments, record_laws
 from .noise import IDEAL_NOISE, NoiseParams
 
 
 class CalibrationError(RuntimeError):
     """The calibration run produced an unphysical channel estimate."""
 
-
-_ESTIMATOR_FAILURES = (EstimationError, UnidentifiableError, InsufficientDataError,
-                       DecompositionError)
 
 #: Parameters reported by each estimator.
 ESTIMATOR_PARAMS = {
@@ -70,10 +66,10 @@ ESTIMATOR_PARAMS = {
 _THREE_PROBE = {"mean_method", "combined"}
 
 #: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
-#: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 71.7/60.6/55.6/55.1/56.8/55.6.
+#: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 53.6/38.7/31.6/28.9/28.6/30.8.
 #: A run draws the variates of all m_reps up front, 8 bytes each and about 5 per data set
-#: per realization (1.6 MB for 4 data sets at 10 000), but builds MomentEstimates, 2.5 KB
-#: per realization, one block at a time.
+#: per realization (1.6 MB for 4 data sets at 10 000), but forms its blocks one at a time:
+#: 0.7 KB per realization of 4 data sets read as means, 2.2 KB with every row built.
 _BLOCK = 64
 
 
@@ -105,17 +101,21 @@ class MonteCarloConfig:
 
 def check_run_keys(m_reps: int, base_seed: int, calibration: str, estimators) -> None:
     """Raise ValueError, naming the key, on an m_reps, base_seed,
-    calibration mode or estimator name that no Monte-Carlo run accepts;
-    load_config checks them for every command, not only those that run."""
+    calibration mode or estimator name that no Monte-Carlo run accepts, or
+    on an estimator named twice (its cell would book each realization
+    twice); load_config checks them for every command, not only those that
+    run."""
     if m_reps < 2:
         raise ValueError(f"m_reps must be >= 2, got {m_reps}")
     if not 0 <= base_seed < 2 ** 64:
         raise ValueError(f"base_seed must lie in [0, 2**64), got {base_seed}")
     if calibration not in ("true", "auto"):
         raise ValueError(f"unknown calibration mode {calibration!r}")
-    for name in estimators:
+    for k, name in enumerate(estimators):
         if base_name(name) not in ESTIMATOR_PARAMS:
             raise ValueError(f"unknown estimator {name!r}")
+        if name in estimators[:k]:
+            raise ValueError(f"estimators: {name!r} is named twice")
 
 
 def _check_probe_shots(scheme, n: int, name: str) -> None:
@@ -177,12 +177,12 @@ def _stream_word(point: int, data_set: int) -> int:
 
 
 def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | None = None):
-    """Moments of realizations 1 to m (default m_reps) at sweep point
-    `point`, as pairs (single read-out, three probes) for the estimators
-    `bases`: data set 0 when one other than mean_method reads it, and data
-    sets 1 to 3 when mean_method or combined does (else None and []).  Their
-    laws are formed and all their variates drawn before the first
-    realization, which are then formed _BLOCK at a time."""
+    """The moments of realizations 1 to m (default m_reps) at sweep point
+    `point`, _BLOCK realizations at a time, as pairs of MomentBlocks (single
+    read-out, three probes) for the estimators `bases`: data set 0 when one
+    other than mean_method reads it, and data sets 1 to 3 when mean_method
+    or combined does (else None and []).  Their laws are formed and all
+    their variates drawn before the first block is formed."""
     single = bool(bases - {"mean_method"})
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
     sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
@@ -194,44 +194,31 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | No
                 for law, j in zip(laws, data_sets)]
     for start in range(0, m, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        block = [form_moments(law, drawn, rows) for law, drawn in zip(laws, variates)]
-        for moments in zip(*block):
-            yield (moments[0], list(moments[1:])) if single else (None, list(moments))
+        blocks = [form_moments(law, drawn, rows) for law, drawn in zip(laws, variates)]
+        yield (blocks[0], blocks[1:]) if single else (None, blocks)
 
 
-#: Per estimator: its prepare function of the run's config and channel, called by
-#: its name here so that a rebound name is the one called, and the data its
-#: estimate reads, a slice of a realization's (single read-out, three probes).
+#: Per estimator, its prepare function of the run's config and channel, called by
+#: its name here so that a rebound name is the one called.
 _PREPARED = {
-    "displacement": (lambda cfg, noise: prepare_displacement(cfg.setup, noise), slice(1)),
-    "phase_var": (lambda cfg, noise: prepare_phase_var(cfg.setup, noise), slice(1)),
-    "phase_mean": (lambda cfg, noise: prepare_phase_mean(cfg.setup), slice(1)),
-    "phase_ml": (lambda cfg, noise: prepare_phase_ml(cfg.setup, noise), slice(1)),
-    "cov_method": (lambda cfg, noise: prepare_general_cov(cfg.setup, noise,
-                                                          cfg.plan.scheme.has_full_cov), slice(1)),
-    "mean_method": (lambda cfg, noise: prepare_general_mean(cfg.setup, noise), slice(1, 2)),
-    "combined": (lambda cfg, noise: prepare_combined(cfg.setup, noise), slice(2)),
+    "displacement": lambda cfg, noise: prepare_displacement(cfg.setup, noise),
+    "phase_var": lambda cfg, noise: prepare_phase_var(cfg.setup, noise),
+    "phase_mean": lambda cfg, noise: prepare_phase_mean(cfg.setup),
+    "phase_ml": lambda cfg, noise: prepare_phase_ml(cfg.setup, noise),
+    "cov_method": lambda cfg, noise: prepare_general_cov(cfg.setup, noise,
+                                                         cfg.plan.scheme.has_full_cov),
+    "mean_method": lambda cfg, noise: prepare_general_mean(cfg.setup, noise),
+    "combined": lambda cfg, noise: prepare_combined(cfg.setup, noise),
 }
 
 
 def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
     """Estimator `name` prepared for a run under the channel `noise`: a function
-    of one realization's data and the run's diagnostics dict (phase_var's clamps)
-    that returns its values in ESTIMATOR_PARAMS order, q = e^w as ProcessParams.q
-    forms it.  Raises the estimator's data-independent failure."""
-    base = base_name(name)
-    prepare, reads = _PREPARED[base]
-    estimate, n_values = prepare(cfg, noise), len(ESTIMATOR_PARAMS[base])
-
-    def row(single, probes, diagnostics):
-        if n_values == 5:
-            phi, w, alpha, d, beta = estimate(*(single, probes)[reads])
-            return phi, math.exp(w), alpha, d, beta
-        if n_values == 2:
-            return estimate(single)
-        return (estimate(single, diagnostics) if base == "phase_var" else estimate(single),)
-
-    return row
+    of a block of realizations (single read-out block, probe blocks) and the
+    run's diagnostics dict (phase_var's clamps) that returns one entry per
+    realization, its values in ESTIMATOR_PARAMS order (w in place of q) or the
+    failure that stopped it.  Raises the estimator's data-independent failure."""
+    return _PREPARED[base_name(name)](cfg, noise)
 
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
@@ -260,10 +247,19 @@ def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
     calibrated = _calibrated_noise(cfg, 0)
-    data = next(_simulate_realizations(cfg, 0, {base_name(n) for n in cfg.estimators}, 1))
-    return [dict(zip(ESTIMATOR_PARAMS[base_name(name)],
-                     _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))(*data, {})))
-            for name in cfg.estimators]
+    bases = {base_name(name) for name in cfg.estimators}
+    single, probes = next(_simulate_realizations(cfg, 0, bases, 1))
+    out = []
+    for name in cfg.estimators:
+        estimate = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
+        (entry,) = estimate(single, probes, None)
+        if isinstance(entry, Exception):
+            raise entry
+        values = dict(zip(ESTIMATOR_PARAMS[base_name(name)], entry))
+        if "q" in values:  # the entry holds w
+            values["q"] = math.exp(values["q"])
+        out.append(values)
+    return out
 
 
 def run_mc(cfg: MonteCarloConfig) -> MSEReport:
@@ -276,7 +272,8 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
     Each estimator is prepared once; one that fails its data-independent
     checks counts m_reps failures of that reason.  Each live estimator, in
     cfg.estimators order, runs over a block of _BLOCK realizations before the
-    next is drawn, so it sees them in order, as if each right after its draw."""
+    next is formed, and its entries are booked in order: the values of each
+    success, and each failure by its reason."""
     t0 = time.perf_counter()
     calibrated = _calibrated_noise(cfg, point)
     failures = {name: {} for name in cfg.estimators}  # exception class name -> count
@@ -290,14 +287,14 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
             reason = type(exc).__name__
             failures[name][reason] = failures[name].get(reason, 0) + cfg.m_reps
     loop = [(live[n], rows[n], diagnostics[n], failures[n]) for n in cfg.estimators if n in live]
-    realizations = _simulate_realizations(cfg, point, {base_name(n) for n in live})  # lazy
-    while loop and (block := list(itertools.islice(realizations, _BLOCK))):
+    blocks = _simulate_realizations(cfg, point, {base_name(n) for n in live}) if loop else ()
+    for single, probes in blocks:
         for estimate, done, diag, failed in loop:
-            for single, probes in block:
-                try:
-                    done.append(estimate(single, probes, diag))
-                except _ESTIMATOR_FAILURES as exc:
-                    reason = type(exc).__name__
+            for entry in estimate(single, probes, diag):
+                if type(entry) is tuple:
+                    done.append(entry)
+                else:
+                    reason = type(entry).__name__
                     failed[reason] = failed.get(reason, 0) + 1
     cells = {}
     for name in cfg.estimators:
@@ -309,11 +306,12 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
 def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
                 n_clamped: int) -> dict:
     """The CellStats of each parameter of estimator `name`, from its values on
-    the successful realizations (one row each): per parameter, the means of
-    the squared errors, of the errors and of the squared deviations from
-    that, each summed on Python floats by math.fsum (correctly rounded); unreliable
-    when failures and clamps exceed 5% of m_reps.  A general method's value that
-    ProcessParams refuses (NaN, infinite w or d) raises as est_<name> does."""
+    the successful realizations (one row each, w in place of q): per
+    parameter, the means of the squared errors, of the errors and of the
+    squared deviations from that, each summed on Python floats by math.fsum
+    (correctly rounded); unreliable when failures and clamps exceed 5% of
+    m_reps.  A general method's value that ProcessParams refuses (NaN,
+    infinite w or d) raises as est_<name> does."""
     params = ESTIMATOR_PARAMS[base_name(name)]
     n_failed = sum(failures.values())
     n_ok, unreliable = cfg.m_reps - n_failed, n_failed + n_clamped > 0.05 * cfg.m_reps
@@ -322,13 +320,14 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
         return dict.fromkeys(((name, p) for p in params), cell)
     cells = {}
     for p, column in zip(params, zip(*rows)):
+        if p == "q":
+            column = list(map(math.exp, column))
         truth, period = getattr(cfg.process, p), _PARAM_PERIODS.get(p)
         errs = ([v - truth for v in column] if period is None  # param_error, by column
                 else [math.remainder(v - truth, period) for v in column])
         bias = math.fsum(errs) / len(errs)
         if len(params) == 5 and not math.isfinite(bias):  # a value est_<name> would refuse
-            phi, q, alpha, d, beta = next(r for r in rows if not all(map(math.isfinite, r)))
-            ProcessParams(phi, math.log(q), alpha, d, beta)  # raises, naming it
+            ProcessParams(*next(r for r in rows if not all(map(math.isfinite, r))))  # raises
         cells[name, p] = CellStats(math.fsum([e * e for e in errs]) / len(errs), bias,
                                    math.fsum([(e - bias) * (e - bias) for e in errs]) / len(errs),
                                    n_ok, n_failed, n_clamped, unreliable, failures)
@@ -484,9 +483,11 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     n_each = plan.n_samples // len(PROBE_PHASES)
     laws = _record_laws(setup, IDENTITY_PROCESS, true_noise, plan.scheme,
                         [(phase, n_each) for phase in PROBE_PHASES])
-    moments = [form_moments(law, draw_variates(law, plan.seed, _stream_word(point, j), 1))[0]
-               for j, law in enumerate(laws, start=4)]
-    gain = _probe_inversion(moments, r)[1][0].real  # half the trace of the linear part
+    probes = [form_moments(law, draw_variates(law, plan.seed, _stream_word(point, j), 1))
+              for j, law in enumerate(laws, start=4)]
+    probe_a, probe_b, probe_c = probes
+    # Half the trace of the linear part.
+    gain = _probe_inversion(probe_a.z[0], probe_b.z[0], probe_c.z[0], r)[1][0].real
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
     if t_c_hat > (1.0 + _GAIN_MARGIN) ** 2 or t_c_hat <= 0.0:
@@ -494,7 +495,7 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
     t_c_hat = min(t_c_hat, 1.0)
     if 1.0 - t_c_hat < 1e-9:
         return NoiseParams(t_c=1.0, v_c=1.0)
-    var_meas = sum(m.c0 for m in moments) / len(moments)  # half the trace
+    var_meas = sum(probe.conditioned[0][0] for probe in probes) / len(probes)  # half the trace
     # Response variance at A = I; it is affine in v_c with slope (1 - t_c) t2.
     model = response(setup, NoiseParams(t_c=t_c_hat, v_c=1.0))
     var_model = model.a + 2.0 * model.b + model.e

@@ -5,9 +5,11 @@ record_laws forms the law of the records a scheme takes of one state, given
 as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check,
 the closed-form factor of a paired covariance (LAPACK's operations) and all
 else a draw reuses, once per data set and run.  draw_variates draws the
-variates of m realizations of a data set as arrays, and form_moments forms a
-MomentEstimate from each of their rows; draw_moments composes the three for
-one realization.  Every draw comes from a counter-based generator (Philox)
+variates of m realizations of a data set as arrays, and form_moments forms
+their rows into a MomentBlock: the means and raw scatters as columns of
+Python scalars, conditioned (_condition) and built into MomentEstimates only
+when an estimator reads them; draw_moments composes the three for one
+realization.  Every draw comes from a counter-based generator (Philox)
 keyed by two 64-bit words, so it is reproducible, and streams under distinct
 keys are independent by design (Salmon et al. 2011): a data set's variates
 come from one stream per variate kind v, keyed (seed, word + v), where the
@@ -20,6 +22,7 @@ statistics are formed from scalars in the pair form the estimators read
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -273,27 +276,71 @@ def _condition(a: float, b: float, c: float) -> tuple[float, complex]:
     return (c0, c1) if nu >= 1.0 else (c0 + (1.0 - nu), c1)
 
 
-def _estimate(z: complex, s_xx: float, s_xp: float, s_pp: float, n_effective, scheme: Scheme,
+def _estimate(z: complex, c0: float, c1: complex, n_effective, scheme: Scheme,
               mean_diag: float | None = None) -> MomentEstimate:
-    """The MomentEstimate of mean z and covariance (Sxx, Sxp, Spp), which is
-    conditioned here, built without the keyword parsing of its __init__."""
-    c0, c1 = _condition(s_xx, s_xp, s_pp)
+    """The MomentEstimate of mean z and conditioned covariance (c0, c1),
+    built without the keyword parsing of its __init__."""
     est = object.__new__(MomentEstimate)
     object.__setattr__(est, "__dict__", {"z": z, "c0": c0, "c1": c1, "n_effective": n_effective,
                                          "scheme": scheme, "mean_diag": mean_diag})
     return est
 
 
-def _angles_estimate(scheme: Scheme, n_effective, stats: list) -> MomentEstimate:
-    """MomentEstimate of homodyne records from the (mean, ddof=1 variance) of
-    each angle group, laid out as record_laws lays out their laws."""
+class MomentBlock:
+    """The statistics of realizations of one data set, as columns of Python
+    scalars: the means z, homodyne3's pi/4 means mean_diag (else None) and
+    each row's raw scatter (Sxx, Sxp, Spp), with the shot counts and scheme
+    all rows share.  The conditioned pair form (c0, c1) of each scatter
+    (_condition) is formed on the first read of .conditioned, and the rows
+    as MomentEstimates on the first call of rows(); an estimator that reads
+    only the means forms neither.  MomentBlock.of(moments) is the one-row
+    block of a MomentEstimate."""
+
+    __slots__ = ("z", "mean_diag", "n_effective", "scheme", "_scatter", "_conditioned", "_rows")
+
+    def __init__(self, z: list, scatter: list, n_effective, scheme: Scheme,
+                 mean_diag: list | None = None):
+        self.z, self.mean_diag, self.n_effective, self.scheme = z, mean_diag, n_effective, scheme
+        self._scatter, self._conditioned, self._rows = scatter, None, None
+
+    @classmethod
+    def of(cls, moments: MomentEstimate) -> MomentBlock:
+        block = cls([moments.z], None, moments.n_effective, moments.scheme,
+                    None if moments.mean_diag is None else [moments.mean_diag])
+        block._conditioned, block._rows = [(moments.c0, moments.c1)], [moments]
+        return block
+
+    @property
+    def conditioned(self) -> list:
+        """(c0, c1) of each row's scatter, conditioned by _condition once."""
+        if self._conditioned is None:
+            self._conditioned = (list(itertools.starmap(_condition, self._scatter))
+                                 if self._rows is None else [(r.c0, r.c1) for r in self._rows])
+        return self._conditioned
+
+    def rows(self) -> list:
+        """Each row as a MomentEstimate, its scatter conditioned once."""
+        if self._rows is None:
+            n_effective, scheme, rows = self.n_effective, self.scheme, []
+            conditioned = (itertools.starmap(_condition, self._scatter)
+                           if self._conditioned is None else self._conditioned)
+            for z, (c0, c1), mean_diag in zip(self.z, conditioned,
+                                              self.mean_diag or itertools.repeat(None)):
+                rows.append(_estimate(z, c0, c1, n_effective, scheme, mean_diag))
+            self._rows = rows
+        return self._rows
+
+
+def _angles_row(stats: list) -> tuple:
+    """(z, (Sxx, Sxp, Spp), pi/4 mean or None) of homodyne records from the
+    (mean, ddof=1 variance) of each angle group, laid out as record_laws
+    lays out their laws."""
     (m_x, var_x), (m_p, var_p), *diagonal = stats
-    cov_xp, mean_diag = 0.0, None
-    if diagonal:
-        ((mean_diag, var_d),) = diagonal
-        # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
-        cov_xp = var_d - 0.5 * (var_x + var_p)
-    return _estimate(complex(m_x, m_p), var_x, cov_xp, var_p, n_effective, scheme, mean_diag)
+    if not diagonal:
+        return complex(m_x, m_p), (var_x, 0.0, var_p), None
+    ((mean_diag, var_d),) = diagonal
+    # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
+    return complex(m_x, m_p), (var_x, var_d - 0.5 * (var_x + var_p), var_p), mean_diag
 
 
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
@@ -302,8 +349,10 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     scheme = samples.plan.scheme
     if samples.quad is not None:
         groups = [samples.quad[theta] for theta in _ANGLES[scheme]]
-        return _angles_estimate(scheme, _n_effective([g.size for g in groups]),
-                                [(float(g.mean()), float(g.var(ddof=1))) for g in groups])
+        z, scatter, mean_diag = _angles_row([(float(g.mean()), float(g.var(ddof=1)))
+                                             for g in groups])
+        return _estimate(z, *_condition(*scatter), _n_effective([g.size for g in groups]), scheme,
+                         mean_diag)
     if samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
     # Elementwise sums over the two columns: no BLAS product of N rows.
@@ -312,8 +361,8 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     m_x, m_p = x.mean(), p.mean()
     dx, dp = x - m_x, p - m_p
     s_xx, s_xp, s_pp = (float(d.sum()) / (n - 1) for d in (dx * dx, dx * dp, dp * dp))
-    return _estimate(complex(m_x, m_p), s_xx - vacuum, s_xp, s_pp - vacuum, _n_effective([n]),
-                     scheme)
+    return _estimate(complex(m_x, m_p), *_condition(s_xx - vacuum, s_xp, s_pp - vacuum),
+                     _n_effective([n]), scheme)
 
 
 def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
@@ -322,7 +371,7 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     then one realization of draw_variates on the key (plan.seed, 0), which
     the harness reads as data set 0 of sweep point 0."""
     laws = _state_laws(state, plan)
-    return form_moments(laws, draw_variates(laws, plan.seed, 0, 1))[0]
+    return form_moments(laws, draw_variates(laws, plan.seed, 0, 1)).rows()[0]
 
 
 def draw_variates(laws: tuple, seed: int, word: int, m: int) -> tuple:
@@ -341,11 +390,12 @@ def draw_variates(laws: tuple, seed: int, word: int, m: int) -> tuple:
                      for v, shape in enumerate(shapes, start=1)]
 
 
-def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> list:
-    """The MomentEstimate of each realization in `rows` of draw_variates'
-    variates, at a cost independent of the shot count.  Per homodyne group
-    of n records of variance s2, the mean is N(mu, s2 / n) and the variance
-    s2 chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
+def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> MomentBlock:
+    """The MomentBlock of the realizations in `rows` of draw_variates'
+    variates, at a cost independent of the shot count: its means and raw
+    scatters, which it conditions only when read.  Per homodyne group of n
+    records of variance s2, the mean is N(mu, s2 / n) and the variance s2
+    chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
     L^T, the mean is N(mu, Sigma / n) and the scatter Wishart(Sigma, n - 1),
     drawn as L A A^T L^T by the Bartlett decomposition (Odell & Feiveson
     1966): A is lower triangular with A11^2 ~ chi2(n - 1), A22^2 ~ chi2(n -
@@ -355,18 +405,20 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> lis
     drawn = zip(normals[rows].tolist(), *(column[rows].tolist() for column in gammas))
     # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
     if not paired:
-        return [_angles_estimate(scheme, n_effective, [
-            (mu + se * normal, var * (2.0 * gamma) / dof)
-            for (_, mu, var, se, _, dof), normal, gamma in zip(groups, row, gammas_k)])
-            for row, *gammas_k in drawn]
+        stats = [_angles_row([(mu + se * normal, var * (2.0 * gamma) / dof)
+                              for (_, mu, var, se, _, dof), normal, gamma
+                              in zip(groups, row, gammas_k)])
+                 for row, *gammas_k in drawn]
+        return MomentBlock([z for z, _, _ in stats], [scatter for _, scatter, _ in stats],
+                           n_effective, scheme,
+                           [diag for _, _, diag in stats] if len(groups) == 3 else None)
     _, m_x, m_p, l00, l10, l11, _, _, root_n, dof, vacuum = groups
-    out = []
+    z, scatter = [], []
     for (a21, z0, z1), gamma_1, gamma_2 in drawn:
         a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
         # root = L A, lower triangular; the scatter is root root^T / (n - 1).
         r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-        out.append(_estimate(
-            complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n),
-            r11 * r11 / dof - vacuum, r11 * r21 / dof, (r21 * r21 + r22 * r22) / dof - vacuum,
-            n_effective, scheme))
-    return out
+        z.append(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n))
+        scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
+                        (r21 * r21 + r22 * r22) / dof - vacuum))
+    return MomentBlock(z, scatter, n_effective, scheme)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lmint import ProcessParams, SetupConfig, Topology, forward
-from lmint.estimators import PROBE_PHASES, W_MAX
+from lmint.estimators import (PROBE_PHASES, W_MAX, est_combined, est_displacement,
+                              est_general_cov, est_general_mean, est_phase_mean, est_phase_ml,
+                              est_phase_var)
 from lmint.gaussian_core import rotation
 from lmint.interferometer import Response, response
 from lmint.measurement import MomentEstimate, Scheme, _cholesky, _condition
@@ -124,6 +126,29 @@ def reference_draw(law_args, seed, word, m) -> list:
         n_eff = dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), n)
         out.append((mean, *_condition(c_xx, c_xp, c_pp), None, n_eff, scheme))
     return out
+
+
+def public_entry(name, setup, noise, single, probes, diagnostics=None) -> tuple:
+    """The values of the public est_<name> on one realization's MomentEstimates
+    (single read-out, probes), in ESTIMATOR_PARAMS order with a general
+    method's w in place of q: the entry a Monte-Carlo run books for it.
+    phase_var counts its clamps into diagnostics."""
+    if name == "displacement":
+        return est_displacement(single, setup, noise)
+    if name == "phase_var":
+        return (est_phase_var(single, setup, noise, diagnostics=diagnostics),)
+    if name == "phase_mean":
+        return (est_phase_mean(single, setup),)
+    if name == "phase_ml":
+        return (est_phase_ml(single, setup, noise),)
+    if name == "cov_method":
+        report = est_general_cov(single, setup, noise)
+    elif name == "mean_method":
+        report = est_general_mean(probes, setup, noise)
+    else:
+        report = est_combined(single, probes, setup, noise)
+    p = report.params
+    return p.phi, p.w, p.alpha, p.d, p.beta
 
 
 #: Parameter order of fisher_matrix rows, as in the Monte-Carlo MSE cells.

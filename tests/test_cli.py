@@ -472,6 +472,19 @@ def test_run_keys_are_checked_by_every_command(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_repeated_estimator_is_an_estimators_error(tmp_path, capsys):
+    # An estimator named twice would book every realization twice in its
+    # cells; every command refuses the config, exit 1, naming it.
+    path = write_config(tmp_path, dict(SMALL_CONFIG,
+                                       estimators=["mean_method", "naive_mean_method",
+                                                   "mean_method"]))
+    for command in ("simulate", "estimate", "fisher", "sweep", "calibrate"):
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        assert run_error(argv, capsys) == (
+            1, "error: estimators: 'mean_method' is named twice"), command
+    assert not (tmp_path / "out").exists()
+
+
 def test_only_estimate_and_sweep_need_an_estimator(tmp_path, capsys):
     payload = {key: value for key, value in SMALL_CONFIG.items() if key != "estimators"}
     path = write_config(tmp_path, dict(payload, sweep={"axis": "r", "grid": [10.0, 100.0]}))

@@ -407,8 +407,6 @@ def test_prepared_phase_ml_agrees_with_the_reference_scan_and_polish(bench_setup
     # case may flip the grid argmax on rounding: the dark probe (r = 0),
     # whose even likelihood ties the mirror points +-phi of the grid; both
     # sides return the non-negative mirror, so the estimate does not move.
-    from lmint.estimators import prepare_phase_ml
-
     rng = np.random.default_rng(32)
     worst, count = 0.0, 0
     for scheme in ALL_SCHEMES:
@@ -420,7 +418,7 @@ def test_prepared_phase_ml_agrees_with_the_reference_scan_and_polish(bench_setup
                     state = forward(setup, ProcessParams.folded(phi=rng.uniform(-3.1, 3.1)),
                                     noise)
                     moments = draw_moments(state, MeasurementPlan(scheme, 2000, seed=count))
-                    got = prepare_phase_ml(setup, noise)(moments)
+                    got = est_phase_ml(moments, setup, noise)
                     want = reference_scan_and_polish(moments, setup, noise)
                     worst = max(worst, abs(circular_diff(got, want)))
                     assert abs(circular_diff(got, want)) <= 1e-12, (scheme, r_amp, noise, k)
@@ -916,7 +914,7 @@ def test_combined_exact_recovery_from_a_distant_start(bench_setup, bench_process
 
     p = ProcessParams.folded(phi=1.2, w=0.2, alpha=0.3, d=2.5, beta=1.2)
     start = p.phi, p.w, p.alpha, p.d, p.beta
-    monkeypatch.setattr(estimators, "prepare_general_mean", lambda *args: lambda probes: start)
+    monkeypatch.setattr(estimators, "_general_mean", lambda *args: lambda *means: start)
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     single = _with_shots(exact_moments(forward(bench_setup, bench_process, noise)), 30_000,
                          scheme)

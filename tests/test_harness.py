@@ -27,7 +27,7 @@ from lmint import harness, measurement
 from lmint.estimators import PROBE_PHASES, EstimateReport, est_general_mean, prepare_displacement
 from lmint.fisher import fisher_matrix
 from lmint.interferometer import measured_moments
-from lmint.measurement import MomentEstimate
+from lmint.measurement import MomentBlock, MomentEstimate
 from lmint.harness import (
     CalibrationError,
     ESTIMATOR_PARAMS,
@@ -35,6 +35,8 @@ from lmint.harness import (
     estimate_once,
     param_error,
 )
+
+from conftest import public_entry
 
 
 def mc(setup, process, *, estimators, n=2000, m_reps=20, seed=123, **kw):
@@ -69,18 +71,19 @@ def test_cell_stats_match_a_numpy_reduction(bench_setup):
     # It must agree with numpy's mean of e^2, mean, and mean squared
     # deviation about that mean within a few ulps of scale (the MSE, or
     # the mean |e| for the bias), at any size and for angular errors that
-    # wrap near +-pi.
+    # wrap near +-pi.  Its rows hold w, and the q cell reads q = e^w.
     few = 4 * np.finfo(float).eps
     rng = np.random.default_rng(4242)
     process = ProcessParams.from_q(phi=3.0, q=2.0, alpha=1.4, d=4.0, beta=-3.1)
     params = ESTIMATOR_PARAMS["cov_method"]
     truth = [getattr(process, p) for p in params]
+    drawn = [process.w if p == "q" else t for p, t in zip(params, truth)]  # the rows' form
     for n in (1, 2, *rng.integers(3, 2001, size=12).tolist()):
         cfg = mc(bench_setup, process, estimators=("cov_method",), m_reps=max(n, 2))
         rows = []
         for _ in range(n):
             row = []
-            for p, t in zip(params, truth):
+            for p, t in zip(params, drawn):
                 period = harness._PARAM_PERIODS.get(p)
                 if period is None:
                     row.append(t + rng.normal(0.0, rng.choice([1e-3, 1.0])))
@@ -91,7 +94,8 @@ def test_cell_stats_match_a_numpy_reduction(bench_setup):
             rows.append(tuple(row))
         cells = harness._cell_stats(cfg, "cov_method", rows, {}, 0)
         for i, p in enumerate(params):
-            errs = np.array([param_error(row[i], truth[i], p) for row in rows])
+            errs = np.array([param_error(math.exp(row[i]) if p == "q" else row[i], truth[i], p)
+                             for row in rows])
             mse, bias = np.mean(errs ** 2), np.mean(errs)
             cell = cells[("cov_method", p)]
             assert abs(cell.mse - mse) <= few * mse
@@ -168,8 +172,8 @@ def test_a_run_books_no_value_that_the_public_path_refuses(bench_setup, bench_pr
     with pytest.raises(ValueError) as public:
         est_general_mean([probe] * 3, bench_setup)
     assert str(public.value) == "d must be finite, got inf"
-    monkeypatch.setattr(harness, "form_moments",
-                        lambda laws, variates, rows: [probe] * len(variates[0][rows]))
+    monkeypatch.setattr(harness, "form_moments", lambda laws, variates, rows: MomentBlock(
+        [probe.z] * len(variates[0][rows]), None, probe.n_effective, probe.scheme))
     with pytest.raises(ValueError) as run:
         run_mc(mc(bench_setup, bench_process, estimators=("mean_method",), n=600, m_reps=3))
     assert str(run.value) == str(public.value)
@@ -238,18 +242,68 @@ def test_run_mc_counts_failed_polar_decompositions():
         assert cell.failures == {"DecompositionError": 2}
 
 
+def test_a_repeated_estimator_is_refused():
+    # Named twice, an estimator would run every realization twice into one
+    # cell: at the weak coupling above, where mean_method fails on 2 of 12
+    # realizations, such a run booked 8 successes, 4 DecompositionErrors
+    # and 20 values.  The config refuses it and names the estimator; its
+    # naive twin is another estimator.
+    setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.01, t2=0.01,
+                        v_thermal=100.0, r_amp=3.0)
+    truth = ProcessParams.from_q(phi=0.7, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
+    for estimators in (("mean_method", "mean_method"),
+                       ("mean_method", "displacement", "mean_method")):
+        with pytest.raises(ValueError) as refused:
+            mc(setup, truth, estimators=estimators, n=600, m_reps=12, seed=0)
+        assert str(refused.value) == "estimators: 'mean_method' is named twice"
+    report = run_mc(mc(setup, truth, estimators=("mean_method", "naive_mean_method"), n=600,
+                       m_reps=12, seed=0))
+    assert (report.cells[("mean_method", "phi")].n_ok,
+            report.cells[("mean_method", "phi")].n_failed) == (10, 2)
+
+
+def test_only_the_estimators_that_read_a_scatter_condition_it(bench_setup, bench_process,
+                                                             monkeypatch):
+    # A block conditions its scatters (measurement._condition) only for an
+    # estimator that reads them: displacement and mean_method read means
+    # alone, so their run conditions nothing; under calibration "auto" each
+    # sweep point conditions its three calibration probes, whose variance
+    # calibrate reads; phase_var conditions the single read-out of each
+    # realization, and combined all four data sets of each.
+    calls = []
+    real = measurement._condition
+    monkeypatch.setattr(measurement, "_condition", lambda *args: calls.append(args) or real(*args))
+    noise = NoiseParams(t_c=0.9, v_c=1.2)
+    means = mc(bench_setup, bench_process, estimators=("displacement", "mean_method"), n=600,
+               m_reps=70, noise=noise)
+    calibrated = dataclasses.replace(means, calibration="auto")
+    for cfg, points, want in (
+            (means, None, 0),
+            (calibrated, None, 3),
+            (calibrated, [50.0, 100.0], 2 * 3),
+            (dataclasses.replace(means, estimators=("phase_var",)), None, 70),
+            (dataclasses.replace(means, estimators=("combined",)), None, 4 * 70)):
+        calls.clear()
+        reports = ([run_mc(cfg)] if points is None
+                   else [report for _, report in sweep(cfg, "r", points)])
+        assert len(calls) == want, (cfg.estimators, cfg.calibration)
+        for report in reports:
+            assert all(cell.n_ok + cell.n_failed == 70 for cell in report.cells.values())
+
+
 def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
     # run_mc runs realizations 1, 2, ... in order, so its first estimate is
     # that of realization 1, which estimate_once reports.  The spy records
-    # what the displacement estimator, prepared once per run, returns.
+    # the entries of the displacement estimator, prepared once per run.
     seen = []
 
     def spy(*args):
         estimate = prepare_displacement(*args)
 
-        def recorded(moments):
-            seen.append(estimate(moments))
-            return seen[-1]
+        def recorded(single, probes, diagnostics):
+            entries = estimate(single, probes, diagnostics)
+            seen.extend(entries)
+            return entries
 
         return recorded
 
@@ -263,27 +317,27 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
 
 
 def _per_realization_cells(cfg):
-    """run_mc's cells by the per-realization order: draw one realization,
-    apply every prepared estimator to it, then draw the next."""
+    """run_mc's cells by the per-realization order: take one drawn
+    realization's MomentEstimates (the rows of run_mc's blocks), apply every
+    public est_<name> to them, then take the next; an estimator whose
+    preparation fails raises on every realization."""
     calibrated = harness._calibrated_noise(cfg, 0)
     failures = {name: {} for name in cfg.estimators}
     rows = {name: [] for name in cfg.estimators}
     diagnostics = {name: {} for name in cfg.estimators}
-    live = {}
-    for name in cfg.estimators:
-        try:
-            live[name] = harness._prepare(name, cfg,
-                                          harness._resolve_assumed(cfg, name, calibrated))
-        except harness._ESTIMATOR_FAILURES as exc:
-            failures[name][type(exc).__name__] = cfg.m_reps
-    bases = {harness.base_name(name) for name in live}
-    for single, probes in (harness._simulate_realizations(cfg, 0, bases) if live else ()):
-        for name, estimate in live.items():
-            try:
-                rows[name].append(estimate(single, probes, diagnostics[name]))
-            except harness._ESTIMATOR_FAILURES as exc:
-                reason = type(exc).__name__
-                failures[name][reason] = failures[name].get(reason, 0) + 1
+    bases = {harness.base_name(name) for name in cfg.estimators}
+    for single, probes in harness._simulate_realizations(cfg, 0, bases):
+        single_rows = single.rows() if single is not None else [None] * len(probes[0])
+        probe_rows = list(zip(*(probe.rows() for probe in probes))) or [()] * len(single_rows)
+        for single_k, probes_k in zip(single_rows, probe_rows):
+            for name in cfg.estimators:
+                noise = harness._resolve_assumed(cfg, name, calibrated)
+                try:
+                    rows[name].append(public_entry(harness.base_name(name), cfg.setup, noise,
+                                                   single_k, list(probes_k), diagnostics[name]))
+                except harness._ESTIMATOR_FAILURES as exc:
+                    reason = type(exc).__name__
+                    failures[name][reason] = failures[name].get(reason, 0) + 1
     cells = {}
     for name in cfg.estimators:
         cells.update(harness._cell_stats(cfg, name, rows[name], failures[name],
@@ -323,27 +377,28 @@ def test_blocks_give_the_cells_of_the_per_realization_order():
 
 
 def test_a_run_holds_at_most_one_block(bench_setup, bench_process, monkeypatch):
-    # The first estimator runs over each block before the next is drawn:
-    # at each of its calls at most _BLOCK realizations are drawn and not
-    # yet seen by it, and a run of 3 * _BLOCK reps draws in three blocks.
+    # The first estimator runs over each block before the next is formed:
+    # at each of its calls at most _BLOCK realizations are formed and not
+    # yet seen by it, and a run of 3 * _BLOCK reps forms three blocks.
     drawn, seen, ahead = [0], [0], []
     simulate, prepare = harness._simulate_realizations, harness._prepare
 
     def counted(*args):
-        for realization in simulate(*args):
-            drawn[0] += 1
-            yield realization
+        for single, probes in simulate(*args):
+            drawn[0] += len(single.z)
+            yield single, probes
 
     def watched(name, *args):
         estimate = prepare(name, *args)
         if name != "displacement":
             return estimate
 
-        def first(*data):
+        def first(single, probes, diagnostics):
             assert drawn[0] - seen[0] <= harness._BLOCK
             ahead.append(drawn[0])
-            seen[0] += 1
-            return estimate(*data)
+            entries = estimate(single, probes, diagnostics)
+            seen[0] += len(entries)
+            return entries
 
         return first
 

@@ -56,7 +56,8 @@ def test_key_is_the_seed_sequence_child(entropy):
         words.update(word + v for v in range(4))
         for law_args in _LAWS:
             law = record_laws(*law_args)
-            got = [_estimate_bits(e) for e in form_moments(law, draw_variates(law, entropy, word, 2))]
+            block = form_moments(law, draw_variates(law, entropy, word, 2))
+            got = [_estimate_bits(e) for e in block.rows()]
             assert got == [_bits(*want) for want in reference_draw(law_args, entropy, word, 2)], \
                 (p, j, law_args[2])
     assert len(words) == 4 * len(_KEYS)
@@ -85,10 +86,12 @@ def test_one_pass_seeds_are_the_seed_sequence_children(entropy, bench_setup, ben
                 want = {j: [_bits(*d) for d in reference_draw(law_args[j], entropy,
                                                               p * 2 ** 32 + j * 2 ** 8, 3)]
                         for j in data_sets}
-                realizations = list(_simulate_realizations(cfg, p, bases))
-                assert len(realizations) == 3
-                for k, (single, probes) in enumerate(realizations):
-                    got = ([] if single is None else [(0, single)]) + list(zip((1, 2, 3), probes))
+                ((single_block, probe_blocks),) = _simulate_realizations(cfg, p, bases)
+                data = ([] if single_block is None else [(0, single_block)]) + list(
+                    zip((1, 2, 3), probe_blocks))
+                assert [len(block.z) for _, block in data] == [3] * len(data)
+                for k in range(3):
+                    got = [(j, block.rows()[k]) for j, block in data]
                     assert [j for j, _ in got] == list(data_sets), (bases, p)
                     for j, e in got:
                         assert _estimate_bits(e) == want[j][k], (scheme, bases, p, j, k)

@@ -189,7 +189,8 @@ def test_drawn_moments_follow_the_law_of_sampled_records(scheme):
     m = 3000
     for n in _LAW_TEST_SIZES[scheme]:
         law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, n)
-        drawn = np.array([_statistics(e) for e in form_moments(law, draw_variates(law, n, 0, m))])
+        drawn = np.array([_statistics(e)
+                          for e in form_moments(law, draw_variates(law, n, 0, m)).rows()])
         sampled = np.array([_statistics(estimate_moments(sample(state, plan(scheme, n, seed))))
                             for seed in range(m, 2 * m)])
         assert drawn.shape == sampled.shape
@@ -234,7 +235,9 @@ def test_draws_are_the_reference_draws_bit_for_bit():
     # draw_variates and form_moments read what the law carries (shot counts,
     # gamma shapes, roots, the vacuum unit) and re-key one generator per
     # thread; every statistic of each of m realizations (m = 70 crosses a
-    # harness block) equals the draw formed in full per stream and
+    # harness block), in the block's columns (means, pi/4 means, the
+    # conditioned scatters) and in its rows, built before or after the
+    # conditioned column, equals the draw formed in full per stream and
     # realization, over the four schemes, n from the smallest valid size
     # (paired n = 2, a gamma shape of 0) to 2e6, states from near the vacuum
     # floor to 1e4, seeds 0 and 2**64 - 1 and key words of every data set.
@@ -252,10 +255,20 @@ def test_draws_are_the_reference_draws_bit_for_bit():
             z = complex(drawn.uniform(-200.0, 200.0), drawn.uniform(-200.0, 200.0))
             law_args = (z, (s_xx, s_xp, s_pp), scheme, n)
             law = record_laws(*law_args)
-            got = [_hex_draw(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
-                   for e in form_moments(law, draw_variates(law, seed, word, m))]
-            assert got == [_hex_draw(*want) for want in reference_draw(law_args, seed, word, m)], \
-                (law_args, seed, word)
+            variates = draw_variates(law, seed, word, m)
+            block = form_moments(law, variates)
+            assert len(block.z) == m
+            assert (block.mean_diag is None) == (scheme is not Scheme.HOMODYNE_SPLIT3)
+            columns = [_hex_draw(z, c0, c1, mean_diag, block.n_effective, block.scheme)
+                       for z, (c0, c1), mean_diag
+                       in zip(block.z, block.conditioned, block.mean_diag or [None] * m)]
+            want = [_hex_draw(*want) for want in reference_draw(law_args, seed, word, m)]
+            assert columns == want, (law_args, seed, word)
+            rows_first = form_moments(law, variates)
+            for rows in (block.rows(), rows_first.rows()):
+                assert [_hex_draw(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
+                        for e in rows] == want, (law_args, seed, word)
+            assert repr(rows_first.conditioned) == repr(block.conditioned)
 
 
 def test_a_draw_cannot_change_the_shot_counts_of_its_law():
@@ -263,7 +276,7 @@ def test_a_draw_cannot_change_the_shot_counts_of_its_law():
     # draw's counts raises, and the next draw of the law reads them intact.
     for scheme in Scheme:
         law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, 600)
-        first, second = form_moments(law, draw_variates(law, 1, 0, 2))
+        first, second = form_moments(law, draw_variates(law, 1, 0, 2)).rows()
         want = dict(first.n_effective)
         with pytest.raises(TypeError):
             first.n_effective["mean_x"] = 1

@@ -17,13 +17,6 @@ from lmint import (
     Scheme,
     SetupConfig,
     Topology,
-    est_combined,
-    est_displacement,
-    est_general_cov,
-    est_general_mean,
-    est_phase_mean,
-    est_phase_ml,
-    est_phase_var,
     measured_state,
     run_mc,
 )
@@ -32,7 +25,7 @@ from lmint.estimators import PROBE_PHASES
 from lmint.measurement import MomentEstimate
 from lmint.noise import IDEAL_NOISE
 
-from conftest import reference_draw
+from conftest import public_entry, reference_draw
 from test_golden import FAMILIES, GOLDEN, SETUP
 
 #: Where the prepared run is checked: the golden working point, a blocked
@@ -51,26 +44,6 @@ RUNS = {**FAMILIES, "probes": (("mean_method",), FAMILIES["general"][1])}
 N_SHOTS, M_REPS, BASE_SEED = 60_000, 3, 0x9E3779B97F4A7C15
 
 
-def _public(name, setup, noise, single, probes) -> tuple:
-    """The values of the public estimator `name`, in ESTIMATOR_PARAMS order."""
-    if name == "displacement":
-        return est_displacement(single, setup, noise)
-    if name == "phase_var":
-        return (est_phase_var(single, setup, diagnostics={}, noise=noise),)
-    if name == "phase_mean":
-        return (est_phase_mean(single, setup),)
-    if name == "phase_ml":
-        return (est_phase_ml(single, setup, noise),)
-    if name == "cov_method":
-        report = est_general_cov(single, setup, noise)
-    elif name == "mean_method":
-        report = est_general_mean(probes, setup, noise)
-    else:
-        report = est_combined(single, probes, setup, noise)
-    p = report.params
-    return p.phi, p.q, p.alpha, p.d, p.beta
-
-
 def _reference_moments(setup, process, noise, scheme, n, data_set) -> list:
     """The moments of realizations 1 to M_REPS of data set `data_set` at
     sweep point 0 of BASE_SEED: reference_draw of measured_state's law."""
@@ -83,9 +56,9 @@ def _reference_moments(setup, process, noise, scheme, n, data_set) -> list:
 
 
 def _recording(booked):
-    """harness._prepare, recording per estimator each value or failure
-    class it books; a failed preparation books that class for every
-    realization."""
+    """harness._prepare, recording per estimator each entry it books: the
+    values (w in place of q) or the failure class; a failed preparation
+    books that class for every realization."""
     prepare = harness._prepare
 
     def recording(name, cfg, noise):
@@ -96,13 +69,9 @@ def _recording(booked):
             raise
 
         def recorded(single, probes, diagnostics):
-            try:
-                value = estimate(single, probes, diagnostics)
-            except harness._ESTIMATOR_FAILURES as exc:
-                booked[name].append(type(exc).__name__)
-                raise
-            booked[name].append(value)
-            return value
+            entries = estimate(single, probes, diagnostics)
+            booked[name] += [type(e).__name__ if isinstance(e, Exception) else e for e in entries]
+            return entries
 
         return recorded
 
@@ -128,7 +97,7 @@ def test_prepared_run_books_the_public_estimates(scheme, where, family, monkeypa
     for k, (single_k, *probes_k) in enumerate(zip(single, *probes), start=1):
         for name in estimators:
             try:
-                want = _public(name, setup, noise, single_k, probes_k)
+                want = public_entry(name, setup, noise, single_k, probes_k, {})
             except harness._ESTIMATOR_FAILURES as exc:
                 want = type(exc).__name__
             assert booked[name][k - 1] == want, (name, k)
@@ -198,6 +167,8 @@ def test_realizations_do_not_depend_on_m_reps(scheme, monkeypatch):
                 harness.estimate_once(once)
             assert type(failed.value).__name__ == first
         else:
+            if len(first) == 5:  # w, which estimate_once reports as q
+                first = (first[0], math.exp(first[1]), *first[2:])
             assert tuple(harness.estimate_once(once)[0].values()) == first, name
 
 
