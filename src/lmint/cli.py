@@ -209,8 +209,6 @@ def load_config(path: str, overrides) -> dict:
 
 
 def _mc_config(cfg) -> MonteCarloConfig:
-    if not cfg["estimators"]:
-        raise ConfigError("estimators: at least one estimator is required")
     try:
         return MonteCarloConfig(
             setup=cfg["setup"], process=cfg["process"], plan=cfg["plan"],

@@ -8,19 +8,20 @@ estimate as a function of a block of realizations (measurement.MomentBlock:
 the single read-out's block and the probes' blocks) and a diagnostics dict or
 None.  It returns one entry per realization: the values, a general method's
 (phi, w, alpha, d, beta) as ProcessParams.folded stores them, or the failure
-(_ESTIMATOR_FAILURES) that stopped it.  displacement, phase_mean, phase_var
-and mean_method loop over the columns they read, the means and phase_var's
-conditioned c0; cov_method, phase_ml and combined run their per-realization
-code over the block's rows.  phase_var counts its clamps into diagnostics, and
-a general method fills in its realization's diagnostics for a one-row block
-only.  est_<name> checks that the moments are finite, applies the same
-function to one-row blocks of them and returns that row's values (a general
-method's as an EstimateReport) or raises its failure; a Monte-Carlo run
-applies it once per block and books the entries.
+(_ESTIMATOR_FAILURES) that stopped it.  displacement, phase_mean, phase_var,
+mean_method and cov_method loop over the columns they read, the means and
+the conditioned scatters of phase_var and cov_method; phase_ml and combined
+run their per-realization code over the block's rows.  phase_var counts its
+clamps into diagnostics, and a general method fills in its realization's
+diagnostics for a one-row block only.  est_<name> checks that the moments
+are finite, applies the same function to one-row blocks of them and returns
+that row's values (a general method's as an EstimateReport) or raises its
+failure; a Monte-Carlo run applies it once per block and books the entries.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -380,11 +381,23 @@ def _dot(x, y):
     return 2.0 * (x[0].conjugate() * y[0] + x[1].conjugate() * y[1]).real
 
 
-def _cov_preimages(cov, resp):
+def _cov_constants(resp) -> tuple:
+    """What _cov_preimages and _fit_cov read of a response, formed once per
+    run as they would form it: (a, lam = -b/a, shift = e - b^2/a, |shift|,
+    1 - lam^2, 1 + lam^2, 3 eps, 4 eps, 8 eps, 16 eps, 2 sqrt(eps), sinh
+    W_MAX), eps the double's machine epsilon."""
+    eps = sys.float_info.epsilon
+    lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
+    return (resp.a, lam, shift, abs(shift), 1.0 - lam * lam, 1.0 + lam * lam, 3.0 * eps,
+            4.0 * eps, 8.0 * eps, 16.0 * eps, 2.0 * math.sqrt(eps), math.sinh(W_MAX))
+
+
+def _cov_preimages(cov, constants):
     """All process matrices A (pairs, see _dot), squeezing at most W_MAX
-    (|m1| <= sinh W_MAX), with Sigma(A) = cov = (c0, c1).  Needs lam = -b/a
-    away from 0 (est_general_cov rejects |b/a| < 1e-12): without a linear
-    term the rotation part is unidentifiable.
+    (|m1| <= sinh W_MAX), with Sigma(A) = cov = (c0, c1) under the response
+    whose _cov_constants are given.  Needs a > 0 and lam = -b/a away from 0
+    (est_general_cov rejects both): without a linear term the rotation part
+    is unidentifiable.
 
     Writing A = P O + lam I, the lam cross term cancels, so cov pins only
     P P^T = Q = (cov - shift I) / a, shift = e - b^2 / a; O runs over the
@@ -413,13 +426,12 @@ def _cov_preimages(cov, resp):
     lam^2 + s) more, tr P relatively by (3 eps scale + err_s) / tr(P)^2 + 2
     eps and the quotient by 2 eps, so c by (err_s + 3 eps (1 + lam^2 + s)) /
     |lam tr P| + (3 eps scale + err_s) / tr(P)^2 + 4 eps near |c| = 1."""
-    eps = np.finfo(float).eps
-    lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
-    (c0, c1), a = cov, resp.a
+    (c0, c1), (a, lam, shift, abs_shift, one_minus, one_plus, eps3, eps4, eps8, eps16, root_eps2,
+               sinh_w_max) = cov, constants
     q0, q1 = (c0 - shift) / a, c1 / a
-    scale = (abs(c0) + abs(c1) + abs(shift)) / abs(a)
+    scale = (abs(c0) + abs(c1) + abs_shift) / a
     det_q = q0 * q0 - (q1 * q1.conjugate()).real
-    if abs(det_q) <= 16.0 * eps * scale * scale:
+    if abs(det_q) <= eps16 * scale * scale:
         det_q = 0.0
     if det_q < 0.0 or q0 <= 0.0:
         return []
@@ -428,24 +440,24 @@ def _cov_preimages(cov, resp):
     p0, p1 = 0.5 * tr_p, q1 / tr_p
     out = []
     # Proper branch: det(P R(th) + lam I) = 1 fixes cos(th).
-    c = (1.0 - lam * lam - s) / (lam * tr_p)
-    err_s = 8.0 * eps * scale * scale / max(s, 2.0 * math.sqrt(eps) * scale)
-    if abs(abs(c) - 1.0) <= ((err_s + 3.0 * eps * (1.0 + lam * lam + s)) / abs(lam * tr_p)
-                             + (3.0 * eps * scale + err_s) / (tr_p * tr_p) + 4.0 * eps):
+    c = (one_minus - s) / (lam * tr_p)
+    err_s = eps8 * scale * scale / max(s, root_eps2 * scale)
+    if abs(abs(c) - 1.0) <= ((err_s + eps3 * (one_plus + s)) / abs(lam * tr_p)
+                             + (eps3 * scale + err_s) / (tr_p * tr_p) + eps4):
         c = math.copysign(1.0, c)
     if abs(c) <= 1.0:
         th = math.acos(c)
         for turn in (cmath.rect(1.0, th), cmath.rect(1.0, -th)):
             out.append((p0 * turn + lam, p1 * turn.conjugate()))
     # Improper branch: reflections with tr(P F(psi)) = 2 Re(p1 e^{-i psi}) on target.
-    target = (1.0 - lam * lam + s) / lam
+    target = (one_minus + s) / lam
     amp = 2.0 * abs(p1)
     if amp >= abs(target) > 0.0 or (target == 0.0 and amp > 0.0):
         delta = math.acos(max(-1.0, min(1.0, target / amp)))
         for psi in (cmath.phase(p1) + delta, cmath.phase(p1) - delta):
             turn = cmath.rect(1.0, psi)
             out.append((p1 * turn.conjugate() + lam, p0 * turn))
-    return [m for m in out if abs(m[1]) <= math.sinh(W_MAX)]
+    return [m for m in out if abs(m[1]) <= sinh_w_max]
 
 
 def _symmetric_face(mu, lam):
@@ -474,11 +486,11 @@ def _symmetric_face(mu, lam):
     return [x for x in points if lo <= abs(x) <= hi]
 
 
-def _fit_cov(cov, resp):
+def _fit_cov(cov, resp, constants):
     """Process matrices (pairs, see _dot), squeezing at most W_MAX, whose
-    model covariance is Frobenius-nearest to cov: every preimage of that
-    covariance (see _cov_preimages), the fit first; returns (matrices,
-    off_image).
+    model covariance under resp (its _cov_constants given) is nearest to
+    cov in the Frobenius norm: every preimage of that covariance (see
+    _cov_preimages), the fit first; returns (matrices, off_image).
 
     The model covariance is a M M^T + shift I with M = A - lam I (see
     _cov_preimages), so the fit is the point S = M M^T nearest to Q = (cov
@@ -495,11 +507,11 @@ def _fit_cov(cov, resp):
     only the best becomes a matrix.  A boundary at w = W_MAX is not
     searched: data whose fit would sit there are far off the model.
     """
-    exact = _cov_preimages(cov, resp)
+    exact = _cov_preimages(cov, constants)
     if exact:
         return exact, False
-    lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
-    q0, q1 = (cov[0] - shift) / resp.a, cov[1] / resp.a
+    a, lam, shift = constants[:3]
+    q0, q1 = (cov[0] - shift) / a, cov[1] / a
     radius = abs(q1)
     axis = q1 / radius if radius > 0.0 else 1.0  # e^{2i theta} of the larger eigenvalue
     mu = (q0 - radius, q0 + radius)
@@ -507,8 +519,8 @@ def _fit_cov(cov, resp):
             key=lambda x: ((x - lam) ** 2 - mu[0]) ** 2 + ((1.0 / x - lam) ** 2 - mu[1]) ** 2)
     candidates = [(0.5 * (x + 1.0 / x), 0.5 * (1.0 / x - x) * axis)]
     if mu[1] > 0.0:
-        half = 0.5 * resp.a * mu[1]
-        candidates += _cov_preimages((half + shift, half * axis), resp)
+        half = 0.5 * a * mu[1]
+        candidates += _cov_preimages((half + shift, half * axis), constants)
 
     def distance(m):  # |S - Q|^2, which is |Sigma(A) - cov|^2 / a^2 without its cancellation
         m0 = m[0] - lam
@@ -517,7 +529,7 @@ def _fit_cov(cov, resp):
 
     best = min(candidates, key=distance)
     # The other preimages are those of the covariance that the fit reproduces.
-    return [best, *_cov_preimages(_sigma(best, resp), resp)], True
+    return [best, *_cov_preimages(_sigma(best, resp), constants)], True
 
 
 def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
@@ -561,15 +573,14 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         raise UnidentifiableError(
             "the output covariance has no term linear in the process matrix, "
             "so it carries no rotation signal")
-    m_in = setup.light_mean
+    m_in, constants = setup.light_mean, _cov_constants(resp)
 
-    def values(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
+    def values(z: complex, cov_emp: tuple, mean_diag, diagnostics: dict | None = None) -> tuple:
         # Every process matrix consistent with the fitted covariance, once each;
         # the canonical representative is the pick.
-        cov_emp = moments.c0, moments.c1
-        if not all(map(cmath.isfinite, (moments.z, *cov_emp))):
-            _require_finite(moments)  # raises, naming the entries
-        mats, off_image = _fit_cov(cov_emp, resp)
+        if not all(map(cmath.isfinite, (z, *cov_emp))):
+            _require_finite(MomentEstimate(z, *cov_emp, mean_diag=mean_diag))  # raises
+        mats, off_image = _fit_cov(cov_emp, resp, constants)
         candidates, seen = [], []
         for m0, m1 in mats:
             tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
@@ -602,11 +613,13 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         if w < AXIS_UNDEFINED_W:
             alpha = 0.0
         m0, m1 = _process_pair(phi, w, alpha)
-        d_vec = (moments.z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+        d_vec = (z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
                  - resp.direct * m_in) / resp.g_d
         return phi, w, alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))  # pick is folded
 
-    return lambda single, probes=(), diagnostics=None: _per_row(values, diagnostics, single.rows())
+    return lambda single, probes=(), diagnostics=None: _per_row(
+        values, diagnostics, single.z, single.conditioned,
+        single.mean_diag or itertools.repeat(None))
 
 
 def _probe_inversion(m_a, m_b, m_c, r):

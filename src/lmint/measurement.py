@@ -8,10 +8,12 @@ else a draw reuses, once per data set and run.  draw_variates draws the
 variates of m realizations of a data set as arrays, and form_moments forms
 their rows into a MomentBlock: the means and raw scatters as columns of
 Python scalars, conditioned (_condition) and built into MomentEstimates only
-when an estimator reads them; draw_moments composes the three for one
-realization.  Every draw comes from a counter-based generator (Philox)
-keyed by two 64-bit words, so it is reproducible, and streams under distinct
-keys are independent by design (Salmon et al. 2011): a data set's variates
+when an estimator reads them; a data set whose scatter no estimator reads
+draws its normals alone and forms its means alone.  draw_moments composes
+the three for one realization.  Every draw comes from a counter-based
+generator (Philox) keyed by two 64-bit words, so it is reproducible, and
+streams under distinct keys are independent by design (Salmon et al. 2011),
+so leaving a stream undrawn changes no other: a data set's variates
 come from one stream per variate kind v, keyed (seed, word + v), where the
 harness packs the sweep point and the data set into the word.  One Philox
 bit generator per thread serves every draw: each draw resets its whole
@@ -293,12 +295,13 @@ class MomentBlock:
     all rows share.  The conditioned pair form (c0, c1) of each scatter
     (_condition) is formed on the first read of .conditioned, and the rows
     as MomentEstimates on the first call of rows(); an estimator that reads
-    only the means forms neither.  MomentBlock.of(moments) is the one-row
-    block of a MomentEstimate."""
+    only the means forms neither.  A block drawn without its scatters (see
+    draw_variates) holds the means alone, and both reads raise ValueError.
+    MomentBlock.of(moments) is the one-row block of a MomentEstimate."""
 
     __slots__ = ("z", "mean_diag", "n_effective", "scheme", "_scatter", "_conditioned", "_rows")
 
-    def __init__(self, z: list, scatter: list, n_effective, scheme: Scheme,
+    def __init__(self, z: list, scatter: list | None, n_effective, scheme: Scheme,
                  mean_diag: list | None = None):
         self.z, self.mean_diag, self.n_effective, self.scheme = z, mean_diag, n_effective, scheme
         self._scatter, self._conditioned, self._rows = scatter, None, None
@@ -314,33 +317,27 @@ class MomentBlock:
     def conditioned(self) -> list:
         """(c0, c1) of each row's scatter, conditioned by _condition once."""
         if self._conditioned is None:
-            self._conditioned = (list(itertools.starmap(_condition, self._scatter))
-                                 if self._rows is None else [(r.c0, r.c1) for r in self._rows])
+            if self._scatter is None:
+                raise ValueError("a block of means alone: no estimator of its run reads a scatter")
+            self._conditioned = list(itertools.starmap(_condition, self._scatter))
         return self._conditioned
 
     def rows(self) -> list:
         """Each row as a MomentEstimate, its scatter conditioned once."""
         if self._rows is None:
             n_effective, scheme, rows = self.n_effective, self.scheme, []
-            conditioned = (itertools.starmap(_condition, self._scatter)
-                           if self._conditioned is None else self._conditioned)
-            for z, (c0, c1), mean_diag in zip(self.z, conditioned,
+            for z, (c0, c1), mean_diag in zip(self.z, self.conditioned,
                                               self.mean_diag or itertools.repeat(None)):
                 rows.append(_estimate(z, c0, c1, n_effective, scheme, mean_diag))
             self._rows = rows
         return self._rows
 
 
-def _angles_row(stats: list) -> tuple:
-    """(z, (Sxx, Sxp, Spp), pi/4 mean or None) of homodyne records from the
-    (mean, ddof=1 variance) of each angle group, laid out as record_laws
-    lays out their laws."""
-    (m_x, var_x), (m_p, var_p), *diagonal = stats
-    if not diagonal:
-        return complex(m_x, m_p), (var_x, 0.0, var_p), None
-    ((mean_diag, var_d),) = diagonal
-    # Var at pi/4 = (Var_x + Var_p)/2 + Cov(x, p).
-    return complex(m_x, m_p), (var_x, var_d - 0.5 * (var_x + var_p), var_p), mean_diag
+def _angles_scatter(var_x: float, var_p: float, var_d: float | None = None) -> tuple:
+    """(Sxx, Sxp, Spp) of homodyne records from the ddof=1 variance of each
+    angle group, in record_laws' order: Var at pi/4 = (Var_x + Var_p)/2 +
+    Cov(x, p), and without that group Cov(x, p) is 0."""
+    return var_x, (0.0 if var_d is None else var_d - 0.5 * (var_x + var_p)), var_p
 
 
 def estimate_moments(samples: SampleSet) -> MomentEstimate:
@@ -349,10 +346,10 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     scheme = samples.plan.scheme
     if samples.quad is not None:
         groups = [samples.quad[theta] for theta in _ANGLES[scheme]]
-        z, scatter, mean_diag = _angles_row([(float(g.mean()), float(g.var(ddof=1)))
-                                             for g in groups])
-        return _estimate(z, *_condition(*scatter), _n_effective([g.size for g in groups]), scheme,
-                         mean_diag)
+        (m_x, m_p, *mean_diag), variances = ([float(g.mean()) for g in groups],
+                                             [float(g.var(ddof=1)) for g in groups])
+        return _estimate(complex(m_x, m_p), *_condition(*_angles_scatter(*variances)),
+                         _n_effective([g.size for g in groups]), scheme, *mean_diag)
     if samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
     # Elementwise sums over the two columns: no BLAS product of N rows.
@@ -374,18 +371,21 @@ def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     return form_moments(laws, draw_variates(laws, plan.seed, 0, 1)).rows()[0]
 
 
-def draw_variates(laws: tuple, seed: int, word: int, m: int) -> tuple:
+def draw_variates(laws: tuple, seed: int, word: int, m: int, scatter: bool = True) -> tuple:
     """The variates of m realizations of records of the law `laws` (see
     record_laws), one call per stream, as (normals, gammas): the normals an
     (m, k) array from the stream keyed (seed, word), then one gamma column of
-    m per shape, column v - 1 from the stream keyed (seed, word + v).  Row i
-    of every stream belongs to realization i + 1, whatever m.  Per homodyne
-    group there is one normal and one gamma column of shape (n - 1) / 2;
-    paired records take the normals (A21, z0, z1) and the shapes (n - 1) / 2
-    and (n - 2) / 2 (see form_moments)."""
+    m per shape, column v - 1 from the stream keyed (seed, word + v), or none
+    without `scatter` (the means alone).  Row i of every stream belongs to
+    realization i + 1, whatever m or `scatter`.  Per homodyne group there is
+    one normal and one gamma column of shape (n - 1) / 2; paired records
+    take the normals (A21, z0, z1) and the shapes (n - 1) / 2 and (n - 2) /
+    2 (see form_moments)."""
     paired, _, _, groups = laws
-    shapes = groups[6:8] if paired else [group[4] for group in groups]
     normals = _rng(seed, word).standard_normal((m, 3 if paired else len(groups)))
+    if not scatter:
+        return normals, []
+    shapes = groups[6:8] if paired else [group[4] for group in groups]
     return normals, [_rng(seed, word + v).standard_gamma(shape, size=m)
                      for v, shape in enumerate(shapes, start=1)]
 
@@ -393,7 +393,8 @@ def draw_variates(laws: tuple, seed: int, word: int, m: int) -> tuple:
 def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> MomentBlock:
     """The MomentBlock of the realizations in `rows` of draw_variates'
     variates, at a cost independent of the shot count: its means and raw
-    scatters, which it conditions only when read.  Per homodyne group of n
+    scatters, which it conditions only when read, or the means alone (the
+    same floats) when no gamma column was drawn.  Per homodyne group of n
     records of variance s2, the mean is N(mu, s2 / n) and the variance s2
     chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
     L^T, the mean is N(mu, Sigma / n) and the scatter Wishart(Sigma, n - 1),
@@ -402,23 +403,37 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> Mom
     2) and A21 ~ N(0, 1); the vacuum unit is taken off the scatter."""
     paired, scheme, n_effective, groups = laws
     normals, gammas = variates
-    drawn = zip(normals[rows].tolist(), *(column[rows].tolist() for column in gammas))
+    drawn = normals[rows].tolist()
     # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
-    if not paired:
-        stats = [_angles_row([(mu + se * normal, var * (2.0 * gamma) / dof)
-                              for (_, mu, var, se, _, dof), normal, gamma
-                              in zip(groups, row, gammas_k)])
-                 for row, *gammas_k in drawn]
-        return MomentBlock([z for z, _, _ in stats], [scatter for _, scatter, _ in stats],
-                           n_effective, scheme,
-                           [diag for _, _, diag in stats] if len(groups) == 3 else None)
-    _, m_x, m_p, l00, l10, l11, _, _, root_n, dof, vacuum = groups
-    z, scatter = [], []
-    for (a21, z0, z1), gamma_1, gamma_2 in drawn:
-        a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
-        # root = L A, lower triangular; the scatter is root root^T / (n - 1).
-        r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-        z.append(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n))
-        scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
-                        (r21 * r21 + r22 * r22) / dof - vacuum))
-    return MomentBlock(z, scatter, n_effective, scheme)
+    if paired and gammas:
+        _, m_x, m_p, l00, l10, l11, _, _, root_n, dof, vacuum = groups
+        z, scatter = [], []  # the means as _means forms them, in the scatter's one pass
+        for (a21, z0, z1), gamma_1, gamma_2 in zip(drawn, *(c[rows].tolist() for c in gammas)):
+            a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
+            # root = L A, lower triangular; the scatter is root root^T / (n - 1).
+            r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+            z.append(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n))
+            scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
+                            (r21 * r21 + r22 * r22) / dof - vacuum))
+        return MomentBlock(z, scatter, n_effective, scheme)
+    z, mean_diag = _means(paired, groups, drawn)
+    if not gammas:
+        return MomentBlock(z, None, n_effective, scheme, mean_diag)
+    variances = [[var * (2.0 * gamma) / dof for gamma in column[rows].tolist()]
+                 for (_, _, var, _, _, dof), column in zip(groups, gammas)]
+    return MomentBlock(z, list(map(_angles_scatter, *variances)), n_effective, scheme, mean_diag)
+
+
+def _means(paired: bool, groups: tuple, drawn: list) -> tuple:
+    """The means z, and homodyne3's pi/4 means (else None), of the
+    realizations whose normals are the rows `drawn` (see form_moments)."""
+    if paired:
+        _, m_x, m_p, l00, l10, l11, _, _, root_n, _, _ = groups
+        return [complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n)
+                for _, z0, z1 in drawn], None
+    (_, mu_x, _, se_x, _, _), (_, mu_p, _, se_p, _, _), *diagonal = groups
+    z = [complex(mu_x + se_x * n_x, mu_p + se_p * n_p) for n_x, n_p, *_ in drawn]
+    if not diagonal:
+        return z, None
+    ((_, mu_d, _, se_d, _, _),) = diagonal  # homodyne3's pi/4 group
+    return z, [mu_d + se_d * n_d for _, _, n_d in drawn]

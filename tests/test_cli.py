@@ -569,6 +569,21 @@ def test_exit_code_2_for_mean_method_on_the_simplistic_topology(tmp_path, capsys
     assert "estimation failed" in capsys.readouterr().err
 
 
+def test_a_naive_run_under_auto_calibration_runs_without_a_calibration(tmp_path):
+    # On the simplistic topology calibrate fails (no probe light passes the
+    # process), but a naive estimator does not read the channel it would
+    # estimate, so estimate and sweep run and exit 0.
+    payload = dict(SMALL_CONFIG, estimators=["naive_displacement"], calibration="auto",
+                   noise={"t_c": 0.8, "v_c": 1.2},
+                   setup={"topology": "simplistic", "t1": 0.1, "t2": 0.1,
+                          "v_thermal": 100.0, "r_amp": 100.0},
+                   sweep={"axis": "r", "grid": [10.0, 100.0]})
+    path = write_config(tmp_path, payload)
+    for command in ("estimate", "sweep"):
+        argv = [command, "--config", path, "--out", str(tmp_path / command)]
+        assert main(argv) == 0, command
+
+
 def test_exit_code_2_when_the_polar_decomposition_fails(tmp_path, capsys):
     # Weak coupling, dim probe: at 600 shots the three-probe estimate of
     # the process matrix has det <= 0 on realization 1 of seed 2.

@@ -262,6 +262,71 @@ def test_a_repeated_estimator_is_refused():
             report.cells[("mean_method", "phi")].n_failed) == (10, 2)
 
 
+def test_an_empty_estimator_list_is_refused(bench_setup, bench_process):
+    # A run of no estimator would book no cell; the config refuses it, as
+    # every lmint command that runs does.
+    for estimators in ((), []):
+        with pytest.raises(ValueError) as refused:
+            mc(bench_setup, bench_process, estimators=estimators)
+        assert str(refused.value) == "estimators: at least one estimator is required"
+
+
+def test_a_naive_run_does_not_calibrate(bench_setup, bench_process):
+    # Only a calibrated estimator reads the channel that calibration "auto"
+    # estimates, so a run of naive estimators alone does not calibrate.  On
+    # the simplistic topology no probe light passes the process and
+    # calibrate fails; such a run still books the values of the same run at
+    # calibration "true", and so do sweep and estimate_once.  With a
+    # calibrated estimator beside it, the run calibrates and fails.
+    simplistic = dataclasses.replace(bench_setup, topology=Topology.SIMPLISTIC)
+    cfg = mc(simplistic, bench_process, estimators=("naive_displacement",), n=600, m_reps=5,
+             noise=NoiseParams(t_c=0.8, v_c=1.2), calibration="auto")
+    true = dataclasses.replace(cfg, calibration="true")
+    assert repr(run_mc(cfg).cells) == repr(run_mc(true).cells)
+    assert repr([(v, rep.cells) for v, rep in sweep(cfg, "r", [10.0, 100.0])]) == repr(
+        [(v, rep.cells) for v, rep in sweep(true, "r", [10.0, 100.0])])
+    assert estimate_once(cfg) == estimate_once(true)
+    for estimators in (("naive_displacement", "displacement"), ("displacement",)):
+        with pytest.raises(CalibrationError, match="probe light through the process"):
+            run_mc(dataclasses.replace(cfg, estimators=estimators))
+
+
+def test_a_run_draws_only_the_streams_its_estimators_read(bench_setup, bench_process,
+                                                          monkeypatch):
+    # A data set draws its gamma columns (v >= 1) only for an estimator
+    # that reads its scatter.  displacement reads the single read-out's
+    # mean and mean_method the probes' means, so each draws the normals
+    # (v = 0) alone: words p 2^32 + j 2^8 for data set j at sweep point p.
+    # Under calibration "auto" the calibration probes (data sets 4 to 6)
+    # still draw v = 0 to 2, since calibrate reads their scatter.
+    words = []
+
+    def spy(seed, word):
+        words.append(word)
+        return rng(seed, word)
+
+    rng = measurement._rng
+    monkeypatch.setattr(measurement, "_rng", spy)
+    noise, probes = NoiseParams(t_c=0.9, v_c=1.2), [1 << 8, 2 << 8, 3 << 8]
+    for estimators, calibration, want in (
+            (("displacement",), "true", [0]),
+            (("mean_method",), "true", probes),
+            (("mean_method", "naive_mean_method"), "auto",
+             [j << 8 | v for j in (4, 5, 6) for v in range(3)] + probes)):
+        words.clear()
+        cfg = mc(bench_setup, bench_process, estimators=estimators, n=600, m_reps=5,
+                 noise=noise, calibration=calibration)
+        run_mc(cfg)
+        assert words == want, estimators
+        words.clear()
+        estimate_once(cfg)
+        assert words == want, estimators
+    words.clear()
+    sweep(mc(bench_setup, bench_process, estimators=("displacement",), n=600, m_reps=5),
+          "r", [10.0, 100.0, 30.0])
+    assert words == [1 << 32, 2 << 32, 3 << 32]
+
+
 def test_only_the_estimators_that_read_a_scatter_condition_it(bench_setup, bench_process,
                                                              monkeypatch):
     # A block conditions its scatters (measurement._condition) only for an
@@ -318,18 +383,18 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
 
 def _per_realization_cells(cfg):
     """run_mc's cells by the per-realization order: take one drawn
-    realization's MomentEstimates (the rows of run_mc's blocks), apply every
-    public est_<name> to them, then take the next; an estimator whose
-    preparation fails raises on every realization."""
+    realization's MomentEstimates, apply every public est_<name> to them,
+    then take the next; an estimator whose preparation fails raises on
+    every realization.  The realizations are drawn on the run's keys with
+    every statistic of every data set formed (as for combined), so the
+    run's mean-only blocks are checked against full rows drawn apart."""
     calibrated = harness._calibrated_noise(cfg, 0)
     failures = {name: {} for name in cfg.estimators}
     rows = {name: [] for name in cfg.estimators}
     diagnostics = {name: {} for name in cfg.estimators}
     bases = {harness.base_name(name) for name in cfg.estimators}
-    for single, probes in harness._simulate_realizations(cfg, 0, bases):
-        single_rows = single.rows() if single is not None else [None] * len(probes[0])
-        probe_rows = list(zip(*(probe.rows() for probe in probes))) or [()] * len(single_rows)
-        for single_k, probes_k in zip(single_rows, probe_rows):
+    for single, probes in harness._simulate_realizations(cfg, 0, bases | {"combined"}):
+        for single_k, *probes_k in zip(single.rows(), *(probe.rows() for probe in probes)):
             for name in cfg.estimators:
                 noise = harness._resolve_assumed(cfg, name, calibrated)
                 try:
@@ -425,9 +490,9 @@ def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_proces
         keys.append((seed, word))
         return rng(seed, word)
 
-    def counted(laws, seed, word, m):
+    def counted(laws, seed, word, m, scatter=True):
         rows.append(m)
-        return draw_variates(laws, seed, word, m)
+        return draw_variates(laws, seed, word, m, scatter)
 
     rng, draw_variates = measurement._rng, harness.draw_variates
     monkeypatch.setattr(measurement, "_rng", spy)

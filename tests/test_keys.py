@@ -42,6 +42,19 @@ def _estimate_bits(e) -> tuple:
     return _bits(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
 
 
+def _mean_bits(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
+    """_bits of a draw's means alone, its scatter left out."""
+    return _bits(z, 0.0, 0j, mean_diag, n_effective, scheme)
+
+
+def _row_bits(block, k, full: bool) -> tuple:
+    """Row k of a block: _estimate_bits of its row, or _mean_bits of a mean-only block."""
+    if full:
+        return _estimate_bits(block.rows()[k])
+    return _mean_bits(block.z[k], None, None, block.mean_diag and block.mean_diag[k],
+                      block.n_effective, block.scheme)
+
+
 @pytest.mark.parametrize("entropy", _ENTROPIES)
 def test_key_is_the_seed_sequence_child(entropy):
     # The word of data set j at point p is p 2^32 + j 2^8, written here as
@@ -69,7 +82,8 @@ def test_one_pass_seeds_are_the_seed_sequence_children(entropy, bench_setup, ben
     # single read-out, or 0 alone without the probes) from the streams of
     # (entropy, p 2^32 + j 2^8 + v): realization k of each is row k - 1 of
     # reference_draw of that data set's law, for points of 0, 2**32 - 1 and
-    # random ones, on a paired and a homodyne scheme.
+    # random ones, on a paired and a homodyne scheme.  displacement and
+    # mean_method read no scatter, so their data sets hold the means alone.
     drawn = random.Random(entropy)
     points = [0, 1, 2 ** 32 - 1] + [drawn.getrandbits(32) for _ in range(2)]
     noise = NoiseParams(t_c=0.9, v_c=1.2)
@@ -82,19 +96,19 @@ def test_one_pass_seeds_are_the_seed_sequence_children(entropy, bench_setup, ben
         law_args = [(means[0], cov, scheme, n)] + [(z, cov, scheme, n // 3) for z in means[1:]]
         for bases, data_sets in (({"displacement"}, (0,)), ({"mean_method"}, (1, 2, 3)),
                                  ({"cov_method", "combined"}, (0, 1, 2, 3))):
+            full = "combined" in bases
             for p in points:
-                want = {j: [_bits(*d) for d in reference_draw(law_args[j], entropy,
-                                                              p * 2 ** 32 + j * 2 ** 8, 3)]
-                        for j in data_sets}
+                want = {j: [(_bits if full else _mean_bits)(*d) for d in reference_draw(
+                    law_args[j], entropy, p * 2 ** 32 + j * 2 ** 8, 3)] for j in data_sets}
                 ((single_block, probe_blocks),) = _simulate_realizations(cfg, p, bases)
                 data = ([] if single_block is None else [(0, single_block)]) + list(
                     zip((1, 2, 3), probe_blocks))
                 assert [len(block.z) for _, block in data] == [3] * len(data)
                 for k in range(3):
-                    got = [(j, block.rows()[k]) for j, block in data]
+                    got = [(j, _row_bits(block, k, full)) for j, block in data]
                     assert [j for j, _ in got] == list(data_sets), (bases, p)
-                    for j, e in got:
-                        assert _estimate_bits(e) == want[j][k], (scheme, bases, p, j, k)
+                    for j, bits in got:
+                        assert bits == want[j][k], (scheme, bases, p, j, k)
 
 
 def test_estimate_once_draws_realization_one_only(bench_setup, bench_process):

@@ -271,6 +271,38 @@ def test_draws_are_the_reference_draws_bit_for_bit():
             assert repr(rows_first.conditioned) == repr(block.conditioned)
 
 
+def test_a_mean_only_block_holds_the_reference_means_bit_for_bit():
+    # Drawn without its gamma columns (the normals' stream alone), a block
+    # holds the means and homodyne3's pi/4 means of the draw that forms
+    # every statistic, bit for bit, on every scheme and in blocks that
+    # start past row 0; reading its scatter raises a named ValueError, not
+    # a TypeError from iterating nothing.
+    drawn = random.Random(34)
+    for case in range(400):
+        scheme, m = list(Scheme)[case % 4], (1, 2, 70)[case // 4 % 3]
+        n = drawn.choice([6, 7, 600, 100_000, 2_000_000])
+        s_xx, s_pp = math.exp(drawn.uniform(0.0, 9.2)), math.exp(drawn.uniform(0.0, 9.2))
+        s_xp = drawn.uniform(-1.0, 1.0) * math.sqrt(max(s_xx * s_pp - 1.0, 0.0))
+        z = complex(drawn.uniform(-200.0, 200.0), drawn.uniform(-200.0, 200.0))
+        law_args = (z, (s_xx, s_xp, s_pp), scheme, n)
+        law, seed, word = record_laws(*law_args), drawn.getrandbits(64), drawn.getrandbits(40)
+        variates = draw_variates(law, seed, word, m, scatter=False)
+        assert variates[1] == []
+        blocks = [form_moments(law, variates, slice(start, start + 64))
+                  for start in range(0, m, 64)]
+        want = reference_draw(law_args, seed, word, m)
+        assert [(z.real.hex(), z.imag.hex()) for block in blocks for z in block.z] == [
+            (w[0].real.hex(), w[0].imag.hex()) for w in want], (law_args, seed, word)
+        if scheme is Scheme.HOMODYNE_SPLIT3:
+            assert [d.hex() for block in blocks for d in block.mean_diag] == [
+                w[3].hex() for w in want], (law_args, seed, word)
+        else:
+            assert blocks[0].mean_diag is None
+        for read in (lambda: blocks[0].conditioned, blocks[0].rows):
+            with pytest.raises(ValueError, match="means alone"):
+                read()
+
+
 def test_a_draw_cannot_change_the_shot_counts_of_its_law():
     # The draws of one law share its shot counts, read-only: writing one
     # draw's counts raises, and the next draw of the law reads them intact.

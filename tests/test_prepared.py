@@ -113,12 +113,12 @@ def test_unidentifiable_estimators_cost_no_draw(monkeypatch):
     # Cold matter (V = 1) leaves the output covariance without a linear
     # term, so cov_method and phase_var fail their checks before any draw:
     # such a run forms no law and draws nothing, and one beside displacement
-    # draws the single read-out alone, all 7 realizations in one call.
+    # draws the single read-out's means alone, all 7 realizations in one call.
     draws = []
 
-    def counting(laws, seed, word, m):
-        draws.append((seed, word, m))
-        return real(laws, seed, word, m)
+    def counting(laws, seed, word, m, scatter):
+        draws.append((seed, word, m, scatter))
+        return real(laws, seed, word, m, scatter)
 
     real = harness.draw_variates
     monkeypatch.setattr(harness, "draw_variates", counting)
@@ -126,7 +126,7 @@ def test_unidentifiable_estimators_cost_no_draw(monkeypatch):
                        r_amp=100.0)
     process = ProcessParams.from_q(phi=0.7, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
     for estimators, want in ((("cov_method", "phase_var"), []),
-                             (("cov_method", "displacement"), [(5, 0, 7)])):
+                             (("cov_method", "displacement"), [(5, 0, 7, False)])):
         draws.clear()
         cfg = MonteCarloConfig(setup=cold, process=process,
                                plan=MeasurementPlan(Scheme.JOINT, 3000, 0),
