@@ -384,8 +384,7 @@ def _dot(x, y):
 def _cov_constants(resp) -> tuple:
     """What _cov_preimages and _fit_cov read of a response, formed once per
     run as they would form it: (a, lam = -b/a, shift = e - b^2/a, |shift|,
-    1 - lam^2, 1 + lam^2, 3 eps, 4 eps, 8 eps, 16 eps, 2 sqrt(eps), sinh
-    W_MAX), eps the double's machine epsilon."""
+    1 - lam^2, 1 + lam^2, 3, 4, 8 and 16 eps, 2 sqrt(eps), sinh W_MAX)."""
     eps = sys.float_info.epsilon
     lam, shift = -resp.b / resp.a, resp.e - resp.b * resp.b / resp.a
     return (resp.a, lam, shift, abs(shift), 1.0 - lam * lam, 1.0 + lam * lam, 3.0 * eps,

@@ -3,23 +3,22 @@ phase-estimator crossover locator, and the two-step noise calibration.
 
 A run is prepared before its first draw: each estimator for its assumed
 channel (estimators.prepare_<name>, after a calibration when one reads it),
-and each data set's record law (measurement.record_laws) from the scalars
-of interferometer.measured_moments: one covariance, and the mean at its
-probe phase.  An estimator that fails its data-independent checks books
-m_reps failures of that reason unrun, and a run with none left draws
-nothing.  Then each data set draws the variates of all its realizations,
-one call per stream (measurement.draw_variates), its gamma columns only
-when an estimator of the run reads its scatter (_SINGLE_SCATTER), and they
-are formed _BLOCK realizations at a time, one MomentBlock per data set
+and each data set's record law (measurement.record_laws) from the scalars of
+interferometer.measured_moments: one covariance, and the mean at its probe
+phase.  An estimator that fails its data-independent checks books m_reps
+failures of that reason unrun, and a run with none left draws nothing.  Then
+each data set draws the variates of all its realizations, one call per
+stream (measurement.draw_variates), its gamma columns only when an estimator
+of the run reads its scatter (_SINGLE_SCATTER, _PROBE_SCATTER), and they are
+formed _BLOCK realizations at a time, one MomentBlock per data set
 (measurement.form_moments); each estimator runs once over a block and
 returns an entry per realization, its values or its failure, which the run
 books in order before the next block is formed.  Variate kind v of data set
 j at sweep point p comes from the Philox stream keyed (base_seed, p 2^32 +
 j 2^8 + v): j = 0 is the single read-out, 1 to 3 the probes and 4 to 6 the
 point's calibration probes; v = 0 the normals and 1, 2, ... one per gamma
-column.
-Philox streams under distinct keys are independent by design, so results
-are reproducible and order-independent with no hash of the seed.
+column.  Philox streams under distinct keys are independent by design, so
+results are reproducible and order-independent with no hash of the seed.
 Realization k is row k - 1 of every stream, so it does not depend on m_reps.
 """
 from __future__ import annotations
@@ -67,15 +66,16 @@ ESTIMATOR_PARAMS = {
 #: Estimators that consume the three-probe mean protocol.
 _THREE_PROBE = {"mean_method", "combined"}
 
-#: Estimators that read the single read-out's scatter; of the probes', only combined does.
+#: Estimators that read the scatter of the single read-out, and of the three probes.
 _SINGLE_SCATTER = {"phase_var", "phase_ml", "cov_method", "combined"}
+_PROBE_SCATTER = {"combined"}
 
 #: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
 #: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 53.6/38.7/31.6/28.9/28.6/30.8.
 #: A run draws the variates of all m_reps up front, 8 bytes each, per data set and
 #: realization 3 normals and 2 gammas if its scatter is read (1.6 MB for 4 joint data sets at
 #: 10 000), but forms its blocks one at a time; per realization of 4 joint data sets
-#: (tracemalloc) 0.3 KB read as means, 0.8 KB with the scatters, 2.4 KB with every row built.
+#: (tracemalloc) 0.3 KB read as means, 0.8 KB with the scatters, 2.3 KB with every row built.
 _BLOCK = 64
 
 
@@ -190,9 +190,8 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | No
     read-out, three probes) for the estimators `bases`: data set 0 when one
     other than mean_method reads it, and data sets 1 to 3 when mean_method
     or combined does (else None and []), with their scatters only when one
-    of `bases` reads them (_SINGLE_SCATTER; combined for the probes).  Their
-    laws are formed and all their variates drawn before the first block is
-    formed."""
+    of `bases` reads them (_SINGLE_SCATTER, _PROBE_SCATTER).  Their laws are
+    formed and all their variates drawn before the first block is formed."""
     single = bool(bases - {"mean_method"})
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
     sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
@@ -201,7 +200,7 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | No
     data_sets = range(len(laws)) if single else range(1, len(laws) + 1)
     m = cfg.m_reps if m is None else m
     variates = [draw_variates(law, cfg.base_seed, _stream_word(point, j), m,
-                              bool(bases & _SINGLE_SCATTER) if j == 0 else "combined" in bases)
+                              bool(bases & (_SINGLE_SCATTER if j == 0 else _PROBE_SCATTER)))
                 for law, j in zip(laws, data_sets)]
     for start in range(0, m, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -234,7 +233,7 @@ def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
                      calibrated: NoiseParams | None) -> NoiseParams:
-    if name.startswith("naive_"):
+    if base_name(name) != name:
         return IDEAL_NOISE
     if cfg.calibration == "auto":
         return calibrated
@@ -247,7 +246,7 @@ def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
     call with the process switched off, at cfg.calibration_samples shots
     (default plan.n_samples), on the calibration probes of the point (data
     sets 4 to 6), so that every run of the config sees the same one."""
-    if cfg.calibration != "auto" or all(n.startswith("naive_") for n in cfg.estimators):
+    if cfg.calibration != "auto" or all(base_name(n) != n for n in cfg.estimators):
         return None
     n_cal = cfg.calibration_samples or cfg.plan.n_samples
     return calibrate(cfg.setup, MeasurementPlan(cfg.plan.scheme, n_cal, cfg.base_seed),

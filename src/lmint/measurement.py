@@ -319,14 +319,17 @@ class MomentBlock:
         if self._conditioned is None:
             if self._scatter is None:
                 raise ValueError("a block of means alone: no estimator of its run reads a scatter")
-            self._conditioned = list(itertools.starmap(_condition, self._scatter))
+            self._conditioned = (list(itertools.starmap(_condition, self._scatter))
+                                 if self._rows is None else [(r.c0, r.c1) for r in self._rows])
         return self._conditioned
 
     def rows(self) -> list:
         """Each row as a MomentEstimate, its scatter conditioned once."""
         if self._rows is None:
             n_effective, scheme, rows = self.n_effective, self.scheme, []
-            for z, (c0, c1), mean_diag in zip(self.z, self.conditioned,
+            conditioned = (itertools.starmap(_condition, self._scatter) if self._conditioned is None
+                           and self._scatter is not None else self.conditioned)
+            for z, (c0, c1), mean_diag in zip(self.z, conditioned,
                                               self.mean_diag or itertools.repeat(None)):
                 rows.append(_estimate(z, c0, c1, n_effective, scheme, mean_diag))
             self._rows = rows
@@ -404,21 +407,21 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> Mom
     paired, scheme, n_effective, groups = laws
     normals, gammas = variates
     drawn = normals[rows].tolist()
-    # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
-    if paired and gammas:
-        _, m_x, m_p, l00, l10, l11, _, _, root_n, dof, vacuum = groups
-        z, scatter = [], []  # the means as _means forms them, in the scatter's one pass
-        for (a21, z0, z1), gamma_1, gamma_2 in zip(drawn, *(c[rows].tolist() for c in gammas)):
-            a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
-            # root = L A, lower triangular; the scatter is root root^T / (n - 1).
-            r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-            z.append(complex(m_x + l00 * z0 / root_n, m_p + (l10 * z0 + l11 * z1) / root_n))
-            scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
-                            (r21 * r21 + r22 * r22) / dof - vacuum))
-        return MomentBlock(z, scatter, n_effective, scheme)
     z, mean_diag = _means(paired, groups, drawn)
     if not gammas:
         return MomentBlock(z, None, n_effective, scheme, mean_diag)
+    # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
+    if paired:
+        _, _, _, l00, l10, l11, _, _, _, dof, vacuum = groups
+        scatter, (column_1, column_2) = [], gammas
+        for (a21, _, _), gamma_1, gamma_2 in zip(drawn, column_1[rows].tolist(),
+                                                 column_2[rows].tolist()):
+            a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
+            # root = L A, lower triangular; the scatter is root root^T / (n - 1).
+            r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
+            scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
+                            (r21 * r21 + r22 * r22) / dof - vacuum))
+        return MomentBlock(z, scatter, n_effective, scheme)
     variances = [[var * (2.0 * gamma) / dof for gamma in column[rows].tolist()]
                  for (_, _, var, _, _, dof), column in zip(groups, gammas)]
     return MomentBlock(z, list(map(_angles_scatter, *variances)), n_effective, scheme, mean_diag)
@@ -433,7 +436,6 @@ def _means(paired: bool, groups: tuple, drawn: list) -> tuple:
                 for _, z0, z1 in drawn], None
     (_, mu_x, _, se_x, _, _), (_, mu_p, _, se_p, _, _), *diagonal = groups
     z = [complex(mu_x + se_x * n_x, mu_p + se_p * n_p) for n_x, n_p, *_ in drawn]
-    if not diagonal:
-        return z, None
-    ((_, mu_d, _, se_d, _, _),) = diagonal  # homodyne3's pi/4 group
-    return z, [mu_d + se_d * n_d for _, _, n_d in drawn]
+    mean_diag = [mu_d + se_d * n_d  # homodyne3's pi/4 group, the only one after x and p
+                 for _, mu_d, _, se_d, _, _ in diagonal for _, _, n_d in drawn]
+    return z, mean_diag or None
