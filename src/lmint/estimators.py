@@ -8,19 +8,19 @@ estimate as a function of a block of realizations (measurement.MomentBlock:
 the single read-out's block and the probes' blocks) and a diagnostics dict or
 None.  It returns one entry per realization: the values, a general method's
 (phi, w, alpha, d, beta) as ProcessParams.folded stores them, or the failure
-(_ESTIMATOR_FAILURES) that stopped it.  displacement, phase_mean, phase_var,
-mean_method and cov_method loop over the columns they read, the means and
-the conditioned scatters of phase_var and cov_method; phase_ml and combined
-run their per-realization code over the block's rows.  phase_var counts its
-clamps into diagnostics, and a general method fills in its realization's
-diagnostics for a one-row block only.  est_<name> checks that the moments
-are finite, applies the same function to one-row blocks of them and returns
+(_ESTIMATOR_FAILURES) that stopped it.  Each reads row k of the columns it
+needs: the means, and the conditioned scatters for phase_var, phase_ml,
+cov_method and combined.  phase_var counts its clamps into diagnostics, and
+a general method fills in its realization's diagnostics for a one-row block
+only.  est_<name> checks its moments (_check_moments), applies the same
+function to one-row blocks of them and returns
 that row's values (a general method's as an EstimateReport) or raises its
 failure; a Monte-Carlo run applies it once per block and books the entries.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -82,15 +82,19 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _require_finite(moments=None, probes=()):
-    """EstimationError naming each moment that is not finite, if any: the
+def _check_moments(moments=None, probes=None):
+    """ValueError when probes are given but not one per PROBE_PHASES, then
+    EstimationError naming each moment that is not finite, if any: the
     mean, c0, c1 and (homodyne3) pi/4 mean of the single read-out and of
     each probe, numbered in PROBE_PHASES order.  The est_* entry points
     check their data here; of the prepared estimates that a Monte-Carlo run
     applies to moments of finite records, only cov_method's calls it, on
     data its fit could not take."""
+    if probes is not None and len(probes) != len(PROBE_PHASES):
+        raise ValueError(f"expected {len(PROBE_PHASES)} probe moments, one per PROBE_PHASES, "
+                         f"got {len(probes)}")
     sets = [("", moments)] if moments is not None else []
-    sets += [(f"probe {k} ", m) for k, m in enumerate(probes)]
+    sets += [(f"probe {k} ", m) for k, m in enumerate(probes or ())]
     bad = [f"{label}{name} {value!r}" for label, m in sets for name, value in
            (("mean", m.z), ("c0", m.c0), ("c1", m.c1), ("mean_diag", m.mean_diag))
            if value is not None and not cmath.isfinite(value)]
@@ -136,7 +140,7 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     gain is sqrt(t2 t_c) for every topology.
     """
     estimate = prepare_displacement(setup, noise)
-    _require_finite(moments)
+    _check_moments(moments)
     return _one(estimate, moments)
 
 
@@ -175,7 +179,7 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, noise: NoiseParam
     p-component when the probe is bright, otherwise the magnitude is returned.
     """
     estimate = prepare_phase_var(setup, noise)
-    _require_finite(moments)
+    _check_moments(moments)
     return _one(estimate, moments, diagnostics=diagnostics)[0]
 
 
@@ -208,7 +212,7 @@ def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     """Mean-based phase estimator: two-argument arctangent of the displaced
     mean, the same under any channel, which scales through R(phi) m_in alone."""
     estimate = prepare_phase_mean(setup)
-    _require_finite(moments)
+    _check_moments(moments)
     return _one(estimate, moments)[0]
 
 
@@ -324,7 +328,7 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     probe, t1 = 0) and the covariance has no linear term (b = 0).
     """
     estimate = prepare_phase_ml(setup, noise)
-    _require_finite(moments)
+    _check_moments(moments)
     return _one(estimate, moments)[0]
 
 
@@ -339,8 +343,8 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             "neither the output mean nor its variance depends on the phase")
     m, var, bases = setup.light_mean, resp.a + resp.e + 2.0 * resp.b * _GRID_TRIG[:, 2], {}
 
-    def values(moments: MomentEstimate, diagnostics: dict | None = None) -> tuple:
-        terms = _phase_terms(resp, _data_sets(moments, m))
+    def values(single: MomentBlock, row: int, diagnostics: dict | None = None) -> tuple:
+        terms = _phase_terms(resp, _data_sets(single, row, m))
         ((added, (k, s0, s1, s2, _)),) = terms.items()  # one read-out, one added variance
         if added not in bases:
             v = var + added
@@ -361,7 +365,8 @@ def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
             last, phi = (phi, s), trial
         raise EstimationError(f"phase polish did not converge within {_MAX_PHASE_STEPS} steps")
 
-    return lambda single, probes=(), diagnostics=None: _per_row(values, diagnostics, single.rows())
+    return lambda single, probes=(), diagnostics=None: _per_row(
+        functools.partial(values, single), diagnostics, range(len(single.z)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +583,7 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
         # Every process matrix consistent with the fitted covariance, once each;
         # the canonical representative is the pick.
         if not all(map(cmath.isfinite, (z, *cov_emp))):
-            _require_finite(MomentEstimate(z, *cov_emp, mean_diag=mean_diag))  # raises
+            _check_moments(MomentEstimate(z, *cov_emp, mean_diag=mean_diag))  # raises
         mats, off_image = _fit_cov(cov_emp, resp, constants)
         candidates, seen = [], []
         for m0, m1 in mats:
@@ -644,7 +649,7 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     reaches ~1.  est_combined, started here, is the efficient estimator.
     """
     estimate, diag = prepare_general_mean(setup, noise), {}
-    _require_finite(probes=probe_moments)
+    _check_moments(probes=probe_moments)
     return EstimateReport(ProcessParams(*_one(estimate, probes=probe_moments, diagnostics=diag)),
                           "mean_method", diag)
 
@@ -653,12 +658,8 @@ def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     """est_general_mean for one setup and channel; UnidentifiableError when r = 0 or through = 0.
     It reads the probes' mean columns alone."""
     values = _general_mean(setup, noise)
-
-    def estimate(single, probes, diagnostics: dict | None = None) -> list:
-        probe_a, probe_b, probe_c = probes
-        return _per_row(values, diagnostics, probe_a.z, probe_b.z, probe_c.z)
-
-    return estimate
+    return lambda single, probes, diagnostics=None: _per_row(
+        values, diagnostics, *(probe.z for probe in probes))
 
 
 def _general_mean(setup: SetupConfig, noise: NoiseParams):
@@ -731,17 +732,17 @@ def _chart_point(phi, w, alpha, d, beta) -> list:
 _DIAGONAL = (1 + 1j) * math.sqrt(0.5)
 
 
-def _data_sets(moments, m) -> list:
-    """The Gaussian data sets behind one MomentEstimate probed by the complex
-    input m, in their pair form: n records of P z ~ N(P mu, P Sigma P^T +
-    added), one set of paired records (P = I; heterodyne adds the vacuum
-    unit back) or one per homodyne angle (P = p^T, p its unit vector;
+def _data_sets(block, k, m) -> list:
+    """The Gaussian data sets behind row k of a MomentBlock probed by the
+    complex input m, in their pair form: n records of P z ~ N(P mu, P Sigma
+    P^T + added), one set of paired records (P = I; heterodyne adds the
+    vacuum unit back) or one per homodyne angle (P = p^T, p its unit vector;
     homodyne3's pi/4 mean only if kept), each (p or None, added, (n, m,
     conj(m), P^T mean or None, P^T S P, det S)).  Missing shot counts fail
     with InsufficientDataError naming them, a singular scatter with
     EstimationError."""
-    n, m_conj = moments.n_effective, m.conjugate()
-    z, c0, c1, scheme = moments.z, moments.c0, moments.c1, moments.scheme
+    n, m_conj, scheme = block.n_effective, m.conjugate(), block.scheme
+    z, (c0, c1) = block.z[k], block.conditioned[k]
     paired = scheme is Scheme.JOINT or scheme is Scheme.HETERODYNE
     try:
         if paired:
@@ -753,7 +754,8 @@ def _data_sets(moments, m) -> list:
             quads = [(n["mean_x"], 1 + 0j, z.real, c0 + c1.real),
                      (n["mean_p"], 1j, z.imag, c0 - c1.real)]
             if scheme is Scheme.HOMODYNE_SPLIT3:
-                quads.append((n["cov_xp"], _DIAGONAL, moments.mean_diag, c0 + c1.imag))
+                quads.append((n["cov_xp"], _DIAGONAL, block.mean_diag and block.mean_diag[k],
+                              c0 + c1.imag))
             sets = [(p, 0.0, (float(n_j), m, m_conj, None if mean is None else p * mean,
                               (0.5 * var, 0.5 * var * p * p), var)) for n_j, p, mean, var in quads]
     except KeyError:  # e.g. MomentEstimate(mean=..., cov=...), which keeps no counts
@@ -767,15 +769,16 @@ def _data_sets(moments, m) -> list:
     return sets
 
 
-def _blocks(data, m_in) -> list:
-    """The data sets (see _data_sets) of the MomentEstimates in data probed
-    by the inputs m_in, in blocks of one P and added variance: p (None for P
-    = I), the added variance, the sums N = sum_j n_j, N_h = sum_j n_j h_j, M1
-    = sum_j n_j h_j m_j, M2 = sum_j n_j h_j m_j m_j^T and sum_j n_j P^T S_j P
-    over its sets j (h_j has-mean, m_j the probe input), and the sets."""
+def _blocks(data, k, m_in) -> list:
+    """The data sets (see _data_sets) of row k of the MomentBlocks in data
+    probed by the inputs m_in, in blocks of one P and added variance: p
+    (None for P = I), the added variance, the sums N = sum_j n_j, N_h =
+    sum_j n_j h_j, M1 = sum_j n_j h_j m_j, M2 = sum_j n_j h_j m_j m_j^T and
+    sum_j n_j P^T S_j P over its sets j (h_j has-mean, m_j the probe input),
+    and the sets."""
     groups = {}  # the sets of each (p, added), in order of first use
-    for moments, m in zip(data, m_in):
-        for p, added, data_set in _data_sets(moments, m):
+    for block, m in zip(data, m_in):
+        for p, added, data_set in _data_sets(block, k, m):
             groups.setdefault((p, added), []).append(data_set)
     blocks = []
     for (p, added), sets in groups.items():
@@ -983,7 +986,7 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     est_general_mean does when the probes cannot start it.
     """
     estimate, diag = prepare_combined(setup, noise), {}
-    _require_finite(single_moments, probe_moments)
+    _check_moments(single_moments, probe_moments)
     values = _one(estimate, single_moments, probe_moments, diag)
     return EstimateReport(ProcessParams(*values), "combined", diag)
 
@@ -998,10 +1001,10 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
     resp = response(setup, noise)
     m_in = [cmath.rect(setup.r_amp, p) for p in (setup.probe_phase, *PROBE_PHASES)]
 
-    def values(single_moments: MomentEstimate, m_a: MomentEstimate, m_b: MomentEstimate,
-               m_c: MomentEstimate, diagnostics: dict | None = None) -> tuple:
-        x = _chart_point(*start(m_a.z, m_b.z, m_c.z))
-        blocks = _blocks([single_moments, m_a, m_b, m_c], m_in)
+    def values(data: list, row: int, diagnostics: dict | None = None) -> tuple:
+        _, m_a, m_b, m_c = data
+        x = _chart_point(*start(m_a.z[row], m_b.z[row], m_c.z[row]))
+        blocks = _blocks(data, row, m_in)
         deviance, score, info, rounding = _joint_fit(x, blocks, resp)
         if score is None:
             raise EstimationError("the start point's model covariance is not positive definite")
@@ -1037,9 +1040,5 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
         return (fold_angle(phi), w, 0.0 if undefined else fold_axis(0.5 * math.atan2(v, u)),
                 math.hypot(c, s), fold_angle(math.atan2(s, c)))
 
-    def estimate(single, probes, diagnostics: dict | None = None) -> list:
-        probe_a, probe_b, probe_c = probes
-        return _per_row(values, diagnostics, single.rows(), probe_a.rows(), probe_b.rows(),
-                        probe_c.rows())
-
-    return estimate
+    return lambda single, probes, diagnostics=None: _per_row(
+        functools.partial(values, [single, *probes]), diagnostics, range(len(single.z)))

@@ -16,7 +16,7 @@ import numpy as np
 from . import estimators
 from .gaussian_core import ProcessParams
 from .interferometer import SetupConfig, Topology, response
-from .measurement import MomentEstimate
+from .measurement import MomentBlock, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
 
 
@@ -43,11 +43,11 @@ class FisherResult:
 #: Row and column order of fisher_matrix.
 PARAMETERS = ("phi", "w", "alpha", "d", "beta")
 
-#: One record of the joint read-out, of mean 0 and scatter I: the kernels'
-#: information over its _blocks reads no mean or scatter, only the record
-#: count and the probe.
-_ONE_RECORD = MomentEstimate(0j, 1.0, 0j,
-                             dict.fromkeys(("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), 1))
+#: One record of the joint read-out, of mean 0 and scatter I, as a one-row
+#: block: the kernels' information over its _blocks reads no mean or scatter,
+#: only the record count and the probe.
+_ONE_RECORD = MomentBlock([0j], [(1.0, 0j)], dict.fromkeys(
+    ("mean_x", "mean_p", "var_x", "var_p", "cov_xp"), 1), Scheme.JOINT)
 
 
 def fisher_matrix(setup: SetupConfig, process: ProcessParams,
@@ -57,7 +57,7 @@ def fisher_matrix(setup: SetupConfig, process: ProcessParams,
     setup.light_mean at the process's chart point, carried to (phi, w,
     alpha, d, beta) by the chart's Jacobian."""
     x, jac = estimators.chart(process)
-    blocks = estimators._blocks([_ONE_RECORD], [setup.light_mean])
+    blocks = estimators._blocks([_ONE_RECORD], 0, [setup.light_mean])
     info = estimators._joint_fit(x, blocks, response(setup, noise))[2]
     if info is None:
         raise OverflowError(f"the model covariance overflows at w = {process.w}")
@@ -114,7 +114,7 @@ def compare_blocked_vs_interferometric(setup: SetupConfig, phi_grid) -> Crossing
     crossing list is a valid result.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
-    blocks = estimators._blocks([_ONE_RECORD], [setup.light_mean])
+    blocks = estimators._blocks([_ONE_RECORD], 0, [setup.light_mean])
     fi_i, fi_b = (estimators._phase_loglik(phi_grid, response(dc_replace(setup, topology=t)),
                                            blocks)[2]
                   for t in (Topology.INTERFEROMETRIC, Topology.BLOCKED_BEAM))

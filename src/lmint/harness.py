@@ -11,9 +11,10 @@ each data set draws the variates of all its realizations, one call per
 stream (measurement.draw_variates), its gamma columns only when an estimator
 of the run reads its scatter (_SINGLE_SCATTER, _PROBE_SCATTER), and they are
 formed _BLOCK realizations at a time, one MomentBlock per data set
-(measurement.form_moments); each estimator runs once over a block and
-returns an entry per realization, its values or its failure, which the run
-books in order before the next block is formed.  Variate kind v of data set
+(measurement.form_moments: the means and any conditioned scatters as
+columns); each estimator runs once over a block, reading its rows by index,
+and returns an entry per realization, its values or its failure, which the
+run books in order before the next block is formed.  Variate kind v of data set
 j at sweep point p comes from the Philox stream keyed (base_seed, p 2^32 +
 j 2^8 + v): j = 0 is the single read-out, 1 to 3 the probes and 4 to 6 the
 point's calibration probes; v = 0 the normals and 1, 2, ... one per gamma
@@ -75,7 +76,7 @@ _PROBE_SCATTER = {"combined"}
 #: A run draws the variates of all m_reps up front, 8 bytes each, per data set and
 #: realization 3 normals and 2 gammas if its scatter is read (1.6 MB for 4 joint data sets at
 #: 10 000), but forms its blocks one at a time; per realization of 4 joint data sets
-#: (tracemalloc) 0.3 KB read as means, 0.8 KB with the scatters, 2.3 KB with every row built.
+#: (tracemalloc) 0.2 KB read as means, 0.45 KB with the conditioned scatters.
 _BLOCK = 64
 
 
@@ -432,7 +433,10 @@ def find_r_crit(cfg: MonteCarloConfig, r_range) -> RCritResult | None:
     estimators have equal MSE, by bisection in log r; None when there is no
     crossing in range, or when an MSE the search reads is not finite (an
     estimator that succeeds in no realization there): a NaN difference
-    passes no sign test, so the search could not tell where it crosses."""
+    passes no sign test, so the search could not tell where it crosses.
+    Raises ValueError unless 0 < r_lo < r_hi."""
+    if not 0.0 < r_range[0] < r_range[1]:
+        raise ValueError(f"r_range must satisfy 0 < r_lo < r_hi, got {tuple(r_range)}")
     cfg = dc_replace(cfg, estimators=("phase_var", "phase_mean"))
 
     def diff(log_r):

@@ -6,25 +6,24 @@ as scalars (mean z, covariance (Sxx, Sxp, Spp)), with its physicality check,
 the closed-form factor of a paired covariance (LAPACK's operations) and all
 else a draw reuses, once per data set and run.  draw_variates draws the
 variates of m realizations of a data set as arrays, and form_moments forms
-their rows into a MomentBlock: the means and raw scatters as columns of
-Python scalars, conditioned (_condition) and built into MomentEstimates only
-when an estimator reads them; a data set whose scatter no estimator reads
-draws its normals alone and forms its means alone.  draw_moments composes
-the three for one realization.  Every draw comes from a counter-based
-generator (Philox) keyed by two 64-bit words, so it is reproducible, and
-streams under distinct keys are independent by design (Salmon et al. 2011),
-so leaving a stream undrawn changes no other: a data set's variates
-come from one stream per variate kind v, keyed (seed, word + v), where the
-harness packs the sweep point and the data set into the word.  One Philox
-bit generator per thread serves every draw: each draw resets its whole
-state to the key and counter 0 from plain lists, the stream of a fresh
-np.random.Philox(key=[seed, word]) without building one.  The drawn
-statistics are formed from scalars in the pair form the estimators read
-(see MomentEstimate).
+their rows into a MomentBlock: the means and the conditioned scatters
+(_condition) as columns of Python scalars, the one form in which every
+estimator reads drawn statistics; a data set whose scatter no estimator
+reads draws its normals alone and forms its means alone.  draw_moments
+composes the three for one realization.  Every draw comes from a
+counter-based generator (Philox) keyed by two 64-bit words, so it is
+reproducible, and streams under distinct keys are independent by design
+(Salmon et al. 2011), so leaving a stream undrawn changes no other: a data
+set's variates come from one stream per variate kind v, keyed (seed, word
++ v), where the harness packs the sweep point and the data set into the
+word.  One Philox bit generator per thread serves every draw: each draw
+resets its whole state to the key and counter 0 from plain lists, the
+stream of a fresh np.random.Philox(key=[seed, word]) without building one.
+The drawn statistics are formed from scalars in the pair form the
+estimators read (see MomentEstimate).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -278,62 +277,33 @@ def _condition(a: float, b: float, c: float) -> tuple[float, complex]:
     return (c0, c1) if nu >= 1.0 else (c0 + (1.0 - nu), c1)
 
 
-def _estimate(z: complex, c0: float, c1: complex, n_effective, scheme: Scheme,
-              mean_diag: float | None = None) -> MomentEstimate:
-    """The MomentEstimate of mean z and conditioned covariance (c0, c1),
-    built without the keyword parsing of its __init__."""
-    est = object.__new__(MomentEstimate)
-    object.__setattr__(est, "__dict__", {"z": z, "c0": c0, "c1": c1, "n_effective": n_effective,
-                                         "scheme": scheme, "mean_diag": mean_diag})
-    return est
-
-
 class MomentBlock:
     """The statistics of realizations of one data set, as columns of Python
     scalars: the means z, homodyne3's pi/4 means mean_diag (else None) and
-    each row's raw scatter (Sxx, Sxp, Spp), with the shot counts and scheme
-    all rows share.  The conditioned pair form (c0, c1) of each scatter
-    (_condition) is formed on the first read of .conditioned, and the rows
-    as MomentEstimates on the first call of rows(); an estimator that reads
-    only the means forms neither.  A block drawn without its scatters (see
-    draw_variates) holds the means alone, and both reads raise ValueError.
+    the conditioned pair form (c0, c1) of each row's scatter (_condition),
+    with the shot counts and scheme all rows share; estimators read row k
+    of each column.  A block drawn without its scatters (see draw_variates)
+    holds the means alone, and reading .conditioned raises ValueError.
     MomentBlock.of(moments) is the one-row block of a MomentEstimate."""
 
-    __slots__ = ("z", "mean_diag", "n_effective", "scheme", "_scatter", "_conditioned", "_rows")
+    __slots__ = ("z", "mean_diag", "n_effective", "scheme", "_conditioned")
 
-    def __init__(self, z: list, scatter: list | None, n_effective, scheme: Scheme,
+    def __init__(self, z: list, conditioned: list | None, n_effective, scheme: Scheme,
                  mean_diag: list | None = None):
         self.z, self.mean_diag, self.n_effective, self.scheme = z, mean_diag, n_effective, scheme
-        self._scatter, self._conditioned, self._rows = scatter, None, None
+        self._conditioned = conditioned
 
     @classmethod
     def of(cls, moments: MomentEstimate) -> MomentBlock:
-        block = cls([moments.z], None, moments.n_effective, moments.scheme,
-                    None if moments.mean_diag is None else [moments.mean_diag])
-        block._conditioned, block._rows = [(moments.c0, moments.c1)], [moments]
-        return block
+        return cls([moments.z], [(moments.c0, moments.c1)], moments.n_effective, moments.scheme,
+                   None if moments.mean_diag is None else [moments.mean_diag])
 
     @property
     def conditioned(self) -> list:
-        """(c0, c1) of each row's scatter, conditioned by _condition once."""
+        """(c0, c1) of each row's scatter, conditioned when the block was formed."""
         if self._conditioned is None:
-            if self._scatter is None:
-                raise ValueError("a block of means alone: no estimator of its run reads a scatter")
-            self._conditioned = (list(itertools.starmap(_condition, self._scatter))
-                                 if self._rows is None else [(r.c0, r.c1) for r in self._rows])
+            raise ValueError("a block of means alone: no estimator of its run reads a scatter")
         return self._conditioned
-
-    def rows(self) -> list:
-        """Each row as a MomentEstimate, its scatter conditioned once."""
-        if self._rows is None:
-            n_effective, scheme, rows = self.n_effective, self.scheme, []
-            conditioned = (itertools.starmap(_condition, self._scatter) if self._conditioned is None
-                           and self._scatter is not None else self.conditioned)
-            for z, (c0, c1), mean_diag in zip(self.z, conditioned,
-                                              self.mean_diag or itertools.repeat(None)):
-                rows.append(_estimate(z, c0, c1, n_effective, scheme, mean_diag))
-            self._rows = rows
-        return self._rows
 
 
 def _angles_scatter(var_x: float, var_p: float, var_d: float | None = None) -> tuple:
@@ -351,8 +321,8 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
         groups = [samples.quad[theta] for theta in _ANGLES[scheme]]
         (m_x, m_p, *mean_diag), variances = ([float(g.mean()) for g in groups],
                                              [float(g.var(ddof=1)) for g in groups])
-        return _estimate(complex(m_x, m_p), *_condition(*_angles_scatter(*variances)),
-                         _n_effective([g.size for g in groups]), scheme, *mean_diag)
+        return MomentEstimate(complex(m_x, m_p), *_condition(*_angles_scatter(*variances)),
+                              _n_effective([g.size for g in groups]), scheme, *mean_diag)
     if samples.pairs is None:
         raise InsufficientDataError("sample set contains no records")
     # Elementwise sums over the two columns: no BLAS product of N rows.
@@ -361,17 +331,20 @@ def estimate_moments(samples: SampleSet) -> MomentEstimate:
     m_x, m_p = x.mean(), p.mean()
     dx, dp = x - m_x, p - m_p
     s_xx, s_xp, s_pp = (float(d.sum()) / (n - 1) for d in (dx * dx, dx * dp, dp * dp))
-    return _estimate(complex(m_x, m_p), *_condition(s_xx - vacuum, s_xp, s_pp - vacuum),
-                     _n_effective([n]), scheme)
+    return MomentEstimate(complex(m_x, m_p), *_condition(s_xx - vacuum, s_xp, s_pp - vacuum),
+                          _n_effective([n]), scheme)
 
 
 def draw_moments(state: GaussianState, plan: MeasurementPlan) -> MomentEstimate:
     """The MomentEstimate of the records sample(state, plan) would give, drawn
     from its exact law (the same law, not the same numbers): record_laws,
     then one realization of draw_variates on the key (plan.seed, 0), which
-    the harness reads as data set 0 of sweep point 0."""
+    the harness reads as data set 0 of sweep point 0, formed into row 0 of
+    a MomentBlock."""
     laws = _state_laws(state, plan)
-    return form_moments(laws, draw_variates(laws, plan.seed, 0, 1)).rows()[0]
+    block = form_moments(laws, draw_variates(laws, plan.seed, 0, 1))
+    return MomentEstimate(block.z[0], *block.conditioned[0], block.n_effective, block.scheme,
+                          block.mean_diag and block.mean_diag[0])
 
 
 def draw_variates(laws: tuple, seed: int, word: int, m: int, scatter: bool = True) -> tuple:
@@ -395,11 +368,11 @@ def draw_variates(laws: tuple, seed: int, word: int, m: int, scatter: bool = Tru
 
 def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> MomentBlock:
     """The MomentBlock of the realizations in `rows` of draw_variates'
-    variates, at a cost independent of the shot count: its means and raw
-    scatters, which it conditions only when read, or the means alone (the
-    same floats) when no gamma column was drawn.  Per homodyne group of n
-    records of variance s2, the mean is N(mu, s2 / n) and the variance s2
-    chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
+    variates, at a cost independent of the shot count: its means and its
+    scatters, each conditioned (_condition) as it is formed, or the means
+    alone (the same floats) when no gamma column was drawn.  Per homodyne
+    group of n records of variance s2, the mean is N(mu, s2 / n) and the
+    variance s2 chi2(n - 1) / (n - 1).  For n paired records of covariance Sigma = L
     L^T, the mean is N(mu, Sigma / n) and the scatter Wishart(Sigma, n - 1),
     drawn as L A A^T L^T by the Bartlett decomposition (Odell & Feiveson
     1966): A is lower triangular with A11^2 ~ chi2(n - 1), A22^2 ~ chi2(n -
@@ -413,18 +386,19 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> Mom
     # chi2(dof) is 2 Gamma(dof / 2), which is 0 at dof = 0 (two paired records).
     if paired:
         _, _, _, l00, l10, l11, _, _, _, dof, vacuum = groups
-        scatter, (column_1, column_2) = [], gammas
+        conditioned, (column_1, column_2) = [], gammas
         for (a21, _, _), gamma_1, gamma_2 in zip(drawn, column_1[rows].tolist(),
                                                  column_2[rows].tolist()):
             a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
             # root = L A, lower triangular; the scatter is root root^T / (n - 1).
             r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
-            scatter.append((r11 * r11 / dof - vacuum, r11 * r21 / dof,
-                            (r21 * r21 + r22 * r22) / dof - vacuum))
-        return MomentBlock(z, scatter, n_effective, scheme)
+            conditioned.append(_condition(r11 * r11 / dof - vacuum, r11 * r21 / dof,
+                                          (r21 * r21 + r22 * r22) / dof - vacuum))
+        return MomentBlock(z, conditioned, n_effective, scheme)
     variances = [[var * (2.0 * gamma) / dof for gamma in column[rows].tolist()]
                  for (_, _, var, _, _, dof), column in zip(groups, gammas)]
-    return MomentBlock(z, list(map(_angles_scatter, *variances)), n_effective, scheme, mean_diag)
+    return MomentBlock(z, [_condition(*_angles_scatter(*row)) for row in zip(*variances)],
+                       n_effective, scheme, mean_diag)
 
 
 def _means(paired: bool, groups: tuple, drawn: list) -> tuple:

@@ -39,6 +39,13 @@ def exact_moments(state) -> MomentEstimate:
     return MomentEstimate(mean=state.mean, cov=state.cov, n_effective=FULL_N_EFF)
 
 
+def block_rows(block) -> list:
+    """Each row of a MomentBlock as the MomentEstimate of its columns."""
+    return [MomentEstimate(z, c0, c1, block.n_effective, block.scheme, mean_diag)
+            for z, (c0, c1), mean_diag in zip(block.z, block.conditioned,
+                                              block.mean_diag or [None] * len(block.z))]
+
+
 def exact_probe_moments(setup, process, noise=IDEAL_NOISE):
     """Noise-free moments for the three-probe protocol."""
     out = []

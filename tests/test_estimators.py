@@ -27,11 +27,13 @@ from lmint.estimators import (
     EstimationError,
     FitRejectedError,
     UnidentifiableError,
+    _blocks,
 )
 from lmint.gaussian_core import circular_diff, fold_angle, rotation, squeeze_matrix
 from lmint.measurement import (
     InsufficientDataError,
     MeasurementPlan,
+    MomentBlock,
     MomentEstimate,
     Scheme,
     draw_moments,
@@ -303,6 +305,12 @@ def test_phase_ml_matches_forward_likelihood(bench_setup, scheme, noise):
 ALL_SCHEMES = [Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT2, Scheme.HOMODYNE_SPLIT3]
 
 
+def moment_blocks(data, m_in) -> list:
+    """estimators._blocks of one realization's MomentEstimates, each read
+    as the one-row MomentBlock that est_<name> reads."""
+    return _blocks([MomentBlock.of(m) for m in data], 0, m_in)
+
+
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("noise", [NO_CHANNEL, NoiseParams(t_c=0.6, v_c=1.3)])
 def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
@@ -310,7 +318,7 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
     # phi entries of _joint_fit's at the pure phase shift x = (phi, 0, 0, 0, 0),
     # both read from the same blocks; a homodyne3 estimate is also checked
     # without its pi/4 mean.
-    from lmint.estimators import _blocks, _joint_fit, _phase_loglik
+    from lmint.estimators import _joint_fit, _phase_loglik
 
     phis = np.array([-2.5, 0.0, 0.69, 1.3, 3.0])
     for k, r_amp in enumerate((1.0, 100.0)):
@@ -322,7 +330,7 @@ def test_phase_kernel_matches_joint_fit(bench_setup, scheme, noise):
         if scheme is Scheme.HOMODYNE_SPLIT3:
             inputs.append(dataclasses.replace(moments, mean_diag=None))
         for data in inputs:
-            blocks = _blocks([data], [setup.light_mean])
+            blocks = moment_blocks([data], [setup.light_mean])
             _, score, info = _phase_loglik(phis, resp, blocks)
             for phi, s, i in zip(phis, score, info):
                 _, want_s, want_i, _ = _joint_fit(np.array([phi, 0.0, 0.0, 0.0, 0.0]),
@@ -342,7 +350,7 @@ def test_phase_kernel_matches_its_per_set_reference(bench_setup, scheme, noise):
     # topology; the simplistic response has b = 0, so it is given a linear
     # term by hand, and a homodyne3 estimate is also checked without its
     # pi/4 mean.
-    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik
+    from lmint.estimators import _PHASE_GRID, _phase_loglik
 
     k = 0
     for topology in Topology:
@@ -359,7 +367,7 @@ def test_phase_kernel_matches_its_per_set_reference(bench_setup, scheme, noise):
             if scheme is Scheme.HOMODYNE_SPLIT3:
                 inputs.append(dataclasses.replace(moments, mean_diag=None))
             for data in inputs:
-                blocks = _blocks([data], [setup.light_mean])
+                blocks = moment_blocks([data], [setup.light_mean])
                 want = reference_phase_loglik(_PHASE_GRID, resp, blocks)
                 got = _phase_loglik(_PHASE_GRID, resp, blocks)
                 scale = [np.abs(values).max() for values in want]
@@ -378,12 +386,11 @@ def reference_scan_and_polish(moments, setup, noise):
     argmax of reference_phase_loglik over the grid (bit for bit the scan
     est_phase_ml ran before its data were reduced to phase terms), then
     the same Fisher, secant and bisection steps at Python floats."""
-    from lmint.estimators import (_GRID, _GRID_STEP, _MAX_PHASE_STEPS, _PHASE_GRID, _PHASE_TOL,
-                                  _blocks)
+    from lmint.estimators import _GRID, _GRID_STEP, _MAX_PHASE_STEPS, _PHASE_GRID, _PHASE_TOL
 
     resp = response(setup, noise)
     dark = resp.through * setup.r_amp == 0.0
-    blocks = _blocks([moments], [setup.light_mean])
+    blocks = moment_blocks([moments], [setup.light_mean])
     phi = _GRID[int(np.argmax(reference_phase_loglik(_PHASE_GRID, resp, blocks)[0]))]
     lo, hi, last = phi - _GRID_STEP, phi + _GRID_STEP, None
     for _ in range(_MAX_PHASE_STEPS):
@@ -435,14 +442,14 @@ def test_phase_kernel_at_a_float_is_its_grid_pass(bench_setup, scheme, noise):
     # grid point both passes agree to rounding, not bit for bit: numpy's
     # array loops round a complex product or modulus differently from scalar
     # arithmetic (up to 35 of the 64 points differ by an ulp at r = 100).
-    from lmint.estimators import _PHASE_GRID, _blocks, _phase_loglik
+    from lmint.estimators import _PHASE_GRID, _phase_loglik
 
     for k, r_amp in enumerate((1.0, 100.0)):
         setup = dataclasses.replace(bench_setup, r_amp=r_amp, probe_phase=0.3)
         state = forward(setup, ProcessParams.folded(phi=0.7, w=0.2, d=1.0), noise)
         moments = draw_moments(state, MeasurementPlan(scheme, 6000, seed=7 + k))
         resp = response(setup, noise)
-        blocks = _blocks([moments], [setup.light_mean])
+        blocks = moment_blocks([moments], [setup.light_mean])
         grid = _phase_loglik(_PHASE_GRID, resp, blocks)
         scale = [np.abs(values).max() for values in grid]
         for j, phi in enumerate(_PHASE_GRID.tolist()):
@@ -457,14 +464,14 @@ def test_joint_fit_reads_a_list_as_its_array(bench_setup, scheme):
     # The scoring steps on lists of floats: _joint_fit gives the same
     # deviance, score, information and rounding bound, bit for bit, for the
     # chart point as a list and as an array.
-    from lmint.estimators import _blocks, _joint_fit
+    from lmint.estimators import _joint_fit
 
     rng = np.random.default_rng(31)
     noise = NoiseParams(t_c=0.7, v_c=1.2)
     setup = dataclasses.replace(bench_setup, r_amp=3.0, probe_phase=0.4)
     data, m_in, _ = _joint_data(setup, ProcessParams.folded(phi=0.7, w=0.5, d=1.0), noise,
                                 scheme, 6000, 60)
-    blocks, resp = _blocks(data, m_in), response(setup, noise)
+    blocks, resp = moment_blocks(data, m_in), response(setup, noise)
     for x in [np.array([0.7, 0.0, 0.0, 0.0, 0.0]), np.array([0.7, 0.05, -0.03, 0.0, 0.0])] + [
             rng.uniform(-1.5, 1.5, size=5) for _ in range(6)]:
         got, want = _joint_fit(x.tolist(), blocks, resp), _joint_fit(x, blocks, resp)
@@ -871,6 +878,18 @@ def test_mean_method_unidentifiable_without_probe_path(bench_setup, bench_proces
         est_general_mean(exact_probe_moments(setup, bench_process), setup)
 
 
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_three_probe_estimators_name_a_wrong_probe_count(bench_setup, bench_process, count):
+    # The three-probe methods read one probe per PROBE_PHASES; another count
+    # is refused with a ValueError that names it, not an unpacking error.
+    probes = (exact_probe_moments(bench_setup, bench_process) * 2)[:count]
+    single = exact_moments(forward(bench_setup, bench_process))
+    for call in (lambda: est_general_mean(probes, bench_setup),
+                 lambda: est_combined(single, probes, bench_setup)):
+        with pytest.raises(ValueError, match=f"expected 3 probe moments.*got {count}"):
+            call()
+
+
 def test_mean_method_axis_undefined_for_pure_phase(bench_setup):
     truth = ProcessParams.folded(phi=0.7, d=2.0, beta=1.0)
     report = est_general_mean(exact_probe_moments(bench_setup, truth), bench_setup)
@@ -930,7 +949,7 @@ def test_combined_information_matches_fisher_matrix(bench_setup, bench_process):
     # The scoring's information at the truth is the joint Fisher matrix of
     # the four data sets: n fisher_matrix of the single read-out plus
     # n / 3 fisher_matrix of each probe.
-    from lmint.estimators import _blocks, _joint_fit, chart
+    from lmint.estimators import _joint_fit, chart
     from lmint.fisher import fisher_matrix
 
     noise = NoiseParams(t_c=0.8, v_c=1.1)
@@ -944,7 +963,8 @@ def test_combined_information_matches_fisher_matrix(bench_setup, bench_process):
         data.append(_with_shots(m, n // 3))
         m_in.append(setup.light_mean)
         want += n // 3 * fisher_matrix(setup, bench_process, noise)
-    deviance, score, info, _ = _joint_fit(x, _blocks(data, m_in), response(bench_setup, noise))
+    deviance, score, info, _ = _joint_fit(x, moment_blocks(data, m_in),
+                                          response(bench_setup, noise))
     got = jac.T @ info @ jac
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert deviance == pytest.approx(0.0, abs=1e-6)
@@ -963,9 +983,9 @@ def _joint_data(setup, process, noise, scheme, n, seed):
 
 
 def _assert_kernel_matches(x, data, m_in, sets, setup, noise):
-    from lmint.estimators import _blocks, _joint_fit
+    from lmint.estimators import _joint_fit
 
-    deviance, score, info, _ = _joint_fit(x, _blocks(data, m_in), response(setup, noise))
+    deviance, score, info, _ = _joint_fit(x, moment_blocks(data, m_in), response(setup, noise))
     want_d, want_s, want_i = reference_joint_fit(x, sets, noise)
     assert abs(deviance - want_d) <= 1e-9
     assert np.abs(score - want_s).max() <= 1e-12 * np.abs(want_s).max()
@@ -1010,10 +1030,10 @@ def test_joint_fit_gives_no_score_far_off(bench_setup, bench_process):
     # deviance rise, so the scoring halves the step, and warns of nothing.
     import warnings
 
-    from lmint.estimators import _blocks, _joint_fit
+    from lmint.estimators import _joint_fit
 
-    blocks = _blocks([exact_moments(forward(bench_setup, bench_process))],
-                     [bench_setup.light_mean])
+    blocks = moment_blocks([exact_moments(forward(bench_setup, bench_process))],
+                           [bench_setup.light_mean])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for w in (400.0, 800.0):
@@ -1082,7 +1102,7 @@ def test_newton_step_matches_numpy_on_the_scoring_information(bench_setup, schem
     # _joint_fit's information and score near the truth, on drawn moments of
     # the single read-out and the three probes, with and without a channel
     # and at r = 1 and 100.
-    from lmint.estimators import _blocks, _joint_fit, chart
+    from lmint.estimators import _joint_fit, chart
 
     rng = np.random.default_rng(2502)
     for k in range(8):
@@ -1093,7 +1113,7 @@ def test_newton_step_matches_numpy_on_the_scoring_information(bench_setup, schem
             d=rng.uniform(0, 3), beta=rng.uniform(-3, 3))
         data, m_in, _ = _joint_data(setup, truth, noise, scheme, 6000, 60 + k)
         x = chart(truth)[0] + rng.normal(size=5) * 0.01
-        _, score, info, _ = _joint_fit(x, _blocks(data, m_in), response(setup, noise))
+        _, score, info, _ = _joint_fit(x, moment_blocks(data, m_in), response(setup, noise))
         _assert_step_matches_numpy(info, score)
 
 

@@ -35,7 +35,7 @@ def record_block(setup, mean_only):
     """The one block of fisher_matrix's record probed by setup.light_mean;
     mean_only sets the record count N of its covariance term to 0, which
     leaves _joint_fit the mean term of the information."""
-    ((p, added, (n_all, *sums), sets),) = _blocks([_ONE_RECORD], [setup.light_mean])
+    ((p, added, (n_all, *sums), sets),) = _blocks([_ONE_RECORD], 0, [setup.light_mean])
     return p, added, (0.0 if mean_only else n_all, *sums), sets
 
 

@@ -36,7 +36,7 @@ from lmint.harness import (
     param_error,
 )
 
-from conftest import public_entry
+from conftest import block_rows, public_entry
 
 
 def mc(setup, process, *, estimators, n=2000, m_reps=20, seed=123, **kw):
@@ -394,7 +394,7 @@ def _per_realization_cells(cfg):
     diagnostics = {name: {} for name in cfg.estimators}
     bases = {harness.base_name(name) for name in cfg.estimators}
     for single, probes in harness._simulate_realizations(cfg, 0, bases | {"combined"}):
-        for single_k, *probes_k in zip(single.rows(), *(probe.rows() for probe in probes)):
+        for single_k, *probes_k in zip(block_rows(single), *map(block_rows, probes)):
             for name in cfg.estimators:
                 noise = harness._resolve_assumed(cfg, name, calibrated)
                 try:
@@ -748,6 +748,16 @@ def test_find_r_crit_none_when_an_mse_is_undefined(bench_setup):
              estimators=("phase_var", "phase_mean"), n=2000, m_reps=30)
     assert math.isnan(run_mc(cfg).mse("phase_var", "phi"))
     assert find_r_crit(cfg, (1.0, 300.0)) is None
+
+
+@pytest.mark.parametrize("r_range", [(300.0, 1.0), (5.0, 5.0), (0.0, 100.0), (-1.0, 100.0)])
+def test_find_r_crit_refuses_a_range_that_is_not_increasing_and_positive(bench_setup, r_range):
+    # A reversed range used to return its geometric midpoint unsearched, and
+    # r_lo <= 0 failed in math.log without naming the range.
+    cfg = mc(bench_setup, ProcessParams.folded(phi=0.7),
+             estimators=("phase_var", "phase_mean"), n=2000, m_reps=30)
+    with pytest.raises(ValueError, match="r_range must satisfy 0 < r_lo < r_hi"):
+        find_r_crit(cfg, r_range)
 
 
 # ---------------------------------------------------------------------------

@@ -38,21 +38,18 @@ def _bits(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
     return tuple(x.hex() for x in floats), dict(n_effective), scheme
 
 
-def _estimate_bits(e) -> tuple:
-    return _bits(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
-
-
 def _mean_bits(z, c0, c1, mean_diag, n_effective, scheme) -> tuple:
     """_bits of a draw's means alone, its scatter left out."""
     return _bits(z, 0.0, 0j, mean_diag, n_effective, scheme)
 
 
 def _row_bits(block, k, full: bool) -> tuple:
-    """Row k of a block: _estimate_bits of its row, or _mean_bits of a mean-only block."""
-    if full:
-        return _estimate_bits(block.rows()[k])
-    return _mean_bits(block.z[k], None, None, block.mean_diag and block.mean_diag[k],
-                      block.n_effective, block.scheme)
+    """Row k of a block's columns: _bits with its conditioned scatter, or
+    _mean_bits of a mean-only block."""
+    c0, c1 = block.conditioned[k] if full else (None, None)
+    return (_bits if full else _mean_bits)(block.z[k], c0, c1,
+                                           block.mean_diag and block.mean_diag[k],
+                                           block.n_effective, block.scheme)
 
 
 @pytest.mark.parametrize("entropy", _ENTROPIES)
@@ -70,7 +67,7 @@ def test_key_is_the_seed_sequence_child(entropy):
         for law_args in _LAWS:
             law = record_laws(*law_args)
             block = form_moments(law, draw_variates(law, entropy, word, 2))
-            got = [_estimate_bits(e) for e in block.rows()]
+            got = [_row_bits(block, k, True) for k in range(len(block.z))]
             assert got == [_bits(*want) for want in reference_draw(law_args, entropy, word, 2)], \
                 (p, j, law_args[2])
     assert len(words) == 4 * len(_KEYS)

@@ -15,7 +15,7 @@ from lmint.measurement import (
     form_moments, record_laws,
 )
 
-from conftest import reference_draw
+from conftest import block_rows, reference_draw
 
 
 def plan(scheme, n, seed=0):
@@ -189,8 +189,8 @@ def test_drawn_moments_follow_the_law_of_sampled_records(scheme):
     m = 3000
     for n in _LAW_TEST_SIZES[scheme]:
         law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, n)
-        drawn = np.array([_statistics(e)
-                          for e in form_moments(law, draw_variates(law, n, 0, m)).rows()])
+        drawn = np.array([_statistics(e) for e in block_rows(
+            form_moments(law, draw_variates(law, n, 0, m)))])
         sampled = np.array([_statistics(estimate_moments(sample(state, plan(scheme, n, seed))))
                             for seed in range(m, 2 * m)])
         assert drawn.shape == sampled.shape
@@ -236,8 +236,8 @@ def test_draws_are_the_reference_draws_bit_for_bit():
     # gamma shapes, roots, the vacuum unit) and re-key one generator per
     # thread; every statistic of each of m realizations (m = 70 crosses a
     # harness block), in the block's columns (means, pi/4 means, the
-    # conditioned scatters) and in its rows, built before or after the
-    # conditioned column, equals the draw formed in full per stream and
+    # conditioned scatters), in every block formed of the same variates,
+    # equals the draw formed in full per stream and
     # realization, over the four schemes, n from the smallest valid size
     # (paired n = 2, a gamma shape of 0) to 2e6, states from near the vacuum
     # floor to 1e4, seeds 0 and 2**64 - 1 and key words of every data set.
@@ -264,11 +264,7 @@ def test_draws_are_the_reference_draws_bit_for_bit():
                        in zip(block.z, block.conditioned, block.mean_diag or [None] * m)]
             want = [_hex_draw(*want) for want in reference_draw(law_args, seed, word, m)]
             assert columns == want, (law_args, seed, word)
-            rows_first = form_moments(law, variates)
-            for rows in (block.rows(), rows_first.rows()):
-                assert [_hex_draw(e.z, e.c0, e.c1, e.mean_diag, e.n_effective, e.scheme)
-                        for e in rows] == want, (law_args, seed, word)
-            assert repr(rows_first.conditioned) == repr(block.conditioned)
+            assert repr(form_moments(law, variates).conditioned) == repr(block.conditioned)
 
 
 def test_a_mean_only_block_holds_the_reference_means_bit_for_bit():
@@ -298,9 +294,8 @@ def test_a_mean_only_block_holds_the_reference_means_bit_for_bit():
                 w[3].hex() for w in want], (law_args, seed, word)
         else:
             assert blocks[0].mean_diag is None
-        for read in (lambda: blocks[0].conditioned, blocks[0].rows):
-            with pytest.raises(ValueError, match="means alone"):
-                read()
+        with pytest.raises(ValueError, match="means alone"):
+            blocks[0].conditioned
 
 
 def test_a_draw_cannot_change_the_shot_counts_of_its_law():
@@ -308,7 +303,7 @@ def test_a_draw_cannot_change_the_shot_counts_of_its_law():
     # draw's counts raises, and the next draw of the law reads them intact.
     for scheme in Scheme:
         law = record_laws(1.0 - 2.0j, (3.0, 1.2, 2.0), scheme, 600)
-        first, second = form_moments(law, draw_variates(law, 1, 0, 2)).rows()
+        first, second = (form_moments(law, draw_variates(law, seed, 0, 2)) for seed in (1, 2))
         want = dict(first.n_effective)
         with pytest.raises(TypeError):
             first.n_effective["mean_x"] = 1
