@@ -91,31 +91,35 @@ def _read(mapping, path, key, kind, default=_REQUIRED, low=None):
 
 
 #: Each section's class and keys, key -> (kind[, default[, least value]]); a
-#: key without a default is required.  The process takes q = e^w in place of
-#: w, which load_config converts before the section is read.
+#: key without a default is required.  The plan draws under base_seed.
 _SECTIONS = {
     "setup": (SetupConfig, {"topology": (Topology,), "t1": (float, 0.0), "t2": (float,),
                             "v_thermal": (float,), "r_amp": (float,),
                             "probe_phase": (float, 0.0)}),
-    "process": (ProcessParams.folded, {"phi": (float, 0.0), "w": (float, 0.0, 0.0),
+    "process": (ProcessParams.from_q, {"phi": (float, 0.0), "q": (float, 1.0, 1.0),
                                        "alpha": (float, 0.0), "d": (float, 0.0, 0.0),
                                        "beta": (float, 0.0)}),
     "noise": (NoiseParams, {"t_c": (float, 1.0), "v_c": (float, 1.0)}),
-    "plan": (MeasurementPlan, {"scheme": (Scheme,), "n_samples": (int,), "seed": (int, 0)}),
+    "plan": (MeasurementPlan, {"scheme": (Scheme,), "n_samples": (int,)}),
 }
+
+#: The key each option overrides, option -> (section or None, key).
+_OVERRIDES = {"n_samples": ("plan", "n_samples"), "seed": (None, "base_seed"),
+              "m_reps": (None, "m_reps"), "out": (None, "out"), "axis": ("sweep", "axis"),
+              "grid": ("sweep", "grid")}
 
 #: The top-level keys other than the sections, "estimators" and "sweep".
 _TOP = {"m_reps": (int, 500), "base_seed": (int, 0), "calibration": (str, "true"),
         "calibration_samples": (int, None), "out": (str, None)}
 
 
-def _section(raw, name):
-    """The section `name` of a config, built from its keys by _SECTIONS."""
+def _section(raw, name, **given):
+    """The section `name` of a config, built from its keys by _SECTIONS and `given`."""
     build, keys = _SECTIONS[name]
     _require(raw, f"{name}.", keys)
     values = {key: _read(raw, f"{name}.", key, *spec) for key, spec in keys.items()}
     try:
-        return build(**values)
+        return build(**values, **given)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -169,26 +173,11 @@ def load_config(path: str, overrides) -> dict:
     for section in (*_SECTIONS, "sweep"):
         if section in raw and not isinstance(raw[section], dict):
             raise ConfigError(f"{section}: expected an object")
-    if overrides.n_samples is not None:
-        raw["plan"]["n_samples"] = overrides.n_samples
-    if overrides.seed is not None:
-        raw["base_seed"] = overrides.seed
-        raw["plan"]["seed"] = overrides.seed
-    if overrides.m_reps is not None:
-        raw["m_reps"] = overrides.m_reps
-    if overrides.out is not None:
-        raw["out"] = overrides.out
-    for key in ("axis", "grid"):
-        if getattr(overrides, key) is not None:
-            raw.setdefault("sweep", {})[key] = getattr(overrides, key)
-    process = raw.setdefault("process", {})
-    if "q" in process:
-        if "w" in process:
-            raise ConfigError("process: give either q or w, not both")
-        process["w"] = math.log(_read(process, "process.", "q", float, low=1))
-        del process["q"]
-    # Only the noise section may be absent; its defaults are IDEAL_NOISE.
-    cfg = {name: _section(raw.get(name, {}), name) for name in _SECTIONS}
+    for option, (section, key) in _OVERRIDES.items():
+        if getattr(overrides, option) is not None:
+            (raw.setdefault(section, {}) if section else raw)[key] = getattr(overrides, option)
+    # The process and noise sections may be absent: no process, IDEAL_NOISE.
+    cfg = {name: _section(raw.get(name, {}), name) for name in ("setup", "process", "noise")}
     cfg.update({key: _read(raw, "", key, *spec) for key, spec in _TOP.items()})
     cfg["estimators"] = raw.get("estimators", [])
     if not isinstance(cfg["estimators"], list) or not all(
@@ -198,6 +187,7 @@ def load_config(path: str, overrides) -> dict:
         check_run_keys(cfg["m_reps"], cfg["base_seed"], cfg["calibration"], cfg["estimators"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg["plan"] = _section(raw["plan"], "plan", seed=cfg["base_seed"])  # base_seed checked above
     if "sweep" in raw:
         sw = raw["sweep"]
         _require(sw, "sweep.", {"axis", "grid"}, ("axis", "grid"))
@@ -209,14 +199,9 @@ def load_config(path: str, overrides) -> dict:
 
 
 def _mc_config(cfg) -> MonteCarloConfig:
+    fields = dataclasses.fields(MonteCarloConfig)  # each a key of the config
     try:
-        return MonteCarloConfig(
-            setup=cfg["setup"], process=cfg["process"], plan=cfg["plan"],
-            estimators=tuple(cfg["estimators"]), noise=cfg["noise"],
-            calibration=cfg["calibration"], m_reps=cfg["m_reps"],
-            calibration_samples=cfg["calibration_samples"],
-            base_seed=cfg["base_seed"],
-        )
+        return MonteCarloConfig(**{field.name: cfg[field.name] for field in fields})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -8,14 +8,13 @@ estimate as a function of a block of realizations (measurement.MomentBlock:
 the single read-out's block and the probes' blocks) and a diagnostics dict or
 None.  It returns one entry per realization: the values, a general method's
 (phi, w, alpha, d, beta) as ProcessParams.folded stores them, or the failure
-(_ESTIMATOR_FAILURES) that stopped it.  Each reads row k of the columns it
-needs: the means, and the conditioned scatters for phase_var, phase_ml,
-cov_method and combined.  phase_var counts its clamps into diagnostics, and
+(_ESTIMATOR_FAILURES) that stopped it, reading row k of the columns that
+ESTIMATORS says it reads.  phase_var counts its clamps into diagnostics, and
 a general method fills in its realization's diagnostics for a one-row block
 only.  est_<name> checks its moments (_check_moments), applies the same
-function to one-row blocks of them and returns
-that row's values (a general method's as an EstimateReport) or raises its
-failure; a Monte-Carlo run applies it once per block and books the entries.
+function to one-row blocks of them and returns that row's values (a general
+method's as an EstimateReport) or raises its failure; a Monte-Carlo run
+applies it once per block and books the entries.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -1042,3 +1042,41 @@ def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
 
     return lambda single, probes, diagnostics=None: _per_row(
         functools.partial(values, [single, *probes]), diagnostics, range(len(single.z)))
+
+
+# ---------------------------------------------------------------------------
+# The estimators of a Monte-Carlo run
+
+#: What an estimator reads of a data set, in increasing order: nothing, the
+#: means, or the means and the conditioned scatters.
+NOTHING, MEANS, SCATTERS = 0, 1, 2
+
+
+class Estimator(NamedTuple):
+    params: tuple          # the parameters of its entries, w in place of q
+    prepare: Callable      # its prepared estimate of a run's setup, assumed channel and scheme
+    single: int            # what it reads of the single read-out
+    probes: int = NOTHING  # and of the three probes
+
+
+_PROCESS = ("phi", "q", "alpha", "d", "beta")
+
+#: Every estimator by name: what it reports, how a run prepares it from setup s,
+#: assumed channel n and scheme, and what it reads.  Each prepare calls its
+#: prepare_<name> by its name here, so that a rebound name is the one called.
+ESTIMATORS = {
+    "displacement": Estimator(("d", "beta"), lambda s, n, _: prepare_displacement(s, n), MEANS),
+    "phase_var": Estimator(("phi",), lambda s, n, _: prepare_phase_var(s, n), SCATTERS),
+    "phase_mean": Estimator(("phi",), lambda s, n, _: prepare_phase_mean(s), MEANS),
+    "phase_ml": Estimator(("phi",), lambda s, n, _: prepare_phase_ml(s, n), SCATTERS),
+    "cov_method": Estimator(_PROCESS, lambda s, n, scheme: prepare_general_cov(
+        s, n, scheme.has_full_cov), SCATTERS),
+    "mean_method": Estimator(_PROCESS, lambda s, n, _: prepare_general_mean(s, n), NOTHING, MEANS),
+    "combined": Estimator(_PROCESS, lambda s, n, _: prepare_combined(s, n), SCATTERS, SCATTERS),
+}
+
+#: Parameters reported by each estimator.
+ESTIMATOR_PARAMS = {name: estimator.params for name, estimator in ESTIMATORS.items()}
+
+#: The variance- and mean-based phase estimators, whose MSEs harness.find_r_crit crosses.
+PHASE_CROSSING = ("phase_var", "phase_mean")

@@ -20,14 +20,8 @@ from .measurement import MomentBlock, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
 
 
-# Kept for callers that import and catch it; nothing in lmint raises it.
 class NumericFisherError(RuntimeError):
-    """A Fisher information that could not be computed reliably."""
-
-    def __init__(self, message, coarse, fine):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
+    """Kept for callers that import and catch it; nothing in lmint raises it."""
 
 
 @dataclass(frozen=True)

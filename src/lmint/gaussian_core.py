@@ -319,7 +319,8 @@ def repair_physicality(cov: np.ndarray) -> np.ndarray:
     A no-op (returns the input object) on already-physical covariances;
     idempotent.  Rejects non-symmetric or indefinite input.
     """
-    # Scalar arithmetic throughout: this sits in the per-realization hot path.
+    # Scalar arithmetic throughout, for acceptance criterion 9 times a million
+    # calls.  It serves the matrix-form API; runs repair through measurement._condition.
     (a, b), (b_low, c) = cov.tolist()
     scale = 1.0 if -1.0 < a < 1.0 and -1.0 < c < 1.0 else max(abs(a), abs(c))
     if abs(b - b_low) > 1e-10 * scale:

@@ -9,7 +9,7 @@ phase.  An estimator that fails its data-independent checks books m_reps
 failures of that reason unrun, and a run with none left draws nothing.  Then
 each data set draws the variates of all its realizations, one call per
 stream (measurement.draw_variates), its gamma columns only when an estimator
-of the run reads its scatter (_SINGLE_SCATTER, _PROBE_SCATTER), and they are
+of the run reads its scatter (estimators.ESTIMATORS), and they are
 formed _BLOCK realizations at a time, one MomentBlock per data set
 (measurement.form_moments: the means and any conditioned scatters as
 columns); each estimator runs once over a block, reading its rows by index,
@@ -33,15 +33,12 @@ import numpy as np
 from .estimators import (
     _ESTIMATOR_FAILURES,
     _PARAM_PERIODS,
+    ESTIMATOR_PARAMS,
+    ESTIMATORS,
+    PHASE_CROSSING,
     PROBE_PHASES,
+    SCATTERS,
     _probe_inversion,
-    prepare_combined,
-    prepare_displacement,
-    prepare_general_cov,
-    prepare_general_mean,
-    prepare_phase_mean,
-    prepare_phase_ml,
-    prepare_phase_var,
 )
 from .gaussian_core import IDENTITY_PROCESS, ProcessParams, circular_diff
 from .interferometer import SetupConfig, measured_moments, response
@@ -52,24 +49,6 @@ from .noise import IDEAL_NOISE, NoiseParams
 class CalibrationError(RuntimeError):
     """The calibration run produced an unphysical channel estimate."""
 
-
-#: Parameters reported by each estimator.
-ESTIMATOR_PARAMS = {
-    "displacement": ("d", "beta"),
-    "phase_var": ("phi",),
-    "phase_mean": ("phi",),
-    "phase_ml": ("phi",),
-    "cov_method": ("phi", "q", "alpha", "d", "beta"),
-    "mean_method": ("phi", "q", "alpha", "d", "beta"),
-    "combined": ("phi", "q", "alpha", "d", "beta"),
-}
-
-#: Estimators that consume the three-probe mean protocol.
-_THREE_PROBE = {"mean_method", "combined"}
-
-#: Estimators that read the scatter of the single read-out, and of the three probes.
-_SINGLE_SCATTER = {"phase_var", "phase_ml", "cov_method", "combined"}
-_PROBE_SCATTER = {"combined"}
 
 #: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
 #: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 53.6/38.7/31.6/28.9/28.6/30.8.
@@ -103,7 +82,7 @@ class MonteCarloConfig:
         check_run_keys(self.m_reps, self.base_seed, self.calibration, self.estimators)
         if self.calibration_samples is not None:
             _check_probe_shots(self.plan.scheme, self.calibration_samples, "calibration_samples")
-        if ({base_name(n) for n in self.estimators} & _THREE_PROBE
+        if (any(ESTIMATORS[base_name(n)].probes for n in self.estimators)
                 or self.calibration == "auto" and self.calibration_samples is None):
             _check_probe_shots(self.plan.scheme, self.plan.n_samples, "n_samples")
 
@@ -185,23 +164,24 @@ def _stream_word(point: int, data_set: int) -> int:
     return point << 32 | data_set << 8
 
 
-def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | None = None):
+def _simulate_realizations(cfg: MonteCarloConfig, point: int, names, m: int | None = None):
     """The moments of realizations 1 to m (default m_reps) at sweep point
     `point`, _BLOCK realizations at a time, as pairs of MomentBlocks (single
-    read-out, three probes) for the estimators `bases`: data set 0 when one
-    other than mean_method reads it, and data sets 1 to 3 when mean_method
-    or combined does (else None and []), with their scatters only when one
-    of `bases` reads them (_SINGLE_SCATTER, _PROBE_SCATTER).  Their laws are
-    formed and all their variates drawn before the first block is formed."""
-    single = bool(bases - {"mean_method"})
+    read-out, three probes) for the estimators `names`: data set 0 when one
+    of them reads the single read-out, and data sets 1 to 3 when one reads
+    the probes (else None and []), with their scatters only when one reads
+    them (estimators.ESTIMATORS).  Their laws are formed and all their
+    variates drawn before the first block is formed."""
+    single = max(ESTIMATORS[base_name(name)].single for name in names)
+    probes = max(ESTIMATORS[base_name(name)].probes for name in names)
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
     sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
-            + ([(phase, n_each) for phase in PROBE_PHASES] if bases & _THREE_PROBE else []))
+            + ([(phase, n_each) for phase in PROBE_PHASES] if probes else []))
     laws = _record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, sets)
     data_sets = range(len(laws)) if single else range(1, len(laws) + 1)
     m = cfg.m_reps if m is None else m
     variates = [draw_variates(law, cfg.base_seed, _stream_word(point, j), m,
-                              bool(bases & (_SINGLE_SCATTER if j == 0 else _PROBE_SCATTER)))
+                              (single if j == 0 else probes) == SCATTERS)
                 for law, j in zip(laws, data_sets)]
     for start in range(0, m, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -209,27 +189,10 @@ def _simulate_realizations(cfg: MonteCarloConfig, point: int, bases, m: int | No
         yield (blocks[0], blocks[1:]) if single else (None, blocks)
 
 
-#: Per estimator, its prepare function of the run's config and channel, called by
-#: its name here so that a rebound name is the one called.
-_PREPARED = {
-    "displacement": lambda cfg, noise: prepare_displacement(cfg.setup, noise),
-    "phase_var": lambda cfg, noise: prepare_phase_var(cfg.setup, noise),
-    "phase_mean": lambda cfg, noise: prepare_phase_mean(cfg.setup),
-    "phase_ml": lambda cfg, noise: prepare_phase_ml(cfg.setup, noise),
-    "cov_method": lambda cfg, noise: prepare_general_cov(cfg.setup, noise,
-                                                         cfg.plan.scheme.has_full_cov),
-    "mean_method": lambda cfg, noise: prepare_general_mean(cfg.setup, noise),
-    "combined": lambda cfg, noise: prepare_combined(cfg.setup, noise),
-}
-
-
 def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
-    """Estimator `name` prepared for a run under the channel `noise`: a function
-    of a block of realizations (single read-out block, probe blocks) and the
-    run's diagnostics dict (phase_var's clamps) that returns one entry per
-    realization, its values in ESTIMATOR_PARAMS order (w in place of q) or the
-    failure that stopped it.  Raises the estimator's data-independent failure."""
-    return _PREPARED[base_name(name)](cfg, noise)
+    """Estimator `name` prepared for a run under the channel `noise` (see
+    estimators); raises the estimator's data-independent failure."""
+    return ESTIMATORS[base_name(name)].prepare(cfg.setup, noise, cfg.plan.scheme)
 
 
 def _resolve_assumed(cfg: MonteCarloConfig, name: str,
@@ -258,8 +221,7 @@ def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
     calibrated = _calibrated_noise(cfg, 0)
-    bases = {base_name(name) for name in cfg.estimators}
-    single, probes = next(_simulate_realizations(cfg, 0, bases, 1))
+    single, probes = next(_simulate_realizations(cfg, 0, cfg.estimators, 1))
     out = []
     for name in cfg.estimators:
         estimate = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
@@ -298,7 +260,7 @@ def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
             reason = type(exc).__name__
             failures[name][reason] = failures[name].get(reason, 0) + cfg.m_reps
     loop = [(live[n], rows[n], diagnostics[n], failures[n]) for n in cfg.estimators if n in live]
-    blocks = _simulate_realizations(cfg, point, {base_name(n) for n in live}) if loop else ()
+    blocks = _simulate_realizations(cfg, point, live) if loop else ()
     for single, probes in blocks:
         for estimate, done, diag, failed in loop:
             for entry in estimate(single, probes, diag):
@@ -437,11 +399,12 @@ def find_r_crit(cfg: MonteCarloConfig, r_range) -> RCritResult | None:
     Raises ValueError unless 0 < r_lo < r_hi."""
     if not 0.0 < r_range[0] < r_range[1]:
         raise ValueError(f"r_range must satisfy 0 < r_lo < r_hi, got {tuple(r_range)}")
-    cfg = dc_replace(cfg, estimators=("phase_var", "phase_mean"))
+    cfg = dc_replace(cfg, estimators=PHASE_CROSSING)
+    var_based, mean_based = PHASE_CROSSING
 
     def diff(log_r):
         rep = run_mc(apply_axis(cfg, "r", math.exp(log_r)))
-        return rep.mse("phase_var", "phi") - rep.mse("phase_mean", "phi")
+        return rep.mse(var_based, "phi") - rep.mse(mean_based, "phi")
 
     lo, hi = math.log(r_range[0]), math.log(r_range[1])
     d_lo, d_hi = diff(lo), diff(hi)

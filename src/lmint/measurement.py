@@ -84,9 +84,6 @@ class MeasurementPlan:
                 f"need at least 2 samples per angle group, got {self.n_samples} for {groups} groups"
             )
 
-    def group_sizes(self) -> list[int]:
-        return _group_sizes(self.scheme, self.n_samples)
-
 
 def _group_sizes(scheme: Scheme, n: int) -> list[int]:
     """Records per angle group: n split evenly, the remainder to the first."""
@@ -210,7 +207,7 @@ class MomentEstimate:
     records of (x + p) / sqrt 2).  The mean is z = x + ip and the covariance
     Sigma z = c0 z + c1 conj(z): c0 = (Sxx + Spp) / 2, c1 = (Sxx - Spp) / 2 +
     i Sxp, with eigenvalues c0 +- |c1|.  MomentEstimate(mean=..., cov=...)
-    builds one from arrays, which .mean and .cov give back."""
+    builds one from arrays."""
 
     z: complex
     c0: float
@@ -231,15 +228,6 @@ class MomentEstimate:
                             "(c0 and c1, or cov=)")
         self.__dict__.update(z=z, c0=c0, c1=c1, scheme=scheme, mean_diag=mean_diag,
                              n_effective={} if n_effective is None else n_effective)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([self.z.real, self.z.imag])
-
-    @property
-    def cov(self) -> np.ndarray:
-        c0, c1 = self.c0, self.c1
-        return np.array([[c0 + c1.real, c1.imag], [c1.imag, c0 - c1.real]])
 
 
 def _smaller_eigenvalue(a: float, b: float, c: float) -> float:

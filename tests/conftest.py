@@ -284,6 +284,14 @@ def gaussian_information(cov: np.ndarray, d_mean: np.ndarray,
     return info
 
 
+def mean_cov(moments: MomentEstimate) -> tuple:
+    """The mean (x, p) and the covariance matrix of a MomentEstimate, as
+    numpy arrays, from its pair form z, c0 and c1."""
+    c0, c1 = moments.c0, moments.c1
+    return (np.array([moments.z.real, moments.z.imag]),
+            np.array([[c0 + c1.real, c1.imag], [c1.imag, c0 - c1.real]]))
+
+
 def reference_data_sets(moments: MomentEstimate) -> list:
     """(n, projection P, added covariance, mean or None, scatter) of each
     Gaussian data set behind a MomentEstimate, as numpy arrays: n records of
@@ -292,13 +300,13 @@ def reference_data_sets(moments: MomentEstimate) -> list:
     angle; homodyne3's pi/4 group counts with its mean when the estimate
     keeps it.  The reference layout for estimators._blocks, which holds the
     same sets in the pair form."""
-    n, cov = moments.n_effective, moments.cov
+    n, (mean, cov) = moments.n_effective, mean_cov(moments)
     if moments.scheme in (Scheme.JOINT, Scheme.HETERODYNE):
         added = np.eye(2) if moments.scheme is Scheme.HETERODYNE else np.zeros((2, 2))
-        return [(n["mean_x"], np.eye(2), added, moments.mean, cov + added)]
+        return [(n["mean_x"], np.eye(2), added, mean, cov + added)]
     zero = np.zeros((1, 1))
-    out = [(n["mean_x"], np.array([[1.0, 0.0]]), zero, moments.mean[:1], cov[:1, :1]),
-           (n["mean_p"], np.array([[0.0, 1.0]]), zero, moments.mean[1:], cov[1:, 1:])]
+    out = [(n["mean_x"], np.array([[1.0, 0.0]]), zero, mean[:1], cov[:1, :1]),
+           (n["mean_p"], np.array([[0.0, 1.0]]), zero, mean[1:], cov[1:, 1:])]
     if moments.scheme is Scheme.HOMODYNE_SPLIT3:
         diag = np.full((1, 2), math.sqrt(0.5))  # angle pi/4
         mean = None if moments.mean_diag is None else np.array([moments.mean_diag])

@@ -27,11 +27,15 @@ SMALL_CONFIG = {
     "setup": {"topology": "interferometric", "t1": 0.1, "t2": 0.1,
               "v_thermal": 100.0, "r_amp": 100.0},
     "process": {"phi": 0.7, "q": 2.0, "alpha": -0.3, "d": 4.0, "beta": 0.5},
-    "plan": {"scheme": "joint", "n_samples": 600, "seed": 0},
+    "plan": {"scheme": "joint", "n_samples": 600},
     "estimators": ["mean_method"],
     "m_reps": 3,
     "base_seed": 5,
 }
+
+#: SMALL_CONFIG's setup.
+SMALL_SETUP = lmint.SetupConfig(**dict(SMALL_CONFIG["setup"], topology=lmint.Topology(
+    SMALL_CONFIG["setup"]["topology"])))
 
 
 class Overrides:
@@ -84,10 +88,13 @@ def test_range_violations_name_the_field(tmp_path):
         load_config(write_config(tmp_path, bad), Overrides())
 
 
-def test_q_and_w_are_exclusive(tmp_path):
-    bad = dict(SMALL_CONFIG, process={"q": 2.0, "w": 0.5})
-    with pytest.raises(ConfigError, match="either q or w"):
-        load_config(write_config(tmp_path, bad), Overrides())
+def test_plan_seed_and_process_w_are_not_keys(tmp_path, capsys):
+    # base_seed is the one seed and q the one squeezing key.
+    for section, key in (("plan", "seed"), ("process", "w")):
+        payload = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section], **{key: 0})})
+        path = write_config(tmp_path, payload)
+        assert run_error(["estimate", "--config", path], capsys) == (
+            1, f"error: unknown key: {section}.{key}")
 
 
 def test_parse_grid():
@@ -168,7 +175,7 @@ def test_estimate_honours_auto_calibration(tmp_path):
     # sqrt(t_c) of d and q.
     payload = dict(SMALL_CONFIG, noise={"t_c": 0.5, "v_c": 1.2}, calibration="auto",
                    estimators=["mean_method", "naive_mean_method"], base_seed=16384,
-                   plan={"scheme": "joint", "n_samples": 100_000, "seed": 0})
+                   plan={"scheme": "joint", "n_samples": 100_000})
     out = tmp_path / "est.json"
     assert main(["estimate", "--config", write_config(tmp_path, payload),
                  "--out", str(out)]) == 0
@@ -231,6 +238,22 @@ def test_simulate_samples_csv(tmp_path):
     assert len(rows) == 1 + 600
 
 
+@pytest.mark.parametrize("scheme", ["joint", "homodyne3"])
+def test_simulate_samples_draw_under_the_seed_option(tmp_path, scheme):
+    # --seed sets base_seed, under which the plan draws its records.
+    payload = dict(SMALL_CONFIG, plan={"scheme": scheme, "n_samples": 600})
+    out = tmp_path / "shots.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, payload), "--samples",
+                 "--seed", "5", "--out", str(out)]) == 0
+    process = lmint.ProcessParams.from_q(**SMALL_CONFIG["process"])
+    records = lmint.sample(lmint.measured_state(SMALL_SETUP, process, lmint.IDEAL_NOISE),
+                           lmint.MeasurementPlan(lmint.Scheme(scheme), 600, 5))
+    want = ([[repr(theta), repr(v), ""] for theta, values in records.quad.items()
+             for v in values.tolist()] if records.quad is not None
+            else [["joint", repr(x), repr(p)] for x, p in records.pairs.tolist()])
+    assert [row[1:] for row in read_rows(out)[1:]] == want
+
+
 def test_successive_calls_share_the_parser_not_the_options(tmp_path, capsys):
     # The parser is built once per process; an option given to one call
     # (simulate --samples) does not leak into the next call without it.
@@ -249,13 +272,17 @@ def test_successive_calls_share_the_parser_not_the_options(tmp_path, capsys):
 
 def test_calibrate_json(tmp_path):
     out = tmp_path / "cal.json"
-    payload = dict(SMALL_CONFIG, noise={"t_c": 0.8, "v_c": 1.2},
-                   plan={"scheme": "joint", "n_samples": 100_000, "seed": 3})
+    payload = dict(SMALL_CONFIG, noise={"t_c": 0.8, "v_c": 1.2}, base_seed=3,
+                   plan={"scheme": "joint", "n_samples": 100_000})
     assert main(["calibrate", "--config", write_config(tmp_path, payload),
                  "--out", str(out)]) == 0
     est = json.loads(out.read_text())
     assert est["t_c"] == pytest.approx(0.8, abs=0.02)
     assert est["v_c"] >= 1.0
+    # The calibration probes draw under base_seed.
+    want = lmint.calibrate(SMALL_SETUP, lmint.MeasurementPlan(lmint.Scheme.JOINT, 100_000, 3),
+                           lmint.NoiseParams(t_c=0.8, v_c=1.2))
+    assert est == {"t_c": want.t_c, "v_c": want.v_c}
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -287,7 +314,7 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     # 4, under 2 for each of 3 angle groups; 4 calibration shots and 5 shots to
     # calibrate with leave 1.
     few = write_config(tmp_path, dict(SMALL_CONFIG, plan={"scheme": "homodyne3",
-                                                          "n_samples": 12, "seed": 0}), "few.json")
+                                                          "n_samples": 12}), "few.json")
     cal = write_config(tmp_path, dict(SMALL_CONFIG, estimators=["displacement"],
                                       calibration="auto", calibration_samples=4), "cal.json")
     for argv in (["estimate", "--config", few], ["estimate", "--config", cal],
@@ -302,8 +329,7 @@ def test_config_errors_name_their_key(tmp_path, capsys):
     # with the others: each error names its key path and exits 1.
     cases = [(dict(SMALL_CONFIG, m_reps="3"), [], "m_reps: expected an integer"),
              (dict(SMALL_CONFIG, calibration_samples=2.5), [], "calibration_samples: expected"),
-             (dict(SMALL_CONFIG, plan=dict(SMALL_CONFIG["plan"], seed=True)), [],
-              "plan.seed: expected an integer"),
+             (dict(SMALL_CONFIG, base_seed=True), [], "base_seed: expected an integer"),
              (SMALL_CONFIG, ["--axis", "zeta", "--grid", "lin:1:2:2"], "sweep.axis: unknown axis"),
              (SMALL_CONFIG, ["--axis", "V"], "missing key: sweep.grid"),
              (SMALL_CONFIG, ["--axis", "V", "--grid", "geo:1:2:3"], "sweep.grid: malformed")]
@@ -338,13 +364,12 @@ def run_error(argv, capsys):
 
 
 def test_out_of_range_and_non_finite_values_exit_1_by_name(tmp_path, capsys):
-    # q <= 0 once ended in a traceback, and q < 1, w < 0 and d < 0 were
+    # q <= 0 once ended in a traceback, and q < 1 and d < 0 were
     # silently clamped to the identity squeeze or no displacement; NaN and
     # infinity passed every check.
     process = {key: value for key, value in SMALL_CONFIG["process"].items() if key != "q"}
     cases = [("process", dict(process, q=0), "process.q: must be >= 1, got 0"),
              ("process", dict(process, q=0.5), "process.q: must be >= 1, got 0.5"),
-             ("process", dict(process, w=-0.5), "process.w: must be >= 0, got -0.5"),
              ("process", dict(SMALL_CONFIG["process"], d=-1), "process.d: must be >= 0, got -1"),
              ("setup", dict(SMALL_CONFIG["setup"], r_amp=math.nan),
               "setup.r_amp: expected a finite number, got nan"),
@@ -459,7 +484,8 @@ def test_calibration_ideal_is_not_a_mode(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep", "calibrate"])
 def test_run_keys_are_checked_by_every_command(tmp_path, capsys, command):
     # The keys of a Monte-Carlo run are checked as the config loads, so a
-    # config that one command rejects, no other command accepts.
+    # config that one command rejects, no other command accepts; base_seed,
+    # under which the plan draws, is named as itself.
     cases = [(dict(SMALL_CONFIG, calibration="bogus"), "unknown calibration mode 'bogus'"),
              (dict(SMALL_CONFIG, m_reps=1), "m_reps must be >= 2, got 1"),
              (dict(SMALL_CONFIG, base_seed=-1), "base_seed must lie in [0, 2**64), got -1"),
@@ -556,7 +582,7 @@ def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
 
 def test_exit_code_2_when_the_readout_lacks_the_covariance(tmp_path, capsys):
     payload = dict(SMALL_CONFIG, estimators=["cov_method"],
-                   plan={"scheme": "homodyne2", "n_samples": 600, "seed": 0})
+                   plan={"scheme": "homodyne2", "n_samples": 600})
     assert main(["estimate", "--config", write_config(tmp_path, payload)]) == 2
     assert "full covariance" in capsys.readouterr().err
 

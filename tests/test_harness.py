@@ -23,8 +23,16 @@ from lmint import (
     run_mc,
     sweep,
 )
-from lmint import harness, measurement
-from lmint.estimators import PROBE_PHASES, EstimateReport, est_general_mean, prepare_displacement
+from lmint import estimators, harness, measurement
+from lmint.estimators import (
+    ESTIMATORS,
+    MEANS,
+    PROBE_PHASES,
+    SCATTERS,
+    EstimateReport,
+    est_general_mean,
+    prepare_displacement,
+)
 from lmint.fisher import fisher_matrix
 from lmint.interferometer import measured_moments
 from lmint.measurement import MomentBlock, MomentEstimate
@@ -330,11 +338,11 @@ def test_a_run_draws_only_the_streams_its_estimators_read(bench_setup, bench_pro
 def test_only_the_estimators_that_read_a_scatter_condition_it(bench_setup, bench_process,
                                                              monkeypatch):
     # A block conditions its scatters (measurement._condition) only for an
-    # estimator that reads them: displacement and mean_method read means
-    # alone, so their run conditions nothing; under calibration "auto" each
-    # sweep point conditions its three calibration probes, whose variance
-    # calibrate reads; phase_var conditions the single read-out of each
-    # realization, and combined all four data sets of each.
+    # estimator that reads them, as ESTIMATORS declares: per realization the
+    # single read-out's and each of the three probes'.  displacement and
+    # mean_method read means alone, so their run conditions nothing; under
+    # calibration "auto" each sweep point conditions its three calibration
+    # probes, whose variance calibrate reads.
     calls = []
     real = measurement._condition
     monkeypatch.setattr(measurement, "_condition", lambda *args: calls.append(args) or real(*args))
@@ -342,18 +350,63 @@ def test_only_the_estimators_that_read_a_scatter_condition_it(bench_setup, bench
     means = mc(bench_setup, bench_process, estimators=("displacement", "mean_method"), n=600,
                m_reps=70, noise=noise)
     calibrated = dataclasses.replace(means, calibration="auto")
+    alone = [(dataclasses.replace(means, estimators=(name,)), None,
+              70 * ((entry.single == SCATTERS) + len(PROBE_PHASES) * (entry.probes == SCATTERS)))
+             for name, entry in ESTIMATORS.items()]
+    assert sum(want > 0 for _, _, want in alone) == 4  # phase_var, phase_ml, cov_method, combined
     for cfg, points, want in (
             (means, None, 0),
             (calibrated, None, 3),
             (calibrated, [50.0, 100.0], 2 * 3),
-            (dataclasses.replace(means, estimators=("phase_var",)), None, 70),
-            (dataclasses.replace(means, estimators=("combined",)), None, 4 * 70)):
+            *alone):
         calls.clear()
         reports = ([run_mc(cfg)] if points is None
                    else [report for _, report in sweep(cfg, "r", points)])
         assert len(calls) == want, (cfg.estimators, cfg.calibration)
         for report in reports:
             assert all(cell.n_ok + cell.n_failed == 70 for cell in report.cells.values())
+
+
+def test_every_estimator_runs_on_the_blocks_its_entry_declares(bench_setup, bench_process):
+    # Each estimator, given only the data sets ESTIMATORS says it reads and
+    # their scatters only where it says so, estimates every realization;
+    # one that declares a scatter raises the named ValueError on means alone.
+    cfg = mc(bench_setup, bench_process, estimators=("displacement",), n=600, m_reps=5)
+    n_each = cfg.plan.n_samples // len(PROBE_PHASES)
+    laws = harness._record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme,
+                                [(cfg.setup.probe_phase, cfg.plan.n_samples)]
+                                + [(phase, n_each) for phase in PROBE_PHASES])
+
+    def blocks(single, probes):
+        """The single read-out's block and the probes', formed as read."""
+        formed = [measurement.form_moments(law, measurement.draw_variates(
+            law, 7, j << 8, 5, reads == SCATTERS))
+            for j, (law, reads) in enumerate(zip(laws, [single, *[probes] * 3]))]
+        return formed[0] if single else None, formed[1:] if probes else []
+
+    for name, entry in ESTIMATORS.items():
+        estimate = harness._prepare(name, cfg, cfg.noise)
+        entries = estimate(*blocks(entry.single, entry.probes), None)
+        assert [type(e) for e in entries] == [tuple] * 5, (name, entries)
+        assert all(len(e) == len(entry.params) for e in entries), name
+        for reads, means_alone in ((entry.single, (MEANS, entry.probes)),
+                                   (entry.probes, (entry.single, MEANS))):
+            if reads == SCATTERS:
+                with pytest.raises(ValueError, match="^a block of means alone"):
+                    estimate(*blocks(*means_alone), None)
+
+
+def test_estimator_params_keep_their_mapping():
+    # bench/ reads the parameters of each estimator from lmint.harness.
+    assert harness.ESTIMATOR_PARAMS == {
+        "displacement": ("d", "beta"),
+        "phase_var": ("phi",),
+        "phase_mean": ("phi",),
+        "phase_ml": ("phi",),
+        "cov_method": ("phi", "q", "alpha", "d", "beta"),
+        "mean_method": ("phi", "q", "alpha", "d", "beta"),
+        "combined": ("phi", "q", "alpha", "d", "beta"),
+    }
 
 
 def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
@@ -372,7 +425,7 @@ def test_estimate_once_sees_the_data_of_run_mc(bench_setup, monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(harness, "prepare_displacement", spy)
+    monkeypatch.setattr(estimators, "prepare_displacement", spy)
     truth = ProcessParams.folded(d=4.0, beta=0.5)
     cfg = mc(bench_setup, truth, estimators=("displacement",), n=1000, m_reps=2)
     run_mc(cfg)
