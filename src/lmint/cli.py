@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimationError, UnidentifiableError
+from .estimators import _ESTIMATOR_FAILURES
 from .fisher import PARAMETERS, fisher_displacement, fisher_matrix
-from .gaussian_core import DecompositionError, ProcessParams
+from .gaussian_core import ProcessParams
 from .harness import (AXES, CalibrationError, MonteCarloConfig, apply_axis, calibrate,
                       check_run_keys, estimate_once, sweep)
 from .interferometer import SetupConfig, Topology, measured_state
-from .measurement import InsufficientDataError, MeasurementPlan, Scheme, sample
+from .measurement import MeasurementPlan, Scheme, UnphysicalStateError, sample
 from .noise import NoiseParams
 
 SWEEP_CSV_HEADER = ["axis", "value", "estimator", "parameter",
@@ -312,6 +312,8 @@ def cmd_sweep(cfg, args) -> int:
 def cmd_calibrate(cfg, args) -> int:
     try:
         est = calibrate(cfg["setup"], cfg["plan"], cfg["noise"])
+    except UnphysicalStateError:
+        raise
     except ValueError as exc:  # too few shots for the three probes
         raise ConfigError(f"plan: {exc}") from None
     _write_text(cfg["out"], json.dumps({"t_c": est.t_c, "v_c": est.v_c}, indent=2) + "\n")
@@ -365,8 +367,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EstimationError, UnidentifiableError, InsufficientDataError, CalibrationError,
-            DecompositionError) as exc:
+    # Also a model that floats cannot evaluate: an unphysical state, a Fisher overflow.
+    except (*_ESTIMATOR_FAILURES, CalibrationError, UnphysicalStateError, OverflowError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
 

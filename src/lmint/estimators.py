@@ -11,10 +11,11 @@ None.  It returns one entry per realization: the values, a general method's
 (_ESTIMATOR_FAILURES) that stopped it, reading row k of the columns that
 ESTIMATORS says it reads.  phase_var counts its clamps into diagnostics, and
 a general method fills in its realization's diagnostics for a one-row block
-only.  est_<name> checks its moments (_check_moments), applies the same
-function to one-row blocks of them and returns that row's values (a general
-method's as an EstimateReport) or raises its failure; a Monte-Carlo run
-applies it once per block and books the entries.
+only.  est_<name> prepares its ESTIMATORS entry as a run does, checks its
+moments (_check_moments), applies the same function to one-row blocks of
+them and returns that row's values (a general method's as an
+EstimateReport) or raises its failure; a Monte-Carlo run applies it once
+to all its realizations and books the entries.
 """
 from __future__ import annotations
 
@@ -117,15 +118,24 @@ def _per_row(values, diagnostics, *columns) -> list:
     return out
 
 
-def _one(estimate, single=None, probes=(), diagnostics=None):
-    """The values of a prepared estimate on one realization's MomentEstimates
-    (the single read-out, the probes), each read as a one-row block; raises
-    the failure that stopped it."""
+def _one(name, setup, noise, single=None, probes=None, diagnostics=None):
+    """The values of ESTIMATORS[name], prepared as a run prepares it, on one
+    realization's MomentEstimates (the single read-out, the probes), checked
+    (_check_moments) and read as one-row blocks; raises the failure that stopped it."""
+    estimate = ESTIMATORS[name].prepare(setup, noise, single and single.scheme)
+    _check_moments(single, probes)
     (entry,) = estimate(None if single is None else MomentBlock.of(single),
-                        [MomentBlock.of(m) for m in probes], diagnostics)
+                        [MomentBlock.of(m) for m in probes or ()], diagnostics)
     if isinstance(entry, Exception):
         raise entry
     return entry
+
+
+def _report(name, setup, noise, single=None, probes=None) -> EstimateReport:
+    """_one of a general method, its values and diagnostics as an EstimateReport."""
+    diagnostics = {}
+    values = _one(name, setup, noise, single, probes, diagnostics)
+    return EstimateReport(ProcessParams(*values), name, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +149,7 @@ def est_displacement(moments: MomentEstimate, setup: SetupConfig,
     The baseline is the model mean with the process switched off (A = I); the
     gain is sqrt(t2 t_c) for every topology.
     """
-    estimate = prepare_displacement(setup, noise)
-    _check_moments(moments)
-    return _one(estimate, moments)
+    return _one("displacement", setup, noise, moments)
 
 
 def prepare_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -178,9 +186,7 @@ def est_phase_var(moments: MomentEstimate, setup: SetupConfig, noise: NoiseParam
     diagnostics dict when given); the sign is resolved through the mean's
     p-component when the probe is bright, otherwise the magnitude is returned.
     """
-    estimate = prepare_phase_var(setup, noise)
-    _check_moments(moments)
-    return _one(estimate, moments, diagnostics=diagnostics)[0]
+    return _one("phase_var", setup, noise, moments, diagnostics=diagnostics)[0]
 
 
 def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -211,9 +217,7 @@ def prepare_phase_var(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
 def est_phase_mean(moments: MomentEstimate, setup: SetupConfig) -> float:
     """Mean-based phase estimator: two-argument arctangent of the displaced
     mean, the same under any channel, which scales through R(phi) m_in alone."""
-    estimate = prepare_phase_mean(setup)
-    _check_moments(moments)
-    return _one(estimate, moments)[0]
+    return _one("phase_mean", setup, IDEAL_NOISE, moments)[0]
 
 
 def prepare_phase_mean(setup: SetupConfig):
@@ -313,7 +317,7 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     a pure phase shift (mean and variance both phase-dependent).
 
     The data enter once, as _phase_terms' six terms.  A 64-point scan, one
-    product of them with prepare_phase_ml's basis, brackets the maximum
+    product of them with a basis formed once per run, brackets the maximum
     within a grid step either side; the polish solves the stationarity
     condition there on _phase_kernel's phi score and information at Python
     floats: a Fisher-scoring step, then secant steps, which follow the
@@ -327,9 +331,7 @@ def est_phase_ml(moments: MomentEstimate, setup: SetupConfig,
     phase: no probe light passes the process (simplistic topology, a dark
     probe, t1 = 0) and the covariance has no linear term (b = 0).
     """
-    estimate = prepare_phase_ml(setup, noise)
-    _check_moments(moments)
-    return _one(estimate, moments)[0]
+    return _one("phase_ml", setup, noise, moments)[0]
 
 
 def prepare_phase_ml(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -560,9 +562,7 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     lacks the full covariance, and EstimationError when the mean or the
     covariance is not finite.
     """
-    estimate, diag = prepare_general_cov(setup, noise, moments.scheme.has_full_cov), {}
-    return EstimateReport(ProcessParams(*_one(estimate, moments, diagnostics=diag)), "cov_method",
-                          diag)
+    return _report("cov_method", setup, noise, moments)
 
 
 def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
@@ -648,10 +648,7 @@ def est_general_mean(probe_moments, setup: SetupConfig,
     above the bound of the means; a weighted (GLS) fit of the same means
     reaches ~1.  est_combined, started here, is the efficient estimator.
     """
-    estimate, diag = prepare_general_mean(setup, noise), {}
-    _check_moments(probes=probe_moments)
-    return EstimateReport(ProcessParams(*_one(estimate, probes=probe_moments, diagnostics=diag)),
-                          "mean_method", diag)
+    return _report("mean_method", setup, noise, probes=probe_moments)
 
 
 def prepare_general_mean(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):
@@ -985,10 +982,7 @@ def est_combined(single_moments: MomentEstimate, probe_moments, setup: SetupConf
     (D - dof) / sqrt(2 dof) > _INCONSISTENT_SIGMA.  Fails as
     est_general_mean does when the probes cannot start it.
     """
-    estimate, diag = prepare_combined(setup, noise), {}
-    _check_moments(single_moments, probe_moments)
-    values = _one(estimate, single_moments, probe_moments, diag)
-    return EstimateReport(ProcessParams(*values), "combined", diag)
+    return _report("combined", setup, noise, single_moments, probe_moments)
 
 
 def prepare_combined(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE):

@@ -54,7 +54,8 @@ def fisher_matrix(setup: SetupConfig, process: ProcessParams,
     blocks = estimators._blocks([_ONE_RECORD], 0, [setup.light_mean])
     info = estimators._joint_fit(x, blocks, response(setup, noise))[2]
     if info is None:
-        raise OverflowError(f"the model covariance overflows at w = {process.w}")
+        raise OverflowError(f"the model covariance overflows or is not positive definite "
+                            f"in floating point at w = {process.w}")
     return jac.T @ info @ jac
 
 

@@ -309,8 +309,10 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 
 def is_physical(state: GaussianState, tol: float = 1e-9) -> bool:
-    """Whether all symplectic eigenvalues are >= 1 - tol (Heisenberg relation)."""
-    return bool(symplectic_eigenvalues(state.cov).min() >= 1.0 - tol)
+    """Whether the covariance is positive definite (-Sigma has the same nu)
+    and all symplectic eigenvalues are >= 1 - tol (Heisenberg relation)."""
+    return bool(symplectic_eigenvalues(state.cov).min() >= 1.0 - tol
+                and np.linalg.eigvalsh(state.cov)[0] > 0.0)
 
 
 def repair_physicality(cov: np.ndarray) -> np.ndarray:

@@ -1,20 +1,19 @@
 """Monte-Carlo MSE benchmarking, parameter sweeps, scaling fits, the
 phase-estimator crossover locator, and the two-step noise calibration.
 
-A run is prepared before its first draw: each estimator for its assumed
-channel (estimators.prepare_<name>, after a calibration when one reads it),
-and each data set's record law (measurement.record_laws) from the scalars of
-interferometer.measured_moments: one covariance, and the mean at its probe
-phase.  An estimator that fails its data-independent checks books m_reps
-failures of that reason unrun, and a run with none left draws nothing.  Then
-each data set draws the variates of all its realizations, one call per
-stream (measurement.draw_variates), its gamma columns only when an estimator
-of the run reads its scatter (estimators.ESTIMATORS), and they are
-formed _BLOCK realizations at a time, one MomentBlock per data set
-(measurement.form_moments: the means and any conditioned scatters as
-columns); each estimator runs once over a block, reading its rows by index,
-and returns an entry per realization, its values or its failure, which the
-run books in order before the next block is formed.  Variate kind v of data set
+A run first prepares each estimator for its assumed channel
+(estimators.ESTIMATORS, after one calibration when one reads it).  An
+estimator that fails its data-independent checks books m_reps failures of
+that reason unrun, and a run with none left draws nothing.  Then _draw forms
+each data set once for all the run's realizations, as the calibration forms
+its probes: its record law (measurement.record_laws) from the scalars of
+interferometer.measured_moments (one covariance, and the mean at its probe
+phase), its variates in one call per stream (measurement.draw_variates),
+with gamma columns only when an estimator of the run reads its scatter, and
+its MomentBlock (measurement.form_moments: the means and any conditioned
+scatters as columns).  Each estimator then runs once over the blocks,
+reading their rows by index, and returns an entry per realization, its
+values or its failure, which the run books in order.  Variate kind v of data set
 j at sweep point p comes from the Philox stream keyed (base_seed, p 2^32 +
 j 2^8 + v): j = 0 is the single read-out, 1 to 3 the probes and 4 to 6 the
 point's calibration probes; v = 0 the normals and 1, 2, ... one per gamma
@@ -40,7 +39,7 @@ from .estimators import (
     SCATTERS,
     _probe_inversion,
 )
-from .gaussian_core import IDENTITY_PROCESS, ProcessParams, circular_diff
+from .gaussian_core import IDENTITY_PROCESS, ProcessParams
 from .interferometer import SetupConfig, measured_moments, response
 from .measurement import MeasurementPlan, draw_variates, form_moments, record_laws
 from .noise import IDEAL_NOISE, NoiseParams
@@ -48,15 +47,6 @@ from .noise import IDEAL_NOISE, NoiseParams
 
 class CalibrationError(RuntimeError):
     """The calibration run produced an unphysical channel estimate."""
-
-
-#: Realizations per block.  CPU us per realization of a cov + mean sweep point (T = 0.1,
-#: 2048 reps, one Xeon core) at blocks of 1/4/16/64/256/1024: 53.6/38.7/31.6/28.9/28.6/30.8.
-#: A run draws the variates of all m_reps up front, 8 bytes each, per data set and
-#: realization 3 normals and 2 gammas if its scatter is read (1.6 MB for 4 joint data sets at
-#: 10 000), but forms its blocks one at a time; per realization of 4 joint data sets
-#: (tracemalloc) 0.2 KB read as means, 0.45 KB with the conditioned scatters.
-_BLOCK = 64
 
 
 def base_name(estimator: str) -> str:
@@ -136,26 +126,24 @@ class MSEReport:
         return self.cells[(estimator, parameter)].mse
 
 
-def param_error(estimate: float, truth: float, parameter: str) -> float:
-    """Signed error, on the circle for angular parameters."""
-    period = _PARAM_PERIODS.get(parameter)
-    if period is None:
-        return estimate - truth
-    return circular_diff(estimate, truth, period)
-
-
 # ---------------------------------------------------------------------------
 # Single-realization pipeline
 
 
-def _record_laws(setup: SetupConfig, process: ProcessParams, noise, scheme, sets) -> list:
-    """The record laws of data sets (probe phase, shot count) read out on
-    `scheme`: one covariance and the mean at each distinct probe phase, which
-    data sets may share."""
-    phases = list(dict.fromkeys(phase for phase, _ in sets))
+def _draw(setup: SetupConfig, process: ProcessParams, noise, scheme, seed, point, sets, m) -> list:
+    """The MomentBlocks of realizations 1 to m of data sets (j, probe phase,
+    shot count, scatter read) read out on `scheme`: one covariance and the
+    mean at each distinct probe phase, which data sets may share, give each
+    set's law, whose variates draw on the streams of (seed,
+    _stream_word(point, j)), its gamma columns only when its scatter is read."""
+    phases = list(dict.fromkeys(phase for _, phase, _, _ in sets))
     means, cov = measured_moments(setup, process, noise, phases)
-    mean_at = dict(zip(phases, means))
-    return [record_laws(mean_at[phase], cov, scheme, n) for phase, n in sets]
+    mean_at, blocks = dict(zip(phases, means)), []
+    for j, phase, n, scatter in sets:
+        law = record_laws(mean_at[phase], cov, scheme, n)
+        blocks.append(form_moments(law, draw_variates(law, seed, _stream_word(point, j), m,
+                                                      scatter)))
+    return blocks
 
 
 def _stream_word(point: int, data_set: int) -> int:
@@ -166,27 +154,19 @@ def _stream_word(point: int, data_set: int) -> int:
 
 def _simulate_realizations(cfg: MonteCarloConfig, point: int, names, m: int | None = None):
     """The moments of realizations 1 to m (default m_reps) at sweep point
-    `point`, _BLOCK realizations at a time, as pairs of MomentBlocks (single
-    read-out, three probes) for the estimators `names`: data set 0 when one
-    of them reads the single read-out, and data sets 1 to 3 when one reads
-    the probes (else None and []), with their scatters only when one reads
-    them (estimators.ESTIMATORS).  Their laws are formed and all their
-    variates drawn before the first block is formed."""
+    `point`, as a pair of MomentBlocks (single read-out, three probes) for
+    the estimators `names`: data set 0 when one of them reads the single
+    read-out, and data sets 1 to 3 when one reads the probes (else None and
+    []), with their scatters only when one reads them (estimators.ESTIMATORS)."""
     single = max(ESTIMATORS[base_name(name)].single for name in names)
     probes = max(ESTIMATORS[base_name(name)].probes for name in names)
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
-    sets = (([(cfg.setup.probe_phase, cfg.plan.n_samples)] if single else [])
-            + ([(phase, n_each) for phase in PROBE_PHASES] if probes else []))
-    laws = _record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, sets)
-    data_sets = range(len(laws)) if single else range(1, len(laws) + 1)
-    m = cfg.m_reps if m is None else m
-    variates = [draw_variates(law, cfg.base_seed, _stream_word(point, j), m,
-                              (single if j == 0 else probes) == SCATTERS)
-                for law, j in zip(laws, data_sets)]
-    for start in range(0, m, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        blocks = [form_moments(law, drawn, rows) for law, drawn in zip(laws, variates)]
-        yield (blocks[0], blocks[1:]) if single else (None, blocks)
+    sets = (([(0, cfg.setup.probe_phase, cfg.plan.n_samples, single == SCATTERS)] if single else [])
+            + ([(j, phase, n_each, probes == SCATTERS)
+                for j, phase in enumerate(PROBE_PHASES, start=1)] if probes else []))
+    blocks = _draw(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, cfg.base_seed, point, sets,
+                   cfg.m_reps if m is None else m)
+    return (blocks[0], blocks[1:]) if single else (None, blocks)
 
 
 def _prepare(name: str, cfg: MonteCarloConfig, noise: NoiseParams):
@@ -217,14 +197,28 @@ def _calibrated_noise(cfg: MonteCarloConfig, point: int) -> NoiseParams | None:
                      cfg.noise, point=point)
 
 
+def _prepared(cfg: MonteCarloConfig, point: int) -> dict:
+    """Each of cfg.estimators, in order, prepared for a run at sweep point
+    `point` under its assumed channel (one calibration serves them all), or
+    the data-independent failure its preparation raised."""
+    calibrated, out = _calibrated_noise(cfg, point), {}
+    for name in cfg.estimators:
+        try:
+            out[name] = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
+        except _ESTIMATOR_FAILURES as exc:
+            out[name] = exc
+    return out
+
+
 def estimate_once(cfg: MonteCarloConfig) -> list:
     """Parameter values of each of cfg.estimators, in order, on the data of
     realization 1 of run_mc; an estimator's failure propagates."""
-    calibrated = _calibrated_noise(cfg, 0)
-    single, probes = next(_simulate_realizations(cfg, 0, cfg.estimators, 1))
+    prepared = _prepared(cfg, 0)
+    single, probes = _simulate_realizations(cfg, 0, cfg.estimators, 1)
     out = []
-    for name in cfg.estimators:
-        estimate = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
+    for name, estimate in prepared.items():
+        if isinstance(estimate, Exception):
+            raise estimate
         (entry,) = estimate(single, probes, None)
         if isinstance(entry, Exception):
             raise entry
@@ -243,36 +237,27 @@ def run_mc(cfg: MonteCarloConfig) -> MSEReport:
 def _run_point(cfg: MonteCarloConfig, point: int) -> MSEReport:
     """run_mc on the streams of sweep point `point` (run_mc itself is point 0).
     Each estimator is prepared once; one that fails its data-independent
-    checks counts m_reps failures of that reason.  Each live estimator, in
-    cfg.estimators order, runs over a block of _BLOCK realizations before the
-    next is formed, and its entries are booked in order: the values of each
-    success, and each failure by its reason."""
+    checks counts m_reps failures of that reason.  The live ones' data sets
+    are drawn once, and each live estimator, in cfg.estimators order, runs
+    once over all the realizations; its entries are booked in order (the
+    values of each success, and each failure by its reason) into its cells."""
     t0 = time.perf_counter()
-    calibrated = _calibrated_noise(cfg, point)
-    failures = {name: {} for name in cfg.estimators}  # exception class name -> count
-    rows = {name: [] for name in cfg.estimators}      # the values of each success
-    diagnostics = {name: {} for name in cfg.estimators}
-    live = {}  # name -> prepared estimator
-    for name in cfg.estimators:
-        try:
-            live[name] = _prepare(name, cfg, _resolve_assumed(cfg, name, calibrated))
-        except _ESTIMATOR_FAILURES as exc:
-            reason = type(exc).__name__
-            failures[name][reason] = failures[name].get(reason, 0) + cfg.m_reps
-    loop = [(live[n], rows[n], diagnostics[n], failures[n]) for n in cfg.estimators if n in live]
-    blocks = _simulate_realizations(cfg, point, live) if loop else ()
-    for single, probes in blocks:
-        for estimate, done, diag, failed in loop:
-            for entry in estimate(single, probes, diag):
+    prepared = _prepared(cfg, point)
+    live = [name for name, estimate in prepared.items() if not isinstance(estimate, Exception)]
+    single, probes = _simulate_realizations(cfg, point, live) if live else (None, [])
+    cells = {}
+    for name, estimate in prepared.items():
+        rows, failures, diagnostics = [], {}, {}  # the values of each success, failures by reason
+        if name in live:
+            for entry in estimate(single, probes, diagnostics):
                 if type(entry) is tuple:
-                    done.append(entry)
+                    rows.append(entry)
                 else:
                     reason = type(entry).__name__
-                    failed[reason] = failed.get(reason, 0) + 1
-    cells = {}
-    for name in cfg.estimators:
-        cells.update(_cell_stats(cfg, name, rows[name], failures[name],
-                                 diagnostics[name].get("clamped", 0)))
+                    failures[reason] = failures.get(reason, 0) + 1
+        else:
+            failures[type(estimate).__name__] = cfg.m_reps
+        cells.update(_cell_stats(cfg, name, rows, failures, diagnostics.get("clamped", 0)))
     return MSEReport(cells=cells, config=cfg, wall_time=time.perf_counter() - t0)
 
 
@@ -296,7 +281,7 @@ def _cell_stats(cfg: MonteCarloConfig, name: str, rows: list, failures: dict,
         if p == "q":
             column = list(map(math.exp, column))
         truth, period = getattr(cfg.process, p), _PARAM_PERIODS.get(p)
-        errs = ([v - truth for v in column] if period is None  # param_error, by column
+        errs = ([v - truth for v in column] if period is None  # signed, on the circle for angles
                 else [math.remainder(v - truth, period) for v in column])
         bias = math.fsum(errs) / len(errs)
         if len(params) == 5 and not math.isfinite(bias):  # a value est_<name> would refuse
@@ -458,13 +443,10 @@ def calibrate(setup: SetupConfig, plan: MeasurementPlan,
         raise CalibrationError("calibration needs probe light through the process "
                                "(interferometric or blocked beam, t1 > 0)")
     n_each = plan.n_samples // len(PROBE_PHASES)
-    laws = _record_laws(setup, IDENTITY_PROCESS, true_noise, plan.scheme,
-                        [(phase, n_each) for phase in PROBE_PHASES])
-    probes = [form_moments(law, draw_variates(law, plan.seed, _stream_word(point, j), 1))
-              for j, law in enumerate(laws, start=4)]
-    probe_a, probe_b, probe_c = probes
+    probes = _draw(setup, IDENTITY_PROCESS, true_noise, plan.scheme, plan.seed, point,
+                   [(j, phase, n_each, True) for j, phase in enumerate(PROBE_PHASES, start=4)], 1)
     # Half the trace of the linear part.
-    gain = _probe_inversion(probe_a.z[0], probe_b.z[0], probe_c.z[0], r)[1][0].real
+    gain = _probe_inversion(*(probe.z[0] for probe in probes), r)[1][0].real
     through_part = (gain - ideal.direct) / ideal.through
     t_c_hat = through_part * through_part if through_part > 0.0 else 0.0
     if t_c_hat > (1.0 + _GAIN_MARGIN) ** 2 or t_c_hat <= 0.0:

@@ -39,6 +39,10 @@ class InsufficientDataError(ValueError):
     """An angle group required for the requested statistic is missing."""
 
 
+class UnphysicalStateError(ValueError):
+    """The state to sample is not physical (gaussian_core.is_physical)."""
+
+
 class Scheme(Enum):
     """Detection scheme per shot.
 
@@ -146,11 +150,11 @@ def record_laws(z: complex, cov: tuple, scheme: Scheme, n_samples: int) -> tuple
     n - 1, vacuum unit), L the lower Cholesky factor of their covariance,
     which heterodyne widens by the vacuum unit.  The records at angles 0,
     pi/2 and pi/4 are x, p and (x + p) / sqrt 2, with variances Sxx, Spp
-    and (Sxx + Spp) / 2 + Sxp.  Raises ValueError for an unphysical state
-    (gaussian_core.is_physical's test)."""
+    and (Sxx + Spp) / 2 + Sxp.  Raises UnphysicalStateError unless Sxx > 0
+    and sqrt(det) >= 1 - 1e-9 (gaussian_core.is_physical's test)."""
     s_xx, s_xp, s_pp = cov
-    if not math.sqrt(max(s_xx * s_pp - s_xp * s_xp, 0.0)) >= 1.0 - 1e-9:
-        raise ValueError("cannot sample an unphysical state")
+    if not (s_xx > 0.0 and math.sqrt(max(s_xx * s_pp - s_xp * s_xp, 0.0)) >= 1.0 - 1e-9):
+        raise UnphysicalStateError("cannot sample an unphysical state")
     m_x, m_p = z.real, z.imag
     if scheme in _ANGLES:
         sizes = _group_sizes(scheme, n_samples)
@@ -354,9 +358,9 @@ def draw_variates(laws: tuple, seed: int, word: int, m: int, scatter: bool = Tru
                      for v, shape in enumerate(shapes, start=1)]
 
 
-def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> MomentBlock:
-    """The MomentBlock of the realizations in `rows` of draw_variates'
-    variates, at a cost independent of the shot count: its means and its
+def form_moments(laws: tuple, variates: tuple) -> MomentBlock:
+    """The MomentBlock of draw_variates' variates, one row per realization,
+    at a cost independent of the shot count: its means and its
     scatters, each conditioned (_condition) as it is formed, or the means
     alone (the same floats) when no gamma column was drawn.  Per homodyne
     group of n records of variance s2, the mean is N(mu, s2 / n) and the
@@ -367,7 +371,7 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> Mom
     2) and A21 ~ N(0, 1); the vacuum unit is taken off the scatter."""
     paired, scheme, n_effective, groups = laws
     normals, gammas = variates
-    drawn = normals[rows].tolist()
+    drawn = normals.tolist()
     z, mean_diag = _means(paired, groups, drawn)
     if not gammas:
         return MomentBlock(z, None, n_effective, scheme, mean_diag)
@@ -375,15 +379,14 @@ def form_moments(laws: tuple, variates: tuple, rows: slice = slice(None)) -> Mom
     if paired:
         _, _, _, l00, l10, l11, _, _, _, dof, vacuum = groups
         conditioned, (column_1, column_2) = [], gammas
-        for (a21, _, _), gamma_1, gamma_2 in zip(drawn, column_1[rows].tolist(),
-                                                 column_2[rows].tolist()):
+        for (a21, _, _), gamma_1, gamma_2 in zip(drawn, column_1.tolist(), column_2.tolist()):
             a11, a22 = math.sqrt(2.0 * gamma_1), math.sqrt(2.0 * gamma_2)
             # root = L A, lower triangular; the scatter is root root^T / (n - 1).
             r11, r21, r22 = l00 * a11, l10 * a11 + l11 * a21, l11 * a22
             conditioned.append(_condition(r11 * r11 / dof - vacuum, r11 * r21 / dof,
                                           (r21 * r21 + r22 * r22) / dof - vacuum))
         return MomentBlock(z, conditioned, n_effective, scheme)
-    variances = [[var * (2.0 * gamma) / dof for gamma in column[rows].tolist()]
+    variances = [[var * (2.0 * gamma) / dof for gamma in column.tolist()]
                  for (_, _, var, _, _, dof), column in zip(groups, gammas)]
     return MomentBlock(z, [_condition(*_angles_scatter(*row)) for row in zip(*variances)],
                        n_effective, scheme, mean_diag)

@@ -580,6 +580,30 @@ def test_exit_code_2_on_estimation_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: A balanced interferometer in matter at V = 1e100.
+_HOT = dict(SMALL_CONFIG["setup"], t1=0.5, t2=0.5, v_thermal=1e100)
+
+
+@pytest.mark.parametrize("command, setup, process", [
+    ("estimate", _HOT, {"d": 4.0, "beta": 0.5}),
+    ("calibrate", _HOT, {"d": 4.0, "beta": 0.5}),
+    ("estimate", SMALL_CONFIG["setup"], {"q": 1e50, "d": 4.0, "beta": 0.5}),
+    ("fisher", SMALL_CONFIG["setup"], dict(SMALL_CONFIG["process"], q=1e8)),
+], ids=["estimate-V", "calibrate-V", "estimate-q", "fisher-q"])
+def test_a_model_that_floats_cannot_evaluate_exits_2_by_name(tmp_path, capsys, command, setup,
+                                                             process):
+    # At V = 1e100 or q = 1e50 the measured covariance is not positive
+    # definite in floats, so record_laws refuses to sample it, and at q = 1e8
+    # the Fisher matrix's model covariance has det <= 0 in floats: each
+    # command says so on one line and exits 2.
+    payload = dict(SMALL_CONFIG, setup=setup, process=process, estimators=["displacement"])
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("estimation failed: "), err
+    assert "Traceback" not in err
+
+
 def test_exit_code_2_when_the_readout_lacks_the_covariance(tmp_path, capsys):
     payload = dict(SMALL_CONFIG, estimators=["cov_method"],
                    plan={"scheme": "homodyne2", "n_samples": 600})

@@ -9,6 +9,7 @@ import pytest
 
 from lmint import (
     IDEAL_NOISE,
+    IDENTITY_PROCESS,
     MeasurementPlan,
     MonteCarloConfig,
     NoiseParams,
@@ -34,6 +35,7 @@ from lmint.estimators import (
     prepare_displacement,
 )
 from lmint.fisher import fisher_matrix
+from lmint.gaussian_core import circular_diff
 from lmint.interferometer import measured_moments
 from lmint.measurement import MomentBlock, MomentEstimate
 from lmint.harness import (
@@ -41,10 +43,9 @@ from lmint.harness import (
     ESTIMATOR_PARAMS,
     apply_axis,
     estimate_once,
-    param_error,
 )
 
-from conftest import block_rows, public_entry
+from conftest import block_rows, public_entry, reference_draw
 
 
 def mc(setup, process, *, estimators, n=2000, m_reps=20, seed=123, **kw):
@@ -66,12 +67,6 @@ def test_config_validation(bench_setup, bench_process):
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError):
             mc(bench_setup, bench_process, estimators=("displacement",), seed=seed)
-
-
-def test_param_error_is_circular():
-    assert param_error(3.1, -3.1, "phi") == pytest.approx(6.2 - 2 * math.pi)
-    assert param_error(1.5, -1.5, "alpha") == pytest.approx(3.0 - math.pi)
-    assert param_error(5.0, 1.0, "d") == pytest.approx(4.0)
 
 
 def test_cell_stats_match_a_numpy_reduction(bench_setup):
@@ -102,8 +97,10 @@ def test_cell_stats_match_a_numpy_reduction(bench_setup):
             rows.append(tuple(row))
         cells = harness._cell_stats(cfg, "cov_method", rows, {}, 0)
         for i, p in enumerate(params):
-            errs = np.array([param_error(math.exp(row[i]) if p == "q" else row[i], truth[i], p)
-                             for row in rows])
+            period = harness._PARAM_PERIODS.get(p)  # the signed error, on the circle for angles
+            errs = np.array([value - truth[i] if period is None
+                             else circular_diff(value, truth[i], period) for value in
+                             (math.exp(row[i]) if p == "q" else row[i] for row in rows)])
             mse, bias = np.mean(errs ** 2), np.mean(errs)
             cell = cells[("cov_method", p)]
             assert abs(cell.mse - mse) <= few * mse
@@ -180,8 +177,8 @@ def test_a_run_books_no_value_that_the_public_path_refuses(bench_setup, bench_pr
     with pytest.raises(ValueError) as public:
         est_general_mean([probe] * 3, bench_setup)
     assert str(public.value) == "d must be finite, got inf"
-    monkeypatch.setattr(harness, "form_moments", lambda laws, variates, rows: MomentBlock(
-        [probe.z] * len(variates[0][rows]), None, probe.n_effective, probe.scheme))
+    monkeypatch.setattr(harness, "form_moments", lambda laws, variates: MomentBlock(
+        [probe.z] * len(variates[0]), None, probe.n_effective, probe.scheme))
     with pytest.raises(ValueError) as run:
         run_mc(mc(bench_setup, bench_process, estimators=("mean_method",), n=600, m_reps=3))
     assert str(run.value) == str(public.value)
@@ -373,15 +370,12 @@ def test_every_estimator_runs_on_the_blocks_its_entry_declares(bench_setup, benc
     # one that declares a scatter raises the named ValueError on means alone.
     cfg = mc(bench_setup, bench_process, estimators=("displacement",), n=600, m_reps=5)
     n_each = cfg.plan.n_samples // len(PROBE_PHASES)
-    laws = harness._record_laws(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme,
-                                [(cfg.setup.probe_phase, cfg.plan.n_samples)]
-                                + [(phase, n_each) for phase in PROBE_PHASES])
 
     def blocks(single, probes):
         """The single read-out's block and the probes', formed as read."""
-        formed = [measurement.form_moments(law, measurement.draw_variates(
-            law, 7, j << 8, 5, reads == SCATTERS))
-            for j, (law, reads) in enumerate(zip(laws, [single, *[probes] * 3]))]
+        sets = [(0, cfg.setup.probe_phase, cfg.plan.n_samples, single == SCATTERS)] + [
+            (j, phase, n_each, probes == SCATTERS) for j, phase in enumerate(PROBE_PHASES, 1)]
+        formed = harness._draw(cfg.setup, cfg.process, cfg.noise, cfg.plan.scheme, 7, 0, sets, 5)
         return formed[0] if single else None, formed[1:] if probes else []
 
     for name, entry in ESTIMATORS.items():
@@ -394,6 +388,34 @@ def test_every_estimator_runs_on_the_blocks_its_entry_declares(bench_setup, benc
             if reads == SCATTERS:
                 with pytest.raises(ValueError, match="^a block of means alone"):
                     estimate(*blocks(*means_alone), None)
+
+
+#: The prepare_<name> that each ESTIMATORS entry calls.
+_PREPARES = {"displacement": "prepare_displacement", "phase_var": "prepare_phase_var",
+             "phase_mean": "prepare_phase_mean", "phase_ml": "prepare_phase_ml",
+             "cov_method": "prepare_general_cov", "mean_method": "prepare_general_mean",
+             "combined": "prepare_combined"}
+
+
+def test_est_and_run_prepare_through_the_same_entry(bench_setup, bench_process, monkeypatch):
+    # est_<name> prepares its estimator through its ESTIMATORS entry, as a
+    # run does: a patched estimators.prepare_<name> is called once by the
+    # public estimate and once by run_mc.
+    assert set(_PREPARES) == set(ESTIMATORS)
+    cfg = mc(bench_setup, bench_process, estimators=("combined",), n=600, m_reps=2)
+    single, probes = harness._simulate_realizations(cfg, 0, ["combined"], 1)
+    single, probes = block_rows(single)[0], [block_rows(probe)[0] for probe in probes]
+    for name, attr in _PREPARES.items():
+        calls, real = [], getattr(estimators, attr)
+        monkeypatch.setattr(estimators, attr, lambda *a, real=real: calls.append(a) or real(*a))
+        try:
+            public_entry(name, bench_setup, IDEAL_NOISE, single, probes)
+        except harness._ESTIMATOR_FAILURES:
+            pass
+        assert len(calls) == 1, name
+        run_mc(dataclasses.replace(cfg, estimators=(name,)))
+        assert len(calls) == 2, name
+        monkeypatch.undo()
 
 
 def test_estimator_params_keep_their_mapping():
@@ -446,16 +468,16 @@ def _per_realization_cells(cfg):
     rows = {name: [] for name in cfg.estimators}
     diagnostics = {name: {} for name in cfg.estimators}
     bases = {harness.base_name(name) for name in cfg.estimators}
-    for single, probes in harness._simulate_realizations(cfg, 0, bases | {"combined"}):
-        for single_k, *probes_k in zip(block_rows(single), *map(block_rows, probes)):
-            for name in cfg.estimators:
-                noise = harness._resolve_assumed(cfg, name, calibrated)
-                try:
-                    rows[name].append(public_entry(harness.base_name(name), cfg.setup, noise,
-                                                   single_k, list(probes_k), diagnostics[name]))
-                except harness._ESTIMATOR_FAILURES as exc:
-                    reason = type(exc).__name__
-                    failures[name][reason] = failures[name].get(reason, 0) + 1
+    single, probes = harness._simulate_realizations(cfg, 0, bases | {"combined"})
+    for single_k, *probes_k in zip(block_rows(single), *map(block_rows, probes)):
+        for name in cfg.estimators:
+            noise = harness._resolve_assumed(cfg, name, calibrated)
+            try:
+                rows[name].append(public_entry(harness.base_name(name), cfg.setup, noise,
+                                               single_k, list(probes_k), diagnostics[name]))
+            except harness._ESTIMATOR_FAILURES as exc:
+                reason = type(exc).__name__
+                failures[name][reason] = failures[name].get(reason, 0) + 1
     cells = {}
     for name in cfg.estimators:
         cells.update(harness._cell_stats(cfg, name, rows[name], failures[name],
@@ -464,13 +486,14 @@ def _per_realization_cells(cfg):
 
 
 def test_blocks_give_the_cells_of_the_per_realization_order():
-    # run_mc runs each estimator over a block of realizations before it
-    # draws the next block.  Every estimator still sees the realizations in
+    # run_mc draws every realization before it runs each estimator once
+    # over all of them.  Every estimator still sees the realizations in
     # order, so every cell (failure reasons and their order, clamp counts,
     # and the statistics, compared through repr so that NaNs and signed
-    # zeros count) is that of the per-realization order, across two block
-    # boundaries.  At T = 0.1, r = 10 and 600 shots the set fails by three
-    # reasons, combined by two in the same run, and phase_var clamps.
+    # zeros count) is that of the per-realization order, over 131
+    # realizations (past rows 64 and 128, where runs once cut blocks).  At
+    # T = 0.1, r = 10 and 600 shots the set fails by three reasons,
+    # combined by two in the same run, and phase_var clamps.
     setup = SetupConfig(topology=Topology.INTERFEROMETRIC, t1=0.1, t2=0.1,
                         v_thermal=100.0, r_amp=10.0)
     process = ProcessParams.from_q(phi=2.9, q=2.0, alpha=-0.3, d=4.0, beta=0.5)
@@ -484,7 +507,7 @@ def test_blocks_give_the_cells_of_the_per_realization_order():
                                        plan=MeasurementPlan(scheme, 600, seed=0),
                                        estimators=estimators, noise=noise,
                                        calibration=calibration,
-                                       m_reps=2 * harness._BLOCK + 3, base_seed=16384)
+                                       m_reps=131, base_seed=16384)
                 cells = run_mc(cfg).cells
                 assert repr(cells) == repr(_per_realization_cells(cfg)), cfg
                 for cell in cells.values():
@@ -492,40 +515,6 @@ def test_blocks_give_the_cells_of_the_per_realization_order():
                     clamps += cell.n_clamped
     assert len(reasons) >= 2
     assert clamps > 0
-
-
-def test_a_run_holds_at_most_one_block(bench_setup, bench_process, monkeypatch):
-    # The first estimator runs over each block before the next is formed:
-    # at each of its calls at most _BLOCK realizations are formed and not
-    # yet seen by it, and a run of 3 * _BLOCK reps forms three blocks.
-    drawn, seen, ahead = [0], [0], []
-    simulate, prepare = harness._simulate_realizations, harness._prepare
-
-    def counted(*args):
-        for single, probes in simulate(*args):
-            drawn[0] += len(single.z)
-            yield single, probes
-
-    def watched(name, *args):
-        estimate = prepare(name, *args)
-        if name != "displacement":
-            return estimate
-
-        def first(single, probes, diagnostics):
-            assert drawn[0] - seen[0] <= harness._BLOCK
-            ahead.append(drawn[0])
-            entries = estimate(single, probes, diagnostics)
-            seen[0] += len(entries)
-            return entries
-
-        return first
-
-    monkeypatch.setattr(harness, "_simulate_realizations", counted)
-    monkeypatch.setattr(harness, "_prepare", watched)
-    run_mc(mc(bench_setup, bench_process, estimators=("displacement", "phase_mean"),
-              n=600, m_reps=3 * harness._BLOCK))
-    assert drawn[0] == seen[0] == 3 * harness._BLOCK
-    assert sorted(set(ahead)) == [harness._BLOCK * b for b in (1, 2, 3)]
 
 
 def test_plan_seeds_of_a_calibrated_sweep_are_distinct(bench_setup, bench_process,
@@ -819,6 +808,28 @@ def test_find_r_crit_refuses_a_range_that_is_not_increasing_and_positive(bench_s
 
 def cal_plan(n, seed=0):
     return MeasurementPlan(scheme=Scheme.JOINT, n_samples=n, seed=seed)
+
+
+def test_calibrate_draws_its_probes_as_data_sets_4_to_6(bench_setup, monkeypatch):
+    # calibrate forms its probes by the draw function of a run, in one call:
+    # data sets 4 to 6 at the probe phases, with their scatters, one
+    # realization with the process switched off, under the plan's seed at
+    # the given point.  Each probe is row 0 of the reference draw of its law
+    # on its key, bit for bit.
+    calls, draw = [], harness._draw
+    monkeypatch.setattr(harness, "_draw", lambda *args: calls.append(args) or draw(*args))
+    noise = NoiseParams(t_c=0.8, v_c=1.3)
+    for scheme in Scheme:
+        calls.clear()
+        calibrate(bench_setup, MeasurementPlan(scheme, 3000, seed=99), noise, point=7)
+        sets = [(j, phase, 1000, True) for j, phase in enumerate(PROBE_PHASES, start=4)]
+        assert calls == [(bench_setup, IDENTITY_PROCESS, noise, scheme, 99, 7, sets, 1)]
+        means, cov = measured_moments(bench_setup, IDENTITY_PROCESS, noise, PROBE_PHASES)
+        for block, (j, *_), z in zip(draw(*calls[0]), sets, means):
+            want = reference_draw((z, cov, scheme, 1000), 99, 7 << 32 | j << 8, 1)
+            assert repr([(block.z[0], *block.conditioned[0],
+                          block.mean_diag and block.mean_diag[0])]) == repr(
+                [(w[0], w[1], w[2], w[3]) for w in want]), (scheme, j)
 
 
 def test_calibrate_ideal_channel(bench_setup):

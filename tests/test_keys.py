@@ -97,7 +97,7 @@ def test_one_pass_seeds_are_the_seed_sequence_children(entropy, bench_setup, ben
             for p in points:
                 want = {j: [(_bits if full else _mean_bits)(*d) for d in reference_draw(
                     law_args[j], entropy, p * 2 ** 32 + j * 2 ** 8, 3)] for j in data_sets}
-                ((single_block, probe_blocks),) = _simulate_realizations(cfg, p, bases)
+                single_block, probe_blocks = _simulate_realizations(cfg, p, bases)
                 data = ([] if single_block is None else [(0, single_block)]) + list(
                     zip((1, 2, 3), probe_blocks))
                 assert [len(block.z) for _, block in data] == [3] * len(data)

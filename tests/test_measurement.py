@@ -12,7 +12,7 @@ from lmint.gaussian_core import (
 )
 from lmint.measurement import (
     SampleSet, _cholesky, _condition, _group_sizes, _rng, _smaller_eigenvalue, draw_moments,
-    draw_variates, form_moments, record_laws,
+    UnphysicalStateError, draw_variates, form_moments, record_laws,
 )
 
 from conftest import block_rows, mean_cov, reference_draw
@@ -85,6 +85,13 @@ def test_record_laws_rejects_exactly_the_unphysical_states():
                         with pytest.raises(ValueError, match="unphysical"):
                             draw_moments(state, plan(scheme, 30))
     assert verdicts == {True, False}
+    # -Sigma has the symplectic eigenvalues of Sigma, so det >= 1 alone
+    # would pass -2 I, and [[-3, 1], [1, -1]] (det 2, trace -4).
+    for cov in ([[-2.0, 0.0], [0.0, -2.0]], [[-3.0, 1.0], [1.0, -1.0]]):
+        assert not is_physical(GaussianState(np.zeros(2), np.array(cov)))
+        for scheme in Scheme:
+            with pytest.raises(UnphysicalStateError, match="cannot sample an unphysical state"):
+                record_laws(0j, (cov[0][0], cov[0][1], cov[1][1]), scheme, 100)
 
 
 def test_joint_vacuum_variance():
@@ -271,9 +278,9 @@ def test_draws_are_the_reference_draws_bit_for_bit():
 def test_a_mean_only_block_holds_the_reference_means_bit_for_bit():
     # Drawn without its gamma columns (the normals' stream alone), a block
     # holds the means and homodyne3's pi/4 means of the draw that forms
-    # every statistic, bit for bit, on every scheme and in blocks that
-    # start past row 0; reading its scatter raises a named ValueError, not
-    # a TypeError from iterating nothing.
+    # every statistic, bit for bit, on every scheme and on rows past row 0;
+    # reading its scatter raises a named ValueError, not a TypeError from
+    # iterating nothing.
     drawn = random.Random(34)
     for case in range(400):
         scheme, m = list(Scheme)[case % 4], (1, 2, 70)[case // 4 % 3]
@@ -285,18 +292,17 @@ def test_a_mean_only_block_holds_the_reference_means_bit_for_bit():
         law, seed, word = record_laws(*law_args), drawn.getrandbits(64), drawn.getrandbits(40)
         variates = draw_variates(law, seed, word, m, scatter=False)
         assert variates[1] == []
-        blocks = [form_moments(law, variates, slice(start, start + 64))
-                  for start in range(0, m, 64)]
+        block = form_moments(law, variates)
         want = reference_draw(law_args, seed, word, m)
-        assert [(z.real.hex(), z.imag.hex()) for block in blocks for z in block.z] == [
+        assert [(z.real.hex(), z.imag.hex()) for z in block.z] == [
             (w[0].real.hex(), w[0].imag.hex()) for w in want], (law_args, seed, word)
         if scheme is Scheme.HOMODYNE_SPLIT3:
-            assert [d.hex() for block in blocks for d in block.mean_diag] == [
-                w[3].hex() for w in want], (law_args, seed, word)
+            assert [d.hex() for d in block.mean_diag] == [w[3].hex() for w in want], \
+                (law_args, seed, word)
         else:
-            assert blocks[0].mean_diag is None
+            assert block.mean_diag is None
         with pytest.raises(ValueError, match="means alone"):
-            blocks[0].conditioned
+            block.conditioned
 
 
 def test_a_draw_cannot_change_the_shot_counts_of_its_law():

@@ -145,8 +145,8 @@ def test_unidentifiable_estimators_cost_no_draw(monkeypatch):
 def test_realizations_do_not_depend_on_m_reps(scheme, monkeypatch):
     # Realization k is row k - 1 of every stream: realizations 1 to 5,
     # their calibration included, book the same values or failures at
-    # m_reps = 5 and at 130, where the run forms three blocks, and
-    # estimate_once gives realization 1's values or failure.
+    # m_reps = 5 and at 130, and estimate_once gives realization 1's values
+    # or failure.
     estimators = ("displacement", "phase_var", "cov_method", "mean_method", "combined")
     cfg = MonteCarloConfig(setup=SETUP, process=FAMILIES["general"][1],
                            plan=MeasurementPlan(scheme, 6000, 0), estimators=estimators,
