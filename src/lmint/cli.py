@@ -23,7 +23,7 @@ from .gaussian_core import ProcessParams
 from .harness import (AXES, CalibrationError, MonteCarloConfig, apply_axis, calibrate,
                       check_run_keys, estimate_once, sweep)
 from .interferometer import SetupConfig, Topology, measured_state
-from .measurement import MeasurementPlan, Scheme, UnphysicalStateError, sample
+from .measurement import MeasurementPlan, Scheme, UnphysicalStateError, _state_laws, sample
 from .noise import NoiseParams
 
 SWEEP_CSV_HEADER = ["axis", "value", "estimator", "parameter",
@@ -238,6 +238,7 @@ def _csv_text(header, rows) -> str:
 
 def cmd_simulate(cfg, args) -> int:
     state = measured_state(cfg["setup"], cfg["process"], cfg["noise"])
+    _state_laws(state, cfg["plan"])  # UnphysicalStateError, as estimate and sample raise
     payload = {"mean": list(state.mean), "cov": [list(row) for row in state.cov]}
     if args.samples:
         records = sample(state, cfg["plan"])

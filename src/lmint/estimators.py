@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gaussian_core import DecompositionError, ProcessParams, fold_angle, fold_axis, polar_pair
+from .gaussian_core import (_ISOTROPIC_TOL, DecompositionError, ProcessParams, fold_angle,
+                           fold_axis, polar_pair)
 from .interferometer import SetupConfig, _process_pair, _sigma, response
 from .measurement import InsufficientDataError, MomentBlock, MomentEstimate, Scheme
 from .noise import IDEAL_NOISE, NoiseParams
@@ -466,6 +467,10 @@ def _cov_preimages(cov, constants):
     return [m for m in out if abs(m[1]) <= sinh_w_max]
 
 
+#: _symmetric_face's companion matrix without its first column: numpy's polyroots layout.
+_SHIFT = np.eye(8, k=1)
+
+
 def _symmetric_face(mu, lam):
     """Points x to try for the symmetric process matrices V diag(x, 1/x) V^T.
 
@@ -478,12 +483,12 @@ def _symmetric_face(mu, lam):
     1/lam where the face meets the rank-one face.  That polynomial is monic
     of degree 8 with the coefficients [-1, 3 lam, mu[1] - 3 lam^2, lam^3 -
     mu[1] lam, 0, mu[0] lam - lam^3, 3 lam^2 - mu[0], -3 lam, 1] of x^0 ...
-    x^8, and its roots are the eigenvalues of its companion matrix, one
-    eigvals call.  Returns the points in range; x and 1/x give the two
-    pairings of eigenvalues.
+    x^8, and its roots are the eigenvalues of its companion matrix (a copy
+    of _SHIFT), one eigvals call per covariance off the image.  Returns the
+    points in range; x and 1/x give the two pairings of eigenvalues.
     """
     lam2 = lam * lam
-    companion = np.eye(8, k=1)  # numpy's polyroots layout: ones above the diagonal
+    companion = _SHIFT.copy()
     companion[:, 0] = [3.0 * lam, mu[0] - 3.0 * lam2, lam * (lam2 - mu[0]), 0.0,
                        lam * (mu[1] - lam2), 3.0 * lam2 - mu[1], -3.0 * lam, 1.0]
     lo, hi = math.exp(-W_MAX), math.exp(W_MAX)
@@ -551,10 +556,10 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
     of alternatives (see _cov_preimages), which a single read-out cannot
     distinguish; the reported solution is the canonical one among the
     preimages of the fitted covariance (least squeezing, then most
-    axis-aligned, then largest rotation), and the other preimages are listed
-    as rivals in the diagnostics.  A covariance off the image fits to a
-    point on its boundary, where the rivals include a twin with equal
-    squeezing.
+    axis-aligned, then largest rotation), and the others, decomposed for
+    this call alone (see prepare_general_cov), are listed as rivals in the
+    diagnostics.  A covariance off the image fits to a point on its
+    boundary, where the rivals include a twin with equal squeezing.
 
     Raises UnidentifiableError when the covariance response has no linear
     term (cold matter V = 1, the blocked beam, t2 = 0): the covariance then
@@ -567,7 +572,11 @@ def est_general_cov(moments: MomentEstimate, setup: SetupConfig,
 
 def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
     """est_general_cov for one setup and channel, on a read-out that pins
-    Cov(x, p) when full_cov (else InsufficientDataError)."""
+    Cov(x, p) when full_cov (else InsufficientDataError).  Of a fit's
+    preimages (_fit_cov), each kept once with polar_pair's w, only those
+    within 1e-3 of the least w are decomposed to choose the pick: the least
+    |alpha| within 1e-3, then the largest phi, the first of equals.  The
+    others are decomposed for a diagnostics dict alone (a one-row block)."""
     if not full_cov:
         raise InsufficientDataError(
             "covariance-based estimation needs the full covariance "
@@ -579,44 +588,56 @@ def prepare_general_cov(setup: SetupConfig, noise: NoiseParams, full_cov: bool):
             "so it carries no rotation signal")
     m_in, constants = setup.light_mean, _cov_constants(resp)
 
+    def folded(m0, m1):  # polar_pair's alpha is folded already
+        phi, w, alpha = polar_pair(m0, m1)
+        return fold_angle(phi), max(w, 0.0), alpha
+
     def values(z: complex, cov_emp: tuple, mean_diag, diagnostics: dict | None = None) -> tuple:
-        # Every process matrix consistent with the fitted covariance, once each;
-        # the canonical representative is the pick.
         if not all(map(cmath.isfinite, (z, *cov_emp))):
             _check_moments(MomentEstimate(z, *cov_emp, mean_diag=mean_diag))  # raises
         mats, off_image = _fit_cov(cov_emp, resp, constants)
-        candidates, seen = [], []
+        # Each process matrix of the fit once, in order, with polar_pair's w as
+        # folded clips it; the conditional expressions give max()'s bits at half its cost.
+        found = []
         for m0, m1 in mats:
-            tol = _SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
-            if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
-                continue
-            phi, w, alpha = polar_pair(m0, m1)
-            seen.append((m0, m1))
-            candidates.append((fold_angle(phi), max(w, 0.0), fold_axis(alpha)))
-        w_min = min(w for _, w, _ in candidates)
-        short = [c for c in candidates if c[1] <= w_min + 1e-3]
-        a_min = min(abs(al) for _, _, al in short)
-        short = [c for c in short if abs(c[2]) <= a_min + 1e-3]
-        pick = max(short, key=lambda c: c[0])
-
-        gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
+            r0, r1 = abs(m0), abs(m1)
+            tol = _SAME_PROCESS_TOL * (r0 + r1 if r0 + r1 > 1.0 else 1.0)
+            for n0, n1, _ in found:
+                if abs(m0 - n0) + abs(m1 - n1) <= tol:
+                    break
+            else:
+                if r0 <= r1:
+                    polar_pair(m0, m1)  # raises DecompositionError
+                w = math.log(r0 if 2.0 * r1 <= _ISOTROPIC_TOL * r0 else r0 + r1)
+                found.append((m0, m1, 0.0 if w < 0.0 else w))
+        w_cut, near = min(w for _, _, w in found) + 1e-3, []
+        for k, (m0, m1, w) in enumerate(found):
+            if w <= w_cut:
+                phi, _, alpha = polar_pair(m0, m1)
+                near.append((k, fold_angle(phi), w, alpha))
+        a_cut, pick = min(abs(c[3]) for c in near) + 1e-3, None
+        for c in near:  # the largest phi, the first of equals
+            if abs(c[3]) <= a_cut and (pick is None or c[1] > pick[1]):
+                pick = c
+        k_pick, phi, w, alpha = pick
+        m0, m1 = pair = _process_pair(phi, w, alpha)
+        s0, s1 = _sigma(pair, resp)
+        gap = (s0 - cov_emp[0], s1 - cov_emp[1])
         residual = math.sqrt(_dot(gap, gap))
         rel = residual / max(math.sqrt(_dot(cov_emp, cov_emp)), 1e-300)
         if rel > RESIDUAL_REL_TOL:
             raise FitRejectedError(
                 f"covariance residual {rel:.3g} exceeds tolerance {RESIDUAL_REL_TOL}")
-        phi, w, alpha = pick
         if diagnostics is not None:
             diagnostics.update(residual=residual, residual_rel=rel, off_image=off_image,
-                               ambiguity_order=len(candidates))
-            rivals = [c for c in candidates if c is not pick]
+                               ambiguity_order=len(found))
+            rivals = [folded(m0, m1) for k, (m0, m1, _) in enumerate(found) if k != k_pick]
             if rivals:
                 diagnostics["rival_fits"] = rivals
             if w < AXIS_UNDEFINED_W:
                 diagnostics["axis_undefined"] = True
         if w < AXIS_UNDEFINED_W:
-            alpha = 0.0
-        m0, m1 = _process_pair(phi, w, alpha)
+            alpha, (m0, m1) = 0.0, _process_pair(phi, w, 0.0)
         d_vec = (z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
                  - resp.direct * m_in) / resp.g_d
         return phi, w, alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))  # pick is folded

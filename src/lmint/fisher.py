@@ -9,6 +9,7 @@ kernel over a whole phase grid at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -62,9 +63,15 @@ def fisher_matrix(setup: SetupConfig, process: ProcessParams,
 def fisher_displacement(setup: SetupConfig, noise: NoiseParams = IDEAL_NOISE) -> FisherResult:
     """Per-sample information about the displacement magnitude under the
     channel, g_d^2 / (a + 2b + e): the d entry of fisher_matrix at A = I,
-    where the output covariance is (a + 2b + e) I."""
+    where the output covariance is (a + 2b + e) I.  OverflowError when that
+    variance is not positive and finite in floating point (in very hot
+    matter a + 2b + e cancels)."""
     resp = response(setup, noise)
-    return FisherResult(value=resp.g_d ** 2 / (resp.a + 2.0 * resp.b + resp.e), parameter="d")
+    variance = resp.a + 2.0 * resp.b + resp.e
+    if not 0.0 < variance < math.inf:
+        raise OverflowError(f"the output variance at A = I, {variance}, is not positive and finite "
+                            "in floating point")
+    return FisherResult(value=resp.g_d ** 2 / variance, parameter="d")
 
 
 def fisher_numeric(setup: SetupConfig, process: ProcessParams,

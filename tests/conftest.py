@@ -2,18 +2,19 @@
 figures (interferometric coupling T=0.1, hot matter V=100, bright probe r=100)
 and helpers to turn exact forward moments into MomentEstimate objects.
 """
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lmint import ProcessParams, SetupConfig, Topology, forward
+from lmint import ProcessParams, SetupConfig, Topology, estimators, forward
 from lmint.estimators import (PROBE_PHASES, W_MAX, est_combined, est_displacement,
                               est_general_cov, est_general_mean, est_phase_mean, est_phase_ml,
                               est_phase_var)
-from lmint.gaussian_core import rotation
-from lmint.interferometer import Response, response
+from lmint.gaussian_core import fold_angle, fold_axis, polar_pair, rotation
+from lmint.interferometer import Response, _process_pair, _sigma, response
 from lmint.measurement import MomentEstimate, Scheme, _cholesky, _condition
 from lmint.noise import IDEAL_NOISE
 
@@ -376,3 +377,58 @@ def reference_phase_loglik(phi, resp, blocks):
         score = score + (drift + 0.5 * d_var * (spread / v - n_all * k)) / v
         info = info + (pull + 0.5 * n_all * k * d_var * d_var / v) / v
     return ll, score, info
+
+
+def reference_general_cov(setup, noise):
+    """The per-realization cov_method of one setup and channel as it was
+    written before the pick decomposed only the preimages it can choose:
+    every distinct preimage of the fit goes through polar_pair and both
+    folds, three filters narrow them (least w within 1e-3, then least
+    |alpha| within 1e-3, then the largest phi, the first of equals), and
+    the pick's pair is formed apart for the residual and for d.  Returns
+    values(z, cov_emp, mean_diag, diagnostics), the reference for
+    estimators.prepare_general_cov's, which must match it bit for bit."""
+    resp = response(setup, noise)
+    m_in, constants = setup.light_mean, estimators._cov_constants(resp)
+
+    def values(z, cov_emp, mean_diag, diagnostics=None):
+        if not all(map(cmath.isfinite, (z, *cov_emp))):
+            estimators._check_moments(MomentEstimate(z, *cov_emp, mean_diag=mean_diag))
+        mats, off_image = estimators._fit_cov(cov_emp, resp, constants)
+        candidates, seen = [], []
+        for m0, m1 in mats:
+            tol = estimators._SAME_PROCESS_TOL * max(1.0, abs(m0) + abs(m1))
+            if any(abs(m0 - n0) + abs(m1 - n1) <= tol for n0, n1 in seen):
+                continue
+            phi, w, alpha = polar_pair(m0, m1)
+            seen.append((m0, m1))
+            candidates.append((fold_angle(phi), max(w, 0.0), fold_axis(alpha)))
+        w_min = min(w for _, w, _ in candidates)
+        short = [c for c in candidates if c[1] <= w_min + 1e-3]
+        a_min = min(abs(al) for _, _, al in short)
+        short = [c for c in short if abs(c[2]) <= a_min + 1e-3]
+        pick = max(short, key=lambda c: c[0])
+
+        gap = [s - c for s, c in zip(_sigma(_process_pair(*pick), resp), cov_emp)]
+        residual = math.sqrt(estimators._dot(gap, gap))
+        rel = residual / max(math.sqrt(estimators._dot(cov_emp, cov_emp)), 1e-300)
+        if rel > estimators.RESIDUAL_REL_TOL:
+            raise estimators.FitRejectedError(
+                f"covariance residual {rel:.3g} exceeds tolerance {estimators.RESIDUAL_REL_TOL}")
+        phi, w, alpha = pick
+        if diagnostics is not None:
+            diagnostics.update(residual=residual, residual_rel=rel, off_image=off_image,
+                               ambiguity_order=len(candidates))
+            rivals = [c for c in candidates if c is not pick]
+            if rivals:
+                diagnostics["rival_fits"] = rivals
+            if w < estimators.AXIS_UNDEFINED_W:
+                diagnostics["axis_undefined"] = True
+        if w < estimators.AXIS_UNDEFINED_W:
+            alpha = 0.0
+        m0, m1 = _process_pair(phi, w, alpha)
+        d_vec = (z - resp.through * (m0 * m_in + m1 * m_in.conjugate())
+                 - resp.direct * m_in) / resp.g_d
+        return phi, w, alpha, abs(d_vec), fold_angle(cmath.phase(d_vec))
+
+    return values

@@ -589,13 +589,17 @@ _HOT = dict(SMALL_CONFIG["setup"], t1=0.5, t2=0.5, v_thermal=1e100)
     ("calibrate", _HOT, {"d": 4.0, "beta": 0.5}),
     ("estimate", SMALL_CONFIG["setup"], {"q": 1e50, "d": 4.0, "beta": 0.5}),
     ("fisher", SMALL_CONFIG["setup"], dict(SMALL_CONFIG["process"], q=1e8)),
-], ids=["estimate-V", "calibrate-V", "estimate-q", "fisher-q"])
+    ("fisher", _HOT, {"d": 4.0, "beta": 0.5}),
+    ("simulate", _HOT, {"d": 4.0, "beta": 0.5}),
+], ids=["estimate-V", "calibrate-V", "estimate-q", "fisher-q", "fisher-V", "simulate-V"])
 def test_a_model_that_floats_cannot_evaluate_exits_2_by_name(tmp_path, capsys, command, setup,
                                                              process):
     # At V = 1e100 or q = 1e50 the measured covariance is not positive
-    # definite in floats, so record_laws refuses to sample it, and at q = 1e8
-    # the Fisher matrix's model covariance has det <= 0 in floats: each
-    # command says so on one line and exits 2.
+    # definite in floats, so record_laws refuses to sample it (and simulate
+    # to write it), at V = 1e100 the output variance at A = I that
+    # fisher_displacement divides by cancels to 0, and at q = 1e8 the Fisher
+    # matrix's model covariance has det <= 0 in floats: each command says so
+    # on one line and exits 2.
     payload = dict(SMALL_CONFIG, setup=setup, process=process, estimators=["displacement"])
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "out")]) == 2

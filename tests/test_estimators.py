@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import re
 
@@ -20,6 +21,7 @@ from lmint import (
     est_phase_ml,
     est_phase_var,
     forward,
+    harness,
     response,
 )
 from lmint.estimators import (
@@ -28,6 +30,7 @@ from lmint.estimators import (
     FitRejectedError,
     UnidentifiableError,
     _blocks,
+    prepare_general_cov,
 )
 from lmint.gaussian_core import circular_diff, fold_angle, rotation, squeeze_matrix
 from lmint.measurement import (
@@ -43,10 +46,12 @@ from lmint.measurement import (
 
 from conftest import (
     NO_CHANNEL,
+    block_rows,
     exact_moments,
     exact_probe_moments,
     mean_cov,
     reference_data_sets,
+    reference_general_cov,
     reference_joint_fit,
     reference_phase_loglik,
     reference_symmetric_face,
@@ -607,7 +612,7 @@ def test_cov_method_rejects_off_manifold_data(bench_setup):
 def _pushed_off_image(bench_setup, bench_process, depth):
     """Weak-coupling moments with the smaller eigenvalue of P P^T pushed
     just below zero: off the image of the covariance map, past its rank-one
-    face."""
+    face.  A negative depth leaves that eigenvalue at -depth, just inside."""
     setup = dataclasses.replace(bench_setup, t1=0.01, t2=0.01)
     state = forward(setup, bench_process)
     resp = response(setup)
@@ -616,7 +621,7 @@ def _pushed_off_image(bench_setup, bench_process, depth):
     ppt = (state.cov - shift * np.eye(2)) / a
     evals, evecs = np.linalg.eigh(ppt)
     cov = state.cov - a * (evals[0] + depth) * np.outer(evecs[:, 0], evecs[:, 0])
-    assert np.linalg.det((cov - shift * np.eye(2)) / a) < 0.0
+    assert (np.linalg.det((cov - shift * np.eye(2)) / a) < 0.0) == (depth > 0.0)
     return setup, MomentEstimate(mean=state.mean, cov=cov, n_effective={"cov_xp": 1})
 
 
@@ -736,6 +741,50 @@ def test_cov_method_off_image_pick_matches_the_polynomial_reference(bench_setup,
         assert got.diagnostics["ambiguity_order"] == want.diagnostics["ambiguity_order"]
         assert_params_close(got.params, want.params, 1e-9)
     assert off_image >= 20
+
+
+def test_cov_method_pick_is_the_reference_pick_bit_for_bit(bench_setup, bench_process):
+    # The prepared cov_method, which decomposes only the preimages its pick
+    # can choose, against conftest.reference_general_cov, which decomposes
+    # every one: the same values, bit for bit (repr of each float), and on
+    # one-row est_general_cov calls the same diagnostics in the same order.  First on exact moments pushed just inside the image
+    # at its rank-one face, where the two pairs of twins differ in w by
+    # 2.5e-4, 7.9e-4 and 1.4e-3, so that the phi rule, the |alpha| window
+    # and the w window each decide one pick, and pushed off it at both faces.
+    inputs = [_pushed_off_image(bench_setup, bench_process, depth)
+              for depth in (-1e-7, -1e-6, -3e-6, 0.002, 0.01)]
+    for setup, moments in inputs + [_shrunk_near_identity(bench_setup)]:
+        want = {}
+        values = reference_general_cov(setup, IDEAL_NOISE)(
+            moments.z, (moments.c0, moments.c1), moments.mean_diag, want)
+        (entry,) = prepare_general_cov(setup, IDEAL_NOISE, True)(MomentBlock.of(moments))
+        assert repr(entry) == repr(values)
+        assert repr(est_general_cov(moments, setup).diagnostics) == repr(want)
+    # Then on rows drawn on three read-outs at V = 1.5 and 100 and T from
+    # 0.01 to 0.3.  Each read-out fits some rows off the image, and at q =
+    # 1.0001 a few fits fall below AXIS_UNDEFINED_W, where d is read off the
+    # pair of alpha = 0.
+    undefined = 0
+    for scheme in (Scheme.JOINT, Scheme.HETERODYNE, Scheme.HOMODYNE_SPLIT3):
+        off_image = 0
+        for q, v_thermal, t in itertools.product((2.0, 1.0001), (1.5, 100.0),
+                                                 (0.01, 0.03, 0.1, 0.3)):
+            setup = SetupConfig(Topology.INTERFEROMETRIC, t1=t, t2=t, v_thermal=v_thermal,
+                                r_amp=100.0)
+            process = ProcessParams.from_q(phi=0.7, q=q, alpha=-0.3, d=4.0, beta=0.5)
+            (block,) = harness._draw(setup, process, IDEAL_NOISE, scheme, 3801, 0,
+                                     [(0, setup.probe_phase, 100_000, True)], 25)
+            got = prepare_general_cov(setup, IDEAL_NOISE, True)(block)
+            reference = reference_general_cov(setup, IDEAL_NOISE)
+            for entry, moments in zip(got, block_rows(block)):
+                want = {}
+                values = reference(moments.z, (moments.c0, moments.c1), moments.mean_diag, want)
+                assert repr(entry) == repr(values), (scheme, q, v_thermal, t)
+                assert repr(est_general_cov(moments, setup).diagnostics) == repr(want)
+                off_image += want["off_image"]
+                undefined += want.get("axis_undefined", False)
+        assert off_image >= 10, scheme
+    assert undefined >= 1
 
 
 @pytest.mark.parametrize("entry", ["c0_nan", "c0_inf", "c1_nan", "mean_nan", "mean_inf"])
